@@ -8,6 +8,8 @@
 package starlink_test
 
 import (
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -18,6 +20,7 @@ import (
 	"starlink/internal/message"
 	"starlink/internal/models"
 	"starlink/internal/parser"
+	"starlink/internal/protocols/upnp"
 	"starlink/internal/registry"
 	"starlink/internal/translation"
 	"starlink/internal/xpath"
@@ -221,7 +224,9 @@ func BenchmarkParseSSDPText(b *testing.B) {
 }
 
 // BenchmarkParseHTTPXMLBody measures text parsing plus XML body
-// flattening (device description handling).
+// flattening (device description handling) on three description shapes:
+// a three-leaf stub, the repository benchmark's description (one 4 KiB
+// text run) and a realistic one (~60 short leaves in 3 KiB).
 func BenchmarkParseHTTPXMLBody(b *testing.B) {
 	reg := mustRegistry(b)
 	spec, _ := reg.Spec("HTTP")
@@ -229,18 +234,37 @@ func BenchmarkParseHTTPXMLBody(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	body := "<root><specVersion><major>1</major></specVersion>" +
-		"<URLBase>http://10.0.0.7:5431/svc</URLBase>" +
-		"<device><friendlyName>Printer</friendlyName></device></root>"
-	wire := []byte("HTTP/1.1 200 OK\r\nContent-Type: text/xml\r\n\r\n" + body)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		msg, err := p.Parse(wire)
-		if err != nil {
-			b.Fatal(err)
-		}
-		msg.Release()
+	var leaves strings.Builder
+	leaves.WriteString(`<?xml version="1.0" encoding="utf-8"?>` + "\n" +
+		`<root xmlns="urn:schemas-upnp-org:device-1-0">` + "\n" +
+		" <specVersion><major>1</major><minor>0</minor></specVersion>\n" +
+		" <URLBase>http://10.0.0.7:5431/svc</URLBase>\n <device>\n" +
+		"  <friendlyName>Office printer, 2nd floor</friendlyName>\n  <serviceList>\n")
+	for i := 0; i < 14; i++ {
+		fmt.Fprintf(&leaves, "   <service>\n    <serviceType%d>urn:schemas-upnp-org:service:Print:%d</serviceType%d>\n"+
+			"    <serviceId%d>urn:upnp-org:serviceId:%d</serviceId%d>\n    <SCPDURL%d>/scpd/%d.xml</SCPDURL%d>\n"+
+			"    <controlURL%d>/ctl/%d</controlURL%d>\n   </service>\n", i, i, i, i, i, i, i, i, i, i, i, i)
+	}
+	leaves.WriteString("  </serviceList>\n </device>\n</root>\n")
+	for _, shape := range []struct{ name, body string }{
+		{"stub", "<root><specVersion><major>1</major></specVersion>" +
+			"<URLBase>http://10.0.0.7:5431/svc</URLBase>" +
+			"<device><friendlyName>Printer</friendlyName></device></root>"},
+		{"text4k", string(upnp.DescriptionXML("Starlink bench printer "+strings.Repeat("x", 4096),
+			"urn:printer", "http://10.0.0.7:5431/svc"))},
+		{"leaves60", leaves.String()},
+	} {
+		wire := []byte("HTTP/1.1 200 OK\r\nContent-Type: text/xml\r\n\r\n" + shape.body)
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				msg, err := p.Parse(wire)
+				if err != nil {
+					b.Fatal(err)
+				}
+				msg.Release()
+			}
+		})
 	}
 }
 

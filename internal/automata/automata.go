@@ -32,6 +32,9 @@ type Attr struct {
 // uncolored.
 type Color struct {
 	attrs []Attr
+	// key is Key's result, computed once by NewColor: the network engine
+	// asks for it every time a session opens a requester.
+	key string
 }
 
 // NewColor builds a color from attributes. Attributes are
@@ -41,7 +44,11 @@ func NewColor(attrs ...Attr) Color {
 	cp := make([]Attr, len(attrs))
 	copy(cp, attrs)
 	sort.Slice(cp, func(i, j int) bool { return cp[i].Key < cp[j].Key })
-	return Color{attrs: cp}
+	var sb strings.Builder
+	for _, a := range cp {
+		fmt.Fprintf(&sb, "%d:%s=%d:%s;", len(a.Key), a.Key, len(a.Value), a.Value)
+	}
+	return Color{attrs: cp, key: sb.String()}
 }
 
 // Attrs returns the canonicalised attributes.
@@ -80,25 +87,19 @@ func (c Color) IsZero() bool { return len(c.attrs) == 0 }
 // Key is the perfect hash function f of §III-B: an injective canonical
 // encoding of the attribute tuple. Two colors are the same k iff their
 // Keys are equal. Keys and values are length-prefixed so no two
-// distinct tuples share an encoding.
-func (c Color) Key() string {
-	var sb strings.Builder
-	for _, a := range c.attrs {
-		fmt.Fprintf(&sb, "%d:%s=%d:%s;", len(a.Key), a.Key, len(a.Value), a.Value)
-	}
-	return sb.String()
-}
+// distinct tuples share an encoding. The zero Color's key is "".
+func (c Color) Key() string { return c.key }
 
 // Hash64 derives a compact 64-bit FNV-1a digest of the Key for display
 // and logging. (Key itself is the collision-free identity.)
 func (c Color) Hash64() uint64 {
 	h := fnv.New64a()
-	h.Write([]byte(c.Key()))
+	h.Write([]byte(c.key))
 	return h.Sum64()
 }
 
 // Equal reports whether two colors are the same k.
-func (c Color) Equal(o Color) bool { return c.Key() == o.Key() }
+func (c Color) Equal(o Color) bool { return c.key == o.key }
 
 // String renders the color compactly for diagnostics.
 func (c Color) String() string {
@@ -350,7 +351,7 @@ func colorLegend(a *Automaton) string {
 func colorsHash(a *Automaton) uint64 {
 	h := fnv.New64a()
 	for _, c := range a.Colors() {
-		h.Write([]byte(c.Key()))
+		h.Write([]byte(c.key))
 	}
 	return h.Sum64()
 }

@@ -82,6 +82,26 @@ func TestColorKeyInjective(t *testing.T) {
 	}
 }
 
+// TestColorKeyStored pins the canonical encoding NewColor computes once,
+// the zero Color's empty key, and that asking for the key costs nothing
+// (the network engine does, per requester a session opens).
+func TestColorKeyStored(t *testing.T) {
+	c := NewColor(Attr{"port", "427"}, Attr{"mode", "async"})
+	if got, want := c.Key(), "4:mode=5:async;4:port=3:427;"; got != want {
+		t.Fatalf("key = %q, want %q", got, want)
+	}
+	var zero Color
+	if zero.Key() != "" || NewColor().Key() != "" || !zero.Equal(NewColor()) {
+		t.Fatalf("zero color keys = %q, %q", zero.Key(), NewColor().Key())
+	}
+	if zero.Equal(c) {
+		t.Fatal("the zero color equals a colored one")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = c.Key() }); n != 0 {
+		t.Fatalf("Key allocates %.0f times", n)
+	}
+}
+
 // Property: Key is injective over generated attribute tuples — the
 // paper's "perfect hash function ... without collisions".
 func TestQuickColorKeyInjective(t *testing.T) {

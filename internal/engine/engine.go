@@ -325,8 +325,8 @@ func WithFlowGate(g *netapi.FlowGate) Option {
 	}
 }
 
-// WithEgressTable registers the local address of every requester
-// channel the engine's sessions open in t for the requesters'
+// WithEgressTable registers the local address of every datagram
+// requester the engine's sessions open in t for the requesters'
 // lifetime. A multi-case dispatcher shares one table across its
 // engines so it can recognise — and not re-bridge — the deployment's
 // own outbound requests arriving back on shared multicast listeners.

@@ -443,7 +443,7 @@ func (s *session) runSend(step merge.Step) error {
 		}
 		s.requesters[step.Protocol] = r
 		if s.e.egress != nil {
-			s.e.egress.Add(r.LocalAddr())
+			s.e.egress.Add(r)
 		}
 	}
 	sendErr := r.Send(wire)
@@ -539,7 +539,7 @@ func (s *session) cleanup() {
 	s.await.Store(nil)
 	for _, r := range s.requesters {
 		if s.e.egress != nil {
-			s.e.egress.Remove(r.LocalAddr())
+			s.e.egress.Remove(r)
 		}
 		_ = r.Close()
 	}

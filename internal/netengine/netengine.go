@@ -372,24 +372,18 @@ func (r *Requester) Send(data []byte) error {
 // Convergence returns the color's response-collection window.
 func (r *Requester) Convergence() time.Duration { return r.scheme.Convergence }
 
-// LocalAddr returns the channel's local socket address — the source
-// address peers (and multicast group members) see on its requests.
-func (r *Requester) LocalAddr() netapi.Addr {
-	if r.conn != nil {
-		return r.conn.LocalAddr()
-	}
-	if r.sock != nil {
-		return r.sock.LocalAddr()
-	}
-	return netapi.Addr{}
-}
-
-// EgressTable is a concurrent set of the local addresses a bridge
+// EgressTable is a concurrent set of the datagram sockets a bridge
 // deployment currently sends requests from. A multi-case dispatcher
-// consults it on every inbound entry payload: a payload whose source
+// consults it on every inbound entry payload: a datagram whose source
 // is one of our own requester sockets is the bridge hearing its own
 // multicast request, and bridging it again through an
 // opposite-direction case would loop traffic forever.
+//
+// Only datagram requesters are entered and only datagram sources are
+// looked up: the table is keyed by IP and port, UDP and TCP ports are
+// separate spaces, and a stream requester's connection is never heard
+// by a listener of ours — a client's TCP source port may well equal a
+// live requester's UDP port.
 type EgressTable struct {
 	mu    sync.RWMutex
 	addrs map[netapi.Addr]int
@@ -400,21 +394,22 @@ func NewEgressTable() *EgressTable {
 	return &EgressTable{addrs: map[netapi.Addr]int{}}
 }
 
-// Add registers a local egress address (refcounted).
-func (t *EgressTable) Add(a netapi.Addr) {
-	if a.IsZero() {
+// Add registers a datagram requester's local address (refcounted).
+func (t *EgressTable) Add(r *Requester) {
+	if r.sock == nil {
 		return
 	}
 	t.mu.Lock()
-	t.addrs[a]++
+	t.addrs[r.sock.LocalAddr()]++
 	t.mu.Unlock()
 }
 
-// Remove unregisters one registration of the address.
-func (t *EgressTable) Remove(a netapi.Addr) {
-	if a.IsZero() {
+// Remove unregisters one registration of the requester's address.
+func (t *EgressTable) Remove(r *Requester) {
+	if r.sock == nil {
 		return
 	}
+	a := r.sock.LocalAddr()
 	t.mu.Lock()
 	if n := t.addrs[a]; n <= 1 {
 		delete(t.addrs, a)
@@ -424,10 +419,14 @@ func (t *EgressTable) Remove(a netapi.Addr) {
 	t.mu.Unlock()
 }
 
-// Contains reports whether the address is a registered egress source.
-func (t *EgressTable) Contains(a netapi.Addr) bool {
+// Contains reports whether the payload's source is one of the
+// registered requester sockets.
+func (t *EgressTable) Contains(src Source) bool {
+	if src.IsStream() {
+		return false
+	}
 	t.mu.RLock()
-	_, ok := t.addrs[a]
+	_, ok := t.addrs[src.Addr]
 	t.mu.RUnlock()
 	return ok
 }

@@ -657,7 +657,7 @@ func (d *Dispatcher) dispatch(colorKey string, data []byte, src netengine.Source
 			lease.Release()
 		}
 	}
-	if d.egress.Contains(src.Addr) {
+	if d.egress.Contains(src) {
 		// Our own multicast request echoed back by the group: an
 		// opposite-direction case must not bridge it.
 		release()

@@ -493,3 +493,103 @@ func TestDispatcherExplicitCases(t *testing.T) {
 	}
 	_ = d2.Close()
 }
+
+// portAliasNode is the bridge node of TestDispatcherStreamSourceSharesRequesterPort.
+// It makes every inbound stream connection report, as its remote port,
+// the port of the UDP socket the deployment opened last — its newest
+// requester. A real host allows that (UDP and TCP ports are separate
+// spaces); simnet's allocator never produces it.
+type portAliasNode struct {
+	netapi.Node
+	mu      sync.Mutex
+	udpPort int
+	conns   map[netapi.Conn]netapi.Conn
+}
+
+func (n *portAliasNode) OpenUDP(port int, h netapi.PacketHandler) (netapi.UDPSocket, error) {
+	sock, err := n.Node.OpenUDP(port, h)
+	if err == nil && port == 0 {
+		n.mu.Lock()
+		n.udpPort = sock.LocalAddr().Port
+		n.mu.Unlock()
+	}
+	return sock, err
+}
+
+func (n *portAliasNode) ListenStream(port int, accept netapi.ConnHandler, recv netapi.StreamHandler) (netapi.Closer, error) {
+	return n.Node.ListenStream(port, accept, func(c netapi.Conn, data []byte) {
+		n.mu.Lock()
+		alias, ok := n.conns[c]
+		if !ok {
+			alias = aliasConn{Conn: c, remote: netapi.Addr{IP: c.RemoteAddr().IP, Port: n.udpPort}}
+			n.conns[c] = alias
+		}
+		n.mu.Unlock()
+		recv(alias, data)
+	})
+}
+
+// The engine tracks its hand-offs through the node; without these the
+// virtual clock would run ahead of the sessions.
+func (n *portAliasNode) WorkAdd()  { n.Node.(netapi.WorkTracker).WorkAdd() }
+func (n *portAliasNode) WorkDone() { n.Node.(netapi.WorkTracker).WorkDone() }
+
+type aliasConn struct {
+	netapi.Conn
+	remote netapi.Addr
+}
+
+func (c aliasConn) RemoteAddr() netapi.Addr { return c.remote }
+
+// TestDispatcherStreamSourceSharesRequesterPort: the egress table holds
+// the deployment's requester sockets by IP and port, so a description
+// GET whose TCP source port equals a live UDP requester's port (here
+// the session's own mDNS requester, with the control point on the
+// bridge's host as on loopback) used to be dropped as the bridge's own
+// multicast echo. It must reach its session, while the real echo — the
+// mDNS question heard on the shared listener — is still suppressed.
+func TestDispatcherStreamSourceSharesRequesterPort(t *testing.T) {
+	sim := simnet.New()
+	reg := builtin(t)
+	host, err := sim.NewNode("10.0.0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := &portAliasNode{Node: host, conns: map[netapi.Conn]netapi.Conn{}}
+	// bonjour-to-upnp brings the shared mDNS listener that hears the
+	// session's own question.
+	d := NewDispatcher(reg, node, WithCases("upnp-to-bonjour", "bonjour-to-upnp"))
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	devNode, err := sim.NewNode("10.0.0.7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dnssd.NewResponder(devNode, "printer.local", "service:printer://10.0.0.7:515"); err != nil {
+		t.Fatal(err)
+	}
+	var res upnp.DiscoverResult
+	done := false
+	upnp.NewControlPoint(host).Discover("urn:printer", func(r upnp.DiscoverResult) { res, done = r, true })
+	if err := sim.RunUntil(func() bool { return done }, time.Minute); err != nil {
+		t.Fatalf("the description GET never reached its session: %v (dispatch counters %+v)", err, d.DispatchStats())
+	}
+	if res.Err != nil || len(res.ServiceURLs) != 1 {
+		t.Fatalf("discover = %+v", res)
+	}
+	node.mu.Lock()
+	aliased, port := len(node.conns), node.udpPort
+	node.mu.Unlock()
+	if aliased == 0 || port == 0 {
+		t.Fatalf("no GET arrived from the requester's port (conns %d, port %d)", aliased, port)
+	}
+	if st := d.Stats()["upnp-to-bonjour"]; st.Completed != 1 || st.Failed != 0 {
+		t.Errorf("upnp-to-bonjour stats = %+v", st)
+	}
+	if dc := d.DispatchStats(); dc.Suppressed == 0 {
+		t.Errorf("own multicast echo no longer suppressed: %+v", dc)
+	}
+}
