@@ -213,6 +213,9 @@ func runIngest(endpoints, senders, packets int, metricsOut string) int {
 	} else {
 		fmt.Println("  recv batching: inactive (portable per-datagram path)")
 	}
+	if res.Retransmits > 0 {
+		fmt.Printf("  retransmitted: %d datagrams (the host dropped a datagram or its ack)\n", res.Retransmits)
+	}
 	if metricsOut != "" {
 		if err := writeMetricsExposition(metricsOut); err != nil {
 			fmt.Fprintln(os.Stderr, "starlink-bench:", err)

@@ -16,7 +16,8 @@ var (
 
 	// ErrOverloaded marks work refused because a configured capacity
 	// bound was hit: an initiator request beyond WithMaxSessions, or a
-	// payload dropped from a full session inbox or ingest queue.
+	// payload dropped from a full ingest queue or beyond a session's
+	// queue cap.
 	ErrOverloaded = serrors.ErrOverloaded
 
 	// ErrAmbiguousPayload marks an entry payload that classified under

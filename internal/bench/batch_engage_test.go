@@ -18,8 +18,8 @@ func TestIngestBatchingEngages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("ingest: %.0f pkts/s, %d recv batches carrying %d datagrams (mean %.2f, %d multi)",
-		res.PacketsPerSec, res.RecvBatches, res.RecvBatchPackets, res.MeanRecvBatch, res.RecvMultiBatches)
+	t.Logf("ingest: %.0f pkts/s, %d recv batches carrying %d datagrams (mean %.2f, %d multi), %d retransmitted",
+		res.PacketsPerSec, res.RecvBatches, res.RecvBatchPackets, res.MeanRecvBatch, res.RecvMultiBatches, res.Retransmits)
 	if res.RecvBatches == 0 {
 		t.Fatal("no batched receives recorded: the recvmmsg path never engaged")
 	}

@@ -42,8 +42,14 @@ const (
 	// multi-case signature index (a few microseconds).
 	ingestWorkRounds = 16
 	// ingestAckTimeout bounds how long a sender waits for an expected
-	// ack before declaring the run broken.
+	// ack, retransmissions included, before declaring the run broken.
 	ingestAckTimeout = 5 * time.Second
+	// ingestRetransmitAfter is how long a sender waits for an expected
+	// ack before sending its oldest unacknowledged datagram again: one
+	// datagram (or ack) lost to a full socket buffer — which happens
+	// when the host is busy with other test binaries — would otherwise
+	// stall the sender's window for good.
+	ingestRetransmitAfter = 50 * time.Millisecond
 	// ingestWindow is each sender's in-flight window. Acks pace the
 	// senders so loopback receive queues never overflow — the bound
 	// keeps per-endpoint in-flight bytes far below the default socket
@@ -99,6 +105,10 @@ type IngestResult struct {
 	RecvBatches      uint64
 	RecvBatchPackets uint64
 	RecvMultiBatches uint64
+	// Retransmits counts the datagrams senders sent again after
+	// ingestRetransmitAfter without an ack; 0 unless the host dropped
+	// datagrams.
+	Retransmits uint64
 	// MeanRecvBatch is RecvBatchPackets / RecvBatches — the realised
 	// mean batch size. Under saturation it should clear 1: the whole
 	// point of the recvmmsg hot path.
@@ -114,6 +124,12 @@ type ingestRig struct {
 	endpoints []netapi.UDPSocket
 	senders   []*ingestSender
 	handled   atomic.Int64
+	// retransmits counts datagrams sent again across every run call.
+	retransmits atomic.Uint64
+	// lose is the number of datagrams the receiver still has to swallow
+	// unacknowledged — the lost datagram of a busy host, on demand, for
+	// the retransmission test.
+	lose atomic.Int64
 }
 
 type ingestSender struct {
@@ -140,6 +156,9 @@ func newIngestRig(endpoints, senders int) (*ingestRig, error) {
 		// the bind-vs-first-datagram window under parallel dispatch.
 		var cell atomic.Value
 		sock, err := rig.recvNode.OpenUDP(0, func(pkt netapi.Packet) {
+			if rig.lose.Load() > 0 && rig.lose.Add(-1) >= 0 {
+				return
+			}
 			ingestSink.Add(ingestWork(pkt.Data))
 			rig.handled.Add(1)
 			if s, ok := cell.Load().(netapi.UDPSocket); ok {
@@ -219,28 +238,39 @@ func (rig *ingestRig) run(packets int) (time.Duration, error) {
 				}
 				break
 			}
-			timeout := time.NewTimer(ingestAckTimeout)
-			defer timeout.Stop()
-			awaitAck := func() bool {
-				if !timeout.Stop() {
-					select {
-					case <-timeout.C:
-					default:
-					}
-				}
-				timeout.Reset(ingestAckTimeout)
-				select {
-				case <-s.acks:
-					return true
-				case <-timeout.C:
-					fail(fmt.Errorf("no ack within %s", ingestAckTimeout))
-					return false
-				}
-			}
-			for i := 0; i < quota; i++ {
+			send := func(i int) bool {
 				dst := rig.endpoints[(si+i)%len(rig.endpoints)].LocalAddr()
 				if err := s.sock.Send(dst, payload); err != nil {
 					fail(err)
+					return false
+				}
+				return true
+			}
+			retry := time.NewTimer(ingestRetransmitAfter)
+			defer retry.Stop()
+			acked := 0 // acks are anonymous: datagram `acked` is the oldest outstanding
+			awaitAck := func() bool {
+				deadline := time.Now().Add(ingestAckTimeout)
+				for {
+					retry.Reset(ingestRetransmitAfter)
+					select {
+					case <-s.acks:
+						acked++
+						return true
+					case <-retry.C:
+						if time.Now().After(deadline) {
+							fail(fmt.Errorf("no ack within %s", ingestAckTimeout))
+							return false
+						}
+						rig.retransmits.Add(1)
+						if !send(acked) {
+							return false
+						}
+					}
+				}
+			}
+			for i := 0; i < quota; i++ {
+				if !send(i) {
 					return
 				}
 				if i >= ingestWindow && !awaitAck() {
@@ -288,7 +318,7 @@ func RunParallelIngest(endpoints, senders, packets int) (IngestResult, error) {
 	}
 	defer rig.Close()
 	before := netapi.ReadIOStats()
-	elapsed, err := rig.run(packets)
+	elapsed, err := rig.run(packets) // a fresh rig: its retransmit count is this run's
 	after := netapi.ReadIOStats()
 	res := IngestResult{
 		Endpoints:        endpoints,
@@ -298,6 +328,7 @@ func RunParallelIngest(endpoints, senders, packets int) (IngestResult, error) {
 		RecvBatches:      after.RecvBatches - before.RecvBatches,
 		RecvBatchPackets: after.RecvBatchPackets - before.RecvBatchPackets,
 		RecvMultiBatches: after.RecvMultiBatches - before.RecvMultiBatches,
+		Retransmits:      rig.retransmits.Load(),
 	}
 	if elapsed > 0 {
 		res.PacketsPerSec = float64(packets) / elapsed.Seconds()

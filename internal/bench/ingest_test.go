@@ -3,6 +3,7 @@ package bench
 import (
 	"runtime"
 	"testing"
+	"time"
 )
 
 func TestRunParallelIngest(t *testing.T) {
@@ -27,6 +28,29 @@ func TestRunParallelIngestRejectsBadShape(t *testing.T) {
 	}
 	if _, err := RunParallelIngest(1, 1, 0); err == nil {
 		t.Fatal("0 packets should fail")
+	}
+}
+
+// A datagram the host drops must cost its sender one retransmission
+// timeout, not the run: senders count acks, so before they retransmitted
+// a single loss stalled the window until the 5 s ack timeout failed it.
+func TestIngestRetransmitsLostDatagram(t *testing.T) {
+	rig, err := newIngestRig(2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rig.Close()
+	const lost = 3
+	rig.lose.Store(lost)
+	start := time.Now()
+	if _, err := rig.run(400); err != nil {
+		t.Fatal(err)
+	}
+	if got := rig.retransmits.Load(); got < lost {
+		t.Fatalf("retransmits = %d, want at least the %d datagrams lost", got, lost)
+	}
+	if d := time.Since(start); d >= ingestAckTimeout {
+		t.Fatalf("run took %s: the losses were waited out, not retransmitted", d)
 	}
 }
 

@@ -261,7 +261,7 @@ func RunOverload(packets, senders int, factor float64) (OverloadResult, error) {
 			// Latency is arrival-to-processed: queue wait plus service.
 			hists[lane].Record(time.Since(item.arrived))
 			processed.Add(1)
-			// The engine's ingest workers park at their inbox between
+			// The engine's ingest workers park at their queue between
 			// payloads; the same cooperative point here lets the read
 			// loops interleave with the consumer on one core instead of
 			// being starved for a whole scheduler slice.

@@ -131,8 +131,8 @@ func TestWindowJitterDeterministic(t *testing.T) {
 	}
 }
 
-// Closing an engine with many sessions in flight must drain every
-// session goroutine and release every resource without deadlocking.
+// Closing an engine with many sessions in flight must end every
+// session and release every resource without deadlocking.
 func TestBridgeCloseDrainsConcurrentSessions(t *testing.T) {
 	sim := simnet.New()
 	e := deploy(t, sim, "bonjour-to-slp") // 6.25 s window: sessions stay live

@@ -19,17 +19,34 @@
 // concurrent session runtime — the paper's "concurrent legacy clients
 // are bridged in parallel" made literal:
 //
-//   - sessions live in a sharded, keyed table (key = entry color +
-//     origin address), so listener goroutines contend only on 1/N of
-//     the table;
-//   - each session's receive→translate→compose loop runs on its own
-//     goroutine fed by a bounded inbox channel; timers and requester
-//     payloads post events to the inbox instead of touching session
-//     state;
-//   - inbound entry payloads are parsed and routed by a bounded ingest
-//     worker pool, and a max-sessions semaphore rejects (rather than
-//     accumulates) load beyond the configured ceiling, so overload
-//     degrades gracefully;
+//   - a session is plain data — a program counter plus a keyed history
+//     of messages — owned by one ingest worker: the worker that admits
+//     it runs its receive→translate→compose steps inline, and every
+//     later event of the session (a requester payload, a mid-program
+//     entry message, a fired receive timer) re-enters through that
+//     worker's lane queue as a job carrying the session pointer. No
+//     goroutine, channel or context exists per session, and session
+//     state needs no lock because only its worker ever touches it;
+//   - other goroutines see a session only through the sharded, keyed
+//     table (key = entry color + origin address) and what a session
+//     publishes for them: its immutable identity (key, sequence number,
+//     origin, start time), the atomic snapshot of the receive it is
+//     heading for (findAwaiting, AwaitsEntry) and its wait-free flight
+//     recorder (LiveSessions);
+//   - payloads are assigned to workers by routing key, so one client
+//     socket's payloads — and therefore its sessions — serialise on one
+//     worker while distinct sockets spread over the pool. A step may
+//     wait in exactly one call, the stream dial of a TCP color, and it
+//     holds its worker for that long;
+//   - the lane queues are bounded, a per-session cap bounds the payloads
+//     queued for any one session, and a max-sessions semaphore rejects
+//     (rather than accumulates) load beyond the configured ceiling, so
+//     overload degrades gracefully. Timers ride the control lane, which
+//     never evicts, so payload pressure cannot cost a session its
+//     timeout;
+//   - Close stops the listeners, then the workers, and only then ends
+//     the sessions still live, on the closing goroutine, with an
+//     ErrClosed error through the same hooks;
 //   - on runtimes with a virtual clock the engine reports in-flight
 //     work through netapi.WorkTracker, which keeps simulated runs
 //     deterministic and engine state safe to read after RunUntil.
@@ -39,6 +56,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -103,7 +121,7 @@ const (
 
 // Codec bundles the MDL-driven marshalling machinery for one protocol.
 // Parsers and composers are stateless per call, so one codec is shared
-// by every session goroutine.
+// by every ingest worker.
 type Codec struct {
 	Spec     *mdl.Spec
 	Parser   *parser.Parser
@@ -179,9 +197,12 @@ type Counters struct {
 // invocations are serialised with observer invocations, so hook
 // implementations need no locking of their own. Multiple Hooks sets
 // compose: each registered set is invoked in registration order.
-// Callbacks run on engine goroutines (ingest workers, session
-// goroutines): keep them fast, and never call Close or Shutdown
-// synchronously from inside one — spawn a goroutine instead.
+// Callbacks run on whichever goroutine the event happens on — an ingest
+// worker for everything a session does, a transport callback for a
+// payload shed at enqueue, the caller of Close for the sessions it tears
+// down — and a worker runs nothing else meanwhile: keep them fast, and
+// never call Close or Shutdown synchronously from inside one — spawn a
+// goroutine instead.
 type Hooks struct {
 	// SessionStart fires when an initiator request is admitted as a
 	// new session.
@@ -270,10 +291,9 @@ func WithShardCount(n int) Option {
 }
 
 // WithContext ties the engine's lifetime to ctx: when ctx is
-// cancelled the engine closes, tearing down in-flight sessions. Every
-// session derives its own context from ctx, so cancellation reaches
-// each session goroutine directly. The default is context.Background()
-// (lifetime governed only by Close/Shutdown).
+// cancelled the engine closes, tearing down in-flight sessions exactly
+// as Close does. The default is context.Background() (lifetime governed
+// only by Close/Shutdown).
 func WithContext(ctx context.Context) Option {
 	return func(e *Engine) {
 		if ctx != nil {
@@ -334,22 +354,49 @@ func WithEgressTable(t *netengine.EgressTable) Option {
 	return func(e *Engine) { e.egress = t }
 }
 
-// ingestJob is one inbound entry payload awaiting parse + route. It
-// carries one work-tracker token, and — when the runtime delivered the
-// payload in a leased buffer — the lease, which the ingest worker
-// releases right after the parse (the parser never aliases its input)
-// or on any drop path. key is the payload's routing key, computed once
-// on the listener hot path.
+// jobKind says what an ingest worker does with a job.
+type jobKind uint8
+
+const (
+	// jobPayload is a payload off an entry listener: parse it, then open
+	// a session or route the message to the one awaiting it.
+	jobPayload jobKind = iota
+	// jobData is a raw payload from one of sess's requester channels.
+	jobData
+	// jobEntry is a parsed entry message (msg, from src) routed to sess.
+	jobEntry
+	// jobTimer is sess's fired receive timer of generation gen.
+	jobTimer
+)
+
+// ingestJob is one unit of work on an ingest worker's lane queue: an
+// inbound entry payload awaiting parse + route, or — when sess is set —
+// the next event of a session that worker owns. It carries one
+// work-tracker token, and — when the runtime delivered the payload in a
+// leased buffer — the lease, which the worker releases right after the
+// parse (the parser never aliases its input) or on any drop path. key
+// is an entry payload's routing key, computed once on the listener hot
+// path. The queues preallocate their rings of these, so a field added
+// here is paid for a thousand times per engine.
 type ingestJob struct {
-	proto string
+	codec *Codec
 	key   string
 	data  []byte
 	src   netengine.Source
 	lease *netapi.Buffer
-	// arrived is the wall-clock listener arrival time, the origin of
-	// the payload's recv-stage latency sample and — for an initiator
-	// request — the epoch of the session's flight recorder.
+	// arrived is the wall-clock arrival time at the listener or
+	// requester callback, the origin of the payload's lane-wait and
+	// recv-stage latency samples and — for an initiator request — the
+	// epoch of the session's flight recorder.
 	arrived time.Time
+
+	sess *session
+	msg  *message.Message
+	kind jobKind
+	// rerouted marks a jobEntry already forwarded once by a session
+	// that had moved past the awaited state (no second hop).
+	rerouted bool
+	gen      uint32
 }
 
 // ingestTiming carries the wall-clock stage boundaries measured by an
@@ -369,6 +416,18 @@ func releaseJobLease(job *ingestJob) {
 	}
 }
 
+// releaseJob recycles what an undelivered job holds: the receive-buffer
+// lease and the parsed message. The holder of the job is the sole owner
+// of both, so the pooled fast path keeps recycling under overload —
+// dropped payloads must not degrade into per-packet garbage.
+func releaseJob(job *ingestJob) {
+	releaseJobLease(job)
+	if job.msg != nil {
+		job.msg.Release()
+		job.msg = nil
+	}
+}
+
 // noTracker is the WorkTracker used on runtimes that do not implement
 // netapi.WorkTracker.
 type noTracker struct{}
@@ -382,10 +441,14 @@ type Engine struct {
 	net     *netengine.Engine
 	merged  *merge.Merged
 	program []merge.Step
-	codecs  map[string]*Codec
-	tfuncs  *translation.FuncRegistry
-	vars    map[string]string
-	egress  *netengine.EgressTable
+	// awaits[pc] is the receive a session at pc is heading for: the
+	// first receive step at or after pc (nil past the last one). Built
+	// once so publishing it allocates nothing.
+	awaits []*awaitKey
+	codecs map[string]*Codec
+	tfuncs *translation.FuncRegistry
+	vars   map[string]string
+	egress *netengine.EgressTable
 
 	recvTimeout  time.Duration
 	windowJitter time.Duration
@@ -407,12 +470,9 @@ type Engine struct {
 	laneHists [lanes.NumLanes]*hist.Histogram
 
 	// Lifecycle. state moves strictly forward; baseCtx is the caller's
-	// lifetime context (WithContext), ctx/cancel the engine's own
-	// derivation of it that every session context hangs off.
+	// lifetime context (WithContext).
 	state   atomic.Int32
 	baseCtx context.Context
-	ctx     context.Context
-	cancel  context.CancelFunc
 	// drained is closed (once) when the engine is draining and the
 	// last live session has finished.
 	drained   chan struct{}
@@ -423,15 +483,15 @@ type Engine struct {
 	sem     chan struct{} // max-sessions semaphore
 	// laneQs holds one bounded lane-prioritized queue per ingest
 	// worker; payloads are assigned by routing key, so payloads from
-	// one origin are always parsed and routed in arrival order. gate is
-	// the flow gate the queues pause at their high watermark — the
-	// entry listeners' read loops park on it.
+	// one origin are always parsed and routed in arrival order, and a
+	// session's events go to the queue of the worker that admitted it.
+	// gate is the flow gate the queues pause at their high watermark —
+	// the entry listeners' read loops park on it.
 	laneQs     []*lanes.Queue[ingestJob]
 	gate       *netapi.FlowGate
 	quit       chan struct{}
 	workerWG   sync.WaitGroup
-	sessionWG  sync.WaitGroup
-	closeMu    sync.RWMutex // serialises onEntry's token+enqueue against Close
+	closeMu    sync.RWMutex // serialises offer's token+enqueue against Close
 	sessionSeq atomic.Uint64
 
 	entries []netapi.Closer
@@ -528,7 +588,13 @@ func New(node netapi.Node, merged *merge.Merged, codecs map[string]*Codec, opts 
 	// a dispatcher gates its shared listeners with the same gate it
 	// passed via WithFlowGate.
 	e.net = netengine.New(node, netengine.WithGate(e.gate))
-	e.ctx, e.cancel = context.WithCancel(e.baseCtx)
+	e.awaits = make([]*awaitKey, len(program)+1)
+	for pc := len(program) - 1; pc >= 0; pc-- {
+		e.awaits[pc] = e.awaits[pc+1]
+		if step := program[pc]; step.Kind == merge.StepRecv {
+			e.awaits[pc] = &awaitKey{proto: step.Protocol, msg: step.Message}
+		}
+	}
 	e.table = newSessionTable(e.shardCount)
 	e.sem = make(chan struct{}, e.maxSessions)
 	perWorker := e.lanePolicy.Scale(e.ingestWorkers)
@@ -599,10 +665,9 @@ func (e *Engine) Start() error {
 			continue
 		}
 		opened[step.Protocol] = true
-		proto := step.Protocol
-		codec := e.codecs[proto]
+		codec := e.codecs[step.Protocol]
 		closer, err := e.net.Listen(color, codec.Framer, func(data []byte, src netengine.Source, lease *netapi.Buffer) {
-			e.onEntry(proto, data, src, lease)
+			e.onEntry(codec, data, src, lease)
 		})
 		if err != nil {
 			e.closeEntries()
@@ -615,18 +680,20 @@ func (e *Engine) Start() error {
 	return nil
 }
 
-// startLifecycle flips the engine to Running and arms the context
-// watcher: cancelling the engine's lifetime context closes it (and
-// with it every per-session context).
+// startLifecycle flips the engine to Running and, when the caller gave
+// a cancellable lifetime context, arms the watcher that closes the
+// engine with it.
 func (e *Engine) startLifecycle() {
 	e.state.CompareAndSwap(int32(StateStarting), int32(StateRunning))
-	go func() {
-		select {
-		case <-e.ctx.Done():
-			_ = e.Close()
-		case <-e.quit:
-		}
-	}()
+	if done := e.baseCtx.Done(); done != nil {
+		go func() {
+			select {
+			case <-done:
+				_ = e.Close()
+			case <-e.quit:
+			}
+		}()
+	}
 }
 
 // StartManaged starts the engine without binding entry listeners: the
@@ -660,7 +727,8 @@ func (e *Engine) startWorkers() {
 // session at admission, reporting them through the Drop hook with
 // serrors.ErrDraining.
 func (e *Engine) Inject(proto string, data []byte, src netengine.Source, lease *netapi.Buffer) error {
-	if _, ok := e.codecs[proto]; !ok {
+	codec, ok := e.codecs[proto]
+	if !ok {
 		if lease != nil {
 			lease.Release()
 		}
@@ -673,12 +741,13 @@ func (e *Engine) Inject(proto string, data []byte, src netengine.Source, lease *
 		}
 		return serrors.Mark(fmt.Errorf("engine: %s is closed", e.merged.Name), serrors.ErrClosed)
 	}
-	e.onEntry(proto, data, src, lease)
+	e.onEntry(codec, data, src, lease)
 	return nil
 }
 
-// AwaitsEntry reports whether some live session is blocked waiting for
-// the given (protocol, message), preferring none in particular — it is
+// AwaitsEntry reports whether some live session is blocked on — or
+// running towards — a receive of the given (protocol, message),
+// preferring none in particular — it is
 // the dispatcher's routing probe for entry payloads that are not
 // initiator requests (e.g. the control point's description GET in the
 // reverse-UPnP cases). The answer is a snapshot and may go stale by
@@ -688,10 +757,11 @@ func (e *Engine) AwaitsEntry(proto, msg, ip string) bool {
 	return e.table.findAwaiting(proto, msg, ip) != nil
 }
 
-// Close stops the engine immediately: entry listeners, ingest workers,
-// and live sessions (their per-session contexts are cancelled),
-// draining every session goroutine before returning. For a graceful
-// stop that lets live sessions finish first, use Shutdown.
+// Close stops the engine immediately: entry listeners first, then the
+// ingest workers, and once no worker runs any more it ends every
+// session still live, on the calling goroutine, with an error wrapping
+// serrors.ErrClosed. For a graceful stop that lets live sessions finish
+// first, use Shutdown.
 func (e *Engine) Close() error {
 	e.closeMu.Lock()
 	// state is the single source of truth for the lifecycle; the swap
@@ -706,24 +776,30 @@ func (e *Engine) Close() error {
 	// Closing the queues wakes the ingest workers (Dequeue returns
 	// false), releases any gate hold a pressured queue has taken — so
 	// paused transport read loops wake for teardown — and hands back
-	// the tokens and buffer leases of jobs the workers never picked up.
-	// onEntry holds closeMu.RLock around its token+enqueue, and closed
-	// was flipped under the write lock, so no job can slip in after
-	// this.
+	// the tokens, buffer leases and messages of jobs the workers never
+	// picked up. offer holds closeMu.RLock around its token+enqueue, and
+	// closed was flipped under the write lock, so no job can slip in
+	// after this.
 	for _, q := range e.laneQs {
 		q.Close(func(_ lanes.Lane, job ingestJob) {
-			releaseJobLease(&job)
+			releaseJob(&job)
 			e.tracker.WorkDone()
 		})
 	}
 	e.workerWG.Wait()
-	for _, s := range e.table.removeAll() {
-		s.cancel()
+	// With the workers gone nothing else touches session state: forcible
+	// teardown still reports through sessionDone so every session is
+	// counted (Failed) and observers see its end — sessions must never
+	// vanish from the metrics surface. Oldest first, so the hook order
+	// does not depend on map iteration.
+	live := e.table.removeAll()
+	sort.Slice(live, func(i, j int) bool { return live[i].seq < live[j].seq })
+	for _, s := range live {
+		e.sessionDone(s, serrors.Mark(
+			fmt.Errorf("engine: %s: session from %s torn down before completion",
+				e.merged.Name, s.origin.Addr),
+			serrors.ErrClosed))
 	}
-	e.sessionWG.Wait()
-	// Release the engine context last: session teardown above must not
-	// race a parent-cancellation signal with individual cancels.
-	e.cancel()
 	e.signalDrained() // a closed engine has, vacuously, drained
 	return nil
 }
@@ -857,59 +933,104 @@ func (e *Engine) classifyLane(proto, key string, src netengine.Source) lanes.Lan
 	return lanes.Telemetry
 }
 
-// onEntry accepts a payload arriving on an entry listener: it takes a
-// work token, classifies the payload into its priority lane, and
-// offers it to the lane queue of the ingest worker owning the
-// payload's routing key, so payloads from one origin keep their
-// arrival order. Safe to call from any listener goroutine; the read
-// lock makes the closed-check + token + enqueue atomic with respect
-// to Close, so no token or job can leak past shutdown.
-func (e *Engine) onEntry(proto string, data []byte, src netengine.Source, lease *netapi.Buffer) {
-	e.closeMu.RLock()
-	if e.State() == StateClosed {
-		e.closeMu.RUnlock()
-		if lease != nil {
-			lease.Release()
-		}
-		return
-	}
-	e.tracker.WorkAdd()
+// onEntry accepts a payload arriving on an entry listener: it
+// classifies the payload into its priority lane and offers it to the
+// lane queue of the ingest worker owning the payload's routing key, so
+// payloads from one origin keep their arrival order. Safe to call from
+// any listener goroutine.
+func (e *Engine) onEntry(codec *Codec, data []byte, src netengine.Source, lease *netapi.Buffer) {
 	e.ingestTotal.Add(1)
 	if src.Batch > 1 {
 		e.ingestBatched.Add(1)
 	}
 	key := src.RoutingKey()
-	lane := e.classifyLane(proto, key, src)
+	lane := e.classifyLane(codec.Spec.Protocol, key, src)
 	q := e.laneQs[fnv32a(key)%uint32(len(e.laneQs))]
-	verdict, victim := q.Enqueue(lane, ingestJob{proto: proto, key: key, data: data, src: src, lease: lease, arrived: time.Now()})
+	e.offer(q, lane, ingestJob{codec: codec, key: key, data: data, src: src, lease: lease, arrived: time.Now()})
+}
+
+// offer takes a work token for job and enqueues it on q. The read lock
+// makes the closed-check + token + enqueue atomic with respect to
+// Close, so no token or job can leak past shutdown; a job offered to a
+// closed engine is released silently — that is teardown, not overload.
+func (e *Engine) offer(q *lanes.Queue[ingestJob], lane lanes.Lane, job ingestJob) {
+	e.closeMu.RLock()
+	if e.State() == StateClosed {
+		e.closeMu.RUnlock()
+		releaseJob(&job)
+		return
+	}
+	e.tracker.WorkAdd()
+	verdict, victim := q.Enqueue(lane, job)
 	// User hooks run outside closeMu: a callback reacting to the drop
 	// (even one that tears the deployment down from a fresh goroutine)
 	// must not deadlock against Close's write lock. The work token is
 	// still held through the hook so that on a virtual-clock runtime,
 	// quiescence implies the observers have already seen the drop.
 	e.closeMu.RUnlock()
-	switch verdict {
-	case lanes.Evicted:
-		// The new payload was admitted by displacing the oldest queued
-		// item of its lane; that victim is the drop.
-		e.shedJob(victim, lane)
-	case lanes.Rejected:
-		e.shedJob(ingestJob{src: src, lease: lease}, lane)
+	if verdict == lanes.Evicted {
+		// The new job was admitted by displacing the oldest queued item
+		// of its lane; that victim is the drop.
+		job = victim
+	}
+	if verdict != lanes.Admitted {
+		e.shedJob(job, lane.String()+" lane")
 	}
 }
 
-// shedJob accounts one payload shed by a lane queue: its buffer lease
-// is released, the drop is counted and reported as ErrOverloaded, and
-// its work token is returned.
-func (e *Engine) shedJob(job ingestJob, lane lanes.Lane) {
-	releaseJobLease(&job)
+// post queues a payload job for s on the data lane of the worker that
+// owns it, under the per-session cap: a session that cannot keep up has
+// its excess payloads dropped (counted in Dropped) instead of filling
+// its worker's ring — UDP semantics end to end.
+func (e *Engine) post(s *session, job ingestJob) {
+	job.sess = s
+	if s.queued.Add(1) <= sessionQueueCap {
+		e.offer(s.q, lanes.Data, job)
+		return
+	}
+	e.tracker.WorkAdd() // held through the drop hook, like offer's
+	e.shedJob(job, "session queue")
+}
+
+// shedJob accounts one payload shed by a lane queue or a session's
+// cap: what it holds is released, the drop is counted and reported as
+// ErrOverloaded, and its work token is returned.
+func (e *Engine) shedJob(job ingestJob, by string) {
+	releaseJob(&job)
+	if job.sess != nil {
+		job.sess.queued.Add(-1)
+	}
 	e.bump(&e.Dropped)
 	e.hookDrop(job.src.Addr, serrors.Mark(
-		fmt.Errorf("engine: %s: %s lane shed payload from %s", e.merged.Name, lane, job.src.Addr),
+		fmt.Errorf("engine: %s: %s shed payload from %s", e.merged.Name, by, job.src.Addr),
 		serrors.ErrOverloaded))
 	e.tracker.WorkDone()
 }
 
+// deliverTimer queues a fired receive timer for its session. Timer
+// delivery is guaranteed: the control lane never evicts and drains
+// first, and when its ring refuses the timer the delivery is retried —
+// holding no token in between, so a virtual-clock runtime can advance
+// to the retry — rather than dropped, because a lost timer would stall
+// the session forever and leak its max-sessions slot.
+func (e *Engine) deliverTimer(s *session, gen uint32) {
+	e.closeMu.RLock()
+	if e.State() == StateClosed {
+		e.closeMu.RUnlock()
+		return
+	}
+	e.tracker.WorkAdd()
+	verdict, _ := s.q.Enqueue(lanes.Control, ingestJob{sess: s, kind: jobTimer, gen: gen})
+	e.closeMu.RUnlock()
+	if verdict == lanes.Rejected {
+		e.tracker.WorkDone()
+		e.node.After(time.Millisecond, func() { e.deliverTimer(s, gen) })
+	}
+}
+
+// ingestLoop is one ingest worker: it runs every job of its queue to
+// completion — a session's steps included — before taking the next, so
+// everything it owns is touched by this goroutine alone.
 func (e *Engine) ingestLoop(q *lanes.Queue[ingestJob]) {
 	defer e.workerWG.Done()
 	for {
@@ -920,245 +1041,154 @@ func (e *Engine) ingestLoop(q *lanes.Queue[ingestJob]) {
 		if !job.arrived.IsZero() {
 			e.laneHists[lane].Record(time.Since(job.arrived))
 		}
-		e.ingest(job)
+		if job.sess != nil {
+			job.sess.handle(job)
+		} else {
+			e.ingest(q, job)
+		}
+		e.tracker.WorkDone()
 	}
 }
 
-// ingest parses one entry payload and routes it: initiator requests
-// open (or rendezvous with) a keyed session; anything else goes to a
-// session awaiting that message. The job's buffer lease ends here —
-// the parse copies everything it keeps into pooled messages, so the
-// receive buffer goes back to its pool before any routing happens.
-func (e *Engine) ingest(job ingestJob) {
-	codec := e.codecs[job.proto]
-	picked := time.Now()
-	nbytes := len(job.data)
-	msg, err := codec.Parser.Parse(job.data)
-	parsed := time.Now()
-	releaseJobLease(&job)
-	if !job.arrived.IsZero() {
-		e.stageHists[trace.StageRecv].Record(picked.Sub(job.arrived))
+// parse runs a job's payload through its codec and times the recv and
+// parse stages. The job's buffer lease ends here — the parse copies
+// everything it keeps into pooled messages, so the receive buffer goes
+// back to its pool before anything is routed or delivered.
+func (e *Engine) parse(job *ingestJob) (*message.Message, ingestTiming, error) {
+	tm := ingestTiming{arrived: job.arrived, picked: time.Now(), bytes: len(job.data)}
+	msg, err := job.codec.Parser.Parse(job.data)
+	tm.parsed = time.Now()
+	releaseJobLease(job)
+	if !tm.arrived.IsZero() {
+		e.stageHists[trace.StageRecv].Record(tm.picked.Sub(tm.arrived))
 	}
-	e.stageHists[trace.StageParse].Record(parsed.Sub(picked))
+	e.stageHists[trace.StageParse].Record(tm.parsed.Sub(tm.picked))
 	if err != nil {
 		e.bump(&e.ParseErrors)
-		e.tracker.WorkDone()
+	}
+	return msg, tm, err
+}
+
+// ingest parses one entry payload and routes it: an initiator request
+// opens (or rendezvouses with) a keyed session on this worker, which
+// owns q; anything else goes to the worker of a session awaiting that
+// message.
+func (e *Engine) ingest(q *lanes.Queue[ingestJob], job ingestJob) {
+	msg, tm, err := e.parse(&job)
+	if err != nil {
 		return
 	}
-	tm := ingestTiming{arrived: job.arrived, picked: picked, parsed: parsed, bytes: nbytes}
+	proto := job.codec.Spec.Protocol
 	first := e.program[0]
-	if job.proto == first.Protocol && msg.Name == first.Message {
-		e.openSession(job, msg, tm)
+	if proto == first.Protocol && msg.Name == first.Message {
+		e.openSession(q, job, msg, tm)
 		return
 	}
 	// Route to a session awaiting this message on this protocol,
 	// preferring one opened by the same peer host.
-	if s := e.table.findAwaiting(job.proto, msg.Name, job.src.Addr.IP); s != nil {
-		s.recordIngest(tm)
-		e.enqueue(s, sessEvent{kind: evEntry, proto: job.proto, msg: msg, src: job.src})
+	if s := e.table.findAwaiting(proto, msg.Name, job.src.Addr.IP); s != nil {
+		s.recordIngest(tm, trace.OutcomeOK)
+		e.post(s, ingestJob{kind: jobEntry, codec: job.codec, msg: msg, src: job.src})
 		return
 	}
 	e.bump(&e.Ignored)
 	msg.Release() // never escaped this worker: recycle
-	e.tracker.WorkDone()
 }
 
-// openSession handles an initiator request. If the session keyed by
-// the payload's routing key is awaiting exactly this message, the
-// payload is delivered to it (a rendezvous/re-delivery). Otherwise —
-// no session under the key, or a live one already past this message
-// (a legacy client reusing one socket for a new interaction) — an
-// independent session is admitted against the max-sessions semaphore
-// and started on its own goroutine, under a uniquified key when the
-// base key is taken. One session per initiator request, as in the
-// paper.
-func (e *Engine) openSession(job ingestJob, msg *message.Message, tm ingestTiming) {
+// openSession handles an initiator request on the worker owning its
+// routing key — the worker that also admitted, and therefore owns,
+// whatever session is registered under that key. If that session is
+// blocked on exactly this message, the payload is delivered to it (a
+// rendezvous/re-delivery). Otherwise — no session under the key, or a
+// live one already past this message (a legacy client reusing one
+// socket for a new interaction) — an independent session is admitted,
+// under a uniquified key when the base key is taken. One session per
+// initiator request, as in the paper.
+func (e *Engine) openSession(q *lanes.Queue[ingestJob], job ingestJob, msg *message.Message, tm ingestTiming) {
 	key := job.key
 	sh := e.table.shardFor(key)
-	sh.mu.Lock()
-	if s, ok := sh.sessions[key]; ok {
-		if ak := s.await.Load(); ak != nil && ak.proto == job.proto && ak.msg == msg.Name {
-			if len(s.inbox) < inboxCap {
-				s.recordIngest(tm)
-				s.inbox <- sessEvent{kind: evEntry, proto: job.proto, msg: msg, src: job.src}
-				sh.mu.Unlock()
-			} else {
-				sh.mu.Unlock()
-				e.tracker.WorkDone()
-				e.bump(&e.Dropped)
-				msg.Release() // dropped before delivery: recycle
-			}
-			return
-		}
-		// The keyed session is mid-program: this is a new interaction
-		// from the same client socket. Give it its own key. Payloads
-		// for one origin are handled by one sticky ingest worker, so
-		// no other goroutine can race the creation for this origin.
-		sh.mu.Unlock()
-		seq := e.sessionSeq.Add(1)
-		key = fmt.Sprintf("%s#%d", key, seq)
-		sh = e.table.shardFor(key)
-		sh.mu.Lock()
-		e.admitLocked(sh, key, seq, msg, job.src, tm)
+	sh.mu.RLock()
+	s := sh.sessions[key]
+	sh.mu.RUnlock()
+	if s != nil && s.waitsFor(job.codec.Spec.Protocol, msg.Name) {
+		s.recordIngest(tm, trace.OutcomeOK)
+		s.deliverEntry(job.codec.Spec.Protocol, msg, job.src)
 		return
 	}
-	e.admitLocked(sh, key, e.sessionSeq.Add(1), msg, job.src, tm)
+	seq := e.sessionSeq.Add(1)
+	if s != nil {
+		// The keyed session is mid-program: this is a new interaction
+		// from the same client socket. Give it its own key.
+		key = fmt.Sprintf("%s#%d", key, seq)
+	}
+	e.admit(q, key, seq, msg, job.src, tm)
 }
 
-// admitLocked creates and starts a session under key. The caller holds
-// sh.mu (the shard owning key) and a work token; both are released or
-// transferred on every path.
-func (e *Engine) admitLocked(sh *tableShard, key string, seq uint64, msg *message.Message, src netengine.Source, tm ingestTiming) {
+// admit registers a new session under key against the max-sessions
+// semaphore and runs it to its first receive, or refuses the request.
+// The lifecycle check and the insert share the shard lock, so a drain
+// that starts concurrently either refuses this session or counts it
+// live.
+func (e *Engine) admit(q *lanes.Queue[ingestJob], key string, seq uint64, msg *message.Message, src netengine.Source, tm ingestTiming) {
+	sh := e.table.shardFor(key)
+	sh.mu.Lock()
 	switch State(e.state.Load()) {
 	case StateClosed:
 		sh.mu.Unlock()
-		e.tracker.WorkDone()
 		msg.Release()
 		return
 	case StateDraining:
 		// Rendezvous deliveries to live sessions were handled by the
 		// caller; only brand-new sessions reach here, and a draining
-		// engine admits none. The hook fires before the work token is
-		// released so quiescence implies observers saw the rejection.
+		// engine admits none.
 		sh.mu.Unlock()
-		e.bump(&e.DrainRejected)
-		msg.Release()
-		e.hookDrop(src.Addr, serrors.Mark(
-			fmt.Errorf("engine: %s: new session from %s rejected: engine is draining", e.merged.Name, src.Addr),
-			serrors.ErrDraining))
-		e.tracker.WorkDone()
+		e.refuse(&e.DrainRejected, msg, src, serrors.ErrDraining, "engine is draining")
 		return
 	}
 	select {
 	case e.sem <- struct{}{}:
 	default:
 		sh.mu.Unlock()
-		e.bump(&e.Rejected)
-		msg.Release() // rejected before any session saw it: recycle
-		e.hookDrop(src.Addr, serrors.Mark(
-			fmt.Errorf("engine: %s: new session from %s rejected: max sessions (%d) live", e.merged.Name, src.Addr, e.maxSessions),
-			serrors.ErrOverloaded))
-		e.tracker.WorkDone()
+		e.refuse(&e.Rejected, msg, src, serrors.ErrOverloaded, fmt.Sprintf("max sessions (%d) live", e.maxSessions))
 		return
 	}
-	s := newSession(e, key, seq, msg, src, tm)
+	s := newSession(e, q, key, seq, msg, src, tm)
 	sh.sessions[key] = s
-	e.sessionWG.Add(1)
-	go s.run()
-	s.inbox <- sessEvent{kind: evStart} // fresh buffered inbox: never blocks
 	sh.mu.Unlock()
 	e.hookSessionStart(src.Addr, s.start)
+	s.advance()
 }
 
-// enqueue hands a payload event to a session's inbox if the session
-// is still registered. The caller must hold a work token: ownership
-// transfers to the session goroutine on success and is released here
-// otherwise. The soft inboxCap check keeps drops at the documented
-// bound; the channel's physical slack guarantees openSession's
-// write-lock-guarded rendezvous send can never block. Timer events
-// use deliverTimer, never this path.
-func (e *Engine) enqueue(s *session, ev sessEvent) bool {
-	sh := e.table.shardFor(s.key)
-	sh.mu.RLock()
-	if sh.sessions[s.key] != s {
-		sh.mu.RUnlock()
-		e.tracker.WorkDone()
-		releaseEventMsg(ev)
-		return false
-	}
-	if len(s.inbox) >= inboxCap {
-		sh.mu.RUnlock()
-		e.bump(&e.Dropped)
-		releaseEventMsg(ev)
-		e.hookDrop(ev.src.Addr, serrors.Mark(
-			fmt.Errorf("engine: %s: session inbox full, payload dropped", e.merged.Name),
-			serrors.ErrOverloaded))
-		e.tracker.WorkDone()
-		return false
-	}
-	select {
-	case s.inbox <- ev:
-		sh.mu.RUnlock()
-		return true
-	default:
-		sh.mu.RUnlock()
-		e.bump(&e.Dropped)
-		releaseEventMsg(ev)
-		e.hookDrop(ev.src.Addr, serrors.Mark(
-			fmt.Errorf("engine: %s: session inbox full, payload dropped", e.merged.Name),
-			serrors.ErrOverloaded))
-		e.tracker.WorkDone()
-		return false
-	}
+// refuse counts and reports an initiator request that opens no session
+// and recycles its message. The worker still holds the job's token, so
+// quiescence implies observers saw the rejection.
+func (e *Engine) refuse(counter *int, msg *message.Message, src netengine.Source, kind error, why string) {
+	e.bump(counter)
+	msg.Release()
+	e.hookDrop(src.Addr, serrors.Mark(
+		fmt.Errorf("engine: %s: new session from %s rejected: %s", e.merged.Name, src.Addr, why), kind))
 }
 
-// releaseEventMsg recycles the parsed message — and the receive-buffer
-// lease — of an event that was never delivered. The enqueuer is the
-// sole holder on these paths, so the pooled fast path keeps recycling
-// under overload — dropped payloads must not degrade into per-packet
-// garbage.
-func releaseEventMsg(ev sessEvent) {
-	if ev.msg != nil {
-		ev.msg.Release()
-	}
-	if ev.lease != nil {
-		ev.lease.Release()
-	}
-}
-
-// deliverTimer posts a fired receive timer to its session. Timer
-// delivery is guaranteed: the dedicated channel is priority-drained
-// by the session loop, and in the never-expected case that it is
-// momentarily full the delivery is retried — with the token released
-// in between so a virtual-clock runtime can advance to the retry —
-// rather than dropped, because a lost timer would stall the session
-// forever and leak its max-sessions slot.
-func (e *Engine) deliverTimer(s *session, gen uint64) {
-	sh := e.table.shardFor(s.key)
-	sh.mu.RLock()
-	alive := sh.sessions[s.key] == s
-	if alive {
-		select {
-		case s.timerCh <- sessEvent{kind: evTimer, gen: gen}:
-			sh.mu.RUnlock()
-			return
-		default:
-		}
-	}
-	sh.mu.RUnlock()
-	e.tracker.WorkDone()
-	if alive {
-		e.node.After(time.Millisecond, func() {
-			e.tracker.WorkAdd()
-			e.deliverTimer(s, gen)
-		})
-	}
-}
-
-// rerouteEntry gives an entry payload that reached a session already
+// rerouteEntry gives an entry message that reached a session already
 // past the awaited state one more chance to find the session actually
 // awaiting it: the original routing choice is made from a lock-free
-// await snapshot, which can go stale by delivery time under realnet
-// concurrency, and the payload would otherwise starve the session it
-// was meant for. One hop only; if no other session awaits it, the
-// payload is counted Ignored. Called from the session goroutine, which
-// holds the event's work token (released by its run loop); the forward
-// takes a token of its own.
-func (e *Engine) rerouteEntry(s *session, ev sessEvent) {
-	if !ev.rerouted {
-		if s2 := e.table.findAwaiting(ev.proto, ev.msg.Name, ev.src.Addr.IP); s2 != nil && s2 != s {
-			ev.rerouted = true
-			e.tracker.WorkAdd()
-			e.enqueue(s2, ev) // on failure, enqueue recycles the message
+// await snapshot, which can go stale by delivery time, and the payload
+// would otherwise starve the session it was meant for. One hop only; if
+// no other session awaits it, the message is counted Ignored.
+func (e *Engine) rerouteEntry(s *session, job ingestJob) {
+	if !job.rerouted {
+		if s2 := e.table.findAwaiting(job.codec.Spec.Protocol, job.msg.Name, job.src.Addr.IP); s2 != nil && s2 != s {
+			job.rerouted = true
+			e.post(s2, job) // on refusal, post recycles the message
 			return
 		}
 	}
 	e.bump(&e.Ignored)
-	releaseEventMsg(ev) // no session wanted it: recycle
+	releaseJob(&job) // no session wanted it: recycle
 }
 
-// sessionDone finishes a session: it is called only from the session's
-// own goroutine.
+// sessionDone finishes a session. Callers own the session's state: its
+// ingest worker, or Close once the workers are gone.
 func (e *Engine) sessionDone(s *session, err error) {
 	if s.finished {
 		return

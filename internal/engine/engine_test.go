@@ -14,8 +14,9 @@ import (
 	"starlink/internal/simnet"
 )
 
-// deploy builds and starts a bridge engine for a case on the sim.
-func deploy(t *testing.T, sim *simnet.Net, caseName string, opts ...engine.Option) *engine.Engine {
+// newEngine constructs (without starting) a bridge engine for a case on
+// the given node; the engine is closed with the test.
+func newEngine(t *testing.T, node netapi.Node, caseName string, opts ...engine.Option) *engine.Engine {
 	t.Helper()
 	reg, err := registry.Builtin()
 	if err != nil {
@@ -29,18 +30,33 @@ func deploy(t *testing.T, sim *simnet.Net, caseName string, opts ...engine.Optio
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := sim.NewNode("10.0.0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
 	e, err := engine.New(node, merged, codecs, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = e.Close() })
+	return e
+}
+
+// build constructs (without starting) a bridge engine for a case on the
+// sim, so a test can fill the ingest lanes deterministically: no workers
+// drain them until Start or Close.
+func build(t *testing.T, sim *simnet.Net, caseName string, opts ...engine.Option) *engine.Engine {
+	t.Helper()
+	node, err := sim.NewNode("10.0.0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newEngine(t, node, caseName, opts...)
+}
+
+// deploy builds and starts a bridge engine for a case on the sim.
+func deploy(t *testing.T, sim *simnet.Net, caseName string, opts ...engine.Option) *engine.Engine {
+	t.Helper()
+	e := build(t, sim, caseName, opts...)
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = e.Close() })
 	return e
 }
 

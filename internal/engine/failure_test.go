@@ -10,7 +10,6 @@ import (
 	"starlink/internal/protocols/slp"
 	"starlink/internal/protocols/ssdp"
 	"starlink/internal/protocols/upnp"
-	"starlink/internal/registry"
 	"starlink/internal/simnet"
 )
 
@@ -138,31 +137,15 @@ func TestBridgeSurvivesPacketLoss(t *testing.T) {
 // as their entry colors differ (here: SLP entry + mDNS entry).
 func TestTwoBridgesCoexist(t *testing.T) {
 	sim := simnet.New()
-	reg, err := registry.Builtin()
-	if err != nil {
-		t.Fatal(err)
-	}
 	deployOn := func(host, caseName string) *engine.Engine {
-		merged, err := reg.Merged(caseName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		codecs, err := reg.Codecs(merged)
-		if err != nil {
-			t.Fatal(err)
-		}
 		node, err := sim.NewNode(host)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := engine.New(node, merged, codecs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := newEngine(t, node, caseName)
 		if err := e.Start(); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { _ = e.Close() })
 		return e
 	}
 	e1 := deployOn("10.0.0.5", "slp-to-upnp")

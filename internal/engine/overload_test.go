@@ -12,38 +12,9 @@ import (
 	"starlink/internal/lanes"
 	"starlink/internal/netapi"
 	"starlink/internal/netengine"
-	"starlink/internal/registry"
 	"starlink/internal/serrors"
 	"starlink/internal/simnet"
 )
-
-// build constructs (without starting) a bridge engine for a case, so a
-// test can fill the ingest lanes deterministically: no workers drain
-// them until Start or Close.
-func build(t *testing.T, sim *simnet.Net, caseName string, opts ...engine.Option) *engine.Engine {
-	t.Helper()
-	reg, err := registry.Builtin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := reg.Merged(caseName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	codecs, err := reg.Codecs(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	node, err := sim.NewNode("10.0.0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := engine.New(node, merged, codecs, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
 
 // protoPair returns the engine's control protocol (the initiator's,
 // program step 0) and some other protocol of the program — whose

@@ -1,72 +1,25 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"time"
 
+	"starlink/internal/lanes"
 	"starlink/internal/merge"
 	"starlink/internal/message"
 	"starlink/internal/netapi"
 	"starlink/internal/netengine"
-	"starlink/internal/serrors"
 	"starlink/internal/trace"
 	"starlink/internal/translation"
 )
 
-// inboxCap bounds each session's event inbox. A session that cannot
-// keep up has its excess payloads dropped (counted in Dropped) instead
-// of stalling the listeners — UDP semantics end to end.
-const inboxCap = 64
-
-// Timer events must never be lost: a dropped receive timer would
-// stall the session forever and leak its max-sessions slot. They
-// therefore travel on a dedicated per-session channel (timerCh) that
-// the run loop priority-drains, with a token-safe retry on the
-// never-expected full case — structurally immune to payload
-// backpressure. timerChCap covers the worst case of one stale fire
-// from a cleared wait plus a fresh fire of the re-armed timer
-// arriving while one event is being handled.
-const timerChCap = 4
-
-type eventKind uint8
-
-const (
-	// evStart begins executing the compiled program (the initiating
-	// request is already in the session history).
-	evStart eventKind = iota
-	// evEntry is a parsed message routed from an entry listener.
-	evEntry
-	// evData is a raw payload from one of the session's requester
-	// channels; it is parsed on the session goroutine.
-	evData
-	// evTimer is a fired receive timer (convergence window or timeout).
-	evTimer
-)
-
-// sessEvent is one unit of session work. Every event in flight holds
-// one work-tracker token; the token is released when the session
-// finishes handling the event (or when the event is dropped).
-type sessEvent struct {
-	kind  eventKind
-	proto string
-	msg   *message.Message
-	data  []byte
-	// lease is the pooled receive buffer backing data on evData events
-	// whose payload the runtime delivered leased; the session releases
-	// it right after parsing (or on any drop path).
-	lease *netapi.Buffer
-	src   netengine.Source
-	gen   uint64
-	// arrived is the wall-clock arrival time of an evData payload at
-	// its requester callback — the origin of its recv-stage sample.
-	arrived time.Time
-	// rerouted marks an entry event already forwarded once by a
-	// session that had moved past the awaited state (no second hop).
-	rerouted bool
-}
+// sessionQueueCap bounds the payloads queued for one session on its
+// worker's data lane. A session that cannot keep up has its excess
+// payloads dropped (counted in Dropped) instead of stalling the
+// listeners — UDP semantics end to end.
+const sessionQueueCap = 64
 
 // awaitKey is the published receive state used for entry routing.
 type awaitKey struct {
@@ -74,30 +27,40 @@ type awaitKey struct {
 	msg   string
 }
 
-// session executes the compiled program for one bridged interaction on
-// its own goroutine. All fields below the marker are confined to that
-// goroutine; cross-goroutine interaction happens only through inbox,
-// the session context and the published await snapshot.
+// session is the state of one bridged interaction: where it stands in
+// the compiled program and what it has seen so far. It is data, not a
+// thread of control — the ingest worker that admitted it (the consumer
+// of q) runs its steps, and all fields below the marker are touched by
+// that worker alone; once the workers have stopped, by Close. Other
+// goroutines reach a session through the table and read only the
+// fields above the marker: immutable identity, the await snapshot, the
+// queued count and the wait-free recorder.
 type session struct {
 	e        *Engine
 	key      string
 	seq      uint64
 	originIP string
-	inbox    chan sessEvent
-	timerCh  chan sessEvent
-	// ctx is the session's own context, derived from the engine's
-	// lifetime context: cancelling either tears the session down. The
-	// engine cancels individual sessions on Close (and a caller's
-	// WithContext cancellation reaches every session through the
-	// parent edge).
-	ctx    context.Context
-	cancel context.CancelFunc
-	await  atomic.Pointer[awaitKey]
-
-	// --- goroutine-confined state ---
-	pc int
-	// origin is the source of the initiating request.
+	// origin is the source of the initiating request; start is when the
+	// framework first received it.
 	origin netengine.Source
+	start  time.Time
+	// q is the lane queue of the owning worker: every event of the
+	// session is a job on it.
+	q *lanes.Queue[ingestJob]
+	// await is the receive the session is blocked on or running
+	// towards (one of e.awaits), nil when there is none.
+	await atomic.Pointer[awaitKey]
+	// queued counts the payload jobs (jobData, jobEntry) waiting on q.
+	queued atomic.Int32
+	// rec is the session's flight recorder — nil when disabled
+	// (WithTraceRing(0)). Set once before the session is published in
+	// the table and never reassigned, so other goroutines (a worker
+	// recording recv/parse of a message it forwards here, LiveSessions)
+	// see it without locking; the recorder itself is wait-free.
+	rec *trace.Recorder
+
+	// --- owned by the worker ---
+	pc int
 	// entrySources remembers, per protocol, the latest entry peer so
 	// ReplyToOrigin answers the right socket/connection.
 	entrySources map[string]netengine.Source
@@ -110,47 +73,38 @@ type session struct {
 	// by the next requester opened.
 	override netapi.Addr
 
-	// awaiting receive state.
+	// awaiting receive state. timerGen names the armed timer: a fire
+	// that was already queued when its wait ended carries a stale one.
 	waitProto string
 	waitMsg   string
 	collected []*message.Message
 	windowed  bool
 	timer     netapi.TimerID
 	timerSet  bool
-	timerGen  uint64
+	timerGen  uint32
 
 	// rng perturbs this session's convergence windows; deterministically
 	// seeded per session so concurrent sessions never share a stream.
 	rng *rand.Rand
 
-	// rec is the session's flight recorder — nil when disabled
-	// (WithTraceRing(0)). Set once before the session is published in
-	// the table and never reassigned, so cross-goroutine writers (the
-	// ingest worker recording recv/parse of a rendezvous delivery) see
-	// it without locking; the recorder itself is wait-free.
-	rec *trace.Recorder
-
-	start    time.Time
 	replyAt  time.Time
 	finished bool
 }
 
-func newSession(e *Engine, key string, seq uint64, first *message.Message, src netengine.Source, tm ingestTiming) *session {
+func newSession(e *Engine, q *lanes.Queue[ingestJob], key string, seq uint64, first *message.Message, src netengine.Source, tm ingestTiming) *session {
 	s := &session{
 		e:            e,
 		key:          key,
 		seq:          seq,
 		originIP:     src.Addr.IP,
-		inbox:        make(chan sessEvent, inboxCap+e.ingestWorkers+2),
-		timerCh:      make(chan sessEvent, timerChCap),
-		pc:           1, // step 0 is the initiator receive, satisfied by first
 		origin:       src,
+		start:        e.node.Now(),
+		q:            q,
+		pc:           1, // step 0 is the initiator receive, satisfied by first
 		entrySources: map[string]netengine.Source{},
 		history:      map[string][]*message.Message{},
 		requesters:   map[string]*netengine.Requester{},
-		start:        e.node.Now(),
 	}
-	s.ctx, s.cancel = context.WithCancel(e.ctx)
 	if e.windowJitter > 0 {
 		s.rng = rand.New(rand.NewSource(e.jitterSeed + int64(s.seq)*0x9E3779B9))
 	}
@@ -162,139 +116,51 @@ func newSession(e *Engine, key string, seq uint64, first *message.Message, src n
 			epoch = time.Now()
 		}
 		s.rec = trace.New(e.traceRing, epoch)
-		s.recordIngest(tm)
+		s.recordIngest(tm, trace.OutcomeOK)
 	}
 	s.entrySources[e.program[0].Protocol] = src
 	s.store(first)
 	return s
 }
 
-// recordIngest notes the recv and parse boundaries an ingest worker
-// measured for a payload delivered to this session. Safe from any
-// goroutine: the recorder is wait-free and nil-safe.
-func (s *session) recordIngest(tm ingestTiming) {
-	if s.rec == nil {
+// recordIngest notes the recv and parse boundaries a worker measured
+// for a payload of this session. Safe from any goroutine: the recorder
+// is wait-free and nil-safe.
+func (s *session) recordIngest(tm ingestTiming, parse trace.Outcome) {
+	s.rec.RecordAt(trace.StageRecv, trace.OutcomeOK, tm.picked, tm.bytes)
+	s.rec.RecordAt(trace.StageParse, parse, tm.parsed, tm.bytes)
+}
+
+// handle runs one queued event of the session on its worker. Events
+// that outlived the session are recycled silently.
+func (s *session) handle(job ingestJob) {
+	if job.kind != jobTimer {
+		s.queued.Add(-1)
+	}
+	if s.finished {
+		releaseJob(&job)
 		return
 	}
-	if !tm.picked.IsZero() {
-		s.rec.RecordAt(trace.StageRecv, trace.OutcomeOK, tm.picked, tm.bytes)
-	}
-	if !tm.parsed.IsZero() {
-		s.rec.RecordAt(trace.StageParse, trace.OutcomeOK, tm.parsed, tm.bytes)
-	}
-}
-
-// run is the session goroutine: it consumes inbox and timer events
-// until the session finishes or the engine shuts it down, then drains
-// both channels so every in-flight work token is released. Fired
-// timers are drained with priority so payload pressure can never
-// starve the session's liveness timer.
-func (s *session) run() {
-	defer s.e.sessionWG.Done()
-	for {
-		for !s.finished {
-			select {
-			case ev := <-s.timerCh:
-				s.handle(ev)
-				s.e.tracker.WorkDone()
-				continue
-			default:
-			}
-			break
-		}
-		if s.finished {
-			s.drainAll()
-			return
-		}
-		select {
-		case ev := <-s.inbox:
-			s.handle(ev)
-			s.e.tracker.WorkDone()
-		case ev := <-s.timerCh:
-			s.handle(ev)
-			s.e.tracker.WorkDone()
-		case <-s.ctx.Done():
-			// Forcible teardown (engine Close, drain deadline, context
-			// cancellation) still reports through sessionDone so the
-			// session is counted (Failed) and observers see its end —
-			// sessions must never vanish from the metrics surface.
-			s.e.sessionDone(s, serrors.Mark(
-				fmt.Errorf("engine: %s: session from %s torn down before completion",
-					s.e.merged.Name, s.origin.Addr),
-				serrors.ErrClosed))
-			s.drainAll()
-			return
-		}
-	}
-}
-
-// drainAll releases the tokens of events that arrived before the
-// session was unregistered from the table (after which no new enqueue
-// can target it).
-func (s *session) drainAll() {
-	for {
-		select {
-		case ev := <-s.inbox:
-			s.e.tracker.WorkDone()
-			if ev.msg != nil {
-				// Undelivered entry messages were never stored in the
-				// (already recycled) history; this drain holds the last
-				// reference.
-				ev.msg.Release()
-			}
-			if ev.lease != nil {
-				// Undelivered leased payloads return their receive
-				// buffer at session cleanup — the backstop of the
-				// lease contract.
-				ev.lease.Release()
-			}
-		case <-s.timerCh:
-			s.e.tracker.WorkDone()
-		default:
-			return
-		}
-	}
-}
-
-func (s *session) handle(ev sessEvent) {
-	switch ev.kind {
-	case evStart:
-		s.advance()
-	case evEntry:
-		if s.waitProto != ev.proto || s.waitMsg != ev.msg.Name {
+	switch job.kind {
+	case jobEntry:
+		proto := job.codec.Spec.Protocol
+		if !s.waitsFor(proto, job.msg.Name) {
 			// Not ours (stale routing): pass it on without touching
 			// this session's reply targets.
-			s.e.rerouteEntry(s, ev)
+			s.e.rerouteEntry(s, job)
 			return
 		}
-		s.entrySources[ev.proto] = ev.src
-		s.deliver(ev.proto, ev.msg)
-	case evData:
-		codec := s.e.codecs[ev.proto]
-		picked := time.Now()
-		nbytes := len(ev.data)
-		msg, err := codec.Parser.Parse(ev.data)
-		parsed := time.Now()
-		if ev.lease != nil {
-			// The parse copied everything it kept: the receive buffer
-			// goes straight back to its pool.
-			ev.lease.Release()
-			ev.lease = nil
-		}
-		if !ev.arrived.IsZero() {
-			s.e.stageHists[trace.StageRecv].Record(picked.Sub(ev.arrived))
-			s.rec.RecordAt(trace.StageRecv, trace.OutcomeOK, picked, nbytes)
-		}
-		s.e.stageHists[trace.StageParse].Record(parsed.Sub(picked))
+		s.deliverEntry(proto, job.msg, job.src)
+	case jobData:
+		msg, tm, err := s.e.parse(&job)
 		if err != nil {
-			s.rec.RecordAt(trace.StageParse, trace.OutcomeErr, parsed, nbytes)
-			s.e.bump(&s.e.ParseErrors)
+			s.recordIngest(tm, trace.OutcomeErr)
 			return
 		}
-		s.rec.RecordAt(trace.StageParse, trace.OutcomeOK, parsed, nbytes)
-		s.deliver(ev.proto, msg)
-	case evTimer:
-		if !s.timerSet || ev.gen != s.timerGen {
+		s.recordIngest(tm, trace.OutcomeOK)
+		s.deliver(job.codec.Spec.Protocol, msg)
+	case jobTimer:
+		if !s.timerSet || job.gen != s.timerGen {
 			return // cancelled or superseded timer
 		}
 		s.timerSet = false
@@ -304,6 +170,18 @@ func (s *session) handle(ev sessEvent) {
 			s.e.sessionDone(s, fmt.Errorf("engine: timeout waiting for %s/%s", s.waitProto, s.waitMsg))
 		}
 	}
+}
+
+// waitsFor reports whether the session is blocked on (proto, name).
+func (s *session) waitsFor(proto, name string) bool {
+	return s.waitProto == proto && s.waitMsg == name
+}
+
+// deliverEntry hands the session an entry message it waitsFor, and
+// makes its peer the reply target of proto.
+func (s *session) deliverEntry(proto string, msg *message.Message, src netengine.Source) {
+	s.entrySources[proto] = src
+	s.deliver(proto, msg)
 }
 
 func (s *session) store(m *message.Message) {
@@ -319,12 +197,14 @@ func (s *session) lookup(name string) *message.Message {
 	return h[len(h)-1]
 }
 
-// History exposes the stored sequence for a message name (tests).
-func (s *session) History(name string) []*message.Message { return s.history[name] }
-
 // advance executes program steps until the session blocks on a receive
-// or completes.
+// or completes. It first publishes the receive it is heading for: a send
+// on the way may provoke the peer's next entry message, which must find
+// the session (findAwaiting) even if it arrives before the receive is
+// armed. That message queues behind this run on the owning worker, so it
+// is delivered once the receive is armed.
 func (s *session) advance() {
+	s.await.Store(s.e.awaits[s.pc])
 	for !s.finished {
 		if s.pc >= len(s.e.program) {
 			s.e.sessionDone(s, nil)
@@ -433,10 +313,11 @@ func (s *session) runSend(step merge.Step) error {
 	if !ok {
 		dest := s.override
 		s.override = netapi.Addr{}
-		proto := step.Protocol
+		// Opening a stream requester dials, and realnet's dial returns
+		// only once the loopback connect completed or was refused: the
+		// one call in which a step may wait, holding its worker.
 		r, err = s.e.net.NewRequester(step.Color, dest, codec.Framer, func(data []byte, src netengine.Source, lease *netapi.Buffer) {
-			s.e.tracker.WorkAdd()
-			s.e.enqueue(s, sessEvent{kind: evData, proto: proto, data: data, lease: lease, arrived: time.Now()})
+			s.e.post(s, ingestJob{kind: jobData, codec: codec, data: data, src: src, lease: lease, arrived: time.Now()})
 		})
 		if err != nil {
 			return err
@@ -456,14 +337,14 @@ func (s *session) runSend(step merge.Step) error {
 	return nil
 }
 
-// armReceive blocks the session on a receive step. The timer callback
-// fires on the runtime dispatcher, so it only posts an event back to
-// the inbox — never touches session state.
+// armReceive blocks the session on a receive step (advance already
+// published it). The timer callback fires on the runtime dispatcher, so
+// it only queues a job for the owning worker — never touches session
+// state.
 func (s *session) armReceive(step merge.Step) {
 	s.waitProto = step.Protocol
 	s.waitMsg = step.Message
 	s.collected = nil
-	s.await.Store(&awaitKey{proto: step.Protocol, msg: step.Message})
 	scheme, err := netengine.SchemeOf(step.Color)
 	if err != nil {
 		s.e.sessionDone(s, err)
@@ -484,10 +365,7 @@ func (s *session) armReceive(step merge.Step) {
 	s.timerGen++
 	gen := s.timerGen
 	s.timerSet = true
-	s.timer = s.e.node.After(wait, func() {
-		s.e.tracker.WorkAdd()
-		s.e.deliverTimer(s, gen)
-	})
+	s.timer = s.e.node.After(wait, func() { s.e.deliverTimer(s, gen) })
 }
 
 func (s *session) windowExpired() {
@@ -515,7 +393,7 @@ func (s *session) deliver(proto string, msg *message.Message) {
 	if s.waitProto != proto || s.waitMsg != msg.Name {
 		s.rec.Record(trace.StageRecv, trace.OutcomeDrop, 0)
 		s.e.bump(&s.e.Ignored)
-		// Freshly parsed on this goroutine and never stored: recycle.
+		// Parsed for this session alone and never stored: recycle.
 		msg.Release()
 		return
 	}
@@ -530,20 +408,19 @@ func (s *session) deliver(proto string, msg *message.Message) {
 }
 
 func (s *session) cleanup() {
-	s.cancel() // release the session context (idempotent)
 	if s.timerSet {
 		s.e.node.Cancel(s.timer)
 		s.timerSet = false
 	}
 	s.timerGen++
 	s.await.Store(nil)
-	for _, r := range s.requesters {
+	for proto, r := range s.requesters {
 		if s.e.egress != nil {
 			s.e.egress.Remove(r)
 		}
 		_ = r.Close()
+		delete(s.requesters, proto)
 	}
-	s.requesters = map[string]*netengine.Requester{}
 	// The session owns every message in its history (parsed inputs and
 	// composed outputs); nothing references them once the session ends,
 	// so the whole working set returns to the message pools here — the

@@ -285,8 +285,8 @@ type ConnParker interface {
 // WorkTracker is optionally implemented by nodes of runtimes whose
 // event loop must know about work handed off to other goroutines.
 //
-// The concurrent Automata Engine processes inbound payloads on
-// per-session goroutines instead of inside the dispatch callback.
+// The concurrent Automata Engine processes inbound payloads on its
+// ingest workers instead of inside the dispatch callback.
 // A runtime with a virtual clock (simnet) must therefore not advance
 // time — nor let RunUntil conclude "no pending events" — while such
 // work is still in flight, because the work will schedule new events

@@ -987,12 +987,24 @@ func (n *node) ParkConn(c netapi.Conn) bool {
 	return true
 }
 
+// streamReadBufs recycles the stream read loops' buffers: a connection
+// lives for one exchange unless it is parked, and allocating and zeroing
+// 64 KiB for each was a third of the bytes a dispatcher allocated per
+// interaction. Not a netapi.Buffer lease — a read loop holds its buffer
+// for as long as its connection lives, parked ones included, and must
+// not read as leaked in netapi.LeasedBuffers.
+const streamReadBufSize = 64 * 1024
+
+var streamReadBufs = sync.Pool{New: func() any { return new([streamReadBufSize]byte) }}
+
 // readLoop delivers inbound chunks as views into the connection's read
 // buffer, serially under the connection's domain. The slice is valid
 // only for the duration of the callback; consumers copy or consume
 // (the netengine framer appends into its own per-connection buffer).
 func (sc *streamConn) readLoop() {
-	buf := make([]byte, 64*1024)
+	bp := streamReadBufs.Get().(*[streamReadBufSize]byte)
+	defer streamReadBufs.Put(bp)
+	buf := bp[:]
 	for {
 		if g := sc.gate; g != nil {
 			// Backpressure: stop pulling bytes off the wire while the

@@ -1,6 +1,7 @@
 package realnet
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -138,6 +139,64 @@ func TestStreamRoundtrip(t *testing.T) {
 	}
 	if err := rt.RunUntil(func() bool { return got == "echo:ping" }, 3*time.Second); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Stream read loops recycle their 64 KiB buffers: a run of short-lived
+// connections — one per bridged HTTP exchange whenever the dial pool
+// misses — must not allocate (and zero) a fresh pair each.
+func TestStreamReadBufferRecycled(t *testing.T) {
+	rt := New()
+	srv, _ := rt.NewNode("srv")
+	cli, _ := rt.NewNode("cli")
+	closed := 0
+	l, err := srv.ListenStream(39572, nil, func(c netapi.Conn, data []byte) {
+		if data == nil {
+			closed++
+			return
+		}
+		if err := c.Send(data); err != nil {
+			t.Error(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	exchange := func(i int) {
+		echoed := false
+		conn, err := cli.DialStream(netapi.Addr{IP: "127.0.0.1", Port: 39572}, func(c netapi.Conn, data []byte) {
+			echoed = echoed || data != nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.Send([]byte("ping")); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.RunUntil(func() bool { return echoed }, 3*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.Close()
+		// The accept side's read loop has returned its buffer once it
+		// reported the close.
+		if err := rt.RunUntil(func() bool { return closed == i+1 }, 3*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exchange(0) // the first exchange fills the pool
+	const conns = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= conns; i++ {
+		exchange(i)
+	}
+	runtime.ReadMemStats(&after)
+	// Unpooled, two read loops per connection allocate 128 KiB; allow
+	// half of that for the pool's misses (a GC cycle empties it, and the
+	// race detector makes it drop one Put in four).
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(conns*2*streamReadBufSize/2); got > limit {
+		t.Fatalf("%d connections allocated %d bytes, want at most %d: read buffers are not recycled", conns, got, limit)
 	}
 }
 

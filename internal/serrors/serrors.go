@@ -24,7 +24,7 @@ var (
 
 	// ErrOverloaded marks work rejected or dropped because a
 	// configured capacity bound was hit: the max-sessions semaphore, a
-	// full session inbox, or a full ingest queue.
+	// session's queue cap, or a full ingest queue.
 	ErrOverloaded = errors.New("overloaded")
 
 	// ErrAmbiguousPayload marks an entry payload that classified under

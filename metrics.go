@@ -52,8 +52,9 @@ type SessionMetrics struct {
 	// DrainRejected counts initiator requests refused because the
 	// deployment was draining.
 	DrainRejected int
-	// Dropped counts payloads discarded from full inboxes or ingest
-	// queues (backpressure; UDP semantics end to end).
+	// Dropped counts payloads discarded from full ingest queues or
+	// beyond a session's queue cap (backpressure; UDP semantics end to
+	// end).
 	Dropped int
 	// ParseErrors counts payloads no parser accepted.
 	ParseErrors int

@@ -74,21 +74,23 @@
 //
 // The Automata Engine is a concurrent session runtime. Each initiator
 // request opens a session keyed by (entry color, origin address) in a
-// sharded session table; each session executes its
-// receive→translate→compose loop on its own goroutine, fed by a
-// bounded inbox channel. Inbound entry payloads flow through bounded,
-// prioritized ingest lanes — control (session entry) over data
-// (mid-session payloads) over telemetry (multicast chatter) — before a
-// worker pool parses and routes them. Past the lanes' high watermark
+// sharded session table. A session is data — a program counter plus a
+// keyed history of messages — owned by the ingest worker that admitted
+// it: that worker runs its receive→translate→compose steps inline, and
+// there is no goroutine, channel or context per session. Inbound entry
+// payloads flow through bounded, prioritized ingest lanes — control
+// (session entry, receive timers) over data (mid-session payloads) over
+// telemetry (multicast chatter) — before a worker pool parses and
+// routes them. Past the lanes' high watermark
 // the transport read loops pause (releasing their buffers) and
 // telemetry sheds first, control last (WithLanePolicy,
 // WithWatermarks); a max-sessions semaphore (WithMaxSessions) bounds
 // the live-session population on top. Both bounds surface as drops
 // tagged ErrOverloaded, so overload degrades into dropped requests
 // rather than unbounded memory growth. Timers and requester payloads
-// post events
-// into the session inbox instead of touching session state, so session
-// state needs no locks. On the virtual-clock simulator the engine
+// re-enter through the owning worker's lane queue instead of touching
+// session state, so session state needs no locks; hooks and observers
+// run on the workers. On the virtual-clock simulator the engine
 // reports in-flight work through a work tracker, which keeps simulated
 // runs deterministic; see README.md for the full lifecycle.
 //
