@@ -377,7 +377,7 @@ func (c *Collector) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	// Transport syscall accounting is process-global (every deployment
 	// shares the transport layer), so the families carry no deployment
 	// label and are read once, straight from netapi.
-	t := transportMetricsOf(netapi.ReadIOStats())
+	t := TransportMetrics(netapi.ReadIOStats())
 	pw.Family("starlink_udp_recv_batches_total",
 		"Batched receive syscalls (recvmmsg) that returned datagrams.", "counter")
 	pw.Sample("starlink_udp_recv_batches_total", nil, float64(t.RecvBatches))

@@ -94,26 +94,6 @@ func TestErrorTaxonomyDeploy(t *testing.T) {
 	}
 }
 
-// TestOptionScope verifies that the unified option set narrows per
-// deployment kind: dispatcher-only options are rejected by
-// DeployBridge with a descriptive error instead of being ignored.
-func TestOptionScope(t *testing.T) {
-	fw, err := starlink.New(starlink.Simulated())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fw.DeployBridge(context.Background(), "10.0.0.5", "slp-to-bonjour",
-		starlink.WithTrialParseOnly()); err == nil {
-		t.Fatal("dispatcher-only option must be rejected by DeployBridge")
-	}
-	// The same option is accepted by DeployDispatcher.
-	d, err := fw.DeployDispatcher(context.Background(), "10.0.0.6", nil, starlink.WithTrialParseOnly())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = d.Close()
-}
-
 // TestErrOverloadedObservable drives the max-sessions bound and
 // asserts the rejection is observable as a drop wrapping
 // ErrOverloaded.

@@ -1,12 +1,10 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
 
-	"starlink/internal/core"
 	"starlink/internal/protocols/dnssd"
 	"starlink/internal/protocols/slp"
 	"starlink/internal/simnet"
@@ -40,12 +38,7 @@ func RunParallelUnit(clients int, seed int64) (int, error) {
 		return 0, fmt.Errorf("bench: clients must be in 1..200, got %d", clients)
 	}
 	sim := simnet.New(simnet.WithSeed(seed))
-	reg, err := sharedRegistry()
-	if err != nil {
-		return 0, err
-	}
-	fw := core.NewWithRegistry(sim, reg)
-	bridge, err := fw.DeployBridge(context.Background(), "10.0.0.5", "slp-to-bonjour")
+	bridge, err := deployBridge(sim, "slp-to-bonjour")
 	if err != nil {
 		return 0, err
 	}
@@ -70,7 +63,7 @@ func RunParallelUnit(clients int, seed int64) (int, error) {
 		return 0, err
 	}
 	sim.RunToQuiescence()
-	st := bridge.Engine.Stats()
+	st := bridge.Counts()
 	if st.Completed != clients {
 		return st.Completed, fmt.Errorf("bench: unit completed %d of %d sessions (failed=%d rejected=%d dropped=%d)",
 			st.Completed, clients, st.Failed, st.Rejected, st.Dropped)

@@ -7,8 +7,8 @@ import (
 	"sync"
 	"time"
 
-	"starlink/internal/core"
 	"starlink/internal/engine"
+	"starlink/internal/netapi"
 	"starlink/internal/protocols/dnssd"
 	"starlink/internal/protocols/slp"
 	"starlink/internal/protocols/upnp"
@@ -34,6 +34,32 @@ func sharedRegistry() (*registry.Registry, error) {
 	})
 	return sharedReg, sharedRegErr
 }
+
+// deployBridge runs one case of the shared registry on a fresh bridge
+// host at 10.0.0.5 of the simulator; the engine owns the host.
+func deployBridge(sim *simnet.Net, caseName string, opts ...engine.Option) (*engine.Engine, error) {
+	reg, err := sharedRegistry()
+	if err != nil {
+		return nil, err
+	}
+	c, err := reg.Compiled(caseName)
+	if err != nil {
+		return nil, err
+	}
+	return engine.Deploy(context.Background(), sim, "10.0.0.5", c.Merged, c.Codecs, opts...)
+}
+
+// sessionEnds is the engine sink of a measured run: it keeps the
+// finished sessions' stats and ignores every other event. The simulator
+// runs one event's work at a time, so it needs no lock.
+type sessionEnds []engine.SessionStats
+
+func (*sessionEnds) Deployed(string, uint64)                     {}
+func (*sessionEnds) Undeployed(string)                           {}
+func (*sessionEnds) SessionStart(string, netapi.Addr, time.Time) {}
+func (*sessionEnds) Dropped(string, netapi.Addr, error)          {}
+
+func (c *sessionEnds) SessionEnd(_ string, s engine.SessionStats) { *c = append(*c, s) }
 
 // Universe is the service type of the benchmark workload in each
 // protocol's spelling (the paper's "simple test service").
@@ -145,14 +171,9 @@ func runNativeUPnP(sim *simnet.Net, rng *rand.Rand) (time.Duration, error) {
 func RunBridge(caseName string, seed int64) (time.Duration, error) {
 	sim := simnet.New(simnet.WithSeed(seed))
 	rng := rand.New(rand.NewSource(seed * 6007))
-	reg, err := sharedRegistry()
-	if err != nil {
-		return 0, err
-	}
-	fw := core.NewWithRegistry(sim, reg)
-	var stats []engine.SessionStats
-	bridge, err := fw.DeployBridge(context.Background(), "10.0.0.5", caseName,
-		engine.WithObserver(func(s engine.SessionStats) { stats = append(stats, s) }),
+	var stats sessionEnds
+	bridge, err := deployBridge(sim, caseName,
+		engine.WithSink(&stats),
 		engine.WithWindowJitter(BridgeSLPWindowJitter, seed*6007))
 	if err != nil {
 		return 0, err

@@ -53,16 +53,16 @@ func FormatArtifact(r *Result) string {
 	}
 
 	b.WriteString("\n[counters]\n")
-	for _, c := range sortedKeys(r.Stats) {
-		st := r.Stats[c]
+	for _, c := range sortedKeys(r.Cases) {
+		st := r.Cases[c]
 		fmt.Fprintf(&b, "case %s started=%d ended=%d completed=%d failed=%d parseerrors=%d ignored=%d rejected=%d dropped=%d drainrejected=%d live=%d\n",
 			c, r.Started[c], r.Ended[c], st.Completed, st.Failed, st.ParseErrors,
 			st.Ignored, st.Rejected, st.Dropped, st.DrainRejected, st.Live)
 	}
 	fmt.Fprintf(&b, "dispatch dispatched=%d ambiguous=%d unroutable=%d parseerrors=%d\n",
 		r.Dispatch.Dispatched, r.Dispatch.Ambiguous, r.Dispatch.Unroutable, r.Dispatch.ParseErrors)
-	for _, c := range sortedKeys(r.Probes) {
-		p := r.Probes[c]
+	for _, c := range sortedKeys(r.Cases) {
+		p := r.Cases[c]
 		fmt.Fprintf(&b, "probe %s live=%d sem=%d lanedepth=%d\n", c, p.Live, p.SemInUse, p.LaneDepth)
 	}
 	for _, c := range sortedKeys(r.Clients) {

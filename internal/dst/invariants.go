@@ -39,13 +39,13 @@ func (r *Result) Counter(name string) int {
 	case "unroutable":
 		return r.Dispatch.Unroutable
 	case "shed":
-		for _, d := range r.Lanes {
-			for l := range d.Counters {
-				sum += int(d.Counters[l].Shed)
+		for _, c := range r.Cases {
+			for _, ct := range c.Lanes.Counters {
+				sum += int(ct.Shed)
 			}
 		}
 	default:
-		for _, c := range r.Stats {
+		for _, c := range r.Cases {
 			switch name {
 			case "completed":
 				sum += c.Completed
@@ -83,7 +83,7 @@ func checkInvariants(sc *Scenario, r *Result) []Violation {
 		if started != ended {
 			bad("sessions-terminal", "%s: %d sessions started, %d ended", c, started, ended)
 		}
-		if st, ok := r.Stats[c]; ok {
+		if st, ok := r.Cases[c]; ok {
 			if terminal := st.Completed + st.Failed; ended != terminal {
 				bad("sessions-terminal", "%s: %d session-end hooks but completed+failed = %d",
 					c, ended, terminal)
@@ -93,16 +93,11 @@ func checkInvariants(sc *Scenario, r *Result) []Violation {
 
 	// session-leak: at quiescence no engine may still hold a session
 	// slot, a semaphore token, or a queued payload.
-	for _, c := range sortedKeys(r.Probes) {
-		p := r.Probes[c]
+	for _, c := range sortedKeys(r.Cases) {
+		p := r.Cases[c]
 		if p.Live != 0 || p.SemInUse != 0 || p.LaneDepth != 0 {
 			bad("session-leak", "%s: live=%d sem=%d lanedepth=%d at quiescence",
 				c, p.Live, p.SemInUse, p.LaneDepth)
-		}
-	}
-	for _, c := range sortedKeys(r.Stats) {
-		if live := r.Stats[c].Live; live != 0 {
-			bad("session-leak", "%s: final counters report %d live sessions", c, live)
 		}
 	}
 
@@ -114,10 +109,8 @@ func checkInvariants(sc *Scenario, r *Result) []Violation {
 
 	// lane-conservation: per case and lane, every admitted payload was
 	// processed, evicted or drained — none vanished, none remain.
-	for _, c := range sortedKeys(r.Lanes) {
-		d := r.Lanes[c]
-		for l := range d.Counters {
-			ct := d.Counters[l]
+	for _, c := range sortedKeys(r.Cases) {
+		for l, ct := range r.Cases[c].Lanes.Counters {
 			if out := ct.Processed + ct.Evicted + ct.Drained; ct.Admitted != out {
 				bad("lane-conservation", "%s/%s: admitted %d != processed %d + evicted %d + drained %d",
 					c, lanes.Lane(l), ct.Admitted, ct.Processed, ct.Evicted, ct.Drained)
@@ -154,7 +147,7 @@ func caseUnion(r *Result) []string {
 	for c := range r.Ended {
 		set[c] = true
 	}
-	for c := range r.Stats {
+	for c := range r.Cases {
 		set[c] = true
 	}
 	return sortedKeys(set)

@@ -10,7 +10,6 @@ import (
 
 	"starlink/internal/bench"
 	"starlink/internal/composer"
-	"starlink/internal/core"
 	"starlink/internal/engine"
 	"starlink/internal/message"
 	"starlink/internal/netapi"
@@ -103,10 +102,11 @@ type Result struct {
 	// VirtualElapsed is how much simulated time the run covered.
 	VirtualElapsed time.Duration
 
-	Stats    map[string]engine.Counters
+	// Dispatch and Cases are the dispatcher's snapshot at quiescence:
+	// classification counters, and per case the engine's counters,
+	// gauges and lane accounting.
 	Dispatch provision.DispatchCounters
-	Lanes    map[string]engine.LaneDump
-	Probes   map[string]engine.Probe
+	Cases    map[string]engine.Snapshot
 	Started  map[string]int
 	Ended    map[string]int
 	Clients  map[string]ClientTally
@@ -121,8 +121,9 @@ type Result struct {
 // Failed reports whether any invariant was violated.
 func (r *Result) Failed() bool { return len(r.Violations) > 0 }
 
-// collector receives dispatcher hooks. Its own mutex makes it safe
-// from engine goroutines; reads happen only after quiescence.
+// collector is the dispatcher's sink: it counts session starts and ends
+// per case and keeps the failed ones. Its own mutex makes it safe from
+// engine goroutines; reads happen only after quiescence.
 type collector struct {
 	mu      sync.Mutex
 	started map[string]int
@@ -130,27 +131,29 @@ type collector struct {
 	failed  []FailedSession
 }
 
-func (c *collector) hooks() provision.Hooks {
-	return provision.Hooks{
-		SessionStart: func(caseName string, origin netapi.Addr, at time.Time) {
-			c.mu.Lock()
-			c.started[caseName]++
-			c.mu.Unlock()
-		},
-		SessionEnd: func(caseName string, s engine.SessionStats) {
-			c.mu.Lock()
-			c.ended[caseName]++
-			if s.Err != nil {
-				c.failed = append(c.failed, FailedSession{
-					Case:   caseName,
-					Origin: s.Origin.String(),
-					Err:    s.Err.Error(),
-					Trace:  s.Trace,
-				})
-			}
-			c.mu.Unlock()
-		},
+func (*collector) Deployed(string, uint64)            {}
+func (*collector) Undeployed(string)                  {}
+func (*collector) Dropped(string, netapi.Addr, error) {}
+func (*collector) Classified(provision.ClassifyEvent) {}
+
+func (c *collector) SessionStart(caseName string, _ netapi.Addr, _ time.Time) {
+	c.mu.Lock()
+	c.started[caseName]++
+	c.mu.Unlock()
+}
+
+func (c *collector) SessionEnd(caseName string, s engine.SessionStats) {
+	c.mu.Lock()
+	c.ended[caseName]++
+	if s.Err != nil {
+		c.failed = append(c.failed, FailedSession{
+			Case:   caseName,
+			Origin: s.Origin.String(),
+			Err:    s.Err.Error(),
+			Trace:  s.Trace,
+		})
 	}
+	c.mu.Unlock()
 }
 
 // Run executes one (scenario, seed) simulation to quiescence and
@@ -196,13 +199,12 @@ func Run(sc *Scenario, seed int64, cfg Config) (*Result, error) {
 	if maxSessions == 0 {
 		maxSessions = 1024
 	}
-	fw := core.NewWithRegistry(sim, reg)
 	// Host every loaded case (nil filter): multicast entry traffic may
 	// classify into any of them, and the invariants account per case.
 	// The worker count is pinned — the default tracks GOMAXPROCS,
 	// which must not influence a deterministic schedule.
-	d, err := fw.DeployDispatcher(context.Background(), bridgeIP, nil,
-		provision.WithHooks(col.hooks()),
+	d, err := provision.Deploy(context.Background(), reg, sim, bridgeIP, nil,
+		provision.WithSink(col),
 		provision.WithEngineOptions(
 			engine.WithIngestWorkers(4),
 			engine.WithMaxSessions(maxSessions),
@@ -291,6 +293,7 @@ func Run(sc *Scenario, seed int64, cfg Config) (*Result, error) {
 	// teardown: Close iterates internal maps, so its tail of
 	// socket-close events is not order-deterministic and stays out of
 	// the replay comparand.
+	snap := d.Snapshot()
 	col.mu.Lock()
 	res := &Result{
 		Scenario:       sc,
@@ -298,10 +301,8 @@ func Run(sc *Scenario, seed int64, cfg Config) (*Result, error) {
 		TraceHash:      sim.TraceHash(),
 		TraceLines:     sim.TraceLines(),
 		VirtualElapsed: sim.Now().Sub(epoch),
-		Stats:          d.Stats(),
-		Dispatch:       d.DispatchStats(),
-		Lanes:          d.Lanes(),
-		Probes:         d.Probe(),
+		Dispatch:       snap.Dispatch,
+		Cases:          snap.Cases,
 		Started:        col.started,
 		Ended:          col.ended,
 		FailedSessions: col.failed,

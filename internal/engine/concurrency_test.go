@@ -13,7 +13,8 @@ import (
 )
 
 // A burst of clients from distinct hosts must be bridged as fully
-// independent concurrent sessions spread across the sharded table.
+// independent concurrent sessions in the sharded table (how keys spread
+// over the shards is TestSessionTableSpreadsKeys).
 // The bonjour-to-slp case holds every session open for the bridge's
 // 6.25 s SLP convergence window, so all n sessions are live at once.
 func TestBridgeManySessionsSharded(t *testing.T) {
@@ -35,34 +36,17 @@ func TestBridgeManySessionsSharded(t *testing.T) {
 			}
 		})
 	}
-	// Let the sessions open, then check they are spread over shards.
+	// Let the sessions open, then check they are all live at once.
 	sim.Run(time.Second)
-	shards := e.ShardStats()
-	live, spread := 0, 0
-	for _, c := range shards {
-		live += c
-		if c > 0 {
-			spread++
-		}
-	}
-	if live != n {
-		t.Fatalf("live sessions mid-flight = %d, want %d (shards=%v)", live, n, shards)
-	}
-	if spread < 2 {
-		t.Fatalf("all sessions landed on one shard: %v", shards)
-	}
-	if st := e.Stats(); st.Live != n {
-		t.Fatalf("Stats().Live = %d, want %d", st.Live, n)
+	if st := e.Counts(); st.Live != n {
+		t.Fatalf("live sessions mid-flight = %d, want %d", st.Live, n)
 	}
 	if err := sim.RunUntil(func() bool { return doneCount == n }, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	sim.RunToQuiescence()
-	if okCount != n || e.Completed != n || e.Failed != 0 {
-		t.Fatalf("ok=%d completed=%d failed=%d", okCount, e.Completed, e.Failed)
-	}
-	if st := e.Stats(); st.Live != 0 {
-		t.Fatalf("sessions leaked: %+v (shards=%v)", st, e.ShardStats())
+	if st := e.Counts(); okCount != n || st.Completed != n || st.Failed != 0 || st.Live != 0 {
+		t.Fatalf("ok=%d, counters %+v", okCount, st.Counters)
 	}
 }
 
@@ -87,11 +71,11 @@ func TestBridgeMaxSessionsRejectsOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.RunToQuiescence()
-	if e.Completed != 1 {
-		t.Fatalf("completed = %d, want 1", e.Completed)
+	if e.Counts().Completed != 1 {
+		t.Fatalf("completed = %d, want 1", e.Counts().Completed)
 	}
-	if e.Rejected != n-1 {
-		t.Fatalf("rejected = %d, want %d", e.Rejected, n-1)
+	if e.Counts().Rejected != n-1 {
+		t.Fatalf("rejected = %d, want %d", e.Counts().Rejected, n-1)
 	}
 }
 
@@ -104,7 +88,7 @@ func TestWindowJitterDeterministic(t *testing.T) {
 		var stats []engine.SessionStats
 		e := deploy(t, sim, "upnp-to-slp",
 			engine.WithWindowJitter(200*time.Millisecond, 42),
-			engine.WithObserver(func(s engine.SessionStats) { stats = append(stats, s) }))
+			onSessionEnd(func(s engine.SessionStats) { stats = append(stats, s) }))
 		_ = e
 		svcNode, _ := sim.NewNode("10.0.0.9")
 		if _, err := slp.NewServiceAgent(svcNode, "service:printer", "service:printer://10.0.0.9:515"); err != nil {
@@ -147,13 +131,13 @@ func TestBridgeCloseDrainsConcurrentSessions(t *testing.T) {
 		b.Browse("printer.local", func(dnssd.BrowseResult) {})
 	}
 	sim.Run(time.Second)
-	if st := e.Stats(); st.Live != n {
+	if st := e.Counts(); st.Live != n {
 		t.Fatalf("live = %d, want %d", st.Live, n)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.Stats(); st.Live != 0 {
+	if st := e.Counts(); st.Live != 0 {
 		t.Fatalf("live after close = %d", st.Live)
 	}
 	sim.RunToQuiescence() // client windows expire cleanly

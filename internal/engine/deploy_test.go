@@ -1,0 +1,148 @@
+package engine_test
+
+import (
+	"context"
+	"errors"
+	"testing"
+	"time"
+
+	"starlink/internal/engine"
+	"starlink/internal/netapi"
+	"starlink/internal/protocols/dnssd"
+	"starlink/internal/protocols/slp"
+	"starlink/internal/realnet"
+	"starlink/internal/registry"
+	"starlink/internal/simnet"
+	"starlink/internal/translation"
+)
+
+// deployCase runs engine.Deploy for a builtin case on a fresh host of rt.
+func deployCase(ctx context.Context, t *testing.T, rt netapi.Runtime, hostIP, caseName string, opts ...engine.Option) (*engine.Engine, error) {
+	t.Helper()
+	reg, err := registry.Builtin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := reg.Compiled(caseName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return engine.Deploy(ctx, rt, hostIP, c.Merged, c.Codecs, opts...)
+}
+
+// hostFree fails the test unless hostIP can be created again on the
+// simulator — that is, unless whoever held it released it.
+func hostFree(t *testing.T, sim *simnet.Net, hostIP, after string) {
+	t.Helper()
+	node, err := sim.NewNode(hostIP)
+	if err != nil {
+		t.Fatalf("node leaked by %s: %v", after, err)
+	}
+	_ = node.Close()
+}
+
+func TestDeployAllCases(t *testing.T) {
+	sim := simnet.New()
+	reg, err := registry.Builtin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range reg.MergedNames() {
+		// Distinct host per bridge to avoid group-port collisions.
+		e, err := deployCase(context.Background(), t, sim, "10.0.9."+string(rune('1'+i)), name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if e.Case() != name || e.State() != engine.StateRunning {
+			t.Fatalf("%s: deployed case %q in state %v", name, e.Case(), e.State())
+		}
+		if err := e.Close(); err != nil {
+			t.Fatalf("%s close: %v", name, err)
+		}
+	}
+}
+
+// TestDeployFailureReleasesNode is the regression test for the node leak
+// on failed deploys: when engine construction fails after the bridge
+// host was created, the host must be closed — under simnet, that frees
+// its IP for reuse. The failure is forced with an empty
+// translation-function registry: the builtin cases' logic references
+// T-functions, so Logic.Validate rejects it after the node exists.
+func TestDeployFailureReleasesNode(t *testing.T) {
+	sim := simnet.New()
+	_, err := deployCase(context.Background(), t, sim, "10.0.0.5", "slp-to-bonjour",
+		engine.WithTranslationFuncs(&translation.FuncRegistry{}))
+	if err == nil {
+		t.Fatal("deploy with an empty T-function registry should fail")
+	}
+	hostFree(t, sim, "10.0.0.5", "failed deploy")
+}
+
+// TestDeployCancelledContext verifies a cancelled context aborts the
+// deploy before any resource is created.
+func TestDeployCancelledContext(t *testing.T) {
+	sim := simnet.New()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := deployCase(ctx, t, sim, "10.0.0.5", "slp-to-bonjour"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	hostFree(t, sim, "10.0.0.5", "cancelled deploy")
+}
+
+// TestDeployCloseReleasesNode verifies the owning side of the same
+// contract: closing a healthy deployed engine releases its host, and so
+// does draining it.
+func TestDeployCloseReleasesNode(t *testing.T) {
+	sim := simnet.New()
+	for name, stop := range map[string]func(*engine.Engine) error{
+		"Close":    (*engine.Engine).Close,
+		"Shutdown": func(e *engine.Engine) error { return e.Shutdown(context.Background()) },
+	} {
+		e, err := deployCase(context.Background(), t, sim, "10.0.0.5", "slp-to-bonjour")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := stop(e); err != nil {
+			t.Fatal(err)
+		}
+		hostFree(t, sim, "10.0.0.5", name)
+	}
+}
+
+// TestBridgeOverRealSockets runs the paper's SLP→Bonjour case over real
+// loopback UDP — the deployment mode of the starlinkd daemon.
+func TestBridgeOverRealSockets(t *testing.T) {
+	rt := realnet.New()
+	var ends sessionEnds
+	bridge, err := deployCase(context.Background(), t, rt, "127.0.0.1", "slp-to-bonjour", ends.hook())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bridge.Close()
+
+	svcNode, _ := rt.NewNode("svc")
+	responder, err := dnssd.NewResponder(svcNode, "printer.local", "service:printer://127.0.0.1:515")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer responder.Close()
+
+	cliNode, _ := rt.NewNode("cli")
+	ua := slp.NewUserAgent(cliNode, slp.WithConvergenceWait(300*time.Millisecond))
+	var res slp.LookupResult
+	done := false
+	ua.Lookup("service:printer", func(r slp.LookupResult) { res = r; done = true })
+	if err := rt.RunUntil(func() bool { return done }, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if len(res.URLs) != 1 || res.URLs[0] != "service:printer://127.0.0.1:515" {
+		t.Fatalf("urls = %v", res.URLs)
+	}
+	if errs := ends.errs(); len(errs) != 1 || errs[0] != "<nil>" {
+		t.Fatalf("session ends = %v, want one clean session", errs)
+	}
+}

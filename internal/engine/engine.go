@@ -46,10 +46,17 @@
 //     timeout;
 //   - Close stops the listeners, then the workers, and only then ends
 //     the sessions still live, on the closing goroutine, with an
-//     ErrClosed error through the same hooks;
+//     ErrClosed error through the same sink;
 //   - on runtimes with a virtual clock the engine reports in-flight
 //     work through netapi.WorkTracker, which keeps simulated runs
 //     deterministic and engine state safe to read after RunUntil.
+//
+// Deploy is the whole deployment of one case — bridge host, engine,
+// Start — and the engine then owns the host. What the engine observes
+// goes to one Sink (a nil one costs a branch per event); what it counts
+// is read as one Snapshot, by Counts (cheap) or Snapshot (with the
+// distributions). Close is where every teardown ends and the one origin
+// of the Undeployed event.
 package engine
 
 import (
@@ -172,51 +179,6 @@ type SessionStats struct {
 	Trace []trace.Event
 }
 
-// Counters is a consistent snapshot of the engine's counters.
-type Counters struct {
-	Completed   int
-	Failed      int
-	ParseErrors int
-	Ignored     int
-	Rejected    int
-	Dropped     int
-	// DrainRejected counts initiator requests that arrived while the
-	// engine was draining and were therefore refused.
-	DrainRejected int
-	// Live is the number of sessions currently registered.
-	Live int
-	// Ingested counts payloads accepted off entry listeners;
-	// IngestedBatched counts the subset delivered by a multi-packet
-	// batched receive syscall (recvmmsg) — the structural evidence
-	// that transport batching engages under load.
-	Ingested        int
-	IngestedBatched int
-}
-
-// Hooks are optional lifecycle callbacks. Every field may be nil; all
-// invocations are serialised with observer invocations, so hook
-// implementations need no locking of their own. Multiple Hooks sets
-// compose: each registered set is invoked in registration order.
-// Callbacks run on whichever goroutine the event happens on — an ingest
-// worker for everything a session does, a transport callback for a
-// payload shed at enqueue, the caller of Close for the sessions it tears
-// down — and a worker runs nothing else meanwhile: keep them fast, and
-// never call Close or Shutdown synchronously from inside one — spawn a
-// goroutine instead.
-type Hooks struct {
-	// SessionStart fires when an initiator request is admitted as a
-	// new session.
-	SessionStart func(origin netapi.Addr, at time.Time)
-	// SessionEnd fires as each session finishes (same timing as the
-	// WithObserver callback).
-	SessionEnd func(SessionStats)
-	// Drop fires when a payload or session is refused, with the reason
-	// classified under the structured taxonomy: serrors.ErrOverloaded
-	// for capacity rejections and queue overflow, serrors.ErrDraining
-	// for initiator requests arriving mid-shutdown.
-	Drop func(origin netapi.Addr, reason error)
-}
-
 // Option configures an Engine.
 type Option func(*Engine)
 
@@ -249,13 +211,6 @@ func WithReceiveTimeout(d time.Duration) Option {
 // simulated runs stay reproducible.
 func WithWindowJitter(d time.Duration, seed int64) Option {
 	return func(e *Engine) { e.windowJitter, e.jitterSeed = d, seed }
-}
-
-// WithObserver registers a callback invoked as each session ends.
-// Invocations are serialised, so the callback needs no locking of its
-// own. It is shorthand for WithHooks(Hooks{SessionEnd: fn}).
-func WithObserver(fn func(SessionStats)) Option {
-	return WithHooks(Hooks{SessionEnd: fn})
 }
 
 // WithMaxSessions bounds the number of concurrently live sessions.
@@ -302,10 +257,9 @@ func WithContext(ctx context.Context) Option {
 	}
 }
 
-// WithHooks registers a set of lifecycle hooks. Hooks compose: every
-// registered set is invoked, in registration order.
-func WithHooks(h Hooks) Option {
-	return func(e *Engine) { e.hooks = append(e.hooks, h) }
+// WithSink sets the sink the engine reports its events to (see Sink).
+func WithSink(sink Sink) Option {
+	return func(e *Engine) { e.sink = sink }
 }
 
 // WithTraceRing sizes the per-session flight recorder: the number of
@@ -437,10 +391,13 @@ func (noTracker) WorkDone() {}
 
 // Engine executes one merged automaton on one bridge node.
 type Engine struct {
-	node    netapi.Node
-	net     *netengine.Engine
-	merged  *merge.Merged
-	program []merge.Step
+	node netapi.Node
+	// ownsNode is set by Deploy, which created the node for this engine
+	// alone: Close releases it.
+	ownsNode bool
+	net      *netengine.Engine
+	merged   *merge.Merged
+	program  []merge.Step
 	// awaits[pc] is the receive a session at pc is heading for: the
 	// first receive step at or after pc (nil past the last one). Built
 	// once so publishing it allocates nothing.
@@ -453,7 +410,7 @@ type Engine struct {
 	recvTimeout  time.Duration
 	windowJitter time.Duration
 	jitterSeed   int64
-	hooks        []Hooks
+	sink         Sink
 
 	maxSessions   int
 	ingestWorkers int
@@ -496,26 +453,25 @@ type Engine struct {
 
 	entries []netapi.Closer
 
-	// Counters exposed for tests and diagnostics. They are updated
-	// under statsMu; read them via Stats, or directly only while the
-	// runtime is quiesced (after RunUntil / RunToQuiescence).
-	statsMu       sync.Mutex
-	Completed     int
-	Failed        int
-	ParseErrors   int
-	Ignored       int
-	Rejected      int
-	Dropped       int
-	DrainRejected int
+	// finishMu makes a session's finish one step — table removal, the
+	// completed/failed count and the drain check — against BeginDrain's
+	// "last session already gone" check and against Counts' read of Live,
+	// so a finishing session is always in exactly one of Live or
+	// Completed/Failed and a drain is signalled exactly once. Lock order
+	// is finishMu → shard mutex, never the reverse.
+	finishMu  sync.Mutex
+	completed int
+	failed    int
 
-	// ingestTotal/ingestBatched count entry payloads on the ingest hot
-	// path (onEntry), where taking statsMu per payload would serialise
-	// the listeners — atomics instead.
+	// The drop-path and ingest counters are bumped per payload from every
+	// listener and worker: atomics, no lock.
+	parseErrors   atomic.Int64
+	ignored       atomic.Int64
+	rejected      atomic.Int64
+	dropped       atomic.Int64
+	drainRejected atomic.Int64
 	ingestTotal   atomic.Uint64
 	ingestBatched atomic.Uint64
-
-	// obsMu serialises observer invocations.
-	obsMu sync.Mutex
 }
 
 // New builds an engine for the merged automaton. codecs must contain
@@ -611,48 +567,61 @@ func New(node netapi.Node, merged *merge.Merged, codecs map[string]*Codec, opts 
 	return e, nil
 }
 
+// Deploy creates the bridge host hostIP on rt and runs the merged
+// automaton on it: node, engine, Start. The engine owns the node — Close
+// releases it — and every failure path releases it too, so an aborted
+// deploy never leaks its host or entry ports.
+//
+// ctx governs both the deployment and the engine's lifetime (like
+// exec.CommandContext): a ctx already cancelled aborts the deploy, and
+// cancelling it later closes the engine (WithContext).
+func Deploy(ctx context.Context, rt netapi.Runtime, hostIP string, merged *merge.Merged, codecs map[string]*Codec, opts ...Option) (*Engine, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("engine: deploy %s: %w", merged.Name, err)
+	}
+	node, err := rt.NewNode(hostIP)
+	if err != nil {
+		return nil, fmt.Errorf("engine: bridge host: %w", err)
+	}
+	opts = append(opts, WithContext(ctx), func(e *Engine) { e.ownsNode = true })
+	e, err := New(node, merged, codecs, opts...)
+	if err != nil {
+		_ = node.Close()
+		return nil, err
+	}
+	// From here Close releases everything: the node, the listeners bound
+	// before a failed Start, the watcher's registration on ctx.
+	if err := e.Start(); err != nil {
+		_ = e.Close()
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		_ = e.Close()
+		return nil, fmt.Errorf("engine: deploy %s: %w", merged.Name, err)
+	}
+	return e, nil
+}
+
+// Case returns the name of the merged automaton the engine runs — the
+// tag on every event it reports.
+func (e *Engine) Case() string { return e.merged.Name }
+
 // Program returns the compiled step list (diagnostics, mdlc tool).
 func (e *Engine) Program() []merge.Step { return e.program }
 
-// Stats returns a consistent snapshot of the engine's counters; safe
-// to call from any goroutine at any time. Live is sampled under the
-// same lock that orders session finish (table removal + counter
-// update), so a finishing session is always counted in exactly one of
-// Live or Completed/Failed.
-func (e *Engine) Stats() Counters {
-	e.statsMu.Lock()
-	defer e.statsMu.Unlock()
-	return Counters{
-		Completed:       e.Completed,
-		Failed:          e.Failed,
-		ParseErrors:     e.ParseErrors,
-		Ignored:         e.Ignored,
-		Rejected:        e.Rejected,
-		Dropped:         e.Dropped,
-		DrainRejected:   e.DrainRejected,
-		Live:            e.table.live(),
-		Ingested:        int(e.ingestTotal.Load()),
-		IngestedBatched: int(e.ingestBatched.Load()),
-	}
-}
-
 // State returns the engine's lifecycle state.
 func (e *Engine) State() State { return State(e.state.Load()) }
-
-// ShardStats returns the number of live sessions per table shard.
-func (e *Engine) ShardStats() []int { return e.table.stats() }
-
-// bump increments one of the engine counters under statsMu.
-func (e *Engine) bump(counter *int) {
-	e.statsMu.Lock()
-	*counter++
-	e.statsMu.Unlock()
-}
 
 // Start opens the entry listeners and the ingest worker pool. The
 // bridge is then transparently deployed: legacy clients of the
 // initiator protocol reach it via their normal multicast groups/ports.
 func (e *Engine) Start() error {
+	// Announced before the first listener opens, so no session event can
+	// precede it; a Start that then fails is followed by Close's
+	// Undeployed.
+	if e.sink != nil {
+		e.sink.Deployed(e.merged.Name, 0)
+	}
 	entryColors, err := e.merged.EntryProtocols()
 	if err != nil {
 		return err
@@ -724,7 +693,7 @@ func (e *Engine) startWorkers() {
 // refused with an error wrapping serrors.ErrClosed. A draining engine
 // still accepts injection — live sessions need their mid-program
 // entries to finish — but refuses the ones that would open a new
-// session at admission, reporting them through the Drop hook with
+// session at admission, reporting them to the sink as drops marked
 // serrors.ErrDraining.
 func (e *Engine) Inject(proto string, data []byte, src netengine.Source, lease *netapi.Buffer) error {
 	codec, ok := e.codecs[proto]
@@ -732,7 +701,7 @@ func (e *Engine) Inject(proto string, data []byte, src netengine.Source, lease *
 		if lease != nil {
 			lease.Release()
 		}
-		e.bump(&e.Ignored)
+		e.ignored.Add(1)
 		return fmt.Errorf("engine: %s: no codec for protocol %q", e.merged.Name, proto)
 	}
 	if e.State() == StateClosed {
@@ -760,8 +729,10 @@ func (e *Engine) AwaitsEntry(proto, msg, ip string) bool {
 // Close stops the engine immediately: entry listeners first, then the
 // ingest workers, and once no worker runs any more it ends every
 // session still live, on the calling goroutine, with an error wrapping
-// serrors.ErrClosed. For a graceful stop that lets live sessions finish
-// first, use Shutdown.
+// serrors.ErrClosed; last it releases the node, if the engine owns it,
+// and reports Undeployed. Every teardown — Shutdown, the lifetime
+// context — ends here, and only the first call does the work. For a
+// graceful stop that lets live sessions finish first, use Shutdown.
 func (e *Engine) Close() error {
 	e.closeMu.Lock()
 	// state is the single source of truth for the lifecycle; the swap
@@ -790,7 +761,7 @@ func (e *Engine) Close() error {
 	// With the workers gone nothing else touches session state: forcible
 	// teardown still reports through sessionDone so every session is
 	// counted (Failed) and observers see its end — sessions must never
-	// vanish from the metrics surface. Oldest first, so the hook order
+	// vanish from the metrics surface. Oldest first, so the event order
 	// does not depend on map iteration.
 	live := e.table.removeAll()
 	sort.Slice(live, func(i, j int) bool { return live[i].seq < live[j].seq })
@@ -801,7 +772,14 @@ func (e *Engine) Close() error {
 			serrors.ErrClosed))
 	}
 	e.signalDrained() // a closed engine has, vacuously, drained
-	return nil
+	var err error
+	if e.ownsNode {
+		err = e.node.Close()
+	}
+	if e.sink != nil {
+		e.sink.Undeployed(e.merged.Name)
+	}
+	return err
 }
 
 // Shutdown drains the engine gracefully: it stops admitting new
@@ -859,14 +837,14 @@ func (e *Engine) BeginDrain() {
 			break
 		}
 	}
-	// Live is read under statsMu, the same lock that orders session
-	// finish, so the "last session already gone" case cannot race
-	// sessionDone's own drain check.
-	e.statsMu.Lock()
+	// Live is read under finishMu, the lock that orders session finish,
+	// so the "last session already gone" case cannot race sessionDone's
+	// own drain check.
+	e.finishMu.Lock()
 	if e.table.live() == 0 {
 		e.signalDrained()
 	}
-	e.statsMu.Unlock()
+	e.finishMu.Unlock()
 }
 
 // signalDrained marks the drain as complete (idempotent).
@@ -874,32 +852,11 @@ func (e *Engine) signalDrained() {
 	e.drainOnce.Do(func() { close(e.drained) })
 }
 
-// hookSessionStart notifies every hook set of an admitted session.
-func (e *Engine) hookSessionStart(origin netapi.Addr, at time.Time) {
-	if len(e.hooks) == 0 {
-		return
-	}
-	e.obsMu.Lock()
-	defer e.obsMu.Unlock()
-	for _, h := range e.hooks {
-		if h.SessionStart != nil {
-			h.SessionStart(origin, at)
-		}
-	}
-}
-
-// hookDrop reports a refused payload or session with its structured
+// reportDrop reports a refused payload or session with its structured
 // reason.
-func (e *Engine) hookDrop(origin netapi.Addr, reason error) {
-	if len(e.hooks) == 0 {
-		return
-	}
-	e.obsMu.Lock()
-	defer e.obsMu.Unlock()
-	for _, h := range e.hooks {
-		if h.Drop != nil {
-			h.Drop(origin, reason)
-		}
+func (e *Engine) reportDrop(origin netapi.Addr, reason error) {
+	if e.sink != nil {
+		e.sink.Dropped(e.merged.Name, origin, reason)
 	}
 }
 
@@ -962,10 +919,10 @@ func (e *Engine) offer(q *lanes.Queue[ingestJob], lane lanes.Lane, job ingestJob
 	}
 	e.tracker.WorkAdd()
 	verdict, victim := q.Enqueue(lane, job)
-	// User hooks run outside closeMu: a callback reacting to the drop
+	// The sink is called outside closeMu: a callback reacting to the drop
 	// (even one that tears the deployment down from a fresh goroutine)
 	// must not deadlock against Close's write lock. The work token is
-	// still held through the hook so that on a virtual-clock runtime,
+	// still held through the call so that on a virtual-clock runtime,
 	// quiescence implies the observers have already seen the drop.
 	e.closeMu.RUnlock()
 	if verdict == lanes.Evicted {
@@ -988,7 +945,7 @@ func (e *Engine) post(s *session, job ingestJob) {
 		e.offer(s.q, lanes.Data, job)
 		return
 	}
-	e.tracker.WorkAdd() // held through the drop hook, like offer's
+	e.tracker.WorkAdd() // held through the drop report, like offer's
 	e.shedJob(job, "session queue")
 }
 
@@ -1000,8 +957,8 @@ func (e *Engine) shedJob(job ingestJob, by string) {
 	if job.sess != nil {
 		job.sess.queued.Add(-1)
 	}
-	e.bump(&e.Dropped)
-	e.hookDrop(job.src.Addr, serrors.Mark(
+	e.dropped.Add(1)
+	e.reportDrop(job.src.Addr, serrors.Mark(
 		fmt.Errorf("engine: %s: %s shed payload from %s", e.merged.Name, by, job.src.Addr),
 		serrors.ErrOverloaded))
 	e.tracker.WorkDone()
@@ -1064,7 +1021,7 @@ func (e *Engine) parse(job *ingestJob) (*message.Message, ingestTiming, error) {
 	}
 	e.stageHists[trace.StageParse].Record(tm.parsed.Sub(tm.picked))
 	if err != nil {
-		e.bump(&e.ParseErrors)
+		e.parseErrors.Add(1)
 	}
 	return msg, tm, err
 }
@@ -1091,7 +1048,7 @@ func (e *Engine) ingest(q *lanes.Queue[ingestJob], job ingestJob) {
 		e.post(s, ingestJob{kind: jobEntry, codec: job.codec, msg: msg, src: job.src})
 		return
 	}
-	e.bump(&e.Ignored)
+	e.ignored.Add(1)
 	msg.Release() // never escaped this worker: recycle
 }
 
@@ -1142,30 +1099,32 @@ func (e *Engine) admit(q *lanes.Queue[ingestJob], key string, seq uint64, msg *m
 		// caller; only brand-new sessions reach here, and a draining
 		// engine admits none.
 		sh.mu.Unlock()
-		e.refuse(&e.DrainRejected, msg, src, serrors.ErrDraining, "engine is draining")
+		e.refuse(&e.drainRejected, msg, src, serrors.ErrDraining, "engine is draining")
 		return
 	}
 	select {
 	case e.sem <- struct{}{}:
 	default:
 		sh.mu.Unlock()
-		e.refuse(&e.Rejected, msg, src, serrors.ErrOverloaded, fmt.Sprintf("max sessions (%d) live", e.maxSessions))
+		e.refuse(&e.rejected, msg, src, serrors.ErrOverloaded, fmt.Sprintf("max sessions (%d) live", e.maxSessions))
 		return
 	}
 	s := newSession(e, q, key, seq, msg, src, tm)
 	sh.sessions[key] = s
 	sh.mu.Unlock()
-	e.hookSessionStart(src.Addr, s.start)
+	if e.sink != nil {
+		e.sink.SessionStart(e.merged.Name, src.Addr, s.start)
+	}
 	s.advance()
 }
 
 // refuse counts and reports an initiator request that opens no session
 // and recycles its message. The worker still holds the job's token, so
 // quiescence implies observers saw the rejection.
-func (e *Engine) refuse(counter *int, msg *message.Message, src netengine.Source, kind error, why string) {
-	e.bump(counter)
+func (e *Engine) refuse(counter *atomic.Int64, msg *message.Message, src netengine.Source, kind error, why string) {
+	counter.Add(1)
 	msg.Release()
-	e.hookDrop(src.Addr, serrors.Mark(
+	e.reportDrop(src.Addr, serrors.Mark(
 		fmt.Errorf("engine: %s: new session from %s rejected: %s", e.merged.Name, src.Addr, why), kind))
 }
 
@@ -1183,7 +1142,7 @@ func (e *Engine) rerouteEntry(s *session, job ingestJob) {
 			return
 		}
 	}
-	e.bump(&e.Ignored)
+	e.ignored.Add(1)
 	releaseJob(&job) // no session wanted it: recycle
 }
 
@@ -1214,31 +1173,24 @@ func (e *Engine) sessionDone(s *session, err error) {
 		// failure can be diagnosed (and replayed) stage by stage.
 		stats.Trace = s.rec.Events()
 	}
-	// Removal and counter update happen under one lock so Stats never
-	// sees the session in neither Live nor Completed/Failed. Lock
-	// order is always statsMu → shard mutex, never the reverse. The
-	// drain check rides the same critical section: a draining engine
-	// whose last session just left the table signals exactly once.
-	e.statsMu.Lock()
+	// Removal and counter update happen under one lock so Counts never
+	// sees the session in neither Live nor Completed/Failed. The drain
+	// check rides the same critical section: a draining engine whose
+	// last session just left the table signals exactly once.
+	e.finishMu.Lock()
 	e.table.remove(s.key, s)
 	if err != nil {
-		e.Failed++
+		e.failed++
 	} else {
-		e.Completed++
+		e.completed++
 	}
 	if State(e.state.Load()) == StateDraining && e.table.live() == 0 {
 		e.signalDrained()
 	}
-	e.statsMu.Unlock()
+	e.finishMu.Unlock()
 	e.releaseSlot()
-	if len(e.hooks) > 0 {
-		e.obsMu.Lock()
-		for _, h := range e.hooks {
-			if h.SessionEnd != nil {
-				h.SessionEnd(stats)
-			}
-		}
-		e.obsMu.Unlock()
+	if e.sink != nil {
+		e.sink.SessionEnd(e.merged.Name, stats)
 	}
 }
 

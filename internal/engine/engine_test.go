@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +14,40 @@ import (
 	"starlink/internal/registry"
 	"starlink/internal/simnet"
 )
+
+// testSink adapts optional callbacks to engine.Sink. It serialises them,
+// as a deployment's observer chain does, so the callbacks need no locking
+// of their own.
+type testSink struct {
+	mu   sync.Mutex
+	end  func(engine.SessionStats)
+	drop func(origin netapi.Addr, reason error)
+}
+
+func (*testSink) Deployed(string, uint64)                     {}
+func (*testSink) Undeployed(string)                           {}
+func (*testSink) SessionStart(string, netapi.Addr, time.Time) {}
+
+func (k *testSink) SessionEnd(_ string, s engine.SessionStats) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if k.end != nil {
+		k.end(s)
+	}
+}
+
+func (k *testSink) Dropped(_ string, origin netapi.Addr, reason error) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if k.drop != nil {
+		k.drop(origin, reason)
+	}
+}
+
+// onSessionEnd registers fn to run as each session ends.
+func onSessionEnd(fn func(engine.SessionStats)) engine.Option {
+	return engine.WithSink(&testSink{end: fn})
+}
 
 // newEngine constructs (without starting) a bridge engine for a case on
 // the given node; the engine is closed with the test.
@@ -83,8 +118,8 @@ func TestBridgeSLPToUPnP(t *testing.T) {
 	if len(res.URLs) != 1 || res.URLs[0] != "http://10.0.0.7:5431/svc" {
 		t.Fatalf("urls = %v", res.URLs)
 	}
-	if e.Completed != 1 || e.Failed != 0 {
-		t.Fatalf("completed=%d failed=%d parseErrs=%d", e.Completed, e.Failed, e.ParseErrors)
+	if e.Counts().Completed != 1 || e.Counts().Failed != 0 {
+		t.Fatalf("completed=%d failed=%d parseErrs=%d", e.Counts().Completed, e.Counts().Failed, e.Counts().ParseErrors)
 	}
 }
 
@@ -108,8 +143,8 @@ func TestBridgeSLPToBonjour(t *testing.T) {
 	if len(res.URLs) != 1 || res.URLs[0] != "service:printer://10.0.0.9:515" {
 		t.Fatalf("urls = %v", res.URLs)
 	}
-	if e.Completed != 1 {
-		t.Fatalf("completed=%d failed=%d", e.Completed, e.Failed)
+	if e.Counts().Completed != 1 {
+		t.Fatalf("completed=%d failed=%d", e.Counts().Completed, e.Counts().Failed)
 	}
 }
 
@@ -137,10 +172,10 @@ func TestBridgeUPnPToSLP(t *testing.T) {
 	}
 	if len(res.ServiceURLs) != 1 || res.ServiceURLs[0] != "service:printer://10.0.0.9:515" {
 		t.Fatalf("urls = %v (completed=%d failed=%d parse=%d ignored=%d)",
-			res.ServiceURLs, e.Completed, e.Failed, e.ParseErrors, e.Ignored)
+			res.ServiceURLs, e.Counts().Completed, e.Counts().Failed, e.Counts().ParseErrors, e.Counts().Ignored)
 	}
-	if e.Completed != 1 {
-		t.Fatalf("completed=%d failed=%d", e.Completed, e.Failed)
+	if e.Counts().Completed != 1 {
+		t.Fatalf("completed=%d failed=%d", e.Counts().Completed, e.Counts().Failed)
 	}
 }
 
@@ -164,8 +199,8 @@ func TestBridgeUPnPToBonjour(t *testing.T) {
 	if len(res.ServiceURLs) != 1 || res.ServiceURLs[0] != "http://10.0.0.9:8000/svc" {
 		t.Fatalf("urls = %v", res.ServiceURLs)
 	}
-	if e.Completed != 1 {
-		t.Fatalf("completed=%d failed=%d", e.Completed, e.Failed)
+	if e.Counts().Completed != 1 {
+		t.Fatalf("completed=%d failed=%d", e.Counts().Completed, e.Counts().Failed)
 	}
 }
 
@@ -187,10 +222,10 @@ func TestBridgeBonjourToUPnP(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.URLs) != 1 || res.URLs[0] != "http://10.0.0.7:5431/svc" {
-		t.Fatalf("urls = %v (failed=%d)", res.URLs, e.Failed)
+		t.Fatalf("urls = %v (failed=%d)", res.URLs, e.Counts().Failed)
 	}
-	if e.Completed != 1 {
-		t.Fatalf("completed=%d failed=%d", e.Completed, e.Failed)
+	if e.Counts().Completed != 1 {
+		t.Fatalf("completed=%d failed=%d", e.Counts().Completed, e.Counts().Failed)
 	}
 }
 
@@ -213,10 +248,10 @@ func TestBridgeBonjourToSLP(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.URLs) != 1 || res.URLs[0] != "service:printer://10.0.0.9:515" {
-		t.Fatalf("urls = %v (failed=%d parse=%d)", res.URLs, e.Failed, e.ParseErrors)
+		t.Fatalf("urls = %v (failed=%d parse=%d)", res.URLs, e.Counts().Failed, e.Counts().ParseErrors)
 	}
-	if e.Completed != 1 {
-		t.Fatalf("completed=%d failed=%d", e.Completed, e.Failed)
+	if e.Counts().Completed != 1 {
+		t.Fatalf("completed=%d failed=%d", e.Counts().Completed, e.Counts().Failed)
 	}
 }
 
@@ -227,7 +262,7 @@ func TestBridgeBonjourToSLP(t *testing.T) {
 func TestBridgeTransparencyObserver(t *testing.T) {
 	sim := simnet.New()
 	var stats []engine.SessionStats
-	e := deploy(t, sim, "slp-to-bonjour", engine.WithObserver(func(s engine.SessionStats) {
+	e := deploy(t, sim, "slp-to-bonjour", onSessionEnd(func(s engine.SessionStats) {
 		stats = append(stats, s)
 	}))
 	_ = e
@@ -280,10 +315,10 @@ func TestBridgeConcurrentSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if okCount != 3 {
-		t.Fatalf("ok = %d of 3 (completed=%d failed=%d)", okCount, e.Completed, e.Failed)
+		t.Fatalf("ok = %d of 3 (completed=%d failed=%d)", okCount, e.Counts().Completed, e.Counts().Failed)
 	}
-	if e.Completed != 3 {
-		t.Fatalf("completed = %d", e.Completed)
+	if e.Counts().Completed != 3 {
+		t.Fatalf("completed = %d", e.Counts().Completed)
 	}
 }
 
@@ -292,7 +327,7 @@ func TestBridgeConcurrentSessions(t *testing.T) {
 func TestBridgeNoServiceTimesOut(t *testing.T) {
 	sim := simnet.New()
 	var stats []engine.SessionStats
-	e := deploy(t, sim, "slp-to-bonjour", engine.WithObserver(func(s engine.SessionStats) {
+	e := deploy(t, sim, "slp-to-bonjour", onSessionEnd(func(s engine.SessionStats) {
 		stats = append(stats, s)
 	}))
 	cliNode, _ := sim.NewNode("10.0.0.1")
@@ -307,8 +342,8 @@ func TestBridgeNoServiceTimesOut(t *testing.T) {
 		t.Fatalf("urls = %v", res.URLs)
 	}
 	sim.RunToQuiescence()
-	if e.Failed != 1 || len(stats) != 1 || stats[0].Err == nil {
-		t.Fatalf("failed=%d stats=%+v", e.Failed, stats)
+	if e.Counts().Failed != 1 || len(stats) != 1 || stats[0].Err == nil {
+		t.Fatalf("failed=%d stats=%+v", e.Counts().Failed, stats)
 	}
 	if !strings.Contains(stats[0].Err.Error(), "timeout waiting for mDNS/DNSResponse") {
 		t.Fatalf("err = %v", stats[0].Err)
@@ -325,10 +360,10 @@ func TestBridgeIgnoresGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.RunToQuiescence()
-	if e.ParseErrors != 1 {
-		t.Fatalf("parse errors = %d", e.ParseErrors)
+	if e.Counts().ParseErrors != 1 {
+		t.Fatalf("parse errors = %d", e.Counts().ParseErrors)
 	}
-	if e.Completed != 0 && e.Failed != 0 {
+	if e.Counts().Completed != 0 && e.Counts().Failed != 0 {
 		t.Fatal("garbage must not create sessions")
 	}
 }

@@ -19,7 +19,7 @@ import (
 func TestBridgeReverseNoServiceFailsSession(t *testing.T) {
 	sim := simnet.New()
 	var stats []engine.SessionStats
-	e := deploy(t, sim, "upnp-to-slp", engine.WithObserver(func(s engine.SessionStats) {
+	e := deploy(t, sim, "upnp-to-slp", onSessionEnd(func(s engine.SessionStats) {
 		stats = append(stats, s)
 	}))
 	_ = e
@@ -65,8 +65,8 @@ func TestBridgeConvergenceCollectsMultipleReplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.RunToQuiescence()
-	if e.Completed != 1 {
-		t.Fatalf("completed = %d failed = %d", e.Completed, e.Failed)
+	if e.Counts().Completed != 1 {
+		t.Fatalf("completed = %d failed = %d", e.Counts().Completed, e.Counts().Failed)
 	}
 	// The control point received one LOCATION (the bridge's) and one
 	// description; the URL is one of the two services.
@@ -111,7 +111,7 @@ func TestBridgeCloseMidSession(t *testing.T) {
 func TestBridgeSurvivesPacketLoss(t *testing.T) {
 	sim := simnet.New(simnet.WithLoss(1.0))
 	var stats []engine.SessionStats
-	e := deploy(t, sim, "slp-to-bonjour", engine.WithObserver(func(s engine.SessionStats) {
+	e := deploy(t, sim, "slp-to-bonjour", onSessionEnd(func(s engine.SessionStats) {
 		stats = append(stats, s)
 	}))
 	_ = e
@@ -175,7 +175,7 @@ func TestTwoBridgesCoexist(t *testing.T) {
 	}
 	if len(slpURLs) != 1 || len(dnsURLs) != 1 {
 		t.Fatalf("slp=%v dns=%v (e1: %d/%d, e2: %d/%d)",
-			slpURLs, dnsURLs, e1.Completed, e1.Failed, e2.Completed, e2.Failed)
+			slpURLs, dnsURLs, e1.Counts().Completed, e1.Counts().Failed, e2.Counts().Completed, e2.Counts().Failed)
 	}
 }
 
@@ -186,7 +186,7 @@ func TestTwoBridgesCoexist(t *testing.T) {
 func TestBridgeForwardsUnknownServiceTypes(t *testing.T) {
 	sim := simnet.New()
 	var stats []engine.SessionStats
-	deploy(t, sim, "upnp-to-slp", engine.WithObserver(func(s engine.SessionStats) {
+	deploy(t, sim, "upnp-to-slp", onSessionEnd(func(s engine.SessionStats) {
 		stats = append(stats, s)
 	}))
 	svcNode, _ := sim.NewNode("10.0.0.9")
@@ -229,7 +229,7 @@ func TestBridgeSessionIsolation(t *testing.T) {
 			t.Fatalf("round %d: urls = %v", i, res.URLs)
 		}
 	}
-	if e.Completed != 3 || e.Failed != 0 {
-		t.Fatalf("completed=%d failed=%d", e.Completed, e.Failed)
+	if e.Counts().Completed != 3 || e.Counts().Failed != 0 {
+		t.Fatalf("completed=%d failed=%d", e.Counts().Completed, e.Counts().Failed)
 	}
 }

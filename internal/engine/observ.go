@@ -10,6 +10,58 @@ import (
 	"starlink/internal/trace"
 )
 
+// Sink receives the events an engine reports, each tagged with the name
+// of the merged automaton the engine runs. A nil sink costs one branch
+// per event. The engine calls it from whichever goroutine the event
+// happens on — an ingest worker for everything a session does, a
+// transport callback for a payload shed at enqueue, the caller of Close
+// for the sessions it tears down — and does not serialise the calls:
+// ordering and fan-out are the business of whoever configured the sink.
+// A worker runs nothing else meanwhile, so keep callbacks fast, and never
+// call Close or Shutdown synchronously from inside one.
+type Sink interface {
+	// Deployed announces a case about to serve traffic: an engine that
+	// binds its own entry listeners (Start) reports it before the first
+	// one opens, generation zero; a dispatcher reports it for the managed
+	// engines behind its shared listeners, with the registry generation.
+	Deployed(caseName string, generation uint64)
+	// Undeployed is the engine's one teardown notification, emitted as
+	// Close finishes — whether Close, Shutdown or the lifetime context
+	// started it — after the last SessionEnd.
+	Undeployed(caseName string)
+	// SessionStart fires when an initiator request is admitted as a new
+	// session; SessionEnd as each session finishes.
+	SessionStart(caseName string, origin netapi.Addr, at time.Time)
+	SessionEnd(caseName string, s SessionStats)
+	// Dropped fires when a payload or session is refused, with the reason
+	// classified under the structured taxonomy: serrors.ErrOverloaded for
+	// capacity rejections and queue overflow, serrors.ErrDraining for
+	// initiator requests arriving mid-shutdown.
+	Dropped(caseName string, origin netapi.Addr, reason error)
+}
+
+// Counters are the engine's session and payload counters, field for
+// field the public SessionMetrics.
+type Counters struct {
+	// Live is the number of sessions currently registered.
+	Live      int
+	Completed int
+	Failed    int
+	Rejected  int
+	// DrainRejected counts initiator requests that arrived while the
+	// engine was draining and were therefore refused.
+	DrainRejected int
+	Dropped       int
+	ParseErrors   int
+	Ignored       int
+	// Ingested counts payloads accepted off entry listeners;
+	// IngestedBatched counts the subset delivered by a multi-packet
+	// batched receive syscall (recvmmsg) — the structural evidence
+	// that transport batching engages under load.
+	Ingested        int
+	IngestedBatched int
+}
+
 // LatencyDump is a snapshot of the engine's staged latency histograms:
 // one distribution per pipeline stage plus the whole-session
 // distribution (the paper's §VI translation time).
@@ -24,17 +76,6 @@ func (d *LatencyDump) Merge(o LatencyDump) {
 		d.Stages[i].Merge(o.Stages[i])
 	}
 	d.Session.Merge(o.Session)
-}
-
-// Latency snapshots the engine's staged latency histograms; safe from
-// any goroutine at any time, including after Close.
-func (e *Engine) Latency() LatencyDump {
-	var d LatencyDump
-	for i := range e.stageHists {
-		d.Stages[i] = e.stageHists[i].Snapshot()
-	}
-	d.Session = e.sessHist.Snapshot()
-	return d
 }
 
 // LaneDump is a snapshot of the engine's ingest-lane accounting: the
@@ -54,19 +95,66 @@ func (d *LaneDump) Merge(o LaneDump) {
 	}
 }
 
-// Lanes snapshots the engine's ingest-lane accounting; safe from any
-// goroutine at any time, including after Close.
-func (e *Engine) Lanes() LaneDump {
-	var d LaneDump
-	snaps := make([][lanes.NumLanes]lanes.Counters, 0, len(e.laneQs))
+// Snapshot is everything the engine exposes about itself at one instant.
+// Two reads fill it, split by what they cost: Counts fills the counters
+// and gauges — cheap enough to poll — and Snapshot adds the
+// distributions, whose read merges every histogram shard. Both are safe
+// from any goroutine at any time, including after Close, when they keep
+// returning the final values.
+type Snapshot struct {
+	State State
+	Counters
+	// SemInUse is the number of max-sessions slots currently held and
+	// LaneDepth the number of payloads queued across every ingest lane
+	// queue. After a quiesced teardown both must read zero, along with
+	// Live, or the run leaked a slot or a queued payload (the DST
+	// invariant surface).
+	SemInUse  int
+	LaneDepth int
+
+	// Latency and Lanes are left zero by Counts.
+	Latency LatencyDump
+	Lanes   LaneDump
+}
+
+// Counts reads the engine's state, counters and gauges. Live is sampled
+// under finishMu, which orders a session's finish, so a finishing session
+// is counted in exactly one of Live or Completed/Failed.
+func (e *Engine) Counts() Snapshot {
+	s := Snapshot{State: e.State(), SemInUse: len(e.sem)}
+	e.finishMu.Lock()
+	s.Live, s.Completed, s.Failed = e.table.live(), e.completed, e.failed
+	e.finishMu.Unlock()
+	s.Rejected = int(e.rejected.Load())
+	s.DrainRejected = int(e.drainRejected.Load())
+	s.Dropped = int(e.dropped.Load())
+	s.ParseErrors = int(e.parseErrors.Load())
+	s.Ignored = int(e.ignored.Load())
+	s.Ingested = int(e.ingestTotal.Load())
+	s.IngestedBatched = int(e.ingestBatched.Load())
 	for _, q := range e.laneQs {
-		snaps = append(snaps, q.Counters())
+		s.LaneDepth += q.Depth()
 	}
-	d.Counters = lanes.Sum(snaps...)
-	for i := range d.Wait {
-		d.Wait[i] = e.laneHists[i].Snapshot()
+	return s
+}
+
+// Snapshot reads everything Counts does plus the staged latency
+// histograms and the ingest-lane accounting.
+func (e *Engine) Snapshot() Snapshot {
+	s := e.Counts()
+	for i := range e.stageHists {
+		s.Latency.Stages[i] = e.stageHists[i].Snapshot()
 	}
-	return d
+	s.Latency.Session = e.sessHist.Snapshot()
+	perQueue := make([][lanes.NumLanes]lanes.Counters, len(e.laneQs))
+	for i, q := range e.laneQs {
+		perQueue[i] = q.Counters()
+	}
+	s.Lanes.Counters = lanes.Sum(perQueue...)
+	for i := range s.Lanes.Wait {
+		s.Lanes.Wait[i] = e.laneHists[i].Snapshot()
+	}
+	return s
 }
 
 // RecordClassify attributes a dispatcher classification latency to this
@@ -110,32 +198,4 @@ func (e *Engine) LiveSessions() []LiveSession {
 		out[i] = r.ls
 	}
 	return out
-}
-
-// Probe is a point-in-time snapshot of the engine's internal resource
-// accounting, exposed for the DST invariant checks: after a quiesced
-// teardown every field must read zero (and State must be closed) or
-// the run leaked sessions, max-session slots or queued payloads.
-type Probe struct {
-	// State is the lifecycle state at probe time.
-	State State
-	// Live is the number of sessions registered in the table.
-	Live int
-	// SemInUse is the number of max-sessions slots currently held; a
-	// nonzero value after teardown means a session finished without
-	// releasing its admission slot.
-	SemInUse int
-	// LaneDepth is the number of payloads queued across every ingest
-	// lane queue.
-	LaneDepth int
-}
-
-// Probe snapshots the engine's internal accounting; safe from any
-// goroutine at any time, including after Close.
-func (e *Engine) Probe() Probe {
-	p := Probe{State: e.State(), Live: e.table.live(), SemInUse: len(e.sem)}
-	for _, q := range e.laneQs {
-		p.LaneDepth += q.Depth()
-	}
-	return p
 }

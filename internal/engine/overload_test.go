@@ -50,7 +50,7 @@ func TestLaneWatermarkShedsTelemetryKeepsControl(t *testing.T) {
 		engine.WithIngestWorkers(1),
 		engine.WithLanePolicy(lanes.Policy{Capacity: 4, High: 6, Low: 2, Mode: lanes.ShedOldest}),
 		engine.WithFlowGate(gate),
-		engine.WithHooks(engine.Hooks{Drop: func(_ netapi.Addr, reason error) {
+		engine.WithSink(&testSink{drop: func(_ netapi.Addr, reason error) {
 			mu.Lock()
 			reasons = append(reasons, reason)
 			mu.Unlock()
@@ -82,7 +82,7 @@ func TestLaneWatermarkShedsTelemetryKeepsControl(t *testing.T) {
 	}
 	inject(control, &n) // control still admits while pressured
 
-	ld := e.Lanes()
+	ld := e.Snapshot().Lanes
 	ctl, tel := ld.Counters[lanes.Control], ld.Counters[lanes.Telemetry]
 	if ctl.Admitted != 4 || ctl.Shed != 0 || ctl.Deferred != 1 {
 		t.Errorf("control = %+v, want Admitted=4 Shed=0 Deferred=1", ctl)
@@ -90,7 +90,7 @@ func TestLaneWatermarkShedsTelemetryKeepsControl(t *testing.T) {
 	if tel.Admitted != 5 || tel.Shed != 2 || tel.Deferred != 2 || tel.Depth != 3 {
 		t.Errorf("telemetry = %+v, want Admitted=5 Shed=2 Deferred=2 Depth=3", tel)
 	}
-	if st := e.Stats(); st.Dropped != 2 {
+	if st := e.Counts(); st.Dropped != 2 {
 		t.Errorf("Dropped = %d, want 2", st.Dropped)
 	}
 
@@ -154,7 +154,7 @@ func TestLaneSaturationRace(t *testing.T) {
 					return
 				}
 				offered[p]++
-				if i%64 == 0 && e.Lanes().Counters[lanes.Telemetry].Shed > 0 {
+				if i%64 == 0 && e.Snapshot().Lanes.Counters[lanes.Telemetry].Shed > 0 {
 					shed.Store(true)
 				}
 			}
@@ -171,10 +171,10 @@ func TestLaneSaturationRace(t *testing.T) {
 	wg.Wait()
 
 	deadline := time.Now().Add(10 * time.Second)
-	for e.Lanes().Counters[lanes.Telemetry].Depth > 0 && time.Now().Before(deadline) {
+	for e.Snapshot().Lanes.Counters[lanes.Telemetry].Depth > 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	ld := e.Lanes()
+	ld := e.Snapshot().Lanes
 	ctl, tel := ld.Counters[lanes.Control], ld.Counters[lanes.Telemetry]
 	if tel.Shed == 0 {
 		t.Fatal("flood never shed telemetry")

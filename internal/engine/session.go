@@ -392,7 +392,7 @@ func (s *session) clearWait() {
 func (s *session) deliver(proto string, msg *message.Message) {
 	if s.waitProto != proto || s.waitMsg != msg.Name {
 		s.rec.Record(trace.StageRecv, trace.OutcomeDrop, 0)
-		s.e.bump(&s.e.Ignored)
+		s.e.ignored.Add(1)
 		// Parsed for this session alone and never stored: recycle.
 		msg.Release()
 		return

@@ -31,19 +31,19 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// sessionEnds collects SessionEnd hook invocations from any goroutine.
+// sessionEnds collects session ends from any goroutine.
 type sessionEnds struct {
 	mu    sync.Mutex
 	stats []engine.SessionStats
 }
 
-func (c *sessionEnds) hook() engine.Option {
-	return engine.WithObserver(func(s engine.SessionStats) {
-		c.mu.Lock()
-		c.stats = append(c.stats, s)
-		c.mu.Unlock()
-	})
+func (c *sessionEnds) add(s engine.SessionStats) {
+	c.mu.Lock()
+	c.stats = append(c.stats, s)
+	c.mu.Unlock()
 }
+
+func (c *sessionEnds) hook() engine.Option { return onSessionEnd(c.add) }
 
 func (c *sessionEnds) errs() []string {
 	c.mu.Lock()
@@ -83,7 +83,7 @@ func TestSessionsAreData(t *testing.T) {
 		ua.Lookup("service:printer", func(slp.LookupResult) {})
 	}
 	sim.Run(time.Second)
-	if st := e.Stats(); st.Live != parked || st.Rejected != 0 {
+	if st := e.Counts(); st.Live != parked || st.Rejected != 0 {
 		t.Fatalf("live = %d rejected = %d, want %d sessions parked at their receive", st.Live, st.Rejected, parked)
 	}
 	heap1, g1 := measure()
@@ -111,15 +111,15 @@ func TestTimerSurvivesFullDataLane(t *testing.T) {
 	var ends sessionEnds
 	var once sync.Once
 	held, release := make(chan struct{}), make(chan struct{})
-	e := newEngine(t, node, "slp-to-bonjour", ends.hook(),
+	e := newEngine(t, node, "slp-to-bonjour",
 		engine.WithIngestWorkers(1),
 		engine.WithMaxSessions(1),
 		engine.WithReceiveTimeout(100*time.Millisecond),
 		engine.WithLanePolicy(lanes.Policy{Capacity: ring, High: 3 * ring, Low: 1, Mode: lanes.ShedOldest}),
 		// The first drop is the max-sessions refusal below, reported on
-		// the worker: holding the hook holds the only worker (and, hooks
-		// being serialised, every later drop report behind it).
-		engine.WithHooks(engine.Hooks{Drop: func(netapi.Addr, error) {
+		// the worker: holding the callback holds the only worker (and, the
+		// test sink serialising them, every later report behind it).
+		engine.WithSink(&testSink{end: ends.add, drop: func(netapi.Addr, error) {
 			once.Do(func() { close(held); <-release })
 		}}))
 	var releaseOnce sync.Once
@@ -133,7 +133,7 @@ func TestTimerSurvivesFullDataLane(t *testing.T) {
 	if err := e.Inject(control, request, src(1), nil); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the session to park at its receive", func() bool { return e.Stats().Live == 1 })
+	waitFor(t, "the session to park at its receive", func() bool { return e.Counts().Live == 1 })
 	if err := e.Inject(control, request, src(2), nil); err != nil { // refused: the hook holds the worker
 		t.Fatal(err)
 	}
@@ -147,23 +147,23 @@ func TestTimerSurvivesFullDataLane(t *testing.T) {
 		}
 	}()
 	waitFor(t, "the data ring to fill and shed", func() bool {
-		data := e.Lanes().Counters[lanes.Data]
+		data := e.Snapshot().Lanes.Counters[lanes.Data]
 		return data.Depth == ring && data.Shed > 0
 	})
 	waitFor(t, "the fired timer to queue on the control lane", func() bool {
-		return e.Lanes().Counters[lanes.Control].Depth == 1
+		return e.Snapshot().Lanes.Counters[lanes.Control].Depth == 1
 	})
-	if st := e.Stats(); st.Live != 1 || st.Failed != 0 {
-		t.Fatalf("before the worker resumes: %+v, want the session still live", st)
+	if st := e.Counts(); st.Live != 1 || st.Failed != 0 {
+		t.Fatalf("before the worker resumes: %+v, want the session still live", st.Counters)
 	}
 	resume()
-	waitFor(t, "the session to time out", func() bool { return e.Stats().Failed == 1 })
+	waitFor(t, "the session to time out", func() bool { return e.Counts().Failed == 1 })
 	if errs := ends.errs(); len(errs) != 1 || !strings.Contains(errs[0], "timeout waiting for") {
 		t.Fatalf("session ends = %v, want one receive timeout", errs)
 	}
-	waitFor(t, "the backlog to drain", func() bool { return e.Probe().LaneDepth == 0 })
-	if p := e.Probe(); p.Live != 0 || p.SemInUse != 0 {
-		t.Errorf("after the timeout: %+v, want no session and no max-sessions slot held", p)
+	waitFor(t, "the backlog to drain", func() bool { return e.Counts().LaneDepth == 0 })
+	if p := e.Counts(); p.Live != 0 || p.SemInUse != 0 {
+		t.Errorf("after the timeout: live=%d sem=%d, want no session and no max-sessions slot held", p.Live, p.SemInUse)
 	}
 }
 
@@ -198,14 +198,14 @@ func TestRefusedDialFailsSessionOnly(t *testing.T) {
 	ua := slp.NewUserAgent(cliNode, slp.WithConvergenceWait(50*time.Millisecond))
 	for round := 1; round <= 2; round++ { // the second lookup is the worker's next job
 		ua.Lookup("service:printer", func(slp.LookupResult) {})
-		waitFor(t, fmt.Sprintf("lookup %d to fail at the dial", round), func() bool { return e.Stats().Failed == round })
+		waitFor(t, fmt.Sprintf("lookup %d to fail at the dial", round), func() bool { return e.Counts().Failed == round })
 	}
 	for _, msg := range ends.errs() {
 		if !strings.Contains(msg, "dial") {
 			t.Errorf("session error %q, want the refused dial", msg)
 		}
 	}
-	if st := e.Stats(); st.Live != 0 || st.Completed != 0 {
+	if st := e.Counts(); st.Live != 0 || st.Completed != 0 {
 		t.Errorf("stats = %+v, want both sessions failed and gone", st)
 	}
 }
@@ -281,8 +281,8 @@ func TestAwaitPublishedBeforeProvokingSend(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.RunToQuiescence()
-	if e.Completed != 1 {
-		t.Fatalf("completed = %d failed = %d", e.Completed, e.Failed)
+	if e.Counts().Completed != 1 {
+		t.Fatalf("completed = %d failed = %d", e.Counts().Completed, e.Counts().Failed)
 	}
 	if len(findable) != 1 || !findable[0] {
 		t.Fatalf("session findable under %s/%s as its SSDP response left: %v, want [true]", get.Protocol, get.Message, findable)

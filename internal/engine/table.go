@@ -142,15 +142,3 @@ func (t *sessionTable) live() int {
 	}
 	return n
 }
-
-// stats returns the per-shard session counts.
-func (t *sessionTable) stats() []int {
-	out := make([]int, len(t.shards))
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		out[i] = len(sh.sessions)
-		sh.mu.RUnlock()
-	}
-	return out
-}

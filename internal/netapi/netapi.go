@@ -226,7 +226,7 @@ type Node interface {
 	// Close releases the node: every socket and listener it opened is
 	// closed, and runtimes that register nodes by address free the
 	// address for reuse. Closing twice is a no-op. Deployment owners
-	// (core.Bridge, the provisioning dispatcher) close their node on
+	// (a deployed engine, the provisioning dispatcher) close their node on
 	// teardown and on every failed-deploy path, so an aborted deploy
 	// never leaks endpoints. Endpoints opened through a detached view
 	// of the node are owned — and closed — the same way. The one
@@ -317,7 +317,7 @@ type Runtime interface {
 	// is evaluated while every node's root dispatch domain is quiet,
 	// so state written by undetached callbacks is safe to read; state
 	// owned by detached endpoints must be read through the owning
-	// component's own synchronisation (e.g. Engine.Stats).
+	// component's own synchronisation (e.g. Engine.Counts).
 	RunUntil(cond func() bool, timeout time.Duration) error
 	// Run drives the runtime for d (virtual or wall-clock time).
 	Run(d time.Duration)

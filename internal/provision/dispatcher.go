@@ -36,40 +36,8 @@ func WithEngineOptions(opts ...engine.Option) Option {
 	return func(d *Dispatcher) { d.engOpts = opts }
 }
 
-// WithSessionObserver registers a per-session callback tagged with the
-// case name that bridged the session — the multi-tenant form of
-// engine.WithObserver. It is shorthand for
-// WithHooks(Hooks{SessionEnd: fn}).
-func WithSessionObserver(fn func(caseName string, s engine.SessionStats)) Option {
-	return WithHooks(Hooks{SessionEnd: fn})
-}
-
-// WithLogf routes the dispatcher's operational log lines (deploys,
-// undeploys, ambiguous classifications) to fn.
-func WithLogf(fn func(format string, args ...any)) Option {
-	return func(d *Dispatcher) { d.logf = fn }
-}
-
-// WithTrialParseOnly disables the signature-index fast path: every
-// payload is classified by trial-parsing against the candidate entry
-// parsers. For diagnostics, equivalence tests and benchmarking the two
-// classification paths against each other.
-func WithTrialParseOnly() Option {
-	return func(d *Dispatcher) { d.trialParseOnly = true }
-}
-
-// WithOwnedNode makes the dispatcher own its bridge node: Close and
-// Shutdown release the node after undeploying everything. Deployment
-// factories that create a node per dispatcher (core.DeployDispatcher)
-// use this so a failed or finished deployment never leaks the host.
-func WithOwnedNode() Option {
-	return func(d *Dispatcher) { d.ownsNode = true }
-}
-
 // WithContext ties the dispatcher's lifetime to ctx: when ctx is
-// cancelled the dispatcher closes, undeploying every hosted case. The
-// context is also the parent of every hosted engine's context, so
-// cancellation reaches in-flight sessions directly.
+// cancelled the dispatcher closes, undeploying every hosted case.
 func WithContext(ctx context.Context) Option {
 	return func(d *Dispatcher) {
 		if ctx != nil {
@@ -78,36 +46,27 @@ func WithContext(ctx context.Context) Option {
 	}
 }
 
-// WithHooks registers a set of dispatcher lifecycle hooks. Hooks
-// compose: every registered set is invoked, in registration order.
-func WithHooks(h Hooks) Option {
-	return func(d *Dispatcher) { d.hooks = append(d.hooks, h) }
+// WithSink sets the sink the dispatcher reports its events to, and hands
+// to every engine it deploys (see Sink).
+func WithSink(sink Sink) Option {
+	return func(d *Dispatcher) { d.sink = sink }
 }
 
-// Hooks are optional dispatcher lifecycle callbacks; any field may be
-// nil. Per-case session and drop callbacks are forwarded from the
-// hosted engines tagged with the case name; invocation order within
-// one engine is serialised by that engine.
-type Hooks struct {
-	// Deployed fires when a case is (re)deployed, with the registry
-	// generation its artifacts were compiled at.
-	Deployed func(caseName string, generation uint64)
-	// Undeployed fires when a case is undeployed (unloaded, changed,
-	// or dispatcher shutdown).
-	Undeployed func(caseName string)
-	// SessionStart fires when a case's engine admits a new session.
-	SessionStart func(caseName string, origin netapi.Addr, at time.Time)
-	// SessionEnd fires as a case's session finishes.
-	SessionEnd func(caseName string, s engine.SessionStats)
+// Sink receives every event of a dispatcher deployment: what each hosted
+// engine reports (engine.Sink — the dispatcher hands the same value to
+// all of them, and reports Deployed for them, after the case's listeners
+// are bound, with the registry generation its artifacts were compiled
+// at) plus the dispatcher's own classifications. Drops the dispatcher
+// itself decides — the chosen engine already closed — arrive through
+// Dropped like an engine's. Calls come from the listeners', the workers'
+// and the reconciling goroutines and are not serialised; a nil sink
+// costs one branch per event.
+type Sink interface {
+	engine.Sink
 	// Classified fires for every payload handed to an engine, after
 	// classification. Events with Ambiguous set carry an Err marked
 	// serrors.ErrAmbiguousPayload and the full candidate list.
-	Classified func(ev ClassifyEvent)
-	// Dropped fires when a payload or session is refused — by an
-	// engine (capacity, draining) or by the dispatcher itself (target
-	// engine already closed). caseName is empty when the drop happened
-	// before a case was chosen.
-	Dropped func(caseName string, origin netapi.Addr, reason error)
+	Classified(ev ClassifyEvent)
 }
 
 // ClassifyEvent describes one classified entry payload.
@@ -158,9 +117,26 @@ type DispatchCounters struct {
 	// (a bounds check plus a byte comparison — no parsing).
 	FastPath int
 	// SlowPath counts payloads classified by trial-parsing, because a
-	// candidate protocol's signature was underivable or the fast path
-	// is disabled.
+	// candidate protocol's signature was underivable.
 	SlowPath int
+}
+
+// Snapshot is everything the dispatcher exposes about itself at one
+// instant: its lifecycle state, the classification counters and
+// decision latencies of the shared listeners, and one engine.Snapshot
+// per hosted case. Like the engine's it comes in two reads — Counts,
+// cheap, and Snapshot, which adds every distribution.
+type Snapshot struct {
+	State    engine.State
+	Dispatch DispatchCounters
+	// ClassifyFast and ClassifySlow time the classification decision
+	// itself on the signature-index path and the trial-parse path; left
+	// zero by Counts.
+	ClassifyFast hist.Snapshot
+	ClassifySlow hist.Snapshot
+	// Cases holds every deployed case and, once the dispatcher is
+	// closed, the final snapshot of every case it closed with.
+	Cases map[string]engine.Snapshot
 }
 
 // sortedMapKeys returns m's string keys sorted. Reconciliation paths
@@ -238,13 +214,13 @@ type Dispatcher struct {
 	// dispatch can suppress the deployment's own outbound requests.
 	egress *netengine.EgressTable
 
-	cases          []string // explicit case filter; nil hosts all
-	engOpts        []engine.Option
-	logf           func(format string, args ...any)
-	hooks          []Hooks
-	trialParseOnly bool
-	ownsNode       bool
-	ctx            context.Context
+	cases   []string // explicit case filter; nil hosts all
+	engOpts []engine.Option
+	sink    Sink
+	// ownsNode is set by Deploy, which created the node for this
+	// dispatcher alone: Close releases it.
+	ownsNode bool
+	ctx      context.Context
 
 	// state moves strictly forward: Running → (Draining →) Closed.
 	state atomic.Int32
@@ -255,22 +231,13 @@ type Dispatcher struct {
 	deployed  map[string]*deployment
 	listeners map[string]*listener // by color key
 	closed    bool
-	// final snapshots each case's engine counters at Close so Stats
-	// (and the public Metrics) stay truthful on a closed dispatcher;
-	// finalLatency and finalLanes do the same for the staged latency
-	// histograms and the ingest-lane accounting.
-	final        map[string]engine.Counters
-	finalLatency map[string]engine.LatencyDump
-	finalLanes   map[string]engine.LaneDump
+	// final holds each case's engine snapshot from Close on, so Snapshot
+	// (and the public Metrics) stay truthful on a closed dispatcher.
+	final map[string]engine.Snapshot
 
 	// classifyHists time the classification decision itself, split by
 	// path: [0] the signature-index fast path, [1] trial parsing.
 	classifyHists [2]*hist.Histogram
-
-	// obsMu serialises hook invocations made by the dispatcher itself
-	// (classification, dispatcher-level drops); per-engine callbacks
-	// are serialised by their engine.
-	obsMu sync.Mutex
 
 	statsMu  sync.Mutex
 	counters DispatchCounters
@@ -311,63 +278,41 @@ func NewDispatcher(reg *registry.Registry, node netapi.Node, opts ...Option) *Di
 	return d
 }
 
+// Deploy creates the bridge host hostIP on rt and hosts the named cases
+// of reg on it through one dispatcher — every loaded case when cases is
+// empty. The dispatcher owns the node: Close and Shutdown release it, as
+// does every failed-deploy path. Call Sync on the dispatcher after
+// mutating the registry (or drive it from a Watcher) to pick up model
+// changes with zero restart.
+//
+// ctx follows the engine.Deploy contract: already cancelled it aborts
+// the deploy, and cancelling it later closes the dispatcher.
+func Deploy(ctx context.Context, reg *registry.Registry, rt netapi.Runtime, hostIP string, cases []string, opts ...Option) (*Dispatcher, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("provision: deploy dispatcher: %w", err)
+	}
+	node, err := rt.NewNode(hostIP)
+	if err != nil {
+		return nil, fmt.Errorf("provision: bridge host: %w", err)
+	}
+	if len(cases) > 0 {
+		opts = append(opts, WithCases(cases...))
+	}
+	opts = append(opts, WithContext(ctx), func(d *Dispatcher) { d.ownsNode = true })
+	d := NewDispatcher(reg, node, opts...)
+	if err := d.Sync(); err != nil {
+		_ = d.Close()
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		_ = d.Close()
+		return nil, fmt.Errorf("provision: deploy dispatcher: %w", err)
+	}
+	return d, nil
+}
+
 // State returns the dispatcher's lifecycle state.
 func (d *Dispatcher) State() engine.State { return engine.State(d.state.Load()) }
-
-func (d *Dispatcher) logeach(format string, args ...any) {
-	if d.logf != nil {
-		d.logf(format, args...)
-	}
-}
-
-// hookClassified reports one classified payload to every hook set.
-func (d *Dispatcher) hookClassified(ev ClassifyEvent) {
-	if len(d.hooks) == 0 {
-		return
-	}
-	d.obsMu.Lock()
-	defer d.obsMu.Unlock()
-	for _, h := range d.hooks {
-		if h.Classified != nil {
-			h.Classified(ev)
-		}
-	}
-}
-
-// hookDropped reports a dispatcher-level refusal to every hook set.
-func (d *Dispatcher) hookDropped(caseName string, origin netapi.Addr, reason error) {
-	if len(d.hooks) == 0 {
-		return
-	}
-	d.obsMu.Lock()
-	defer d.obsMu.Unlock()
-	for _, h := range d.hooks {
-		if h.Dropped != nil {
-			h.Dropped(caseName, origin, reason)
-		}
-	}
-}
-
-// hookDeployed / hookUndeployed report deployment changes.
-func (d *Dispatcher) hookDeployed(caseName string, generation uint64) {
-	d.obsMu.Lock()
-	defer d.obsMu.Unlock()
-	for _, h := range d.hooks {
-		if h.Deployed != nil {
-			h.Deployed(caseName, generation)
-		}
-	}
-}
-
-func (d *Dispatcher) hookUndeployed(caseName string) {
-	d.obsMu.Lock()
-	defer d.obsMu.Unlock()
-	for _, h := range d.hooks {
-		if h.Undeployed != nil {
-			h.Undeployed(caseName)
-		}
-	}
-}
 
 // desiredCases resolves the case list to host. With an explicit filter
 // every name must be loaded; otherwise all loaded cases are desired.
@@ -463,10 +408,12 @@ func (d *Dispatcher) Sync() error {
 	}
 	staleListeners, err = d.rebindLocked()
 	d.mu.Unlock()
-	// Hooks fire outside d.mu so a callback may freely call back into
-	// the dispatcher (Cases, Stats, Metrics) without deadlocking.
-	for _, dep := range freshlyDeployed {
-		d.hookDeployed(dep.name, dep.compiled.Generation)
+	// Reported outside d.mu so a callback may freely call back into the
+	// dispatcher (Cases, Snapshot) without deadlocking.
+	if d.sink != nil {
+		for _, dep := range freshlyDeployed {
+			d.sink.Deployed(dep.name, dep.compiled.Generation)
+		}
 	}
 	d.closeAll(stale, staleListeners)
 	if deployErr != nil {
@@ -480,36 +427,12 @@ func (d *Dispatcher) Sync() error {
 }
 
 // deploy builds and starts a managed engine for one case. Caller holds
-// d.mu.
+// d.mu; Sync reports Deployed once it is released.
 func (d *Dispatcher) deploy(name string, c *registry.CompiledCase) (*deployment, error) {
 	opts := append([]engine.Option(nil), d.engOpts...)
-	opts = append(opts, engine.WithEgressTable(d.egress), engine.WithContext(d.ctx),
-		engine.WithFlowGate(d.gate))
-	if len(d.hooks) > 0 {
-		caseName := name
-		opts = append(opts, engine.WithHooks(engine.Hooks{
-			SessionStart: func(origin netapi.Addr, at time.Time) {
-				for _, h := range d.hooks {
-					if h.SessionStart != nil {
-						h.SessionStart(caseName, origin, at)
-					}
-				}
-			},
-			SessionEnd: func(s engine.SessionStats) {
-				for _, h := range d.hooks {
-					if h.SessionEnd != nil {
-						h.SessionEnd(caseName, s)
-					}
-				}
-			},
-			Drop: func(origin netapi.Addr, reason error) {
-				for _, h := range d.hooks {
-					if h.Dropped != nil {
-						h.Dropped(caseName, origin, reason)
-					}
-				}
-			},
-		}))
+	opts = append(opts, engine.WithEgressTable(d.egress), engine.WithFlowGate(d.gate))
+	if d.sink != nil {
+		opts = append(opts, engine.WithSink(d.sink))
 	}
 	eng, err := engine.New(d.node, c.Merged, c.Codecs, opts...)
 	if err != nil {
@@ -518,8 +441,6 @@ func (d *Dispatcher) deploy(name string, c *registry.CompiledCase) (*deployment,
 	if err := eng.StartManaged(); err != nil {
 		return nil, err
 	}
-	d.logeach("provision: deployed case %s (generation %d)", name, c.Generation)
-	// The Deployed hook is fired by Sync after d.mu is released.
 	return &deployment{name: name, compiled: c, eng: eng}, nil
 }
 
@@ -616,15 +537,14 @@ func deriveSignatures(points []entryPoint) (map[string]*protoSignature, bool) {
 }
 
 // closeAll closes stale engines and listeners outside the lock.
-// Listeners close first so no payload races a draining engine.
+// Listeners close first so no payload races a draining engine. Each
+// engine reports its own Undeployed as its Close finishes.
 func (d *Dispatcher) closeAll(deps []*deployment, listeners []netapi.Closer) {
 	for _, c := range listeners {
 		_ = c.Close()
 	}
 	for _, dep := range deps {
 		_ = dep.eng.Close()
-		d.logeach("provision: undeployed case %s", dep.name)
-		d.hookUndeployed(dep.name)
 	}
 }
 
@@ -644,7 +564,7 @@ func (d *Dispatcher) closeAll(deps []*deployment, listeners []netapi.Closer) {
 //     bridge serves in reverse-UPnP cases);
 //  4. a payload matching several cases is dispatched to the
 //     lexicographically first case name — deterministic — and the
-//     ambiguity is counted and logged.
+//     ambiguity is counted and reported to the sink.
 //
 // Both paths implement the same decision procedure, so a payload
 // classifies identically on either; the only difference is that the
@@ -674,12 +594,11 @@ func (d *Dispatcher) dispatch(colorKey string, data []byte, src netengine.Source
 		return
 	}
 	// rebind replaces these, never mutates them in place.
-	points, sigs, sigOK := l.points, l.sigs, l.sigOK
+	points, sigs, fast := l.points, l.sigs, l.sigOK
 	d.mu.RUnlock()
 
 	var matches []match
 	var anyClassified bool
-	fast := sigOK && !d.trialParseOnly
 	t0 := time.Now()
 	if fast {
 		matches, anyClassified = d.classifyFast(points, sigs, data, src.Addr.IP)
@@ -718,28 +637,9 @@ func (d *Dispatcher) dispatch(colorKey string, data []byte, src netengine.Source
 	// The chosen case owns the per-case classify histogram: the
 	// dispatcher measured the decision, the engine files it.
 	chosen.pt.dep.eng.RecordClassify(classifyDur)
-	ev := ClassifyEvent{
-		Case:     chosen.pt.dep.name,
-		Protocol: chosen.pt.proto,
-		Message:  chosen.msg,
-		Origin:   src.Addr,
-		FastPath: fast,
+	if d.sink != nil {
+		d.sink.Classified(classifyEvent(matches, src.Addr, fast))
 	}
-	if len(matches) > 1 {
-		names := make([]string, len(matches))
-		for i, m := range matches {
-			names[i] = m.pt.dep.name
-		}
-		ev.Ambiguous = true
-		ev.Candidates = names
-		ev.Err = serrors.Mark(
-			fmt.Errorf("provision: payload from %s on %s matches cases %s; dispatched to %s",
-				src.Addr, chosen.pt.proto, strings.Join(names, ", "), chosen.pt.dep.name),
-			serrors.ErrAmbiguousPayload)
-		d.logeach("provision: payload from %s on %s matches cases %s; dispatching to %s",
-			src.Addr, chosen.pt.proto, strings.Join(names, ", "), chosen.pt.dep.name)
-	}
-	d.hookClassified(ev)
 	if err := chosen.pt.dep.eng.Inject(chosen.pt.proto, data, src, lease); err != nil {
 		// The chosen engine refused outright — it closed between
 		// classification and delivery (e.g. it finished draining ahead
@@ -757,7 +657,9 @@ func (d *Dispatcher) dispatch(colorKey string, data []byte, src netengine.Source
 		d.counters.Dispatched--
 		d.counters.Rejected++
 		d.statsMu.Unlock()
-		d.hookDropped(chosen.pt.dep.name, src.Addr, err)
+		if d.sink != nil {
+			d.sink.Dropped(chosen.pt.dep.name, src.Addr, err)
+		}
 	}
 }
 
@@ -766,6 +668,32 @@ func (d *Dispatcher) dispatch(colorKey string, data []byte, src netengine.Source
 type match struct {
 	pt  entryPoint
 	msg string
+}
+
+// classifyEvent describes a classification that dispatched to
+// matches[0]; more than one match makes it ambiguous.
+func classifyEvent(matches []match, origin netapi.Addr, fast bool) ClassifyEvent {
+	chosen := matches[0]
+	ev := ClassifyEvent{
+		Case:     chosen.pt.dep.name,
+		Protocol: chosen.pt.proto,
+		Message:  chosen.msg,
+		Origin:   origin,
+		FastPath: fast,
+	}
+	if len(matches) > 1 {
+		names := make([]string, len(matches))
+		for i, m := range matches {
+			names[i] = m.pt.dep.name
+		}
+		ev.Ambiguous = true
+		ev.Candidates = names
+		ev.Err = serrors.Mark(
+			fmt.Errorf("provision: payload from %s on %s matches cases %s; dispatched to %s",
+				origin, chosen.pt.proto, strings.Join(names, ", "), chosen.pt.dep.name),
+			serrors.ErrAmbiguousPayload)
+	}
+	return ev
 }
 
 // classifyFast resolves the matching entry points from the signature
@@ -884,95 +812,59 @@ func (d *Dispatcher) Engine(caseName string) (*engine.Engine, bool) {
 	return dep.eng, true
 }
 
-// Stats snapshots the per-case engine counters. After Close it keeps
-// returning the final counters captured at teardown.
-func (d *Dispatcher) Stats() map[string]engine.Counters {
-	d.mu.RLock()
-	deps := make([]*deployment, 0, len(d.deployed))
-	for _, dep := range d.deployed {
-		deps = append(deps, dep)
-	}
-	final := d.final
-	d.mu.RUnlock()
-	out := make(map[string]engine.Counters, len(deps)+len(final))
-	for name, c := range final {
-		out[name] = c
-	}
-	for _, dep := range deps {
-		out[dep.name] = dep.eng.Stats()
-	}
-	return out
-}
-
-// DispatchStats snapshots the classification counters.
-func (d *Dispatcher) DispatchStats() DispatchCounters {
+// snapshot assembles a Snapshot, reading each deployed engine with read.
+// Cases closed with the dispatcher keep answering from final.
+func (d *Dispatcher) snapshot(read func(*engine.Engine) engine.Snapshot) Snapshot {
+	s := Snapshot{State: d.State()}
 	d.statsMu.Lock()
-	defer d.statsMu.Unlock()
-	return d.counters
-}
-
-// Latency snapshots the per-case staged latency histograms. After
-// Close it keeps returning the final dumps captured at teardown,
-// mirroring Stats.
-func (d *Dispatcher) Latency() map[string]engine.LatencyDump {
+	s.Dispatch = d.counters
+	d.statsMu.Unlock()
 	d.mu.RLock()
-	deps := make([]*deployment, 0, len(d.deployed))
-	for _, dep := range d.deployed {
-		deps = append(deps, dep)
+	defer d.mu.RUnlock()
+	s.Cases = make(map[string]engine.Snapshot, len(d.deployed)+len(d.final))
+	for name, f := range d.final {
+		s.Cases[name] = f
 	}
-	final := d.finalLatency
-	d.mu.RUnlock()
-	out := make(map[string]engine.LatencyDump, len(deps)+len(final))
-	for name, l := range final {
-		out[name] = l
+	for name, dep := range d.deployed {
+		s.Cases[name] = read(dep.eng)
 	}
-	for _, dep := range deps {
-		out[dep.name] = dep.eng.Latency()
-	}
-	return out
+	return s
 }
 
-// Lanes snapshots the per-case ingest-lane accounting. After Close it
-// keeps returning the final dumps captured at teardown, mirroring
-// Stats and Latency.
-func (d *Dispatcher) Lanes() map[string]engine.LaneDump {
-	d.mu.RLock()
-	deps := make([]*deployment, 0, len(d.deployed))
-	for _, dep := range d.deployed {
-		deps = append(deps, dep)
-	}
-	final := d.finalLanes
-	d.mu.RUnlock()
-	out := make(map[string]engine.LaneDump, len(deps)+len(final))
-	for name, l := range final {
-		out[name] = l
-	}
-	for _, dep := range deps {
-		out[dep.name] = dep.eng.Lanes()
-	}
-	return out
+// Counts reads the dispatcher's state and counters and every case's
+// counters and gauges (engine.Counts): cheap enough to poll.
+func (d *Dispatcher) Counts() Snapshot {
+	return d.snapshot((*engine.Engine).Counts)
 }
 
-// ClassifyLatency snapshots the classification-decision histograms for
-// the signature fast path and the trial-parse slow path.
-func (d *Dispatcher) ClassifyLatency() (fast, slow hist.Snapshot) {
-	return d.classifyHists[0].Snapshot(), d.classifyHists[1].Snapshot()
+// Snapshot reads everything Counts does plus every distribution: the
+// classification-decision histograms and each case's engine.Snapshot.
+func (d *Dispatcher) Snapshot() Snapshot {
+	s := d.snapshot((*engine.Engine).Snapshot)
+	s.ClassifyFast = d.classifyHists[0].Snapshot()
+	s.ClassifySlow = d.classifyHists[1].Snapshot()
+	return s
 }
 
 // LiveSessions lists each deployed case's currently registered
 // sessions. Closed cases contribute nothing (their sessions are gone).
 func (d *Dispatcher) LiveSessions() map[string][]engine.LiveSession {
 	d.mu.RLock()
-	deps := make([]*deployment, 0, len(d.deployed))
-	for _, dep := range d.deployed {
-		deps = append(deps, dep)
-	}
-	d.mu.RUnlock()
-	out := make(map[string][]engine.LiveSession, len(deps))
-	for _, dep := range deps {
+	defer d.mu.RUnlock()
+	out := make(map[string][]engine.LiveSession, len(d.deployed))
+	for name, dep := range d.deployed {
 		if ls := dep.eng.LiveSessions(); len(ls) > 0 {
-			out[dep.name] = ls
+			out[name] = ls
 		}
+	}
+	return out
+}
+
+// snapshotAll reads every deployment's full engine snapshot.
+func snapshotAll(deps []*deployment) map[string]engine.Snapshot {
+	out := make(map[string]engine.Snapshot, len(deps))
+	for _, dep := range deps {
+		out[dep.name] = dep.eng.Snapshot()
 	}
 	return out
 }
@@ -1003,35 +895,15 @@ func (d *Dispatcher) Close() error {
 	d.listeners = map[string]*listener{}
 	d.deployed = map[string]*deployment{}
 	// A provisional snapshot is taken in the same critical section that
-	// empties the deployment map, so Stats/Metrics never dip to zero
-	// while the engines tear down; the snapshot is refreshed with the
-	// true final counters (teardown failures included) once closeAll
-	// returns.
-	provisional := make(map[string]engine.Counters, len(deps))
-	provisionalLat := make(map[string]engine.LatencyDump, len(deps))
-	provisionalLanes := make(map[string]engine.LaneDump, len(deps))
-	for _, dep := range deps {
-		provisional[dep.name] = dep.eng.Stats()
-		provisionalLat[dep.name] = dep.eng.Latency()
-		provisionalLanes[dep.name] = dep.eng.Lanes()
-	}
-	d.final = provisional
-	d.finalLatency = provisionalLat
-	d.finalLanes = provisionalLanes
+	// empties the deployment map, so Snapshot/Metrics never dip to zero
+	// while the engines tear down; it is refreshed with the true final
+	// values (teardown failures included) once closeAll returns.
+	d.final = snapshotAll(deps)
 	d.mu.Unlock()
 	d.closeAll(deps, closers)
-	final := make(map[string]engine.Counters, len(deps))
-	finalLat := make(map[string]engine.LatencyDump, len(deps))
-	finalLanes := make(map[string]engine.LaneDump, len(deps))
-	for _, dep := range deps {
-		final[dep.name] = dep.eng.Stats()
-		finalLat[dep.name] = dep.eng.Latency()
-		finalLanes[dep.name] = dep.eng.Lanes()
-	}
+	final := snapshotAll(deps)
 	d.mu.Lock()
 	d.final = final
-	d.finalLatency = finalLat
-	d.finalLanes = finalLanes
 	d.mu.Unlock()
 	if d.ownsNode {
 		return d.node.Close()
@@ -1041,7 +913,7 @@ func (d *Dispatcher) Close() error {
 
 // Shutdown drains the dispatcher gracefully: every hosted engine stops
 // admitting new sessions immediately (late initiator requests are
-// refused and reported through the Dropped hooks with an error marked
+// refused and reported to the sink as drops marked
 // serrors.ErrDraining), live sessions keep receiving their mid-program
 // entry payloads and run to completion, and once every engine has
 // drained — or ctx has expired, whichever comes first — the dispatcher
@@ -1120,20 +992,4 @@ func (d *Dispatcher) BeginDrain() {
 	for _, dep := range deps {
 		dep.eng.BeginDrain()
 	}
-}
-
-// Probe snapshots every hosted engine's internal resource accounting
-// (see engine.Probe), keyed by case name — the DST invariant surface.
-func (d *Dispatcher) Probe() map[string]engine.Probe {
-	d.mu.Lock()
-	deps := make([]*deployment, 0, len(d.deployed))
-	for _, dep := range d.deployed {
-		deps = append(deps, dep)
-	}
-	d.mu.Unlock()
-	out := make(map[string]engine.Probe, len(deps))
-	for _, dep := range deps {
-		out[dep.name] = dep.eng.Probe()
-	}
-	return out
 }

@@ -1,6 +1,8 @@
 package provision
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"starlink/internal/composer"
+	"starlink/internal/engine"
 	"starlink/internal/message"
 	"starlink/internal/netapi"
 	"starlink/internal/parser"
@@ -16,6 +19,7 @@ import (
 	"starlink/internal/protocols/slp"
 	"starlink/internal/protocols/upnp"
 	"starlink/internal/registry"
+	"starlink/internal/serrors"
 	"starlink/internal/simnet"
 	"starlink/internal/xpath"
 )
@@ -141,13 +145,8 @@ func TestDispatcherHostsAllCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var lines []string
-	d := NewDispatcher(reg, node, WithLogf(func(format string, args ...any) {
-		mu.Lock()
-		lines = append(lines, format)
-		mu.Unlock()
-	}))
+	var log classifyLog
+	d := NewDispatcher(reg, node, WithSink(&log))
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -186,14 +185,14 @@ func TestDispatcherHostsAllCases(t *testing.T) {
 
 	// The SLP request was ambiguous between slp-to-bonjour and
 	// slp-to-upnp; the lexicographically first case must have won.
-	stats := d.Stats()
+	stats := d.Counts().Cases
 	if stats["slp-to-bonjour"].Completed != 1 {
-		t.Errorf("slp-to-bonjour stats = %+v", stats["slp-to-bonjour"])
+		t.Errorf("slp-to-bonjour stats = %+v", stats["slp-to-bonjour"].Counters)
 	}
 	if stats["slp-to-upnp"].Completed != 0 {
-		t.Errorf("slp-to-upnp should not have bridged: %+v", stats["slp-to-upnp"])
+		t.Errorf("slp-to-upnp should not have bridged: %+v", stats["slp-to-upnp"].Counters)
 	}
-	dc := d.DispatchStats()
+	dc := d.Counts().Dispatch
 	if dc.Ambiguous != 1 || dc.Dispatched != 1 {
 		t.Errorf("dispatch counters = %+v", dc)
 	}
@@ -204,19 +203,40 @@ func TestDispatcherHostsAllCases(t *testing.T) {
 		t.Errorf("expected egress suppression, counters = %+v", dc)
 	}
 	if stats["bonjour-to-slp"].Completed != 0 || stats["bonjour-to-upnp"].Completed != 0 {
-		t.Errorf("opposite-direction cases bridged our own request: %+v", stats)
+		t.Errorf("opposite-direction cases bridged our own request: %+v, %+v",
+			stats["bonjour-to-slp"].Counters, stats["bonjour-to-upnp"].Counters)
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	log.mu.Lock()
+	defer log.mu.Unlock()
 	foundAmbig := false
-	for _, l := range lines {
-		if strings.Contains(l, "matches cases") {
+	for _, ev := range log.events {
+		if ev.Ambiguous && ev.Case == "slp-to-bonjour" && len(ev.Candidates) == 2 &&
+			errors.Is(ev.Err, serrors.ErrAmbiguousPayload) && strings.Contains(ev.Err.Error(), "matches cases") {
 			foundAmbig = true
 		}
 	}
 	if !foundAmbig {
-		t.Errorf("ambiguous dispatch was not logged: %q", lines)
+		t.Errorf("ambiguous dispatch was not reported: %+v", log.events)
 	}
+}
+
+// classifyLog is a Sink that keeps the classification events and ignores
+// the rest.
+type classifyLog struct {
+	mu     sync.Mutex
+	events []ClassifyEvent
+}
+
+func (*classifyLog) Deployed(string, uint64)                     {}
+func (*classifyLog) Undeployed(string)                           {}
+func (*classifyLog) SessionStart(string, netapi.Addr, time.Time) {}
+func (*classifyLog) SessionEnd(string, engine.SessionStats)      {}
+func (*classifyLog) Dropped(string, netapi.Addr, error)          {}
+
+func (l *classifyLog) Classified(ev ClassifyEvent) {
+	l.mu.Lock()
+	l.events = append(l.events, ev)
+	l.mu.Unlock()
 }
 
 // TestDispatcherReverseCase drives a UPnP control point against the
@@ -257,8 +277,8 @@ func TestDispatcherReverseCase(t *testing.T) {
 	if err := sim.RunUntil(func() bool { return done }, time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if st := d.Stats()["upnp-to-bonjour"]; st.Completed != 1 {
-		t.Errorf("upnp-to-bonjour stats = %+v", st)
+	if st := d.Counts().Cases["upnp-to-bonjour"]; st.Completed != 1 {
+		t.Errorf("upnp-to-bonjour stats = %+v", st.Counters)
 	}
 }
 
@@ -575,7 +595,7 @@ func TestDispatcherStreamSourceSharesRequesterPort(t *testing.T) {
 	done := false
 	upnp.NewControlPoint(host).Discover("urn:printer", func(r upnp.DiscoverResult) { res, done = r, true })
 	if err := sim.RunUntil(func() bool { return done }, time.Minute); err != nil {
-		t.Fatalf("the description GET never reached its session: %v (dispatch counters %+v)", err, d.DispatchStats())
+		t.Fatalf("the description GET never reached its session: %v (dispatch counters %+v)", err, d.Counts().Dispatch)
 	}
 	if res.Err != nil || len(res.ServiceURLs) != 1 {
 		t.Fatalf("discover = %+v", res)
@@ -586,10 +606,50 @@ func TestDispatcherStreamSourceSharesRequesterPort(t *testing.T) {
 	if aliased == 0 || port == 0 {
 		t.Fatalf("no GET arrived from the requester's port (conns %d, port %d)", aliased, port)
 	}
-	if st := d.Stats()["upnp-to-bonjour"]; st.Completed != 1 || st.Failed != 0 {
-		t.Errorf("upnp-to-bonjour stats = %+v", st)
+	if st := d.Counts().Cases["upnp-to-bonjour"]; st.Completed != 1 || st.Failed != 0 {
+		t.Errorf("upnp-to-bonjour stats = %+v", st.Counters)
 	}
-	if dc := d.DispatchStats(); dc.Suppressed == 0 {
+	if dc := d.Counts().Dispatch; dc.Suppressed == 0 {
 		t.Errorf("own multicast echo no longer suppressed: %+v", dc)
 	}
+}
+
+// TestDeployOwnsNode: Deploy creates the bridge host and the dispatcher
+// owns it — a deploy that fails (unknown case, cancelled context)
+// releases it, and so does closing a healthy deployment. Under simnet a
+// released host's IP can be created again.
+func TestDeployOwnsNode(t *testing.T) {
+	sim := simnet.New()
+	reg := builtin(t)
+	hostFree := func(after string) {
+		t.Helper()
+		node, err := sim.NewNode("10.0.0.5")
+		if err != nil {
+			t.Fatalf("node leaked by %s: %v", after, err)
+		}
+		_ = node.Close()
+	}
+	if _, err := Deploy(context.Background(), reg, sim, "10.0.0.5", []string{"corba-to-soap"}); !errors.Is(err, serrors.ErrUnknownCase) {
+		t.Fatalf("err = %v, want ErrUnknownCase", err)
+	}
+	hostFree("failed deploy")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Deploy(ctx, reg, sim, "10.0.0.5", nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	hostFree("cancelled deploy")
+
+	d, err := Deploy(context.Background(), reg, sim, "10.0.0.5", []string{"slp-to-bonjour"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Cases(); len(got) != 1 || got[0] != "slp-to-bonjour" {
+		t.Fatalf("cases = %v", got)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	hostFree("Close")
 }

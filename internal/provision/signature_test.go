@@ -1,6 +1,7 @@
 package provision
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -43,6 +44,14 @@ func firstCaseFor(t testing.TB, reg *registry.Registry, proto string) string {
 	}
 	t.Fatalf("no loaded case uses protocol %s", proto)
 	return ""
+}
+
+// sampleProto names the protocol of each sampleMessages entry.
+var sampleProto = map[string]string{
+	"SLPSrvRequest": "SLP", "SLPSrvReply": "SLP",
+	"SSDPMSearch": "SSDP", "SSDPResponse": "SSDP",
+	"HTTPGet":     "HTTP",
+	"DNSQuestion": "mDNS",
 }
 
 // sampleMessages builds one wire sample per message type of the four
@@ -105,14 +114,8 @@ func sampleMessages(t testing.TB, reg *registry.Registry) map[string][]byte {
 // resolves, with zero allocations.
 func TestSignatureClassifiesLikeParse(t *testing.T) {
 	reg := builtin(t)
-	protoOf := map[string]string{
-		"SLPSrvRequest": "SLP", "SLPSrvReply": "SLP",
-		"SSDPMSearch": "SSDP", "SSDPResponse": "SSDP",
-		"HTTPGet":     "HTTP",
-		"DNSQuestion": "mDNS",
-	}
 	for name, wire := range sampleMessages(t, reg) {
-		proto := protoOf[name]
+		proto := sampleProto[name]
 		spec, err := reg.Spec(proto)
 		if err != nil {
 			t.Fatal(err)
@@ -170,7 +173,7 @@ type scenarioResult struct {
 	upnpOK   bool
 	altURL   string
 	altOK    bool
-	perCase  map[string]engine.Counters
+	perCase  map[string]engine.Snapshot
 	counters DispatchCounters
 }
 
@@ -179,8 +182,9 @@ type scenarioResult struct {
 // ambiguity, reverse-case and egress-suppression flows and returns the
 // observable outcome. Identical inputs, deterministic simulator: two
 // runs differing only in classification path must produce identical
-// results.
-func runClassificationScenario(t *testing.T, opts ...Option) scenarioResult {
+// results. trialParse makes every listener take the fallback path, the
+// way it does when a candidate MDL has no derivable signature.
+func runClassificationScenario(t *testing.T, trialParse bool) scenarioResult {
 	t.Helper()
 	sim := simnet.New(simnet.WithSeed(7))
 	reg := builtin(t)
@@ -191,13 +195,20 @@ func runClassificationScenario(t *testing.T, opts ...Option) scenarioResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDispatcher(reg, node, opts...)
+	d := NewDispatcher(reg, node)
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
 	if got := d.Cases(); len(got) != 7 {
 		t.Fatalf("cases = %v", got)
+	}
+	if trialParse {
+		d.mu.Lock()
+		for _, l := range d.listeners {
+			l.sigOK = false
+		}
+		d.mu.Unlock()
 	}
 
 	// Legacy services: a Bonjour responder (for slp-to-bonjour and
@@ -262,9 +273,67 @@ func runClassificationScenario(t *testing.T, opts ...Option) scenarioResult {
 	res.altURL, res.altOK = slpUnicastLookup(t, sim, reg, altNode, netapi.Addr{IP: "10.0.0.5", Port: 1427})
 
 	sim.RunToQuiescence()
-	res.perCase = d.Stats()
-	res.counters = d.DispatchStats()
+	snap := d.Counts()
+	res.perCase, res.counters = snap.Cases, snap.Dispatch
 	return res
+}
+
+// TestClassificationPathsAgree holds classifySlow up as the oracle of
+// classifyFast: on every shared listener of the seven-case deployment,
+// for every sample message of the listener's candidate protocols and for
+// garbage, the two return the same matches in the same order and the
+// same anything-classified verdict. (Another protocol's bytes are outside
+// the agreement: the fast path defers body validation to the chosen
+// engine's parser.)
+func TestClassificationPathsAgree(t *testing.T) {
+	sim := simnet.New()
+	reg := builtin(t)
+	if _, err := LoadDir(reg, fixturesDir); err != nil {
+		t.Fatal(err)
+	}
+	node, err := sim.NewNode("10.0.0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDispatcher(reg, node)
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	samples := sampleMessages(t, reg)
+	names := func(ms []match) []string {
+		out := make([]string, len(ms))
+		for i, m := range ms {
+			out[i] = m.pt.dep.name + "/" + m.pt.proto + "/" + m.msg
+		}
+		return out
+	}
+	matched := 0
+	for key, l := range d.listeners {
+		if !l.sigOK {
+			t.Errorf("listener %s: no signature index, nothing to compare", key)
+			continue
+		}
+		payloads := map[string][]byte{"garbage": {0xde, 0xad, 0xbe, 0xef}, "empty": nil}
+		for name, wire := range samples {
+			if _, candidate := l.sigs[sampleProto[name]]; candidate {
+				payloads[name] = wire
+			}
+		}
+		for name, wire := range payloads {
+			fast, fastAny := d.classifyFast(l.points, l.sigs, wire, "10.0.0.1")
+			slow, slowAny := d.classifySlow(l.points, wire, "10.0.0.1")
+			if fastAny != slowAny || !reflect.DeepEqual(names(fast), names(slow)) {
+				t.Errorf("listener %s, %s: fast = %v (%v), slow = %v (%v)",
+					key, name, names(fast), fastAny, names(slow), slowAny)
+			}
+			matched += len(fast)
+		}
+	}
+	if matched == 0 {
+		t.Error("no sample matched any entry point: the comparison is vacuous")
+	}
 }
 
 // TestDispatcherClassificationEquivalence is the dispatcher-level
@@ -275,8 +344,8 @@ func runClassificationScenario(t *testing.T, opts ...Option) scenarioResult {
 // suppressed egress — identically. Only the FastPath/SlowPath hit
 // counters may differ.
 func TestDispatcherClassificationEquivalence(t *testing.T) {
-	fast := runClassificationScenario(t)
-	slow := runClassificationScenario(t, WithTrialParseOnly())
+	fast := runClassificationScenario(t, false)
+	slow := runClassificationScenario(t, true)
 
 	if fast.counters.FastPath == 0 || fast.counters.SlowPath != 0 {
 		t.Errorf("fast run: FastPath=%d SlowPath=%d, want all fast-path",
@@ -303,7 +372,7 @@ func TestDispatcherClassificationEquivalence(t *testing.T) {
 	for name, f := range fast.perCase {
 		s := slow.perCase[name]
 		if f.Completed != s.Completed || f.Failed != s.Failed || f.ParseErrors != s.ParseErrors {
-			t.Errorf("case %s diverges: fast %+v, slow %+v", name, f, s)
+			t.Errorf("case %s diverges: fast %+v, slow %+v", name, f.Counters, s.Counters)
 		}
 	}
 	if len(fast.urls) != 1 || len(slow.urls) != 1 || fast.urls[0] != slow.urls[0] {

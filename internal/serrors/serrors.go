@@ -4,9 +4,8 @@
 // error without losing either.
 //
 // The sentinels live here — in a leaf package with no Starlink
-// dependencies — so that internal/core, internal/engine,
-// internal/provision and internal/registry can all tag their errors
-// with them, and the public starlink package can re-export them,
+// dependencies — so that internal/engine, internal/provision and
+// internal/registry can all tag their errors with them, and the public starlink package can re-export them,
 // without an import cycle. Callers assert on them with errors.Is:
 //
 //	if errors.Is(err, serrors.ErrUnknownCase) { ... }

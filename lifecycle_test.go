@@ -3,6 +3,8 @@ package starlink_test
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -213,5 +215,93 @@ func TestDispatcherSyncWhileDraining(t *testing.T) {
 	}
 	if err := d.Sync(); !errors.Is(err, starlink.ErrClosed) {
 		t.Fatalf("Sync after close = %v, want ErrClosed", err)
+	}
+}
+
+// settledGoroutines returns the goroutine count once it has stopped
+// moving (goroutines of earlier tests may still be unwinding).
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for stable := 0; stable < 5; {
+		time.Sleep(2 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			stable++
+		} else {
+			n, stable = m, 0
+		}
+	}
+	return n
+}
+
+// TestContextCancelClosesBridge verifies the lifetime half of the
+// DeployBridge context contract — cancelling the deploy context tears
+// the bridge down and releases its host — and what the contract costs:
+// one watcher goroutine, with or without observers. Whatever tears a
+// bridge down (Close, Shutdown, the context), its observers hear of the
+// undeploy exactly once.
+func TestContextCancelClosesBridge(t *testing.T) {
+	rt := starlink.Simulated()
+	sim := rt.Backend().(*simnet.Net)
+	fw, err := starlink.New(rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deploy := func(ctx context.Context, hostIP string) (*starlink.Bridge, *atomic.Int32) {
+		t.Helper()
+		undeploys := new(atomic.Int32)
+		b, err := fw.DeployBridge(ctx, hostIP, "slp-to-bonjour",
+			starlink.WithIngestWorkers(2),
+			starlink.WithObserver(starlink.Hooks{Undeploy: func(starlink.CaseEvent) { undeploys.Add(1) }}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = b.Close() })
+		return b, undeploys
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	g0 := settledGoroutines()
+	plain, plainUndeploys := deploy(context.Background(), "10.0.0.5")
+	g1 := settledGoroutines()
+	watched, watchedUndeploys := deploy(ctx, "10.0.0.6")
+	g2 := settledGoroutines()
+	if base, withCtx := g1-g0, g2-g1; withCtx != base+1 {
+		t.Errorf("a bridge costs %d goroutines, one with a cancellable context %d: want exactly one watcher more",
+			base, withCtx)
+	}
+
+	cancel()
+	for deadline := time.Now().Add(5 * time.Second); watchedUndeploys.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("bridge not torn down after context cancel (state %v)", watched.State())
+		}
+	}
+	if got := watched.State(); got != starlink.StateClosed {
+		t.Errorf("state = %v after context cancel", got)
+	}
+	// Cancellation releases the node too (the bridge owns it): by the
+	// time the undeploy event is out, the IP is free again.
+	node, err := sim.NewNode("10.0.0.6")
+	if err != nil {
+		t.Fatalf("node leaked after context cancel: %v", err)
+	}
+	_ = node.Close()
+	_ = watched.Close() // closing what the context already closed notifies nobody
+
+	if err := plain.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_ = plain.Close()
+	drained, drainedUndeploys := deploy(context.Background(), "10.0.0.7")
+	if err := drained.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	_ = drained.Close()
+	for name, n := range map[string]*atomic.Int32{
+		"context cancel": watchedUndeploys, "Close": plainUndeploys, "Shutdown": drainedUndeploys,
+	} {
+		if got := n.Load(); got != 1 {
+			t.Errorf("%s: %d undeploy events, want exactly 1", name, got)
+		}
 	}
 }

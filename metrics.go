@@ -1,6 +1,7 @@
 package starlink
 
 import (
+	"sort"
 	"time"
 
 	"starlink/internal/engine"
@@ -171,20 +172,76 @@ type Metrics struct {
 	Transport TransportMetrics
 }
 
-// sessionMetricsOf converts engine counters to the public form.
-func sessionMetricsOf(c engine.Counters) SessionMetrics {
-	return SessionMetrics{
-		Live:            c.Live,
-		Completed:       c.Completed,
-		Failed:          c.Failed,
-		Rejected:        c.Rejected,
-		DrainRejected:   c.DrainRejected,
-		Dropped:         c.Dropped,
-		ParseErrors:     c.ParseErrors,
-		Ignored:         c.Ignored,
-		Ingested:        c.Ingested,
-		IngestedBatched: c.IngestedBatched,
+// metricsOf builds the public snapshot of a deployment from the internal
+// one; a single-case bridge is the one-case shape with a zero Dispatch
+// section. The counter blocks convert struct to struct — the internal
+// types mirror the public ones field for field, so a counter added on one
+// side only stops compiling here instead of being silently dropped.
+func metricsOf(s provision.Snapshot) Metrics {
+	// DispatchMetrics is DispatchCounters plus the two latency rows.
+	dc := struct {
+		Dispatched, Ambiguous, Unroutable, ParseErrors, Suppressed, Rejected, FastPath, SlowPath int
+	}(s.Dispatch)
+	m := Metrics{
+		State: stateOf(s.State),
+		Dispatch: DispatchMetrics{
+			Dispatched:      dc.Dispatched,
+			Ambiguous:       dc.Ambiguous,
+			Unroutable:      dc.Unroutable,
+			ParseErrors:     dc.ParseErrors,
+			Suppressed:      dc.Suppressed,
+			Rejected:        dc.Rejected,
+			FastPath:        dc.FastPath,
+			SlowPath:        dc.SlowPath,
+			FastPathLatency: stageLatencyOf("classify", s.ClassifyFast),
+			SlowPathLatency: stageLatencyOf("classify", s.ClassifySlow),
+		},
+		Cases:       make(map[string]SessionMetrics, len(s.Cases)),
+		CaseLatency: make(map[string][]StageLatency, len(s.Cases)),
+		Transport:   TransportMetrics(netapi.ReadIOStats()),
 	}
+	var latAgg engine.LatencyDump
+	var laneAgg engine.LaneDump
+	for name, c := range s.Cases {
+		sm := SessionMetrics(c.Counters)
+		m.Cases[name] = sm
+		m.Sessions = m.Sessions.add(sm)
+		m.CaseLatency[name] = latencyRowsOf(c.Latency)
+		m.Latency = m.CaseLatency[name]
+		latAgg.Merge(c.Latency)
+		laneAgg.Merge(c.Lanes)
+	}
+	// The aggregate over one case is that case's rows, set above; rendering
+	// rows (quantiles and a bucket ladder per stage) is most of what a
+	// Metrics read costs, so it is not done twice.
+	if len(s.Cases) != 1 {
+		m.Latency = latencyRowsOf(latAgg)
+	}
+	m.Lanes = laneRowsOf(laneAgg)
+	return m
+}
+
+// sessionsOf lists live sessions grouped by case name (sorted), oldest
+// first within each.
+func sessionsOf(byCase map[string][]engine.LiveSession) []SessionInfo {
+	names := make([]string, 0, len(byCase))
+	for name := range byCase {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var out []SessionInfo
+	for _, name := range names {
+		for _, s := range byCase[name] {
+			out = append(out, SessionInfo{
+				Case:   name,
+				Key:    s.Key,
+				Origin: s.Origin.String(),
+				Start:  s.Start,
+				Trace:  traceEventsOf(s.Trace),
+			})
+		}
+	}
+	return out
 }
 
 // stageLatencyOf converts one histogram snapshot to the public form.
@@ -265,34 +322,4 @@ type TransportMetrics struct {
 	// in one vectored write (writev) each.
 	StreamFlushes     uint64
 	StreamFlushChunks uint64
-}
-
-// transportMetricsOf converts the netapi transport counters to the
-// public form.
-func transportMetricsOf(s netapi.IOStats) TransportMetrics {
-	return TransportMetrics{
-		RecvBatches:       s.RecvBatches,
-		RecvBatchPackets:  s.RecvBatchPackets,
-		RecvMultiBatches:  s.RecvMultiBatches,
-		RecvSingles:       s.RecvSingles,
-		SendBatches:       s.SendBatches,
-		SendBatchPackets:  s.SendBatchPackets,
-		SendSingles:       s.SendSingles,
-		StreamFlushes:     s.StreamFlushes,
-		StreamFlushChunks: s.StreamFlushChunks,
-	}
-}
-
-// dispatchMetricsOf converts dispatcher counters to the public form.
-func dispatchMetricsOf(c provision.DispatchCounters) DispatchMetrics {
-	return DispatchMetrics{
-		Dispatched:  c.Dispatched,
-		Ambiguous:   c.Ambiguous,
-		Unroutable:  c.Unroutable,
-		ParseErrors: c.ParseErrors,
-		Suppressed:  c.Suppressed,
-		Rejected:    c.Rejected,
-		FastPath:    c.FastPath,
-		SlowPath:    c.SlowPath,
-	}
 }

@@ -2,6 +2,7 @@ package starlink_test
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -10,9 +11,11 @@ import (
 	"starlink/internal/composer"
 	"starlink/internal/message"
 	"starlink/internal/netapi"
+	"starlink/internal/protocols/dnssd"
 	"starlink/internal/protocols/slp"
 	"starlink/internal/realnet"
 	"starlink/internal/registry"
+	"starlink/internal/simnet"
 )
 
 // composeSLPRequest builds a valid SLP SrvRequest wire form with the
@@ -187,5 +190,69 @@ func TestMetricsConsistencyUnderLoad(t *testing.T) {
 	}
 	if again := disp.Metrics(); again.Sessions != final.Sessions {
 		t.Errorf("closed-dispatcher metrics not stable: %+v then %+v", final.Sessions, again.Sessions)
+	}
+}
+
+// TestSnapshotSurvivesClose pins what a closed deployment still answers:
+// the counters, distributions and lane accounting of a closed bridge and
+// of a closed dispatcher equal the last read taken while it was live and
+// idle, and do not move between two reads.
+func TestSnapshotSurvivesClose(t *testing.T) {
+	for _, kind := range []string{"bridge", "dispatcher"} {
+		t.Run(kind, func(t *testing.T) {
+			rt := starlink.Simulated()
+			sim := rt.Backend().(*simnet.Net)
+			fw, err := starlink.New(rt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var dep starlink.Deployment
+			if kind == "bridge" {
+				dep, err = fw.DeployBridge(context.Background(), "10.0.0.5", "slp-to-bonjour")
+			} else {
+				dep, err = fw.DeployDispatcher(context.Background(), "10.0.0.5", []string{"slp-to-bonjour", "upnp-to-bonjour"})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dep.Close()
+			svcNode, _ := sim.NewNode("10.0.0.9")
+			if _, err := dnssd.NewResponder(svcNode, "printer.local", "service:printer://10.0.0.9:515"); err != nil {
+				t.Fatal(err)
+			}
+			cliNode, _ := sim.NewNode("10.0.0.1")
+			done := false
+			slp.NewUserAgent(cliNode, slp.WithConvergenceWait(300*time.Millisecond)).
+				Lookup("service:printer", func(slp.LookupResult) { done = true })
+			if err := sim.RunUntil(func() bool { return done }, time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			sim.RunToQuiescence()
+
+			// State moves on and Transport is process-wide: everything else
+			// must be identical.
+			read := func() starlink.Metrics {
+				m := dep.Metrics()
+				m.State, m.Transport = 0, starlink.TransportMetrics{}
+				return m
+			}
+			live := read()
+			if live.Sessions.Completed != 1 || live.Lanes[0].Admitted == 0 || live.Latency[len(live.Latency)-1].Count != 1 {
+				t.Fatalf("the live read is not worth comparing against: %+v", live.Sessions)
+			}
+			if err := dep.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := dep.State(); got != starlink.StateClosed {
+				t.Fatalf("state = %v after Close", got)
+			}
+			closed, again := read(), read()
+			if !reflect.DeepEqual(live, closed) {
+				t.Errorf("closed read differs from the last live read:\n live:   %+v\n closed: %+v", live.Sessions, closed.Sessions)
+			}
+			if !reflect.DeepEqual(closed, again) {
+				t.Error("two reads of a closed deployment differ")
+			}
+		})
 	}
 }

@@ -146,11 +146,13 @@ type Classification struct {
 	Err error
 }
 
-// CaseEvent announces a case (un)deployment. For a single-case Bridge
-// the deploy event is emitted as DeployBridge returns, so on a
-// real-socket runtime a fast client's first session events may be
-// observed before it; dispatcher deploy events are emitted from the
-// reconciliation loop, before the case serves traffic.
+// CaseEvent announces a case (un)deployment. The deploy event is emitted
+// before the case's entry listeners open, so it precedes every session
+// event of the case; a deploy that then fails (a port already bound, a
+// context cancelled mid-deploy) is followed by its undeploy event. The
+// undeploy event is emitted once per deployed case, after the last
+// session event, whichever of Close, Shutdown or context cancellation
+// tore the case down.
 type CaseEvent struct {
 	// Case is the merged automaton name.
 	Case string
@@ -253,98 +255,52 @@ func (h Hooks) OnDrop(e Drop) {
 	}
 }
 
-// observerChain fans one event out to every registered observer, in
-// registration order. Its mutex is what delivers the Observer
-// contract's "invocations are serialised per deployment": internal
-// layers serialise only per engine, but a dispatcher hosts many
-// engines (and emits classification events of its own), so the chain
-// is the single point where all of a deployment's event sources
-// converge. It also latches the undeploy notification so a bridge
-// closed twice notifies once.
+// observerChain is the sink a deployment's internal layers report to
+// (provision.Sink, and so engine.Sink): it converts each event to its
+// public form and fans it out to every registered observer, in
+// registration order. Its mutex is what delivers the Observer contract's
+// "invocations are serialised per deployment": the internal layers call
+// the sink from whichever goroutine an event happens on, and a
+// dispatcher hosts many engines (and emits classification events of its
+// own), so the chain is the single point where all of a deployment's
+// event sources converge.
 //
-// obs is immutable after the chain is built (deployConfig collects
-// observers before deployment), so the empty-chain fast path reads the
-// length without taking the mutex: an empty chain costs a single
-// branch on the hot path, no lock traffic.
+// A chain exists only when observers were registered (deployConfig.sink);
+// without one the layers below hold a nil sink and an event costs them a
+// single branch.
 type observerChain struct {
-	obs  []Observer
-	mu   sync.Mutex
-	once sync.Once
+	obs []Observer
+	mu  sync.Mutex
 }
 
-func (c *observerChain) OnSessionStart(e SessionStart) {
-	if len(c.obs) == 0 {
-		return
-	}
+var _ provision.Sink = (*observerChain)(nil)
+
+// each runs one event's delivery for every observer, serialised.
+func (c *observerChain) each(deliver func(Observer)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, o := range c.obs {
-		o.OnSessionStart(e)
+		deliver(o)
 	}
 }
 
-func (c *observerChain) OnSessionEnd(e SessionStats) {
-	if len(c.obs) == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, o := range c.obs {
-		o.OnSessionEnd(e)
-	}
+func (c *observerChain) Deployed(caseName string, generation uint64) {
+	e := CaseEvent{Case: caseName, Generation: generation}
+	c.each(func(o Observer) { o.OnDeploy(e) })
 }
 
-func (c *observerChain) OnClassify(e Classification) {
-	if len(c.obs) == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, o := range c.obs {
-		o.OnClassify(e)
-	}
+func (c *observerChain) Undeployed(caseName string) {
+	e := CaseEvent{Case: caseName}
+	c.each(func(o Observer) { o.OnUndeploy(e) })
 }
 
-func (c *observerChain) OnDeploy(e CaseEvent) {
-	if len(c.obs) == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, o := range c.obs {
-		o.OnDeploy(e)
-	}
+func (c *observerChain) SessionStart(caseName string, origin netapi.Addr, at time.Time) {
+	e := SessionStart{Case: caseName, Origin: origin.String(), At: at}
+	c.each(func(o Observer) { o.OnSessionStart(e) })
 }
 
-func (c *observerChain) OnUndeploy(e CaseEvent) {
-	if len(c.obs) == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, o := range c.obs {
-		o.OnUndeploy(e)
-	}
-}
-
-func (c *observerChain) OnDrop(e Drop) {
-	if len(c.obs) == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, o := range c.obs {
-		o.OnDrop(e)
-	}
-}
-
-func (c *observerChain) undeployOnce(e CaseEvent) {
-	c.once.Do(func() { c.OnUndeploy(e) })
-}
-
-// statsOf converts engine session stats into the public form.
-func statsOf(caseName string, s engine.SessionStats) SessionStats {
-	return SessionStats{
+func (c *observerChain) SessionEnd(caseName string, s engine.SessionStats) {
+	e := SessionStats{
 		Case:     caseName,
 		Origin:   s.Origin.String(),
 		Start:    s.Start,
@@ -354,76 +310,24 @@ func statsOf(caseName string, s engine.SessionStats) SessionStats {
 		Err:      s.Err,
 		Trace:    traceEventsOf(s.Trace),
 	}
+	c.each(func(o Observer) { o.OnSessionEnd(e) })
 }
 
-// bridgeHooks wires the observer chain into a single-case engine. Each
-// callback checks for an empty chain before building its event so the
-// Addr→string conversions are never paid without an observer attached.
-func bridgeHooks(caseName string, chain *observerChain) engine.Hooks {
-	return engine.Hooks{
-		SessionStart: func(origin netapi.Addr, at time.Time) {
-			if len(chain.obs) == 0 {
-				return
-			}
-			chain.OnSessionStart(SessionStart{Case: caseName, Origin: origin.String(), At: at})
-		},
-		SessionEnd: func(s engine.SessionStats) {
-			if len(chain.obs) == 0 {
-				return
-			}
-			chain.OnSessionEnd(statsOf(caseName, s))
-		},
-		Drop: func(origin netapi.Addr, reason error) {
-			if len(chain.obs) == 0 {
-				return
-			}
-			chain.OnDrop(Drop{Case: caseName, Origin: origin.String(), Reason: reason})
-		},
-	}
+func (c *observerChain) Dropped(caseName string, origin netapi.Addr, reason error) {
+	e := Drop{Case: caseName, Origin: origin.String(), Reason: reason}
+	c.each(func(o Observer) { o.OnDrop(e) })
 }
 
-// dispatcherHooks wires the observer chain into a provisioning
-// dispatcher.
-func dispatcherHooks(chain *observerChain) provision.Hooks {
-	return provision.Hooks{
-		Deployed: func(caseName string, generation uint64) {
-			chain.OnDeploy(CaseEvent{Case: caseName, Generation: generation})
-		},
-		Undeployed: func(caseName string) {
-			chain.OnUndeploy(CaseEvent{Case: caseName})
-		},
-		SessionStart: func(caseName string, origin netapi.Addr, at time.Time) {
-			if len(chain.obs) == 0 {
-				return
-			}
-			chain.OnSessionStart(SessionStart{Case: caseName, Origin: origin.String(), At: at})
-		},
-		SessionEnd: func(caseName string, s engine.SessionStats) {
-			if len(chain.obs) == 0 {
-				return
-			}
-			chain.OnSessionEnd(statsOf(caseName, s))
-		},
-		Classified: func(ev provision.ClassifyEvent) {
-			if len(chain.obs) == 0 {
-				return
-			}
-			chain.OnClassify(Classification{
-				Case:       ev.Case,
-				Protocol:   ev.Protocol,
-				Message:    ev.Message,
-				Origin:     ev.Origin.String(),
-				Candidates: ev.Candidates,
-				Ambiguous:  ev.Ambiguous,
-				FastPath:   ev.FastPath,
-				Err:        ev.Err,
-			})
-		},
-		Dropped: func(caseName string, origin netapi.Addr, reason error) {
-			if len(chain.obs) == 0 {
-				return
-			}
-			chain.OnDrop(Drop{Case: caseName, Origin: origin.String(), Reason: reason})
-		},
+func (c *observerChain) Classified(ev provision.ClassifyEvent) {
+	e := Classification{
+		Case:       ev.Case,
+		Protocol:   ev.Protocol,
+		Message:    ev.Message,
+		Origin:     ev.Origin.String(),
+		Candidates: ev.Candidates,
+		Ambiguous:  ev.Ambiguous,
+		FastPath:   ev.FastPath,
+		Err:        ev.Err,
 	}
+	c.each(func(o Observer) { o.OnClassify(e) })
 }

@@ -1,7 +1,6 @@
 package starlink
 
 import (
-	"fmt"
 	"time"
 
 	"starlink/internal/engine"
@@ -10,79 +9,42 @@ import (
 )
 
 // Option configures a deployment. One option set serves both
-// DeployBridge and DeployDispatcher; the few options that only make
-// sense for one kind of deployment are scoped to it and rejected —
-// with a descriptive error — when passed to the other, so a
-// misconfiguration fails at deploy time instead of being silently
-// ignored.
+// DeployBridge and DeployDispatcher: every option means the same thing
+// to either, applied per case under a dispatcher.
 type Option struct {
-	name  string
-	scope deployTarget
 	apply func(*deployConfig)
-}
-
-// deployTarget scopes an option to the deployments it applies to.
-type deployTarget int
-
-const (
-	targetAny deployTarget = iota
-	targetBridge
-	targetDispatcher
-)
-
-func (t deployTarget) String() string {
-	switch t {
-	case targetBridge:
-		return "bridge"
-	case targetDispatcher:
-		return "dispatcher"
-	default:
-		return "any"
-	}
 }
 
 // deployConfig is the compiled form of an option list.
 type deployConfig struct {
-	engOpts        []engine.Option
-	observers      []Observer
-	trialParseOnly bool
+	engOpts   []engine.Option
+	observers []Observer
 
 	// lanePolicy accumulates WithLanePolicy and WithWatermarks so the
 	// two options compose into one engine-level policy; laneSet records
 	// that at least one of them appeared.
 	lanePolicy lanes.Policy
 	laneSet    bool
-
-	chainOnce *observerChain
 }
 
-// compileOptions applies opts for the given target, rejecting options
-// scoped to the other deployment kind.
-func compileOptions(target deployTarget, opts []Option) (*deployConfig, error) {
+// compileOptions applies opts in order.
+func compileOptions(opts []Option) *deployConfig {
 	cfg := &deployConfig{}
 	for _, o := range opts {
-		if o.apply == nil {
-			continue
+		if o.apply != nil {
+			o.apply(cfg)
 		}
-		if o.scope != targetAny && o.scope != target {
-			return nil, fmt.Errorf("starlink: option %s applies only to %s deployments, not to a %s",
-				o.name, o.scope, target)
-		}
-		o.apply(cfg)
 	}
-	return cfg, nil
+	return cfg
 }
 
-// chain returns the deployment's observer chain, nil when no observer
-// was registered.
-func (c *deployConfig) chain() *observerChain {
+// sink returns the deployment's observer chain as the sink of its
+// internal layers, nil when no observer was registered.
+func (c *deployConfig) sink() provision.Sink {
 	if len(c.observers) == 0 {
 		return nil
 	}
-	if c.chainOnce == nil {
-		c.chainOnce = &observerChain{obs: c.observers}
-	}
-	return c.chainOnce
+	return &observerChain{obs: c.observers}
 }
 
 // engineOptions renders the per-engine option list.
@@ -94,26 +56,10 @@ func (c *deployConfig) engineOptions() []engine.Option {
 	return out
 }
 
-// provisionOptions renders the dispatcher option list (engine options
-// ride along to every hosted case's engine).
-func (c *deployConfig) provisionOptions() []provision.Option {
-	var out []provision.Option
-	if eo := c.engineOptions(); len(eo) > 0 {
-		out = append(out, provision.WithEngineOptions(eo...))
-	}
-	if c.trialParseOnly {
-		out = append(out, provision.WithTrialParseOnly())
-	}
-	if chain := c.chain(); chain != nil {
-		out = append(out, provision.WithHooks(dispatcherHooks(chain)))
-	}
-	return out
-}
-
 // WithVars injects deployment environment variables referenced by
 // translation constants (e.g. ${bridge.host}).
 func WithVars(vars map[string]string) Option {
-	return Option{name: "WithVars", apply: func(c *deployConfig) {
+	return Option{apply: func(c *deployConfig) {
 		c.engOpts = append(c.engOpts, engine.WithVars(vars))
 	}}
 }
@@ -124,7 +70,7 @@ func WithVars(vars map[string]string) Option {
 // ErrOverloaded — so a flood degrades into dropped requests rather
 // than unbounded memory growth. Values < 1 keep the default (4096).
 func WithMaxSessions(n int) Option {
-	return Option{name: "WithMaxSessions", apply: func(c *deployConfig) {
+	return Option{apply: func(c *deployConfig) {
 		c.engOpts = append(c.engOpts, engine.WithMaxSessions(n))
 	}}
 }
@@ -132,7 +78,7 @@ func WithMaxSessions(n int) Option {
 // WithReceiveTimeout bounds how long a session waits at a receive
 // state with no convergence window before failing.
 func WithReceiveTimeout(d time.Duration) Option {
-	return Option{name: "WithReceiveTimeout", apply: func(c *deployConfig) {
+	return Option{apply: func(c *deployConfig) {
 		c.engOpts = append(c.engOpts, engine.WithReceiveTimeout(d))
 	}}
 }
@@ -144,7 +90,7 @@ func WithReceiveTimeout(d time.Duration) Option {
 // concurrent sessions never share a random stream and simulated runs
 // stay reproducible.
 func WithWindowJitter(d time.Duration, seed int64) Option {
-	return Option{name: "WithWindowJitter", apply: func(c *deployConfig) {
+	return Option{apply: func(c *deployConfig) {
 		c.engOpts = append(c.engOpts, engine.WithWindowJitter(d, seed))
 	}}
 }
@@ -152,7 +98,7 @@ func WithWindowJitter(d time.Duration, seed int64) Option {
 // WithIngestWorkers sets the size of the worker pool that parses and
 // routes inbound entry payloads (per case, for a dispatcher).
 func WithIngestWorkers(n int) Option {
-	return Option{name: "WithIngestWorkers", apply: func(c *deployConfig) {
+	return Option{apply: func(c *deployConfig) {
 		c.engOpts = append(c.engOpts, engine.WithIngestWorkers(n))
 	}}
 }
@@ -160,7 +106,7 @@ func WithIngestWorkers(n int) Option {
 // WithShardCount sets the number of session-table shards (per case,
 // for a dispatcher).
 func WithShardCount(n int) Option {
-	return Option{name: "WithShardCount", apply: func(c *deployConfig) {
+	return Option{apply: func(c *deployConfig) {
 		c.engOpts = append(c.engOpts, engine.WithShardCount(n))
 	}}
 }
@@ -170,7 +116,7 @@ func WithShardCount(n int) Option {
 // registration order. Use Hooks to implement only the callbacks you
 // need.
 func WithObserver(o Observer) Option {
-	return Option{name: "WithObserver", apply: func(c *deployConfig) {
+	return Option{apply: func(c *deployConfig) {
 		if o != nil {
 			c.observers = append(c.observers, o)
 		}
@@ -184,7 +130,7 @@ func WithObserver(o Observer) Option {
 // keep the default. Latency histograms are unaffected — they are
 // always on.
 func WithFlightRecorder(events int) Option {
-	return Option{name: "WithFlightRecorder", apply: func(c *deployConfig) {
+	return Option{apply: func(c *deployConfig) {
 		c.engOpts = append(c.engOpts, engine.WithTraceRing(events))
 	}}
 }
@@ -246,7 +192,7 @@ func ParseShedPolicy(s string) (ShedPolicy, error) {
 // Shed payloads surface as drops tagged ErrOverloaded. capacity < 1
 // keeps the default (1024 per lane). Composes with WithWatermarks.
 func WithLanePolicy(capacity int, shed ShedPolicy) Option {
-	return Option{name: "WithLanePolicy", apply: func(c *deployConfig) {
+	return Option{apply: func(c *deployConfig) {
 		c.laneSet = true
 		if capacity >= 1 {
 			c.lanePolicy.Capacity = capacity
@@ -263,7 +209,7 @@ func WithLanePolicy(capacity int, shed ShedPolicy) Option {
 // for the lane capacity. Values ≤ 0 keep the defaults (75% and 37.5%
 // of total capacity). Composes with WithLanePolicy.
 func WithWatermarks(high, low int) Option {
-	return Option{name: "WithWatermarks", apply: func(c *deployConfig) {
+	return Option{apply: func(c *deployConfig) {
 		c.laneSet = true
 		if high > 0 {
 			c.lanePolicy.High = high
@@ -271,15 +217,5 @@ func WithWatermarks(high, low int) Option {
 		if low > 0 {
 			c.lanePolicy.Low = low
 		}
-	}}
-}
-
-// WithTrialParseOnly disables the dispatcher's signature-index fast
-// path: every payload is classified by trial-parsing against the
-// candidate entry parsers. For diagnostics and for benchmarking the
-// two classification paths against each other. Dispatcher-only.
-func WithTrialParseOnly() Option {
-	return Option{name: "WithTrialParseOnly", scope: targetDispatcher, apply: func(c *deployConfig) {
-		c.trialParseOnly = true
 	}}
 }

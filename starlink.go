@@ -30,12 +30,12 @@
 // Draining → Closed. The context passed to DeployBridge and
 // DeployDispatcher governs both the deploy and the deployment's
 // lifetime (like exec.CommandContext): cancelling it closes the
-// deployment, tearing down in-flight sessions through their
-// per-session contexts. Shutdown(ctx) drains gracefully instead — no
-// new sessions are admitted (late initiator requests are refused and
-// observable as drops tagged ErrDraining), live sessions run to
-// completion, and ctx bounds how long the drain may take. Close tears
-// everything down immediately.
+// deployment, tearing down in-flight sessions, at the cost of one
+// watcher goroutine per deployment. Shutdown(ctx) drains gracefully
+// instead — no new sessions are admitted (late initiator requests are
+// refused and observable as drops tagged ErrDraining), live sessions
+// run to completion, and ctx bounds how long the drain may take. Close
+// tears everything down immediately.
 //
 // # Errors
 //
@@ -52,9 +52,18 @@
 // One Observer interface carries every signal: session start/end,
 // dispatch classification, case deploy/undeploy, and drops with their
 // structured reasons. Register any number with WithObserver (they
-// compose into a chain), implement only what you need via Hooks, and
-// read consistent counter snapshots at any time with
-// Deployment.Metrics().
+// compose into a chain, invoked in registration order and serialised
+// per deployment), implement only what you need via Hooks, and read
+// consistent counter snapshots at any time with Deployment.Metrics().
+// A case's deploy event is delivered before its entry listeners open
+// and its undeploy event exactly once, after its last session event.
+//
+// Underneath, each job is done once: the internal layers report to a
+// single event sink (the observer chain is its only implementation, and
+// a deployment without observers pays one nil check per event), each
+// layer exposes one Snapshot struct that Metrics is built from, and
+// Framework holds nothing but the registry and the runtime — the engine
+// and the dispatcher deploy themselves (DESIGN.md §10).
 //
 // Three deeper surfaces sit underneath the counters. Every session
 // carries a flight recorder — a fixed-size, allocation-free ring of
@@ -89,8 +98,8 @@
 // tagged ErrOverloaded, so overload degrades into dropped requests
 // rather than unbounded memory growth. Timers and requester payloads
 // re-enter through the owning worker's lane queue instead of touching
-// session state, so session state needs no locks; hooks and observers
-// run on the workers. On the virtual-clock simulator the engine
+// session state, so session state needs no locks; observers run on the
+// workers. On the virtual-clock simulator the engine
 // reports in-flight work through a work tracker, which keeps simulated
 // runs deterministic; see README.md for the full lifecycle.
 //
@@ -101,12 +110,9 @@ package starlink
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
-	"starlink/internal/core"
 	"starlink/internal/engine"
-	"starlink/internal/netapi"
 	"starlink/internal/provision"
 )
 
@@ -198,35 +204,35 @@ var (
 // Framework is a Starlink deployment context: a model registry plus a
 // network runtime (simulated or real).
 type Framework struct {
-	fw  *core.Framework
 	reg *Registry
+	rt  *Runtime
 }
 
 // New creates a framework on the given runtime with the paper's
 // case-study models preloaded (four protocol MDLs, eight colored
 // automata, six merged automata).
 func New(rt *Runtime) (*Framework, error) {
-	fw, err := core.New(rt.rt)
+	reg, err := BuiltinRegistry()
 	if err != nil {
 		return nil, err
 	}
-	return &Framework{fw: fw, reg: &Registry{r: fw.Registry()}}, nil
+	return &Framework{reg: reg, rt: rt}, nil
 }
 
 // NewEmpty creates a framework with no models loaded; use
 // Framework.Registry to load your own MDL / automaton / merged
 // automaton XML at runtime.
 func NewEmpty(rt *Runtime) *Framework {
-	fw := core.NewEmpty(rt.rt)
-	return &Framework{fw: fw, reg: &Registry{r: fw.Registry()}}
+	return &Framework{reg: NewRegistry(), rt: rt}
 }
 
 // NewWithRegistry creates a framework sharing an existing model
 // registry (and its warm compiled-case cache) — registries are
-// runtime-independent, so one model corpus can back many deployments.
+// runtime-independent (models and codecs hold no sockets), so one model
+// corpus can back many deployments without re-parsing or re-validating
+// it.
 func NewWithRegistry(rt *Runtime, reg *Registry) *Framework {
-	fw := core.NewWithRegistry(rt.rt, reg.r)
-	return &Framework{fw: fw, reg: reg}
+	return &Framework{reg: reg, rt: rt}
 }
 
 // Registry exposes the framework's model registry for loading,
@@ -242,47 +248,33 @@ func (f *Framework) Registry() *Registry { return f.reg }
 // cancelling it later closes the bridge, tearing down in-flight
 // sessions. Unknown case names fail with ErrUnknownCase.
 func (f *Framework) DeployBridge(ctx context.Context, hostIP, caseName string, opts ...Option) (*Bridge, error) {
-	cfg, err := compileOptions(targetBridge, opts)
+	cfg := compileOptions(opts)
+	// The registry's compiled-case cache makes repeated deployments of
+	// an unchanged case free of recompilation and codec construction.
+	c, err := f.reg.r.Compiled(caseName)
 	if err != nil {
 		return nil, err
 	}
-	engOpts := cfg.engineOptions()
-	if chain := cfg.chain(); chain != nil {
-		engOpts = append(engOpts, engine.WithHooks(bridgeHooks(caseName, chain)))
-	}
-	b, err := f.fw.DeployBridge(ctx, hostIP, caseName, engOpts...)
+	e, err := engine.Deploy(ctx, f.rt.rt, hostIP, c.Merged, c.Codecs,
+		append(cfg.engineOptions(), engine.WithSink(cfg.sink()))...)
 	if err != nil {
 		return nil, err
 	}
-	bridge := &Bridge{b: b, observers: cfg.chain()}
-	bridge.notifyDeploy()
-	if bridge.observers != nil {
-		// Whatever path tears the bridge down — Close, Shutdown, or
-		// cancellation of ctx — the observers hear about it exactly
-		// once.
-		go func() {
-			<-b.Done()
-			bridge.notifyUndeploy()
-		}()
-	}
-	return bridge, nil
+	return &Bridge{e: e}, nil
 }
 
 // DeployDispatcher creates a bridge host with the given IP and hosts
 // the named cases on it — every loaded case when cases is empty —
 // behind shared entry listeners, with inbound payloads classified to
-// the right case (trial-parse or signature-index; see DESIGN.md).
+// the right case (see DESIGN.md).
 //
 // ctx follows the DeployBridge contract. Unknown case names fail with
 // ErrUnknownCase. Call Sync after mutating the registry to pick up
 // model changes with zero restart.
 func (f *Framework) DeployDispatcher(ctx context.Context, hostIP string, cases []string, opts ...Option) (*Dispatcher, error) {
-	cfg, err := compileOptions(targetDispatcher, opts)
-	if err != nil {
-		return nil, err
-	}
-	provOpts := cfg.provisionOptions()
-	d, err := f.fw.DeployDispatcher(ctx, hostIP, cases, provOpts...)
+	cfg := compileOptions(opts)
+	d, err := provision.Deploy(ctx, f.reg.r, f.rt.rt, hostIP, cases,
+		provision.WithEngineOptions(cfg.engineOptions()...), provision.WithSink(cfg.sink()))
 	if err != nil {
 		return nil, err
 	}
@@ -292,47 +284,29 @@ func (f *Framework) DeployDispatcher(ctx context.Context, hostIP string, cases [
 // Bridge is a deployed interoperability connector executing one merged
 // automaton.
 type Bridge struct {
-	b         *core.Bridge
-	observers *observerChain
+	e *engine.Engine
 }
 
 // Case returns the name of the merged automaton the bridge executes.
-func (b *Bridge) Case() string { return b.b.Case }
+func (b *Bridge) Case() string { return b.e.Case() }
 
 // State returns the bridge's lifecycle state.
-func (b *Bridge) State() State { return stateOf(b.b.Engine.State()) }
+func (b *Bridge) State() State { return stateOf(b.e.State()) }
 
 // Metrics returns a consistent snapshot of the bridge's session
 // counters and staged latency distributions. The Dispatch section is
 // zero for a single-case bridge.
 func (b *Bridge) Metrics() Metrics {
-	s := sessionMetricsOf(b.b.Engine.Stats())
-	lat := latencyRowsOf(b.b.Engine.Latency())
-	return Metrics{
-		State:       b.State(),
-		Sessions:    s,
-		Cases:       map[string]SessionMetrics{b.b.Case: s},
-		Latency:     lat,
-		CaseLatency: map[string][]StageLatency{b.b.Case: lat},
-		Lanes:       laneRowsOf(b.b.Engine.Lanes()),
-		Transport:   transportMetricsOf(netapi.ReadIOStats()),
-	}
+	s := b.e.Snapshot()
+	return metricsOf(provision.Snapshot{
+		State: s.State,
+		Cases: map[string]engine.Snapshot{b.e.Case(): s},
+	})
 }
 
 // Sessions lists the bridge's currently live sessions, oldest first.
 func (b *Bridge) Sessions() []SessionInfo {
-	ls := b.b.Engine.LiveSessions()
-	out := make([]SessionInfo, len(ls))
-	for i, s := range ls {
-		out[i] = SessionInfo{
-			Case:   b.b.Case,
-			Key:    s.Key,
-			Origin: s.Origin.String(),
-			Start:  s.Start,
-			Trace:  traceEventsOf(s.Trace),
-		}
-	}
-	return out
+	return sessionsOf(map[string][]engine.LiveSession{b.e.Case(): b.e.LiveSessions()})
 }
 
 // Shutdown drains the bridge gracefully: no new sessions are admitted
@@ -340,31 +314,11 @@ func (b *Bridge) Sessions() []SessionInfo {
 // sessions run to completion, and ctx bounds the drain — on expiry the
 // remaining sessions are torn down and the returned error wraps
 // ctx.Err(). The bridge host is released either way.
-func (b *Bridge) Shutdown(ctx context.Context) error {
-	err := b.b.Shutdown(ctx)
-	b.notifyUndeploy()
-	return err
-}
+func (b *Bridge) Shutdown(ctx context.Context) error { return b.e.Shutdown(ctx) }
 
 // Close undeploys the bridge immediately, tearing down in-flight
 // sessions and releasing the bridge host.
-func (b *Bridge) Close() error {
-	err := b.b.Close()
-	b.notifyUndeploy()
-	return err
-}
-
-func (b *Bridge) notifyDeploy() {
-	if b.observers != nil {
-		b.observers.OnDeploy(CaseEvent{Case: b.b.Case})
-	}
-}
-
-func (b *Bridge) notifyUndeploy() {
-	if b.observers != nil {
-		b.observers.undeployOnce(CaseEvent{Case: b.b.Case})
-	}
-}
+func (b *Bridge) Close() error { return b.e.Close() }
 
 // Dispatcher is a multi-case bridge deployment: one daemon hosting
 // every selected case at once behind shared entry listeners, with
@@ -389,59 +343,11 @@ func (d *Dispatcher) State() State { return stateOf(d.d.State()) }
 // per-case session metrics and staged latency distributions, their
 // aggregates, and the classification counters and latencies of the
 // shared entry listeners.
-func (d *Dispatcher) Metrics() Metrics {
-	m := Metrics{
-		State:       d.State(),
-		Dispatch:    dispatchMetricsOf(d.d.DispatchStats()),
-		Cases:       map[string]SessionMetrics{},
-		CaseLatency: map[string][]StageLatency{},
-		Transport:   transportMetricsOf(netapi.ReadIOStats()),
-	}
-	for name, st := range d.d.Stats() {
-		s := sessionMetricsOf(st)
-		m.Cases[name] = s
-		m.Sessions = m.Sessions.add(s)
-	}
-	var agg engine.LatencyDump
-	for name, ld := range d.d.Latency() {
-		m.CaseLatency[name] = latencyRowsOf(ld)
-		agg.Merge(ld)
-	}
-	m.Latency = latencyRowsOf(agg)
-	var laneAgg engine.LaneDump
-	for _, ld := range d.d.Lanes() {
-		laneAgg.Merge(ld)
-	}
-	m.Lanes = laneRowsOf(laneAgg)
-	fast, slow := d.d.ClassifyLatency()
-	m.Dispatch.FastPathLatency = stageLatencyOf("classify", fast)
-	m.Dispatch.SlowPathLatency = stageLatencyOf("classify", slow)
-	return m
-}
+func (d *Dispatcher) Metrics() Metrics { return metricsOf(d.d.Snapshot()) }
 
 // Sessions lists the dispatcher's currently live sessions across every
 // hosted case, grouped by case name (sorted), oldest first within each.
-func (d *Dispatcher) Sessions() []SessionInfo {
-	byCase := d.d.LiveSessions()
-	names := make([]string, 0, len(byCase))
-	for name := range byCase {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var out []SessionInfo
-	for _, name := range names {
-		for _, s := range byCase[name] {
-			out = append(out, SessionInfo{
-				Case:   name,
-				Key:    s.Key,
-				Origin: s.Origin.String(),
-				Start:  s.Start,
-				Trace:  traceEventsOf(s.Trace),
-			})
-		}
-	}
-	return out
-}
+func (d *Dispatcher) Sessions() []SessionInfo { return sessionsOf(d.d.LiveSessions()) }
 
 // Shutdown drains the dispatcher gracefully: every hosted case stops
 // admitting new sessions immediately (late initiator requests surface

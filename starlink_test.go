@@ -2,6 +2,7 @@ package starlink_test
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -202,5 +203,25 @@ func TestPublicAPICustomModels(t *testing.T) {
 	}
 	if m := bridge.Metrics(); m.Sessions.Completed != 1 {
 		t.Fatalf("completed = %d (metrics %+v)", m.Sessions.Completed, m)
+	}
+}
+
+func TestFrameworkUnknownCase(t *testing.T) {
+	fw, err := starlink.New(starlink.Simulated())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.DeployBridge(context.Background(), "10.0.0.5", "corba-to-soap"); !errors.Is(err, starlink.ErrUnknownCase) {
+		t.Fatalf("err = %v, want ErrUnknownCase", err)
+	}
+}
+
+func TestNewEmptyHasNoModels(t *testing.T) {
+	fw := starlink.NewEmpty(starlink.Simulated())
+	if got := fw.Registry().MergedNames(); len(got) != 0 {
+		t.Fatalf("merged = %v", got)
+	}
+	if got := fw.Registry().Protocols(); len(got) != 0 {
+		t.Fatalf("protocols = %v", got)
 	}
 }
