@@ -23,7 +23,9 @@ const (
 //     way: one Batch.Release on every path, or a transfer. Per-element
 //     hand-offs (b[i] into a Packet, nil the slot, bulk-release the
 //     rest) count as uses of the batch, not releases — the slab is
-//     settled only by Batch.Release or by escaping whole;
+//     settled only by Batch.Release or by escaping whole, and
+//     `b = b.Resize(n)` is the same slab at a new size, still owed its
+//     one release;
 //   - no use of a lease after a definite Release, and no double
 //     Release — for batches that includes indexing a slab after the
 //     bulk release returned its buffers to the pool;
@@ -75,6 +77,9 @@ var batchOwnConfig = &ownConfig{
 	releaseMethod: "Release",
 	releaseOn: func(pass *Pass, call *ast.CallExpr) (ast.Expr, bool) {
 		return isMethodCall(pass.TypesInfo, call, netapiPath, "Batch", "Release")
+	},
+	resizeOn: func(pass *Pass, call *ast.CallExpr) (ast.Expr, bool) {
+		return isMethodCall(pass.TypesInfo, call, netapiPath, "Batch", "Resize")
 	},
 }
 

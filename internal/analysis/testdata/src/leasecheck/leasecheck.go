@@ -247,3 +247,34 @@ func batchDeliverAndRefill(h netapi.PacketHandler, rounds int) {
 	}
 	bufs.Release()
 }
+
+// The self-sizing read loop: the slab doubles while reads keep coming
+// back full. Resize hands back the slab the loop already owns, so the
+// reassignment is neither an overwrite nor a settlement — the one
+// Batch.Release is still owed on every path.
+func batchResizedStillOwned(fill func([]byte) (int, error)) {
+	bufs := netapi.LeaseBatch(1)
+	for len(bufs) < 32 {
+		if _, err := fill(bufs[0].Backing()); err != nil {
+			bufs.Release()
+			return
+		}
+		bufs = bufs.Resize(2 * len(bufs))
+		bufs.Refill()
+	}
+	bufs.Release()
+}
+
+func batchResizedThenLeaked() {
+	bufs := netapi.LeaseBatch(1) // want "never released or transferred"
+	bufs = bufs.Resize(2)
+	bufs.Refill()
+}
+
+// Another slab's Resize result is a different lease: assigning it over
+// an owned slab loses the owned one.
+func batchOverwrittenByAnotherSlab(other netapi.Batch) {
+	bufs := netapi.LeaseBatch(1)
+	bufs = other.Resize(2) // want "overwritten while still owned"
+	bufs.Release()
+}

@@ -522,3 +522,30 @@ func TestCompileMemoized(t *testing.T) {
 		t.Error("compile error was not memoized")
 	}
 }
+
+// TestParseXMLLogicErrors pins the wording of translation-logic errors
+// in a merged document: the logic is decoded in the document's own
+// pass, and a malformed assignment must read exactly as it did when the
+// element was re-parsed by the translation package's own decoder.
+func TestParseXMLLogicErrors(t *testing.T) {
+	const field = `<Field><Message>SSDPMSearch</Message><Xpath>/field/primitiveField[label='ST']/value</Xpath></Field>`
+	for _, tc := range []struct{ logic, want string }{
+		{`<Assignment/>`,
+			`merge: x: translation: assignment 0 has no target field`},
+		{`<Assignment>` + field + `</Assignment>`,
+			`merge: x: translation: assignment 0 has no source`},
+		{`<Assignment>` + field + field + `<Value>v</Value></Assignment>`,
+			`merge: x: translation: assignment 0 has both source field and value`},
+		{`<Assignment>` + field + `<Value>v</Value></Assignment><Assignment><Field><Xpath>/field</Xpath></Field><Value>v</Value></Assignment>`,
+			`merge: x: translation: assignment 1 target: field without message name`},
+		{`<Assignment>` + field + `<Field><Message>M</Message><Xpath>field[</Xpath></Field></Assignment>`,
+			`merge: x: translation: assignment 0 source: xpath: "field[" must be absolute`},
+	} {
+		doc := `<MergedAutomaton name="x" initiator="SLP"><AutomatonRef protocol="SLP"/><AutomatonRef protocol="SSDP"/>` +
+			`<Delta from="SLP:s1" to="SSDP:s0"/><TranslationLogic>` + tc.logic + `</TranslationLogic></MergedAutomaton>`
+		_, err := ParseXMLString(doc, resolver())
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("logic %s:\n got  %v\n want %s", tc.logic, err, tc.want)
+		}
+	}
+}

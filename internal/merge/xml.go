@@ -33,13 +33,13 @@ import (
 // registry) so colored automata are modelled once per protocol and
 // reused across merges, matching the paper's §V-C reuse claim.
 type xmlMerged struct {
-	XMLName       xml.Name         `xml:"MergedAutomaton"`
-	Name          string           `xml:"name,attr"`
-	Initiator     string           `xml:"initiator,attr"`
-	AutomatonRefs []xmlAutomRef    `xml:"AutomatonRef"`
-	Equivalences  []xmlEquivalence `xml:"Equivalence"`
-	Deltas        []xmlDelta       `xml:"Delta"`
-	Logic         xmlRawLogic      `xml:"TranslationLogic"`
+	XMLName       xml.Name             `xml:"MergedAutomaton"`
+	Name          string               `xml:"name,attr"`
+	Initiator     string               `xml:"initiator,attr"`
+	AutomatonRefs []xmlAutomRef        `xml:"AutomatonRef"`
+	Equivalences  []xmlEquivalence     `xml:"Equivalence"`
+	Deltas        []xmlDelta           `xml:"Delta"`
+	Logic         translation.XMLLogic `xml:"TranslationLogic"`
 }
 
 type xmlAutomRef struct {
@@ -70,12 +70,6 @@ type xmlAction struct {
 type xmlArg struct {
 	Message string `xml:"message,attr"`
 	Xpath   string `xml:"xpath,attr"`
-}
-
-// xmlRawLogic captures the inner XML of TranslationLogic for re-parsing
-// with the translation package's decoder.
-type xmlRawLogic struct {
-	Inner []byte `xml:",innerxml"`
 }
 
 // Resolver supplies colored automata by protocol name.
@@ -146,8 +140,7 @@ func ParseXML(r io.Reader, res Resolver) (*Merged, error) {
 		}
 		m.Deltas = append(m.Deltas, delta)
 	}
-	logicXML := "<TranslationLogic>" + string(x.Logic.Inner) + "</TranslationLogic>"
-	logic, err := translation.ParseLogicXMLString(logicXML)
+	logic, err := translation.LogicFromXML(x.Logic)
 	if err != nil {
 		return nil, fmt.Errorf("merge: %s: %w", x.Name, err)
 	}

@@ -13,8 +13,8 @@ package netapi
 //     slot until it either releases the slab (Release) or transfers a
 //     slot to another owner.
 //   - A slot whose lease was taken by a handler (the per-delivery
-//     BindLeaseFlag protocol — each datagram in a batch still gets its
-//     own frame-local flag) is transferred by nilling it out; the new
+//     BindLeaseFlag protocol — the read loop resets its flag for each
+//     datagram of a batch) is transferred by nilling it out; the new
 //     owner settles it with Buffer.Release, which carries its own
 //     single-buffer decrement, so the accounting balances slot by
 //     slot.
@@ -25,6 +25,10 @@ package netapi
 //   - Refill re-leases the nil slots (transferred or bulk-released) so
 //     the same slab array feeds the next batched read without
 //     reallocating.
+//   - Resize changes how many slots the slab has — a read loop sizes
+//     its slab from the backlog it observes — and the result replaces
+//     the receiver as the one slab the caller owns: dropped slots are
+//     released, added ones are empty until the next Refill.
 type Batch []*Buffer
 
 // LeaseBatch leases a slab of n pooled buffers under one accounting
@@ -73,4 +77,17 @@ func (b Batch) Refill() {
 	if k > 0 {
 		outstanding.Add(int64(k))
 	}
+}
+
+// Resize returns the slab at n slots. Shrinking releases the dropped
+// tail slots (one decrement, as Release); growing adds empty slots for
+// the next Refill to lease, reusing the slab's storage when an earlier,
+// larger size left the capacity behind. The caller owns the result in
+// place of the receiver.
+func (b Batch) Resize(n int) Batch {
+	if n <= len(b) {
+		b[n:].Release()
+		return b[:n]
+	}
+	return append(b, make(Batch, n-len(b))...)
 }

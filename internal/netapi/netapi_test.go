@@ -250,3 +250,42 @@ func TestTakeLeaseNilBuf(t *testing.T) {
 		t.Fatal("TakeLease on heap-owned data must be nil")
 	}
 }
+
+// A slab's accounting must balance through every size it takes: Resize
+// releases what it drops, adds only empty slots, reuses the storage an
+// earlier size left behind, and leaves transferred (nil) slots alone.
+func TestBatchResizeBalancesLeases(t *testing.T) {
+	base := netapi.LeasedBuffers()
+	leased := func() int64 { return netapi.LeasedBuffers() - base }
+
+	b := netapi.LeaseBatch(1)
+	b = b.Resize(4)
+	if len(b) != 4 || leased() != 1 {
+		t.Fatalf("grown to %d slots with %d leased, want 4 slots and the 1 lease it had", len(b), leased())
+	}
+	b.Refill()
+	if leased() != 4 {
+		t.Fatalf("%d leased after Refill, want 4", leased())
+	}
+	taken := b[2]
+	b[2] = nil // transferred to a handler
+	first := &b[0]
+	b = b.Resize(1)
+	if len(b) != 1 || leased() != 2 {
+		t.Fatalf("shrunk to %d slots with %d leased, want 1 slot and 2 leases (slot 0 and the transferred one)", len(b), leased())
+	}
+	b = b.Resize(4)
+	if &b[0] != first {
+		t.Fatal("regrowing within the old capacity must reuse the slab's storage")
+	}
+	for i, buf := range b[1:] {
+		if buf != nil {
+			t.Fatalf("regrown slot %d is not empty", i+1)
+		}
+	}
+	taken.Release()
+	b.Release()
+	if leased() != 0 {
+		t.Fatalf("%d leased after settling the slab, want 0", leased())
+	}
+}

@@ -12,16 +12,6 @@ import (
 	"starlink/internal/netapi"
 )
 
-// batchIO marks this build as carrying the batched syscall paths;
-// SetBatchIO can still turn them off at runtime (equivalence tests).
-const batchIO = true
-
-// recvBatch is the slab size of the batched read loop: how many
-// datagrams one recvmmsg may return. 32 × 64 KiB bounds a socket's
-// pinned pool memory at 2 MiB while amortising the syscall (and the
-// per-batch lease accounting) 32-fold under saturation.
-const recvBatch = 32
-
 // mmsghdr mirrors the kernel's struct mmsghdr. No explicit padding:
 // Go's implicit trailing padding of the embedded Msghdr matches the
 // kernel layout on both 64-bit (56+4 → 64) and 32-bit (28+4 → 32)
@@ -68,158 +58,120 @@ func putSockaddr(sa *syscall.RawSockaddrInet4, ip netip.Addr, port uint16) {
 	sa.Addr = ip.Unmap().As4()
 }
 
-// sockaddrAddr reads the source address of a received datagram back
-// out of its sockaddr.
-func sockaddrAddr(sa *syscall.RawSockaddrInet4) netip.Addr {
-	return netip.AddrFrom4(sa.Addr)
-}
-
 // sockaddrPort reads the (network byte order) port.
-func sockaddrPort(sa *syscall.RawSockaddrInet4) int {
+func sockaddrPort(sa *syscall.RawSockaddrInet4) uint16 {
 	p := (*[2]byte)(unsafe.Pointer(&sa.Port))
-	return int(p[0])<<8 | int(p[1])
+	return uint16(p[0])<<8 | uint16(p[1])
+}
+
+// mmsgVec is the parallel header / iovec / sockaddr vectors one
+// recvmmsg or sendmmsg call works on. size reuses their storage, so a
+// steady-state socket allocates none.
+type mmsgVec struct {
+	hdrs  []mmsghdr
+	iovs  []syscall.Iovec
+	names []syscall.RawSockaddrInet4
+}
+
+// size makes the vectors n slots long.
+func (v *mmsgVec) size(n int) {
+	if cap(v.hdrs) < n {
+		v.hdrs = make([]mmsghdr, n)
+		v.iovs = make([]syscall.Iovec, n)
+		v.names = make([]syscall.RawSockaddrInet4, n)
+	}
+	v.hdrs, v.iovs, v.names = v.hdrs[:n], v.iovs[:n], v.names[:n]
+}
+
+// set points slot i at data and at its own sockaddr. The header is
+// rebuilt whole: the vectors may have moved, and the kernel overwrites
+// Namelen, Flags and msgLen on every return.
+func (v *mmsgVec) set(i int, data []byte) {
+	iov := &v.iovs[i]
+	iov.Base = nil
+	if len(data) > 0 {
+		iov.Base = &data[0]
+	}
+	iov.SetLen(len(data))
+	v.hdrs[i] = mmsghdr{hdr: syscall.Msghdr{
+		Name:    (*byte)(unsafe.Pointer(&v.names[i])),
+		Namelen: uint32(unsafe.Sizeof(v.names[i])),
+		Iov:     iov,
+		Iovlen:  1,
+	}}
 }
 
 // ---------------------------------------------------------------------
-// Batched receive: one recvmmsg fills a leased slab of pool buffers.
+// Receive: one recvmmsg fills the read loop's slab.
 // ---------------------------------------------------------------------
 
-// recvBatcher is the batched read loop's reusable syscall state: a
-// leased buffer slab plus the parallel mmsghdr/iovec/sockaddr arrays
-// one recvmmsg call scatters into. The raw-conn callback is built once
-// at construction so the hot loop creates no closures.
-type recvBatcher struct {
-	s     *udpSocket
-	bufs  netapi.Batch
-	hdrs  [recvBatch]mmsghdr
-	iovs  [recvBatch]syscall.Iovec
-	names [recvBatch]syscall.RawSockaddrInet4
-	n     int
-	errno syscall.Errno
-	fn    func(uintptr) bool
+// mmsgReceiver is the Linux receive primitive. It lives inside its
+// socket (batchState) with the first slot of its vectors inline, so a
+// socket that never grows its slab allocates only the raw-conn callback
+// — built once, so the hot loop creates no closures.
+type mmsgReceiver struct {
+	s      *udpSocket
+	vec    mmsgVec
+	hdr0   [1]mmsghdr
+	iov0   [1]syscall.Iovec
+	name0  [1]syscall.RawSockaddrInet4
+	n      int
+	parked bool
+	errno  syscall.Errno
+	fn     func(uintptr) bool
 }
 
-func newRecvBatcher(s *udpSocket) *recvBatcher {
-	rb := &recvBatcher{s: s, bufs: netapi.LeaseBatch(recvBatch)}
-	rb.fn = func(fd uintptr) bool {
+func newReceiver(s *udpSocket) receiver {
+	r := &s.batch.recv
+	r.s = s
+	r.vec = mmsgVec{r.hdr0[:], r.iov0[:], r.name0[:]}
+	r.fn = func(fd uintptr) bool {
 		for {
-			r, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
-				uintptr(unsafe.Pointer(&rb.hdrs[0])), recvBatch, 0, 0, 0)
+			n, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
+				uintptr(unsafe.Pointer(&r.vec.hdrs[0])), uintptr(len(s.slab)), 0, 0, 0)
 			switch errno {
 			case 0:
-				rb.n = int(r)
+				r.n = int(n)
 				return true
 			case syscall.EINTR:
 				continue
 			case syscall.EAGAIN:
-				return false // park in the netpoller until readable
+				// The queue is empty: let everything but the first buffer
+				// go, then park in the netpoller until readable.
+				r.parked = true
+				s.slab = s.slab.Resize(1)
+				return false
 			default:
-				rb.errno = errno
+				r.errno = errno
 				return true
 			}
 		}
 	}
-	return rb
+	return r
 }
 
-// recv performs one batched receive, parking in the runtime netpoller
-// while the socket has nothing to read. The headers are rebuilt every
-// call: Refill may have swapped buffers into the slab, and the kernel
-// overwrites Namelen/Flags/msgLen on each return.
-func (rb *recvBatcher) recv() error {
-	for i := range rb.hdrs {
-		backing := rb.bufs[i].Backing()
-		rb.iovs[i].Base = &backing[0]
-		rb.iovs[i].SetLen(len(backing))
-		h := &rb.hdrs[i]
-		h.hdr.Name = (*byte)(unsafe.Pointer(&rb.names[i]))
-		h.hdr.Namelen = uint32(unsafe.Sizeof(rb.names[i]))
-		h.hdr.Iov = &rb.iovs[i]
-		h.hdr.Iovlen = 1
-		h.hdr.Flags = 0
-		h.msgLen = 0
+// recv rebuilds the slab's live slots — Refill may have swapped buffers
+// in, Resize may have changed their number — and performs one recvmmsg.
+func (r *mmsgReceiver) recv() (int, bool, error) {
+	slab := r.s.slab
+	r.vec.size(len(slab))
+	for i, buf := range slab {
+		r.vec.set(i, buf.Backing())
 	}
-	rb.n = 0
-	rb.errno = 0
-	if err := rb.s.rc.Read(rb.fn); err != nil {
-		return err
+	r.n, r.parked, r.errno = 0, false, 0
+	if err := r.s.rc.Read(r.fn); err != nil {
+		return 0, r.parked, err
 	}
-	if rb.errno != 0 {
-		return rb.errno
+	if r.errno != 0 {
+		return 0, r.parked, r.errno
 	}
-	return nil
+	netapi.CountRecvBatch(r.n)
+	return r.n, r.parked, nil
 }
 
-// readLoopBatch is the Linux fast-path read loop: it leases a slab of
-// pool buffers once, fills up to recvBatch datagrams per syscall, and
-// dispatches them in arrival order under the socket's domain with the
-// same per-delivery lease protocol as the portable loop — each packet
-// gets its own frame-local lease flag, and only the slots whose leases
-// were taken are re-leased (Refill) before the next batch.
-//
-// The flow gate is checked per batch: a blocked gate parks the loop
-// with the slab released (a paused reader must not pin 2 MiB of pool),
-// and a batch already read when the gate closes is held — one bounded
-// in-flight batch, the batch-shaped extension of the portable loop's
-// one-datagram hold — and delivered in order on reopen.
-//
-//starlink:hotpath
-func (s *udpSocket) readLoopBatch() {
-	rb := newRecvBatcher(s)
-	for {
-		if g := s.gate; g != nil && g.Blocked() {
-			rb.bufs.Release()
-			g.Wait()
-			if s.closed.Load() {
-				return
-			}
-			rb.bufs.Refill()
-		}
-		if err := rb.recv(); err != nil {
-			rb.bufs.Release()
-			return // socket closed
-		}
-		if g := s.gate; g != nil && g.Blocked() {
-			// The batch was already off the wire when the gate closed:
-			// hold it (one bounded slab) and deliver in order on reopen.
-			g.Wait()
-		}
-		if s.closed.Load() {
-			continue
-		}
-		n := rb.n
-		if n == 0 {
-			continue
-		}
-		netapi.CountRecvBatch(n)
-		s.dom.mu.Lock()
-		for i := 0; i < n; i++ {
-			if s.closed.Load() {
-				break
-			}
-			buf := rb.bufs[i]
-			buf.SetFilled(int(rb.hdrs[i].msgLen))
-			// Per-delivery lease signal in this loop's own frame, exactly
-			// as on the portable path (see netapi.Buffer): one flag per
-			// datagram, never shared across the batch.
-			retained := false
-			pkt := netapi.Packet{
-				From:  netapi.Addr{IP: s.srcIP(sockaddrAddr(&rb.names[i])), Port: sockaddrPort(&rb.names[i])},
-				To:    s.addr,
-				Data:  buf.Bytes(),
-				Buf:   buf,
-				Batch: n,
-			}
-			pkt.BindLeaseFlag(&retained)
-			s.handler(pkt)
-			if retained {
-				rb.bufs[i] = nil // transferred: the handler releases it
-			}
-		}
-		s.dom.mu.Unlock()
-		s.rt.wake()
-		rb.bufs.Refill()
-	}
+func (r *mmsgReceiver) datagram(i int) (int, netip.AddrPort) {
+	sa := &r.vec.names[i]
+	return int(r.vec.hdrs[i].msgLen), netip.AddrPortFrom(netip.AddrFrom4(sa.Addr), sockaddrPort(sa))
 }
 
 // ---------------------------------------------------------------------
@@ -227,14 +179,9 @@ func (s *udpSocket) readLoopBatch() {
 // ---------------------------------------------------------------------
 
 // sendBatcher is the multicast fan-out's reusable syscall state,
-// guarded by the socket's sendMu. The header/iovec/sockaddr arrays are
-// rebuilt per fan-out (slice growth may move them), but their backing
-// storage is reused across sends, so a steady-state fan-out allocates
-// nothing.
+// guarded by the socket's sendMu.
 type sendBatcher struct {
-	hdrs  []mmsghdr
-	iovs  []syscall.Iovec
-	names []syscall.RawSockaddrInet4
+	vec   mmsgVec
 	next  int
 	errno syscall.Errno
 	fn    func(uintptr) bool
@@ -242,10 +189,11 @@ type sendBatcher struct {
 
 func (sb *sendBatcher) init() {
 	sb.fn = func(fd uintptr) bool {
-		for sb.next < len(sb.hdrs) {
+		hdrs := sb.vec.hdrs
+		for sb.next < len(hdrs) {
 			r, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
-				uintptr(unsafe.Pointer(&sb.hdrs[sb.next])),
-				uintptr(len(sb.hdrs)-sb.next), 0, 0, 0)
+				uintptr(unsafe.Pointer(&hdrs[sb.next])),
+				uintptr(len(hdrs)-sb.next), 0, 0, 0)
 			switch errno {
 			case 0:
 				netapi.CountSendBatch(int(r))
@@ -263,10 +211,11 @@ func (sb *sendBatcher) init() {
 	}
 }
 
-// batchState is the per-socket scratch the Linux batch paths hang off
+// batchState is the per-socket scratch the Linux syscall paths hang off
 // udpSocket; the portable build replaces it with an empty struct.
 type batchState struct {
 	send sendBatcher
+	recv mmsgReceiver
 }
 
 // fanoutBatch transmits data to every destination with as few
@@ -281,30 +230,10 @@ func (s *udpSocket) fanoutBatch(data []byte, dsts []netip.AddrPort) error {
 	if sb.fn == nil {
 		sb.init()
 	}
-	n := len(dsts)
-	if cap(sb.hdrs) < n {
-		sb.hdrs = make([]mmsghdr, n)
-		sb.iovs = make([]syscall.Iovec, n)
-		sb.names = make([]syscall.RawSockaddrInet4, n)
-	}
-	sb.hdrs = sb.hdrs[:n]
-	sb.iovs = sb.iovs[:n]
-	sb.names = sb.names[:n]
+	sb.vec.size(len(dsts))
 	for i, dst := range dsts {
-		putSockaddr(&sb.names[i], dst.Addr(), dst.Port())
-		iov := &sb.iovs[i]
-		if len(data) > 0 {
-			iov.Base = &data[0]
-		} else {
-			iov.Base = nil
-		}
-		iov.SetLen(len(data))
-		h := &sb.hdrs[i]
-		h.hdr = syscall.Msghdr{}
-		h.hdr.Name = (*byte)(unsafe.Pointer(&sb.names[i]))
-		h.hdr.Namelen = uint32(unsafe.Sizeof(sb.names[i]))
-		h.hdr.Iov = iov
-		h.hdr.Iovlen = 1
+		putSockaddr(&sb.vec.names[i], dst.Addr(), dst.Port())
+		sb.vec.set(i, data)
 	}
 	sb.next = 0
 	sb.errno = 0

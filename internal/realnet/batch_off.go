@@ -4,20 +4,14 @@ package realnet
 
 import "net/netip"
 
-// batchIO marks this build as portable-only: no batched syscall paths
-// exist, every read loop and fan-out runs per-datagram. This is the
-// non-Linux build and the `starlink.nobatch` CI matrix leg.
-const batchIO = false
+// The portable build — non-Linux, and the `starlink.nobatch` CI leg —
+// has one syscall per datagram in both directions: the read loop runs
+// over the portable receive primitive and every fan-out is serial.
 
-// batchState is empty on portable builds; the Linux build hangs the
-// sendmmsg scratch off it.
+func newReceiver(s *udpSocket) receiver { return newPortableReceiver(s) }
+
 type batchState struct{}
 
-// readLoopBatch is never selected when batchIO is false; it delegates
-// to the portable loop so both builds compile identically.
-func (s *udpSocket) readLoopBatch() { s.readLoopSerial() }
-
-// fanoutBatch delegates to the serial fan-out on portable builds.
 func (s *udpSocket) fanoutBatch(data []byte, dsts []netip.AddrPort) error {
 	return s.fanoutSerial(data, dsts)
 }

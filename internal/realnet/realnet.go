@@ -45,27 +45,11 @@ import (
 // loopback is the address every real socket binds to.
 var loopback = netip.AddrFrom4([4]byte{127, 0, 0, 1})
 
-// batchDisabled turns the batched syscall paths (recvmmsg read loop,
-// sendmmsg multicast fan-out) off at runtime on builds that carry them
-// (batchIO). Read loops sample the setting when they start; Send
-// checks it per fan-out.
-var batchDisabled atomic.Bool
-
-// SetBatchIO enables or disables the batched I/O fast paths at runtime
-// and reports the previous setting. It exists for the equivalence
-// tests, which drive identical traffic through the batched and
-// portable paths in one (Linux) build; production code leaves the
-// default (enabled where compiled in). Sockets already running keep
-// the read-loop mode they started with. On portable builds (non-Linux
-// or the no-batch tag) the toggle records state but there is no
-// batched path to enable.
-func SetBatchIO(on bool) (prev bool) {
-	return !batchDisabled.Swap(!on)
-}
-
-// useBatchIO reports whether newly started read loops and multicast
-// fan-outs take the batched syscall paths.
-func useBatchIO() bool { return batchIO && !batchDisabled.Load() }
+// recvBatch caps a UDP read loop's buffer slab: how many datagrams one
+// read may return once a socket's kernel queue has shown a backlog.
+// 32 × 64 KiB bounds what a saturated socket pins at 2 MiB; a socket
+// that parks between datagrams holds one buffer (see readLoop).
+const recvBatch = 32
 
 // maxParkedPerDest bounds the dial-reuse pool per destination address.
 const maxParkedPerDest = 4
@@ -115,6 +99,10 @@ type Runtime struct {
 	groups   map[netapi.Addr][]*udpSocket // group address -> members
 	parked   map[int][]*streamConn        // dial-reuse pool, by remote port
 
+	// newRx builds the receive primitive of every UDP socket the
+	// runtime opens; fixed at construction.
+	newRx func(*udpSocket) receiver
+
 	rootsMu sync.Mutex
 	roots   []*domain // root domain of every live node, creation order
 
@@ -125,8 +113,14 @@ type Runtime struct {
 var _ netapi.Runtime = (*Runtime)(nil)
 
 // New creates a runtime.
-func New() *Runtime {
+func New() *Runtime { return newRuntime(newReceiver) }
+
+// newRuntime creates a runtime whose UDP sockets read through newRx:
+// the platform's receive primitive for New, the portable one where a
+// test compares the two in one build.
+func newRuntime(newRx func(*udpSocket) receiver) *Runtime {
 	return &Runtime{
+		newRx:  newRx,
 		waitCh: make(chan struct{}, 1),
 		timers: map[netapi.TimerID]*time.Timer{},
 		groups: map[netapi.Addr][]*udpSocket{},
@@ -448,10 +442,10 @@ type udpSocket struct {
 	owner *node
 	dom   *domain
 	conn  *net.UDPConn
-	// rc is the socket's raw control handle for the batched recvmmsg /
-	// sendmmsg paths: the syscall callbacks run under the runtime
-	// netpoller, so a would-block parks the goroutine until the fd is
-	// ready instead of spinning.
+	// rc is the socket's raw control handle for the recvmmsg / sendmmsg
+	// paths: the syscall callbacks run under the runtime netpoller, so a
+	// would-block parks the goroutine until the fd is ready instead of
+	// spinning.
 	rc      syscall.RawConn
 	addr    netapi.Addr
 	handler netapi.PacketHandler
@@ -461,14 +455,20 @@ type udpSocket struct {
 	groups []netapi.Addr
 	closed atomic.Bool
 
-	// srcCache interns source-IP strings so the read loop builds each
-	// peer's dotted-quad exactly once. Owned exclusively by the read
-	// loop goroutine — no locking.
+	// The read loop's state, owned exclusively by its goroutine — no
+	// locking. rx is the receive primitive; slab the leased buffers one
+	// read fills, slab0 its inline first slot (a socket that never sees
+	// a backlog allocates no slab); srcCache interns the source-IP
+	// strings of peers other than 127.0.0.1.
+	rx       receiver
+	slab     netapi.Batch
+	slab0    [1]*netapi.Buffer
 	srcCache map[netip.Addr]string
 
 	// sendMu serialises the multicast fan-out scratch: the snapshot of
 	// member destinations (sendDsts, reused across sends — no per-call
-	// slice) and the platform batch state.
+	// slice) and the platform's sendmmsg vectors in batch. (On Linux
+	// batch also holds the recvmmsg primitive, which is read-loop state.)
 	sendMu   sync.Mutex
 	sendDsts []netip.AddrPort
 	batch    batchState
@@ -504,6 +504,7 @@ func (n *node) openUDP(dom *domain, gate *netapi.FlowGate, port int, h netapi.Pa
 		handler: h,
 		gate:    gate,
 	}
+	s.rx = n.rt.newRx(s)
 	n.adopt(s)
 	go s.readLoop()
 	return s, nil
@@ -528,25 +529,53 @@ func (n *node) joinGroup(dom *domain, gate *netapi.FlowGate, group netapi.Addr, 
 	return s, nil
 }
 
-// readLoop selects the socket's receive path once, at goroutine
-// start: the batched recvmmsg loop where the build carries it and
-// runtime batching is on, the portable per-datagram loop otherwise.
-func (s *udpSocket) readLoop() {
-	if useBatchIO() {
-		s.readLoopBatch()
-		return
-	}
-	s.readLoopSerial()
+// receiver is the receive primitive under the read loop: recvmmsg on
+// Linux, one ReadFromUDPAddrPort everywhere else and under the
+// `starlink.nobatch` tag (newReceiver is the platform's choice).
+type receiver interface {
+	// recv fills s.slab[:n] with the datagrams of one read, waiting in
+	// the netpoller while the socket has none. parked reports that the
+	// read found the kernel queue empty and waited; a primitive that
+	// waits first shrinks s.slab to one buffer, so a parked socket pins
+	// 64 KiB whatever it grew to before.
+	recv() (n int, parked bool, err error)
+	// datagram returns the length and source of the read's i-th datagram.
+	datagram(i int) (size int, from netip.AddrPort)
 }
 
-// srcIP returns the interned dotted-quad string of a datagram source.
-// Called only from the socket's read loop goroutine, which owns the
-// cache: each distinct peer pays the formatting allocation once, after
-// which the receive path is allocation-free again. The cache is
-// bounded defensively — loopback traffic cannot have many sources, but
-// an unbounded map keyed by remote-controlled input must not exist.
+// portableReceiver reads one datagram into slot 0. It cannot see the
+// kernel queue, so it reports every read as parked and the slab stays
+// at one buffer.
+type portableReceiver struct {
+	s    *udpSocket
+	size int
+	from netip.AddrPort
+}
+
+func newPortableReceiver(s *udpSocket) receiver { return &portableReceiver{s: s} }
+
+func (p *portableReceiver) recv() (int, bool, error) {
+	var err error
+	p.size, p.from, err = p.s.conn.ReadFromUDPAddrPort(p.s.slab[0].Backing())
+	if err != nil {
+		return 0, true, err
+	}
+	netapi.CountRecvSingle()
+	return 1, true, nil
+}
+
+func (p *portableReceiver) datagram(int) (int, netip.AddrPort) { return p.size, p.from }
+
+// srcIP returns the dotted-quad string of a datagram source without
+// allocating for the one address realnet traffic normally carries
+// (every socket binds loopback). Other 127/8 sources are interned in a
+// cache the read loop goroutine owns, bounded defensively: an unbounded
+// map keyed by remote-controlled input must not exist.
 func (s *udpSocket) srcIP(a netip.Addr) string {
 	a = a.Unmap()
+	if a == loopback {
+		return "127.0.0.1"
+	}
 	if ip, ok := s.srcCache[a]; ok {
 		return ip
 	}
@@ -560,68 +589,82 @@ func (s *udpSocket) srcIP(a netip.Addr) string {
 	return ip
 }
 
-// readLoopSerial reads datagrams one at a time straight into leased
-// pooled buffers and invokes the handler inline under the socket's
-// dispatch domain: no per-datagram copy, closure or allocation. If the
-// handler takes the buffer's lease the loop leases a fresh one;
-// otherwise the same buffer is reused for the next read.
+// readLoop reads datagrams straight into leased pooled buffers and
+// invokes the handler inline, in arrival order, under the socket's
+// dispatch domain: no per-datagram copy, closure or allocation. A slot
+// whose lease the handler took is re-leased before the next read, the
+// others are reused.
+//
+// The slab sizes itself from what the loop observes. It starts at one
+// buffer and doubles, up to recvBatch, whenever a read came back full
+// without having parked — the kernel queue already held a backlog when
+// the loop returned to it — and the primitive drops it back to one the
+// moment it finds the queue empty. So a socket that parks between
+// datagrams holds 64 KiB, a saturated one drains recvBatch datagrams
+// per syscall within six reads, and a burst pins nothing once drained.
+//
+// The flow gate is checked per read: a blocked gate parks the loop with
+// the whole slab released (a paused reader must not pin pool memory),
+// and a read already off the wire when the gate closes is held — one
+// bounded slab, usually one datagram — and delivered in order on reopen.
 //
 //starlink:hotpath
-func (s *udpSocket) readLoopSerial() {
-	buf := netapi.NewBuffer()
+func (s *udpSocket) readLoop() {
+	s.slab = s.slab0[:]
+	// The lease-transfer signal lives in this loop's own frame, not on
+	// the buffer: once the handler takes the lease the new owner may
+	// Release and the pool may re-lease the buffer to another read loop
+	// before we look, so buffer state checked here could belong to the
+	// buffer's next life (see netapi.Buffer). Its address reaches the
+	// handler, so it lives on the heap: declared once per loop and reset
+	// per delivery, not once per datagram.
+	taken := false
 	for {
 		if g := s.gate; g != nil && g.Blocked() {
-			// Backpressure: the downstream ingest queue crossed its high
-			// watermark. Release the leased buffer before parking — a
-			// paused read loop must not pin pool memory — and re-lease
-			// once the gate reopens at the low watermark.
-			buf.Release()
+			s.slab.Release()
 			g.Wait()
 			if s.closed.Load() {
 				return
 			}
-			buf = netapi.NewBuffer()
 		}
-		nr, from, err := s.conn.ReadFromUDPAddrPort(buf.Backing())
+		s.slab.Refill()
+		n, parked, err := s.rx.recv()
 		if err != nil {
-			buf.Release()
+			s.slab.Release()
 			return // socket closed
 		}
 		if g := s.gate; g != nil && g.Blocked() {
-			// A read was already in flight when the gate closed: hold
-			// this one datagram (a single bounded buffer) and deliver it
-			// in order once the gate reopens.
 			g.Wait()
 		}
 		if s.closed.Load() {
 			continue
 		}
-		netapi.CountRecvSingle()
-		buf.SetFilled(nr)
-		// The lease-transfer signal lives in this loop's own frame, not
-		// on the buffer: once the handler takes the lease the new owner
-		// may Release and the pool may re-lease the buffer to another
-		// read loop before we look, so buffer state checked here could
-		// belong to the buffer's next life (see netapi.Buffer).
-		retained := false
-		pkt := netapi.Packet{
-			From:  netapi.Addr{IP: s.srcIP(from.Addr()), Port: int(from.Port())},
-			To:    s.addr,
-			Data:  buf.Bytes(),
-			Buf:   buf,
-			Batch: 1,
-		}
-		pkt.BindLeaseFlag(&retained)
 		s.dom.mu.Lock()
-		if !s.closed.Load() {
+		for i := 0; i < n; i++ {
+			if s.closed.Load() {
+				break
+			}
+			buf := s.slab[i]
+			size, from := s.rx.datagram(i)
+			buf.SetFilled(size)
+			taken = false
+			pkt := netapi.Packet{
+				From:  netapi.Addr{IP: s.srcIP(from.Addr()), Port: int(from.Port())},
+				To:    s.addr,
+				Data:  buf.Bytes(),
+				Buf:   buf,
+				Batch: n,
+			}
+			pkt.BindLeaseFlag(&taken)
 			s.handler(pkt)
+			if taken {
+				s.slab[i] = nil // transferred: the handler releases it
+			}
 		}
 		s.dom.mu.Unlock()
 		s.rt.wake()
-		if retained {
-			// The handler owns the old buffer now (it will release it
-			// when done); lease a fresh one for the next datagram.
-			buf = netapi.NewBuffer()
+		if n == len(s.slab) && !parked && n < recvBatch {
+			s.slab = s.slab.Resize(2 * n)
 		}
 	}
 }
@@ -647,7 +690,7 @@ func (s *udpSocket) Send(to netapi.Addr, data []byte) error {
 		s.rt.stateMu.Unlock()
 		s.sendDsts = dsts
 		var err error
-		if useBatchIO() && len(dsts) > 1 {
+		if len(dsts) > 1 {
 			err = s.fanoutBatch(data, dsts)
 		} else {
 			err = s.fanoutSerial(data, dsts)

@@ -345,3 +345,19 @@ func TestReplaceAutomatonFailedReresolve(t *testing.T) {
 		}
 	}
 }
+
+// TestBuiltinLoadAllocs bounds what loading the shipped models costs a
+// set-up: every deployment pays it, and each merged document is decoded
+// in one XML pass (14 008 allocations when the translation logic was
+// captured as text and decoded a second time).
+func TestBuiltinLoadAllocs(t *testing.T) {
+	avg := testing.AllocsPerRun(5, func() {
+		if _, err := Builtin(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("registry.Builtin(): %.0f allocs", avg)
+	if avg > 11000 {
+		t.Fatalf("registry.Builtin() allocates %.0f, want <= 11000", avg)
+	}
+}

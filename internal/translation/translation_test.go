@@ -276,7 +276,7 @@ const fig8XML = `
 </TranslationLogic>`
 
 func TestParseLogicXMLFig8(t *testing.T) {
-	logic, err := ParseLogicXMLString(fig8XML)
+	logic, err := ParseLogicXML(strings.NewReader(fig8XML))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestParseLogicXMLErrors(t *testing.T) {
 		`not xml`,
 	}
 	for i, x := range bad {
-		if _, err := ParseLogicXMLString(x); err == nil {
+		if _, err := ParseLogicXML(strings.NewReader(x)); err == nil {
 			t.Errorf("case %d should fail", i)
 		}
 	}

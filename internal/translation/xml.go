@@ -32,7 +32,11 @@ import (
 // (paper §IV-B: "the engine reads the value from the second field ...
 // and then writes the content to the abstract message whose field is
 // pointed to by the first field node").
-type xmlLogic struct {
+//
+// XMLLogic is exported so a document that embeds translation logic (a
+// merged automaton) decodes it in its own pass and hands the result to
+// LogicFromXML, instead of re-parsing the element's text.
+type XMLLogic struct {
 	XMLName     xml.Name        `xml:"TranslationLogic"`
 	Assignments []xmlAssignment `xml:"Assignment"`
 }
@@ -50,19 +54,16 @@ type xmlField struct {
 
 // ParseLogicXML reads translation logic from its XML form.
 func ParseLogicXML(r io.Reader) (*Logic, error) {
-	var x xmlLogic
+	var x XMLLogic
 	if err := xml.NewDecoder(r).Decode(&x); err != nil {
 		return nil, fmt.Errorf("translation: %w", err)
 	}
-	return logicFromXML(x)
+	return LogicFromXML(x)
 }
 
-// ParseLogicXMLString is ParseLogicXML over a string.
-func ParseLogicXMLString(s string) (*Logic, error) {
-	return ParseLogicXML(strings.NewReader(s))
-}
-
-func logicFromXML(x xmlLogic) (*Logic, error) {
+// LogicFromXML validates decoded translation logic and compiles its
+// field paths.
+func LogicFromXML(x XMLLogic) (*Logic, error) {
 	l := &Logic{}
 	for i, xa := range x.Assignments {
 		a := &Assignment{Func: xa.Function}
