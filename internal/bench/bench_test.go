@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"os"
 	"testing"
 	"time"
 )
@@ -97,6 +98,29 @@ func TestFig12Shape(t *testing.T) {
 	}
 	t.Logf("\n%s", Table("Fig. 12(a) Native response times (ms)", NativeOrder, natives, Fig12a))
 	t.Logf("\n%s", Table("Fig. 12(b) Starlink translation times (ms)", CaseOrder, bridges, Fig12b))
+}
+
+// TestFig12Golden holds the reproduction byte for byte: both tables at
+// the paper's 100 runs, seed 9, exactly as `starlink-bench -table both
+// -seed 9` prints them. Virtual time is a function of the seed, the
+// models and the calibration constants alone, so a diff here is a
+// behaviour change, never noise.
+func TestFig12Golden(t *testing.T) {
+	a, err := Fig12aTable(100, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Fig12bTable(100, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/fig12_seed9.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := a + "\n" + b + "\n"; got != string(want) {
+		t.Errorf("Fig. 12 at seed 9 moved.\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
 }
 
 func TestTableRendering(t *testing.T) {

@@ -303,3 +303,27 @@ func RunTable12b(iters int, baseSeed int64) (map[string]*Stats, error) {
 	}
 	return out, nil
 }
+
+// Fig12aTable runs Fig. 12(a) and renders it exactly as
+// cmd/starlink-bench prints it, so the command's output and
+// TestFig12Golden are the same bytes.
+func Fig12aTable(iters int, baseSeed int64) (string, error) {
+	natives, err := RunTable12a(iters, baseSeed)
+	if err != nil {
+		return "", err
+	}
+	return Table(
+		fmt.Sprintf("Fig. 12(a) — Response time measures for legacy discovery protocols (ms, %d runs)", iters),
+		NativeOrder, natives, Fig12a), nil
+}
+
+// Fig12bTable is Fig12aTable for Fig. 12(b).
+func Fig12bTable(iters int, baseSeed int64) (string, error) {
+	bridges, err := RunTable12b(iters, baseSeed)
+	if err != nil {
+		return "", err
+	}
+	return Table(
+		fmt.Sprintf("Fig. 12(b) — Translation times of Starlink connectors (ms, %d runs)", iters),
+		CaseOrder, bridges, Fig12b), nil
+}

@@ -104,41 +104,6 @@ func TestSameEndpointStaysOrdered(t *testing.T) {
 	}
 }
 
-// The UDP receive path must stay allocation-free in steady state: the
-// datagram is read into a pooled leased buffer and the handler runs
-// inline — no per-packet copy, closure or address allocation (the PR 5
-// regression guard for the old fresh-buffer-plus-copy double work).
-func TestUDPRecvPathAllocs(t *testing.T) {
-	rt := realnet.New()
-	recvNode, _ := rt.NewNode("10.0.0.5")
-	got := make(chan struct{}, 1)
-	sock, err := recvNode.OpenUDP(0, func(pkt netapi.Packet) {
-		got <- struct{}{}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sendNode, _ := rt.NewNode("10.0.0.1")
-	cli, err := sendNode.OpenUDP(0, func(netapi.Packet) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := sock.LocalAddr()
-	payload := []byte("service request frame")
-	roundTrip := func() {
-		if err := cli.Send(dst, payload); err != nil {
-			t.Error(err)
-		}
-		<-got
-	}
-	for i := 0; i < 100; i++ {
-		roundTrip() // warm the runtime and the buffer pool
-	}
-	if avg := testing.AllocsPerRun(200, roundTrip); avg > 3 {
-		t.Fatalf("UDP send+recv path allocates %.1f/op, want <= 3", avg)
-	}
-}
-
 // A handler that takes the packet's lease owns the bytes beyond the
 // callback; the runtime leases a fresh buffer and keeps delivering.
 func TestTakeLeaseKeepsDataStable(t *testing.T) {

@@ -1,6 +1,6 @@
 // Allocation-regression tests for the pooled message fast path: the
 // full parse → translate → compose round-trip of one bridged exchange
-// must stay within a pinned allocation budget, so creeping per-packet
+// is pinned at its measured allocation count, so creeping per-packet
 // garbage fails CI instead of surfacing as GC pressure under load.
 package starlink_test
 
@@ -14,12 +14,20 @@ import (
 	"starlink/internal/translation"
 )
 
+// raceEnabled is set by race_test.go: under the race detector sync.Pool
+// drops a quarter of what it is given (the round trip then reads 22), so
+// an exact pin over pooled messages does not hold.
+var raceEnabled bool
+
 // TestBridgeRoundTripAllocs drives the slp-to-upnp data path the way a
 // session does — parse the SLP request, apply the translation logic
 // for the SLP reply against the stored history, compose the reply —
 // with every message returned to the pools, and pins the steady-state
 // allocation count.
 func TestBridgeRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
 	reg, err := registry.Builtin()
 	if err != nil {
 		t.Fatal(err)
@@ -80,12 +88,12 @@ func TestBridgeRoundTripAllocs(t *testing.T) {
 	}
 	roundTrip() // warm the pools
 
-	// Budget: the measured steady state (~21 small allocations — value
-	// strings, translated content, the composed wire) plus slack for
-	// map-rehash jitter. The pre-PR pipeline spent several times this;
-	// a budget breach means per-packet garbage crept back in.
-	const budget = 40
-	if got := testing.AllocsPerRun(200, roundTrip); got > budget {
-		t.Errorf("bridge round-trip allocates %.1f per run, budget %d", got, budget)
+	// The measured steady state, exactly: value strings, translated
+	// content, the composed wire. One more allocation per round trip is
+	// per-packet garbage creeping back in; an improvement lowers the pin
+	// in the PR that makes it.
+	const pinned = 16
+	if got := testing.AllocsPerRun(200, roundTrip); got > pinned {
+		t.Errorf("bridge round-trip allocates %.1f per run, pinned at %d", got, pinned)
 	}
 }
