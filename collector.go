@@ -195,21 +195,27 @@ func (c *Collector) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		"Entry payload classifications seen by the observer chain.", "counter")
 	pw.Sample("starlink_classifications_total", nil, float64(classified))
 
-	pw.Family("starlink_drops_total",
-		"Refused work by structured reason (errors.Is classes).", "counter")
-	for _, reason := range dropReasons {
-		pw.Sample("starlink_drops_total",
-			[]promtext.Label{{Name: "reason", Value: reason}}, float64(drops[reason]))
-	}
-
 	type depMetrics struct {
 		name string
 		m    Metrics
 	}
 	snaps := make([]depMetrics, 0, len(names))
+	stale := 0
 	for _, name := range names {
 		snaps = append(snaps, depMetrics{name: name, m: deps[name].Metrics()})
+		stale += snaps[len(snaps)-1].m.Sessions.Stale
 	}
+
+	pw.Family("starlink_drops_total",
+		"Refused work by structured reason (errors.Is classes), and replies that answered no current lend of their requester socket (stale).", "counter")
+	for _, reason := range dropReasons {
+		pw.Sample("starlink_drops_total",
+			[]promtext.Label{{Name: "reason", Value: reason}}, float64(drops[reason]))
+	}
+	// Stale replies are counted by the engines, not reported one by one
+	// to observers: a peer can send any number of them.
+	pw.Sample("starlink_drops_total",
+		[]promtext.Label{{Name: "reason", Value: "stale"}}, float64(stale))
 
 	pw.Family("starlink_deployment_state",
 		"Deployment lifecycle state (1 = current state).", "gauge")
@@ -374,6 +380,22 @@ func (c *Collector) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 
+	pw.Family("starlink_requester_lends_total",
+		"Sessions handed a requester socket kept open across sessions, by whether it was already open.", "counter")
+	for _, s := range snaps {
+		for _, cs := range sortedCases(s.m.Cases) {
+			sm := s.m.Cases[cs]
+			for _, rv := range []struct {
+				result string
+				v      int
+			}{{"reused", sm.RequesterLends - sm.RequesterOpens}, {"opened", sm.RequesterOpens}} {
+				pw.Sample("starlink_requester_lends_total", []promtext.Label{
+					{Name: "deployment", Value: s.name}, {Name: "case", Value: cs}, {Name: "result", Value: rv.result},
+				}, float64(rv.v))
+			}
+		}
+	}
+
 	// Transport syscall accounting is process-global (every deployment
 	// shares the transport layer), so the families carry no deployment
 	// label and are read once, straight from netapi.
@@ -451,8 +473,8 @@ func (c *Collector) serveIndex(w http.ResponseWriter, r *http.Request) {
 			name, m.State, m.Sessions.Live, m.Sessions.Completed, m.Sessions.Failed, m.Sessions.Rejected)
 		for _, cs := range sortedCases(m.Cases) {
 			sm := m.Cases[cs]
-			fmt.Fprintf(w, "  case %-20s live=%d completed=%d failed=%d dropped=%d parse_errors=%d\n",
-				cs, sm.Live, sm.Completed, sm.Failed, sm.Dropped, sm.ParseErrors)
+			fmt.Fprintf(w, "  case %-20s live=%d completed=%d failed=%d dropped=%d parse_errors=%d stale=%d requesters: idle=%d lends=%d opens=%d\n",
+				cs, sm.Live, sm.Completed, sm.Failed, sm.Dropped, sm.ParseErrors, sm.Stale, sm.RequestersIdle, sm.RequesterLends, sm.RequesterOpens)
 		}
 		for _, row := range m.Latency {
 			fmt.Fprintf(w, "  stage %-12s n=%-6d p50=%-12s p90=%-12s p99=%s\n",

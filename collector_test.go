@@ -81,7 +81,7 @@ func TestCollectorExposition(t *testing.T) {
 		}
 	}
 	// Drop counters always exist, zero-valued when nothing dropped.
-	for _, reason := range []string{"overloaded", "draining", "closed", "ambiguous", "other"} {
+	for _, reason := range []string{"overloaded", "draining", "closed", "ambiguous", "other", "stale"} {
 		ds := exp.Find("starlink_drops_total", map[string]string{"reason": reason})
 		if len(ds) != 1 {
 			t.Errorf("drops_total{reason=%q}: %d series, want 1", reason, len(ds))
@@ -119,6 +119,14 @@ func TestCollectorExposition(t *testing.T) {
 	if len(obs) != 1 || obs[0].Value != 1 {
 		t.Errorf("observed completed = %+v, want 1", obs)
 	}
+	// The session's mDNS requester was opened for lending and is idle now.
+	for result, want := range map[string]float64{"opened": 1, "reused": 0} {
+		ds := exp.Find("starlink_requester_lends_total",
+			map[string]string{"deployment": "bridge", "case": "slp-to-bonjour", "result": result})
+		if len(ds) != 1 || ds[0].Value != want {
+			t.Errorf("requester_lends_total{result=%q} = %+v, want %v", result, ds, want)
+		}
+	}
 
 	// Histogram internal consistency: buckets cumulative, +Inf == count.
 	buckets := exp.Find("starlink_stage_latency_seconds_bucket",
@@ -135,7 +143,7 @@ func TestCollectorExposition(t *testing.T) {
 	}
 
 	idx := scrape(t, col, "/debug/starlink/")
-	if !strings.Contains(idx, "slp-to-bonjour") || !strings.Contains(idx, "stage") {
+	if !strings.Contains(idx, "slp-to-bonjour") || !strings.Contains(idx, "stage") || !strings.Contains(idx, "requesters: idle=1 lends=1 opens=1") {
 		t.Errorf("debug index missing case/latency rows:\n%s", idx)
 	}
 	if got := scrape(t, col, "/debug/starlink/sessions"); !strings.Contains(got, "0 live session(s)") {

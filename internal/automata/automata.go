@@ -120,6 +120,9 @@ const (
 	AttrMode      = "mode"      // "sync" or "async"
 	AttrMulticast = "multicast" // "yes" or "no"
 	AttrGroup     = "group"     // multicast group address
+	// AttrTxID, on a client-role datagram color, names the request header
+	// field the peer echoes in its reply (the engine owns that field).
+	AttrTxID = "txid"
 )
 
 // ActionKind distinguishes receive (?) from send (!) transitions,

@@ -55,9 +55,9 @@ func FormatArtifact(r *Result) string {
 	b.WriteString("\n[counters]\n")
 	for _, c := range sortedKeys(r.Cases) {
 		st := r.Cases[c]
-		fmt.Fprintf(&b, "case %s started=%d ended=%d completed=%d failed=%d parseerrors=%d ignored=%d rejected=%d dropped=%d drainrejected=%d live=%d\n",
+		fmt.Fprintf(&b, "case %s started=%d ended=%d completed=%d failed=%d parseerrors=%d ignored=%d rejected=%d dropped=%d drainrejected=%d stale=%d live=%d\n",
 			c, r.Started[c], r.Ended[c], st.Completed, st.Failed, st.ParseErrors,
-			st.Ignored, st.Rejected, st.Dropped, st.DrainRejected, st.Live)
+			st.Ignored, st.Rejected, st.Dropped, st.DrainRejected, st.Stale, st.Live)
 	}
 	fmt.Fprintf(&b, "dispatch dispatched=%d ambiguous=%d unroutable=%d parseerrors=%d\n",
 		r.Dispatch.Dispatched, r.Dispatch.Ambiguous, r.Dispatch.Unroutable, r.Dispatch.ParseErrors)

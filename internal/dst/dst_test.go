@@ -58,8 +58,8 @@ func TestScenarioParseErrors(t *testing.T) {
 }
 
 func TestBuiltinScenariosValidate(t *testing.T) {
-	if len(SweepSet) != 5 {
-		t.Fatalf("sweep set has %d scenarios, want 5", len(SweepSet))
+	if len(SweepSet) != 6 {
+		t.Fatalf("sweep set has %d scenarios, want the five fault modes and requester-reuse", len(SweepSet))
 	}
 	for _, name := range SweepSet {
 		if _, err := Lookup(name); err != nil {
@@ -160,7 +160,7 @@ func TestRunInvariantsHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-scenario sweep in -short mode")
 	}
-	for _, name := range []string{"loss", "duplicate", "partition", "flood", "drain-loss", "reload-partition"} {
+	for _, name := range []string{"loss", "duplicate", "partition", "flood", "drain-loss", "reload-partition", "requester-reuse"} {
 		sc, err := Lookup(name)
 		if err != nil {
 			t.Fatal(err)
@@ -174,6 +174,39 @@ func TestRunInvariantsHold(t *testing.T) {
 				t.Errorf("%s seed %d: %s", name, seed, v)
 			}
 		}
+	}
+}
+
+// TestRequesterReuseIsDeterministic holds the scenario whose sockets
+// outlive their sessions to the DST contract — one (scenario, seed), one
+// trace — and checks that the run did what it is for: sockets were lent
+// again and the epoch guard fired.
+func TestRequesterReuseIsDeterministic(t *testing.T) {
+	sc, err := Lookup("requester-reuse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Run(sc, 11, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(sc, 11, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.TraceHash != b.TraceHash {
+		t.Fatalf("same seed diverged: %016x vs %016x\n%s", a.TraceHash, b.TraceHash, firstDivergence(a.TraceLines, b.TraceLines))
+	}
+	for _, v := range a.Violations {
+		t.Errorf("seed 11: %s", v)
+	}
+	c := a.Cases["slp-to-bonjour"]
+	if c.RequesterLends <= c.RequesterOpens || a.Counter("stale") == 0 {
+		t.Errorf("slp-to-bonjour lent %d times from %d sockets, %d stale: want sockets reused and the guard exercised",
+			c.RequesterLends, c.RequesterOpens, a.Counter("stale"))
+	}
+	if text := FormatArtifact(a); !strings.Contains(text, "\ndistinct\n") || !strings.Contains(text, " stale=") {
+		t.Errorf("artifact lacks the distinct flag or the stale counter:\n%s", text[:600])
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 type Violation struct {
 	// Invariant names the catalog entry: sessions-terminal,
 	// session-leak, lease-balance, lane-conservation,
-	// drain-consistency or expectations.
+	// drain-consistency, reply-isolation or expectations.
 	Invariant string
 	Detail    string
 }
@@ -61,6 +61,8 @@ func (r *Result) Counter(name string) int {
 				sum += c.Dropped
 			case "drainrejected":
 				sum += c.DrainRejected
+			case "stale":
+				sum += c.Stale
 			}
 		}
 	}
@@ -127,6 +129,12 @@ func checkInvariants(sc *Scenario, r *Result) []Violation {
 		if n := r.Counter("drainrejected"); n != 0 {
 			bad("drain-consistency", "%d drain rejections in a scenario that never drains", n)
 		}
+	}
+
+	// reply-isolation: a client accepted only answers to its own
+	// question — no session was handed a reply to another's request.
+	for _, m := range r.Misdelivered {
+		bad("reply-isolation", "%s", m)
 	}
 
 	// expectations: the scenario's counter floors.

@@ -114,6 +114,10 @@ type Result struct {
 	// before setup; nonzero means a leak (or double release).
 	LeaseDelta int64
 
+	// Misdelivered lists, for a Distinct scenario, every URL a client
+	// accepted that does not name the type it asked for.
+	Misdelivered []string
+
 	FailedSessions []FailedSession
 	Violations     []Violation
 }
@@ -129,6 +133,8 @@ type collector struct {
 	started map[string]int
 	ended   map[string]int
 	failed  []FailedSession
+	// misdelivered becomes Result.Misdelivered.
+	misdelivered []string
 }
 
 func (*collector) Deployed(string, uint64)            {}
@@ -215,7 +221,7 @@ func Run(sc *Scenario, seed int64, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	if err := startServices(sim, seed); err != nil {
+	if err := startServices(sim, seed, sc); err != nil {
 		_ = d.Close()
 		return nil, err
 	}
@@ -241,8 +247,11 @@ func Run(sc *Scenario, seed int64, cfg Config) (*Result, error) {
 				return nil, err
 			}
 			start := time.Millisecond + time.Duration(i)*sc.Stagger
-			name := caseName
-			node.After(start, func() { startClient(node, name, col, tally, fail) })
+			name, own := caseName, ""
+			if sc.Distinct {
+				own = distinctType(i)
+			}
+			node.After(start, func() { startClient(node, name, own, col, tally, fail) })
 		}
 	}
 
@@ -306,6 +315,7 @@ func Run(sc *Scenario, seed int64, cfg Config) (*Result, error) {
 		Started:        col.started,
 		Ended:          col.ended,
 		FailedSessions: col.failed,
+		Misdelivered:   col.misdelivered,
 		Clients:        map[string]ClientTally{},
 	}
 	col.mu.Unlock()
@@ -325,7 +335,32 @@ func Run(sc *Scenario, seed int64, cfg Config) (*Result, error) {
 // service agent (*-to-slp) and the Bonjour responder (*-to-bonjour).
 // Response delays draw from per-service RNGs derived from the run
 // seed, so they vary across seeds but never across runs of one seed.
-func startServices(sim *simnet.Net, seed int64) error {
+// A Distinct scenario adds, per client index, an SLP agent and a Bonjour
+// responder for that client's own type on hosts of their own.
+func startServices(sim *simnet.Net, seed int64, sc *Scenario) error {
+	for i := 0; sc.Distinct && i < sc.Clients; i++ {
+		own := distinctType(i)
+		rng := func(k int64) *rand.Rand { return rand.New(rand.NewSource(seed*7919 + k + int64(i))) }
+		sn, err := sim.NewNode(fmt.Sprintf("10.0.9.%d", i+1))
+		if err == nil {
+			_, err = slp.NewServiceAgent(sn, "service:"+own, "service:"+own+"://"+sn.IP()+":515",
+				slp.WithResponseDelay(bench.SLPResponseDelayMax, rng(100)))
+		}
+		if err != nil {
+			return err
+		}
+		// Answers come within a few late-duplicate delays, so that one
+		// session's duplicate reply lands while a later session holds
+		// the same lent socket.
+		bn, err := sim.NewNode(fmt.Sprintf("10.0.11.%d", i+1))
+		if err == nil {
+			_, err = dnssd.NewResponder(bn, own+".local", "service:"+own+"://"+bn.IP()+":515",
+				dnssd.WithAnswerDelay(5*time.Millisecond, 60*time.Millisecond, rng(200)))
+		}
+		if err != nil {
+			return err
+		}
+	}
 	un, err := sim.NewNode(upnpIP)
 	if err != nil {
 		return err
@@ -356,29 +391,44 @@ func startServices(sim *simnet.Net, seed int64) error {
 	return nil
 }
 
+// distinctType is client i's own service type in a Distinct scenario;
+// fixed width, so no type's name is a prefix of another's.
+func distinctType(i int) string { return fmt.Sprintf("printer%02d", i) }
+
 // startClient fires one protocol-native lookup appropriate for the
-// case's initiator side. Wide client windows keep slow bridged paths
+// case's initiator side — for the client's own type when own is set,
+// else the shared printer. Wide client windows keep slow bridged paths
 // (SLP convergence, fault-delayed replies) inside the window; a client
 // whose window closes empty still counts as Done.
-func startClient(node netapi.Node, caseName string, col *collector, tally *ClientTally, fail func(error)) {
-	record := func(hits int) {
+func startClient(node netapi.Node, caseName, own string, col *collector, tally *ClientTally, fail func(error)) {
+	record := func(urls []string) {
 		col.mu.Lock()
 		tally.Done++
-		if hits > 0 {
+		if len(urls) > 0 {
 			tally.Hits++
 		}
+		for _, u := range urls {
+			if own != "" && !strings.Contains(u, own+":") {
+				col.misdelivered = append(col.misdelivered,
+					fmt.Sprintf("%s client at %s asked for %s and accepted %s", caseName, node.IP(), own, u))
+			}
+		}
 		col.mu.Unlock()
+	}
+	slpType, dnsName := bench.SLPType, bench.DNSName
+	if own != "" {
+		slpType, dnsName = "service:"+own, own+".local"
 	}
 	switch {
 	case strings.HasPrefix(caseName, "slp-"):
 		ua := slp.NewUserAgent(node, slp.WithConvergenceWait(bench.SLPConvergenceWait))
-		ua.Lookup(bench.SLPType, func(r slp.LookupResult) { record(len(r.URLs)) })
+		ua.Lookup(slpType, func(r slp.LookupResult) { record(r.URLs) })
 	case strings.HasPrefix(caseName, "upnp-"):
 		cp := upnp.NewControlPoint(node, upnp.WithMX(bench.WideMX))
-		cp.Discover(bench.UPnPType, func(r upnp.DiscoverResult) { record(len(r.ServiceURLs)) })
+		cp.Discover(bench.UPnPType, func(r upnp.DiscoverResult) { record(r.ServiceURLs) })
 	case strings.HasPrefix(caseName, "bonjour-"):
 		b := dnssd.NewBrowser(node, dnssd.WithBrowseWindow(bench.WideBrowse))
-		b.Browse(bench.DNSName, func(r dnssd.BrowseResult) { record(len(r.URLs)) })
+		b.Browse(dnsName, func(r dnssd.BrowseResult) { record(r.URLs) })
 	default:
 		fail(fmt.Errorf("dst: case %q has no known initiator protocol", caseName))
 	}

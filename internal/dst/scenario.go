@@ -44,6 +44,11 @@ type Scenario struct {
 	// Stagger spaces successive client starts within a case (virtual
 	// time). Zero starts them all at once.
 	Stagger time.Duration
+	// Distinct gives client i of every case a service type of its own
+	// (printerNN), served by its own SLP agent and Bonjour responder
+	// under a URL that names the type, and arms the reply-isolation
+	// invariant: no client may accept a URL naming another's type.
+	Distinct bool
 	// MaxSessions caps each engine (0 → engine default).
 	MaxSessions int
 	// Faults is the delivery-layer fault plan (nil → fault-free run).
@@ -69,8 +74,8 @@ type Scenario struct {
 // Expectation is a floor on one aggregate result counter: the run
 // violates the expectations invariant when counter < Min. Counter is
 // one of: started, ended, completed, failed, parseerrors, ignored,
-// rejected, dropped, drainrejected, dispatched, ambiguous, unroutable,
-// shed.
+// rejected, dropped, drainrejected, stale, dispatched, ambiguous,
+// unroutable, shed.
 type Expectation struct {
 	Counter string
 	Min     int
@@ -80,8 +85,8 @@ type Expectation struct {
 var expectCounters = map[string]bool{
 	"started": true, "ended": true, "completed": true, "failed": true,
 	"parseerrors": true, "ignored": true, "rejected": true, "dropped": true,
-	"drainrejected": true, "dispatched": true, "ambiguous": true,
-	"unroutable": true, "shed": true,
+	"drainrejected": true, "stale": true, "dispatched": true,
+	"ambiguous": true, "unroutable": true, "shed": true,
 }
 
 // Validate rejects unrunnable scenarios.
@@ -126,6 +131,9 @@ func FormatScenario(s *Scenario) string {
 	}
 	if s.Stagger > 0 {
 		fmt.Fprintf(&b, "stagger %s\n", s.Stagger)
+	}
+	if s.Distinct {
+		b.WriteString("distinct\n")
 	}
 	if s.MaxSessions > 0 {
 		fmt.Fprintf(&b, "maxsessions %d\n", s.MaxSessions)
@@ -174,6 +182,8 @@ func ParseScenario(text string) (*Scenario, error) {
 			s.Clients, err = strconv.Atoi(rest)
 		case "stagger":
 			s.Stagger, err = time.ParseDuration(rest)
+		case "distinct":
+			s.Distinct = true
 		case "maxsessions":
 			s.MaxSessions, err = strconv.Atoi(rest)
 		case "fault":
@@ -220,9 +230,9 @@ var builtinCases = []string{
 }
 
 // Builtin returns the shipped scenario catalog, keyed by name. The
-// first five (loss, delay, reorder, duplicate, partition) are the CI
-// sweep set; the rest exercise overload, drain and hot-reload paths
-// plus seed-pinned regressions. selftest-fail is intentionally
+// first five (loss, delay, reorder, duplicate, partition) and
+// requester-reuse are the CI sweep set; the rest exercise overload,
+// drain and hot-reload paths plus seed-pinned regressions. selftest-fail is intentionally
 // unsatisfiable — it exists so the artifact/replay pipeline itself is
 // covered by an always-failing run.
 func Builtin() map[string]*Scenario {
@@ -347,6 +357,19 @@ func Builtin() map[string]*Scenario {
 		Expect: []Expectation{{Counter: "started", Min: 2}},
 	})
 	add(&Scenario{
+		Name:    "requester-reuse",
+		Info:    "lent requester sockets under late duplicates and reordering: every client asks for a type of its own",
+		Cases:   []string{"slp-to-bonjour", "bonjour-to-slp"},
+		Clients: 12, Stagger: 9 * time.Millisecond,
+		Distinct: true,
+		Faults: plan(
+			netapi.FaultRule{Name: "late-dup", Proto: "udp",
+				Duplicate: 0.5, DuplicateDelay: 40 * time.Millisecond},
+			netapi.FaultRule{Name: "swap", Proto: "udp", Reorder: 0.3},
+		),
+		Expect: []Expectation{{Counter: "completed", Min: 12}, {Counter: "stale", Min: 1}},
+	})
+	add(&Scenario{
 		Name:    "selftest-fail",
 		Info:    "intentionally unsatisfiable: total loss plus a completion floor, to exercise artifacts",
 		Cases:   []string{"slp-to-upnp"},
@@ -369,8 +392,9 @@ func Names() []string {
 }
 
 // SweepSet is the default scenario set for seed sweeps: the five fault
-// modes the issue's acceptance gate names.
-var SweepSet = []string{"loss", "delay", "reorder", "duplicate", "partition"}
+// modes the issue's acceptance gate names, and the scenario that holds
+// lent requester sockets to per-session isolation.
+var SweepSet = []string{"loss", "delay", "reorder", "duplicate", "partition", "requester-reuse"}
 
 // Lookup resolves a builtin scenario by name.
 func Lookup(name string) (*Scenario, error) {

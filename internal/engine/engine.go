@@ -19,14 +19,19 @@
 // concurrent session runtime — the paper's "concurrent legacy clients
 // are bridged in parallel" made literal:
 //
-//   - a session is plain data — a program counter plus a keyed history
-//     of messages — owned by one ingest worker: the worker that admits
-//     it runs its receive→translate→compose steps inline, and every
-//     later event of the session (a requester payload, a mid-program
-//     entry message, a fired receive timer) re-enters through that
-//     worker's lane queue as a job carrying the session pointer. No
-//     goroutine, channel or context exists per session, and session
-//     state needs no lock because only its worker ever touches it;
+//   - a session is plain data — an index into the compiled plan plus
+//     the arrays its slots index (history, reply targets, requesters) —
+//     owned by one ingest worker: the worker that admits it runs its
+//     receive→translate→compose steps inline, and every later event of
+//     the session (a requester payload, a mid-program entry message, a
+//     fired receive timer) re-enters through that worker's lane queue as
+//     a job carrying the session pointer and the life it was posted for.
+//     No goroutine, channel or context exists per session, session state
+//     needs no lock because only its worker ever touches it, and a
+//     finished session's struct is the next one that worker admits;
+//   - a client-role color that declares a transaction id has its
+//     requester sockets lent from session to session by the worker, a
+//     reply being taken only if it echoes the lend's epoch (worker.go);
 //   - other goroutines see a session only through the sharded, keyed
 //     table (key = entry color + origin address) and what a session
 //     publishes for them: its immutable identity (key, sequence number,
@@ -68,7 +73,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"starlink/internal/automata"
 	"starlink/internal/composer"
 	"starlink/internal/hist"
 	"starlink/internal/lanes"
@@ -330,8 +334,7 @@ const (
 // leased buffer — the lease, which the worker releases right after the
 // parse (the parser never aliases its input) or on any drop path. key
 // is an entry payload's routing key, computed once on the listener hot
-// path. The queues preallocate their rings of these, so a field added
-// here is paid for a thousand times per engine.
+// path.
 type ingestJob struct {
 	codec *Codec
 	key   string
@@ -350,7 +353,10 @@ type ingestJob struct {
 	// rerouted marks a jobEntry already forwarded once by a session
 	// that had moved past the awaited state (no second hop).
 	rerouted bool
-	gen      uint32
+	// req is the requester slot a jobData payload arrived on; gen the
+	// life of sess the job was posted for — on a jobTimer, the timer's.
+	req uint8
+	gen uint32
 }
 
 // ingestTiming carries the wall-clock stage boundaries measured by an
@@ -398,6 +404,7 @@ type Engine struct {
 	net      *netengine.Engine
 	merged   *merge.Merged
 	program  []merge.Step
+	plan     *plan
 	// awaits[pc] is the receive a session at pc is heading for: the
 	// first receive step at or after pc (nil past the last one). Built
 	// once so publishing it allocates nothing.
@@ -438,13 +445,13 @@ type Engine struct {
 	tracker netapi.WorkTracker
 	table   *sessionTable
 	sem     chan struct{} // max-sessions semaphore
-	// laneQs holds one bounded lane-prioritized queue per ingest
-	// worker; payloads are assigned by routing key, so payloads from
+	// workers are the ingest workers, one bounded lane-prioritized
+	// queue each; payloads are assigned by routing key, so payloads from
 	// one origin are always parsed and routed in arrival order, and a
 	// session's events go to the queue of the worker that admitted it.
 	// gate is the flow gate the queues pause at their high watermark —
 	// the entry listeners' read loops park on it.
-	laneQs     []*lanes.Queue[ingestJob]
+	workers    []*worker
 	gate       *netapi.FlowGate
 	quit       chan struct{}
 	workerWG   sync.WaitGroup
@@ -472,6 +479,12 @@ type Engine struct {
 	drainRejected atomic.Int64
 	ingestTotal   atomic.Uint64
 	ingestBatched atomic.Uint64
+	// Requester payloads that answered no current holder, and the lent
+	// sockets' accounting (Counters).
+	stale          atomic.Int64
+	requesterLends atomic.Int64
+	requesterOpens atomic.Int64
+	idleRequesters atomic.Int64
 }
 
 // New builds an engine for the merged automaton. codecs must contain
@@ -498,6 +511,10 @@ func New(node netapi.Node, merged *merge.Merged, codecs map[string]*Codec, opts 
 	if err := merged.CheckEquivalences(specs); err != nil {
 		return nil, err
 	}
+	plan, err := compilePlan(program, codecs)
+	if err != nil {
+		return nil, err
+	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 2 {
 		workers = 2
@@ -509,6 +526,7 @@ func New(node netapi.Node, merged *merge.Merged, codecs map[string]*Codec, opts 
 		node:          node,
 		merged:        merged,
 		program:       program,
+		plan:          plan,
 		codecs:        codecs,
 		tfuncs:        translation.NewFuncRegistry(),
 		vars:          map[string]string{"bridge.host": node.IP()},
@@ -554,9 +572,12 @@ func New(node netapi.Node, merged *merge.Merged, codecs map[string]*Codec, opts 
 	e.table = newSessionTable(e.shardCount)
 	e.sem = make(chan struct{}, e.maxSessions)
 	perWorker := e.lanePolicy.Scale(e.ingestWorkers)
-	e.laneQs = make([]*lanes.Queue[ingestJob], e.ingestWorkers)
-	for i := range e.laneQs {
-		e.laneQs[i] = lanes.NewQueue[ingestJob](perWorker, e.gate)
+	e.workers = make([]*worker, e.ingestWorkers)
+	for i := range e.workers {
+		e.workers[i] = &worker{
+			q:    lanes.NewQueue[ingestJob](perWorker, e.gate),
+			idle: make([][]*requester, len(plan.txid)),
+		}
 	}
 	e.quit = make(chan struct{})
 	if wt, ok := node.(netapi.WorkTracker); ok {
@@ -677,9 +698,9 @@ func (e *Engine) StartManaged() error {
 }
 
 func (e *Engine) startWorkers() {
-	for i := range e.laneQs {
+	for _, w := range e.workers {
 		e.workerWG.Add(1)
-		go e.ingestLoop(e.laneQs[i])
+		go e.ingestLoop(w)
 	}
 }
 
@@ -729,8 +750,9 @@ func (e *Engine) AwaitsEntry(proto, msg, ip string) bool {
 // Close stops the engine immediately: entry listeners first, then the
 // ingest workers, and once no worker runs any more it ends every
 // session still live, on the calling goroutine, with an error wrapping
-// serrors.ErrClosed; last it releases the node, if the engine owns it,
-// and reports Undeployed. Every teardown — Shutdown, the lifetime
+// serrors.ErrClosed, and closes the requester sockets the workers were
+// lending; last it releases the node, if the engine owns it, and
+// reports Undeployed. Every teardown — Shutdown, the lifetime
 // context — ends here, and only the first call does the work. For a
 // graceful stop that lets live sessions finish first, use Shutdown.
 func (e *Engine) Close() error {
@@ -751,8 +773,8 @@ func (e *Engine) Close() error {
 	// picked up. offer holds closeMu.RLock around its token+enqueue, and
 	// closed was flipped under the write lock, so no job can slip in
 	// after this.
-	for _, q := range e.laneQs {
-		q.Close(func(_ lanes.Lane, job ingestJob) {
+	for _, w := range e.workers {
+		w.q.Close(func(_ lanes.Lane, job ingestJob) {
 			releaseJob(&job)
 			e.tracker.WorkDone()
 		})
@@ -770,6 +792,15 @@ func (e *Engine) Close() error {
 			fmt.Errorf("engine: %s: session from %s torn down before completion",
 				e.merged.Name, s.origin.Addr),
 			serrors.ErrClosed))
+	}
+	// Every lent socket is back with its worker now; they go last.
+	for _, w := range e.workers {
+		for slot, idle := range w.idle {
+			for _, r := range idle {
+				e.closeRequester(r)
+			}
+			w.idle[slot] = nil
+		}
 	}
 	e.signalDrained() // a closed engine has, vacuously, drained
 	var err error
@@ -902,8 +933,8 @@ func (e *Engine) onEntry(codec *Codec, data []byte, src netengine.Source, lease 
 	}
 	key := src.RoutingKey()
 	lane := e.classifyLane(codec.Spec.Protocol, key, src)
-	q := e.laneQs[fnv32a(key)%uint32(len(e.laneQs))]
-	e.offer(q, lane, ingestJob{codec: codec, key: key, data: data, src: src, lease: lease, arrived: time.Now()})
+	w := e.workers[fnv32a(key)%uint32(len(e.workers))]
+	e.offer(w.q, lane, ingestJob{codec: codec, key: key, data: data, src: src, lease: lease, arrived: time.Now()})
 }
 
 // offer takes a work token for job and enqueues it on q. The read lock
@@ -935,14 +966,14 @@ func (e *Engine) offer(q *lanes.Queue[ingestJob], lane lanes.Lane, job ingestJob
 	}
 }
 
-// post queues a payload job for s on the data lane of the worker that
-// owns it, under the per-session cap: a session that cannot keep up has
-// its excess payloads dropped (counted in Dropped) instead of filling
-// its worker's ring — UDP semantics end to end.
-func (e *Engine) post(s *session, job ingestJob) {
-	job.sess = s
+// post queues a payload job for one life of s on the data lane of the
+// worker that owns it, under the per-session cap: a session that cannot
+// keep up has its excess payloads dropped (counted in Dropped) instead
+// of filling its worker's ring — UDP semantics end to end.
+func (e *Engine) post(s *session, life uint32, job ingestJob) {
+	job.sess, job.gen = s, life
 	if s.queued.Add(1) <= sessionQueueCap {
-		e.offer(s.q, lanes.Data, job)
+		e.offer(s.w.q, lanes.Data, job)
 		return
 	}
 	e.tracker.WorkAdd() // held through the drop report, like offer's
@@ -977,7 +1008,7 @@ func (e *Engine) deliverTimer(s *session, gen uint32) {
 		return
 	}
 	e.tracker.WorkAdd()
-	verdict, _ := s.q.Enqueue(lanes.Control, ingestJob{sess: s, kind: jobTimer, gen: gen})
+	verdict, _ := s.w.q.Enqueue(lanes.Control, ingestJob{sess: s, kind: jobTimer, gen: gen})
 	e.closeMu.RUnlock()
 	if verdict == lanes.Rejected {
 		e.tracker.WorkDone()
@@ -988,10 +1019,10 @@ func (e *Engine) deliverTimer(s *session, gen uint32) {
 // ingestLoop is one ingest worker: it runs every job of its queue to
 // completion — a session's steps included — before taking the next, so
 // everything it owns is touched by this goroutine alone.
-func (e *Engine) ingestLoop(q *lanes.Queue[ingestJob]) {
+func (e *Engine) ingestLoop(w *worker) {
 	defer e.workerWG.Done()
 	for {
-		job, lane, ok := q.Dequeue()
+		job, lane, ok := w.q.Dequeue()
 		if !ok {
 			return // queue closed
 		}
@@ -1001,7 +1032,7 @@ func (e *Engine) ingestLoop(q *lanes.Queue[ingestJob]) {
 		if job.sess != nil {
 			job.sess.handle(job)
 		} else {
-			e.ingest(q, job)
+			e.ingest(w, job)
 		}
 		e.tracker.WorkDone()
 	}
@@ -1027,10 +1058,9 @@ func (e *Engine) parse(job *ingestJob) (*message.Message, ingestTiming, error) {
 }
 
 // ingest parses one entry payload and routes it: an initiator request
-// opens (or rendezvouses with) a keyed session on this worker, which
-// owns q; anything else goes to the worker of a session awaiting that
-// message.
-func (e *Engine) ingest(q *lanes.Queue[ingestJob], job ingestJob) {
+// opens (or rendezvouses with) a keyed session on this worker; anything
+// else goes to the worker of a session awaiting that message.
+func (e *Engine) ingest(w *worker, job ingestJob) {
 	msg, tm, err := e.parse(&job)
 	if err != nil {
 		return
@@ -1038,14 +1068,15 @@ func (e *Engine) ingest(q *lanes.Queue[ingestJob], job ingestJob) {
 	proto := job.codec.Spec.Protocol
 	first := e.program[0]
 	if proto == first.Protocol && msg.Name == first.Message {
-		e.openSession(q, job, msg, tm)
+		e.openSession(w, job, msg, tm)
 		return
 	}
 	// Route to a session awaiting this message on this protocol,
 	// preferring one opened by the same peer host.
 	if s := e.table.findAwaiting(proto, msg.Name, job.src.Addr.IP); s != nil {
+		life := s.life.Load()
 		s.recordIngest(tm, trace.OutcomeOK)
-		e.post(s, ingestJob{kind: jobEntry, codec: job.codec, msg: msg, src: job.src})
+		e.post(s, life, ingestJob{kind: jobEntry, codec: job.codec, msg: msg, src: job.src})
 		return
 	}
 	e.ignored.Add(1)
@@ -1061,15 +1092,15 @@ func (e *Engine) ingest(q *lanes.Queue[ingestJob], job ingestJob) {
 // socket for a new interaction) — an independent session is admitted,
 // under a uniquified key when the base key is taken. One session per
 // initiator request, as in the paper.
-func (e *Engine) openSession(q *lanes.Queue[ingestJob], job ingestJob, msg *message.Message, tm ingestTiming) {
+func (e *Engine) openSession(w *worker, job ingestJob, msg *message.Message, tm ingestTiming) {
 	key := job.key
 	sh := e.table.shardFor(key)
 	sh.mu.RLock()
 	s := sh.sessions[key]
 	sh.mu.RUnlock()
-	if s != nil && s.waitsFor(job.codec.Spec.Protocol, msg.Name) {
+	if s != nil && s.waitsFor(job.codec, msg.Name) {
 		s.recordIngest(tm, trace.OutcomeOK)
-		s.deliverEntry(job.codec.Spec.Protocol, msg, job.src)
+		s.deliverEntry(msg, job.src)
 		return
 	}
 	seq := e.sessionSeq.Add(1)
@@ -1078,7 +1109,7 @@ func (e *Engine) openSession(q *lanes.Queue[ingestJob], job ingestJob, msg *mess
 		// from the same client socket. Give it its own key.
 		key = fmt.Sprintf("%s#%d", key, seq)
 	}
-	e.admit(q, key, seq, msg, job.src, tm)
+	e.admit(w, key, seq, msg, job.src, tm)
 }
 
 // admit registers a new session under key against the max-sessions
@@ -1086,7 +1117,7 @@ func (e *Engine) openSession(q *lanes.Queue[ingestJob], job ingestJob, msg *mess
 // The lifecycle check and the insert share the shard lock, so a drain
 // that starts concurrently either refuses this session or counts it
 // live.
-func (e *Engine) admit(q *lanes.Queue[ingestJob], key string, seq uint64, msg *message.Message, src netengine.Source, tm ingestTiming) {
+func (e *Engine) admit(w *worker, key string, seq uint64, msg *message.Message, src netengine.Source, tm ingestTiming) {
 	sh := e.table.shardFor(key)
 	sh.mu.Lock()
 	switch State(e.state.Load()) {
@@ -1109,7 +1140,7 @@ func (e *Engine) admit(q *lanes.Queue[ingestJob], key string, seq uint64, msg *m
 		e.refuse(&e.rejected, msg, src, serrors.ErrOverloaded, fmt.Sprintf("max sessions (%d) live", e.maxSessions))
 		return
 	}
-	s := newSession(e, q, key, seq, msg, src, tm)
+	s := e.newSession(w, key, seq, msg, src, tm)
 	sh.sessions[key] = s
 	sh.mu.Unlock()
 	if e.sink != nil {
@@ -1138,7 +1169,7 @@ func (e *Engine) rerouteEntry(s *session, job ingestJob) {
 	if !job.rerouted {
 		if s2 := e.table.findAwaiting(job.codec.Spec.Protocol, job.msg.Name, job.src.Addr.IP); s2 != nil && s2 != s {
 			job.rerouted = true
-			e.post(s2, job) // on refusal, post recycles the message
+			e.post(s2, s2.life.Load(), job) // on refusal, post recycles the message
 			return
 		}
 	}
@@ -1146,13 +1177,10 @@ func (e *Engine) rerouteEntry(s *session, job ingestJob) {
 	releaseJob(&job) // no session wanted it: recycle
 }
 
-// sessionDone finishes a session. Callers own the session's state: its
-// ingest worker, or Close once the workers are gone.
+// sessionDone finishes a session and hands its struct back to its
+// worker: nothing may touch s afterwards. Callers own the session's
+// state: its ingest worker, or Close once the workers are gone.
 func (e *Engine) sessionDone(s *session, err error) {
-	if s.finished {
-		return
-	}
-	s.finished = true
 	s.cleanup()
 	end := e.node.Now()
 	stats := SessionStats{
@@ -1188,23 +1216,9 @@ func (e *Engine) sessionDone(s *session, err error) {
 		e.signalDrained()
 	}
 	e.finishMu.Unlock()
+	s.w.recycle(s)
 	e.releaseSlot()
 	if e.sink != nil {
 		e.sink.SessionEnd(e.merged.Name, stats)
 	}
-}
-
-// ColorsInUse lists the colors of the merged automaton in program
-// order; exposed for the mdlc inspection tool.
-func (e *Engine) ColorsInUse() []automata.Color {
-	var out []automata.Color
-	seen := map[string]bool{}
-	for _, st := range e.program {
-		if st.Color.IsZero() || seen[st.Color.Key()] {
-			continue
-		}
-		seen[st.Color.Key()] = true
-		out = append(out, st.Color)
-	}
-	return out
 }

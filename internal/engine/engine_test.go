@@ -388,7 +388,9 @@ func TestBridgeProgramChain(t *testing.T) {
 			t.Fatalf("chain = %v, want %v", chain, want)
 		}
 	}
-	if len(e.ColorsInUse()) != 3 {
-		t.Fatalf("colors = %v", e.ColorsInUse())
+	// The plan's requester color table: SSDP and HTTP, neither with a
+	// transaction id to lend sockets behind.
+	if lent := e.LentColors(); len(lent) != 2 || lent[0] || lent[1] {
+		t.Fatalf("requester color table lent = %v, want SSDP and HTTP, one socket per session each", lent)
 	}
 }

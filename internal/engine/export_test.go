@@ -1,0 +1,26 @@
+package engine
+
+import "starlink/internal/netapi"
+
+// LentColors reports, per row of the plan's requester color table,
+// whether sockets of that color are lent (the color declares a txid).
+func (e *Engine) LentColors() (lent []bool) {
+	for _, txid := range e.plan.txid {
+		lent = append(lent, txid != nil)
+	}
+	return lent
+}
+
+// PostForPreviousLife queues a requester payload for worker 0's only live
+// session as if it had been read for the session that struct was one
+// life ago; false when the struct has had no earlier life. Call it only
+// while the engine is quiescent (simnet, between runs).
+func (e *Engine) PostForPreviousLife(data []byte, lease *netapi.Buffer) bool {
+	var s *session
+	e.table.each(func(live *session) { s = live })
+	if s == nil || s.life.Load() == 0 {
+		return false
+	}
+	e.post(s, s.life.Load()-1, ingestJob{kind: jobData, codec: e.plan.steps[len(e.plan.steps)-1].codec, data: data, lease: lease})
+	return true
+}

@@ -60,6 +60,15 @@ type Counters struct {
 	// that transport batching engages under load.
 	Ingested        int
 	IngestedBatched int
+	// Stale counts requester payloads that answered no current holder of
+	// the channel they arrived on; dropped, never delivered.
+	Stale int
+	// RequesterLends counts sessions handed a lent requester socket,
+	// RequesterOpens the sockets opened for lending and RequestersIdle
+	// those open with no holder now — after Close, the number it closed.
+	RequesterLends int
+	RequesterOpens int
+	RequestersIdle int
 }
 
 // LatencyDump is a snapshot of the engine's staged latency histograms:
@@ -132,8 +141,12 @@ func (e *Engine) Counts() Snapshot {
 	s.Ignored = int(e.ignored.Load())
 	s.Ingested = int(e.ingestTotal.Load())
 	s.IngestedBatched = int(e.ingestBatched.Load())
-	for _, q := range e.laneQs {
-		s.LaneDepth += q.Depth()
+	s.Stale = int(e.stale.Load())
+	s.RequesterLends = int(e.requesterLends.Load())
+	s.RequesterOpens = int(e.requesterOpens.Load())
+	s.RequestersIdle = int(e.idleRequesters.Load())
+	for _, w := range e.workers {
+		s.LaneDepth += w.q.Depth()
 	}
 	return s
 }
@@ -146,9 +159,9 @@ func (e *Engine) Snapshot() Snapshot {
 		s.Latency.Stages[i] = e.stageHists[i].Snapshot()
 	}
 	s.Latency.Session = e.sessHist.Snapshot()
-	perQueue := make([][lanes.NumLanes]lanes.Counters, len(e.laneQs))
-	for i, q := range e.laneQs {
-		perQueue[i] = q.Counters()
+	perQueue := make([][lanes.NumLanes]lanes.Counters, len(e.workers))
+	for i, w := range e.workers {
+		perQueue[i] = w.q.Counters()
 	}
 	s.Lanes.Counters = lanes.Sum(perQueue...)
 	for i := range s.Lanes.Wait {

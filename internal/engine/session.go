@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"starlink/internal/lanes"
 	"starlink/internal/merge"
 	"starlink/internal/message"
 	"starlink/internal/netapi"
@@ -28,56 +27,61 @@ type awaitKey struct {
 }
 
 // session is the state of one bridged interaction: where it stands in
-// the compiled program and what it has seen so far. It is data, not a
-// thread of control — the ingest worker that admitted it (the consumer
-// of q) runs its steps, and all fields below the marker are touched by
-// that worker alone; once the workers have stopped, by Close. Other
-// goroutines reach a session through the table and read only the
-// fields above the marker: immutable identity, the await snapshot, the
-// queued count and the wait-free recorder.
+// the compiled plan and what it has seen so far, in arrays the plan's
+// slots index. It is data, not a thread of control — the ingest worker
+// that admitted it (w) runs its steps, and all fields below the marker
+// are touched by that worker alone; once the workers have stopped, by
+// Close. Other goroutines reach a session through the table and read
+// only the fields above the marker: identity (written before the table
+// insert), the await snapshot, the queued count, the life and the
+// wait-free recorder. The struct outlives the interaction: a finished
+// session is the next one its worker admits.
 type session struct {
-	e        *Engine
-	key      string
-	seq      uint64
-	originIP string
+	e   *Engine
+	w   *worker
+	key string
+	seq uint64
 	// origin is the source of the initiating request; start is when the
 	// framework first received it.
 	origin netengine.Source
 	start  time.Time
-	// q is the lane queue of the owning worker: every event of the
-	// session is a job on it.
-	q *lanes.Queue[ingestJob]
 	// await is the receive the session is blocked on or running
 	// towards (one of e.awaits), nil when there is none.
 	await atomic.Pointer[awaitKey]
-	// queued counts the payload jobs (jobData, jobEntry) waiting on q.
+	// queued counts the payload jobs (jobData, jobEntry) waiting on the
+	// worker's queue, whichever life they were posted for.
 	queued atomic.Int32
+	// life counts the sessions this struct has been. A payload job
+	// carries the life it was posted for and, finding another, is
+	// released unhandled: the event outlived its session.
+	life atomic.Uint32
 	// rec is the session's flight recorder — nil when disabled
-	// (WithTraceRing(0)). Set once before the session is published in
-	// the table and never reassigned, so other goroutines (a worker
-	// recording recv/parse of a message it forwards here, LiveSessions)
-	// see it without locking; the recorder itself is wait-free.
+	// (WithTraceRing(0)) — allocated with the struct and reset per life.
+	// Other goroutines (a worker recording recv/parse of a message it
+	// forwards here, LiveSessions) use it without locking.
 	rec *trace.Recorder
 
 	// --- owned by the worker ---
 	pc int
-	// entrySources remembers, per protocol, the latest entry peer so
-	// ReplyToOrigin answers the right socket/connection.
-	entrySources map[string]netengine.Source
-	// history holds every stored message instance per abstract name —
+	// entries is, per protocol, the peer a ReplyToOrigin send answers:
+	// the origin until an entry message of that protocol arrives.
+	entries []netengine.Source
+	// history holds every stored message instance per message slot —
 	// the state queues and the ⇒ history operator of §III-B.
-	history map[string][]*message.Message
-	// requesters are the session's client-role channels per protocol.
-	requesters map[string]*netengine.Requester
+	history [][]*message.Message
+	// reqs are the session's client-role channels per requester slot.
+	reqs []*requester
 	// override is the destination set by a setHost λ action, consumed
 	// by the next requester opened.
 	override netapi.Addr
+	// lookupFn is s.lookup, bound once per struct rather than per send.
+	lookupFn func(string) *message.Message
 
-	// awaiting receive state. timerGen names the armed timer: a fire
-	// that was already queued when its wait ended carries a stale one.
-	waitProto string
-	waitMsg   string
-	collected []*message.Message
+	// wait is the plan index of the armed receive (-1: none). timerGen
+	// names the armed timer and only grows, across lives too: a fire
+	// already queued when its wait ended carries a stale one.
+	wait      int
+	collected int
 	windowed  bool
 	timer     netapi.TimerID
 	timerSet  bool
@@ -87,39 +91,48 @@ type session struct {
 	// seeded per session so concurrent sessions never share a stream.
 	rng *rand.Rand
 
-	replyAt  time.Time
-	finished bool
+	replyAt time.Time
 }
 
-func newSession(e *Engine, q *lanes.Queue[ingestJob], key string, seq uint64, first *message.Message, src netengine.Source, tm ingestTiming) *session {
-	s := &session{
-		e:            e,
-		key:          key,
-		seq:          seq,
-		originIP:     src.Addr.IP,
-		origin:       src,
-		start:        e.node.Now(),
-		q:            q,
-		pc:           1, // step 0 is the initiator receive, satisfied by first
-		entrySources: map[string]netengine.Source{},
-		history:      map[string][]*message.Message{},
-		requesters:   map[string]*netengine.Requester{},
+// newSession takes a session from w's free list (or builds one) and
+// starts its next life on the initiating message.
+func (e *Engine) newSession(w *worker, key string, seq uint64, first *message.Message, src netengine.Source, tm ingestTiming) *session {
+	// Epoch is the initiating payload's listener arrival, so every
+	// event offset reads as time-into-session.
+	epoch := tm.arrived
+	if epoch.IsZero() {
+		epoch = time.Now()
 	}
-	if e.windowJitter > 0 {
-		s.rng = rand.New(rand.NewSource(e.jitterSeed + int64(s.seq)*0x9E3779B9))
-	}
-	if e.traceRing > 0 {
-		// Epoch is the initiating payload's listener arrival, so every
-		// event offset reads as time-into-session.
-		epoch := tm.arrived
-		if epoch.IsZero() {
-			epoch = time.Now()
+	var s *session
+	if n := len(w.free); n > 0 {
+		s, w.free = w.free[n-1], w.free[:n-1]
+		s.rec.Reset(epoch)
+	} else {
+		s = &session{
+			e: e, w: w,
+			rec:     trace.New(e.traceRing, epoch),
+			entries: make([]netengine.Source, e.plan.nEntry),
+			history: make([][]*message.Message, e.plan.nHist),
+			reqs:    make([]*requester, len(e.plan.txid)),
 		}
-		s.rec = trace.New(e.traceRing, epoch)
-		s.recordIngest(tm, trace.OutcomeOK)
+		s.lookupFn = s.lookup
 	}
-	s.entrySources[e.program[0].Protocol] = src
-	s.store(first)
+	s.key, s.seq, s.origin, s.start = key, seq, src, e.node.Now()
+	s.pc, s.wait = 1, -1 // step 0 is the initiator receive, satisfied by first
+	s.replyAt = time.Time{}
+	if e.windowJitter > 0 {
+		seed := e.jitterSeed + int64(seq)*0x9E3779B9
+		if s.rng == nil {
+			s.rng = rand.New(rand.NewSource(seed))
+		} else {
+			s.rng.Seed(seed)
+		}
+	}
+	s.recordIngest(tm, trace.OutcomeOK)
+	for i := range s.entries {
+		s.entries[i] = src
+	}
+	s.store(&e.plan.steps[0], first)
 	return s
 }
 
@@ -132,34 +145,9 @@ func (s *session) recordIngest(tm ingestTiming, parse trace.Outcome) {
 }
 
 // handle runs one queued event of the session on its worker. Events
-// that outlived the session are recycled silently.
+// that outlived the session they were posted for are recycled silently.
 func (s *session) handle(job ingestJob) {
-	if job.kind != jobTimer {
-		s.queued.Add(-1)
-	}
-	if s.finished {
-		releaseJob(&job)
-		return
-	}
-	switch job.kind {
-	case jobEntry:
-		proto := job.codec.Spec.Protocol
-		if !s.waitsFor(proto, job.msg.Name) {
-			// Not ours (stale routing): pass it on without touching
-			// this session's reply targets.
-			s.e.rerouteEntry(s, job)
-			return
-		}
-		s.deliverEntry(proto, job.msg, job.src)
-	case jobData:
-		msg, tm, err := s.e.parse(&job)
-		if err != nil {
-			s.recordIngest(tm, trace.OutcomeErr)
-			return
-		}
-		s.recordIngest(tm, trace.OutcomeOK)
-		s.deliver(job.codec.Spec.Protocol, msg)
-	case jobTimer:
+	if job.kind == jobTimer {
 		if !s.timerSet || job.gen != s.timerGen {
 			return // cancelled or superseded timer
 		}
@@ -167,79 +155,117 @@ func (s *session) handle(job ingestJob) {
 		if s.windowed {
 			s.windowExpired()
 		} else {
-			s.e.sessionDone(s, fmt.Errorf("engine: timeout waiting for %s/%s", s.waitProto, s.waitMsg))
+			s.e.sessionDone(s, fmt.Errorf("engine: timeout waiting for %s", s.waiting()))
 		}
+		return
 	}
+	s.queued.Add(-1)
+	if job.gen != s.life.Load() {
+		releaseJob(&job)
+		return
+	}
+	if job.kind == jobEntry {
+		if !s.waitsFor(job.codec, job.msg.Name) {
+			// Not ours (stale routing): pass it on without touching
+			// this session's reply targets.
+			s.e.rerouteEntry(s, job)
+			return
+		}
+		s.deliverEntry(job.msg, job.src)
+		return
+	}
+	msg, tm, err := s.e.parse(&job)
+	if err != nil {
+		s.recordIngest(tm, trace.OutcomeErr)
+		return
+	}
+	if !s.reqs[job.req].answers(job.src, msg, s.e.plan.txid[job.req]) {
+		s.rec.RecordAt(trace.StageRecv, trace.OutcomeDrop, tm.parsed, tm.bytes)
+		s.e.stale.Add(1)
+		msg.Release()
+		return
+	}
+	s.recordIngest(tm, trace.OutcomeOK)
+	s.deliver(job.codec, msg)
 }
 
-// waitsFor reports whether the session is blocked on (proto, name).
-func (s *session) waitsFor(proto, name string) bool {
-	return s.waitProto == proto && s.waitMsg == name
+// waitsFor reports whether the session is blocked on message name of
+// codec's protocol.
+func (s *session) waitsFor(codec *Codec, name string) bool {
+	if s.wait < 0 {
+		return false
+	}
+	st := &s.e.plan.steps[s.wait]
+	return st.codec == codec && st.Message == name
+}
+
+// waiting names the armed receive for error texts.
+func (s *session) waiting() string {
+	st := &s.e.plan.steps[s.wait]
+	return st.Protocol + "/" + st.Message
 }
 
 // deliverEntry hands the session an entry message it waitsFor, and
-// makes its peer the reply target of proto.
-func (s *session) deliverEntry(proto string, msg *message.Message, src netengine.Source) {
-	s.entrySources[proto] = src
-	s.deliver(proto, msg)
+// makes its peer the reply target of the protocol.
+func (s *session) deliverEntry(msg *message.Message, src netengine.Source) {
+	st := &s.e.plan.steps[s.wait]
+	s.entries[st.entry] = src
+	s.deliver(st.codec, msg)
 }
 
-func (s *session) store(m *message.Message) {
-	s.history[m.Name] = append(s.history[m.Name], m)
+func (s *session) store(st *planStep, m *message.Message) {
+	s.history[st.hist] = append(s.history[st.hist], m)
 }
 
-// lookup returns the most recent stored instance of a message.
+// lookup returns the most recent stored instance of a message: the
+// translation logic's name-based view of the slot arrays.
 func (s *session) lookup(name string) *message.Message {
-	h := s.history[name]
-	if len(h) == 0 {
-		return nil
+	if slot, ok := s.e.plan.slotOf[name]; ok && len(s.history[slot]) > 0 {
+		return s.history[slot][len(s.history[slot])-1]
 	}
-	return h[len(h)-1]
+	return nil
 }
 
-// advance executes program steps until the session blocks on a receive
-// or completes. It first publishes the receive it is heading for: a send
-// on the way may provoke the peer's next entry message, which must find
-// the session (findAwaiting) even if it arrives before the receive is
-// armed. That message queues behind this run on the owning worker, so it
-// is delivered once the receive is armed.
+// advance executes plan steps until the session blocks on a receive or
+// ends; nothing may touch s after it returns from a step that ended it.
+// It first publishes the receive it is heading for: a send on the way
+// may provoke the peer's next entry message, which must find the
+// session (findAwaiting) even if it arrives before the receive is
+// armed. That message queues behind this run on the owning worker, so
+// it is delivered once the receive is armed.
 func (s *session) advance() {
 	s.await.Store(s.e.awaits[s.pc])
-	for !s.finished {
-		if s.pc >= len(s.e.program) {
-			s.e.sessionDone(s, nil)
-			return
-		}
-		step := s.e.program[s.pc]
-		switch step.Kind {
+	for ; s.pc < len(s.e.plan.steps); s.pc++ {
+		st := &s.e.plan.steps[s.pc]
+		var err error
+		switch st.Kind {
 		case merge.StepDelta:
 			t0 := time.Now()
-			err := s.runDelta(step)
+			err = s.runDelta(st)
 			s.e.stageHists[trace.StageTransition].Record(time.Since(t0))
 			if err != nil {
 				s.rec.Record(trace.StageTransition, trace.OutcomeErr, 0)
-				s.e.sessionDone(s, err)
-				return
+			} else {
+				s.rec.Record(trace.StageTransition, trace.OutcomeOK, 0)
 			}
-			s.rec.Record(trace.StageTransition, trace.OutcomeOK, 0)
-			s.pc++
 		case merge.StepSend:
-			if err := s.runSend(step); err != nil {
-				s.e.sessionDone(s, err)
-				return
-			}
-			s.pc++
+			err = s.runSend(st)
 		case merge.StepRecv:
-			s.armReceive(step)
+			s.armReceive(st)
+			return
+		}
+		if err != nil {
+			s.e.sessionDone(s, err)
 			return
 		}
 	}
+	s.e.sessionDone(s, nil)
 }
 
 // runDelta executes the λ actions of a δ-transition.
-func (s *session) runDelta(step merge.Step) error {
-	for _, act := range step.Delta.Actions {
-		vals, err := act.Resolve(s.lookup)
+func (s *session) runDelta(st *planStep) error {
+	for _, act := range st.Delta.Actions {
+		vals, err := act.Resolve(s.lookupFn)
 		if err != nil {
 			return err
 		}
@@ -265,73 +291,66 @@ func (s *session) runDelta(step merge.Step) error {
 // runSend builds, translates, composes and transmits a message, timing
 // each of the three stages into the engine's histograms and the
 // session's flight recorder.
-func (s *session) runSend(step merge.Step) error {
-	codec := s.e.codecs[step.Protocol]
+func (s *session) runSend(st *planStep) error {
+	e := s.e
 	// Pooled: the composed message joins the session history and is
 	// recycled with it at cleanup.
-	out := message.NewPooled(step.Protocol, step.Message)
-	env := translation.Env{Lookup: s.lookup, Vars: s.e.vars}
+	out := message.NewPooled(st.Protocol, st.Message)
+	env := translation.Env{Lookup: s.lookupFn, Vars: e.vars}
 	t0 := time.Now()
-	err := s.e.merged.Logic.Apply(out, env, s.e.tfuncs)
+	err := e.merged.Logic.Apply(out, env, e.tfuncs)
 	t1 := time.Now()
-	s.e.stageHists[trace.StageTranslate].Record(t1.Sub(t0))
+	e.stageHists[trace.StageTranslate].Record(t1.Sub(t0))
 	if err != nil {
 		out.Release() // never joined the history
 		s.rec.RecordAt(trace.StageTranslate, trace.OutcomeErr, t1, 0)
 		return err
 	}
 	s.rec.RecordAt(trace.StageTranslate, trace.OutcomeOK, t1, 0)
-	wire, err := codec.Composer.Compose(out)
+	if !st.ReplyToOrigin && e.plan.txid[st.req] != nil {
+		// The engine owns the color's txid field: on a lent socket it
+		// carries the epoch of this lend, which a reply must echo.
+		r, err := s.requester(st)
+		if err != nil {
+			out.Release()
+			return err
+		}
+		if r.epoch != 0 {
+			out.SetPathParts(e.plan.txid[st.req], message.Int(int64(r.epoch)))
+		}
+	}
+	wire, err := st.codec.Composer.Compose(out)
 	t2 := time.Now()
-	s.e.stageHists[trace.StageCompose].Record(t2.Sub(t1))
+	e.stageHists[trace.StageCompose].Record(t2.Sub(t1))
 	if err != nil {
 		out.Release()
 		s.rec.RecordAt(trace.StageCompose, trace.OutcomeErr, t2, 0)
 		return err
 	}
 	s.rec.RecordAt(trace.StageCompose, trace.OutcomeOK, t2, len(wire))
-	s.store(out) // sent instances join the history (⇒ over sends)
+	s.store(st, out) // sent instances join the history (⇒ over sends)
 
-	if step.ReplyToOrigin {
-		src, ok := s.entrySources[step.Protocol]
-		if !ok {
-			src = s.origin
+	what := "send"
+	if st.ReplyToOrigin {
+		what = "reply"
+		err = s.entries[st.entry].Reply(wire)
+		if err == nil && s.replyAt.IsZero() && st.Protocol == e.merged.Initiator {
+			s.replyAt = e.node.Now()
 		}
-		err := src.Reply(wire)
-		s.e.stageHists[trace.StageSend].Record(time.Since(t2))
-		if err != nil {
-			s.rec.Record(trace.StageSend, trace.OutcomeErr, len(wire))
-			return fmt.Errorf("engine: reply: %w", err)
-		}
-		s.rec.Record(trace.StageSend, trace.OutcomeOK, len(wire))
-		if s.replyAt.IsZero() && step.Protocol == s.e.merged.Initiator {
-			s.replyAt = s.e.node.Now()
-		}
-		return nil
-	}
-	r, ok := s.requesters[step.Protocol]
-	if !ok {
-		dest := s.override
-		s.override = netapi.Addr{}
+	} else {
 		// Opening a stream requester dials, and realnet's dial returns
 		// only once the loopback connect completed or was refused: the
 		// one call in which a step may wait, holding its worker.
-		r, err = s.e.net.NewRequester(step.Color, dest, codec.Framer, func(data []byte, src netengine.Source, lease *netapi.Buffer) {
-			s.e.post(s, ingestJob{kind: jobData, codec: codec, data: data, src: src, lease: lease, arrived: time.Now()})
-		})
-		if err != nil {
+		var r *requester
+		if r, err = s.requester(st); err != nil {
 			return err
 		}
-		s.requesters[step.Protocol] = r
-		if s.e.egress != nil {
-			s.e.egress.Add(r)
-		}
+		err = r.Send(wire)
 	}
-	sendErr := r.Send(wire)
-	s.e.stageHists[trace.StageSend].Record(time.Since(t2))
-	if sendErr != nil {
+	e.stageHists[trace.StageSend].Record(time.Since(t2))
+	if err != nil {
 		s.rec.Record(trace.StageSend, trace.OutcomeErr, len(wire))
-		return fmt.Errorf("engine: send: %w", sendErr)
+		return fmt.Errorf("engine: %s: %w", what, err)
 	}
 	s.rec.Record(trace.StageSend, trace.OutcomeOK, len(wire))
 	return nil
@@ -341,26 +360,19 @@ func (s *session) runSend(step merge.Step) error {
 // published it). The timer callback fires on the runtime dispatcher, so
 // it only queues a job for the owning worker — never touches session
 // state.
-func (s *session) armReceive(step merge.Step) {
-	s.waitProto = step.Protocol
-	s.waitMsg = step.Message
-	s.collected = nil
-	scheme, err := netengine.SchemeOf(step.Color)
-	if err != nil {
-		s.e.sessionDone(s, err)
-		return
-	}
+func (s *session) armReceive(st *planStep) {
+	s.wait = s.pc
+	s.collected = 0
 	wait := s.e.recvTimeout
-	s.windowed = false
-	if scheme.Convergence > 0 {
+	s.windowed = st.window > 0
+	if s.windowed {
 		// Requester-side multicast collection window: gather responses
 		// for the full window (the SLP convergence behaviour that
 		// dominates the →SLP rows of Fig. 12(b)).
-		wait = scheme.Convergence
+		wait = st.window
 		if s.e.windowJitter > 0 && s.rng != nil {
 			wait += time.Duration(s.rng.Int63n(int64(s.e.windowJitter))) - s.e.windowJitter/2
 		}
-		s.windowed = true
 	}
 	s.timerGen++
 	gen := s.timerGen
@@ -369,8 +381,8 @@ func (s *session) armReceive(step merge.Step) {
 }
 
 func (s *session) windowExpired() {
-	if len(s.collected) == 0 {
-		s.e.sessionDone(s, fmt.Errorf("engine: no %s/%s response within convergence window", s.waitProto, s.waitMsg))
+	if s.collected == 0 {
+		s.e.sessionDone(s, fmt.Errorf("engine: no %s response within convergence window", s.waiting()))
 		return
 	}
 	s.clearWait()
@@ -378,28 +390,28 @@ func (s *session) windowExpired() {
 	s.advance()
 }
 
+// clearWait ends the armed receive, if any.
 func (s *session) clearWait() {
 	if s.timerSet {
 		s.e.node.Cancel(s.timer)
 		s.timerSet = false
 	}
 	s.timerGen++ // invalidate a fire already in flight
-	s.waitProto, s.waitMsg = "", ""
-	s.collected = nil
+	s.wait = -1
 	s.await.Store(nil)
 }
 
-func (s *session) deliver(proto string, msg *message.Message) {
-	if s.waitProto != proto || s.waitMsg != msg.Name {
+func (s *session) deliver(codec *Codec, msg *message.Message) {
+	if !s.waitsFor(codec, msg.Name) {
 		s.rec.Record(trace.StageRecv, trace.OutcomeDrop, 0)
 		s.e.ignored.Add(1)
 		// Parsed for this session alone and never stored: recycle.
 		msg.Release()
 		return
 	}
-	s.store(msg)
+	s.store(&s.e.plan.steps[s.wait], msg)
 	if s.windowed {
-		s.collected = append(s.collected, msg)
+		s.collected++
 		return // keep collecting until the window expires
 	}
 	s.clearWait()
@@ -407,29 +419,25 @@ func (s *session) deliver(proto string, msg *message.Message) {
 	s.advance()
 }
 
+// cleanup releases what the finished session holds and leaves its
+// arrays empty for the struct's next life.
 func (s *session) cleanup() {
-	if s.timerSet {
-		s.e.node.Cancel(s.timer)
-		s.timerSet = false
-	}
-	s.timerGen++
-	s.await.Store(nil)
-	for proto, r := range s.requesters {
-		if s.e.egress != nil {
-			s.e.egress.Remove(r)
+	s.clearWait()
+	for i, r := range s.reqs {
+		if r != nil {
+			s.release(i)
 		}
-		_ = r.Close()
-		delete(s.requesters, proto)
 	}
+	s.override = netapi.Addr{}
 	// The session owns every message in its history (parsed inputs and
 	// composed outputs); nothing references them once the session ends,
 	// so the whole working set returns to the message pools here — the
 	// session boundary of the pooled fast path.
-	s.collected = nil
-	for name, h := range s.history {
-		for _, m := range h {
+	for i, h := range s.history {
+		for j, m := range h {
 			m.Release()
+			h[j] = nil
 		}
-		delete(s.history, name)
+		s.history[i] = h[:0]
 	}
 }

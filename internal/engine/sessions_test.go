@@ -61,7 +61,7 @@ func (c *sessionEnds) errs() []string {
 func TestSessionsAreData(t *testing.T) {
 	const (
 		parked             = 2000
-		maxBytesPerSession = 12 << 10
+		maxBytesPerSession = 9 << 10
 	)
 	sim := simnet.New()
 	e := deploy(t, sim, "slp-to-bonjour", engine.WithMaxSessions(parked)) // no service answers

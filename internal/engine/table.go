@@ -100,7 +100,7 @@ func (t *sessionTable) findAwaiting(proto, msg, ip string) *session {
 			if ak == nil || ak.proto != proto || ak.msg != msg {
 				continue
 			}
-			if s.originIP == ip {
+			if s.origin.Addr.IP == ip {
 				if sameIP == nil || s.seq < sameIP.seq {
 					sameIP = s
 				}

@@ -6,15 +6,29 @@ import (
 	"starlink/internal/netapi"
 )
 
-// ring is a fixed-capacity FIFO. Slots are cleared on pop so the queue
-// never pins a dequeued item's buffers.
+// ringMin is the slot count a ring is first allocated with.
+const ringMin = 16
+
+// ring is a FIFO that allocates on first use and doubles, up to its
+// queue's Policy.Capacity, only when a push finds it full: a lane that
+// never backs up holds ringMin slots, not Capacity empty, pointerful
+// ones. Slots are cleared on pop so the queue never pins a dequeued
+// item's buffers.
 type ring[T any] struct {
 	buf  []T
 	head int
 	n    int
 }
 
-func (r *ring[T]) push(v T) {
+// push appends v; the caller has checked n < limit.
+func (r *ring[T]) push(v T, limit int) {
+	if r.n == len(r.buf) {
+		buf := make([]T, min(max(2*len(r.buf), ringMin), limit))
+		for i := range r.n { // oldest first: the new ring starts unwrapped
+			buf[i] = r.buf[(r.head+i)%len(r.buf)]
+		}
+		r.buf, r.head = buf, 0
+	}
 	r.buf[(r.head+r.n)%len(r.buf)] = v
 	r.n++
 }
@@ -57,9 +71,6 @@ type Queue[T any] struct {
 func NewQueue[T any](policy Policy, gate *netapi.FlowGate) *Queue[T] {
 	q := &Queue[T]{policy: policy, gate: gate}
 	q.cond.L = &q.mu
-	for l := range q.rings {
-		q.rings[l].buf = make([]T, policy.Capacity)
-	}
 	return q
 }
 
@@ -99,22 +110,22 @@ func (q *Queue[T]) Enqueue(lane Lane, item T) (Verdict, T) {
 		// control and data.
 		if q.policy.Mode == ShedOldest && r.n > 0 {
 			victim = r.pop()
-			r.push(item)
+			r.push(item, q.policy.Capacity)
 			verdict = Evicted
 		} else {
 			// RejectNew, or nothing older to shed: refuse the arrival.
 			verdict = Rejected
 		}
-	case r.n >= len(r.buf):
+	case r.n >= q.policy.Capacity:
 		if q.policy.Mode == ShedOldest && lane != Control {
 			victim = r.pop()
-			r.push(item)
+			r.push(item, q.policy.Capacity)
 			verdict = Evicted
 		} else {
 			verdict = Rejected
 		}
 	default:
-		r.push(item)
+		r.push(item, q.policy.Capacity)
 	}
 	if verdict != Rejected {
 		q.admitted[lane]++
@@ -239,7 +250,7 @@ func (q *Queue[T]) Counters() [NumLanes]Counters {
 			Evicted:   q.evicted[l],
 			Drained:   q.drained[l],
 			Depth:     q.rings[l].n,
-			Capacity:  len(q.rings[l].buf),
+			Capacity:  q.policy.Capacity,
 		}
 	}
 	return out

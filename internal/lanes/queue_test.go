@@ -352,3 +352,67 @@ func TestEnqueueDequeueAllocFree(t *testing.T) {
 		t.Fatalf("enqueue/dequeue allocates %.2f per op, want 0", avg)
 	}
 }
+
+// Rings grow on demand: a fresh queue holds nothing, a lane that queues
+// a handful holds ringMin slots, and each lane still accepts exactly
+// Policy.Capacity items — in FIFO order across a wrap followed by growth.
+func TestRingsGrowOnDemand(t *testing.T) {
+	const capacity = 100 // not a power of two: the last doubling is clipped
+	q := NewQueue[int](policy(capacity, 3*capacity, 1, RejectNew), nil)
+	slots := func() (n int) {
+		for l := range q.rings {
+			n += len(q.rings[l].buf)
+		}
+		return n
+	}
+	if slots() != 0 {
+		t.Fatalf("fresh queue holds %d slots, want none before the first enqueue", slots())
+	}
+	// Wrap the data ring's head before it has to grow.
+	next, want := 0, 0
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			if v, _ := q.Enqueue(Data, next); v != Admitted {
+				t.Fatalf("item %d: verdict %v below capacity", next, v)
+			}
+			next++
+		}
+	}
+	pop := func(n int) {
+		for i := 0; i < n; i++ {
+			got, lane, ok := q.TryDequeue()
+			if !ok || lane != Data || got != want {
+				t.Fatalf("dequeued %d (lane %v, ok %v), want %d: FIFO broken", got, lane, ok, want)
+			}
+			want++
+		}
+	}
+	push(ringMin)
+	pop(ringMin - 3)
+	if len(q.rings[Data].buf) != ringMin || slots() != ringMin {
+		t.Fatalf("data ring %d slots, queue %d, want %d: one small ring, others untouched", len(q.rings[Data].buf), slots(), ringMin)
+	}
+	push(capacity - 3) // head is mid-ring: growth must unwrap
+	if len(q.rings[Data].buf) != capacity {
+		t.Fatalf("full data ring has %d slots, want Capacity %d", len(q.rings[Data].buf), capacity)
+	}
+	if v, _ := q.Enqueue(Data, -1); v != Rejected {
+		t.Fatalf("item beyond Capacity: verdict %v, want Rejected", v)
+	}
+	for _, l := range []Lane{Control, Telemetry} {
+		for i := 0; i < capacity; i++ {
+			if v, _ := q.Enqueue(l, i); v != Admitted {
+				t.Fatalf("%s item %d: verdict %v below capacity", l, i, v)
+			}
+		}
+	}
+	if c := q.Counters(); c[Data].Depth != capacity || c[Data].Capacity != capacity {
+		t.Fatalf("data lane depth %d capacity %d, want %d/%d", c[Data].Depth, c[Data].Capacity, capacity, capacity)
+	}
+	for i := 0; i < capacity; i++ {
+		if _, lane, _ := q.TryDequeue(); lane != Control {
+			t.Fatalf("dequeue %d from lane %v, want control first", i, lane)
+		}
+	}
+	pop(capacity) // the data lane, still in order after growing full
+}

@@ -211,6 +211,17 @@ func (s *Spec) MessageByName(name string) (*MessageDef, bool) {
 	return nil, false
 }
 
+// HeaderField returns the header field definition with the label, nil
+// when the header has none.
+func (s *Spec) HeaderField(label string) *FieldDef {
+	for _, f := range s.Header.Fields {
+		if f.Label == label {
+			return f
+		}
+	}
+	return nil
+}
+
 // SelectMessage picks the message definition whose rule matches the
 // rendered header field values.
 func (s *Spec) SelectMessage(headerValue func(label string) (string, bool)) (*MessageDef, error) {

@@ -165,6 +165,12 @@ func Rules() []Rule {
 			Doc:  "cases sharing an entry color have statically disjoint discriminators",
 			Run:  ruleDiscriminatorCollision,
 		},
+		{
+			Name: "txid",
+			Tier: TierLint,
+			Doc:  "a color's txid names a ≥16-bit integer header field of a client-role datagram protocol that no case assigns",
+			Run:  ruleTxID,
+		},
 	}
 }
 
@@ -493,7 +499,7 @@ func ruleUnmatchableRule(ctx *Context) []Diagnostic {
 			if kindOf(ctx, spec, m.Rule.Field) != message.KindInt {
 				continue
 			}
-			fd := headerField(spec, m.Rule.Field)
+			fd := spec.HeaderField(m.Rule.Field)
 			if fd == nil || fd.SizeBits <= 0 || fd.SizeBits > 64 {
 				continue
 			}
@@ -742,6 +748,76 @@ func checkCrossProto(sp map[string]*mdl.Spec, e1, e2 entry) []Diagnostic {
 	return diags
 }
 
+// ruleTxID checks the txid color attribute: the model's assertion that
+// the peer echoes a header field of the request in its reply. On the
+// strength of it the engine lends one requester socket to session after
+// session and stamps the field itself, so a declaration the protocol
+// cannot honour drops every reply as stale or lets one session read
+// another's.
+func ruleTxID(ctx *Context) []Diagnostic {
+	var diags []Diagnostic
+	bad := func(model, format string, args ...any) {
+		diags = append(diags, Diagnostic{Rule: "txid", Severity: SevError, Model: model, Message: fmt.Sprintf(format, args...)})
+	}
+	// owned[automaton][message] is the field the engine owns on that send.
+	owned := map[*automata.Automaton]map[string]string{}
+	for _, n := range ctx.Reg.AutomatonNames() {
+		a, err := ctx.Reg.Automaton(n)
+		if err != nil {
+			continue
+		}
+		owned[a] = map[string]string{}
+		for _, t := range a.Transitions {
+			st, _ := a.StateByName(t.From)
+			field, ok := st.Color.Get(automata.AttrTxID)
+			if !ok || t.Action != automata.Send {
+				continue
+			}
+			owned[a][t.Message] = field
+			spec, err := ctx.Reg.Spec(a.Protocol)
+			if err != nil {
+				continue // unknown-message reports the missing MDL
+			}
+			tr, _ := st.Color.Get(automata.AttrTransport)
+			switch fd := spec.HeaderField(field); {
+			case t.ReplyToOrigin:
+				bad(n, "txid %q on the server-role send of %s: the engine stamps only requests it originates", field, t.Message)
+			case tr != "" && tr != "udp":
+				bad(n, "txid %q on a %s color: only datagram requester sockets are lent", field, tr)
+			case fd == nil:
+				bad(n, "txid %q is not a header field of MDL %s, so neither %s nor its reply can carry it", field, a.Protocol, t.Message)
+			case kindOf(ctx, spec, field) != message.KindInt:
+				bad(n, "txid field %q of MDL %s is not integer-typed: it cannot carry the lend's epoch", field, a.Protocol)
+			case fd.SizeBits < 16:
+				bad(n, "txid field %q of MDL %s is %d bits wide, want at least 16", field, a.Protocol, fd.SizeBits)
+			}
+		}
+	}
+	for _, name := range ctx.Reg.MergedNames() {
+		m, err := ctx.Reg.Merged(name)
+		if err != nil || m.Logic == nil {
+			continue
+		}
+		for i, asg := range m.Logic.Assignments {
+			for _, a := range m.Automata {
+				field, ok := owned[a][asg.Target.Message]
+				if !ok || asg.Target.Path == nil {
+					continue
+				}
+				for _, step := range asg.Target.Path.Steps() {
+					if step.Label == field {
+						bad(name, "assignment %d targets %s.%s, the txid field of its color: the engine owns it and overwrites the value", i, asg.Target.Message, field)
+					}
+					if step.Label != "" {
+						break
+					}
+				}
+			}
+		}
+	}
+	return diags
+}
+
 // ---- helpers ----
 
 // kindOf resolves a field label's value kind through the type registry;
@@ -753,16 +829,6 @@ func kindOf(ctx *Context, spec *mdl.Spec, label string) message.Kind {
 		return message.KindString
 	}
 	return m.Kind()
-}
-
-// headerField returns the header field definition with the label.
-func headerField(spec *mdl.Spec, label string) *mdl.FieldDef {
-	for _, f := range spec.Header.Fields {
-		if f.Label == label {
-			return f
-		}
-	}
-	return nil
 }
 
 // sortedKeys returns a map's keys in sorted order, for deterministic

@@ -168,3 +168,36 @@ func TestSeverityStrings(t *testing.T) {
 		t.Errorf("Diagnostic.String() = %q", got)
 	}
 }
+
+// TestTxIDRule lints one fixture per way a txid declaration can be
+// wrong; each loads and compiles, so only the lint tier sees it.
+func TestTxIDRule(t *testing.T) {
+	ctx, diags, err := Run("testdata/txid", TierLint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx.LoadErr != nil {
+		t.Fatalf("testdata/txid must load: %v", ctx.LoadErr)
+	}
+	want := map[string]string{
+		"txid-missing":                `"Serial" is not a header field`,
+		"txid-narrow":                 `"Version" of MDL SLP is 8 bits wide`,
+		"txid-string":                 `"LangTag" of MDL SLP is not integer-typed`,
+		"txid-stream":                 `on a tcp color`,
+		"txid-server":                 `server-role send of DNSResponse`,
+		"slp-to-bonjour-assigns-txid": `targets DNSQuestion.ID`,
+	}
+	for _, d := range diags {
+		if d.Severity == SevInfo {
+			continue
+		}
+		frag, ok := want[d.Model]
+		if d.Rule != "txid" || d.Severity != SevError || !ok || !strings.Contains(d.Message, frag) {
+			t.Errorf("unexpected diagnostic: %s", d)
+		}
+		delete(want, d.Model)
+	}
+	for model, frag := range want {
+		t.Errorf("missing txid error on %s containing %q", model, frag)
+	}
+}

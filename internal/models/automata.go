@@ -26,7 +26,8 @@ const SLPServerAutomaton = `
 // SLPClientAutomaton is the requester role used by the →SLP bridge
 // cases. Its color carries the multicast convergence window (ms) that
 // an SLP requester must wait to collect replies — the behaviour behind
-// the ~6.2-6.3 s →SLP rows of Fig. 12(b).
+// the ~6.2-6.3 s →SLP rows of Fig. 12(b) — and the txid attribute: a
+// reply carries its request's XID (RFC 2608 §8).
 const SLPClientAutomaton = `
 <Automaton protocol="SLP" initial="s0" finals="s2">
  <Color>
@@ -36,6 +37,7 @@ const SLPClientAutomaton = `
   <Attr key="multicast" value="yes"/>
   <Attr key="group" value="239.255.255.253"/>
   <Attr key="convergence" value="6250"/>
+  <Attr key="txid" value="XID"/>
  </Color>
  <State name="s0"/>
  <State name="s1"/>
@@ -113,7 +115,9 @@ const HTTPServerAutomaton = `
  <Transition from="s1" to="s2" action="send" message="HTTPOk" replyToOrigin="true"/>
 </Automaton>`
 
-// MDNSClientAutomaton is Fig. 9: !DNS_Question then ?DNS_Response.
+// MDNSClientAutomaton is Fig. 9: !DNS_Question then ?DNS_Response. A
+// responder echoes the question's ID in its unicast answer (RFC 6762
+// §6.7), which the txid attribute declares.
 const MDNSClientAutomaton = `
 <Automaton protocol="mDNS" initial="s0" finals="s2">
  <Color>
@@ -122,6 +126,7 @@ const MDNSClientAutomaton = `
   <Attr key="mode" value="async"/>
   <Attr key="multicast" value="yes"/>
   <Attr key="group" value="224.0.0.251"/>
+  <Attr key="txid" value="ID"/>
  </Color>
  <State name="s0"/>
  <State name="s1"/>

@@ -21,8 +21,8 @@
 // (netapi.Detach), so distinct endpoints dispatch in parallel while
 // callbacks for one endpoint stay serial — framing state is owned per
 // endpoint and needs no locking on the delivery path. Reply/Send may
-// be called from any goroutine (the engine replies from per-session
-// goroutines).
+// be called from any goroutine (the engine replies from its ingest
+// workers).
 //
 // Buffer ownership: datagram payloads are handed to the Handler with
 // the leased receive buffer backing them (nil for framed stream
@@ -166,6 +166,10 @@ type ColorScheme struct {
 	// responses before proceeding (the SLP multicast convergence
 	// window); zero means advance on first response.
 	Convergence time.Duration
+	// TxID names the header field of a client-role color's request that
+	// the peer echoes in its reply ("" when the protocol has none): the
+	// model's assertion that lets a requester socket outlive a session.
+	TxID string
 }
 
 // SchemeOf interprets a color's attributes.
@@ -190,6 +194,7 @@ func SchemeOf(c automata.Color) (ColorScheme, error) {
 	if ms, ok := c.GetInt("convergence"); ok {
 		s.Convergence = time.Duration(ms) * time.Millisecond
 	}
+	s.TxID, _ = c.Get(automata.AttrTxID)
 	return s, nil
 }
 
@@ -287,18 +292,19 @@ func loadSock(cell *atomic.Value) netapi.UDPSocket {
 }
 
 // Requester is a client-role channel: the bridge's own outgoing
-// request path for one protocol within one session.
+// request path for one protocol, held by one session at a time (the
+// engine keeps a datagram one open across sessions when its color
+// declares a txid).
 type Requester struct {
-	scheme ColorScheme
-	dest   netapi.Addr
-	node   netapi.Node
-	sock   netapi.UDPSocket
-	conn   netapi.Conn
+	dest netapi.Addr
+	node netapi.Node
+	sock netapi.UDPSocket
+	conn netapi.Conn
 
 	// frMu guards the stream framing state: delivery mutates it from
 	// the connection's serial domain, while Close inspects it from the
-	// session goroutine to decide whether the connection is at a clean
-	// frame boundary and can be parked for reuse.
+	// session's ingest worker to decide whether the connection is at a
+	// clean frame boundary and can be parked for reuse.
 	frMu  sync.Mutex
 	frBuf []byte
 }
@@ -312,7 +318,7 @@ func (e *Engine) NewRequester(c automata.Color, dest netapi.Addr, framer *parser
 	if err != nil {
 		return nil, err
 	}
-	r := &Requester{scheme: scheme, node: e.node}
+	r := &Requester{node: e.node}
 	colorKey := c.Key()
 	switch scheme.Transport {
 	case "udp":
@@ -369,8 +375,16 @@ func (r *Requester) Send(data []byte) error {
 	return r.sock.Send(r.dest, data)
 }
 
-// Convergence returns the color's response-collection window.
-func (r *Requester) Convergence() time.Duration { return r.scheme.Convergence }
+// Heard reports whether src is a payload that arrived on this channel's
+// own socket or connection. A session holds it against every requester
+// payload it is handed, so one read off a socket some other session now
+// borrows — or off one already closed — is never taken for its own.
+func (r *Requester) Heard(src Source) bool {
+	if r.conn != nil {
+		return src.conn == r.conn
+	}
+	return src.sock == r.sock
+}
 
 // EgressTable is a concurrent set of the datagram sockets a bridge
 // deployment currently sends requests from. A multi-case dispatcher

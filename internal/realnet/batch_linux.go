@@ -126,6 +126,11 @@ func newReceiver(s *udpSocket) receiver {
 	r.s = s
 	r.vec = mmsgVec{r.hdr0[:], r.iov0[:], r.name0[:]}
 	r.fn = func(fd uintptr) bool {
+		if s.slab[0] == nil {
+			// Readable again: lease the buffer the wait went without.
+			s.slab.Refill()
+			r.vec.set(0, s.slab[0].Backing())
+		}
 		for {
 			n, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
 				uintptr(unsafe.Pointer(&r.vec.hdrs[0])), uintptr(len(s.slab)), 0, 0, 0)
@@ -136,10 +141,13 @@ func newReceiver(s *udpSocket) receiver {
 			case syscall.EINTR:
 				continue
 			case syscall.EAGAIN:
-				// The queue is empty: let everything but the first buffer
-				// go, then park in the netpoller until readable.
+				// The queue is empty: give every buffer back, then park in
+				// the netpoller until readable. An idle socket — a
+				// listener between requests, a requester nobody borrows —
+				// pins no pool memory at all.
 				r.parked = true
 				s.slab = s.slab.Resize(1)
+				s.slab.Release()
 				return false
 			default:
 				r.errno = errno

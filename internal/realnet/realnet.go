@@ -48,7 +48,7 @@ var loopback = netip.AddrFrom4([4]byte{127, 0, 0, 1})
 // recvBatch caps a UDP read loop's buffer slab: how many datagrams one
 // read may return once a socket's kernel queue has shown a backlog.
 // 32 × 64 KiB bounds what a saturated socket pins at 2 MiB; a socket
-// that parks between datagrams holds one buffer (see readLoop).
+// that parks between datagrams holds none (see readLoop).
 const recvBatch = 32
 
 // maxParkedPerDest bounds the dial-reuse pool per destination address.
@@ -535,17 +535,18 @@ func (n *node) joinGroup(dom *domain, gate *netapi.FlowGate, group netapi.Addr, 
 type receiver interface {
 	// recv fills s.slab[:n] with the datagrams of one read, waiting in
 	// the netpoller while the socket has none. parked reports that the
-	// read found the kernel queue empty and waited; a primitive that
-	// waits first shrinks s.slab to one buffer, so a parked socket pins
-	// 64 KiB whatever it grew to before.
+	// read found the kernel queue empty and waited; a primitive that can
+	// wait for readability first shrinks s.slab to one slot and releases
+	// its buffer for the wait, so a parked socket pins no pool memory
+	// whatever it grew to before.
 	recv() (n int, parked bool, err error)
 	// datagram returns the length and source of the read's i-th datagram.
 	datagram(i int) (size int, from netip.AddrPort)
 }
 
 // portableReceiver reads one datagram into slot 0. It cannot see the
-// kernel queue, so it reports every read as parked and the slab stays
-// at one buffer.
+// kernel queue, so it reports every read as parked, the slab stays at
+// one buffer, and that buffer is held through the wait.
 type portableReceiver struct {
 	s    *udpSocket
 	size int
@@ -599,9 +600,10 @@ func (s *udpSocket) srcIP(a netip.Addr) string {
 // buffer and doubles, up to recvBatch, whenever a read came back full
 // without having parked — the kernel queue already held a backlog when
 // the loop returned to it — and the primitive drops it back to one the
-// moment it finds the queue empty. So a socket that parks between
-// datagrams holds 64 KiB, a saturated one drains recvBatch datagrams
-// per syscall within six reads, and a burst pins nothing once drained.
+// moment it finds the queue empty, and (recvmmsg) lets that one go too
+// while it waits. So a socket that parks between datagrams holds
+// nothing, a saturated one drains recvBatch datagrams per syscall
+// within six reads, and a burst pins nothing once drained.
 //
 // The flow gate is checked per read: a blocked gate parks the loop with
 // the whole slab released (a paused reader must not pin pool memory),

@@ -134,11 +134,21 @@ func wait(t *testing.T, ch <-chan struct{}, what string) {
 	}
 }
 
+// parkedLeases is what a socket waiting for its next datagram holds: no
+// buffer under recvmmsg, which waits for readability first; the one it
+// reads into under the portable primitive.
+func parkedLeases() int64 {
+	if realnet.Batched() {
+		return 0
+	}
+	return 1
+}
+
 // TestRecvSlabSizesItself pins the read loop's sizing rule from the
-// outside: an idle socket leases one buffer; a backlog grows the slab
-// to recvBatch and order survives the growth; the drained socket parks
-// on one buffer again; and a close or a blocked gate at any size gives
-// every buffer back.
+// outside: an idle socket leases no buffer (one, portably); a backlog
+// grows the slab to recvBatch and order survives the growth; the drained
+// socket parks on nothing again; and a close or a blocked gate at any
+// size gives every buffer back.
 func TestRecvSlabSizesItself(t *testing.T) {
 	ledger := newLeaseLedger(t)
 	rt := realnet.New()
@@ -154,7 +164,7 @@ func TestRecvSlabSizesItself(t *testing.T) {
 			}
 			socks = append(socks, s)
 		}
-		ledger.settle(n, "idle sockets open")
+		ledger.settle(n*parkedLeases(), "idle sockets open")
 		for _, s := range socks {
 			_ = s.Close()
 		}
@@ -169,7 +179,7 @@ func TestRecvSlabSizesItself(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sender.Close()
-	ledger.settle(1, "sender open")
+	ledger.settle(0, "sender open and parked")
 
 	t.Run("backlog", func(t *testing.T) {
 		const n = 200
@@ -180,21 +190,21 @@ func TestRecvSlabSizesItself(t *testing.T) {
 		if b.maxBatch != realnet.RecvBatch {
 			t.Fatalf("largest read returned %d datagrams, want the slab to reach %d", b.maxBatch, realnet.RecvBatch)
 		}
-		ledger.settle(2, "backlog drained, loop parked")
+		ledger.settle(0, "backlog drained, loop parked")
 		_ = b.sock.Close()
-		ledger.settle(1, "socket closed")
+		ledger.settle(0, "socket closed")
 	})
 
 	for size := 1; size <= realnet.RecvBatch; size *= 2 {
 		b := openBacklogSocket(t, node, size, -1)
 		b.queue(t, sender, 3*realnet.RecvBatch)
 		wait(t, b.atSize, "a full read")
-		if got := ledger.leased(); got != int64(1+size) {
-			t.Fatalf("slab of %d: %d buffers leased, want %d", size, got-1, size)
+		if got := ledger.leased(); got != int64(size) {
+			t.Fatalf("slab of %d: %d buffers leased, want %d", size, got, size)
 		}
 		_ = b.sock.Close()
 		close(b.resume)
-		ledger.settle(1, "socket closed mid-growth")
+		ledger.settle(0, "socket closed mid-growth")
 	}
 
 	t.Run("gate", func(t *testing.T) {
@@ -205,22 +215,23 @@ func TestRecvSlabSizesItself(t *testing.T) {
 		wait(t, b.atSize, "a read of 8")
 		gate.Pause()
 		close(b.resume)
-		ledger.settle(1, "gate blocked mid-growth")
+		ledger.settle(0, "gate blocked mid-growth")
 		if len(b.seqs) >= n {
 			t.Fatalf("all %d datagrams delivered through a blocked gate", n)
 		}
 		gate.Resume()
 		wait(t, b.done, "the backlog to drain after the gate reopened")
 		b.checkOrder(t, n)
-		ledger.settle(2, "gate reopened, backlog drained")
+		ledger.settle(0, "gate reopened, backlog drained")
 		_ = b.sock.Close()
-		ledger.settle(1, "gated socket closed")
+		ledger.settle(0, "gated socket closed")
 	})
 }
 
 // TestIdleSocketFootprint bounds the heap an open, idle UDP socket
-// pins: its one receive buffer plus the socket's own state. (A slab
-// leased up front made this 2.1 MiB.)
+// pins: the socket's own state and, under the portable primitive only,
+// the one buffer it reads into. (A slab leased up front made this
+// 2.1 MiB; one buffer held through the wait, 64 KiB.)
 func TestIdleSocketFootprint(t *testing.T) {
 	const n = 32
 	rt := realnet.New()
@@ -242,14 +253,14 @@ func TestIdleSocketFootprint(t *testing.T) {
 		}
 		socks = append(socks, s)
 	}
-	ledger.settle(n, "idle sockets open")
+	ledger.settle(n*parkedLeases(), "idle sockets open")
 	after := heap()
 	for _, s := range socks {
 		_ = s.Close()
 	}
 	per := (int64(after) - int64(before)) / n
 	t.Logf("%d KiB of heap per idle UDP socket", per/1024)
-	if per > 80*1024 {
-		t.Fatalf("an idle UDP socket pins %d KiB of heap, want <= 80 KiB", per/1024)
+	if bound := (32 + 64*parkedLeases()) * 1024; per > bound { // 5 KiB measured; the race detector's bookkeeping makes it 26
+		t.Fatalf("an idle UDP socket pins %d KiB of heap, want <= %d KiB", per/1024, bound/1024)
 	}
 }

@@ -114,10 +114,14 @@ type slot struct {
 	meta atomic.Uint64 // stage<<56 | outcome<<48 | bytes
 }
 
+// base anchors every epoch: kept as an offset from it, an epoch is one
+// atomic word and Reset as wait-free as recording.
+var base = time.Now()
+
 // Recorder is a fixed-size session flight recorder. Methods are safe
 // for concurrent use and safe on a nil receiver (the disabled form).
 type Recorder struct {
-	epoch time.Time
+	epoch atomic.Int64 // offset from base
 	mask  uint64
 	next  atomic.Uint64
 	slots []slot
@@ -134,7 +138,19 @@ func New(size int, epoch time.Time) *Recorder {
 	for n < size && n < 4096 {
 		n <<= 1
 	}
-	return &Recorder{epoch: epoch, mask: uint64(n - 1), slots: make([]slot, n)}
+	r := &Recorder{mask: uint64(n - 1), slots: make([]slot, n)}
+	r.epoch.Store(int64(epoch.Sub(base)))
+	return r
+}
+
+// Reset empties the ring and restarts it at epoch, for its owner's next
+// session; a writer racing it lands in one life or the other, untorn.
+func (r *Recorder) Reset(epoch time.Time) {
+	if r == nil {
+		return
+	}
+	r.epoch.Store(int64(epoch.Sub(base)))
+	r.next.Store(0)
 }
 
 // Epoch returns the recorder's time origin.
@@ -142,7 +158,7 @@ func (r *Recorder) Epoch() time.Time {
 	if r == nil {
 		return time.Time{}
 	}
-	return r.epoch
+	return base.Add(time.Duration(r.epoch.Load()))
 }
 
 // Cap returns the ring capacity in events (0 when disabled).
@@ -169,7 +185,7 @@ func (r *Recorder) Record(st Stage, out Outcome, bytes int) {
 	if r == nil {
 		return
 	}
-	r.put(st, out, int64(time.Since(r.epoch)), bytes)
+	r.put(st, out, int64(time.Since(base))-r.epoch.Load(), bytes)
 }
 
 // RecordAt notes a stage boundary at an explicit completion time (used
@@ -180,7 +196,7 @@ func (r *Recorder) RecordAt(st Stage, out Outcome, at time.Time, bytes int) {
 	if r == nil {
 		return
 	}
-	r.put(st, out, int64(at.Sub(r.epoch)), bytes)
+	r.put(st, out, int64(at.Sub(base))-r.epoch.Load(), bytes)
 }
 
 //starlink:hotpath

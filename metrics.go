@@ -68,6 +68,18 @@ type SessionMetrics struct {
 	// datagrams to queue between reads.
 	Ingested        int
 	IngestedBatched int
+	// Stale counts replies that answered no current holder of the
+	// requester socket they arrived on — late or duplicated replies to
+	// an earlier session, or a peer that does not echo the transaction
+	// id its color declares. Dropped, never delivered.
+	Stale int
+	// RequesterLends counts sessions that borrowed a requester socket
+	// kept open across sessions (colors declaring a txid),
+	// RequesterOpens the sockets opened for lending, and RequestersIdle
+	// those open with no borrower now (after Close: the number closed).
+	RequesterLends int
+	RequesterOpens int
+	RequestersIdle int
 }
 
 // add accumulates per-case metrics into an aggregate.
@@ -82,6 +94,10 @@ func (m SessionMetrics) add(o SessionMetrics) SessionMetrics {
 	m.Ignored += o.Ignored
 	m.Ingested += o.Ingested
 	m.IngestedBatched += o.IngestedBatched
+	m.Stale += o.Stale
+	m.RequesterLends += o.RequesterLends
+	m.RequesterOpens += o.RequesterOpens
+	m.RequestersIdle += o.RequestersIdle
 	return m
 }
 

@@ -75,6 +75,10 @@ func checkMetrics(t *testing.T, m starlink.Metrics, prevFinished *int64) {
 		sum.Ignored += row.Ignored
 		sum.Ingested += row.Ingested
 		sum.IngestedBatched += row.IngestedBatched
+		sum.Stale += row.Stale
+		sum.RequesterLends += row.RequesterLends
+		sum.RequesterOpens += row.RequesterOpens
+		sum.RequestersIdle += row.RequestersIdle
 	}
 	if sum != m.Sessions {
 		t.Errorf("per-case rows sum to %+v, aggregate says %+v", sum, m.Sessions)
