@@ -4,14 +4,11 @@ import (
 	"fmt"
 	"time"
 
-	"starlink/internal/composer"
-	"starlink/internal/message"
 	"starlink/internal/netapi"
 	"starlink/internal/protocols/dnssd"
 	"starlink/internal/protocols/slp"
 	"starlink/internal/protocols/upnp"
 	"starlink/internal/realnet"
-	"starlink/internal/registry"
 
 	"starlink"
 )
@@ -37,7 +34,7 @@ const demoRoundTimeout = 15 * time.Second
 // deliberately malformed datagram so the parse-error counters move.
 // Lookups that time out are logged, not fatal — the point is moving
 // the metrics surface, and partial traffic still does.
-func runDemo(rt *starlink.Runtime, ireg *registry.Registry, host string, rounds int, hosted []string) error {
+func runDemo(rt *starlink.Runtime, host string, rounds int, hosted []string) error {
 	net, ok := rt.Backend().(*realnet.Runtime)
 	if !ok {
 		return fmt.Errorf("demo traffic needs the loopback runtime")
@@ -75,12 +72,9 @@ func runDemo(rt *starlink.Runtime, ireg *registry.Registry, host string, rounds 
 			altHosted = true
 		}
 	}
-	var altWire []byte
-	if altHosted {
-		if altWire, err = composeAltRequest(ireg); err != nil {
-			return fmt.Errorf("compose alt request: %w", err)
-		}
-	}
+	// The raw SrvRequest the slp-to-upnp-alt entry (unicast :1427)
+	// expects: what a native user agent sends to the multicast entry.
+	altWire := (&slp.SrvRqst{Header: slp.Header{XID: 99, LangTag: "en"}, ServiceType: demoSLPType}).Marshal()
 
 	cliNode, err := net.NewNode("demo-client")
 	if err != nil {
@@ -143,25 +137,4 @@ func runDemo(rt *starlink.Runtime, ireg *registry.Registry, host string, rounds 
 		fmt.Printf("starlinkd: demo alt-case replies: %d\n", altReplies)
 	}
 	return nil
-}
-
-// composeAltRequest builds the raw SLP SrvRequest wire form the
-// slp-to-upnp-alt entry (unicast :1427) expects, using the same
-// MDL-driven composer the bridge itself uses.
-func composeAltRequest(ireg *registry.Registry) ([]byte, error) {
-	spec, err := ireg.Spec("SLP")
-	if err != nil {
-		return nil, err
-	}
-	comp, err := composer.New(spec, ireg.Types(), nil)
-	if err != nil {
-		return nil, err
-	}
-	req := message.New("SLP", "SLPSrvRequest")
-	req.AddPrimitive("Version", "Integer", message.Int(2))
-	req.AddPrimitive("FunctionID", "Integer", message.Int(1))
-	req.AddPrimitive("XID", "Integer", message.Int(99))
-	req.AddPrimitive("LangTag", "String", message.Str("en"))
-	req.AddPrimitive("SRVType", "String", message.Str(demoSLPType))
-	return comp.Compose(req)
 }

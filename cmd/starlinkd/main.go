@@ -235,7 +235,7 @@ func main() {
 
 	if *demoTraffic > 0 {
 		go func() {
-			if err := runDemo(rt, ireg, *host, *demoTraffic, disp.Cases()); err != nil {
+			if err := runDemo(rt, *host, *demoTraffic, disp.Cases()); err != nil {
 				fmt.Fprintln(os.Stderr, "starlinkd: demo:", err)
 			}
 			// The marker line smoke tests wait for before scraping.

@@ -57,7 +57,7 @@ func TestSmokeMetricsSurface(t *testing.T) {
 		t.Fatalf("hosted cases = %v, want %v", hosted, demoCases)
 	}
 
-	if err := runDemo(rt, ireg, host, 1, hosted); err != nil {
+	if err := runDemo(rt, host, 1, hosted); err != nil {
 		t.Fatalf("demo traffic: %v", err)
 	}
 

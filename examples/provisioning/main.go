@@ -23,8 +23,6 @@ import (
 	"time"
 
 	"starlink"
-	"starlink/internal/composer"
-	"starlink/internal/message"
 	"starlink/internal/netapi"
 	"starlink/internal/parser"
 	"starlink/internal/protocols/dnssd"
@@ -142,21 +140,8 @@ func main() {
 
 	// Drive the new case: a raw SLP SrvRequest sent unicast to the new
 	// entry endpoint, answered through SSDP + HTTP by the UPnP printer.
+	wire := (&slp.SrvRqst{Header: slp.Header{XID: 99, LangTag: "en"}, ServiceType: "service:printer"}).Marshal()
 	spec, err := ireg.Spec("SLP")
-	if err != nil {
-		log.Fatal(err)
-	}
-	comp, err := composer.New(spec, ireg.Types(), nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	req := message.New("SLP", "SLPSrvRequest")
-	req.AddPrimitive("Version", "Integer", message.Int(2))
-	req.AddPrimitive("FunctionID", "Integer", message.Int(1))
-	req.AddPrimitive("XID", "Integer", message.Int(99))
-	req.AddPrimitive("LangTag", "String", message.Str("en"))
-	req.AddPrimitive("SRVType", "String", message.Str("service:printer"))
-	wire, err := comp.Compose(req)
 	if err != nil {
 		log.Fatal(err)
 	}

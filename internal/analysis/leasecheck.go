@@ -19,16 +19,8 @@ const (
 //   - every buffer acquired via netapi.NewBuffer or Packet.TakeLease is
 //     Released exactly once on every control-flow path, or ownership is
 //     transferred (passed to a call, stored, sent, returned);
-//   - every slab acquired via netapi.LeaseBatch is settled the same
-//     way: one Batch.Release on every path, or a transfer. Per-element
-//     hand-offs (b[i] into a Packet, nil the slot, bulk-release the
-//     rest) count as uses of the batch, not releases — the slab is
-//     settled only by Batch.Release or by escaping whole, and
-//     `b = b.Resize(n)` is the same slab at a new size, still owed its
-//     one release;
 //   - no use of a lease after a definite Release, and no double
-//     Release — for batches that includes indexing a slab after the
-//     bulk release returned its buffers to the pool;
+//     Release;
 //   - the result of TakeLease is never discarded — dropping it leaks
 //     the pool slot;
 //   - a handler that retains Packet.Data beyond the callback (stores it
@@ -63,29 +55,8 @@ var leaseOwnConfig = &ownConfig{
 	},
 }
 
-// batchOwnConfig tracks slab leases (netapi.Batch) separately from
-// single-buffer leases: the two Release methods have different receiver
-// types, and element operations (b[i].Release, b[i] = nil) are uses of
-// the slab rather than settlements of it.
-var batchOwnConfig = &ownConfig{
-	isAcquire: func(pass *Pass, call *ast.CallExpr) (string, bool, bool) {
-		if isPkgFunc(pass.TypesInfo, call, netapiPath, "LeaseBatch") {
-			return "batch leased by netapi.LeaseBatch", false, true
-		}
-		return "", false, false
-	},
-	releaseMethod: "Release",
-	releaseOn: func(pass *Pass, call *ast.CallExpr) (ast.Expr, bool) {
-		return isMethodCall(pass.TypesInfo, call, netapiPath, "Batch", "Release")
-	},
-	resizeOn: func(pass *Pass, call *ast.CallExpr) (ast.Expr, bool) {
-		return isMethodCall(pass.TypesInfo, call, netapiPath, "Batch", "Resize")
-	},
-}
-
 func runLeaseCheck(pass *Pass) error {
 	runOwnership(pass, leaseOwnConfig)
-	runOwnership(pass, batchOwnConfig)
 
 	for _, f := range pass.analyzedFiles() {
 		// Discarded TakeLease results: `pkt.TakeLease()` as a bare

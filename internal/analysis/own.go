@@ -68,10 +68,6 @@ type ownConfig struct {
 	// releaseOn verifies the receiver type of a releaseMethod call
 	// really is the tracked resource type.
 	releaseOn func(pass *Pass, call *ast.CallExpr) (recv ast.Expr, ok bool)
-	// resizeOn, when set, recognises a method call whose result is its
-	// receiver's resource at a new size: `v = v.M(n)` rebinds v to the
-	// lease it already holds instead of overwriting it.
-	resizeOn func(pass *Pass, call *ast.CallExpr) (recv ast.Expr, ok bool)
 }
 
 // acquisition is one tracked owned value in one function.
@@ -390,11 +386,6 @@ func transferStmt(pass *Pass, cfg *ownConfig, acqs []*acquisition, st []ownState
 				newState := ownNone
 				if len(s.Rhs) == len(s.Lhs) {
 					if call, ok := ast.Unparen(s.Rhs[li]).(*ast.CallExpr); ok {
-						if cfg.resizeOn != nil {
-							if recv, ok := cfg.resizeOn(pass, call); ok && acqIndex(pass, acqs, recv) == i {
-								continue // same lease, new size: the state stands
-							}
-						}
 						if _, _, ok := cfg.isAcquire(pass, call); ok {
 							newState = ownOwned
 						}

@@ -168,113 +168,3 @@ func faultDropReleases(h netapi.PacketHandler, data []byte, dropped bool) {
 	}
 	h(netapi.Packet{Data: buf.Bytes(), Buf: buf})
 }
-
-// ---------------------------------------------------------------------
-// Slab lease shapes: the batched read loop leases N buffers with one
-// netapi.LeaseBatch call and settles the slab with one Batch.Release.
-// Element operations — bufs[i] into a Packet, bufs[i] = nil, a
-// bufs[i].Release() on a transferred-out element's new owner — are uses
-// of the still-owned slab, never settlements of it.
-// ---------------------------------------------------------------------
-
-// Historical bug class transposed to slabs: a batched read loop that
-// bails on a socket error without returning the slab to the pool.
-func batchLeakOnErrorPath(fill func([]byte) (int, error)) {
-	bufs := netapi.LeaseBatch(8) // want "never released or transferred"
-	for i := range bufs {
-		n, err := fill(bufs[i].Backing())
-		if err != nil {
-			return // leaked: eight pool slots gone
-		}
-		bufs[i].SetFilled(n)
-	}
-	bufs.Release()
-}
-
-func batchReleasedOnAllPaths(fill func([]byte) (int, error)) {
-	bufs := netapi.LeaseBatch(8)
-	if _, err := fill(bufs[0].Backing()); err != nil {
-		bufs.Release()
-		return
-	}
-	bufs.Release()
-}
-
-func batchDeferredRelease(fill func([]byte) (int, error)) {
-	bufs := netapi.LeaseBatch(8)
-	defer bufs.Release()
-	_, _ = fill(bufs[0].Backing())
-}
-
-// Passing the slab whole moves ownership: the callee settles it.
-func batchTransferred(drain func(netapi.Batch)) {
-	bufs := netapi.LeaseBatch(8)
-	drain(bufs)
-}
-
-// After the bulk release the slab variable is dead: its buffers are
-// back in the pool and may already back another socket's reads.
-func batchUseAfterRelease() []byte {
-	bufs := netapi.LeaseBatch(4)
-	bufs.Release()
-	return bufs[0].Bytes() // want "use of bufs after release"
-}
-
-func batchDoubleRelease() {
-	bufs := netapi.LeaseBatch(4)
-	bufs.Release()
-	bufs.Release() // want "released twice"
-}
-
-// The batched dispatch shape: each element rides into a Packet under
-// the per-delivery lease-flag protocol, taken slots are nilled, the
-// slab is refilled between rounds and bulk-released once at the end.
-// Every element operation is a use of the owned slab; only the final
-// Batch.Release settles it.
-func batchDeliverAndRefill(h netapi.PacketHandler, rounds int) {
-	bufs := netapi.LeaseBatch(4)
-	for r := 0; r < rounds; r++ {
-		for i := range bufs {
-			retained := false
-			pkt := netapi.Packet{Data: bufs[i].Bytes(), Buf: bufs[i]}
-			pkt.BindLeaseFlag(&retained)
-			h(pkt)
-			if retained {
-				bufs[i] = nil
-			}
-		}
-		bufs.Refill()
-	}
-	bufs.Release()
-}
-
-// The self-sizing read loop: the slab doubles while reads keep coming
-// back full. Resize hands back the slab the loop already owns, so the
-// reassignment is neither an overwrite nor a settlement — the one
-// Batch.Release is still owed on every path.
-func batchResizedStillOwned(fill func([]byte) (int, error)) {
-	bufs := netapi.LeaseBatch(1)
-	for len(bufs) < 32 {
-		if _, err := fill(bufs[0].Backing()); err != nil {
-			bufs.Release()
-			return
-		}
-		bufs = bufs.Resize(2 * len(bufs))
-		bufs.Refill()
-	}
-	bufs.Release()
-}
-
-func batchResizedThenLeaked() {
-	bufs := netapi.LeaseBatch(1) // want "never released or transferred"
-	bufs = bufs.Resize(2)
-	bufs.Refill()
-}
-
-// Another slab's Resize result is a different lease: assigning it over
-// an owned slab loses the owned one.
-func batchOverwrittenByAnotherSlab(other netapi.Batch) {
-	bufs := netapi.LeaseBatch(1)
-	bufs = other.Resize(2) // want "overwritten while still owned"
-	bufs.Release()
-}

@@ -9,9 +9,7 @@ import (
 	"time"
 
 	"starlink/internal/bench"
-	"starlink/internal/composer"
 	"starlink/internal/engine"
-	"starlink/internal/message"
 	"starlink/internal/netapi"
 	"starlink/internal/protocols/dnssd"
 	"starlink/internal/protocols/slp"
@@ -264,11 +262,9 @@ func Run(sc *Scenario, seed int64, cfg Config) (*Result, error) {
 		driver.After(sc.Drain, func() { d.BeginDrain() })
 	}
 	if sc.Reload > 0 {
-		altWire, err := composeAltRequest(reg)
-		if err != nil {
-			_ = d.Close()
-			return nil, err
-		}
+		// The raw SrvRequest the slp-to-upnp-alt entry (unicast :1427)
+		// expects: what a native user agent sends to the multicast entry.
+		altWire := (&slp.SrvRqst{Header: slp.Header{XID: 99, LangTag: "en"}, ServiceType: bench.SLPType}).Marshal()
 		rawSock, err := driver.OpenUDP(0, func(netapi.Packet) {})
 		if err != nil {
 			_ = d.Close()
@@ -432,25 +428,4 @@ func startClient(node netapi.Node, caseName, own string, col *collector, tally *
 	default:
 		fail(fmt.Errorf("dst: case %q has no known initiator protocol", caseName))
 	}
-}
-
-// composeAltRequest builds the raw SLP SrvRequest wire form the
-// slp-to-upnp-alt entry (unicast :1427) expects, with the same
-// MDL-driven composer the bridge uses.
-func composeAltRequest(reg *registry.Registry) ([]byte, error) {
-	spec, err := reg.Spec("SLP")
-	if err != nil {
-		return nil, err
-	}
-	comp, err := composer.New(spec, reg.Types(), nil)
-	if err != nil {
-		return nil, err
-	}
-	req := message.New("SLP", "SLPSrvRequest")
-	req.AddPrimitive("Version", "Integer", message.Int(2))
-	req.AddPrimitive("FunctionID", "Integer", message.Int(1))
-	req.AddPrimitive("XID", "Integer", message.Int(99))
-	req.AddPrimitive("LangTag", "String", message.Str("en"))
-	req.AddPrimitive("SRVType", "String", message.Str(bench.SLPType))
-	return comp.Compose(req)
 }

@@ -9,7 +9,7 @@
 // clients while a netapi.FaultPlan injects loss, delay, reordering,
 // duplication and partitions at the delivery layer. Because the whole
 // run — engine goroutines included — is serialized under the
-// simulator's WorkTracker contract, one (scenario, seed) pair always
+// simulator's WorkAdd/WorkDone contract, one (scenario, seed) pair always
 // produces the same delivery-event trace, byte for byte; that is what
 // makes a recorded failure replayable.
 package dst

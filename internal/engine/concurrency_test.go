@@ -19,7 +19,7 @@ import (
 // 6.25 s SLP convergence window, so all n sessions are live at once.
 func TestBridgeManySessionsSharded(t *testing.T) {
 	sim := simnet.New()
-	e := deploy(t, sim, "bonjour-to-slp", engine.WithShardCount(8))
+	e := deploy(t, sim, "bonjour-to-slp")
 	svcNode, _ := sim.NewNode("10.0.0.9")
 	if _, err := slp.NewServiceAgent(svcNode, "service:printer", "service:x"); err != nil {
 		t.Fatal(err)

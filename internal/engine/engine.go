@@ -52,9 +52,9 @@
 //   - Close stops the listeners, then the workers, and only then ends
 //     the sessions still live, on the closing goroutine, with an
 //     ErrClosed error through the same sink;
-//   - on runtimes with a virtual clock the engine reports in-flight
-//     work through netapi.WorkTracker, which keeps simulated runs
-//     deterministic and engine state safe to read after RunUntil.
+//   - the engine reports in-flight work to its node (WorkAdd/WorkDone),
+//     which keeps simulated runs deterministic and engine state safe to
+//     read after RunUntil.
 //
 // Deploy is the whole deployment of one case — bridge host, engine,
 // Start — and the engine then owns the host. What the engine observes
@@ -123,7 +123,6 @@ func (s State) String() string {
 
 // Defaults for the concurrency knobs; all overridable via options.
 const (
-	defaultShardCount  = 16
 	defaultMaxSessions = 4096
 	// defaultTraceRing is the per-session flight-recorder capacity in
 	// events; WithTraceRing overrides, 0 disables recording.
@@ -236,15 +235,6 @@ func WithIngestWorkers(n int) Option {
 	return func(e *Engine) {
 		if n > 0 {
 			e.ingestWorkers = n
-		}
-	}
-}
-
-// WithShardCount sets the number of session-table shards.
-func WithShardCount(n int) Option {
-	return func(e *Engine) {
-		if n > 0 {
-			e.shardCount = n
 		}
 	}
 }
@@ -388,13 +378,6 @@ func releaseJob(job *ingestJob) {
 	}
 }
 
-// noTracker is the WorkTracker used on runtimes that do not implement
-// netapi.WorkTracker.
-type noTracker struct{}
-
-func (noTracker) WorkAdd()  {}
-func (noTracker) WorkDone() {}
-
 // Engine executes one merged automaton on one bridge node.
 type Engine struct {
 	node netapi.Node
@@ -421,7 +404,6 @@ type Engine struct {
 
 	maxSessions   int
 	ingestWorkers int
-	shardCount    int
 	traceRing     int
 	lanePolicy    lanes.Policy
 
@@ -442,9 +424,8 @@ type Engine struct {
 	drained   chan struct{}
 	drainOnce sync.Once
 
-	tracker netapi.WorkTracker
-	table   *sessionTable
-	sem     chan struct{} // max-sessions semaphore
+	table *sessionTable
+	sem   chan struct{} // max-sessions semaphore
 	// workers are the ingest workers, one bounded lane-prioritized
 	// queue each; payloads are assigned by routing key, so payloads from
 	// one origin are always parsed and routed in arrival order, and a
@@ -533,7 +514,6 @@ func New(node netapi.Node, merged *merge.Merged, codecs map[string]*Codec, opts 
 		recvTimeout:   30 * time.Second,
 		maxSessions:   defaultMaxSessions,
 		ingestWorkers: workers,
-		shardCount:    defaultShardCount,
 		traceRing:     defaultTraceRing,
 		baseCtx:       context.Background(),
 		drained:       make(chan struct{}),
@@ -569,7 +549,7 @@ func New(node netapi.Node, merged *merge.Merged, codecs map[string]*Codec, opts 
 			e.awaits[pc] = &awaitKey{proto: step.Protocol, msg: step.Message}
 		}
 	}
-	e.table = newSessionTable(e.shardCount)
+	e.table = newSessionTable()
 	e.sem = make(chan struct{}, e.maxSessions)
 	perWorker := e.lanePolicy.Scale(e.ingestWorkers)
 	e.workers = make([]*worker, e.ingestWorkers)
@@ -580,11 +560,6 @@ func New(node netapi.Node, merged *merge.Merged, codecs map[string]*Codec, opts 
 		}
 	}
 	e.quit = make(chan struct{})
-	if wt, ok := node.(netapi.WorkTracker); ok {
-		e.tracker = wt
-	} else {
-		e.tracker = noTracker{}
-	}
 	return e, nil
 }
 
@@ -776,7 +751,7 @@ func (e *Engine) Close() error {
 	for _, w := range e.workers {
 		w.q.Close(func(_ lanes.Lane, job ingestJob) {
 			releaseJob(&job)
-			e.tracker.WorkDone()
+			e.node.WorkDone()
 		})
 	}
 	e.workerWG.Wait()
@@ -948,7 +923,7 @@ func (e *Engine) offer(q *lanes.Queue[ingestJob], lane lanes.Lane, job ingestJob
 		releaseJob(&job)
 		return
 	}
-	e.tracker.WorkAdd()
+	e.node.WorkAdd()
 	verdict, victim := q.Enqueue(lane, job)
 	// The sink is called outside closeMu: a callback reacting to the drop
 	// (even one that tears the deployment down from a fresh goroutine)
@@ -976,7 +951,7 @@ func (e *Engine) post(s *session, life uint32, job ingestJob) {
 		e.offer(s.w.q, lanes.Data, job)
 		return
 	}
-	e.tracker.WorkAdd() // held through the drop report, like offer's
+	e.node.WorkAdd() // held through the drop report, like offer's
 	e.shedJob(job, "session queue")
 }
 
@@ -992,7 +967,7 @@ func (e *Engine) shedJob(job ingestJob, by string) {
 	e.reportDrop(job.src.Addr, serrors.Mark(
 		fmt.Errorf("engine: %s: %s shed payload from %s", e.merged.Name, by, job.src.Addr),
 		serrors.ErrOverloaded))
-	e.tracker.WorkDone()
+	e.node.WorkDone()
 }
 
 // deliverTimer queues a fired receive timer for its session. Timer
@@ -1007,11 +982,11 @@ func (e *Engine) deliverTimer(s *session, gen uint32) {
 		e.closeMu.RUnlock()
 		return
 	}
-	e.tracker.WorkAdd()
+	e.node.WorkAdd()
 	verdict, _ := s.w.q.Enqueue(lanes.Control, ingestJob{sess: s, kind: jobTimer, gen: gen})
 	e.closeMu.RUnlock()
 	if verdict == lanes.Rejected {
-		e.tracker.WorkDone()
+		e.node.WorkDone()
 		e.node.After(time.Millisecond, func() { e.deliverTimer(s, gen) })
 	}
 }
@@ -1034,7 +1009,7 @@ func (e *Engine) ingestLoop(w *worker) {
 		} else {
 			e.ingest(w, job)
 		}
-		e.tracker.WorkDone()
+		e.node.WorkDone()
 	}
 }
 

@@ -166,22 +166,17 @@ func TestRecycledSessionDropsStaleJob(t *testing.T) {
 	}
 }
 
-// countingNode counts the UDP sockets opened through it, detached views
-// included (the engine opens its requesters on one).
+// countingNode counts the UDP sockets opened through it in any mode
+// (the engine opens its requesters on a detached view).
 type countingNode struct {
 	netapi.Node
 	udp *atomic.Int64
 }
 
-func (n countingNode) OpenUDP(port int, h netapi.PacketHandler) (netapi.UDPSocket, error) {
+func (n countingNode) OpenUDPIn(m netapi.Mode, port int, h netapi.PacketHandler) (netapi.UDPSocket, error) {
 	n.udp.Add(1)
-	return n.Node.OpenUDP(port, h)
+	return n.Node.OpenUDPIn(m, port, h)
 }
-func (n countingNode) DetachEndpoints() netapi.Node {
-	return countingNode{Node: netapi.Detach(n.Node), udp: n.udp}
-}
-func (n countingNode) WorkAdd()  { n.Node.(netapi.WorkTracker).WorkAdd() }
-func (n countingNode) WorkDone() { n.Node.(netapi.WorkTracker).WorkDone() }
 
 func mustParseSLP(t *testing.T, data []byte) interface{} {
 	t.Helper()

@@ -218,18 +218,13 @@ type probeNode struct {
 	onSend func()
 }
 
-func (n *probeNode) JoinGroup(group netapi.Addr, h netapi.PacketHandler) (netapi.UDPSocket, error) {
-	sock, err := n.Node.JoinGroup(group, h)
+func (n *probeNode) JoinGroupIn(m netapi.Mode, group netapi.Addr, h netapi.PacketHandler) (netapi.UDPSocket, error) {
+	sock, err := n.Node.JoinGroupIn(m, group, h)
 	if err != nil {
 		return nil, err
 	}
 	return probeSocket{UDPSocket: sock, onSend: n.onSend}, nil
 }
-
-// The engine tracks its hand-offs through the node; without these the
-// virtual clock would run ahead of the sessions.
-func (n *probeNode) WorkAdd()  { n.Node.(netapi.WorkTracker).WorkAdd() }
-func (n *probeNode) WorkDone() { n.Node.(netapi.WorkTracker).WorkDone() }
 
 type probeSocket struct {
 	netapi.UDPSocket
@@ -239,6 +234,63 @@ type probeSocket struct {
 func (s probeSocket) Send(to netapi.Addr, data []byte) error {
 	s.onSend()
 	return s.UDPSocket.Send(to, data)
+}
+
+// A bridge node wrapped in a struct that only embeds it is the same
+// node: the engine still opens detached and gated and still tracks its
+// hand-offs through it, so a run on the wrapper is the run on the bare
+// node, delivery for delivery. (Capabilities used to be optional
+// interfaces found by type assertion; a wrapper hid them all and the
+// engine fell back to no work tracking, no detachment and no gate.)
+func TestWrappedNodeKeepsCapabilities(t *testing.T) {
+	type wrapper struct{ netapi.Node }
+	const clients = 4
+	run := func(wrap func(netapi.Node) netapi.Node) (trace uint64) {
+		// No jitter: the four sessions' requester sockets hear their
+		// answers on one instant, ordered by their private domains.
+		sim := simnet.New(simnet.WithSeed(5), simnet.WithLatency(time.Millisecond, 0), simnet.WithEventTrace())
+		host, err := sim.NewNode("10.0.0.5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		gate := netapi.NewFlowGate()
+		e := newEngine(t, wrap(host), "slp-to-bonjour", engine.WithIngestWorkers(1), engine.WithFlowGate(gate))
+		if err := e.Start(); err != nil {
+			t.Fatal(err)
+		}
+		svcNode, _ := sim.NewNode("10.0.0.9")
+		if _, err := dnssd.NewResponder(svcNode, "printer.local", "service:printer://10.0.0.9:515"); err != nil {
+			t.Fatal(err)
+		}
+		gate.Pause()
+		var urls []*[]string
+		for i := 1; i <= clients; i++ {
+			urls = append(urls, lookup(t, sim, fmt.Sprintf("10.0.0.%d", i)))
+		}
+		sim.Run(10 * time.Millisecond)
+		if sim.PacketsDeferred != clients || e.Counts().Ingested != 0 {
+			t.Fatalf("gate blocked: %d requests parked, %d ingested; want %d and 0 (the entry listener is not gated)",
+				sim.PacketsDeferred, e.Counts().Ingested, clients)
+		}
+		gate.Resume()
+		// Untracked, the clock runs past the workers and the lookups
+		// converge empty before any session has sent its question.
+		if err := sim.RunUntil(func() bool { return e.Counts().Completed == clients }, 5*time.Second); err != nil {
+			t.Fatalf("%v (%+v)", err, e.Counts().Counters)
+		}
+		sim.RunToQuiescence()
+		for i, u := range urls {
+			if len(*u) != 1 {
+				t.Errorf("client %d got %v, want the printer's URL", i+1, *u)
+			}
+		}
+		return sim.TraceHash()
+	}
+	bare := run(func(n netapi.Node) netapi.Node { return n })
+	wrapped := run(func(n netapi.Node) netapi.Node { return wrapper{n} })
+	if wrapped != bare {
+		t.Errorf("trace on the wrapped node %016x, on the bare node %016x: the wrapper changed how endpoints dispatch", wrapped, bare)
+	}
 }
 
 // The send that provokes the peer's next entry message must not leave

@@ -13,13 +13,16 @@ func fnv32a(key string) uint32 {
 	return h
 }
 
+// sessionShards is how many ways the session table is split.
+const sessionShards = 16
+
 // sessionTable is the engine's sharded, keyed session registry. The
 // key is the routing key of the initiating payload — entry color +
 // origin address (netengine.Source.RoutingKey) — so every payload from
 // one legacy client socket maps to one shard, and concurrent listener
-// or ingest goroutines contend only on 1/N of the table.
+// or ingest goroutines contend only on 1/sessionShards of the table.
 type sessionTable struct {
-	shards []tableShard
+	shards [sessionShards]tableShard
 }
 
 type tableShard struct {
@@ -27,11 +30,8 @@ type tableShard struct {
 	sessions map[string]*session
 }
 
-func newSessionTable(shards int) *sessionTable {
-	if shards < 1 {
-		shards = 1
-	}
-	t := &sessionTable{shards: make([]tableShard, shards)}
+func newSessionTable() *sessionTable {
+	t := &sessionTable{}
 	for i := range t.shards {
 		t.shards[i].sessions = map[string]*session{}
 	}
@@ -39,7 +39,7 @@ func newSessionTable(shards int) *sessionTable {
 }
 
 func (t *sessionTable) shardFor(key string) *tableShard {
-	return &t.shards[fnv32a(key)%uint32(len(t.shards))]
+	return &t.shards[fnv32a(key)%sessionShards]
 }
 
 // contains reports whether a live session is registered under key —

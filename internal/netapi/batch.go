@@ -4,14 +4,15 @@ package netapi
 // batched receive syscall (recvmmsg): one lease-accounting atomic
 // covers the whole slab instead of one per buffer, so the amortised
 // bookkeeping cost of an N-packet batch is 1/N of the per-datagram
-// path.
+// path. A slab starts empty (a nil Batch, or a slice over the owner's
+// own storage) and is sized with Resize and filled with Refill.
 //
 // Ownership rules mirror Buffer's single-holder contract, lifted to
 // the slab:
 //
-//   - LeaseBatch(n) returns n leased buffers; the caller owns every
-//     slot until it either releases the slab (Release) or transfers a
-//     slot to another owner.
+//   - the caller owns every slot Refill leased until it either
+//     releases the slab (Release) or transfers a slot to another
+//     owner.
 //   - A slot whose lease was taken by a handler (the per-delivery
 //     BindLeaseFlag protocol — the read loop resets its flag for each
 //     datagram of a batch) is transferred by nilling it out; the new
@@ -19,9 +20,8 @@ package netapi
 //     single-buffer decrement, so the accounting balances slot by
 //     slot.
 //   - Release returns every remaining (non-nil) slot to the pool with
-//     one decrement covering them all, and nils the slots. After a
-//     bulk Release the batch variable is dead: touching the slab again
-//     without Refill is a use-after-release, and leasecheck reports it.
+//     one decrement covering them all, and nils the slots: touching
+//     the slab again without Refill is a use-after-release.
 //   - Refill re-leases the nil slots (transferred or bulk-released) so
 //     the same slab array feeds the next batched read without
 //     reallocating.
@@ -30,17 +30,6 @@ package netapi
 //     the receiver as the one slab the caller owns: dropped slots are
 //     released, added ones are empty until the next Refill.
 type Batch []*Buffer
-
-// LeaseBatch leases a slab of n pooled buffers under one accounting
-// increment. The caller owns all n slots.
-func LeaseBatch(n int) Batch {
-	b := make(Batch, n)
-	for i := range b {
-		b[i] = get()
-	}
-	outstanding.Add(int64(n))
-	return b
-}
 
 // Release returns every remaining slot to the pool and settles the
 // slab's lease accounting with a single decrement. Slots already

@@ -72,7 +72,7 @@ func NewBuffer() *Buffer {
 
 // get pulls a reset buffer from the pool without touching the lease
 // accounting — the caller is responsible for the outstanding
-// increment, which lets LeaseBatch/Refill amortise one atomic over a
+// increment, which lets Batch.Refill amortise one atomic over a
 // whole slab.
 func get() *Buffer {
 	b := bufferPool.Get().(*Buffer)

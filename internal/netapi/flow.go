@@ -108,28 +108,3 @@ func (g *FlowGate) Pauses() uint64 {
 	defer g.mu.Unlock()
 	return g.pauses
 }
-
-// FlowLimiter is implemented by nodes whose runtime can pause endpoint
-// read loops under backpressure. GateEndpoints returns a node view
-// whose endpoints honor the gate: while it is blocked, realnet read
-// loops park (releasing their leased buffers) and simnet defers
-// deliveries, both resuming when the gate reopens. The view composes
-// with EndpointDetacher — gating a detached view yields gated,
-// detached endpoints.
-type FlowLimiter interface {
-	GateEndpoints(g *FlowGate) Node
-}
-
-// Gated returns a view of n whose endpoints honor the flow gate, or n
-// itself when its runtime offers no flow control (or g is nil). The
-// graceful fallback mirrors Detach: callers get backpressure when the
-// runtime supports it and unchanged behavior when it does not.
-func Gated(n Node, g *FlowGate) Node {
-	if g == nil {
-		return n
-	}
-	if fl, ok := n.(FlowLimiter); ok {
-		return fl.GateEndpoints(g)
-	}
-	return n
-}

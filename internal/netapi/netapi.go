@@ -24,10 +24,13 @@
 // node's root domain, so a protocol component that owns its node (the
 // legacy stacks under internal/protocols) keeps the exact
 // single-threaded execution model it was written against, with zero
-// locking. Thread-safe components that want cross-endpoint parallelism
-// on one host (the Automata Engine, the provisioning dispatcher) opt
-// in through Detach: endpoints opened through a detached node view
-// each get a private domain and dispatch concurrently.
+// locking. How an endpoint opens is one value, Mode: thread-safe
+// components that want cross-endpoint parallelism on one host (the
+// Automata Engine, the provisioning dispatcher) open through Detach(n),
+// a view whose mode gives every endpoint a private domain, and
+// Gated(n, g) adds a flow gate their read loops honor. Everything a
+// node can do is a method of Node — there is no optional interface to
+// discover — so a struct{ Node } wrapper keeps every capability.
 //
 // # Buffer ownership
 //
@@ -200,19 +203,50 @@ type StreamHandler func(conn Conn, data []byte)
 // TimerID identifies a scheduled callback for cancellation.
 type TimerID uint64
 
-// Node is one host's view of the network.
+// Mode is how an endpoint opens: which serial dispatch domain its
+// callbacks run on and whether its read loop honors a flow gate. The
+// zero Mode is a node's own: the root domain, ungated.
+type Mode struct {
+	// Detached gives the endpoint a private dispatch domain: its
+	// callbacks stay ordered, but nothing serialises them against the
+	// node's other endpoints or timers. Only components that are
+	// themselves thread-safe open detached; single-threaded protocol
+	// stacks keep the root domain.
+	Detached bool
+	// Gate, when non-nil, pauses the endpoint's ingress while blocked:
+	// realnet read loops park (releasing their leased buffers first),
+	// simnet defers deliveries, and both resume in order when the gate
+	// reopens. Dialed connections are egress and never gated.
+	Gate *FlowGate
+}
+
+// Node is one host's view of the network, and the whole contract a
+// runtime implements: nothing a node can do lives outside it.
 type Node interface {
 	// IP returns the node's address.
 	IP() string
+	// Mode is the mode the four plain openers below open in: the zero
+	// Mode for a runtime's node, the view's for Detach / Gated views.
+	Mode() Mode
 	// OpenUDP binds a datagram socket. Port 0 picks an ephemeral port.
 	OpenUDP(port int, h PacketHandler) (UDPSocket, error)
 	// JoinGroup binds a socket that receives datagrams addressed to
 	// the multicast group, and can send/receive unicast as well.
 	JoinGroup(group Addr, h PacketHandler) (UDPSocket, error)
-	// ListenStream accepts inbound stream connections on a port.
+	// ListenStream accepts inbound stream connections on a port; every
+	// accepted connection inherits the listener's mode.
 	ListenStream(port int, accept ConnHandler, recv StreamHandler) (Closer, error)
 	// DialStream opens a stream connection to a listener.
 	DialStream(to Addr, recv StreamHandler) (Conn, error)
+
+	// OpenUDPIn, JoinGroupIn, ListenStreamIn and DialStreamIn are the
+	// same four openers with the mode spelled out — the runtime's one
+	// primitive. The plain forms are OpenXIn(Mode(), …); a wrapper that
+	// intercepts opens overrides these to see every mode.
+	OpenUDPIn(m Mode, port int, h PacketHandler) (UDPSocket, error)
+	JoinGroupIn(m Mode, group Addr, h PacketHandler) (UDPSocket, error)
+	ListenStreamIn(m Mode, port int, accept ConnHandler, recv StreamHandler) (Closer, error)
+	DialStreamIn(m Mode, to Addr, recv StreamHandler) (Conn, error)
 
 	// Now returns the runtime's current time (virtual under simnet).
 	Now() time.Time
@@ -223,16 +257,37 @@ type Node interface {
 	// Cancel revokes a scheduled callback; unknown IDs are ignored.
 	Cancel(id TimerID)
 
-	// Close releases the node: every socket and listener it opened is
-	// closed, and runtimes that register nodes by address free the
-	// address for reuse. Closing twice is a no-op. Deployment owners
-	// (a deployed engine, the provisioning dispatcher) close their node on
-	// teardown and on every failed-deploy path, so an aborted deploy
-	// never leaks endpoints. Endpoints opened through a detached view
-	// of the node are owned — and closed — the same way. The one
-	// exception is a dialed connection handed to the runtime's reuse
-	// pool via ConnParker: parking transfers ownership to the runtime
-	// (bounded per destination), so it no longer closes with the node.
+	// WorkAdd and WorkDone bracket work handed off the dispatching
+	// callback to another goroutine (the Automata Engine parses on its
+	// ingest workers): WorkAdd before the hand-off, WorkDone when the
+	// processing — every follow-up Send/After included — has finished.
+	// The runtime's event loop waits for the count to reach zero before
+	// it pops the next event or evaluates a RunUntil condition, so a
+	// virtual clock never runs ahead of work that will schedule events,
+	// and state the workers wrote is safe to read after RunUntil.
+	WorkAdd()
+	WorkDone()
+
+	// ParkConn hands a healthy connection dialed on this node to the
+	// runtime's dial-reuse pool, to serve a later detached DialStream to
+	// the same address, instead of closing it. False — the connection was
+	// not dialed here or not detached (a pooled connection keeps the
+	// private domain it was dialed with; a root domain must never pass to
+	// another node's caller), is closed, the pool is full, or the runtime
+	// keeps no pool (simnet) — means the caller closes it. Park only at a
+	// clean frame boundary: bytes arriving while parked evict the
+	// connection, but a partial frame already consumed would
+	// desynchronise the next user.
+	ParkConn(c Conn) bool
+
+	// Close releases the node: every socket and listener it opened, in
+	// any mode and through any view, is closed, and runtimes that
+	// register nodes by address free the address for reuse. Closing twice
+	// is a no-op. Deployment owners (a deployed engine, the provisioning
+	// dispatcher) close their node on teardown and on every
+	// failed-deploy path, so an aborted deploy never leaks endpoints. The
+	// one exception is a connection parked with ParkConn: parking
+	// transfers ownership to the runtime (bounded per destination).
 	Close() error
 }
 
@@ -241,71 +296,52 @@ type Closer interface {
 	Close() error
 }
 
-// EndpointDetacher is implemented by nodes whose runtime can dispatch
-// distinct endpoints concurrently. DetachEndpoints returns a view of
-// the node on which every subsequently opened endpoint gets a private
-// serial dispatch domain: callbacks for that endpoint stay ordered,
-// but nothing serialises them against the node's other endpoints or
-// timers. Only components that are themselves thread-safe (the
-// Automata Engine, the provisioning dispatcher) should detach;
-// single-threaded protocol stacks must keep the default node-scoped
-// domain. The view shares the node's identity and resources: Close on
-// either closes everything.
-type EndpointDetacher interface {
-	DetachEndpoints() Node
+// view is a node whose plain openers open in a mode other than the
+// node's own — the one node-view type; runtimes define none. It shares
+// the node's identity and resources: Close on either closes everything.
+type view struct {
+	Node
+	mode Mode
 }
 
-// Detach returns a detached view of the node when the runtime supports
-// per-endpoint parallel dispatch, and the node itself otherwise.
+func (v *view) Mode() Mode { return v.mode }
+
+func (v *view) OpenUDP(port int, h PacketHandler) (UDPSocket, error) {
+	return v.Node.OpenUDPIn(v.mode, port, h)
+}
+
+func (v *view) JoinGroup(group Addr, h PacketHandler) (UDPSocket, error) {
+	return v.Node.JoinGroupIn(v.mode, group, h)
+}
+
+func (v *view) ListenStream(port int, accept ConnHandler, recv StreamHandler) (Closer, error) {
+	return v.Node.ListenStreamIn(v.mode, port, accept, recv)
+}
+
+func (v *view) DialStream(to Addr, recv StreamHandler) (Conn, error) {
+	return v.Node.DialStreamIn(v.mode, to, recv)
+}
+
+// Detach returns a view of n whose endpoints each get a private serial
+// dispatch domain; n's gate, if it has one, is kept.
 func Detach(n Node) Node {
-	if d, ok := n.(EndpointDetacher); ok {
-		return d.DetachEndpoints()
+	m := n.Mode()
+	if m.Detached {
+		return n
 	}
-	return n
+	m.Detached = true
+	return &view{Node: n, mode: m}
 }
 
-// ConnParker is implemented by nodes whose runtime keeps a dial-side
-// connection pool. ParkConn returns a healthy dialed connection to the
-// runtime for reuse by a later DialStream to the same address instead
-// of closing it; it reports false when the connection cannot be pooled
-// (not dialed here, dialed undetached, already closed, or the pool is
-// full), in which case the caller should Close it normally. The pool
-// only serves detached dials: a reused connection keeps the private
-// dispatch domain it was dialed with, so pooling an undetached
-// connection — or handing one to an undetached caller — would entangle
-// distinct nodes' serial execution; undetached DialStream always opens
-// a fresh connection. Only park a connection
-// whose inbound stream is at a clean frame boundary: bytes that arrive
-// while parked evict the connection, but a partial frame already
-// consumed would silently desynchronise the next user.
-type ConnParker interface {
-	ParkConn(c Conn) bool
-}
-
-// WorkTracker is optionally implemented by nodes of runtimes whose
-// event loop must know about work handed off to other goroutines.
-//
-// The concurrent Automata Engine processes inbound payloads on its
-// ingest workers instead of inside the dispatch callback.
-// A runtime with a virtual clock (simnet) must therefore not advance
-// time — nor let RunUntil conclude "no pending events" — while such
-// work is still in flight, because the work will schedule new events
-// when it completes. The contract:
-//
-//   - WorkAdd is called before a payload/timer is handed off the
-//     dispatching callback; WorkDone when the resulting processing
-//     finished (including every follow-up Send/After it performs).
-//   - The runtime's event loop waits for the in-flight count to reach
-//     zero before popping the next event and before evaluating a
-//     RunUntil condition, which also establishes the happens-before
-//     edge that makes engine state safe to read after RunUntil.
-//
-// Runtimes running on the wall clock (realnet) implement it so that
-// RunUntil conditions observe quiesced state; pure wall-clock users
-// may omit it, in which case callers fall back to no tracking.
-type WorkTracker interface {
-	WorkAdd()
-	WorkDone()
+// Gated returns a view of n whose ingress endpoints honor the flow gate
+// g (replacing the one n had), keeping n's detachment; a nil g is n.
+func Gated(n Node, g *FlowGate) Node {
+	if g == nil {
+		return n
+	}
+	m := n.Mode()
+	m.Gate = g
+	return &view{Node: n, mode: m}
 }
 
 // Runtime creates nodes and drives the event loop.

@@ -160,26 +160,22 @@ func TestConcurrentReplyRealnet(t *testing.T) {
 	}
 }
 
-// The WorkTracker contract: RunUntil must not conclude "no pending
+// The WorkAdd/WorkDone contract: RunUntil must not conclude "no pending
 // events" while handed-off work is in flight, and must observe the
 // events that work schedules when it completes.
 func TestWorkTrackerHoldsVirtualClock(t *testing.T) {
 	sim := simnet.New()
 	nd, _ := sim.NewNode("10.0.0.1")
-	wt, ok := nd.(netapi.WorkTracker)
-	if !ok {
-		t.Fatal("simnet nodes must implement WorkTracker")
-	}
 
 	fired := false
 	// Seed one event so the loop starts; its handler hands work off to
 	// a goroutine that schedules the real event only after a delay.
 	nd.After(time.Millisecond, func() {
-		wt.WorkAdd()
+		nd.WorkAdd()
 		go func() {
 			time.Sleep(20 * time.Millisecond) // real time, off-dispatcher
 			nd.After(time.Millisecond, func() { fired = true })
-			wt.WorkDone()
+			nd.WorkDone()
 		}()
 	})
 	if err := sim.RunUntil(func() bool { return fired }, time.Second); err != nil {
@@ -258,7 +254,8 @@ func TestBatchResizeBalancesLeases(t *testing.T) {
 	base := netapi.LeasedBuffers()
 	leased := func() int64 { return netapi.LeasedBuffers() - base }
 
-	b := netapi.LeaseBatch(1)
+	b := netapi.Batch(nil).Resize(1)
+	b.Refill()
 	b = b.Resize(4)
 	if len(b) != 4 || leased() != 1 {
 		t.Fatalf("grown to %d slots with %d leased, want 4 slots and the 1 lease it had", len(b), leased())

@@ -128,7 +128,7 @@ type Engine struct {
 type Option func(*Engine)
 
 // WithGate puts every entry listener the engine opens behind the flow
-// gate (netapi.FlowLimiter): while the gate is blocked — the ingest
+// gate (netapi.Gated): while the gate is blocked — the ingest
 // queue downstream crossed its high watermark — the listeners' read
 // loops pause instead of piling payloads onto the queue. Requester
 // endpoints are never gated: responses to the bridge's own in-flight
@@ -139,11 +139,10 @@ func WithGate(g *netapi.FlowGate) Option {
 }
 
 // New creates an engine on the node. The engine's endpoints are opened
-// through a detached view of the node when the runtime supports
-// per-endpoint parallel dispatch: the Automata Engine and the
-// provisioning dispatcher are thread-safe, so serialising their
-// entry listeners against each other would only re-impose the global
-// dispatcher bottleneck this layer retired.
+// through a detached view of the node, built here once: the Automata
+// Engine and the provisioning dispatcher are thread-safe, so
+// serialising their entry listeners against each other would only
+// re-impose the global dispatcher bottleneck this layer retired.
 func New(node netapi.Node, opts ...Option) *Engine {
 	e := &Engine{base: node, node: netapi.Detach(node)}
 	e.ingress = e.node
@@ -447,7 +446,7 @@ func (t *EgressTable) Contains(src Source) bool {
 
 // Close releases the channel. A stream channel whose inbound side sits
 // at a clean frame boundary is parked in the runtime's dial-reuse pool
-// (netapi.ConnParker) instead of torn down, so the next session's
+// (Node.ParkConn) instead of torn down, so the next session's
 // requester to the same destination skips the TCP handshake — the
 // client-side connection reuse of the NewRequester path.
 func (r *Requester) Close() error {
@@ -457,10 +456,8 @@ func (r *Requester) Close() error {
 		r.frMu.Lock()
 		clean := len(r.frBuf) == 0
 		r.frMu.Unlock()
-		if clean {
-			if parker, ok := r.node.(netapi.ConnParker); ok && parker.ParkConn(conn) {
-				return nil
-			}
+		if clean && r.node.ParkConn(conn) {
+			return nil
 		}
 		return conn.Close()
 	}

@@ -323,14 +323,15 @@ func (p *Parser) parseText(data []byte) (*message.Message, error) {
 	return msg, nil
 }
 
-// parseWildcard consumes label:value lines until an empty line.
+// parseWildcard consumes label:value lines until the empty line that
+// must end them.
 func (p *Parser) parseWildcard(data []byte, def *mdl.FieldDef, msg *message.Message) (rest []byte, err error) {
 	rest = data
 	for {
 		if len(rest) == 0 {
-			// Datagram ended exactly at the last line; treat as
-			// terminated (tolerates stacks omitting the blank line).
-			return rest, nil
+			// The datagram ended at a line boundary with no empty line: a
+			// header block that lost its tail, not a complete message.
+			return nil, fmt.Errorf("header block not terminated by an empty line")
 		}
 		if bytes.HasPrefix(rest, def.Delim) {
 			return rest[len(def.Delim):], nil

@@ -526,8 +526,8 @@ type portAliasNode struct {
 	conns   map[netapi.Conn]netapi.Conn
 }
 
-func (n *portAliasNode) OpenUDP(port int, h netapi.PacketHandler) (netapi.UDPSocket, error) {
-	sock, err := n.Node.OpenUDP(port, h)
+func (n *portAliasNode) OpenUDPIn(m netapi.Mode, port int, h netapi.PacketHandler) (netapi.UDPSocket, error) {
+	sock, err := n.Node.OpenUDPIn(m, port, h)
 	if err == nil && port == 0 {
 		n.mu.Lock()
 		n.udpPort = sock.LocalAddr().Port
@@ -536,8 +536,8 @@ func (n *portAliasNode) OpenUDP(port int, h netapi.PacketHandler) (netapi.UDPSoc
 	return sock, err
 }
 
-func (n *portAliasNode) ListenStream(port int, accept netapi.ConnHandler, recv netapi.StreamHandler) (netapi.Closer, error) {
-	return n.Node.ListenStream(port, accept, func(c netapi.Conn, data []byte) {
+func (n *portAliasNode) ListenStreamIn(m netapi.Mode, port int, accept netapi.ConnHandler, recv netapi.StreamHandler) (netapi.Closer, error) {
+	return n.Node.ListenStreamIn(m, port, accept, func(c netapi.Conn, data []byte) {
 		n.mu.Lock()
 		alias, ok := n.conns[c]
 		if !ok {
@@ -548,11 +548,6 @@ func (n *portAliasNode) ListenStream(port int, accept netapi.ConnHandler, recv n
 		recv(alias, data)
 	})
 }
-
-// The engine tracks its hand-offs through the node; without these the
-// virtual clock would run ahead of the sessions.
-func (n *portAliasNode) WorkAdd()  { n.Node.(netapi.WorkTracker).WorkAdd() }
-func (n *portAliasNode) WorkDone() { n.Node.(netapi.WorkTracker).WorkDone() }
 
 type aliasConn struct {
 	netapi.Conn

@@ -20,9 +20,6 @@ func TestDetachedEndpointsDispatchInParallel(t *testing.T) {
 	rt := realnet.New()
 	recvNode, _ := rt.NewNode("10.0.0.5")
 	dn := netapi.Detach(recvNode)
-	if dn == recvNode {
-		t.Fatal("realnet must support netapi.EndpointDetacher")
-	}
 
 	gate := make(chan struct{})
 	done := make(chan struct{})
@@ -249,11 +246,7 @@ func TestDialStreamReuse(t *testing.T) {
 		t.Fatal("no reply on first connection")
 	}
 
-	parker, ok := cliNode.(netapi.ConnParker)
-	if !ok {
-		t.Fatal("realnet nodes must implement netapi.ConnParker")
-	}
-	if !parker.ParkConn(conn1) {
+	if !cliNode.ParkConn(conn1) {
 		t.Fatal("a clean dialed connection must be parkable")
 	}
 
@@ -308,16 +301,12 @@ func TestConnPoolRespectsDispatchDomains(t *testing.T) {
 	dest := netapi.Addr{IP: "10.0.0.5", Port: listenerPort(t, rt, srvNode, l)}
 
 	cliNode, _ := rt.NewNode("10.0.0.1")
-	parker, ok := cliNode.(netapi.ConnParker)
-	if !ok {
-		t.Fatal("realnet nodes must implement netapi.ConnParker")
-	}
 
 	rootConn, err := cliNode.DialStream(dest, func(netapi.Conn, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parker.ParkConn(rootConn) {
+	if cliNode.ParkConn(rootConn) {
 		t.Fatal("a root-domain (undetached) connection must not be parkable")
 	}
 	if err := rootConn.Close(); err != nil {
@@ -329,7 +318,7 @@ func TestConnPoolRespectsDispatchDomains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !parker.ParkConn(pooled) {
+	if !cliNode.ParkConn(pooled) {
 		t.Fatal("a clean detached-dialed connection must be parkable")
 	}
 	if err := pooled.Send([]byte("x")); err == nil {

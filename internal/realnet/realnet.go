@@ -88,7 +88,7 @@ func (d *domain) run(fn func()) {
 //
 // Components such as the concurrent Automata Engine hand payloads off
 // to worker goroutines; they report that work through the node's
-// netapi.WorkTracker so RunUntil only evaluates its condition while no
+// WorkAdd/WorkDone so RunUntil only evaluates its condition while no
 // handed-off work is in flight (which also publishes the workers'
 // writes to the condition).
 type Runtime struct {
@@ -128,8 +128,7 @@ func newRuntime(newRx func(*udpSocket) receiver) *Runtime {
 	}
 }
 
-// WorkAdd registers one unit of in-flight off-dispatch work
-// (netapi.WorkTracker).
+// WorkAdd registers one unit of in-flight off-dispatch work.
 func (rt *Runtime) WorkAdd() {
 	rt.workMu.Lock()
 	rt.inflight++
@@ -137,7 +136,7 @@ func (rt *Runtime) WorkAdd() {
 }
 
 // WorkDone retires one unit of in-flight work and wakes RunUntil
-// waiters (netapi.WorkTracker).
+// waiters.
 func (rt *Runtime) WorkDone() {
 	rt.workMu.Lock()
 	rt.inflight--
@@ -282,133 +281,37 @@ func (n *node) Close() error {
 	return nil
 }
 
-var (
-	_ netapi.Node             = (*node)(nil)
-	_ netapi.WorkTracker      = (*node)(nil)
-	_ netapi.EndpointDetacher = (*node)(nil)
-	_ netapi.ConnParker       = (*node)(nil)
-	_ netapi.FlowLimiter      = (*node)(nil)
-)
+var _ netapi.Node = (*node)(nil)
 
 func (n *node) IP() string { return "127.0.0.1" }
 
-// WorkAdd / WorkDone expose the runtime's work tracker on the node
-// (netapi.WorkTracker).
+// Mode is the zero mode: the node's own endpoints dispatch on its root
+// domain, ungated. Views in other modes are netapi's (Detach, Gated).
+func (n *node) Mode() netapi.Mode { return netapi.Mode{} }
+
+// WorkAdd / WorkDone expose the runtime's work tracker on the node.
 func (n *node) WorkAdd()  { n.rt.WorkAdd() }
 func (n *node) WorkDone() { n.rt.WorkDone() }
 
 func (n *node) Now() time.Time { return time.Now() }
 
-// DetachEndpoints returns a view of the node whose endpoints each get
-// a private dispatch domain (netapi.EndpointDetacher). Timers and
-// node-level resources are shared with the underlying node.
-func (n *node) DetachEndpoints() netapi.Node { return &detachedNode{node: n} }
-
-// GateEndpoints returns a view of the node whose subsequently opened
-// ingress endpoints honor the flow gate (netapi.FlowLimiter): while
-// the gate is blocked their read loops park — releasing their leased
-// buffers first — and resume when it reopens. Egress (DialStream) is
-// never gated.
-func (n *node) GateEndpoints(g *netapi.FlowGate) netapi.Node {
-	return &gatedNode{node: n, gate: g}
-}
-
-// detachedNode is a node view for thread-safe components: endpoints
-// opened through it dispatch on private per-endpoint domains.
-type detachedNode struct{ *node }
-
-var (
-	_ netapi.Node             = (*detachedNode)(nil)
-	_ netapi.WorkTracker      = (*detachedNode)(nil)
-	_ netapi.EndpointDetacher = (*detachedNode)(nil)
-	_ netapi.FlowLimiter      = (*detachedNode)(nil)
-)
-
-// DetachEndpoints on an already detached view is the identity.
-func (d *detachedNode) DetachEndpoints() netapi.Node { return d }
-
-// GateEndpoints on a detached view keeps the detachment: endpoints are
-// gated AND get private dispatch domains.
-func (d *detachedNode) GateEndpoints(g *netapi.FlowGate) netapi.Node {
-	return &gatedNode{node: d.node, detached: true, gate: g}
-}
-
-func (d *detachedNode) OpenUDP(port int, h netapi.PacketHandler) (netapi.UDPSocket, error) {
-	return d.node.openUDP(&domain{rt: d.rt}, nil, port, h)
-}
-
-func (d *detachedNode) JoinGroup(group netapi.Addr, h netapi.PacketHandler) (netapi.UDPSocket, error) {
-	return d.node.joinGroup(&domain{rt: d.rt}, nil, group, h)
-}
-
-func (d *detachedNode) ListenStream(port int, accept netapi.ConnHandler, recv netapi.StreamHandler) (netapi.Closer, error) {
-	return d.node.listenStream(true, nil, port, accept, recv)
-}
-
-func (d *detachedNode) DialStream(to netapi.Addr, recv netapi.StreamHandler) (netapi.Conn, error) {
-	return d.node.dialStream(&domain{rt: d.rt}, to, recv)
-}
-
-// gatedNode is a node view whose ingress endpoints honor a flow gate;
-// with detached set they also get private per-endpoint dispatch
-// domains (the combination the Automata Engine uses).
-type gatedNode struct {
-	*node
-	detached bool
-	gate     *netapi.FlowGate
-}
-
-var (
-	_ netapi.Node             = (*gatedNode)(nil)
-	_ netapi.WorkTracker      = (*gatedNode)(nil)
-	_ netapi.EndpointDetacher = (*gatedNode)(nil)
-	_ netapi.FlowLimiter      = (*gatedNode)(nil)
-	_ netapi.ConnParker       = (*gatedNode)(nil)
-)
-
-// domainFor picks the dispatch domain for a newly opened endpoint.
-func (g *gatedNode) domainFor() *domain {
-	if g.detached {
-		return &domain{rt: g.rt}
+// domainFor picks the dispatch domain of an endpoint opening in mode m:
+// a private one when detached, the node's root otherwise.
+func (n *node) domainFor(m netapi.Mode) *domain {
+	if m.Detached {
+		return &domain{rt: n.rt}
 	}
-	return g.root
-}
-
-// DetachEndpoints keeps the gate and adds per-endpoint domains.
-func (g *gatedNode) DetachEndpoints() netapi.Node {
-	return &gatedNode{node: g.node, detached: true, gate: g.gate}
-}
-
-// GateEndpoints rebinds the view to another gate.
-func (g *gatedNode) GateEndpoints(fg *netapi.FlowGate) netapi.Node {
-	return &gatedNode{node: g.node, detached: g.detached, gate: fg}
-}
-
-func (g *gatedNode) OpenUDP(port int, h netapi.PacketHandler) (netapi.UDPSocket, error) {
-	return g.node.openUDP(g.domainFor(), g.gate, port, h)
-}
-
-func (g *gatedNode) JoinGroup(group netapi.Addr, h netapi.PacketHandler) (netapi.UDPSocket, error) {
-	return g.node.joinGroup(g.domainFor(), g.gate, group, h)
-}
-
-func (g *gatedNode) ListenStream(port int, accept netapi.ConnHandler, recv netapi.StreamHandler) (netapi.Closer, error) {
-	return g.node.listenStream(g.detached, g.gate, port, accept, recv)
-}
-
-func (g *gatedNode) DialStream(to netapi.Addr, recv netapi.StreamHandler) (netapi.Conn, error) {
-	if g.detached {
-		return g.node.dialStream(&domain{rt: g.rt}, to, recv)
-	}
-	return g.node.dialStream(g.root, to, recv)
+	return n.root
 }
 
 func (n *node) After(d time.Duration, fn func()) netapi.TimerID {
+	// The timer is registered under the lock its callback takes first, so
+	// one that fires at once still finds itself live.
 	n.rt.stateMu.Lock()
+	defer n.rt.stateMu.Unlock()
 	n.rt.timerSeq++
 	id := netapi.TimerID(n.rt.timerSeq)
-	n.rt.stateMu.Unlock()
-	t := time.AfterFunc(d, func() {
+	n.rt.timers[id] = time.AfterFunc(d, func() {
 		n.rt.stateMu.Lock()
 		_, live := n.rt.timers[id]
 		delete(n.rt.timers, id)
@@ -418,9 +321,6 @@ func (n *node) After(d time.Duration, fn func()) netapi.TimerID {
 		}
 		n.root.run(fn)
 	})
-	n.rt.stateMu.Lock()
-	n.rt.timers[id] = t
-	n.rt.stateMu.Unlock()
 	return id
 }
 
@@ -477,10 +377,10 @@ type udpSocket struct {
 var _ netapi.UDPSocket = (*udpSocket)(nil)
 
 func (n *node) OpenUDP(port int, h netapi.PacketHandler) (netapi.UDPSocket, error) {
-	return n.openUDP(n.root, nil, port, h)
+	return n.OpenUDPIn(netapi.Mode{}, port, h)
 }
 
-func (n *node) openUDP(dom *domain, gate *netapi.FlowGate, port int, h netapi.PacketHandler) (*udpSocket, error) {
+func (n *node) OpenUDPIn(m netapi.Mode, port int, h netapi.PacketHandler) (netapi.UDPSocket, error) {
 	if h == nil {
 		return nil, fmt.Errorf("realnet: OpenUDP needs a handler")
 	}
@@ -497,12 +397,12 @@ func (n *node) openUDP(dom *domain, gate *netapi.FlowGate, port int, h netapi.Pa
 	s := &udpSocket{
 		rt:      n.rt,
 		owner:   n,
-		dom:     dom,
+		dom:     n.domainFor(m),
 		conn:    conn,
 		rc:      rc,
 		addr:    netapi.Addr{IP: "127.0.0.1", Port: local.Port},
 		handler: h,
-		gate:    gate,
+		gate:    m.Gate,
 	}
 	s.rx = n.rt.newRx(s)
 	n.adopt(s)
@@ -511,17 +411,18 @@ func (n *node) openUDP(dom *domain, gate *netapi.FlowGate, port int, h netapi.Pa
 }
 
 func (n *node) JoinGroup(group netapi.Addr, h netapi.PacketHandler) (netapi.UDPSocket, error) {
-	return n.joinGroup(n.root, nil, group, h)
+	return n.JoinGroupIn(netapi.Mode{}, group, h)
 }
 
-func (n *node) joinGroup(dom *domain, gate *netapi.FlowGate, group netapi.Addr, h netapi.PacketHandler) (netapi.UDPSocket, error) {
+func (n *node) JoinGroupIn(m netapi.Mode, group netapi.Addr, h netapi.PacketHandler) (netapi.UDPSocket, error) {
 	if !group.IsMulticast() {
 		return nil, fmt.Errorf("realnet: %s is not a multicast group", group)
 	}
-	s, err := n.openUDP(dom, gate, 0, h)
+	sock, err := n.OpenUDPIn(m, 0, h)
 	if err != nil {
 		return nil, err
 	}
+	s := sock.(*udpSocket)
 	n.rt.stateMu.Lock()
 	n.rt.groups[group] = append(n.rt.groups[group], s)
 	s.groups = append(s.groups, group)
@@ -759,10 +660,10 @@ func (l *listener) Addr() netapi.Addr {
 }
 
 func (n *node) ListenStream(port int, accept netapi.ConnHandler, recv netapi.StreamHandler) (netapi.Closer, error) {
-	return n.listenStream(false, nil, port, accept, recv)
+	return n.ListenStreamIn(netapi.Mode{}, port, accept, recv)
 }
 
-func (n *node) listenStream(detached bool, gate *netapi.FlowGate, port int, accept netapi.ConnHandler, recv netapi.StreamHandler) (netapi.Closer, error) {
+func (n *node) ListenStreamIn(m netapi.Mode, port int, accept netapi.ConnHandler, recv netapi.StreamHandler) (netapi.Closer, error) {
 	if recv == nil {
 		return nil, fmt.Errorf("realnet: ListenStream needs a recv handler")
 	}
@@ -778,15 +679,12 @@ func (n *node) listenStream(detached bool, gate *netapi.FlowGate, port int, acce
 			if err != nil {
 				return
 			}
-			dom := n.root
-			if detached {
-				// Each accepted connection is its own endpoint: give it
-				// a private domain so connections ingest in parallel.
-				dom = &domain{rt: n.rt}
-			}
+			// Each accepted connection is its own endpoint: detached, it
+			// gets a private domain so connections ingest in parallel.
+			dom := n.domainFor(m)
 			sc := newStreamConn(n.rt, c, recv, dom)
 			sc.owner = n
-			sc.gate = gate
+			sc.gate = m.Gate
 			n.adopt(sc)
 			dom.run(func() {
 				if accept != nil {
@@ -885,13 +783,15 @@ func newStreamConn(rt *Runtime, c net.Conn, recv netapi.StreamHandler, dom *doma
 }
 
 func (n *node) DialStream(to netapi.Addr, recv netapi.StreamHandler) (netapi.Conn, error) {
-	return n.dialStream(n.root, to, recv)
+	return n.DialStreamIn(netapi.Mode{}, to, recv)
 }
 
-func (n *node) dialStream(dom *domain, to netapi.Addr, recv netapi.StreamHandler) (netapi.Conn, error) {
+// DialStreamIn ignores m.Gate: a dialed connection is egress.
+func (n *node) DialStreamIn(m netapi.Mode, to netapi.Addr, recv netapi.StreamHandler) (netapi.Conn, error) {
 	if recv == nil {
 		return nil, fmt.Errorf("realnet: DialStream needs a recv handler")
 	}
+	dom := n.domainFor(m)
 	// Only detached dials may reuse a parked connection: the claimed
 	// conn keeps the private domain it was dialed with, which for a
 	// detached caller is exactly the per-endpoint domain it would have
@@ -975,7 +875,7 @@ func (rt *Runtime) claimParked(to netapi.Addr, recv netapi.StreamHandler, owner 
 }
 
 // ParkConn returns a healthy detached-dialed connection to the
-// runtime's dial-reuse pool (netapi.ConnParker): a later detached
+// runtime's dial-reuse pool: a later detached
 // DialStream to the same address reuses the established connection
 // instead of a fresh TCP handshake — the client-side reuse behind
 // netengine.NewRequester (whose engine always dials detached).

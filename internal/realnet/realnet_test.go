@@ -217,6 +217,27 @@ func TestTimerFireAndCancel(t *testing.T) {
 	}
 }
 
+// A timer due at once used to fire before After had registered it, find
+// no entry, take itself for cancelled and never run — leaving the entry
+// it then stored behind for good.
+func TestImmediateTimerFires(t *testing.T) {
+	rt := New()
+	n, _ := rt.NewNode("x")
+	const timers = 10000
+	fired := 0
+	for i := 0; i < timers; i++ {
+		n.After(0, func() { fired++ }) // root domain: serial, and read under RunUntil
+	}
+	if err := rt.RunUntil(func() bool { return fired == timers }, 3*time.Second); err != nil {
+		t.Fatalf("%d of %d immediate timers fired: %v", fired, timers, err)
+	}
+	rt.stateMu.Lock()
+	defer rt.stateMu.Unlock()
+	if len(rt.timers) != 0 {
+		t.Fatalf("%d fired timers still registered", len(rt.timers))
+	}
+}
+
 func TestRunUntilTimeout(t *testing.T) {
 	rt := New()
 	if err := rt.RunUntil(func() bool { return false }, 30*time.Millisecond); err == nil {

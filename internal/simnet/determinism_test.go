@@ -22,9 +22,6 @@ func ingestTrace(t *testing.T, seed int64, endpoints int) []int {
 		t.Fatal(err)
 	}
 	dn := netapi.Detach(recvNode)
-	if dn == recvNode {
-		t.Fatal("simnet must support netapi.EndpointDetacher")
-	}
 	var trace []int
 	socks := make([]netapi.UDPSocket, endpoints)
 	for i := 0; i < endpoints; i++ {

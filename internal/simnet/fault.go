@@ -182,7 +182,7 @@ const (
 )
 
 // record appends one trace line. Caller holds Net.mu; event execution
-// is serialized by the event loop plus the WorkTracker contract, so
+// is serialized by the event loop plus the WorkAdd/WorkDone contract, so
 // line order is deterministic for a given seed.
 func (t *eventTrace) record(now time.Time, proto, kind string, from, to netapi.Addr, size int) {
 	line := fmt.Sprintf("+%s %s %s>%s %d %s", now.Sub(t.epoch), proto, from, to, size, kind)

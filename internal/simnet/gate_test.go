@@ -24,9 +24,6 @@ func gateTrace(t *testing.T, seed int64) []string {
 	}
 	gate := netapi.NewFlowGate()
 	gated := netapi.Gated(recvNode, gate)
-	if gated == recvNode {
-		t.Fatal("simnet must support netapi.FlowLimiter")
-	}
 
 	var trace []string
 	start := sim.Now()

@@ -30,7 +30,7 @@
 // and timers of a node share the node's root domain, exactly like
 // realnet.
 //
-// Determinism is preserved through the netapi.WorkTracker contract:
+// Determinism is preserved through netapi.Node's work-tracking contract:
 // nodes implement WorkAdd/WorkDone, and the event loop refuses to pop
 // the next event — or conclude anything about pending events — while
 // handed-off work is still in flight. Virtual time therefore never
@@ -90,6 +90,9 @@ type event struct {
 	tie uint64
 	seq uint64
 	fn  func()
+	// timer is the id a node timer is registered under in Net.timers
+	// until it fires or is cancelled; 0 for every other event.
+	timer netapi.TimerID
 }
 
 type eventHeap []*event
@@ -125,7 +128,7 @@ type sockKey struct {
 // Locking: mu guards all simulator state (clock, event heap, sockets,
 // groups, listeners, timers, RNG, counters). Event callbacks run with
 // mu released, so they may freely call back into any node operation.
-// workMu/workCond implement the netapi.WorkTracker handshake.
+// workMu/workCond implement the WorkAdd/WorkDone handshake.
 type Net struct {
 	mu        sync.Mutex
 	now       time.Time
@@ -214,7 +217,7 @@ func (n *Net) Now() time.Time {
 
 // newDomainLocked allocates a fresh dispatch-domain key. Caller holds
 // n.mu. Allocation order is deterministic for a given seed because the
-// WorkTracker contract serialises the goroutines that create
+// WorkAdd/WorkDone contract serialises the goroutines that create
 // endpoints against the event loop.
 func (n *Net) newDomainLocked() uint64 {
 	n.domainSeq++
@@ -270,7 +273,7 @@ func (n *Net) deferLocked(g *netapi.FlowGate, dom uint64, fn func()) {
 // flushGate reschedules every delivery parked behind g at the current
 // virtual instant, preserving arrival order. It runs from the gate's
 // reopen notification — in practice from the ingest worker that drained
-// the queue below its low watermark, whose WorkTracker hold keeps
+// the queue below its low watermark, whose WorkAdd hold keeps
 // virtual time parked, so the flush lands deterministically.
 func (n *Net) flushGate(g *netapi.FlowGate) {
 	n.mu.Lock()
@@ -291,15 +294,14 @@ func (n *Net) latencyLocked() time.Duration {
 	return d
 }
 
-// WorkAdd registers one unit of in-flight off-dispatcher work
-// (netapi.WorkTracker).
+// WorkAdd registers one unit of in-flight off-dispatcher work.
 func (n *Net) WorkAdd() {
 	n.workMu.Lock()
 	n.inflight++
 	n.workMu.Unlock()
 }
 
-// WorkDone retires one unit of in-flight work (netapi.WorkTracker).
+// WorkDone retires one unit of in-flight work.
 func (n *Net) WorkDone() {
 	n.workMu.Lock()
 	n.inflight--
@@ -330,6 +332,9 @@ func (n *Net) popLocked() *event {
 		e := heap.Pop(&n.events).(*event)
 		if e.fn == nil { // cancelled
 			continue
+		}
+		if e.timer != 0 {
+			delete(n.timers, e.timer) // fired: nothing left to cancel
 		}
 		n.now = e.at
 		return e
@@ -447,134 +452,44 @@ type node struct {
 	domKey uint64
 }
 
-var (
-	_ netapi.Node             = (*node)(nil)
-	_ netapi.WorkTracker      = (*node)(nil)
-	_ netapi.EndpointDetacher = (*node)(nil)
-	_ netapi.FlowLimiter      = (*node)(nil)
-)
+var _ netapi.Node = (*node)(nil)
 
-// DetachEndpoints returns a view of the node whose endpoints each get
-// a private dispatch-domain key (netapi.EndpointDetacher): their
-// deliveries interleave independently in the seeded event order,
-// modelling parallel per-endpoint dispatch.
-func (nd *node) DetachEndpoints() netapi.Node { return &detachedNode{node: nd} }
+// Mode is the zero mode: the node's own endpoints deliver on its root
+// domain, ungated. Views in other modes are netapi's (Detach, Gated).
+func (nd *node) Mode() netapi.Mode { return netapi.Mode{} }
 
-// GateEndpoints returns a view of the node whose subsequently opened
-// ingress endpoints honor the flow gate (netapi.FlowLimiter): while
-// the gate is blocked their deliveries are parked — modelling a paused
-// read loop — and replayed in order when it reopens. Egress
-// (DialStream) is never gated.
-func (nd *node) GateEndpoints(g *netapi.FlowGate) netapi.Node {
-	return &gatedNode{node: nd, gate: g}
-}
-
-// detachedNode is a node view for thread-safe components.
-type detachedNode struct{ *node }
-
-var (
-	_ netapi.Node             = (*detachedNode)(nil)
-	_ netapi.WorkTracker      = (*detachedNode)(nil)
-	_ netapi.EndpointDetacher = (*detachedNode)(nil)
-	_ netapi.FlowLimiter      = (*detachedNode)(nil)
-)
-
-func (d *detachedNode) DetachEndpoints() netapi.Node { return d }
-
-// GateEndpoints on a detached view keeps the detachment: endpoints are
-// gated AND get private dispatch domains.
-func (d *detachedNode) GateEndpoints(g *netapi.FlowGate) netapi.Node {
-	return &gatedNode{node: d.node, detached: true, gate: g}
-}
-
-func (d *detachedNode) OpenUDP(port int, h netapi.PacketHandler) (netapi.UDPSocket, error) {
-	d.net.mu.Lock()
-	defer d.net.mu.Unlock()
-	return d.node.openUDPLocked(d.net.newDomainLocked(), nil, port, h)
-}
-
-func (d *detachedNode) JoinGroup(group netapi.Addr, h netapi.PacketHandler) (netapi.UDPSocket, error) {
-	return d.node.joinGroup(true, nil, group, h)
-}
-
-func (d *detachedNode) ListenStream(port int, accept netapi.ConnHandler, recv netapi.StreamHandler) (netapi.Closer, error) {
-	return d.node.listenStream(true, nil, port, accept, recv)
-}
-
-func (d *detachedNode) DialStream(to netapi.Addr, recv netapi.StreamHandler) (netapi.Conn, error) {
-	return d.node.dialStream(true, to, recv)
-}
-
-// gatedNode is a node view whose ingress endpoints honor a flow gate;
-// with detached set they also get private dispatch-domain keys (the
-// combination the Automata Engine uses).
-type gatedNode struct {
-	*node
-	detached bool
-	gate     *netapi.FlowGate
-}
-
-var (
-	_ netapi.Node             = (*gatedNode)(nil)
-	_ netapi.WorkTracker      = (*gatedNode)(nil)
-	_ netapi.EndpointDetacher = (*gatedNode)(nil)
-	_ netapi.FlowLimiter      = (*gatedNode)(nil)
-)
-
-// DetachEndpoints keeps the gate and adds per-endpoint domains.
-func (g *gatedNode) DetachEndpoints() netapi.Node {
-	return &gatedNode{node: g.node, detached: true, gate: g.gate}
-}
-
-// GateEndpoints rebinds the view to another gate.
-func (g *gatedNode) GateEndpoints(fg *netapi.FlowGate) netapi.Node {
-	return &gatedNode{node: g.node, detached: g.detached, gate: fg}
-}
-
-// domKeyLocked picks the dispatch-domain key for a newly opened
-// endpoint. Caller holds net.mu.
-func (g *gatedNode) domKeyLocked() uint64 {
-	if g.detached {
-		return g.net.newDomainLocked()
+// domKeyLocked picks the dispatch-domain key of an endpoint opening in
+// mode m: a fresh private key when detached — its deliveries interleave
+// independently in the seeded event order, modelling parallel
+// per-endpoint dispatch — the node's root key otherwise. Caller holds
+// net.mu.
+func (nd *node) domKeyLocked(m netapi.Mode) uint64 {
+	if m.Detached {
+		return nd.net.newDomainLocked()
 	}
-	return g.node.domKey
-}
-
-func (g *gatedNode) OpenUDP(port int, h netapi.PacketHandler) (netapi.UDPSocket, error) {
-	g.net.mu.Lock()
-	defer g.net.mu.Unlock()
-	return g.node.openUDPLocked(g.domKeyLocked(), g.gate, port, h)
-}
-
-func (g *gatedNode) JoinGroup(group netapi.Addr, h netapi.PacketHandler) (netapi.UDPSocket, error) {
-	return g.node.joinGroup(g.detached, g.gate, group, h)
-}
-
-func (g *gatedNode) ListenStream(port int, accept netapi.ConnHandler, recv netapi.StreamHandler) (netapi.Closer, error) {
-	return g.node.listenStream(g.detached, g.gate, port, accept, recv)
-}
-
-func (g *gatedNode) DialStream(to netapi.Addr, recv netapi.StreamHandler) (netapi.Conn, error) {
-	return g.node.dialStream(g.detached, to, recv)
+	return nd.domKey
 }
 
 func (nd *node) IP() string { return nd.ip }
 
 func (nd *node) Now() time.Time { return nd.net.Now() }
 
-// WorkAdd / WorkDone expose the runtime's work tracker on the node
-// (netapi.WorkTracker).
+// WorkAdd / WorkDone expose the runtime's work tracker on the node.
 func (nd *node) WorkAdd()  { nd.net.WorkAdd() }
 func (nd *node) WorkDone() { nd.net.WorkDone() }
+
+// ParkConn reports false: simulated dials complete instantly, so the
+// simulator keeps no dial-reuse pool and the caller closes the conn.
+func (nd *node) ParkConn(netapi.Conn) bool { return false }
 
 func (nd *node) After(d time.Duration, fn func()) netapi.TimerID {
 	nd.net.mu.Lock()
 	defer nd.net.mu.Unlock()
 	e := nd.net.scheduleDomLocked(d, nd.domKey, fn)
 	nd.net.timerSeq++
-	id := netapi.TimerID(nd.net.timerSeq)
-	nd.net.timers[id] = e
-	return id
+	e.timer = netapi.TimerID(nd.net.timerSeq)
+	nd.net.timers[e.timer] = e
+	return e.timer
 }
 
 func (nd *node) Cancel(id netapi.TimerID) {
@@ -657,12 +572,20 @@ type udpSocket struct {
 var _ netapi.UDPSocket = (*udpSocket)(nil)
 
 func (nd *node) OpenUDP(port int, h netapi.PacketHandler) (netapi.UDPSocket, error) {
-	nd.net.mu.Lock()
-	defer nd.net.mu.Unlock()
-	return nd.openUDPLocked(nd.domKey, nil, port, h)
+	return nd.OpenUDPIn(netapi.Mode{}, port, h)
 }
 
-func (nd *node) openUDPLocked(dom uint64, gate *netapi.FlowGate, port int, h netapi.PacketHandler) (*udpSocket, error) {
+func (nd *node) OpenUDPIn(m netapi.Mode, port int, h netapi.PacketHandler) (netapi.UDPSocket, error) {
+	nd.net.mu.Lock()
+	defer nd.net.mu.Unlock()
+	return nd.openUDPLocked(m, port, h)
+}
+
+// openUDPLocked binds the socket; it draws a detached endpoint's domain
+// key first, before any check can fail, as every opener does: the draw
+// order is part of a seed's execution. Caller holds net.mu.
+func (nd *node) openUDPLocked(m netapi.Mode, port int, h netapi.PacketHandler) (*udpSocket, error) {
+	dom := nd.domKeyLocked(m)
 	if h == nil {
 		return nil, fmt.Errorf("simnet: OpenUDP needs a handler")
 	}
@@ -673,26 +596,22 @@ func (nd *node) openUDPLocked(dom uint64, gate *netapi.FlowGate, port int, h net
 	if _, taken := nd.net.udpSocks[key]; taken {
 		return nil, fmt.Errorf("simnet: %s:%d already bound", nd.ip, port)
 	}
-	s := &udpSocket{net: nd.net, node: nd, domKey: dom, addr: netapi.Addr{IP: nd.ip, Port: port}, handler: h, gate: gate}
+	s := &udpSocket{net: nd.net, node: nd, domKey: dom, addr: netapi.Addr{IP: nd.ip, Port: port}, handler: h, gate: m.Gate}
 	nd.net.udpSocks[key] = s
 	return s, nil
 }
 
 func (nd *node) JoinGroup(group netapi.Addr, h netapi.PacketHandler) (netapi.UDPSocket, error) {
-	return nd.joinGroup(false, nil, group, h)
+	return nd.JoinGroupIn(netapi.Mode{}, group, h)
 }
 
-func (nd *node) joinGroup(detached bool, gate *netapi.FlowGate, group netapi.Addr, h netapi.PacketHandler) (netapi.UDPSocket, error) {
+func (nd *node) JoinGroupIn(m netapi.Mode, group netapi.Addr, h netapi.PacketHandler) (netapi.UDPSocket, error) {
 	if !group.IsMulticast() {
 		return nil, fmt.Errorf("simnet: %s is not a multicast group", group)
 	}
 	nd.net.mu.Lock()
 	defer nd.net.mu.Unlock()
-	dom := nd.domKey
-	if detached {
-		dom = nd.net.newDomainLocked()
-	}
-	s, err := nd.openUDPLocked(dom, gate, 0, h)
+	s, err := nd.openUDPLocked(m, 0, h)
 	if err != nil {
 		return nil, err
 	}
@@ -869,19 +788,17 @@ type listener struct {
 	accept netapi.ConnHandler
 	recv   netapi.StreamHandler
 	closed bool
-	// detached gives every accepted connection a private dispatch
-	// domain (the listener was opened through a detached node view).
-	detached bool
-	// gate, when non-nil, is inherited by every accepted connection:
-	// their deliveries park while it is blocked.
-	gate *netapi.FlowGate
+	// mode is inherited by every accepted connection: detached, each
+	// gets a private dispatch domain; gated, their deliveries park while
+	// the gate is blocked.
+	mode netapi.Mode
 }
 
 func (nd *node) ListenStream(port int, accept netapi.ConnHandler, recv netapi.StreamHandler) (netapi.Closer, error) {
-	return nd.listenStream(false, nil, port, accept, recv)
+	return nd.ListenStreamIn(netapi.Mode{}, port, accept, recv)
 }
 
-func (nd *node) listenStream(detached bool, gate *netapi.FlowGate, port int, accept netapi.ConnHandler, recv netapi.StreamHandler) (netapi.Closer, error) {
+func (nd *node) ListenStreamIn(m netapi.Mode, port int, accept netapi.ConnHandler, recv netapi.StreamHandler) (netapi.Closer, error) {
 	if recv == nil {
 		return nil, fmt.Errorf("simnet: ListenStream needs a recv handler")
 	}
@@ -894,7 +811,7 @@ func (nd *node) listenStream(detached bool, gate *netapi.FlowGate, port int, acc
 	if _, taken := nd.net.listeners[key]; taken {
 		return nil, fmt.Errorf("simnet: %s:%d already listening", nd.ip, port)
 	}
-	l := &listener{net: nd.net, node: nd, addr: netapi.Addr{IP: nd.ip, Port: port}, accept: accept, recv: recv, detached: detached, gate: gate}
+	l := &listener{net: nd.net, node: nd, addr: netapi.Addr{IP: nd.ip, Port: port}, accept: accept, recv: recv, mode: m}
 	nd.net.listeners[key] = l
 	return l, nil
 }
@@ -934,10 +851,11 @@ type conn struct {
 var _ netapi.Conn = (*conn)(nil)
 
 func (nd *node) DialStream(to netapi.Addr, recv netapi.StreamHandler) (netapi.Conn, error) {
-	return nd.dialStream(false, to, recv)
+	return nd.DialStreamIn(netapi.Mode{}, to, recv)
 }
 
-func (nd *node) dialStream(detached bool, to netapi.Addr, recv netapi.StreamHandler) (netapi.Conn, error) {
+// DialStreamIn ignores m.Gate: a dialed connection is egress.
+func (nd *node) DialStreamIn(m netapi.Mode, to netapi.Addr, recv netapi.StreamHandler) (netapi.Conn, error) {
 	if recv == nil {
 		return nil, fmt.Errorf("simnet: DialStream needs a recv handler")
 	}
@@ -957,17 +875,11 @@ func (nd *node) dialStream(detached bool, to netapi.Addr, recv netapi.StreamHand
 		nd.net.traceLocked("strm", "refuse partition", netapi.Addr{IP: nd.ip}, to, 0)
 		return nil, fmt.Errorf("simnet: connection refused (partitioned): %s", to)
 	}
-	clientDom := nd.domKey
-	if detached {
-		clientDom = nd.net.newDomainLocked()
-	}
-	serverDom := l.node.domKey
-	if l.detached {
-		serverDom = nd.net.newDomainLocked()
-	}
+	clientDom := nd.domKeyLocked(m)
+	serverDom := l.node.domKeyLocked(l.mode)
 	local := netapi.Addr{IP: nd.ip, Port: nd.allocPortLocked()}
 	client := &conn{net: nd.net, domKey: clientDom, local: local, remote: to, recv: recv}
-	server := &conn{net: nd.net, domKey: serverDom, local: to, remote: local, recv: l.recv, gate: l.gate}
+	server := &conn{net: nd.net, domKey: serverDom, local: to, remote: local, recv: l.recv, gate: l.mode.Gate}
 	client.peer, server.peer = server, client
 	nd.net.traceLocked("strm", "connect", local, to, 0)
 	nd.net.scheduleDomLocked(v.healHold+nd.net.latencyLocked()+v.extra, serverDom, func() {

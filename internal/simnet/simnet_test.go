@@ -39,6 +39,32 @@ func TestTimerCancel(t *testing.T) {
 	n.Cancel(netapi.TimerID(9999)) // unknown id is a no-op
 }
 
+// A timer that fires is forgotten: only armed timers are registered,
+// so a long run's fired timers (and their closures) do not accumulate.
+func TestFiredTimersAreForgotten(t *testing.T) {
+	sim := New()
+	n, _ := sim.NewNode("10.0.0.1")
+	const timers = 10000
+	fired := 0
+	var last netapi.TimerID
+	for i := 0; i < timers; i++ {
+		last = n.After(time.Duration(i)*time.Microsecond, func() { fired++ })
+	}
+	armed := n.After(time.Hour, func() {})
+	sim.Run(time.Second)
+	if fired != timers {
+		t.Fatalf("%d of %d timers fired", fired, timers)
+	}
+	if got := len(sim.timers); got != 1 {
+		t.Fatalf("%d timers registered after %d fired, want only the armed one", got, timers)
+	}
+	n.Cancel(last) // already fired: a no-op
+	n.Cancel(armed)
+	if got := len(sim.timers); got != 0 {
+		t.Fatalf("%d timers registered after cancelling the last, want 0", got)
+	}
+}
+
 func TestTimerOrdering(t *testing.T) {
 	sim := New()
 	n, _ := sim.NewNode("10.0.0.1")

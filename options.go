@@ -83,31 +83,11 @@ func WithReceiveTimeout(d time.Duration) Option {
 	}}
 }
 
-// WithWindowJitter perturbs every convergence window by a uniform
-// value in [-d/2, +d/2], modelling scheduler and retransmission
-// variance (the paper's Fig. 12(b) min/max columns). Each session
-// derives its own RNG from seed and its creation sequence number, so
-// concurrent sessions never share a random stream and simulated runs
-// stay reproducible.
-func WithWindowJitter(d time.Duration, seed int64) Option {
-	return Option{apply: func(c *deployConfig) {
-		c.engOpts = append(c.engOpts, engine.WithWindowJitter(d, seed))
-	}}
-}
-
 // WithIngestWorkers sets the size of the worker pool that parses and
 // routes inbound entry payloads (per case, for a dispatcher).
 func WithIngestWorkers(n int) Option {
 	return Option{apply: func(c *deployConfig) {
 		c.engOpts = append(c.engOpts, engine.WithIngestWorkers(n))
-	}}
-}
-
-// WithShardCount sets the number of session-table shards (per case,
-// for a dispatcher).
-func WithShardCount(n int) Option {
-	return Option{apply: func(c *deployConfig) {
-		c.engOpts = append(c.engOpts, engine.WithShardCount(n))
 	}}
 }
 
