@@ -15,9 +15,7 @@ import (
 	"starlink/internal/automata"
 	"starlink/internal/bench"
 	"starlink/internal/composer"
-	"starlink/internal/merge"
 	"starlink/internal/message"
-	"starlink/internal/models"
 	"starlink/internal/parser"
 	"starlink/internal/protocols/upnp"
 	"starlink/internal/registry"
@@ -399,9 +397,3 @@ func BenchmarkFramerText(b *testing.B) {
 		}
 	}
 }
-
-// Silence unused-import lint for types used in helper signatures only.
-var (
-	_ = merge.StepRecv
-	_ = models.SLPMDL
-)

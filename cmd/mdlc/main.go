@@ -8,8 +8,9 @@
 //	mdlc list                      list the built-in models
 //	mdlc dot <automaton>           Graphviz export (Figs. 1/2/3/9)
 //	mdlc program <case>            compiled execution program of a case
-//	mdlc check <file.xml>          validate an MDL / automaton / merged
-//	                               automaton document from disk
+//	mdlc check <file.xml>          apply an MDL / automaton / merged
+//	                               automaton document to the builtins
+//	                               as a -models directory would
 //	mdlc validate <dir>            load a model directory over the
 //	                               builtins (the starlinkd -models
 //	                               loader) and compile every case;
@@ -30,12 +31,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 
-	"starlink/internal/automata"
-	"starlink/internal/mdl"
 	"starlink/internal/mdllint"
-	"starlink/internal/merge"
 	"starlink/internal/registry"
 )
 
@@ -98,11 +97,7 @@ func main() {
 			usage()
 			os.Exit(2)
 		}
-		data, err := os.ReadFile(os.Args[2])
-		if err != nil {
-			fatal(err)
-		}
-		if err := checkDocument(reg, string(data)); err != nil {
+		if err := check(reg, os.Args[2]); err != nil {
 			fatal(err)
 		}
 		fmt.Println("OK")
@@ -151,25 +146,16 @@ func main() {
 	}
 }
 
-// checkDocument validates a model document of any of the three kinds,
-// dispatching on the root element.
-func checkDocument(reg *registry.Registry, doc string) error {
-	trimmed := strings.TrimSpace(doc)
-	switch {
-	case strings.HasPrefix(trimmed, "<MDL"):
-		_, err := mdl.ParseXMLString(doc)
+// check applies one model file to reg through LoadFS's per-document
+// step, so it refuses every document a model directory load refuses. An
+// automaton is named by its file's base name, as in a directory.
+func check(reg *registry.Registry, path string) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
 		return err
-	case strings.HasPrefix(trimmed, "<Automaton"):
-		_, err := automata.ParseXMLString(doc)
-		return err
-	case strings.HasPrefix(trimmed, "<MergedAutomaton"):
-		_, err := merge.ParseXMLString(doc, merge.ResolverFunc(func(name string) (*automata.Automaton, error) {
-			return reg.Automaton(name)
-		}))
-		return err
-	default:
-		return fmt.Errorf("mdlc: unrecognised document root (want MDL, Automaton or MergedAutomaton)")
 	}
+	_, err = reg.ReplaceDoc(strings.TrimSuffix(filepath.Base(path), ".xml"), string(data))
+	return err
 }
 
 func usage() {

@@ -78,7 +78,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -148,8 +147,8 @@ func main() {
 	// public surface; Backend is the sanctioned escape hatch.
 	ireg := reg.Backend().(*registry.Registry)
 	if *modelsDir != "" {
-		if res, err := provision.LoadDir(ireg, *modelsDir); err != nil {
-			fatal(err)
+		if res, err := registry.LoadFS(ireg, os.DirFS(*modelsDir)); err != nil {
+			fatal(fmt.Errorf("-models %s: %w", *modelsDir, err))
 		} else if res.Changed() {
 			fmt.Printf("starlinkd: models %s: %s\n", *modelsDir, res)
 		}
@@ -158,10 +157,8 @@ func main() {
 	rt := starlink.Loopback()
 	fw := starlink.NewWithRegistry(rt, reg)
 
-	// Cumulative session outcomes, counted by an observer so the final
-	// tally survives the dispatcher's teardown; the Collector rides the
-	// same chain and backs the /metrics and /debug/starlink/ surface.
-	var total, failed atomic.Int64
+	// The Collector backs the /metrics and /debug/starlink/ surface; the
+	// Hooks observer logs failed sessions (and, with -v, every session).
 	col := starlink.NewCollector()
 	opts := []starlink.Option{
 		starlink.WithMaxSessions(*maxSessions),
@@ -171,14 +168,12 @@ func main() {
 		starlink.WithObserver(starlink.Hooks{
 			SessionEnd: func(s starlink.SessionStats) {
 				if s.Err != nil {
-					failed.Add(1)
 					fmt.Printf("starlinkd: [%s] session from %s FAILED after %s: %v\n", s.Case, s.Origin, s.Duration, s.Err)
 					if len(s.Trace) > 0 {
 						fmt.Printf("starlinkd: [%s] trace: %s\n", s.Case, starlink.FormatTrace(s.Trace))
 					}
 					return
 				}
-				total.Add(1)
 				if *verbose {
 					fmt.Printf("starlinkd: [%s] session from %s bridged in %s\n", s.Case, s.Origin, s.Duration)
 				}
@@ -219,7 +214,7 @@ func main() {
 
 	var watcher *provision.Watcher
 	if *modelsDir != "" {
-		watcher = provision.NewWatcher(ireg, *modelsDir, *modelsPoll, func(provision.LoadResult) {
+		watcher = provision.NewWatcher(ireg, *modelsDir, *modelsPoll, func(registry.LoadResult) {
 			if err := disp.Sync(); err != nil {
 				fmt.Fprintln(os.Stderr, "starlinkd: sync:", err)
 			}
@@ -289,7 +284,11 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "starlinkd: drain:", err)
 	}
-	fmt.Printf("starlinkd: %d sessions bridged, %d failed\n", total.Load(), failed.Load())
+	// Metrics outlives Shutdown, so the final tally is the dispatcher's
+	// own: it counts the cases hosted now (a case a reload replaced or
+	// removed took its counts with it).
+	sessions := disp.Metrics().Sessions
+	fmt.Printf("starlinkd: %d sessions bridged, %d failed\n", sessions.Completed, sessions.Failed)
 }
 
 // logStats prints per-case session counters, staged latency quantiles

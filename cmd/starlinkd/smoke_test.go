@@ -3,13 +3,13 @@ package main
 import (
 	"context"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"starlink"
 	"starlink/internal/promtext"
-	"starlink/internal/provision"
 	"starlink/internal/registry"
 )
 
@@ -37,7 +37,7 @@ func TestSmokeMetricsSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	ireg := reg.Backend().(*registry.Registry)
-	if _, err := provision.LoadDir(ireg, "../../examples/models"); err != nil {
+	if _, err := registry.LoadFS(ireg, os.DirFS("../../examples/models")); err != nil {
 		t.Fatal(err)
 	}
 	rt := starlink.Loopback()

@@ -117,14 +117,14 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 	ireg := fw.Registry().Backend().(*registry.Registry)
-	watcher := provision.NewWatcher(ireg, dir, 0, func(res provision.LoadResult) {
+	watcher := provision.NewWatcher(ireg, dir, 0, func(registry.LoadResult) {
 		if err := disp.Sync(); err != nil {
 			log.Fatal(err)
 		}
 	}, nil)
 
 	fmt.Println("\ndropping slp-to-upnp-alt model files into the watched directory...")
-	for _, name := range []string{"slp-mdl.xml", "slp-server-alt.xml", "slp-to-upnp-alt.xml"} {
+	for _, name := range []string{"slp-server-alt.xml", "slp-to-upnp-alt.xml"} {
 		data, err := os.ReadFile(filepath.Join("examples", "models", name))
 		if err != nil {
 			log.Fatal(err)

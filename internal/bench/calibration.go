@@ -58,8 +58,8 @@ const (
 
 	// BridgeSLPWindowJitter perturbs the bridge's SLP convergence
 	// window (model attribute convergence=6250 ms in
-	// internal/models), reproducing the 6168..6450 ms spread of the
-	// →SLP rows of Fig. 12(b).
+	// internal/models/slp-client.xml), reproducing the 6168..6450 ms
+	// spread of the →SLP rows of Fig. 12(b).
 	BridgeSLPWindowJitter = 200 * time.Millisecond
 
 	// WideMX is the control-point window used when discovering through

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -272,7 +273,7 @@ func Run(sc *Scenario, seed int64, cfg Config) (*Result, error) {
 		}
 		modelsDir := cfg.modelsDir()
 		driver.After(sc.Reload, func() {
-			if _, err := provision.LoadDir(reg, modelsDir); err != nil {
+			if _, err := registry.LoadFS(reg, os.DirFS(modelsDir)); err != nil {
 				fail(fmt.Errorf("dst: reload: %w", err))
 				return
 			}

@@ -16,6 +16,7 @@ package mdllint
 
 import (
 	"fmt"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -90,7 +91,7 @@ type Context struct {
 	// Dir is the linted model directory.
 	Dir string
 	// Load is the directory load result (valid when LoadErr is nil).
-	Load provision.LoadResult
+	Load registry.LoadResult
 	// LoadErr is the directory load failure, if any. Models applied
 	// before the failing file stay applied, so lint rules still run
 	// over the partial state.
@@ -185,7 +186,7 @@ func Run(dir string, tier Tier) (*Context, []Diagnostic, error) {
 		return nil, nil, err
 	}
 	ctx := &Context{Reg: reg, Dir: dir}
-	ctx.Load, ctx.LoadErr = provision.LoadDir(reg, dir)
+	ctx.Load, ctx.LoadErr = registry.LoadFS(reg, os.DirFS(dir))
 	var diags []Diagnostic
 	for _, r := range Rules() {
 		if r.Tier > tier {

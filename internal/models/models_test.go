@@ -1,7 +1,8 @@
-// Golden tests pinning the embedded models to the paper's figures.
+// Golden tests pinning the embedded model files to the paper's figures.
 package models
 
 import (
+	"io/fs"
 	"strings"
 	"testing"
 
@@ -9,11 +10,27 @@ import (
 	"starlink/internal/mdl"
 )
 
+// file returns one embedded model document by base name.
+func file(t *testing.T, name string) string {
+	t.Helper()
+	data, err := FS.ReadFile(name + ".xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// automatonNames are the eight colored automata, named by model name.
+var automatonNames = []string{
+	"http-client", "http-server", "mdns-client", "mdns-server",
+	"slp-client", "slp-server", "ssdp-client", "ssdp-server",
+}
+
 // TestFig1SLPAutomaton checks the SLP colored automaton against the
 // paper's Fig. 1: two states, ?SLP_SrvReq then !SLP_SrvReply, colored
 // udp/427/async/multicast/239.255.255.253.
 func TestFig1SLPAutomaton(t *testing.T) {
-	a, err := automata.ParseXMLString(SLPServerAutomaton)
+	a, err := automata.ParseXMLString(file(t, "slp-server"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +60,7 @@ func TestFig1SLPAutomaton(t *testing.T) {
 // TestFig2SSDPAutomaton: !SSDP_Search then ?SSDP_Resp on
 // 239.255.255.250:1900.
 func TestFig2SSDPAutomaton(t *testing.T) {
-	a, err := automata.ParseXMLString(SSDPClientAutomaton)
+	a, err := automata.ParseXMLString(file(t, "ssdp-client"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +81,7 @@ func TestFig2SSDPAutomaton(t *testing.T) {
 
 // TestFig3HTTPAutomaton: !HTTP_GET then ?HTTP_OK over sync TCP:80.
 func TestFig3HTTPAutomaton(t *testing.T) {
-	a, err := automata.ParseXMLString(HTTPClientAutomaton)
+	a, err := automata.ParseXMLString(file(t, "http-client"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +103,7 @@ func TestFig3HTTPAutomaton(t *testing.T) {
 // TestFig9MDNSAutomaton: !DNS_Question then ?DNS_Response on
 // 224.0.0.251:5353.
 func TestFig9MDNSAutomaton(t *testing.T) {
-	a, err := automata.ParseXMLString(MDNSClientAutomaton)
+	a, err := automata.ParseXMLString(file(t, "mdns-client"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +125,7 @@ func TestFig9MDNSAutomaton(t *testing.T) {
 func TestDistinctColors(t *testing.T) {
 	colors := map[string]automata.Color{}
 	for _, name := range []string{"slp-server", "ssdp-client", "mdns-client", "http-client"} {
-		a, err := automata.ParseXMLString(Automata[name])
+		a, err := automata.ParseXMLString(file(t, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +143,7 @@ func TestDistinctColors(t *testing.T) {
 // TestFig7SLPMDL checks the SLP MDL against the paper's Fig. 7: the
 // header layout bit-widths and the function-typed fields.
 func TestFig7SLPMDL(t *testing.T) {
-	spec, err := mdl.ParseXMLString(SLPMDL)
+	spec, err := mdl.ParseXMLString(file(t, "slp-mdl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +186,7 @@ func TestFig7SLPMDL(t *testing.T) {
 // space-delimited start line, CRLF fields with ':' inner split, and
 // the two message rules.
 func TestFig11SSDPMDL(t *testing.T) {
-	spec, err := mdl.ParseXMLString(SSDPMDL)
+	spec, err := mdl.ParseXMLString(file(t, "ssdp-mdl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +212,7 @@ func TestFig11SSDPMDL(t *testing.T) {
 // the paper's Fig. 5 content: the three equivalences, the ST/URL/XID
 // assignments and the setHost δ-action.
 func TestFig5MergeSpec(t *testing.T) {
-	doc := SLPToUPnP
+	doc := file(t, "slp-to-upnp")
 	for _, want := range []string{
 		// line 1-3 equivalences
 		`<Equivalence output="SSDPMSearch" inputs="SLPSrvRequest"/>`,
@@ -221,8 +238,8 @@ func TestFig5MergeSpec(t *testing.T) {
 // TestDOTExports ensures every automaton renders to Graphviz (the
 // regenerable form of Figs. 1/2/3/9).
 func TestDOTExports(t *testing.T) {
-	for name, doc := range Automata {
-		a, err := automata.ParseXMLString(doc)
+	for _, name := range automatonNames {
+		a, err := automata.ParseXMLString(file(t, name))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -235,8 +252,12 @@ func TestDOTExports(t *testing.T) {
 
 // TestAllMDLsParse ensures the full MDL corpus stays valid.
 func TestAllMDLsParse(t *testing.T) {
-	for name, doc := range MDLs {
-		spec, err := mdl.ParseXMLString(doc)
+	names, err := fs.Glob(FS, "*-mdl.xml")
+	if err != nil || len(names) != 4 {
+		t.Fatalf("MDL files = %v, %v", names, err)
+	}
+	for _, name := range names {
+		spec, err := mdl.ParseXMLString(file(t, strings.TrimSuffix(name, ".xml")))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -59,78 +60,6 @@ func copyFixtures(t *testing.T) string {
 		}
 	}
 	return dir
-}
-
-func TestClassify(t *testing.T) {
-	cases := map[string]DocKind{
-		`<MDL protocol="X">`:            KindMDL,
-		`  <Automaton protocol="X">`:    KindAutomaton,
-		`<MergedAutomaton name="x">`:    KindMerged,
-		`<?xml version="1.0"?><MDL x>`:  KindMDL,
-		`<Something>`:                   KindUnknown,
-		`plain text`:                    KindUnknown,
-		"\n\t<MergedAutomaton name=*>":  KindMerged,
-		`<?xml version="1.0"?><Banana>`: KindUnknown,
-	}
-	for doc, want := range cases {
-		if got := Classify(doc); got != want {
-			t.Errorf("Classify(%q) = %v, want %v", doc, got, want)
-		}
-	}
-}
-
-// TestLoadDirFixtures loads the shipped examples/models fixtures over
-// the builtins: the MDL copy must be an identity no-op, the alternate
-// automaton and case must apply, and reloading must change nothing.
-func TestLoadDirFixtures(t *testing.T) {
-	reg := builtin(t)
-	gen := reg.Generation()
-	res, err := LoadDir(reg, fixturesDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.MDLs) != 0 || res.Unchanged != 1 {
-		t.Errorf("SLP MDL fixture should be identity with the builtin: %+v", res)
-	}
-	if len(res.Automata) != 1 || res.Automata[0] != "slp-server-alt" {
-		t.Errorf("automata applied = %v", res.Automata)
-	}
-	if len(res.Cases) != 1 || res.Cases[0] != "slp-to-upnp-alt" {
-		t.Errorf("cases applied = %v", res.Cases)
-	}
-	if reg.Generation() == gen {
-		t.Error("effective load must bump the generation")
-	}
-	if _, err := reg.Compiled("slp-to-upnp-alt"); err != nil {
-		t.Fatalf("alt case does not compile: %v", err)
-	}
-
-	// Loading a second time must be a complete no-op.
-	gen = reg.Generation()
-	res, err = LoadDir(reg, fixturesDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Changed() || res.Unchanged != 3 {
-		t.Errorf("reload should be all-unchanged: %+v", res)
-	}
-	if reg.Generation() != gen {
-		t.Error("no-op load must not bump the generation")
-	}
-}
-
-func TestLoadDirMissingAndBadDocs(t *testing.T) {
-	reg := builtin(t)
-	if res, err := LoadDir(reg, filepath.Join(t.TempDir(), "missing")); err != nil || res.Changed() {
-		t.Errorf("missing dir should load as empty, got %+v, %v", res, err)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "bad.xml"), []byte("<Banana/>"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadDir(reg, dir); err == nil || !strings.Contains(err.Error(), "bad.xml") {
-		t.Errorf("unclassifiable file should fail naming the file, got %v", err)
-	}
 }
 
 // TestDispatcherHostsAllCases is the multi-tenant core claim: one
@@ -358,7 +287,7 @@ func TestDispatcherHotReload(t *testing.T) {
 	}
 
 	dir := copyFixtures(t)
-	w := NewWatcher(reg, dir, 0, func(LoadResult) {
+	w := NewWatcher(reg, dir, 0, func(registry.LoadResult) {
 		if err := d.Sync(); err != nil {
 			t.Error(err)
 		}
@@ -417,8 +346,8 @@ func TestDispatcherHotReload(t *testing.T) {
 func TestWatcherPolling(t *testing.T) {
 	reg := builtin(t)
 	dir := t.TempDir()
-	applied := make(chan LoadResult, 16)
-	w := NewWatcher(reg, dir, 5*time.Millisecond, func(res LoadResult) {
+	applied := make(chan registry.LoadResult, 16)
+	w := NewWatcher(reg, dir, 5*time.Millisecond, func(res registry.LoadResult) {
 		if res.Changed() {
 			applied <- res
 		}
@@ -446,9 +375,9 @@ func TestWatcherPolling(t *testing.T) {
 	}
 }
 
-// TestWatcherRetriesFailedLoad pins the hot-reload retry contract: a
-// failed directory load must not record the fingerprint, so the next
-// poll retries even when no file size/mtime changed in the meantime.
+// TestWatcherRetriesFailedLoad: a broken model file fails the load and
+// is loaded again on the next poll, without anything on disk changing;
+// once fixed it is applied, and the hook sees the result.
 func TestWatcherRetriesFailedLoad(t *testing.T) {
 	reg := builtin(t)
 	dir := t.TempDir()
@@ -456,17 +385,38 @@ func TestWatcherRetriesFailedLoad(t *testing.T) {
 	if err := os.WriteFile(broken, []byte(`<MDL protocol="X">not xml`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w := NewWatcher(reg, dir, 0, nil, nil)
+	var logged atomic.Int64
+	applied := make(chan registry.LoadResult, 1) // takes the synchronous Reload's result
+	stop := make(chan struct{})
+	w := NewWatcher(reg, dir, 5*time.Millisecond, func(res registry.LoadResult) {
+		select {
+		case applied <- res:
+		case <-stop:
+		}
+	}, func(string, ...any) { logged.Add(1) })
 	if err := w.Reload(); err == nil {
 		t.Fatal("broken model file should fail the load")
 	}
-	w.mu.Lock()
-	changed := w.changedLocked()
-	w.mu.Unlock()
-	if !changed {
-		t.Error("failed load must leave the directory marked changed so polling retries")
+	<-applied
+	w.Start()
+	defer w.Stop()
+	defer close(stop) // before Stop: a poll blocked in the hook must return
+	// The poll retries the same broken file: the hook runs on each failure.
+	for i := 0; i < 2; i++ {
+		select {
+		case res := <-applied:
+			if res.Changed() {
+				t.Fatalf("a failed load applied %+v", res)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("the poll never retried the failed load")
+		}
 	}
-	// Fixing the file makes the load succeed and record the state.
+	if logged.Load() == 0 {
+		t.Error("a failed poll must be logged")
+	}
+
+	// Fixing the file makes the next poll apply it.
 	valid, err := os.ReadFile(filepath.Join(fixturesDir, "slp-server-alt.xml"))
 	if err != nil {
 		t.Fatal(err)
@@ -474,14 +424,72 @@ func TestWatcherRetriesFailedLoad(t *testing.T) {
 	if err := os.WriteFile(broken, valid, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	deadline := time.After(5 * time.Second)
+	for {
+		select {
+		case res := <-applied:
+			if !res.Changed() {
+				continue // a poll that read the file before the write finished
+			}
+			if len(res.Automata) != 1 || res.Automata[0] != "broken" {
+				t.Fatalf("applied = %+v", res)
+			}
+			if _, err := reg.Automaton("broken"); err != nil {
+				t.Fatal(err)
+			}
+			return
+		case <-deadline:
+			t.Fatal("the fixed file was never applied")
+		}
+	}
+}
+
+// TestWatcherAppliesSameSizeEdit: an edit that keeps the file's size and
+// modification time is still applied by the next poll, because the poll
+// compares content, not size and mtime.
+func TestWatcherAppliesSameSizeEdit(t *testing.T) {
+	reg := builtin(t)
+	dir := copyFixtures(t)
+	path := filepath.Join(dir, "slp-to-upnp-alt.xml")
+	applied := make(chan registry.LoadResult, 1) // one change at a time: the fixtures, then the edit
+	w := NewWatcher(reg, dir, 5*time.Millisecond, func(res registry.LoadResult) {
+		if res.Changed() {
+			applied <- res
+		}
+	}, nil)
 	if err := w.Reload(); err != nil {
 		t.Fatal(err)
 	}
-	w.mu.Lock()
-	changed = w.changedLocked()
-	w.mu.Unlock()
-	if changed {
-		t.Error("successful load must record the fingerprint")
+	<-applied
+	w.Start()
+	defer w.Stop()
+
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The M-SEARCH's MX goes from 1 to 2: same size, new content.
+	edited := strings.Replace(string(data), "<Value>1</Value>", "<Value>2</Value>", 1)
+	if edited == string(data) || len(edited) != len(data) {
+		t.Fatal("fixture no longer holds the edited value")
+	}
+	if err := os.WriteFile(path, []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(path, info.ModTime(), info.ModTime()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case res := <-applied:
+		if len(res.Cases) != 1 || res.Cases[0] != "slp-to-upnp-alt" {
+			t.Errorf("applied = %+v", res)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a same-size edit with its mtime restored was never applied")
 	}
 }
 
@@ -647,4 +655,27 @@ func TestDeployOwnsNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	hostFree("Close")
+}
+
+// BenchmarkWatcherNoopPoll is one poll of an unchanged model directory:
+// a registry.LoadFS whose every file is already loaded byte for byte.
+func BenchmarkWatcherNoopPoll(b *testing.B) {
+	reg, err := registry.Builtin()
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := NewWatcher(reg, fixturesDir, 0, nil, nil)
+	if err := w.Reload(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.mu.Lock()
+		err := w.loadLocked(false)
+		w.mu.Unlock()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package provision
 
 import (
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -188,7 +189,7 @@ func runClassificationScenario(t *testing.T, trialParse bool) scenarioResult {
 	t.Helper()
 	sim := simnet.New(simnet.WithSeed(7))
 	reg := builtin(t)
-	if _, err := LoadDir(reg, fixturesDir); err != nil {
+	if _, err := registry.LoadFS(reg, os.DirFS(fixturesDir)); err != nil {
 		t.Fatal(err)
 	}
 	node, err := sim.NewNode("10.0.0.5")
@@ -288,7 +289,7 @@ func runClassificationScenario(t *testing.T, trialParse bool) scenarioResult {
 func TestClassificationPathsAgree(t *testing.T) {
 	sim := simnet.New()
 	reg := builtin(t)
-	if _, err := LoadDir(reg, fixturesDir); err != nil {
+	if _, err := registry.LoadFS(reg, os.DirFS(fixturesDir)); err != nil {
 		t.Fatal(err)
 	}
 	node, err := sim.NewNode("10.0.0.5")
@@ -404,7 +405,7 @@ func BenchmarkDispatcherClassify(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := LoadDir(reg, fixturesDir); err != nil {
+	if _, err := registry.LoadFS(reg, os.DirFS(fixturesDir)); err != nil {
 		b.Fatal(err)
 	}
 	node, err := sim.NewNode("10.0.0.5")

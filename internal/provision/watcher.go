@@ -1,35 +1,48 @@
+// Package provision turns Starlink into a dynamically provisioned,
+// multi-tenant runtime: bridges are no longer chosen once at process
+// start, but assembled from declarative models when heterogeneous
+// parties actually meet (the paper's headline *runtime*
+// interoperability claim, and the dynamic mediator selection of
+// Spalazzese & Inverardi's mediating connectors).
+//
+// The package has two parts:
+//
+//   - a polling Watcher that re-applies a model directory through
+//     registry.LoadFS (on every poll, or on demand, e.g. from SIGHUP),
+//     so a new case dropped into the directory deploys with zero
+//     restart;
+//   - a Dispatcher that hosts every loaded case in one daemon at once:
+//     it indexes each case's entry colors, binds one shared listener
+//     per color, and classifies unknown inbound payloads — by a
+//     signature index derived from the MDLs, by trial-parsing where a
+//     candidate has no derivable signature — before handing them to
+//     the right engine. Deploy creates the bridge host it runs on. What
+//     it observes goes to one Sink, which every hosted engine shares;
+//     what it counts is read as one Snapshot.
 package provision
 
 import (
 	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
 	"starlink/internal/registry"
 )
 
-// fileStamp fingerprints one model file for change detection.
-type fileStamp struct {
-	size    int64
-	modTime time.Time
-}
-
-// Watcher keeps a registry synchronised with a model directory: it
-// polls the directory for changes (new, modified or touched files) and
-// re-runs LoadDir when anything moved, then invokes the onApply hook —
-// typically Dispatcher.Sync — so new cases deploy with zero restart.
-// Reload can also be driven directly (e.g. from a SIGHUP handler).
+// Watcher keeps a registry synchronised with a model directory: every
+// poll is one registry.LoadFS, and the registry decides by content what
+// changed (a byte-identical file is a no-op). When something applied, or
+// the load failed part-way, the onApply hook runs — typically
+// Dispatcher.Sync — so new cases deploy with zero restart. Reload can
+// also be driven directly (e.g. from a SIGHUP handler).
 type Watcher struct {
 	reg      *registry.Registry
 	dir      string
 	interval time.Duration
-	onApply  func(LoadResult)
+	onApply  func(registry.LoadResult)
 	logf     func(format string, args ...any)
 
-	mu     sync.Mutex // serialises Reload; guards stamps
-	stamps map[string]fileStamp
+	mu sync.Mutex // serialises loads
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -39,17 +52,16 @@ type Watcher struct {
 
 // NewWatcher builds a watcher over dir. interval is the polling
 // period for Start (values <= 0 disable polling; Reload still works).
-// onApply, if non-nil, runs after every load — including no-op loads
-// triggered by Reload — with the load's result. logf, if non-nil,
-// receives progress and error lines.
-func NewWatcher(reg *registry.Registry, dir string, interval time.Duration, onApply func(LoadResult), logf func(format string, args ...any)) *Watcher {
+// onApply, if non-nil, runs after every Reload — including no-op ones —
+// and after every poll that changed the registry or failed, with the
+// load's result. logf, if non-nil, receives progress and error lines.
+func NewWatcher(reg *registry.Registry, dir string, interval time.Duration, onApply func(registry.LoadResult), logf func(format string, args ...any)) *Watcher {
 	return &Watcher{
 		reg:      reg,
 		dir:      dir,
 		interval: interval,
 		onApply:  onApply,
 		logf:     logf,
-		stamps:   map[string]fileStamp{},
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -61,72 +73,30 @@ func (w *Watcher) logeach(format string, args ...any) {
 	}
 }
 
-// Reload fingerprints the directory and applies it to the registry
-// unconditionally, then runs the onApply hook. Unchanged files are
-// no-ops inside LoadDir, so a Reload with nothing new mutates nothing.
-// Safe for concurrent use.
+// Reload applies the directory to the registry and runs the onApply
+// hook unconditionally. Unchanged files are no-ops inside LoadFS, so a
+// Reload with nothing new mutates nothing. Safe for concurrent use.
 func (w *Watcher) Reload() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.reloadLocked()
+	return w.loadLocked(true)
 }
 
-func (w *Watcher) reloadLocked() error {
-	stamps := w.fingerprint()
-	res, err := LoadDir(w.reg, w.dir)
-	if err == nil {
-		// Record the fingerprint only after a successful load: a failed
-		// load (broken file, transient read error) must be retried on
-		// the next poll even if no size/mtime changes in the meantime.
-		w.stamps = stamps
-	}
+// loadLocked runs one LoadFS and the hook: always when force is set,
+// otherwise only when the load changed the registry or failed. A failed
+// load is retried by the next poll, because the next poll loads again;
+// the hook runs on failure too, because LoadFS applies files up to the
+// failure and whatever did apply must still reach the deployments.
+// Caller holds mu.
+func (w *Watcher) loadLocked(force bool) error {
+	res, err := registry.LoadFS(w.reg, os.DirFS(w.dir))
 	if res.Changed() {
 		w.logeach("provision: %s: %s", w.dir, res)
 	}
-	// Run the hook even when a file failed: LoadDir applies files up
-	// to the failure, and whatever did apply must still be synced to
-	// the deployments — otherwise the registry and the dispatcher
-	// silently diverge until the next file change.
-	if w.onApply != nil {
+	if w.onApply != nil && (force || err != nil || res.Changed()) {
 		w.onApply(res)
 	}
 	return err
-}
-
-// fingerprint stamps every model file in the directory. A missing
-// directory fingerprints as empty.
-func (w *Watcher) fingerprint() map[string]fileStamp {
-	out := map[string]fileStamp{}
-	entries, err := os.ReadDir(w.dir)
-	if err != nil {
-		return out
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".xml") {
-			continue
-		}
-		info, err := os.Stat(filepath.Join(w.dir, e.Name()))
-		if err != nil {
-			continue
-		}
-		out[e.Name()] = fileStamp{size: info.Size(), modTime: info.ModTime()}
-	}
-	return out
-}
-
-// changed reports whether the directory fingerprint differs from the
-// last applied one. Caller holds mu.
-func (w *Watcher) changedLocked() bool {
-	now := w.fingerprint()
-	if len(now) != len(w.stamps) {
-		return true
-	}
-	for name, st := range now {
-		if w.stamps[name] != st {
-			return true
-		}
-	}
-	return false
 }
 
 // Start launches the polling goroutine. It is a no-op when the
@@ -149,10 +119,8 @@ func (w *Watcher) loop() {
 		select {
 		case <-t.C:
 			w.mu.Lock()
-			if w.changedLocked() {
-				if err := w.reloadLocked(); err != nil {
-					w.logeach("provision: reload %s: %v", w.dir, err)
-				}
+			if err := w.loadLocked(false); err != nil {
+				w.logeach("provision: reload %s: %v", w.dir, err)
 			}
 			w.mu.Unlock()
 		case <-w.quit:

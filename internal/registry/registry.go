@@ -13,6 +13,12 @@
 // compiled program, entry-color index and codecs — so repeated
 // deployments of an unchanged case do zero recompilation and zero
 // codec construction.
+//
+// LoadFS is the one model loader: it reads a directory of MDL /
+// colored automaton / merged automaton XML files (any fs.FS) and applies
+// them with replace semantics. Builtin is LoadFS over the embedded
+// models.FS; starlinkd -models, the provisioning watcher and mdlc pass
+// os.DirFS(dir).
 package registry
 
 import (
@@ -87,33 +93,15 @@ func New() *Registry {
 }
 
 // Builtin returns a registry preloaded with every model of the paper's
-// case study: the four MDLs, eight role-specific colored automata and
-// six merged automata.
+// case study: LoadFS over the embedded models.FS, which holds the four
+// MDLs, eight role-specific colored automata and six merged automata.
 func Builtin() (*Registry, error) {
 	r := New()
-	for name, doc := range models.MDLs {
-		if err := r.LoadMDL(doc); err != nil {
-			return nil, fmt.Errorf("registry: builtin MDL %s: %w", name, err)
-		}
-	}
-	for name, doc := range models.Automata {
-		if err := r.LoadAutomaton(name, doc); err != nil {
-			return nil, fmt.Errorf("registry: builtin automaton %s: %w", name, err)
-		}
-	}
-	for name, doc := range models.MergedAutomata {
-		if err := r.LoadMerged(doc); err != nil {
-			return nil, fmt.Errorf("registry: builtin merged %s: %w", name, err)
-		}
+	if _, err := LoadFS(r, models.FS); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
-
-// sameDoc reports whether two model documents are equivalent for
-// replace purposes (whitespace at the edges does not count — on-disk
-// fixtures often differ from embedded constants only by a trailing
-// newline).
-func sameDoc(a, b string) bool { return strings.TrimSpace(a) == strings.TrimSpace(b) }
 
 // Generation returns the registry's mutation generation. It starts at
 // zero and increases on every effective mutation (loads, non-identical
@@ -156,7 +144,7 @@ func (r *Registry) ReplaceMDL(doc string) (changed bool, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	old, existed := r.specDocs[spec.Protocol]
-	if existed && sameDoc(old, doc) {
+	if existed && old == doc {
 		return false, nil
 	}
 	r.specs[spec.Protocol] = spec
@@ -208,7 +196,7 @@ func (r *Registry) ReplaceAutomaton(name, doc string) (changed bool, err error) 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	old, existed := r.autoDocs[name]
-	if existed && sameDoc(old, doc) {
+	if existed && old == doc {
 		return false, nil
 	}
 	if _, ok := r.specs[a.Protocol]; !ok {
@@ -256,7 +244,7 @@ func (r *Registry) ReplaceMerged(doc string) (changed bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	if old, ok := r.mergedDocs[m.Name]; ok && sameDoc(old, doc) {
+	if old, ok := r.mergedDocs[m.Name]; ok && old == doc {
 		return false, nil
 	}
 	r.merged[m.Name] = m

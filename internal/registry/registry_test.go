@@ -2,11 +2,16 @@ package registry
 
 import (
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"starlink/internal/engine"
+	"starlink/internal/mdl"
 	"starlink/internal/models"
 	"starlink/internal/simnet"
 )
@@ -31,6 +36,81 @@ func TestBuiltinLoadsAllModels(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("merged = %v, want %v", got, want)
+		}
+	}
+}
+
+// modelFile returns one shipped model document by base name.
+func modelFile(t testing.TB, name string) string {
+	t.Helper()
+	data, err := models.FS.ReadFile(name + ".xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestBuiltinIsTheFiles: the builtin models are exactly the embedded
+// files (protocols, automaton model names and case names), and no Go
+// file under internal/models holds model text.
+func TestBuiltinIsTheFiles(t *testing.T) {
+	r, err := Builtin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := fs.ReadDir(models.FS, ".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var protocols, automata, cases []string
+	for _, f := range files {
+		name := strings.TrimSuffix(f.Name(), ".xml")
+		doc := modelFile(t, name)
+		switch Classify(doc) {
+		case KindMDL:
+			spec, err := mdl.ParseXMLString(doc)
+			if err != nil {
+				t.Fatalf("%s: %v", f.Name(), err)
+			}
+			protocols = append(protocols, spec.Protocol)
+		case KindAutomaton:
+			automata = append(automata, name)
+		case KindMerged:
+			cases = append(cases, name)
+		default:
+			t.Errorf("%s: not a model document", f.Name())
+		}
+	}
+	for _, c := range []struct {
+		what      string
+		files, in []string
+	}{
+		{"protocols", protocols, r.Protocols()},
+		{"automata", automata, r.AutomatonNames()},
+		{"cases", cases, r.MergedNames()},
+	} {
+		sort.Strings(c.files)
+		if fmt.Sprint(c.files) != fmt.Sprint(c.in) {
+			t.Errorf("%s: files %v, Builtin %v", c.what, c.files, c.in)
+		}
+	}
+	if r.Generation() != 18 {
+		t.Errorf("Builtin generation = %d, want 18 (one per document)", r.Generation())
+	}
+
+	goFiles, err := filepath.Glob("../models/*.go")
+	if err != nil || len(goFiles) == 0 {
+		t.Fatalf("Go files under internal/models: %v, %v", goFiles, err)
+	}
+	for _, path := range goFiles {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, root := range []string{"<MDL", "<Automaton", "<MergedAutomaton"} {
+			if strings.Contains(string(src), root) {
+				t.Errorf("%s holds model text (%s)", path, root)
+			}
 		}
 	}
 }
@@ -91,8 +171,12 @@ func TestRegistryDuplicates(t *testing.T) {
 // are compact models ("typically, these automata are around 100 lines
 // of XML, but this depends on the complexity of the translation").
 func TestModelSizes(t *testing.T) {
-	for name, doc := range models.MergedAutomata {
-		lines := strings.Count(doc, "\n") + 1
+	r, err := Builtin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range r.MergedNames() {
+		lines := strings.Count(modelFile(t, name), "\n")
 		if lines < 20 || lines > 350 {
 			t.Errorf("%s: %d lines of XML, outside the paper's model-scale claim", name, lines)
 		}
@@ -102,8 +186,8 @@ func TestModelSizes(t *testing.T) {
 
 // altCaseDoc derives a distinct, valid merged-automaton document from
 // a builtin case by renaming it.
-func altCaseDoc(name string) string {
-	return strings.Replace(models.SLPToUPnP, `name="slp-to-upnp"`, `name="`+name+`"`, 1)
+func altCaseDoc(t testing.TB, name string) string {
+	return strings.Replace(modelFile(t, "slp-to-upnp"), `name="slp-to-upnp"`, `name="`+name+`"`, 1)
 }
 
 func TestReplaceUnloadGeneration(t *testing.T) {
@@ -113,18 +197,27 @@ func TestReplaceUnloadGeneration(t *testing.T) {
 	}
 	gen := r.Generation()
 
-	// Identity replace: no mutation, no generation bump (trailing
-	// whitespace must not count as change).
-	changed, err := r.ReplaceMerged(models.SLPToUPnP + "\n")
+	// Identity is byte identity: the same document is a no-op with no
+	// generation bump, and the same document plus one "\n" is a change.
+	doc := modelFile(t, "slp-to-upnp")
+	changed, err := r.ReplaceMerged(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if changed || r.Generation() != gen {
 		t.Fatalf("identity replace mutated: changed=%v gen %d -> %d", changed, gen, r.Generation())
 	}
+	changed, err = r.ReplaceMerged(doc + "\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !changed || r.Generation() != gen+1 {
+		t.Fatalf(`replace with an added "\n" must apply: changed=%v gen %d -> %d`, changed, gen, r.Generation())
+	}
+	gen = r.Generation()
 
 	// New case via Replace: loads it.
-	changed, err = r.ReplaceMerged(altCaseDoc("alt-case"))
+	changed, err = r.ReplaceMerged(altCaseDoc(t, "alt-case"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +234,7 @@ func TestReplaceUnloadGeneration(t *testing.T) {
 
 	// Replacing a referenced automaton re-resolves dependents: the
 	// cached artifacts must be invalidated.
-	doc := models.Automata["slp-server"]
-	changed, err = r.ReplaceAutomaton("slp-server", doc+"\n<!-- touched -->")
+	changed, err = r.ReplaceAutomaton("slp-server", modelFile(t, "slp-server")+"<!-- touched -->")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,6 +307,10 @@ func TestConcurrentMutation(t *testing.T) {
 	sim := simnet.New()
 	const workers = 4
 	const iters = 50
+	var docs [workers]string
+	for w := range docs {
+		docs[w] = altCaseDoc(t, fmt.Sprintf("race-case-%d", w))
+	}
 
 	var wg sync.WaitGroup
 	// Mutators: each owns a distinct case name, so loads/unloads
@@ -224,7 +320,7 @@ func TestConcurrentMutation(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			name := fmt.Sprintf("race-case-%d", w)
-			doc := altCaseDoc(name)
+			doc := docs[w]
 			for i := 0; i < iters; i++ {
 				if _, err := r.ReplaceMerged(doc); err != nil {
 					t.Error(err)
@@ -308,7 +404,7 @@ func TestReplaceAutomatonFailedReresolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := models.Automata["slp-server"]
+	good := modelFile(t, "slp-server")
 	// Valid standalone, but its state names no longer match the δ
 	// references of the slp-* cases.
 	broken := strings.ReplaceAll(good, "s0", "t0")
