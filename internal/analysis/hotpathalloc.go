@@ -11,7 +11,7 @@ import (
 //
 //	//starlink:hotpath
 //
-// must keep its success path free of the four allocation sources that
+// must keep its success path free of the five allocation sources that
 // have historically crept into Starlink's steady-state bridge loop:
 //
 //   - fmt calls (Sprintf and friends allocate unconditionally);
@@ -20,7 +20,10 @@ import (
 //     the closure itself allocates per call);
 //   - append to a slice that starts with no capacity in this function
 //     (growth from zero reallocates on the steady path; appending to a
-//     caller-provided or make()-sized slice is the sanctioned idiom).
+//     caller-provided or make()-sized slice is the sanctioned idiom);
+//   - the address of a message.Field or message.Message composite
+//     literal: a heap allocation where the pools package message keeps
+//     (NewField, NewPooled) would recycle one.
 //
 // Error construction is exempt: an expression inside a return whose
 // final result is a non-nil error sits on the failure path, which is
@@ -29,7 +32,7 @@ import (
 // wrapper.
 var HotPathAlloc = &Analyzer{
 	Name: "hotpathalloc",
-	Doc:  "functions marked //starlink:hotpath avoid fmt, string concatenation, capturing closures and zero-capacity appends",
+	Doc:  "functions marked //starlink:hotpath avoid fmt, string concatenation, capturing closures, zero-capacity appends and unpooled message literals",
 	Run:  runHotPathAlloc,
 }
 
@@ -84,6 +87,16 @@ func checkHotBody(pass *Pass, decl *ast.FuncDecl) {
 			if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
 				pass.Reportf(n.Pos(), "string concatenation on a //starlink:hotpath success path allocates; use append on a byte buffer")
 			}
+		case *ast.UnaryExpr:
+			lit, ok := ast.Unparen(n.X).(*ast.CompositeLit)
+			if n.Op != token.AND || !ok || isCold(n.Pos()) {
+				return true
+			}
+			if named, ok := pass.TypesInfo.Types[lit].Type.(*types.Named); ok && named.Obj().Pkg() != nil &&
+				named.Obj().Pkg().Path() == messagePath && pooledTypes[named.Obj().Name()] != "" {
+				pass.Reportf(n.Pos(), "&message.%s{} on a //starlink:hotpath success path allocates; take one from the pool (message.%s)",
+					named.Obj().Name(), pooledTypes[named.Obj().Name()])
+			}
 		case *ast.FuncLit:
 			if isCold(n.Pos()) {
 				return false
@@ -96,6 +109,9 @@ func checkHotBody(pass *Pass, decl *ast.FuncDecl) {
 		return true
 	})
 }
+
+// pooledTypes maps each type package message pools to its constructor.
+var pooledTypes = map[string]string{"Field": "NewField", "Message": "NewPooled"}
 
 // coldReturnSpans finds the source spans of return statements whose
 // last result is a non-nil error — the sanctioned allocation sites.

@@ -1,7 +1,12 @@
 // Fixtures for the hotpathalloc analyzer: structural zero-alloc guard.
 package hotpathalloc
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+
+	"starlink/internal/message"
+)
 
 //starlink:hotpath
 func sprintfOnHotPath(n int) string {
@@ -73,4 +78,35 @@ func coldErrorPathAllowed(n int) (int, error) {
 func unannotated(a, b string) string {
 	add := func(x string) string { return a + x }
 	return fmt.Sprintf("%s", add(b))
+}
+
+// The pooled message types: a literal's address is a heap allocation
+// the pool would have recycled.
+//
+//starlink:hotpath
+func fieldLiteral(m *message.Message) {
+	m.Add(&message.Field{Label: "XID"}) // want "&message.Field.. on a //starlink:hotpath success path allocates; take one from the pool .message.NewField."
+}
+
+//starlink:hotpath
+func messageLiteral() *message.Message {
+	return &message.Message{Name: "SLPSrvReply"} // want "&message.Message.. .*message.NewPooled"
+}
+
+//starlink:hotpath
+func pooledField(m *message.Message) {
+	f := message.NewField()
+	f.Label = "XID"
+	m.Add(f)
+}
+
+// A value literal is not an allocation, and the failure path may
+// allocate as ever.
+//
+//starlink:hotpath
+func literalOffTheHotPath(m *message.Message) (message.Field, error) {
+	if m == nil {
+		return message.Field{}, errors.New("no message: " + (&message.Field{}).Label)
+	}
+	return message.Field{Label: "XID"}, nil
 }

@@ -18,7 +18,6 @@ package composer
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -29,28 +28,11 @@ import (
 	"starlink/internal/types"
 )
 
-// composePlan is the per-message compile-time layout knowledge: which
-// fields derive their value from another field's encoded size or a
-// group's element count. Built once at composer construction so the
-// per-message compose pass does no layout analysis.
-type composePlan struct {
-	// sizeOwners maps a size field label to the label of the variable
-	// field it measures; countOwners likewise for groups.
-	sizeOwners  map[string]string
-	countOwners map[string]string
-}
-
 // Composer serialises abstract messages under an MDL spec.
 type Composer struct {
 	spec  *mdl.Spec
-	types *types.Registry
 	funcs *types.FuncRegistry
-	// plans holds the precompiled layout per message definition.
-	plans map[string]*composePlan
-	// Text-dialect precompiled layout: the fixed (non-wildcard) header
-	// labels and the wildcard entry, if any.
-	textFixed map[string]bool
-	wildcard  *mdl.FieldDef
+	r     *mdl.Resolved
 }
 
 // New returns a composer for the specification. Nil registries use the
@@ -65,44 +47,37 @@ func New(spec *mdl.Spec, reg *types.Registry, funcs *types.FuncRegistry) (*Compo
 	if funcs == nil {
 		funcs = types.NewFuncRegistry()
 	}
-	c := &Composer{spec: spec, types: reg, funcs: funcs, plans: map[string]*composePlan{}}
-	for _, def := range spec.Messages {
-		p := &composePlan{sizeOwners: map[string]string{}, countOwners: map[string]string{}}
-		indexOwners(spec.Header.Fields, p.sizeOwners, p.countOwners)
-		indexOwners(def.Fields, p.sizeOwners, p.countOwners)
-		c.plans[def.Name] = p
-	}
-	if spec.Dialect == mdl.DialectText {
-		c.textFixed = map[string]bool{}
-		for _, hf := range spec.Header.Fields {
-			if hf.Wildcard {
-				c.wildcard = hf
-				continue
-			}
-			c.textFixed[hf.Label] = true
-		}
-	}
-	return c, nil
+	return &Composer{spec: spec, funcs: funcs, r: spec.Resolve(reg)}, nil
 }
 
 // Spec returns the MDL specification the composer interprets.
 func (c *Composer) Spec() *mdl.Spec { return c.spec }
 
 // Compose serialises msg. The message's Name selects the message
-// definition; the rule field is filled automatically so callers (and
-// translation logic) never set protocol discriminators by hand.
+// definition, whose layout msg is bound to; the rule field is filled
+// automatically so callers (and translation logic) never set protocol
+// discriminators by hand.
 //
 //starlink:hotpath
 func (c *Composer) Compose(msg *message.Message) ([]byte, error) {
-	def, ok := c.spec.MessageByName(msg.Name)
-	if !ok {
+	var pl *mdl.Plan
+	for _, p := range c.r.Plans {
+		if p.Def.Name == msg.Name {
+			pl = p
+			break
+		}
+	}
+	if pl == nil {
 		return nil, fmt.Errorf("composer: spec %s has no message %q", c.spec.Protocol, msg.Name)
+	}
+	if msg.Layout() != pl.Layout {
+		msg.SetLayout(pl.Layout)
 	}
 	switch c.spec.Dialect {
 	case mdl.DialectBinary:
-		return c.composeBinary(msg, def)
+		return c.composeBinary(msg, pl)
 	case mdl.DialectText:
-		return c.composeText(msg, def)
+		return c.composeText(msg, pl)
 	default:
 		return nil, fmt.Errorf("composer: spec %s has invalid dialect", c.spec.Protocol)
 	}
@@ -115,51 +90,51 @@ func (c *Composer) Compose(msg *message.Message) ([]byte, error) {
 // patch records a function field whose value is computed after the
 // first pass.
 type patch struct {
-	bitOff  int
-	bits    int
-	label   string
-	funcRef *mdl.FuncRef
+	bitOff int
+	e      *mdl.Entry
+}
+
+// encoded is a memoized variable-width encoding; ok marks it computed.
+type encoded struct {
+	raw []byte
+	ok  bool
 }
 
 type binaryCtx struct {
 	c       *Composer
 	msg     *message.Message
-	def     *mdl.MessageDef
+	plan    *mdl.Plan
 	w       *bitio.Writer
 	patches []patch
-	plan    *composePlan
-	// encCache memoizes variable-width field encodings within one
+	// enc memoizes variable-width field encodings by slot within one
 	// compose: size fields measure their owned field before it is
 	// written, and f-length patches measure it after, so every variable
-	// field would otherwise be encoded twice. Lazily allocated.
-	encCache map[string][]byte
+	// field would otherwise be encoded twice.
+	enc []encoded
 }
 
-// encode returns the variable-width encoding of a field, memoized for
-// the duration of one compose.
-func (b *binaryCtx) encode(label string, f *message.Field) ([]byte, error) {
-	if raw, ok := b.encCache[label]; ok {
-		return raw, nil
+// encode returns the variable-width encoding of a top-level field,
+// memoized for the duration of one compose.
+func (b *binaryCtx) encode(e *mdl.Entry, f *message.Field) ([]byte, error) {
+	if e.Slot >= 0 && b.enc[e.Slot].ok {
+		return b.enc[e.Slot].raw, nil
 	}
-	raw, err := b.c.encodeValue(label, f, 0)
-	if err != nil {
-		return nil, err
+	raw, err := encodeValue(e, f, 0)
+	if err == nil && e.Slot >= 0 {
+		b.enc[e.Slot] = encoded{raw, true}
 	}
-	if b.encCache == nil {
-		b.encCache = make(map[string][]byte, 8)
-	}
-	b.encCache[label] = raw
-	return raw, nil
+	return raw, err
 }
 
 // EncodedLength implements types.FuncContext.
 func (b *binaryCtx) EncodedLength(label string) (int, error) {
-	f, ok := b.msg.Field(label)
-	if !ok {
-		// Unset measured fields encode as empty.
+	i := b.plan.Layout.Slot(label)
+	if i < 0 || b.msg.At(i) == nil {
+		// Unset measured fields (and labels the definition lacks) encode
+		// as empty.
 		return 0, nil
 	}
-	raw, err := b.encode(label, f)
+	raw, err := b.encode(b.plan.Slots[i], b.msg.At(i))
 	if err != nil {
 		return 0, err
 	}
@@ -192,227 +167,177 @@ func (b *binaryCtx) Count(label string) (int, error) {
 
 var binCtxPool = sync.Pool{New: func() any { return new(binaryCtx) }}
 
-func acquireBinaryCtx() *binaryCtx {
+func acquireBinaryCtx(c *Composer, msg *message.Message, pl *mdl.Plan) *binaryCtx {
 	ctx := binCtxPool.Get().(*binaryCtx)
-	ctx.w = bitio.AcquireWriter()
+	ctx.c, ctx.msg, ctx.plan, ctx.w = c, msg, pl, bitio.AcquireWriter()
+	ctx.enc = append(ctx.enc[:0], make([]encoded, len(pl.Slots))...)
 	return ctx
 }
 
 func releaseBinaryCtx(ctx *binaryCtx) {
 	bitio.ReleaseWriter(ctx.w)
-	for k := range ctx.encCache {
-		delete(ctx.encCache, k)
-	}
-	patches := ctx.patches[:0]
-	cache := ctx.encCache
-	*ctx = binaryCtx{patches: patches, encCache: cache}
+	clear(ctx.enc)
+	*ctx = binaryCtx{patches: ctx.patches[:0], enc: ctx.enc[:0]}
 	binCtxPool.Put(ctx)
 }
 
 //starlink:hotpath
-func (c *Composer) composeBinary(msg *message.Message, def *mdl.MessageDef) ([]byte, error) {
-	ctx := acquireBinaryCtx()
+func (c *Composer) composeBinary(msg *message.Message, pl *mdl.Plan) ([]byte, error) {
+	ctx := acquireBinaryCtx(c, msg, pl)
 	defer releaseBinaryCtx(ctx)
-	ctx.c, ctx.msg, ctx.def, ctx.plan = c, msg, def, c.plans[def.Name]
 
-	if err := c.writeFields(ctx, c.spec.Header.Fields, msg, nil); err != nil {
+	if err := c.writeFields(ctx, pl.Header, msg, nil); err != nil {
 		return nil, fmt.Errorf("composer: %s header: %w", c.spec.Protocol, err)
 	}
-	if err := c.writeFields(ctx, def.Fields, msg, nil); err != nil {
-		return nil, fmt.Errorf("composer: %s %s body: %w", c.spec.Protocol, def.Name, err)
+	if err := c.writeFields(ctx, pl.Body, msg, nil); err != nil {
+		return nil, fmt.Errorf("composer: %s %s body: %w", c.spec.Protocol, pl.Def.Name, err)
 	}
 	// Second pass: evaluate function fields now that the layout is known.
 	for _, p := range ctx.patches {
-		fn, err := c.funcs.Lookup(p.funcRef.Name)
+		fn, err := c.funcs.Lookup(p.e.Type.Func.Name)
 		if err != nil {
-			return nil, fmt.Errorf("composer: field %q: %w", p.label, err)
+			return nil, fmt.Errorf("composer: field %q: %w", p.e.Label, err)
 		}
-		v, err := fn(ctx, p.funcRef.Args)
+		v, err := fn(ctx, p.e.Type.Func.Args)
 		if err != nil {
-			return nil, fmt.Errorf("composer: field %q: %w", p.label, err)
+			return nil, fmt.Errorf("composer: field %q: %w", p.e.Label, err)
 		}
 		n, ok := v.AsInt()
 		if !ok {
-			return nil, fmt.Errorf("composer: field %q: function result is not an integer", p.label)
+			return nil, fmt.Errorf("composer: field %q: function result is not an integer", p.e.Label)
 		}
-		if err := ctx.w.PatchBits(p.bitOff, uint64(n), p.bits); err != nil {
-			return nil, fmt.Errorf("composer: field %q: %w", p.label, err)
+		if err := ctx.w.PatchBits(p.bitOff, uint64(n), p.e.Def.SizeBits); err != nil {
+			return nil, fmt.Errorf("composer: field %q: %w", p.e.Label, err)
 		}
-		// Reflect the computed value back into the abstract message so
-		// parse(compose(m)) == m for function fields too.
-		f := msg.SetPath(p.label, message.Int(n))
-		f.Type = c.spec.TypeOf(p.label).TypeName
-		f.Length = p.bits
+		setInt(msg, p.e, n)
 	}
 	return ctx.w.Bytes(), nil
 }
 
-func indexOwners(defs []*mdl.FieldDef, sizes, counts map[string]string) {
-	for _, d := range defs {
-		if d.IsGroup() {
-			counts[d.CountRef] = d.Label
-			indexOwners(d.Group, sizes, counts)
-			continue
-		}
-		if d.SizeRef != "" {
-			sizes[d.SizeRef] = d.Label
-		}
+// setInt records a derived integer in the message, so that
+// parse(compose(m)) == m for function, size and count fields too.
+func setInt(msg *message.Message, e *mdl.Entry, n int64) {
+	var f *message.Field
+	if e.Slot < 0 {
+		f = msg.SetPath(e.Label, message.Int(n))
+	} else if f = msg.At(e.Slot); f == nil {
+		f = message.NewField()
+		f.Label = e.Label
+		msg.SetAt(e.Slot, f)
 	}
-}
-
-// scopedLookup resolves a label against the group-item scope first,
-// then the message's top level.
-func scopedLookup(msg *message.Message, scope *message.Field, label string) (*message.Field, bool) {
-	if scope != nil {
-		if f, ok := scope.Child(label); ok {
-			return f, true
-		}
-	}
-	return msg.Field(label)
+	f.Type, f.Length, f.Value = e.Type.TypeName, e.Def.SizeBits, message.Int(n)
 }
 
 // writeFields serialises a field list; group items pass their item
 // field as scope for label lookups.
 //
 //starlink:hotpath
-func (c *Composer) writeFields(ctx *binaryCtx, defs []*mdl.FieldDef, msg *message.Message, scope *message.Field) error {
-	for _, def := range defs {
+func (c *Composer) writeFields(ctx *binaryCtx, entries []*mdl.Entry, msg *message.Message, scope *message.Field) error {
+	for _, e := range entries {
+		def := e.Def
 		if def.IsGroup() {
-			g, ok := scopedLookup(msg, scope, def.Label)
-			if !ok || !g.IsStructured() {
+			g := e.Find(msg, scope)
+			if g == nil || !g.IsStructured() {
 				// Absent group composes as empty (count field will be 0).
 				continue
 			}
 			for i, item := range g.Children {
-				if err := c.writeFields(ctx, def.Group, msg, item); err != nil {
+				if err := c.writeFields(ctx, e.Group, msg, item); err != nil {
 					return fmt.Errorf("group %q item %d: %w", def.Label, i, err)
 				}
 			}
 			continue
 		}
-		td := c.spec.TypeOf(def.Label)
 
 		// Function fields: reserve and patch later.
-		if td.Func != nil {
+		if e.Type.Func != nil {
 			if def.SizeBits <= 0 || def.SizeBits > 64 {
 				return fmt.Errorf("field %q: function fields need fixed width <=64 bits", def.Label)
 			}
-			ctx.patches = append(ctx.patches, patch{
-				bitOff:  ctx.w.Len(),
-				bits:    def.SizeBits,
-				label:   def.Label,
-				funcRef: td.Func,
-			})
+			ctx.patches = append(ctx.patches, patch{bitOff: ctx.w.Len(), e: e})
 			if err := ctx.w.WriteBits(0, def.SizeBits); err != nil {
 				return err
 			}
 			continue
 		}
 
-		// Derived size/count fields: measured from the owned field.
-		if owned, isSize := ctx.plan.sizeOwners[def.Label]; isSize && scope == nil {
-			f, ok := scopedLookup(msg, scope, owned)
-			var n int
-			if ok {
-				raw, err := ctx.encode(owned, f)
+		// Derived size/count fields: measured from the owned field — at
+		// the top level, or a sibling inside a group item.
+		if o := e.Owner; o != nil {
+			n := 0
+			if f := o.Find(msg, scope); f != nil && e.Counts {
+				if f.IsStructured() {
+					n = len(f.Children)
+				}
+			} else if f != nil {
+				raw, err := ctx.encode(o, f)
 				if err != nil {
 					return err
 				}
 				n = len(raw)
 			}
-			if err := c.writeIntField(ctx, msg, def, td, int64(n)); err != nil {
+			if err := c.writeIntField(ctx, msg, scope, e, int64(n)); err != nil {
 				return err
 			}
 			continue
-		}
-		if owned, isCount := ctx.plan.countOwners[def.Label]; isCount && scope == nil {
-			n := 0
-			if g, ok := scopedLookup(msg, scope, owned); ok && g.IsStructured() {
-				n = len(g.Children)
-			}
-			if err := c.writeIntField(ctx, msg, def, td, int64(n)); err != nil {
-				return err
-			}
-			continue
-		}
-		// Size fields inside groups measure their sibling.
-		if scope != nil {
-			if owned := siblingSizeOwner(defs, def.Label); owned != "" {
-				f, ok := scopedLookup(msg, scope, owned)
-				var n int
-				if ok {
-					raw, err := c.encodeValue(owned, f, 0)
-					if err != nil {
-						return err
-					}
-					n = len(raw)
-				}
-				if def.SizeBits <= 0 {
-					return fmt.Errorf("group size field %q needs fixed width", def.Label)
-				}
-				if err := ctx.w.WriteBits(uint64(n), def.SizeBits); err != nil {
-					return err
-				}
-				setScopedValue(scope, def.Label, message.Int(int64(n)))
-				continue
-			}
 		}
 
-		f, ok := scopedLookup(msg, scope, def.Label)
-		if !ok {
+		f := e.Find(msg, scope)
+		if f == nil {
 			// The message's rule discriminator (e.g. FunctionID=2 for a
 			// SrvReply, Flags=33792 for a DNS response) is implied by
 			// the message name; other unset fields compose as zeroes.
-			v := zeroValue(td, c.types)
-			if scope == nil && def.Label == ctx.def.Rule.Field {
-				rv, err := coerceValue(message.Str(ctx.def.Rule.Value), mustKind(c.types, td))
-				if err != nil {
-					return fmt.Errorf("field %q: rule value: %w", def.Label, err)
+			v := zeroValue(e.Kind)
+			if scope == nil && e.Slot == ctx.plan.RuleSlot {
+				v = ctx.plan.Rule
+				if v.Kind() != e.Kind {
+					rv, err := coerceValue(message.Str(ctx.plan.Def.Rule.Value), e.Kind)
+					if err != nil {
+						return fmt.Errorf("field %q: rule value: %w", def.Label, err)
+					}
+					v = rv
 				}
-				v = rv
 			}
-			f = &message.Field{Label: def.Label, Type: td.TypeName, Value: v}
-			if scope == nil {
-				msg.Add(f)
+			f = message.NewField()
+			f.Label, f.Type, f.Value = def.Label, e.Type.TypeName, v
+			if scope != nil {
+				// Composed for this item alone: nothing keeps it.
+				err := c.writeField(ctx, e, f, false)
+				f.Release()
+				if err != nil {
+					return err
+				}
+				continue
 			}
+			msg.SetAt(e.Slot, f)
 		}
-		if err := c.writeField(ctx, def, td, f, scope == nil); err != nil {
+		if err := c.writeField(ctx, e, f, scope == nil); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// siblingSizeOwner returns the label of the field measured by a size
-// field within the same group definition.
-func siblingSizeOwner(defs []*mdl.FieldDef, sizeLabel string) string {
-	for _, d := range defs {
-		if d.SizeRef == sizeLabel {
-			return d.Label
-		}
-	}
-	return ""
-}
-
-func setScopedValue(scope *message.Field, label string, v message.Value) {
-	if c, ok := scope.Child(label); ok {
-		c.Value = v
-		return
-	}
-	scope.Children = append(scope.Children, &message.Field{Label: label, Value: v})
-}
-
+// writeIntField writes a derived integer and records it: in the group
+// item scope, or at the top level (setInt).
+//
 //starlink:hotpath
-func (c *Composer) writeIntField(ctx *binaryCtx, msg *message.Message, def *mdl.FieldDef, td mdl.TypeDef, n int64) error {
-	if def.SizeBits <= 0 || def.SizeBits > 64 {
-		return fmt.Errorf("field %q: derived integer needs fixed width <=64 bits", def.Label)
+func (c *Composer) writeIntField(ctx *binaryCtx, msg *message.Message, scope *message.Field, e *mdl.Entry, n int64) error {
+	if e.Def.SizeBits <= 0 || e.Def.SizeBits > 64 {
+		return fmt.Errorf("field %q: derived integer needs fixed width <=64 bits", e.Label)
 	}
-	if err := ctx.w.WriteBits(uint64(n), def.SizeBits); err != nil {
-		return fmt.Errorf("field %q: %w", def.Label, err)
+	if err := ctx.w.WriteBits(uint64(n), e.Def.SizeBits); err != nil {
+		return fmt.Errorf("field %q: %w", e.Label, err)
 	}
-	f := msg.SetPath(def.Label, message.Int(n))
-	f.Type = td.TypeName
-	f.Length = def.SizeBits
+	if scope == nil {
+		setInt(msg, e, n)
+	} else if f, ok := scope.Child(e.Label); ok {
+		f.Value = message.Int(n)
+	} else {
+		f := message.NewField()
+		f.Label, f.Value = e.Label, message.Int(n)
+		scope.Children = append(scope.Children, f)
+	}
 	return nil
 }
 
@@ -421,12 +346,12 @@ func (c *Composer) writeIntField(ctx *binaryCtx, msg *message.Message, def *mdl.
 // passes (group items repeat labels, so they must not hit the cache).
 //
 //starlink:hotpath
-func (c *Composer) writeField(ctx *binaryCtx, def *mdl.FieldDef, td mdl.TypeDef, f *message.Field, cacheable bool) error {
-	m, err := c.types.Lookup(td.TypeName)
-	if err != nil {
-		return fmt.Errorf("field %q: %w", def.Label, err)
+func (c *Composer) writeField(ctx *binaryCtx, e *mdl.Entry, f *message.Field, cacheable bool) error {
+	def := e.Def
+	if e.M == nil {
+		return fmt.Errorf("field %q: %w", def.Label, e.Err)
 	}
-	if def.SizeBits > 0 && m.Kind() == message.KindInt && def.SizeBits <= 64 {
+	if def.SizeBits > 0 && e.Kind == message.KindInt && def.SizeBits <= 64 {
 		cv, err := coerceValue(f.Value, message.KindInt)
 		if err != nil {
 			return fmt.Errorf("field %q: %w", def.Label, err)
@@ -443,7 +368,7 @@ func (c *Composer) writeField(ctx *binaryCtx, def *mdl.FieldDef, td mdl.TypeDef,
 		}
 		return nil
 	}
-	if def.SizeBits > 0 && m.Kind() == message.KindBool && def.SizeBits <= 64 {
+	if def.SizeBits > 0 && e.Kind == message.KindBool && def.SizeBits <= 64 {
 		v, _ := f.Value.AsBool()
 		var n uint64
 		if v {
@@ -455,10 +380,11 @@ func (c *Composer) writeField(ctx *binaryCtx, def *mdl.FieldDef, td mdl.TypeDef,
 		return nil
 	}
 	var raw []byte
+	var err error
 	if cacheable && def.SizeBits == 0 {
-		raw, err = ctx.encode(def.Label, f)
+		raw, err = ctx.encode(e, f)
 	} else {
-		raw, err = c.encodeValue(def.Label, f, def.SizeBits)
+		raw, err = encodeValue(e, f, def.SizeBits)
 	}
 	if err != nil {
 		return err
@@ -474,28 +400,36 @@ func (c *Composer) writeField(ctx *binaryCtx, def *mdl.FieldDef, td mdl.TypeDef,
 
 // encodeValue marshals a field's value, imploding structured fields
 // first.
-func (c *Composer) encodeValue(label string, f *message.Field, bits int) ([]byte, error) {
-	td := c.spec.TypeOf(label)
-	m, err := c.types.Lookup(td.TypeName)
+func encodeValue(e *mdl.Entry, f *message.Field, bits int) ([]byte, error) {
+	v, err := implode(e, e.Label, f)
 	if err != nil {
-		return nil, fmt.Errorf("field %q: %w", label, err)
+		return nil, err
 	}
-	v := f.Value
-	if f.IsStructured() {
-		sm, ok := m.(types.StructuredMarshaller)
-		if !ok {
-			return nil, fmt.Errorf("field %q: structured value but type %q cannot implode", label, td.TypeName)
-		}
-		v, err = sm.Implode(f.Children)
-		if err != nil {
-			return nil, fmt.Errorf("field %q: %w", label, err)
-		}
-	}
-	raw, err := m.Marshal(v, bits)
+	raw, err := e.M.Marshal(v, bits)
 	if err != nil {
-		return nil, fmt.Errorf("field %q: %w", label, err)
+		return nil, fmt.Errorf("field %q: %w", e.Label, err)
 	}
 	return raw, nil
+}
+
+// implode returns a field's primitive value: its Value, or for a
+// structured field the value its type rebuilds from the children.
+func implode(e *mdl.Entry, label string, f *message.Field) (message.Value, error) {
+	if e.M == nil {
+		return message.Value{}, fmt.Errorf("field %q: %w", label, e.Err)
+	}
+	if !f.IsStructured() {
+		return f.Value, nil
+	}
+	sm, ok := e.M.(types.StructuredMarshaller)
+	if !ok {
+		return message.Value{}, fmt.Errorf("field %q: structured value but type %q cannot implode", label, e.Type.TypeName)
+	}
+	v, err := sm.Implode(f.Children)
+	if err != nil {
+		return message.Value{}, fmt.Errorf("field %q: %w", label, err)
+	}
+	return v, nil
 }
 
 // coerceValue converts between value kinds so translation constants
@@ -524,20 +458,9 @@ func coerceValue(v message.Value, want message.Kind) (message.Value, error) {
 	return message.Value{}, fmt.Errorf("cannot coerce %v to %v", v.Kind(), want)
 }
 
-func mustKind(reg *types.Registry, td mdl.TypeDef) message.Kind {
-	m, err := reg.Lookup(td.TypeName)
-	if err != nil {
-		return message.KindString
-	}
-	return m.Kind()
-}
-
-func zeroValue(td mdl.TypeDef, reg *types.Registry) message.Value {
-	m, err := reg.Lookup(td.TypeName)
-	if err != nil {
-		return message.Str("")
-	}
-	switch m.Kind() {
+// zeroValue is what an unset field of the kind composes as.
+func zeroValue(k message.Kind) message.Value {
+	switch k {
 	case message.KindInt:
 		return message.Int(0)
 	case message.KindBool:
@@ -556,31 +479,30 @@ func zeroValue(td mdl.TypeDef, reg *types.Registry) message.Value {
 var textBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 //starlink:hotpath
-func (c *Composer) composeText(msg *message.Message, def *mdl.MessageDef) ([]byte, error) {
+func (c *Composer) composeText(msg *message.Message, pl *mdl.Plan) ([]byte, error) {
 	buf := textBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer textBufPool.Put(buf)
-	fixed := c.textFixed
-	wildcard := c.wildcard
-	for _, hf := range c.spec.Header.Fields {
-		if hf.Wildcard {
+	var wildcard *mdl.FieldDef
+	for _, e := range pl.Header {
+		if e.Def.Wildcard {
+			wildcard = e.Def
 			continue
 		}
-		f, ok := msg.Field(hf.Label)
-		if ok {
-			if err := c.writeTextValue(buf, hf.Label, f); err != nil {
+		if f := msg.At(e.Slot); f != nil {
+			if err := writeTextValue(buf, e, e.Label, f); err != nil {
 				return nil, err
 			}
-		} else if hf.Label == c.ruleLabelFor(def) {
-			buf.WriteString(def.Rule.Value)
+		} else if e.Slot == pl.RuleSlot {
+			buf.WriteString(pl.Def.Rule.Value)
 		}
-		buf.Write(hf.Delim)
+		buf.Write(e.Def.Delim)
 	}
 	if wildcard != nil {
 		// Messages carrying a body need a Content-Length so stream
 		// framers can delimit them; compute it when absent (the text
 		// dialect's counterpart of the binary f-length mechanism).
-		if def.Body != mdl.BodyNone {
+		if pl.Def.Body != mdl.BodyNone {
 			if _, has := msg.Field("Content-Length"); !has {
 				if bf, ok := msg.Field("Body"); ok {
 					n := 0
@@ -593,24 +515,36 @@ func (c *Composer) composeText(msg *message.Message, def *mdl.MessageDef) ([]byt
 				}
 			}
 		}
-		// Emit every remaining field as a label<split> value line, in
-		// message order for determinism (Body and structured helpers
-		// excluded). Unset rule fields were already emitted above.
+		// Emit every field but the fixed header ones as a label<split>
+		// value line, in message order for determinism (Body and
+		// structured helpers excluded). Unset rule fields were already
+		// emitted above.
+	fields:
 		for _, f := range msg.Fields() {
-			if fixed[f.Label] || f.Label == "Body" {
+			if f.Label == "Body" {
 				continue
+			}
+			e := c.r.Untyped
+			for _, s := range pl.Slots {
+				if msg.At(s.Slot) == f {
+					if s.Slot < len(pl.Header) && !s.Def.Wildcard {
+						continue fields
+					}
+					e = s
+					break
+				}
 			}
 			buf.WriteString(f.Label)
 			buf.WriteByte(wildcard.InnerSplit)
 			buf.WriteString(" ")
-			if err := c.writeTextValue(buf, f.Label, f); err != nil {
+			if err := writeTextValue(buf, e, f.Label, f); err != nil {
 				return nil, err
 			}
 			buf.Write(wildcard.Delim)
 		}
 		buf.Write(wildcard.Delim) // blank line terminates the field run
 	}
-	switch def.Body {
+	switch pl.Def.Body {
 	case mdl.BodyRaw, mdl.BodyXML:
 		if f, ok := msg.Field("Body"); ok {
 			// BytesView: the buffer copies on Write, so the transient
@@ -630,54 +564,15 @@ func (c *Composer) composeText(msg *message.Message, def *mdl.MessageDef) ([]byt
 	return out, nil
 }
 
-// ruleLabelFor returns the header label the message's rule constrains,
-// so composing can default it (e.g. Method=M-SEARCH).
-func (c *Composer) ruleLabelFor(def *mdl.MessageDef) string { return def.Rule.Field }
-
 // writeTextValue renders a field's text form straight into the compose
 // buffer: primitive values append via Value.AppendText into the
 // buffer's spare capacity, so integer headers (MX, Content-Length)
 // render without an intermediate string.
-func (c *Composer) writeTextValue(buf *bytes.Buffer, label string, f *message.Field) error {
-	if f.IsStructured() {
-		text, err := c.textValue(label, f)
-		if err != nil {
-			return err
-		}
-		buf.WriteString(text)
-		return nil
-	}
-	// Same unknown-type check textValue performs for structured fields.
-	if _, err := c.types.Lookup(c.spec.TypeOf(label).TypeName); err != nil {
-		return fmt.Errorf("field %q: %w", label, err)
-	}
-	buf.Write(f.Value.AppendText(buf.AvailableBuffer()))
-	return nil
-}
-
-func (c *Composer) textValue(label string, f *message.Field) (string, error) {
-	td := c.spec.TypeOf(label)
-	m, err := c.types.Lookup(td.TypeName)
+func writeTextValue(buf *bytes.Buffer, e *mdl.Entry, label string, f *message.Field) error {
+	v, err := implode(e, label, f)
 	if err != nil {
-		return "", fmt.Errorf("field %q: %w", label, err)
+		return err
 	}
-	if f.IsStructured() {
-		sm, ok := m.(types.StructuredMarshaller)
-		if !ok {
-			return "", fmt.Errorf("field %q: structured value but type %q cannot implode", label, td.TypeName)
-		}
-		v, err := sm.Implode(f.Children)
-		if err != nil {
-			return "", fmt.Errorf("field %q: %w", label, err)
-		}
-		return v.Text(), nil
-	}
-	return f.Value.Text(), nil
-}
-
-// SortedLabels is a test helper exposing deterministic field ordering.
-func SortedLabels(msg *message.Message) []string {
-	out := msg.Labels()
-	sort.Strings(out)
-	return out
+	buf.Write(v.AppendText(buf.AvailableBuffer()))
+	return nil
 }

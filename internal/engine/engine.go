@@ -327,7 +327,7 @@ const (
 // path.
 type ingestJob struct {
 	codec *Codec
-	key   string
+	key   netengine.RoutingKey
 	data  []byte
 	src   netengine.Source
 	lease *netapi.Buffer
@@ -883,8 +883,8 @@ func (e *Engine) releaseSlot() { <-e.sem }
 // already committed to a session-oriented exchange; anything else —
 // multicast chatter, advert/demo traffic no session asked for — is
 // telemetry, shed first under pressure.
-func (e *Engine) classifyLane(proto, key string, src netengine.Source) lanes.Lane {
-	if e.table.contains(key) {
+func (e *Engine) classifyLane(proto string, key netengine.RoutingKey, src netengine.Source) lanes.Lane {
+	if e.table.contains(sessionKey{RoutingKey: key}) {
 		return lanes.Data
 	}
 	if proto == e.program[0].Protocol {
@@ -908,7 +908,7 @@ func (e *Engine) onEntry(codec *Codec, data []byte, src netengine.Source, lease 
 	}
 	key := src.RoutingKey()
 	lane := e.classifyLane(codec.Spec.Protocol, key, src)
-	w := e.workers[fnv32a(key)%uint32(len(e.workers))]
+	w := e.workers[key.Hash()%uint32(len(e.workers))]
 	e.offer(w.q, lane, ingestJob{codec: codec, key: key, data: data, src: src, lease: lease, arrived: time.Now()})
 }
 
@@ -1068,7 +1068,7 @@ func (e *Engine) ingest(w *worker, job ingestJob) {
 // under a uniquified key when the base key is taken. One session per
 // initiator request, as in the paper.
 func (e *Engine) openSession(w *worker, job ingestJob, msg *message.Message, tm ingestTiming) {
-	key := job.key
+	key := sessionKey{RoutingKey: job.key}
 	sh := e.table.shardFor(key)
 	sh.mu.RLock()
 	s := sh.sessions[key]
@@ -1082,7 +1082,7 @@ func (e *Engine) openSession(w *worker, job ingestJob, msg *message.Message, tm 
 	if s != nil {
 		// The keyed session is mid-program: this is a new interaction
 		// from the same client socket. Give it its own key.
-		key = fmt.Sprintf("%s#%d", key, seq)
+		key.n = seq
 	}
 	e.admit(w, key, seq, msg, job.src, tm)
 }
@@ -1092,7 +1092,7 @@ func (e *Engine) openSession(w *worker, job ingestJob, msg *message.Message, tm 
 // The lifecycle check and the insert share the shard lock, so a drain
 // that starts concurrently either refuses this session or counts it
 // live.
-func (e *Engine) admit(w *worker, key string, seq uint64, msg *message.Message, src netengine.Source, tm ingestTiming) {
+func (e *Engine) admit(w *worker, key sessionKey, seq uint64, msg *message.Message, src netengine.Source, tm ingestTiming) {
 	sh := e.table.shardFor(key)
 	sh.mu.Lock()
 	switch State(e.state.Load()) {

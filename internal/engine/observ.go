@@ -199,7 +199,7 @@ func (e *Engine) LiveSessions() []LiveSession {
 	var rows []row
 	e.table.each(func(s *session) {
 		rows = append(rows, row{seq: s.seq, ls: LiveSession{
-			Key:    s.key,
+			Key:    s.key.String(),
 			Origin: s.origin.Addr,
 			Start:  s.start,
 			Trace:  s.rec.Events(),

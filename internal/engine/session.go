@@ -39,7 +39,7 @@ type awaitKey struct {
 type session struct {
 	e   *Engine
 	w   *worker
-	key string
+	key sessionKey
 	seq uint64
 	// origin is the source of the initiating request; start is when the
 	// framework first received it.
@@ -60,6 +60,11 @@ type session struct {
 	// Other goroutines (a worker recording recv/parse of a message it
 	// forwards here, LiveSessions) use it without locking.
 	rec *trace.Recorder
+	// timer is the struct's receive timer, built with it and armed for
+	// one receive at a time; its callback, on the runtime's dispatcher,
+	// posts a timer job of generation armed.
+	timer netapi.Timer
+	armed atomic.Uint32
 
 	// --- owned by the worker ---
 	pc int
@@ -78,14 +83,15 @@ type session struct {
 	lookupFn func(string) *message.Message
 
 	// wait is the plan index of the armed receive (-1: none). timerGen
-	// names the armed timer and only grows, across lives too: a fire
-	// already queued when its wait ended carries a stale one.
+	// names the timer's arm and only grows, across lives too: a fire
+	// already queued when its wait ended carries a stale one. deadline
+	// is when the arm is due.
 	wait      int
 	collected int
 	windowed  bool
-	timer     netapi.TimerID
 	timerSet  bool
 	timerGen  uint32
+	deadline  time.Time
 
 	// rng perturbs this session's convergence windows; deterministically
 	// seeded per session so concurrent sessions never share a stream.
@@ -96,7 +102,7 @@ type session struct {
 
 // newSession takes a session from w's free list (or builds one) and
 // starts its next life on the initiating message.
-func (e *Engine) newSession(w *worker, key string, seq uint64, first *message.Message, src netengine.Source, tm ingestTiming) *session {
+func (e *Engine) newSession(w *worker, key sessionKey, seq uint64, first *message.Message, src netengine.Source, tm ingestTiming) *session {
 	// Epoch is the initiating payload's listener arrival, so every
 	// event offset reads as time-into-session.
 	epoch := tm.arrived
@@ -116,6 +122,7 @@ func (e *Engine) newSession(w *worker, key string, seq uint64, first *message.Me
 			reqs:    make([]*requester, len(e.plan.txid)),
 		}
 		s.lookupFn = s.lookup
+		s.timer = e.node.NewTimer(func() { e.deliverTimer(s, s.armed.Load()) })
 	}
 	s.key, s.seq, s.origin, s.start = key, seq, src, e.node.Now()
 	s.pc, s.wait = 1, -1 // step 0 is the initiator receive, satisfied by first
@@ -148,8 +155,10 @@ func (s *session) recordIngest(tm ingestTiming, parse trace.Outcome) {
 // that outlived the session they were posted for are recycled silently.
 func (s *session) handle(job ingestJob) {
 	if job.kind == jobTimer {
-		if !s.timerSet || job.gen != s.timerGen {
-			return // cancelled or superseded timer
+		// A fire is stale when its arm was stopped or replaced — or when
+		// it read the generation of an arm made after it was on its way.
+		if !s.timerSet || job.gen != s.timerGen || s.e.node.Now().Before(s.deadline) {
+			return
 		}
 		s.timerSet = false
 		if s.windowed {
@@ -357,9 +366,9 @@ func (s *session) runSend(st *planStep) error {
 }
 
 // armReceive blocks the session on a receive step (advance already
-// published it). The timer callback fires on the runtime dispatcher, so
-// it only queues a job for the owning worker — never touches session
-// state.
+// published it) and arms the struct's timer. The timer callback fires on
+// the runtime dispatcher, so it only queues a job for the owning worker
+// — never touches session state.
 func (s *session) armReceive(st *planStep) {
 	s.wait = s.pc
 	s.collected = 0
@@ -375,9 +384,10 @@ func (s *session) armReceive(st *planStep) {
 		}
 	}
 	s.timerGen++
-	gen := s.timerGen
+	s.armed.Store(s.timerGen)
 	s.timerSet = true
-	s.timer = s.e.node.After(wait, func() { s.e.deliverTimer(s, gen) })
+	s.deadline = s.e.node.Now().Add(wait)
+	s.timer.Reset(wait)
 }
 
 func (s *session) windowExpired() {
@@ -393,7 +403,7 @@ func (s *session) windowExpired() {
 // clearWait ends the armed receive, if any.
 func (s *session) clearWait() {
 	if s.timerSet {
-		s.e.node.Cancel(s.timer)
+		s.timer.Stop()
 		s.timerSet = false
 	}
 	s.timerGen++ // invalidate a fire already in flight

@@ -1,16 +1,26 @@
 package engine
 
-import "sync"
+import (
+	"strconv"
+	"sync"
 
-// fnv32a hashes a routing key (FNV-1a) without allocating; shared by
-// the shard selector and the ingest-queue selector.
-func fnv32a(key string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
+	"starlink/internal/netengine"
+)
+
+// sessionKey is a session's table key: the routing key of its initiating
+// payload, and n, which tells apart the sessions one client socket opens
+// while an earlier one is still live (0 for the first; the session's
+// sequence number after that).
+type sessionKey struct {
+	netengine.RoutingKey
+	n uint64
+}
+
+func (k sessionKey) String() string {
+	if k.n == 0 {
+		return k.RoutingKey.String()
 	}
-	return h
+	return k.RoutingKey.String() + "#" + strconv.FormatUint(k.n, 10)
 }
 
 // sessionShards is how many ways the session table is split.
@@ -27,26 +37,26 @@ type sessionTable struct {
 
 type tableShard struct {
 	mu       sync.RWMutex
-	sessions map[string]*session
+	sessions map[sessionKey]*session
 }
 
 func newSessionTable() *sessionTable {
 	t := &sessionTable{}
 	for i := range t.shards {
-		t.shards[i].sessions = map[string]*session{}
+		t.shards[i].sessions = map[sessionKey]*session{}
 	}
 	return t
 }
 
-func (t *sessionTable) shardFor(key string) *tableShard {
-	return &t.shards[fnv32a(key)%sessionShards]
+func (t *sessionTable) shardFor(key sessionKey) *tableShard {
+	return &t.shards[(key.Hash()+uint32(key.n))%sessionShards]
 }
 
 // contains reports whether a live session is registered under key —
 // the ingest lane classifier's "is this mid-session data" probe. A
 // stale answer only misgrades a payload's priority, never its
 // delivery.
-func (t *sessionTable) contains(key string) bool {
+func (t *sessionTable) contains(key sessionKey) bool {
 	sh := t.shardFor(key)
 	sh.mu.RLock()
 	_, ok := sh.sessions[key]
@@ -57,7 +67,7 @@ func (t *sessionTable) contains(key string) bool {
 // remove unregisters s if it is still the session bound to key.
 // Returning from remove guarantees no further enqueue can target s:
 // enqueues hold the shard read lock while checking membership.
-func (t *sessionTable) remove(key string, s *session) {
+func (t *sessionTable) remove(key sessionKey, s *session) {
 	sh := t.shardFor(key)
 	sh.mu.Lock()
 	if sh.sessions[key] == s {
@@ -75,7 +85,7 @@ func (t *sessionTable) removeAll() []*session {
 		for _, s := range sh.sessions {
 			out = append(out, s)
 		}
-		sh.sessions = map[string]*session{}
+		sh.sessions = map[sessionKey]*session{}
 		sh.mu.Unlock()
 	}
 	return out

@@ -51,9 +51,11 @@ type shard struct {
 
 // Histogram is a lock-free log-linear duration histogram. The zero
 // value is ready to use; all methods are safe for concurrent use. A nil
-// *Histogram is a valid no-op recorder.
+// *Histogram is a valid no-op recorder. The 17 KiB bucket table is
+// allocated by the first Record, so a histogram nothing records costs
+// a pointer.
 type Histogram struct {
-	shards [shardCount]shard
+	shards atomic.Pointer[[shardCount]shard]
 }
 
 // Record adds one duration sample. Negative durations clamp to zero,
@@ -69,7 +71,12 @@ func (h *Histogram) Record(d time.Duration) {
 	if d < 0 {
 		v = 0
 	}
-	sh := &h.shards[(v*0x9e3779b97f4a7c15)>>(64-shardBits)]
+	t := h.shards.Load()
+	if t == nil {
+		h.shards.CompareAndSwap(nil, new([shardCount]shard))
+		t = h.shards.Load()
+	}
+	sh := &t[(v*0x9e3779b97f4a7c15)>>(64-shardBits)]
 	sh.counts[bucketIndex(v)].Add(1)
 	sh.sum.Add(v)
 }
@@ -121,8 +128,12 @@ func (h *Histogram) Snapshot() Snapshot {
 	if h == nil {
 		return s
 	}
-	for i := range h.shards {
-		sh := &h.shards[i]
+	t := h.shards.Load()
+	if t == nil {
+		return s
+	}
+	for i := range t {
+		sh := &t[i]
 		s.Sum += time.Duration(sh.sum.Load())
 		for b := range sh.counts {
 			if c := sh.counts[b].Load(); c != 0 {

@@ -158,15 +158,13 @@ type FieldDef struct {
 func (f *FieldDef) IsGroup() bool { return f.Group != nil }
 
 // Rule relates a message body to header content (paper: the special
-// <Rule>FunctionID=1</Rule> label). Only equality is needed by the
-// paper's protocols.
+// <Rule>FunctionID=1</Rule> label): a message is the first definition
+// whose rule field renders as its value (Plan.Matches). Only equality is
+// needed by the paper's protocols.
 type Rule struct {
 	Field string
 	Value string
 }
-
-// Match evaluates the rule against a rendered header field value.
-func (r Rule) Match(fieldText string) bool { return r.Value == fieldText }
 
 // MessageDef describes one message type of the protocol.
 type MessageDef struct {
@@ -220,21 +218,6 @@ func (s *Spec) HeaderField(label string) *FieldDef {
 		}
 	}
 	return nil
-}
-
-// SelectMessage picks the message definition whose rule matches the
-// rendered header field values.
-func (s *Spec) SelectMessage(headerValue func(label string) (string, bool)) (*MessageDef, error) {
-	for _, m := range s.Messages {
-		v, ok := headerValue(m.Rule.Field)
-		if !ok {
-			continue
-		}
-		if m.Rule.Match(v) {
-			return m, nil
-		}
-	}
-	return nil, fmt.Errorf("mdl: no message rule matched for protocol %s", s.Protocol)
 }
 
 // TypeOf returns the type definition for a field label. Labels without

@@ -3,6 +3,9 @@ package mdl
 import (
 	"strings"
 	"testing"
+
+	"starlink/internal/message"
+	"starlink/internal/types"
 )
 
 const slpMDLForTest = `
@@ -139,27 +142,33 @@ func TestParseXMLText(t *testing.T) {
 	}
 }
 
+// A message is the first definition whose rule field renders as the
+// rule's value: FunctionID=2 is the reply, typed or as text, and 99 or
+// "02" is no message.
 func TestSelectMessage(t *testing.T) {
 	spec, err := ParseXMLString(slpMDLForTest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hv := func(label string) (string, bool) {
-		if label == "FunctionID" {
-			return "2", true
+	r := spec.Resolve(types.NewRegistry())
+	pick := func(v message.Value) string {
+		for _, p := range r.Plans {
+			if p.RuleSlot >= 0 && p.Matches(v) {
+				return p.Def.Name
+			}
 		}
-		return "", false
+		return ""
 	}
-	m, err := spec.SelectMessage(hv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Name != "SLPSrvReply" {
-		t.Fatalf("selected %q", m.Name)
-	}
-	_, err = spec.SelectMessage(func(string) (string, bool) { return "99", true })
-	if err == nil {
-		t.Fatal("no rule should match 99")
+	for _, tc := range []struct {
+		v    message.Value
+		want string
+	}{
+		{message.Int(2), "SLPSrvReply"}, {message.Str("2"), "SLPSrvReply"},
+		{message.Int(99), ""}, {message.Str("02"), ""},
+	} {
+		if got := pick(tc.v); got != tc.want {
+			t.Errorf("FunctionID=%s selected %q, want %q", tc.v.Text(), got, tc.want)
+		}
 	}
 }
 
@@ -223,9 +232,6 @@ func TestParseRule(t *testing.T) {
 	}
 	if _, err := ParseRule("nonsense"); err == nil {
 		t.Fatal("rule without = should fail")
-	}
-	if !r.Match("1") || r.Match("2") {
-		t.Fatal("rule match broken")
 	}
 }
 

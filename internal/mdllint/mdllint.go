@@ -460,7 +460,7 @@ func ruleTranslationField(ctx *Context) []Diagnostic {
 }
 
 // ruleShadowedMessage flags two messages of one protocol selected by
-// the same (rule field, rule value) pair. SelectMessage takes the first
+// the same (rule field, rule value) pair. The parser takes the first
 // match in spec order, so the later message is unreachable on parse.
 func ruleShadowedMessage(ctx *Context) []Diagnostic {
 	var diags []Diagnostic

@@ -13,24 +13,29 @@
 // The bridge data path builds and discards one message tree per packet,
 // so the package keeps that traffic off the garbage collector:
 //
-//   - Message and Field objects come from sync.Pool arenas (NewPooled,
-//     NewField) and return to them through Release. Release is strictly
-//     owner-driven: whoever holds the last reference to a tree calls it
-//     exactly once, after which every node, value and BytesView aliasing
-//     it is invalid. Trees built with New / plain literals may be mixed
-//     in freely — Release feeds every node back to the pools regardless
-//     of origin.
+//   - Every field the data path builds comes from the pool (NewField),
+//     and so does every message (NewPooled); both return to it through
+//     Release. Release is strictly owner-driven: whoever holds the last
+//     reference to a tree calls it exactly once, after which every node,
+//     value and BytesView aliasing it is invalid. Trees built with New /
+//     plain literals (tests) may be mixed in freely — Release feeds every
+//     node back to the pools regardless of origin.
+//   - A message definition has one Layout, fixed when its model loads. A
+//     message bound to it (SetLayout) keeps a slot→position array, so
+//     parsers and composers address fields by slot (At, SetAt) and never
+//     look a label up. The label API (Field, Path, SetPath, Add, Swap)
+//     is a view over the same fields, kept in insertion order.
 //   - Value.BytesView and Value.AppendText are the non-copying siblings
 //     of AsBytes and Text, for callers that only read transiently.
 //   - Path and SetPath split dotted paths ("LOCATION.port") at most
 //     once and delegate to PathParts/SetPathParts; callers resolving the
 //     same path repeatedly can pre-split it with SplitPath and use the
-//     parts forms directly. (The model-driven hot path addresses fields
-//     through precompiled xpath expressions instead.)
+//     parts forms directly.
 package message
 
 import (
 	"encoding/hex"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -66,13 +71,13 @@ func (k Kind) String() string {
 }
 
 // Value is the content of a primitive field. The zero Value is invalid.
-// Values are immutable once created.
+// Values are immutable once created. A boolean is held in i, 1 or 0, so
+// that a Field fits the 128-byte size class.
 type Value struct {
 	kind Kind
 	i    int64
 	s    string
 	b    []byte
-	t    bool
 }
 
 // Int returns a Value holding an integer.
@@ -90,7 +95,12 @@ func Bytes(v []byte) Value {
 }
 
 // Bool returns a Value holding a boolean.
-func Bool(v bool) Value { return Value{kind: KindBool, t: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{kind: KindBool, i: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Kind reports the dynamic kind of the value.
 func (v Value) Kind() Kind { return v.kind }
@@ -126,7 +136,7 @@ func (v Value) BytesView() ([]byte, bool) {
 }
 
 // AsBool returns the boolean content; ok is false if the kind differs.
-func (v Value) AsBool() (bool, bool) { return v.t, v.kind == KindBool }
+func (v Value) AsBool() (bool, bool) { return v.i != 0, v.kind == KindBool }
 
 // Text renders the value as a string regardless of kind. Integers render
 // in decimal, bytes in hex. Used by rules, translation functions and
@@ -140,7 +150,7 @@ func (v Value) Text() string {
 	case KindBytes:
 		return hex.EncodeToString(v.b)
 	case KindBool:
-		if v.t {
+		if v.i != 0 {
 			return "true"
 		}
 		return "false"
@@ -161,7 +171,7 @@ func (v Value) AppendText(dst []byte) []byte {
 	case KindBytes:
 		return hex.AppendEncode(dst, v.b)
 	case KindBool:
-		if v.t {
+		if v.i != 0 {
 			return append(dst, "true"...)
 		}
 		return append(dst, "false"...)
@@ -176,14 +186,12 @@ func (v Value) Equal(o Value) bool {
 		return false
 	}
 	switch v.kind {
-	case KindInt:
+	case KindInt, KindBool:
 		return v.i == o.i
 	case KindString:
 		return v.s == o.s
 	case KindBytes:
 		return string(v.b) == string(o.b)
-	case KindBool:
-		return v.t == o.t
 	default:
 		return true
 	}
@@ -278,11 +286,29 @@ func (f *Field) Equal(o *Field) bool {
 	return true
 }
 
-// indexThreshold is the field count beyond which a message maintains a
-// label→position map. Below it, lookups scan the slice — cheaper than
-// allocating and maintaining a map for the small messages that dominate
-// bridge traffic.
-const indexThreshold = 8
+// Layout is the slot table of one message definition: slot i holds the
+// field labelled Labels()[i]. A layout that extends another keeps its
+// slots, so a message moves from the one to the other without losing a
+// field — a parser fills the header every definition of a spec shares
+// before it knows which definition it parses. Immutable once built.
+type Layout struct {
+	base   *Layout
+	labels []string
+}
+
+// NewLayout returns the layout of labels, in slot order.
+func NewLayout(labels ...string) *Layout { return &Layout{labels: labels} }
+
+// Extend returns a layout of l's slots followed by labels.
+func (l *Layout) Extend(labels ...string) *Layout {
+	return &Layout{base: l, labels: append(slices.Clip(l.labels), labels...)}
+}
+
+// Labels returns the labels in slot order; callers must not mutate it.
+func (l *Layout) Labels() []string { return l.labels }
+
+// Slot returns the slot of label, or -1.
+func (l *Layout) Slot(label string) int { return slices.Index(l.labels, label) }
 
 // Message is an abstract message: a named, ordered set of fields
 // belonging to a protocol. The paper writes msg.field for field
@@ -294,10 +320,11 @@ type Message struct {
 	// e.g. "SLPSrvRequest".
 	Name   string
 	fields []*Field
-	// index maps label → position in fields; nil until the message
-	// outgrows indexThreshold. Tracking positions (not pointers) makes
-	// replacement in Add O(1).
-	index  map[string]int
+	// layout, when bound, is the definition's slot table, and pos maps
+	// each of its slots to 1 + the position of the slot's field in
+	// fields (0 while the slot is unset).
+	layout *Layout
+	pos    []int32
 	pooled bool
 }
 
@@ -325,18 +352,57 @@ func (m *Message) Release() {
 	for _, f := range m.fields {
 		f.Release()
 	}
-	pooled := m.pooled
-	fields := m.fields[:0]
-	index := m.index
-	for k := range index {
-		delete(index, k)
-	}
+	pooled, fields, pos := m.pooled, m.fields[:0], m.pos[:0]
 	*m = Message{}
 	if pooled {
-		// Keep the field slice and index map capacity for the next user.
-		m.fields, m.index = fields, index
+		// Keep the field and slot arrays' capacity for the next user.
+		m.fields, m.pos = fields, pos
 		messagePool.Put(m)
 	}
+}
+
+// Layout returns the layout the message is bound to, nil when none.
+func (m *Message) Layout() *Layout { return m.layout }
+
+// SetLayout binds the message to l, so that At and SetAt address its
+// fields by slot. Fields keep their slots when l extends the bound
+// layout and are found by label otherwise; a field whose label l lacks
+// stays reachable by label only.
+func (m *Message) SetLayout(l *Layout) {
+	keep := 0
+	if m.layout != nil && l.base == m.layout {
+		keep = len(m.pos)
+	}
+	m.pos = append(m.pos[:keep], make([]int32, len(l.labels)-keep)...)
+	if keep == 0 {
+		for i, f := range m.fields {
+			if s := l.Slot(f.Label); s >= 0 {
+				m.pos[s] = int32(i + 1)
+			}
+		}
+	}
+	m.layout = l
+}
+
+// At returns the field in slot of the bound layout, nil while unset.
+func (m *Message) At(slot int) *Field {
+	if p := m.pos[slot]; p > 0 {
+		return m.fields[p-1]
+	}
+	return nil
+}
+
+// SetAt is Swap by slot: f, labelled as the slot is, takes the place of
+// the slot's field, which it returns, or is appended.
+func (m *Message) SetAt(slot int, f *Field) *Field {
+	if p := m.pos[slot]; p > 0 {
+		old := m.fields[p-1]
+		m.fields[p-1] = f
+		return old
+	}
+	m.fields = append(m.fields, f)
+	m.pos[slot] = int32(len(m.fields))
+	return nil
 }
 
 // Add appends a field. Adding a field whose label already exists replaces
@@ -349,48 +415,31 @@ func (m *Message) Add(f *Field) { m.Swap(f) }
 // label was new). Owners that built the displaced field from the pool
 // can hand it back with Release.
 func (m *Message) Swap(f *Field) *Field {
-	if m.index == nil {
-		for i, g := range m.fields {
-			if g.Label == f.Label {
-				m.fields[i] = f
-				return g
-			}
-		}
-		if len(m.fields) < indexThreshold {
-			m.fields = append(m.fields, f)
-			return nil
-		}
-		m.index = make(map[string]int, 2*indexThreshold)
-		for i, g := range m.fields {
-			m.index[g.Label] = i
+	for i, g := range m.fields {
+		if g.Label == f.Label {
+			m.fields[i] = f
+			return g
 		}
 	}
-	if i, ok := m.index[f.Label]; ok {
-		old := m.fields[i]
-		m.fields[i] = f
-		return old
-	}
-	m.index[f.Label] = len(m.fields)
 	m.fields = append(m.fields, f)
+	if m.layout != nil {
+		if s := m.layout.Slot(f.Label); s >= 0 {
+			m.pos[s] = int32(len(m.fields))
+		}
+	}
 	return nil
 }
 
-// AddPrimitive is a convenience constructor for Add.
+// AddPrimitive adds a pooled primitive field and returns it.
 func (m *Message) AddPrimitive(label, typ string, v Value) *Field {
-	f := &Field{Label: label, Type: typ, Value: v}
+	f := NewField()
+	f.Label, f.Type, f.Value = label, typ, v
 	m.Add(f)
 	return f
 }
 
 // Field returns the top-level field with the given label.
 func (m *Message) Field(label string) (*Field, bool) {
-	if m.index != nil {
-		i, ok := m.index[label]
-		if !ok {
-			return nil, false
-		}
-		return m.fields[i], true
-	}
 	for _, f := range m.fields {
 		if f.Label == label {
 			return f, true

@@ -78,5 +78,9 @@ func (b Batch) Resize(n int) Batch {
 		b[n:].Release()
 		return b[:n]
 	}
-	return append(b, make(Batch, n-len(b))...)
+	grown := append(b, make(Batch, n-len(b))...)
+	if len(b) > 0 && &grown[0] != &b[0] {
+		clear(b) // the storage left behind must not keep the slab's buffers reachable
+	}
+	return grown
 }

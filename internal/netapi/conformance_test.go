@@ -197,11 +197,64 @@ func pausesAndResumes(t *testing.T, r runtimeUnderTest, view func(netapi.Node, *
 	}
 }
 
+// timerContract checks a Timer made through v: Stop keeps it from
+// firing; Reset re-arms it, also from inside its own callback; and an
+// arm that a later Reset or Stop replaced never runs the callback for
+// the arm after it. On the simulator a replaced arm never fires at all;
+// a real arm may fire in the instant before it is replaced, so there the
+// check is that none of the fires already on their way arrive late.
+func timerContract(t *testing.T, r runtimeUnderTest, view func(netapi.Node, *netapi.FlowGate) netapi.Node) {
+	t.Helper()
+	rt := r.new()
+	n, _ := rt.NewNode("10.0.0.5")
+	defer n.Close()
+	var fired atomic.Int32
+	var again atomic.Bool
+	var tm netapi.Timer
+	tm = view(n, netapi.NewFlowGate()).NewTimer(func() {
+		fired.Add(1)
+		if again.CompareAndSwap(true, false) {
+			tm.Reset(time.Millisecond)
+		}
+	})
+	settle := func(want int32, what string) {
+		t.Helper()
+		if err := rt.RunUntil(func() bool { return fired.Load() >= want }, 3*time.Second); err != nil {
+			t.Fatalf("%s: %d fires, want %d: %v", what, fired.Load(), want, err)
+		}
+		rt.Run(50 * time.Millisecond)
+		if got := fired.Load(); got != want {
+			t.Fatalf("%s: %d fires, want %d", what, got, want)
+		}
+	}
+
+	tm.Reset(50 * time.Millisecond)
+	tm.Stop()
+	settle(0, "Stop")
+	tm.Reset(time.Hour)
+	tm.Reset(time.Millisecond)
+	settle(1, "Reset re-arms")
+	for i := 0; i < 200; i++ {
+		tm.Reset(0)
+		tm.Reset(time.Hour)
+	}
+	tm.Stop()
+	rt.Run(30 * time.Millisecond)
+	if r.name == "simnet" && fired.Load() != 1 {
+		t.Fatalf("replaced arms fired %d times", fired.Load()-1)
+	}
+	settle(fired.Load(), "replaced arms")
+	again.Store(true)
+	tm.Reset(time.Millisecond)
+	settle(fired.Load()+2, "Reset from the callback")
+}
+
 // TestNodeContract is the node contract, run against both runtimes: a
 // node's own endpoints and timers never overlap; endpoints opened
 // through Detach do; endpoints opened through Gated pause and resume
-// with the gate; the two compose in either order; and a wrapper that
-// only embeds a Node loses none of it.
+// with the gate; the two compose in either order; a node's timers
+// re-arm, stop and never fire for an arm they no longer have; and a
+// wrapper that only embeds a Node loses none of it.
 func TestNodeContract(t *testing.T) {
 	type wrapper struct{ netapi.Node }
 	for _, r := range runtimesUnderTest {
@@ -231,6 +284,7 @@ func TestNodeContract(t *testing.T) {
 					if tc.gated {
 						pausesAndResumes(t, r, tc.view)
 					}
+					timerContract(t, r, tc.view)
 				})
 			}
 		})

@@ -162,7 +162,7 @@ func (n *modeNode) DialStreamIn(m Mode, _ Addr, _ StreamHandler) (Conn, error) {
 }
 func (n *modeNode) Now() time.Time                      { return time.Time{} }
 func (n *modeNode) After(time.Duration, func()) TimerID { return 0 }
-func (n *modeNode) Cancel(TimerID)                      {}
+func (n *modeNode) NewTimer(func()) Timer               { return nil }
 func (n *modeNode) WorkAdd()                            {}
 func (n *modeNode) WorkDone()                           {}
 func (n *modeNode) ParkConn(Conn) bool                  { return false }

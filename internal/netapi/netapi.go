@@ -200,8 +200,19 @@ type ConnHandler func(conn Conn)
 // connection are delivered serially and in order.
 type StreamHandler func(conn Conn, data []byte)
 
-// TimerID identifies a scheduled callback for cancellation.
+// TimerID numbers the callbacks a node's After scheduled.
 type TimerID uint64
+
+// Timer is a reusable one-shot timer whose callback runs where After's
+// do: on the node's root dispatch domain. Reset arms it to fire once
+// after d, replacing the arm before; Stop disarms it. A fire of an arm
+// that a later Reset or Stop replaced never runs the callback, even if
+// it was already on its way. Both are safe from any goroutine, the
+// callback included, and neither allocates.
+type Timer interface {
+	Reset(d time.Duration)
+	Stop()
+}
 
 // Mode is how an endpoint opens: which serial dispatch domain its
 // callbacks run on and whether its read loop honors a flow gate. The
@@ -254,8 +265,9 @@ type Node interface {
 	// dispatch domain: serialised with the node's undetached endpoint
 	// callbacks and its other timers.
 	After(d time.Duration, fn func()) TimerID
-	// Cancel revokes a scheduled callback; unknown IDs are ignored.
-	Cancel(id TimerID)
+	// NewTimer returns a stopped Timer running fn: the form for a
+	// callback that is armed again and again, or must be disarmable.
+	NewTimer(fn func()) Timer
 
 	// WorkAdd and WorkDone bracket work handed off the dispatching
 	// callback to another goroutine (the Automata Engine parses on its

@@ -34,6 +34,7 @@ package netengine
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,19 +54,65 @@ type Source struct {
 	// it, 1 for per-datagram reads, 0 for streams and untracked
 	// runtimes. Feeds the engine's batched-ingest counters.
 	Batch int
-	// colorKey is the §III-B key of the color the payload arrived on.
-	colorKey string
+	// color identifies the color the payload arrived on (colorID).
+	color colorID
 	// sock is the UDP socket the payload arrived on (nil for streams).
 	sock netapi.UDPSocket
 	// conn is the stream connection (nil for datagrams).
 	conn netapi.Conn
 }
 
+// colorID is how a routing key carries a color: digest, the color's
+// 64-bit FNV-1a digest (automata.Color.Hash64), stands for it — colors
+// of one deployment do not share one — and seed is the 32-bit FNV-1a
+// state after its Key and "|", from which RoutingKey's hash goes on.
+type colorID struct {
+	digest uint64
+	seed   uint32
+}
+
+// colorOf runs both FNV-1a hashes over the color's Key without
+// allocating: a session opens requesters, and so colors, as it goes.
+func colorOf(c automata.Color) colorID {
+	d, h := uint64(14695981039346656037), uint32(2166136261)
+	for _, b := range []byte(c.Key()) {
+		d = (d ^ uint64(b)) * 1099511628211
+		h = (h ^ uint32(b)) * 16777619
+	}
+	return colorID{digest: d, seed: (h ^ '|') * 16777619}
+}
+
 // RoutingKey identifies the (color, peer) pair a payload belongs to —
 // the session-table key of the concurrent engine: payloads from the
 // same legacy client socket on the same colored endpoint always map to
-// the same key.
-func (s Source) RoutingKey() string { return s.colorKey + "|" + s.Addr.String() }
+// the same key. It is a comparable value, built without allocating.
+type RoutingKey struct {
+	color colorID
+	hash  uint32
+	port  int
+	ip    string
+}
+
+// RoutingKey returns the key of the payload's color and peer.
+//
+//starlink:hotpath
+func (s Source) RoutingKey() RoutingKey {
+	var buf [64]byte // every dotted-quad "ip:port" fits
+	h := s.color.seed
+	for _, c := range strconv.AppendInt(append(append(buf[:0], s.Addr.IP...), ':'), int64(s.Addr.Port), 10) {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	return RoutingKey{color: s.color, hash: h, port: s.Addr.Port, ip: s.Addr.IP}
+}
+
+// Hash is FNV-1a (32-bit) over the key's text, the color's Key, "|" and
+// the peer's "ip:port": what spreads keys over workers and shards.
+func (k RoutingKey) Hash() uint32 { return k.hash }
+
+// String renders the key as the color's digest and the peer address.
+func (k RoutingKey) String() string {
+	return fmt.Sprintf("%016x|%s", k.color.digest, netapi.Addr{IP: k.ip, Port: k.port})
+}
 
 // IsStream reports whether the payload arrived on a stream connection.
 // A connected peer has already committed to a session-oriented
@@ -204,7 +251,7 @@ func (e *Engine) Listen(c automata.Color, framer *parser.Framer, h Handler) (net
 	if err != nil {
 		return nil, err
 	}
-	colorKey := c.Key()
+	color := colorOf(c)
 	switch {
 	case scheme.Transport == "udp" && scheme.Multicast:
 		group := netapi.Addr{IP: scheme.Group, Port: scheme.Port}
@@ -216,7 +263,7 @@ func (e *Engine) Listen(c automata.Color, framer *parser.Framer, h Handler) (net
 		// gets a Source that can Reply.
 		cell := new(atomic.Value)
 		sock, err := e.ingress.JoinGroup(group, func(pkt netapi.Packet) {
-			h(pkt.Data, Source{Addr: pkt.From, Batch: pkt.Batch, colorKey: colorKey, sock: loadSock(cell)}, pkt.TakeLease())
+			h(pkt.Data, Source{Addr: pkt.From, Batch: pkt.Batch, color: color, sock: loadSock(cell)}, pkt.TakeLease())
 		})
 		if err != nil {
 			return nil, fmt.Errorf("netengine: listen %s: %w", c, err)
@@ -226,7 +273,7 @@ func (e *Engine) Listen(c automata.Color, framer *parser.Framer, h Handler) (net
 	case scheme.Transport == "udp":
 		cell := new(atomic.Value)
 		sock, err := e.ingress.OpenUDP(scheme.Port, func(pkt netapi.Packet) {
-			h(pkt.Data, Source{Addr: pkt.From, Batch: pkt.Batch, colorKey: colorKey, sock: loadSock(cell)}, pkt.TakeLease())
+			h(pkt.Data, Source{Addr: pkt.From, Batch: pkt.Batch, color: color, sock: loadSock(cell)}, pkt.TakeLease())
 		})
 		if err != nil {
 			return nil, fmt.Errorf("netengine: listen %s: %w", c, err)
@@ -259,7 +306,7 @@ func (e *Engine) Listen(c automata.Color, framer *parser.Framer, h Handler) (net
 				buffers.Delete(conn)
 			}
 			for _, frame := range frames {
-				h(frame, Source{Addr: conn.RemoteAddr(), colorKey: colorKey, conn: conn}, nil)
+				h(frame, Source{Addr: conn.RemoteAddr(), color: color, conn: conn}, nil)
 			}
 		})
 		if err != nil {
@@ -318,7 +365,7 @@ func (e *Engine) NewRequester(c automata.Color, dest netapi.Addr, framer *parser
 		return nil, err
 	}
 	r := &Requester{node: e.node}
-	colorKey := c.Key()
+	color := colorOf(c)
 	switch scheme.Transport {
 	case "udp":
 		switch {
@@ -331,7 +378,7 @@ func (e *Engine) NewRequester(c automata.Color, dest netapi.Addr, framer *parser
 		}
 		cell := new(atomic.Value)
 		sock, err := e.node.OpenUDP(0, func(pkt netapi.Packet) {
-			h(pkt.Data, Source{Addr: pkt.From, Batch: pkt.Batch, colorKey: colorKey, sock: loadSock(cell)}, pkt.TakeLease())
+			h(pkt.Data, Source{Addr: pkt.From, Batch: pkt.Batch, color: color, sock: loadSock(cell)}, pkt.TakeLease())
 		})
 		if err != nil {
 			return nil, fmt.Errorf("netengine: requester %s: %w", c, err)
@@ -355,7 +402,7 @@ func (e *Engine) NewRequester(c automata.Color, dest netapi.Addr, framer *parser
 			frames, _ := splitFrames(framer, &r.frBuf, data)
 			r.frMu.Unlock()
 			for _, frame := range frames {
-				h(frame, Source{Addr: conn.RemoteAddr(), colorKey: colorKey, conn: conn}, nil)
+				h(frame, Source{Addr: conn.RemoteAddr(), color: color, conn: conn}, nil)
 			}
 		})
 		if err != nil {

@@ -1,6 +1,7 @@
 package netengine
 
 import (
+	"hash/fnv"
 	"strings"
 	"testing"
 	"time"
@@ -247,5 +248,39 @@ func TestSourceReplyUnknown(t *testing.T) {
 	var s Source
 	if err := s.Reply([]byte("x")); err == nil {
 		t.Fatal("empty source reply should fail")
+	}
+}
+
+// A routing key compares as a value, is built without allocating, and
+// hashes as FNV-1a over "colorKey|ip:port": the hash picks the worker
+// whose lent sockets a session borrows, so it decides a simulated run's
+// trace.
+func TestRoutingKeyIsAValue(t *testing.T) {
+	c1, c2 := udpMulticastColor("239.255.255.253", "427"), udpMulticastColor("224.0.0.251", "5353")
+	src := func(c automata.Color, ip string, port int) Source {
+		return Source{Addr: netapi.Addr{IP: ip, Port: port}, color: colorOf(c)}
+	}
+	a := src(c1, "10.0.0.7", 40001)
+	if a.RoutingKey() != src(c1, "10.0.0.7", 40001).RoutingKey() {
+		t.Error("one color and peer give two keys")
+	}
+	for _, b := range []Source{src(c2, "10.0.0.7", 40001), src(c1, "10.0.0.8", 40001), src(c1, "10.0.0.7", 40002)} {
+		if a.RoutingKey() == b.RoutingKey() {
+			t.Errorf("%v and %v share a key", a.RoutingKey(), b.RoutingKey())
+		}
+	}
+	h := fnv.New32a()
+	h.Write([]byte(c1.Key() + "|" + a.Addr.String()))
+	if got, want := a.RoutingKey().Hash(), h.Sum32(); got != want {
+		t.Errorf("Hash = %#x, want FNV-1a of the key text %#x", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = a.RoutingKey() }); n != 0 {
+		t.Errorf("RoutingKey allocates %.1f times", n)
+	}
+	if colorOf(c1).digest != c1.Hash64() {
+		t.Error("a color's digest is not its Hash64")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = colorOf(c1) }); n != 0 {
+		t.Errorf("colorOf allocates %.1f times", n)
 	}
 }

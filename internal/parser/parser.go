@@ -29,8 +29,8 @@ func newField(label, typ string, length int, v message.Value) *message.Field {
 
 // Parser turns wire bytes into abstract messages under an MDL spec.
 type Parser struct {
-	spec  *mdl.Spec
-	types *types.Registry
+	spec *mdl.Spec
+	r    *mdl.Resolved
 }
 
 // New returns a parser for the given specification. A nil registry uses
@@ -42,15 +42,16 @@ func New(spec *mdl.Spec, reg *types.Registry) (*Parser, error) {
 	if reg == nil {
 		reg = types.NewRegistry()
 	}
-	return &Parser{spec: spec, types: reg}, nil
+	return &Parser{spec: spec, r: spec.Resolve(reg)}, nil
 }
 
 // Spec returns the MDL specification the parser interprets.
 func (p *Parser) Spec() *mdl.Spec { return p.spec }
 
 // Parse decodes one complete wire message into an abstract message.
-// The returned message comes from the message pool and never aliases
-// data; callers that fully consume it may hand it back with Release.
+// The returned message comes from the message pool, is bound to its
+// definition's layout and never aliases data; callers that fully
+// consume it may hand it back with Release.
 func (p *Parser) Parse(data []byte) (*message.Message, error) {
 	switch p.spec.Dialect {
 	case mdl.DialectBinary:
@@ -62,6 +63,39 @@ func (p *Parser) Parse(data []byte) (*message.Message, error) {
 	}
 }
 
+// plan picks the first definition whose rule the parsed header meets.
+func (p *Parser) plan(msg *message.Message) (*mdl.Plan, error) {
+	for _, pl := range p.r.Plans {
+		if pl.RuleSlot < 0 {
+			continue
+		}
+		if f := msg.At(pl.RuleSlot); f != nil && pl.Matches(f.Value) {
+			msg.Name = pl.Def.Name
+			msg.SetLayout(pl.Layout)
+			return pl, nil
+		}
+	}
+	return nil, fmt.Errorf("mdl: no message rule matched for protocol %s", p.spec.Protocol)
+}
+
+// add stores a parsed field: in its slot, by label when it has none, or
+// as the next child of a repeat-group item. A field it displaces (a
+// repeated label) was the parser's and is recycled.
+func add(msg *message.Message, into *message.Field, e *mdl.Entry, f *message.Field) {
+	var old *message.Field
+	switch {
+	case into != nil:
+		into.Children = append(into.Children, f)
+	case e.Slot < 0:
+		old = msg.Swap(f)
+	default:
+		old = msg.SetAt(e.Slot, f)
+	}
+	if old != nil {
+		old.Release()
+	}
+}
+
 // ---------------------------------------------------------------------
 // Binary dialect
 // ---------------------------------------------------------------------
@@ -70,66 +104,45 @@ func (p *Parser) parseBinary(data []byte) (*message.Message, error) {
 	var r bitio.Reader
 	r.Init(data)
 	msg := message.NewPooled(p.spec.Protocol, "")
-	if err := p.parseBinaryFields(&r, data, p.spec.Header.Fields, msg, nil); err != nil {
+	msg.SetLayout(p.r.Shared.Layout)
+	if err := parseBinaryFields(&r, data, p.r.Shared.Header, msg, nil); err != nil {
 		msg.Release()
 		return nil, fmt.Errorf("parser: %s header: %w", p.spec.Protocol, err)
 	}
-	def, err := p.spec.SelectMessage(func(label string) (string, bool) {
-		f, ok := msg.Field(label)
-		if !ok {
-			return "", false
-		}
-		return f.Value.Text(), true
-	})
+	pl, err := p.plan(msg)
 	if err != nil {
 		msg.Release()
 		return nil, err
 	}
-	msg.Name = def.Name
-	if err := p.parseBinaryFields(&r, data, def.Fields, msg, nil); err != nil {
+	if err := parseBinaryFields(&r, data, pl.Body, msg, nil); err != nil {
 		msg.Release()
-		return nil, fmt.Errorf("parser: %s %s body: %w", p.spec.Protocol, def.Name, err)
+		return nil, fmt.Errorf("parser: %s %s body: %w", p.spec.Protocol, pl.Def.Name, err)
 	}
-	p.markMandatory(msg, def)
+	markMandatory(msg, pl.Def)
 	return msg, nil
 }
 
-// parseBinaryFields parses a field list. When into is non-nil the
-// decoded fields are appended as children (repeat-group items);
-// otherwise they are added to msg.
-func (p *Parser) parseBinaryFields(r *bitio.Reader, data []byte, defs []*mdl.FieldDef, msg *message.Message, into *message.Field) error {
-	addField := func(f *message.Field) {
-		if into != nil {
-			into.Children = append(into.Children, f)
-		} else {
-			msg.Add(f)
-		}
+// sizeOf returns the integer the size or count field e names holds.
+func sizeOf(msg *message.Message, into *message.Field, e *mdl.Entry) (int64, error) {
+	f := e.Ref.Find(msg, into)
+	if f == nil {
+		return 0, fmt.Errorf("size/count field %q not yet parsed", e.Ref.Label)
 	}
-	lookupInt := func(label string) (int64, error) {
-		var f *message.Field
-		if into != nil {
-			if c, ok := into.Child(label); ok {
-				f = c
-			}
-		}
-		if f == nil {
-			if c, ok := msg.Field(label); ok {
-				f = c
-			}
-		}
-		if f == nil {
-			return 0, fmt.Errorf("size/count field %q not yet parsed", label)
-		}
-		v, ok := f.Value.AsInt()
-		if !ok {
-			return 0, fmt.Errorf("size/count field %q is not an integer", label)
-		}
-		return v, nil
+	v, ok := f.Value.AsInt()
+	if !ok {
+		return 0, fmt.Errorf("size/count field %q is not an integer", e.Ref.Label)
 	}
+	return v, nil
+}
 
-	for _, def := range defs {
+// parseBinaryFields parses a field list. When into is non-nil the
+// decoded fields are appended as its children (repeat-group items);
+// otherwise they are added to msg.
+func parseBinaryFields(r *bitio.Reader, data []byte, entries []*mdl.Entry, msg *message.Message, into *message.Field) error {
+	for _, e := range entries {
+		def := e.Def
 		if def.IsGroup() {
-			n, err := lookupInt(def.CountRef)
+			n, err := sizeOf(msg, into, e)
 			if err != nil {
 				return err
 			}
@@ -141,7 +154,7 @@ func (p *Parser) parseBinaryFields(r *bitio.Reader, data []byte, defs []*mdl.Fie
 			for i := int64(0); i < n; i++ {
 				item := message.NewField()
 				item.Label, item.Type, item.Children = strconv.FormatInt(i, 10), "GroupItem", []*message.Field{}
-				if err := p.parseBinaryFields(r, data, def.Group, msg, item); err != nil {
+				if err := parseBinaryFields(r, data, e.Group, msg, item); err != nil {
 					// Neither the partial item nor the group (with the
 					// items parsed so far) ever reaches the message;
 					// recycle both or the pool shrinks on malformed
@@ -152,22 +165,20 @@ func (p *Parser) parseBinaryFields(r *bitio.Reader, data []byte, defs []*mdl.Fie
 				}
 				group.Children = append(group.Children, item)
 			}
-			addField(group)
+			add(msg, into, e, group)
 			continue
 		}
-
-		td := p.spec.TypeOf(def.Label)
-		m, err := p.types.Lookup(td.TypeName)
-		if err != nil {
-			return fmt.Errorf("field %q: %w", def.Label, err)
+		if e.M == nil {
+			return fmt.Errorf("field %q: %w", def.Label, e.Err)
 		}
 
 		var f *message.Field
+		var err error
 		switch {
 		case def.SizeBits > 0:
-			f, err = p.parseFixed(r, def, td, m)
+			f, err = parseFixed(r, e)
 		case def.SizeRef != "":
-			n, lerr := lookupInt(def.SizeRef)
+			n, lerr := sizeOf(msg, into, e)
 			if lerr != nil {
 				return lerr
 			}
@@ -178,13 +189,13 @@ func (p *Parser) parseBinaryFields(r *bitio.Reader, data []byte, defs []*mdl.Fie
 			if rerr != nil {
 				return fmt.Errorf("field %q: %w", def.Label, rerr)
 			}
-			f, err = p.buildField(def, td, m, raw, 0)
+			f, err = unmarshal(e, raw, 0)
 		case def.Rest:
 			raw, rerr := r.ReadAll()
 			if rerr != nil {
 				return fmt.Errorf("field %q: %w", def.Label, rerr)
 			}
-			f, err = p.buildField(def, td, m, raw, 0)
+			f, err = unmarshal(e, raw, 0)
 		default:
 			// Self-delimiting type (FQDN): decode from the remaining
 			// bytes and skip the consumed amount.
@@ -192,8 +203,8 @@ func (p *Parser) parseBinaryFields(r *bitio.Reader, data []byte, defs []*mdl.Fie
 				return fmt.Errorf("field %q: self-delimiting field at unaligned position", def.Label)
 			}
 			remaining := data[r.Pos()/8:]
-			if td.TypeName != "FQDN" {
-				return fmt.Errorf("field %q: type %q is not self-delimiting", def.Label, td.TypeName)
+			if e.Type.TypeName != "FQDN" {
+				return fmt.Errorf("field %q: type %q is not self-delimiting", def.Label, e.Type.TypeName)
 			}
 			name, n, derr := types.DecodeFQDN(remaining)
 			if derr != nil {
@@ -202,13 +213,12 @@ func (p *Parser) parseBinaryFields(r *bitio.Reader, data []byte, defs []*mdl.Fie
 			if serr := r.Skip(n * 8); serr != nil {
 				return fmt.Errorf("field %q: %w", def.Label, serr)
 			}
-			f = newField(def.Label, td.TypeName, 0, message.Str(name))
-			err = nil
+			f = newField(def.Label, e.Type.TypeName, 0, message.Str(name))
 		}
 		if err != nil {
 			return err
 		}
-		addField(f)
+		add(msg, into, e, f)
 	}
 	return nil
 }
@@ -216,47 +226,50 @@ func (p *Parser) parseBinaryFields(r *bitio.Reader, data []byte, defs []*mdl.Fie
 // parseFixed reads a fixed-width field.
 //
 //starlink:returns-pooled
-func (p *Parser) parseFixed(r *bitio.Reader, def *mdl.FieldDef, td mdl.TypeDef, m types.Marshaller) (*message.Field, error) {
-	bits := def.SizeBits
-	if m.Kind() == message.KindInt && bits <= 64 {
+func parseFixed(r *bitio.Reader, e *mdl.Entry) (*message.Field, error) {
+	bits := e.Def.SizeBits
+	if (e.Kind == message.KindInt || e.Kind == message.KindBool) && bits <= 64 {
 		v, err := r.ReadBits(bits)
 		if err != nil {
-			return nil, fmt.Errorf("field %q: %w", def.Label, err)
+			return nil, fmt.Errorf("field %q: %w", e.Label, err)
 		}
-		return newField(def.Label, td.TypeName, bits, message.Int(int64(v))), nil
-	}
-	if m.Kind() == message.KindBool && bits <= 64 {
-		v, err := r.ReadBits(bits)
-		if err != nil {
-			return nil, fmt.Errorf("field %q: %w", def.Label, err)
+		val := message.Int(int64(v))
+		if e.Kind == message.KindBool {
+			val = message.Bool(v != 0)
 		}
-		return newField(def.Label, td.TypeName, bits, message.Bool(v != 0)), nil
+		return newField(e.Label, e.Type.TypeName, bits, val), nil
 	}
 	if bits%8 != 0 {
-		return nil, fmt.Errorf("field %q: non-integer type with unaligned width %d", def.Label, bits)
+		return nil, fmt.Errorf("field %q: non-integer type with unaligned width %d", e.Label, bits)
 	}
 	raw, err := r.ReadBytes(bits / 8)
 	if err != nil {
-		return nil, fmt.Errorf("field %q: %w", def.Label, err)
+		return nil, fmt.Errorf("field %q: %w", e.Label, err)
 	}
-	return p.buildField(def, td, m, raw, bits)
+	return unmarshal(e, raw, bits)
 }
 
-// buildField unmarshals raw content into a message field, exploding
-// structured types.
+// unmarshal decodes raw content into a message field.
 //
 //starlink:returns-pooled
-func (p *Parser) buildField(def *mdl.FieldDef, td mdl.TypeDef, m types.Marshaller, raw []byte, bits int) (*message.Field, error) {
-	v, err := m.Unmarshal(raw, bits)
+func unmarshal(e *mdl.Entry, raw []byte, bits int) (*message.Field, error) {
+	v, err := e.M.Unmarshal(raw, bits)
 	if err != nil {
-		return nil, fmt.Errorf("field %q: %w", def.Label, err)
+		return nil, fmt.Errorf("field %q: %w", e.Label, err)
 	}
-	f := newField(def.Label, td.TypeName, bits, v)
-	if sm, ok := m.(types.StructuredMarshaller); ok {
+	return build(e, e.Label, bits, v)
+}
+
+// build makes the pooled field holding v, exploding a structured type.
+//
+//starlink:returns-pooled
+func build(e *mdl.Entry, label string, bits int, v message.Value) (*message.Field, error) {
+	f := newField(label, e.Type.TypeName, bits, v)
+	if sm, ok := e.M.(types.StructuredMarshaller); ok {
 		children, err := sm.Explode(v)
 		if err != nil {
 			f.Release()
-			return nil, fmt.Errorf("field %q: %w", def.Label, err)
+			return nil, fmt.Errorf("field %q: %w", label, err)
 		}
 		f.Children = children
 	}
@@ -269,11 +282,12 @@ func (p *Parser) buildField(def *mdl.FieldDef, td mdl.TypeDef, m types.Marshalle
 
 func (p *Parser) parseText(data []byte) (*message.Message, error) {
 	msg := message.NewPooled(p.spec.Protocol, "")
+	msg.SetLayout(p.r.Shared.Layout)
 	rest := data
 	var err error
-	for _, def := range p.spec.Header.Fields {
-		if def.Wildcard {
-			rest, err = p.parseWildcard(rest, def, msg)
+	for _, e := range p.r.Shared.Header {
+		if e.Def.Wildcard {
+			rest, err = p.parseWildcard(rest, e.Def, msg)
 			if err != nil {
 				msg.Release()
 				return nil, fmt.Errorf("parser: %s wildcard: %w", p.spec.Protocol, err)
@@ -281,31 +295,24 @@ func (p *Parser) parseText(data []byte) (*message.Message, error) {
 			continue
 		}
 		var token []byte
-		token, rest, err = cutDelim(rest, def.Delim)
+		token, rest, err = cutDelim(rest, e.Def.Delim)
 		if err != nil {
 			msg.Release()
-			return nil, fmt.Errorf("parser: %s field %q: %w", p.spec.Protocol, def.Label, err)
+			return nil, fmt.Errorf("parser: %s field %q: %w", p.spec.Protocol, e.Label, err)
 		}
-		f, err := p.textField(def.Label, token)
+		f, err := textField(e, e.Label, token)
 		if err != nil {
 			msg.Release()
 			return nil, fmt.Errorf("parser: %s: %w", p.spec.Protocol, err)
 		}
-		msg.Add(f)
+		add(msg, nil, e, f)
 	}
-	def, err := p.spec.SelectMessage(func(label string) (string, bool) {
-		f, ok := msg.Field(label)
-		if !ok {
-			return "", false
-		}
-		return f.Value.Text(), true
-	})
+	pl, err := p.plan(msg)
 	if err != nil {
 		msg.Release()
 		return nil, err
 	}
-	msg.Name = def.Name
-	switch def.Body {
+	switch pl.Def.Body {
 	case mdl.BodyRaw:
 		msg.Add(newField("Body", "Bytes", 0, message.Bytes(rest)))
 	case mdl.BodyXML:
@@ -319,12 +326,13 @@ func (p *Parser) parseText(data []byte) (*message.Message, error) {
 		// Trailing bytes after the blank line are ignored (some stacks
 		// pad datagrams).
 	}
-	p.markMandatory(msg, def)
+	markMandatory(msg, pl.Def)
 	return msg, nil
 }
 
 // parseWildcard consumes label:value lines until the empty line that
-// must end them.
+// must end them. A label the spec types takes its slot — and its
+// string from the layout; any other is a String found by label.
 func (p *Parser) parseWildcard(data []byte, def *mdl.FieldDef, msg *message.Message) (rest []byte, err error) {
 	rest = data
 	for {
@@ -345,37 +353,40 @@ func (p *Parser) parseWildcard(data []byte, def *mdl.FieldDef, msg *message.Mess
 		if i < 0 {
 			return nil, fmt.Errorf("line %q has no %q separator", line, string(def.InnerSplit))
 		}
-		label := string(bytes.TrimSpace(line[:i]))
-		value := bytes.TrimSpace(line[i+1:])
-		if label == "" {
+		name := bytes.TrimSpace(line[:i])
+		if len(name) == 0 {
 			return nil, fmt.Errorf("line %q has empty label", line)
 		}
-		f, ferr := p.textField(label, value)
+		e := p.r.Untyped
+		for _, s := range p.r.Shared.Slots {
+			if s.Label == string(name) {
+				e = s
+				break
+			}
+		}
+		label := e.Label
+		if e.Slot < 0 {
+			label = string(name)
+		}
+		f, ferr := textField(e, label, bytes.TrimSpace(line[i+1:]))
 		if ferr != nil {
 			return nil, ferr
 		}
-		// A repeated header label replaces the earlier line; the parser
-		// owns the displaced pooled field, so recycle it.
-		if old := msg.Swap(f); old != nil {
-			old.Release()
-		}
+		add(msg, nil, e, f)
 	}
 }
 
-// textField builds an abstract field from a text token using the
-// spec's type table (unknown labels default to String). token is
+// textField builds an abstract field from a text token. token is
 // borrowed — marshallers copy what they keep — so the caller avoids a
 // string conversion per field.
 //
 //starlink:returns-pooled
-func (p *Parser) textField(label string, token []byte) (*message.Field, error) {
-	td := p.spec.TypeOf(label)
-	m, err := p.types.Lookup(td.TypeName)
-	if err != nil {
-		return nil, fmt.Errorf("field %q: %w", label, err)
+func textField(e *mdl.Entry, label string, token []byte) (*message.Field, error) {
+	if e.M == nil {
+		return nil, fmt.Errorf("field %q: %w", label, e.Err)
 	}
 	var v message.Value
-	if m.Kind() == message.KindInt {
+	if e.Kind == message.KindInt {
 		// Text integers arrive as decimal strings; parsed in place so
 		// the borrowed token really does avoid a conversion.
 		n, err := parseIntBytes(token)
@@ -385,21 +396,12 @@ func (p *Parser) textField(label string, token []byte) (*message.Field, error) {
 		v = message.Int(n)
 	} else {
 		var err error
-		v, err = m.Unmarshal(token, 0)
+		v, err = e.M.Unmarshal(token, 0)
 		if err != nil {
 			return nil, fmt.Errorf("field %q: %w", label, err)
 		}
 	}
-	f := newField(label, td.TypeName, 0, v)
-	if sm, ok := m.(types.StructuredMarshaller); ok {
-		children, err := sm.Explode(v)
-		if err != nil {
-			f.Release()
-			return nil, fmt.Errorf("field %q: %w", label, err)
-		}
-		f.Children = children
-	}
-	return f, nil
+	return build(e, label, 0, v)
 }
 
 // parseIntBytes is strconv.ParseInt(string(b), 10, 64) over a borrowed
@@ -457,7 +459,7 @@ func truncate(b []byte) string {
 	return string(b)
 }
 
-func (p *Parser) markMandatory(msg *message.Message, def *mdl.MessageDef) {
+func markMandatory(msg *message.Message, def *mdl.MessageDef) {
 	for _, l := range def.Mandatory {
 		if f, ok := msg.Field(l); ok {
 			f.Mandatory = true

@@ -82,11 +82,7 @@ func decodeXMLLeaves(body []byte, msg *message.Message) error {
 			if !top.hasElem {
 				label := top.name
 				if _, exists := msg.Field(label); !exists {
-					msg.Add(&message.Field{
-						Label: label,
-						Type:  "String",
-						Value: message.Str(strings.TrimSpace(top.text.String())),
-					})
+					msg.Add(newField(label, "String", 0, message.Str(strings.TrimSpace(top.text.String()))))
 				}
 			}
 		}

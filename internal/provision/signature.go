@@ -17,12 +17,12 @@ import (
 // first line for text dialects — the rule can be evaluated with a
 // bounds check and a byte comparison instead of a full trial parse.
 //
-// Classify mirrors mdl.Spec.SelectMessage exactly on well-formed
-// payloads: it returns the name of the message whose rule matches, or
-// ok=false when no rule matches (where a trial parse would fail too).
-// It does not validate the message body — a payload with a valid
-// discriminator but a malformed tail classifies here and is rejected
-// by the owning engine's parser instead.
+// Classify mirrors the parser's rule selection (mdl.Plan.Matches)
+// exactly on well-formed payloads: it returns the name of the message
+// whose rule matches, or ok=false when no rule matches (where a trial
+// parse would fail too). It does not validate the message body — a
+// payload with a valid discriminator but a malformed tail classifies
+// here and is rejected by the owning engine's parser instead.
 type protoSignature struct {
 	dialect mdl.Dialect
 
@@ -38,9 +38,9 @@ type protoSignature struct {
 	ruleDelim  []byte
 
 	// rules maps discriminator values to message names, in spec order
-	// (SelectMessage returns the first match). Kept as a slice and
-	// compared per entry so text classification never converts the
-	// scanned token to a string.
+	// (the parser takes the first match). Kept as a slice and compared
+	// per entry so text classification never converts the scanned token
+	// to a string.
 	rules []sigRule
 }
 

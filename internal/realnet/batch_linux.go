@@ -76,6 +76,7 @@ type mmsgVec struct {
 // size makes the vectors n slots long.
 func (v *mmsgVec) size(n int) {
 	if cap(v.hdrs) < n {
+		clear(v.iovs[:cap(v.iovs)]) // the vectors left behind must not pin buffers
 		v.hdrs = make([]mmsghdr, n)
 		v.iovs = make([]syscall.Iovec, n)
 		v.names = make([]syscall.RawSockaddrInet4, n)
@@ -148,6 +149,9 @@ func newReceiver(s *udpSocket) receiver {
 				r.parked = true
 				s.slab = s.slab.Resize(1)
 				s.slab.Release()
+				// The iovecs point into the released buffers: clear
+				// them, or the parked socket pins 64 KiB apiece.
+				clear(r.vec.iovs[:cap(r.vec.iovs)])
 				return false
 			default:
 				r.errno = errno

@@ -80,11 +80,12 @@ func (d *domain) run(fn func()) {
 
 // Runtime is a real-socket netapi runtime.
 //
-// Locking: stateMu guards the runtime's own tables (timers, groups,
-// the dial-reuse pool, closed flags); per-domain mutexes serialise
-// handler callbacks. Handlers run holding only their domain, so they
-// may freely call Send / After / Cancel / Close, which take stateMu
-// (or a connection's write mutex) but never another domain.
+// Locking: stateMu guards the runtime's own tables (groups, the
+// dial-reuse pool, closed flags); per-domain mutexes serialise handler
+// callbacks. Handlers run holding only their domain, so they may freely
+// call Send / Close, which take stateMu (or a connection's write
+// mutex), and After / Timer, which take no runtime lock, but never
+// another domain.
 //
 // Components such as the concurrent Automata Engine hand payloads off
 // to worker goroutines; they report that work through the node's
@@ -92,10 +93,9 @@ func (d *domain) run(fn func()) {
 // handed-off work is in flight (which also publishes the workers'
 // writes to the condition).
 type Runtime struct {
-	stateMu  sync.Mutex // guards timers, groups, pool and closed flags
+	stateMu  sync.Mutex // guards groups, pool and closed flags
 	waitCh   chan struct{}
-	timers   map[netapi.TimerID]*time.Timer
-	timerSeq uint64
+	timerSeq atomic.Uint64
 	groups   map[netapi.Addr][]*udpSocket // group address -> members
 	parked   map[int][]*streamConn        // dial-reuse pool, by remote port
 
@@ -122,7 +122,6 @@ func newRuntime(newRx func(*udpSocket) receiver) *Runtime {
 	return &Runtime{
 		newRx:  newRx,
 		waitCh: make(chan struct{}, 1),
-		timers: map[netapi.TimerID]*time.Timer{},
 		groups: map[netapi.Addr][]*udpSocket{},
 		parked: map[int][]*streamConn{},
 	}
@@ -305,31 +304,58 @@ func (n *node) domainFor(m netapi.Mode) *domain {
 }
 
 func (n *node) After(d time.Duration, fn func()) netapi.TimerID {
-	// The timer is registered under the lock its callback takes first, so
-	// one that fires at once still finds itself live.
-	n.rt.stateMu.Lock()
-	defer n.rt.stateMu.Unlock()
-	n.rt.timerSeq++
-	id := netapi.TimerID(n.rt.timerSeq)
-	n.rt.timers[id] = time.AfterFunc(d, func() {
-		n.rt.stateMu.Lock()
-		_, live := n.rt.timers[id]
-		delete(n.rt.timers, id)
-		n.rt.stateMu.Unlock()
-		if !live {
-			return // cancelled between fire and dispatch
-		}
-		n.root.run(fn)
-	})
-	return id
+	time.AfterFunc(d, func() { n.root.run(fn) })
+	return netapi.TimerID(n.rt.timerSeq.Add(1))
 }
 
-func (n *node) Cancel(id netapi.TimerID) {
-	n.rt.stateMu.Lock()
-	defer n.rt.stateMu.Unlock()
-	if t, ok := n.rt.timers[id]; ok {
-		t.Stop()
-		delete(n.rt.timers, id)
+// timer is a node's reusable timer over one time.Timer. armed marks an
+// arm whose fire has not been seen; skip counts the fires of replaced
+// arms that the runtime had already started, which must not run fn.
+type timer struct {
+	root  *domain
+	fn    func()
+	t     *time.Timer
+	mu    sync.Mutex
+	armed bool
+	skip  int
+}
+
+func (n *node) NewTimer(fn func()) netapi.Timer {
+	t := &timer{root: n.root, fn: fn}
+	t.t = time.AfterFunc(time.Hour, t.fire)
+	t.t.Stop()
+	return t
+}
+
+func (t *timer) Reset(d time.Duration) {
+	t.mu.Lock()
+	if !t.t.Reset(d) && t.armed {
+		t.skip++ // the replaced arm expired: its fire is on its way
+	}
+	t.armed = true
+	t.mu.Unlock()
+}
+
+func (t *timer) Stop() {
+	t.mu.Lock()
+	if !t.t.Stop() && t.armed {
+		t.skip++
+	}
+	t.armed = false
+	t.mu.Unlock()
+}
+
+func (t *timer) fire() {
+	t.mu.Lock()
+	run := t.skip == 0 && t.armed
+	if t.skip > 0 {
+		t.skip--
+	} else {
+		t.armed = false
+	}
+	t.mu.Unlock()
+	if run {
+		t.root.run(t.fn)
 	}
 }
 

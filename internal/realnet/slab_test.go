@@ -246,12 +246,20 @@ func TestIdleSocketFootprint(t *testing.T) {
 	ledger := newLeaseLedger(t)
 	before := heap()
 	var socks []netapi.UDPSocket
+	var held []*netapi.Buffer
 	for i := 0; i < n; i++ {
 		s, err := node.OpenUDP(0, func(netapi.Packet) {})
 		if err != nil {
 			t.Fatal(err)
 		}
 		socks = append(socks, s)
+		// Take the buffer the socket parked with out of the pool, so the
+		// next one reads into a buffer of its own, as live sockets do.
+		ledger.settle(int64(i+1)*parkedLeases()+int64(i), "idle sockets open")
+		held = append(held, netapi.NewBuffer())
+	}
+	for _, b := range held {
+		b.Release()
 	}
 	ledger.settle(n*parkedLeases(), "idle sockets open")
 	after := heap()
@@ -260,7 +268,7 @@ func TestIdleSocketFootprint(t *testing.T) {
 	}
 	per := (int64(after) - int64(before)) / n
 	t.Logf("%d KiB of heap per idle UDP socket", per/1024)
-	if bound := (32 + 64*parkedLeases()) * 1024; per > bound { // 5 KiB measured; the race detector's bookkeeping makes it 26
+	if bound := (32 + 64*parkedLeases()) * 1024; per > bound { // 1 KiB measured (65 with the portable primitive)
 		t.Fatalf("an idle UDP socket pins %d KiB of heap, want <= %d KiB", per/1024, bound/1024)
 	}
 }

@@ -90,9 +90,8 @@ type event struct {
 	tie uint64
 	seq uint64
 	fn  func()
-	// timer is the id a node timer is registered under in Net.timers
-	// until it fires or is cancelled; 0 for every other event.
-	timer netapi.TimerID
+	// index is the event's position in the heap; -1 off it.
+	index int
 }
 
 type eventHeap []*event
@@ -107,13 +106,20 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
+func (h eventHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = i, j
+}
+func (h *eventHeap) Push(x interface{}) {
+	e := x.(*event)
+	e.index = len(*h)
+	*h = append(*h, e)
+}
 func (h *eventHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
 	e := old[n-1]
-	old[n-1] = nil
+	old[n-1], e.index = nil, -1
 	*h = old[:n-1]
 	return e
 }
@@ -145,7 +151,6 @@ type Net struct {
 	udpSocks  map[sockKey]*udpSocket
 	groups    map[sockKey]map[sockKey]*udpSocket // group addr -> members
 	listeners map[sockKey]*listener
-	timers    map[netapi.TimerID]*event
 	timerSeq  uint64
 
 	// deferred parks deliveries whose destination endpoint sits behind
@@ -197,7 +202,6 @@ func New(opts ...Option) *Net {
 		udpSocks:  map[sockKey]*udpSocket{},
 		groups:    map[sockKey]map[sockKey]*udpSocket{},
 		listeners: map[sockKey]*listener{},
-		timers:    map[netapi.TimerID]*event{},
 		deferred:  map[*netapi.FlowGate][]deferredDelivery{},
 		gateSubs:  map[*netapi.FlowGate]bool{},
 	}
@@ -240,21 +244,19 @@ func (n *Net) tieFor(key uint64) uint64 {
 
 // scheduleDomLocked enqueues fn at now+d on a dispatch domain. Caller
 // holds n.mu.
-func (n *Net) scheduleDomLocked(d time.Duration, dom uint64, fn func()) *event {
+func (n *Net) scheduleDomLocked(d time.Duration, dom uint64, fn func()) {
+	n.pushLocked(&event{fn: fn}, d, dom)
+}
+
+// pushLocked puts e, which is off the heap, on it at now+d on a dispatch
+// domain. Caller holds n.mu.
+func (n *Net) pushLocked(e *event, d time.Duration, dom uint64) {
 	if d < 0 {
 		d = 0
 	}
 	n.seq++
-	e := &event{at: n.now.Add(d), tie: n.tieFor(dom), seq: n.seq, fn: fn}
+	e.at, e.tie, e.seq = n.now.Add(d), n.tieFor(dom), n.seq
 	heap.Push(&n.events, e)
-	return e
-}
-
-// scheduleLocked enqueues fn at now+d on the runtime's own domain
-// (key 0) — internal bookkeeping events with no endpoint affinity.
-// Caller holds n.mu.
-func (n *Net) scheduleLocked(d time.Duration, fn func()) *event {
-	return n.scheduleDomLocked(d, 0, fn)
 }
 
 // deferLocked parks a delivery behind a blocked gate, installing a
@@ -325,45 +327,36 @@ func (n *Net) waitIdle() {
 	n.workMu.Unlock()
 }
 
-// popLocked removes and returns the next live event, or nil. Caller
-// holds n.mu; the clock is advanced to the event's timestamp.
-func (n *Net) popLocked() *event {
-	for len(n.events) > 0 {
-		e := heap.Pop(&n.events).(*event)
-		if e.fn == nil { // cancelled
-			continue
-		}
-		if e.timer != 0 {
-			delete(n.timers, e.timer) // fired: nothing left to cancel
-		}
-		n.now = e.at
-		return e
+// popLocked removes the next event and returns its callback, or nil
+// when none is pending. Caller holds n.mu; the clock is advanced to the
+// event's timestamp.
+func (n *Net) popLocked() func() {
+	if len(n.events) == 0 {
+		return nil
 	}
-	return nil
+	e := heap.Pop(&n.events).(*event)
+	n.now = e.at
+	return e.fn
 }
 
 // step executes the next event; reports false when none remain.
 func (n *Net) step() bool {
 	n.mu.Lock()
-	e := n.popLocked()
+	fn := n.popLocked()
 	n.mu.Unlock()
-	if e == nil {
+	if fn == nil {
 		return false
 	}
-	e.fn()
+	fn()
 	return true
 }
 
-// peekLocked skips cancelled events and returns the next timestamp.
+// peekLocked returns the next event's timestamp.
 func (n *Net) peekLocked() (time.Time, bool) {
-	for len(n.events) > 0 {
-		if n.events[0].fn == nil {
-			heap.Pop(&n.events)
-			continue
-		}
-		return n.events[0].at, true
+	if len(n.events) == 0 {
+		return time.Time{}, false
 	}
-	return time.Time{}, false
+	return n.events[0].at, true
 }
 
 // Run drives the simulation for d of virtual time.
@@ -382,9 +375,9 @@ func (n *Net) Run(d time.Duration) {
 			n.mu.Unlock()
 			return
 		}
-		e := n.popLocked()
+		fn := n.popLocked()
 		n.mu.Unlock()
-		e.fn()
+		fn()
 	}
 }
 
@@ -410,9 +403,9 @@ func (n *Net) RunUntil(cond func() bool, timeout time.Duration) error {
 			n.mu.Unlock()
 			return fmt.Errorf("simnet: RunUntil: timeout after %s", timeout)
 		}
-		e := n.popLocked()
+		fn := n.popLocked()
 		n.mu.Unlock()
-		e.fn()
+		fn()
 	}
 }
 
@@ -485,19 +478,38 @@ func (nd *node) ParkConn(netapi.Conn) bool { return false }
 func (nd *node) After(d time.Duration, fn func()) netapi.TimerID {
 	nd.net.mu.Lock()
 	defer nd.net.mu.Unlock()
-	e := nd.net.scheduleDomLocked(d, nd.domKey, fn)
+	nd.net.scheduleDomLocked(d, nd.domKey, fn)
 	nd.net.timerSeq++
-	e.timer = netapi.TimerID(nd.net.timerSeq)
-	nd.net.timers[e.timer] = e
-	return e.timer
+	return netapi.TimerID(nd.net.timerSeq)
 }
 
-func (nd *node) Cancel(id netapi.TimerID) {
-	nd.net.mu.Lock()
-	defer nd.net.mu.Unlock()
-	if e, ok := nd.net.timers[id]; ok {
-		e.fn = nil
-		delete(nd.net.timers, id)
+// timer is a node's reusable timer: one event, pushed on the heap per
+// arm and taken off it by Stop or the next Reset.
+type timer struct {
+	nd *node
+	ev event
+}
+
+func (nd *node) NewTimer(fn func()) netapi.Timer {
+	return &timer{nd: nd, ev: event{fn: fn, index: -1}}
+}
+
+func (t *timer) Reset(d time.Duration) {
+	t.nd.net.mu.Lock()
+	defer t.nd.net.mu.Unlock()
+	t.stopLocked()
+	t.nd.net.pushLocked(&t.ev, d, t.nd.domKey)
+}
+
+func (t *timer) Stop() {
+	t.nd.net.mu.Lock()
+	defer t.nd.net.mu.Unlock()
+	t.stopLocked()
+}
+
+func (t *timer) stopLocked() {
+	if t.ev.index >= 0 {
+		heap.Remove(&t.nd.net.events, t.ev.index)
 	}
 }
 

@@ -30,38 +30,39 @@ func TestTimerCancel(t *testing.T) {
 	sim := New()
 	n, _ := sim.NewNode("10.0.0.1")
 	fired := false
-	id := n.After(time.Second, func() { fired = true })
-	n.Cancel(id)
+	tm := n.NewTimer(func() { fired = true })
+	tm.Reset(time.Second)
+	tm.Stop()
 	sim.Run(2 * time.Second)
 	if fired {
-		t.Fatal("cancelled timer fired")
+		t.Fatal("stopped timer fired")
 	}
-	n.Cancel(netapi.TimerID(9999)) // unknown id is a no-op
+	tm.Stop() // stopping a stopped timer is a no-op
 }
 
-// A timer that fires is forgotten: only armed timers are registered,
-// so a long run's fired timers (and their closures) do not accumulate.
+// A timer that fires is forgotten: nothing registers a timer, so a long
+// run's fired timers (and their closures) do not accumulate, and a
+// reusable timer holds only its pending arm.
 func TestFiredTimersAreForgotten(t *testing.T) {
 	sim := New()
 	n, _ := sim.NewNode("10.0.0.1")
 	const timers = 10000
 	fired := 0
-	var last netapi.TimerID
 	for i := 0; i < timers; i++ {
-		last = n.After(time.Duration(i)*time.Microsecond, func() { fired++ })
+		n.After(time.Duration(i)*time.Microsecond, func() { fired++ })
 	}
-	armed := n.After(time.Hour, func() {})
+	armed := n.NewTimer(func() {})
+	armed.Reset(time.Hour)
 	sim.Run(time.Second)
 	if fired != timers {
 		t.Fatalf("%d of %d timers fired", fired, timers)
 	}
-	if got := len(sim.timers); got != 1 {
-		t.Fatalf("%d timers registered after %d fired, want only the armed one", got, timers)
+	if got := len(sim.events); got != 1 {
+		t.Fatalf("%d events pending after %d fired, want only the armed timer", got, timers)
 	}
-	n.Cancel(last) // already fired: a no-op
-	n.Cancel(armed)
-	if got := len(sim.timers); got != 0 {
-		t.Fatalf("%d timers registered after cancelling the last, want 0", got)
+	armed.Stop()
+	if _, pending := sim.peekLocked(); pending {
+		t.Fatal("the stopped timer is still pending")
 	}
 }
 

@@ -388,24 +388,25 @@ func (URLMarshaller) Implode(children []*message.Field) (message.Value, error) {
 	if !ok {
 		return message.Value{}, fmt.Errorf("types: URL implode: missing address")
 	}
-	var hostport string
-	host, _ := addr.AsString()
+	// Rendered by net/url, so that what Explode accepts — no scheme, an
+	// IPv6 host, a resource needing escapes — reads back as it was.
+	u := url.URL{Path: "/"}
+	u.Scheme, _ = proto.AsString()
+	u.Host, _ = addr.AsString()
+	if strings.Contains(u.Host, ":") {
+		u.Host = "[" + u.Host + "]"
+	}
 	if pv, ok := get("port"); ok {
 		if p, pok := pv.AsInt(); pok && p > 0 {
-			hostport = fmt.Sprintf("%s:%d", host, p)
+			u.Host += ":" + strconv.FormatInt(p, 10)
 		}
 	}
-	if hostport == "" {
-		hostport = host
-	}
-	resource := "/"
 	if rv, ok := get("resource"); ok {
 		if r, rok := rv.AsString(); rok && r != "" {
-			resource = r
+			u.Path = r
 		}
 	}
-	scheme, _ := proto.AsString()
-	return message.Str(fmt.Sprintf("%s://%s%s", scheme, hostport, resource)), nil
+	return message.Str(u.String()), nil
 }
 
 // IPv4Marshaller handles 32-bit IPv4 addresses in dotted-quad text form.

@@ -184,9 +184,11 @@ func (p *Path) Get(msg *message.Message) (message.Value, error) {
 //starlink:hotpath
 func (p *Compiled) Eval(msg *message.Message) (message.Value, error) { return p.Get(msg) }
 
-// Set writes a value at the path, creating intermediate fields as
-// needed so translation targets need not pre-exist in the outgoing
-// message template.
+// Set writes a value at the path, creating intermediate fields — from
+// the pool, owned by msg — as needed so translation targets need not
+// pre-exist in the outgoing message template.
+//
+//starlink:hotpath
 func (p *Path) Set(msg *message.Message, v message.Value) error {
 	var cur *message.Field
 	for _, step := range p.steps {
@@ -205,14 +207,16 @@ func (p *Path) Set(msg *message.Message, v message.Value) error {
 				if f, ok := msg.Field(step.Label); ok {
 					next = f
 				} else {
-					next = &message.Field{Label: step.Label}
+					next = message.NewField()
+					next.Label = step.Label
 					msg.Add(next)
 				}
 			} else {
 				if f, ok := cur.Child(step.Label); ok {
 					next = f
 				} else {
-					next = &message.Field{Label: step.Label}
+					next = message.NewField()
+					next.Label = step.Label
 					if cur.Children == nil {
 						cur.Children = []*message.Field{}
 					}

@@ -92,7 +92,7 @@ func TestBridgeRoundTripAllocs(t *testing.T) {
 	// content, the composed wire. One more allocation per round trip is
 	// per-packet garbage creeping back in; an improvement lowers the pin
 	// in the PR that makes it.
-	const pinned = 16
+	const pinned = 7
 	if got := testing.AllocsPerRun(200, roundTrip); got > pinned {
 		t.Errorf("bridge round-trip allocates %.1f per run, pinned at %d", got, pinned)
 	}
