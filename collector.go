@@ -274,7 +274,7 @@ func (c *Collector) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 
 	pw.Family("starlink_dispatch_total",
-		"Shared-listener classification outcomes (dispatchers only).", "counter")
+		"Entry-listener classification outcomes (bridges and dispatchers).", "counter")
 	for _, s := range snaps {
 		d := s.m.Dispatch
 		for _, rv := range []struct {
@@ -346,7 +346,7 @@ func (c *Collector) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 
 	pw.Family("starlink_classify_latency_seconds",
-		"Classification decision latency by path (dispatchers only).", "histogram")
+		"Classification decision latency by path.", "histogram")
 	for _, s := range snaps {
 		for _, pv := range []struct {
 			path string

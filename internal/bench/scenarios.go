@@ -12,6 +12,7 @@ import (
 	"starlink/internal/protocols/dnssd"
 	"starlink/internal/protocols/slp"
 	"starlink/internal/protocols/upnp"
+	"starlink/internal/provision"
 	"starlink/internal/registry"
 	"starlink/internal/simnet"
 )
@@ -36,28 +37,27 @@ func sharedRegistry() (*registry.Registry, error) {
 }
 
 // deployBridge runs one case of the shared registry on a fresh bridge
-// host at 10.0.0.5 of the simulator; the engine owns the host.
-func deployBridge(sim *simnet.Net, caseName string, opts ...engine.Option) (*engine.Engine, error) {
+// host at 10.0.0.5 of the simulator, the way every bridge is deployed: a
+// dispatcher hosting the one case, which owns the host.
+func deployBridge(sim *simnet.Net, caseName string, sink provision.Sink, opts ...engine.Option) (*provision.Dispatcher, error) {
 	reg, err := sharedRegistry()
 	if err != nil {
 		return nil, err
 	}
-	c, err := reg.Compiled(caseName)
-	if err != nil {
-		return nil, err
-	}
-	return engine.Deploy(context.Background(), sim, "10.0.0.5", c.Merged, c.Codecs, opts...)
+	return provision.Deploy(context.Background(), reg, sim, "10.0.0.5", []string{caseName},
+		provision.WithSink(sink), provision.WithEngineOptions(opts...))
 }
 
-// sessionEnds is the engine sink of a measured run: it keeps the
-// finished sessions' stats and ignores every other event. The simulator
-// runs one event's work at a time, so it needs no lock.
+// sessionEnds is the sink of a measured run: it keeps the finished
+// sessions' stats and ignores every other event. The simulator runs one
+// event's work at a time, so it needs no lock.
 type sessionEnds []engine.SessionStats
 
 func (*sessionEnds) Deployed(string, uint64)                     {}
 func (*sessionEnds) Undeployed(string)                           {}
 func (*sessionEnds) SessionStart(string, netapi.Addr, time.Time) {}
 func (*sessionEnds) Dropped(string, netapi.Addr, error)          {}
+func (*sessionEnds) Classified(provision.ClassifyEvent)          {}
 
 func (c *sessionEnds) SessionEnd(_ string, s engine.SessionStats) { *c = append(*c, s) }
 
@@ -172,8 +172,7 @@ func RunBridge(caseName string, seed int64) (time.Duration, error) {
 	sim := simnet.New(simnet.WithSeed(seed))
 	rng := rand.New(rand.NewSource(seed * 6007))
 	var stats sessionEnds
-	bridge, err := deployBridge(sim, caseName,
-		engine.WithSink(&stats),
+	bridge, err := deployBridge(sim, caseName, &stats,
 		engine.WithWindowJitter(BridgeSLPWindowJitter, seed*6007))
 	if err != nil {
 		return 0, err

@@ -2,7 +2,6 @@ package engine_test
 
 import (
 	"context"
-	"errors"
 	"testing"
 	"time"
 
@@ -10,24 +9,17 @@ import (
 	"starlink/internal/netapi"
 	"starlink/internal/protocols/dnssd"
 	"starlink/internal/protocols/slp"
+	"starlink/internal/provision"
 	"starlink/internal/realnet"
-	"starlink/internal/registry"
 	"starlink/internal/simnet"
 	"starlink/internal/translation"
 )
 
-// deployCase runs engine.Deploy for a builtin case on a fresh host of rt.
-func deployCase(ctx context.Context, t *testing.T, rt netapi.Runtime, hostIP, caseName string, opts ...engine.Option) (*engine.Engine, error) {
+// deployCase deploys a builtin case on a fresh host of rt the one way a
+// bridge is deployed: provision.Deploy of the one case.
+func deployCase(ctx context.Context, t *testing.T, rt netapi.Runtime, hostIP, caseName string, opts ...engine.Option) (*provision.Dispatcher, error) {
 	t.Helper()
-	reg, err := registry.Builtin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := reg.Compiled(caseName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return engine.Deploy(ctx, rt, hostIP, c.Merged, c.Codecs, opts...)
+	return provision.Deploy(ctx, builtin(t), rt, hostIP, []string{caseName}, provision.WithEngineOptions(opts...))
 }
 
 // hostFree fails the test unless hostIP can be created again on the
@@ -43,20 +35,17 @@ func hostFree(t *testing.T, sim *simnet.Net, hostIP, after string) {
 
 func TestDeployAllCases(t *testing.T) {
 	sim := simnet.New()
-	reg, err := registry.Builtin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, name := range reg.MergedNames() {
+	for i, name := range builtin(t).MergedNames() {
 		// Distinct host per bridge to avoid group-port collisions.
-		e, err := deployCase(context.Background(), t, sim, "10.0.9."+string(rune('1'+i)), name)
+		d, err := deployCase(context.Background(), t, sim, "10.0.9."+string(rune('1'+i)), name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if e.Case() != name || e.State() != engine.StateRunning {
-			t.Fatalf("%s: deployed case %q in state %v", name, e.Case(), e.State())
+		e, _ := d.Engine(name)
+		if cases := d.Cases(); len(cases) != 1 || e == nil || d.State() != engine.StateRunning || e.State() != engine.StateRunning {
+			t.Fatalf("%s: deployed cases %v in state %v", name, cases, d.State())
 		}
-		if err := e.Close(); err != nil {
+		if err := d.Close(); err != nil {
 			t.Fatalf("%s close: %v", name, err)
 		}
 	}
@@ -78,32 +67,21 @@ func TestDeployFailureReleasesNode(t *testing.T) {
 	hostFree(t, sim, "10.0.0.5", "failed deploy")
 }
 
-// TestDeployCancelledContext verifies a cancelled context aborts the
-// deploy before any resource is created.
-func TestDeployCancelledContext(t *testing.T) {
-	sim := simnet.New()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := deployCase(ctx, t, sim, "10.0.0.5", "slp-to-bonjour"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	hostFree(t, sim, "10.0.0.5", "cancelled deploy")
-}
-
 // TestDeployCloseReleasesNode verifies the owning side of the same
-// contract: closing a healthy deployed engine releases its host, and so
-// does draining it.
+// contract: closing a healthy deployment releases its host, and so does
+// draining it. (A cancelled deploy releasing it is TestDeployOwnsNode in
+// internal/provision.)
 func TestDeployCloseReleasesNode(t *testing.T) {
 	sim := simnet.New()
-	for name, stop := range map[string]func(*engine.Engine) error{
-		"Close":    (*engine.Engine).Close,
-		"Shutdown": func(e *engine.Engine) error { return e.Shutdown(context.Background()) },
+	for name, stop := range map[string]func(*provision.Dispatcher) error{
+		"Close":    (*provision.Dispatcher).Close,
+		"Shutdown": func(d *provision.Dispatcher) error { return d.Shutdown(context.Background()) },
 	} {
-		e, err := deployCase(context.Background(), t, sim, "10.0.0.5", "slp-to-bonjour")
+		d, err := deployCase(context.Background(), t, sim, "10.0.0.5", "slp-to-bonjour")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := stop(e); err != nil {
+		if err := stop(d); err != nil {
 			t.Fatal(err)
 		}
 		hostFree(t, sim, "10.0.0.5", name)

@@ -49,15 +49,17 @@
 //     overload degrades gracefully. Timers ride the control lane, which
 //     never evicts, so payload pressure cannot cost a session its
 //     timeout;
-//   - Close stops the listeners, then the workers, and only then ends
-//     the sessions still live, on the closing goroutine, with an
-//     ErrClosed error through the same sink;
+//   - Close stops the workers, and only then ends the sessions still
+//     live, on the closing goroutine, with an ErrClosed error through the
+//     same sink;
 //   - the engine reports in-flight work to its node (WorkAdd/WorkDone),
 //     which keeps simulated runs deterministic and engine state safe to
 //     read after RunUntil.
 //
-// Deploy is the whole deployment of one case — bridge host, engine,
-// Start — and the engine then owns the host. What the engine observes
+// An engine binds no socket for its entry colors: every payload arrives
+// through Inject, from the provisioning dispatcher that owns the entry
+// listeners and the bridge host (internal/provision — a single-case
+// bridge is a dispatcher hosting one case). What the engine observes
 // goes to one Sink (a nil one costs a branch per event); what it counts
 // is read as one Snapshot, by Counts (cheap) or Snapshot (with the
 // distributions). Close is where every teardown ends and the one origin
@@ -239,18 +241,6 @@ func WithIngestWorkers(n int) Option {
 	}
 }
 
-// WithContext ties the engine's lifetime to ctx: when ctx is
-// cancelled the engine closes, tearing down in-flight sessions exactly
-// as Close does. The default is context.Background() (lifetime governed
-// only by Close/Shutdown).
-func WithContext(ctx context.Context) Option {
-	return func(e *Engine) {
-		if ctx != nil {
-			e.baseCtx = ctx
-		}
-	}
-}
-
 // WithSink sets the sink the engine reports its events to (see Sink).
 func WithSink(sink Sink) Option {
 	return func(e *Engine) { e.sink = sink }
@@ -281,10 +271,9 @@ func WithLanePolicy(p lanes.Policy) Option {
 }
 
 // WithFlowGate supplies the transport flow gate the ingest queues
-// pause while pressured: the engine's entry listeners (and, under a
-// dispatcher, the dispatcher's shared listeners) park their read loops
-// while it is blocked. A dispatcher shares one gate across its engines;
-// absent this option the engine creates its own.
+// pause while pressured: the dispatcher's entry listeners park their
+// read loops while it is blocked. A dispatcher shares one gate across
+// its engines; absent this option the engine creates its own.
 func WithFlowGate(g *netapi.FlowGate) Option {
 	return func(e *Engine) {
 		if g != nil {
@@ -306,7 +295,7 @@ func WithEgressTable(t *netengine.EgressTable) Option {
 type jobKind uint8
 
 const (
-	// jobPayload is a payload off an entry listener: parse it, then open
+	// jobPayload is an injected entry payload: parse it, then open
 	// a session or route the message to the one awaiting it.
 	jobPayload jobKind = iota
 	// jobData is a raw payload from one of sess's requester channels.
@@ -380,14 +369,11 @@ func releaseJob(job *ingestJob) {
 
 // Engine executes one merged automaton on one bridge node.
 type Engine struct {
-	node netapi.Node
-	// ownsNode is set by Deploy, which created the node for this engine
-	// alone: Close releases it.
-	ownsNode bool
-	net      *netengine.Engine
-	merged   *merge.Merged
-	program  []merge.Step
-	plan     *plan
+	node    netapi.Node
+	net     *netengine.Engine
+	merged  *merge.Merged
+	program []merge.Step
+	plan    *plan
 	// awaits[pc] is the receive a session at pc is heading for: the
 	// first receive step at or after pc (nil past the last one). Built
 	// once so publishing it allocates nothing.
@@ -415,10 +401,8 @@ type Engine struct {
 	// ingest-worker pickup.
 	laneHists [lanes.NumLanes]*hist.Histogram
 
-	// Lifecycle. state moves strictly forward; baseCtx is the caller's
-	// lifetime context (WithContext).
-	state   atomic.Int32
-	baseCtx context.Context
+	// Lifecycle. state moves strictly forward.
+	state atomic.Int32
 	// drained is closed (once) when the engine is draining and the
 	// last live session has finished.
 	drained   chan struct{}
@@ -434,12 +418,9 @@ type Engine struct {
 	// the entry listeners' read loops park on it.
 	workers    []*worker
 	gate       *netapi.FlowGate
-	quit       chan struct{}
 	workerWG   sync.WaitGroup
 	closeMu    sync.RWMutex // serialises offer's token+enqueue against Close
 	sessionSeq atomic.Uint64
-
-	entries []netapi.Closer
 
 	// finishMu makes a session's finish one step — table removal, the
 	// completed/failed count and the drain check — against BeginDrain's
@@ -515,7 +496,6 @@ func New(node netapi.Node, merged *merge.Merged, codecs map[string]*Codec, opts 
 		maxSessions:   defaultMaxSessions,
 		ingestWorkers: workers,
 		traceRing:     defaultTraceRing,
-		baseCtx:       context.Background(),
 		drained:       make(chan struct{}),
 	}
 	for i := range e.stageHists {
@@ -538,9 +518,9 @@ func New(node netapi.Node, merged *merge.Merged, codecs map[string]*Codec, opts 
 	if e.gate == nil {
 		e.gate = netapi.NewFlowGate()
 	}
-	// The network engine gates the entry listeners it opens for Start;
-	// a dispatcher gates its shared listeners with the same gate it
-	// passed via WithFlowGate.
+	// The engine's own sockets are its sessions' requesters; the
+	// dispatcher gates its entry listeners with the gate it passed via
+	// WithFlowGate.
 	e.net = netengine.New(node, netengine.WithGate(e.gate))
 	e.awaits = make([]*awaitKey, len(program)+1)
 	for pc := len(program) - 1; pc >= 0; pc-- {
@@ -559,48 +539,8 @@ func New(node netapi.Node, merged *merge.Merged, codecs map[string]*Codec, opts 
 			idle: make([][]*requester, len(plan.txid)),
 		}
 	}
-	e.quit = make(chan struct{})
 	return e, nil
 }
-
-// Deploy creates the bridge host hostIP on rt and runs the merged
-// automaton on it: node, engine, Start. The engine owns the node — Close
-// releases it — and every failure path releases it too, so an aborted
-// deploy never leaks its host or entry ports.
-//
-// ctx governs both the deployment and the engine's lifetime (like
-// exec.CommandContext): a ctx already cancelled aborts the deploy, and
-// cancelling it later closes the engine (WithContext).
-func Deploy(ctx context.Context, rt netapi.Runtime, hostIP string, merged *merge.Merged, codecs map[string]*Codec, opts ...Option) (*Engine, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("engine: deploy %s: %w", merged.Name, err)
-	}
-	node, err := rt.NewNode(hostIP)
-	if err != nil {
-		return nil, fmt.Errorf("engine: bridge host: %w", err)
-	}
-	opts = append(opts, WithContext(ctx), func(e *Engine) { e.ownsNode = true })
-	e, err := New(node, merged, codecs, opts...)
-	if err != nil {
-		_ = node.Close()
-		return nil, err
-	}
-	// From here Close releases everything: the node, the listeners bound
-	// before a failed Start, the watcher's registration on ctx.
-	if err := e.Start(); err != nil {
-		_ = e.Close()
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		_ = e.Close()
-		return nil, fmt.Errorf("engine: deploy %s: %w", merged.Name, err)
-	}
-	return e, nil
-}
-
-// Case returns the name of the merged automaton the engine runs — the
-// tag on every event it reports.
-func (e *Engine) Case() string { return e.merged.Name }
 
 // Program returns the compiled step list (diagnostics, mdlc tool).
 func (e *Engine) Program() []merge.Step { return e.program }
@@ -608,81 +548,22 @@ func (e *Engine) Program() []merge.Step { return e.program }
 // State returns the engine's lifecycle state.
 func (e *Engine) State() State { return State(e.state.Load()) }
 
-// Start opens the entry listeners and the ingest worker pool. The
-// bridge is then transparently deployed: legacy clients of the
-// initiator protocol reach it via their normal multicast groups/ports.
-func (e *Engine) Start() error {
-	// Announced before the first listener opens, so no session event can
-	// precede it; a Start that then fails is followed by Close's
-	// Undeployed.
-	if e.sink != nil {
-		e.sink.Deployed(e.merged.Name, 0)
-	}
-	entryColors, err := e.merged.EntryProtocols()
-	if err != nil {
-		return err
-	}
-	// Deterministic order: initiator first, then program order.
-	opened := map[string]bool{}
-	for _, step := range e.program {
-		color, isEntry := entryColors[step.Protocol]
-		if !isEntry || opened[step.Protocol] {
-			continue
-		}
-		opened[step.Protocol] = true
-		codec := e.codecs[step.Protocol]
-		closer, err := e.net.Listen(color, codec.Framer, func(data []byte, src netengine.Source, lease *netapi.Buffer) {
-			e.onEntry(codec, data, src, lease)
-		})
-		if err != nil {
-			e.closeEntries()
-			return fmt.Errorf("engine: %s: %w", e.merged.Name, err)
-		}
-		e.entries = append(e.entries, closer)
-	}
-	e.startWorkers()
-	e.startLifecycle()
-	return nil
-}
-
-// startLifecycle flips the engine to Running and, when the caller gave
-// a cancellable lifetime context, arms the watcher that closes the
-// engine with it.
-func (e *Engine) startLifecycle() {
-	e.state.CompareAndSwap(int32(StateStarting), int32(StateRunning))
-	if done := e.baseCtx.Done(); done != nil {
-		go func() {
-			select {
-			case <-done:
-				_ = e.Close()
-			case <-e.quit:
-			}
-		}()
-	}
-}
-
-// StartManaged starts the engine without binding entry listeners: the
-// ingest worker pool runs, but payloads only arrive through Inject.
-// This is the mode used under a provisioning dispatcher, which owns
-// the shared entry listeners for every case it hosts and classifies
-// inbound payloads before handing them to the right engine.
-func (e *Engine) StartManaged() error {
-	e.startWorkers()
-	e.startLifecycle()
-	return nil
-}
-
-func (e *Engine) startWorkers() {
+// Start runs the ingest worker pool and flips the engine to Running:
+// from then on it takes payloads through Inject.
+func (e *Engine) Start() {
 	for _, w := range e.workers {
 		e.workerWG.Add(1)
 		go e.ingestLoop(w)
 	}
+	e.state.CompareAndSwap(int32(StateStarting), int32(StateRunning))
 }
 
-// Inject feeds an entry payload to the engine as if it had arrived on
-// an entry listener for the protocol: it is parsed and routed by the
-// ingest pool exactly like a listener payload. Safe to call from any
-// goroutine. lease is the pooled buffer backing data when the caller
+// Inject is how an entry payload reaches the engine, off the
+// dispatcher's listener for the protocol: it is classified into its
+// priority lane and offered to the lane queue of the ingest worker
+// owning the payload's routing key, so payloads from one origin keep
+// their arrival order, then parsed and routed there. Safe to call from
+// any goroutine. lease is the pooled buffer backing data when the caller
 // received it leased (nil otherwise); the engine takes ownership on
 // every path, including refusals. Payloads for an unknown protocol
 // are counted Ignored and reported; payloads injected after Close are
@@ -706,7 +587,14 @@ func (e *Engine) Inject(proto string, data []byte, src netengine.Source, lease *
 		}
 		return serrors.Mark(fmt.Errorf("engine: %s is closed", e.merged.Name), serrors.ErrClosed)
 	}
-	e.onEntry(codec, data, src, lease)
+	e.ingestTotal.Add(1)
+	if src.Batch > 1 {
+		e.ingestBatched.Add(1)
+	}
+	key := src.RoutingKey()
+	lane := e.classifyLane(codec.Spec.Protocol, key, src)
+	w := e.workers[key.Hash()%uint32(len(e.workers))]
+	e.offer(w.q, lane, ingestJob{codec: codec, key: key, data: data, src: src, lease: lease, arrived: time.Now()})
 	return nil
 }
 
@@ -722,14 +610,13 @@ func (e *Engine) AwaitsEntry(proto, msg, ip string) bool {
 	return e.table.findAwaiting(proto, msg, ip) != nil
 }
 
-// Close stops the engine immediately: entry listeners first, then the
-// ingest workers, and once no worker runs any more it ends every
-// session still live, on the calling goroutine, with an error wrapping
-// serrors.ErrClosed, and closes the requester sockets the workers were
-// lending; last it releases the node, if the engine owns it, and
-// reports Undeployed. Every teardown — Shutdown, the lifetime
-// context — ends here, and only the first call does the work. For a
-// graceful stop that lets live sessions finish first, use Shutdown.
+// Close stops the engine immediately: it refuses further injection,
+// stops the ingest workers, and once no worker runs any more it ends
+// every session still live, on the calling goroutine, with an error
+// wrapping serrors.ErrClosed, and closes the requester sockets the
+// workers were lending; last it reports Undeployed. Every teardown ends
+// here, and only the first call does the work. For a graceful stop that
+// lets live sessions finish first, use Shutdown.
 func (e *Engine) Close() error {
 	e.closeMu.Lock()
 	// state is the single source of truth for the lifecycle; the swap
@@ -739,8 +626,6 @@ func (e *Engine) Close() error {
 	if already {
 		return nil
 	}
-	e.closeEntries()
-	close(e.quit)
 	// Closing the queues wakes the ingest workers (Dequeue returns
 	// false), releases any gate hold a pressured queue has taken — so
 	// paused transport read loops wake for teardown — and hands back
@@ -778,14 +663,10 @@ func (e *Engine) Close() error {
 		}
 	}
 	e.signalDrained() // a closed engine has, vacuously, drained
-	var err error
-	if e.ownsNode {
-		err = e.node.Close()
-	}
 	if e.sink != nil {
 		e.sink.Undeployed(e.merged.Name)
 	}
-	return err
+	return nil
 }
 
 // Shutdown drains the engine gracefully: it stops admitting new
@@ -866,13 +747,6 @@ func (e *Engine) reportDrop(origin netapi.Addr, reason error) {
 	}
 }
 
-func (e *Engine) closeEntries() {
-	for _, c := range e.entries {
-		_ = c.Close()
-	}
-	e.entries = nil
-}
-
 // releaseSlot returns a max-sessions semaphore slot.
 func (e *Engine) releaseSlot() { <-e.sem }
 
@@ -894,22 +768,6 @@ func (e *Engine) classifyLane(proto string, key netengine.RoutingKey, src neteng
 		return lanes.Data
 	}
 	return lanes.Telemetry
-}
-
-// onEntry accepts a payload arriving on an entry listener: it
-// classifies the payload into its priority lane and offers it to the
-// lane queue of the ingest worker owning the payload's routing key, so
-// payloads from one origin keep their arrival order. Safe to call from
-// any listener goroutine.
-func (e *Engine) onEntry(codec *Codec, data []byte, src netengine.Source, lease *netapi.Buffer) {
-	e.ingestTotal.Add(1)
-	if src.Batch > 1 {
-		e.ingestBatched.Add(1)
-	}
-	key := src.RoutingKey()
-	lane := e.classifyLane(codec.Spec.Protocol, key, src)
-	w := e.workers[key.Hash()%uint32(len(e.workers))]
-	e.offer(w.q, lane, ingestJob{codec: codec, key: key, data: data, src: src, lease: lease, arrived: time.Now()})
 }
 
 // offer takes a work token for job and enqueues it on q. The read lock

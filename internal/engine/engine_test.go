@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"starlink/internal/protocols/dnssd"
 	"starlink/internal/protocols/slp"
 	"starlink/internal/protocols/upnp"
+	"starlink/internal/provision"
 	"starlink/internal/registry"
 	"starlink/internal/simnet"
 )
@@ -24,7 +26,6 @@ type testSink struct {
 	drop func(origin netapi.Addr, reason error)
 }
 
-func (*testSink) Deployed(string, uint64)                     {}
 func (*testSink) Undeployed(string)                           {}
 func (*testSink) SessionStart(string, netapi.Addr, time.Time) {}
 
@@ -49,23 +50,24 @@ func onSessionEnd(fn func(engine.SessionStats)) engine.Option {
 	return engine.WithSink(&testSink{end: fn})
 }
 
-// newEngine constructs (without starting) a bridge engine for a case on
-// the given node; the engine is closed with the test.
-func newEngine(t *testing.T, node netapi.Node, caseName string, opts ...engine.Option) *engine.Engine {
+func builtin(t *testing.T) *registry.Registry {
 	t.Helper()
 	reg, err := registry.Builtin()
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := reg.Merged(caseName)
+	return reg
+}
+
+// newEngine constructs (without starting) a bridge engine for a case on
+// the given node; the engine is closed with the test.
+func newEngine(t *testing.T, node netapi.Node, caseName string, opts ...engine.Option) *engine.Engine {
+	t.Helper()
+	c, err := builtin(t).Compiled(caseName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	codecs, err := reg.Codecs(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := engine.New(node, merged, codecs, opts...)
+	e, err := engine.New(node, c.Merged, c.Codecs, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +87,32 @@ func build(t *testing.T, sim *simnet.Net, caseName string, opts ...engine.Option
 	return newEngine(t, node, caseName, opts...)
 }
 
-// deploy builds and starts a bridge engine for a case on the sim.
-func deploy(t *testing.T, sim *simnet.Net, caseName string, opts ...engine.Option) *engine.Engine {
+// hosted deploys a case on a node the test made (a wrapper, a realnet
+// host) the way every bridge is deployed — a dispatcher hosting the one
+// case — and returns the case's engine. The dispatcher is closed with
+// the test.
+func hosted(t *testing.T, node netapi.Node, caseName string, opts ...engine.Option) *engine.Engine {
 	t.Helper()
-	e := build(t, sim, caseName, opts...)
-	if err := e.Start(); err != nil {
+	d := provision.NewDispatcher(builtin(t), node, provision.WithCases(caseName), provision.WithEngineOptions(opts...))
+	t.Cleanup(func() { _ = d.Close() })
+	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	e, _ := d.Engine(caseName)
+	return e
+}
+
+// deploy runs a case on the sim's bridge host 10.0.0.5 through
+// provision.Deploy and returns the case's engine; the deployment is
+// closed with the test.
+func deploy(t *testing.T, sim *simnet.Net, caseName string, opts ...engine.Option) *engine.Engine {
+	t.Helper()
+	d, err := deployCase(context.Background(), t, sim, "10.0.0.5", caseName, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = d.Close() })
+	e, _ := d.Engine(caseName)
 	return e
 }
 
@@ -350,21 +371,27 @@ func TestBridgeNoServiceTimesOut(t *testing.T) {
 	}
 }
 
-// Garbage datagrams on the entry listener must be counted and ignored.
+// Garbage datagrams on the entry listener must be counted and ignored:
+// no candidate protocol classifies them, so no engine sees them.
 func TestBridgeIgnoresGarbage(t *testing.T) {
 	sim := simnet.New()
-	e := deploy(t, sim, "slp-to-bonjour")
+	d, err := deployCase(context.Background(), t, sim, "10.0.0.5", "slp-to-bonjour")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
 	cliNode, _ := sim.NewNode("10.0.0.1")
 	sock, _ := cliNode.OpenUDP(0, func(netapi.Packet) {})
 	if err := sock.Send(netapi.Addr{IP: slp.Group, Port: slp.Port}, []byte{0xde, 0xad}); err != nil {
 		t.Fatal(err)
 	}
 	sim.RunToQuiescence()
-	if e.Counts().ParseErrors != 1 {
-		t.Fatalf("parse errors = %d", e.Counts().ParseErrors)
+	s := d.Counts()
+	if s.Dispatch.ParseErrors != 1 || s.Dispatch.Dispatched != 0 {
+		t.Fatalf("dispatch counters = %+v, want one parse error and nothing dispatched", s.Dispatch)
 	}
-	if e.Counts().Completed != 0 && e.Counts().Failed != 0 {
-		t.Fatal("garbage must not create sessions")
+	if c := s.Cases["slp-to-bonjour"]; c.Ingested != 0 || c.Live+c.Completed+c.Failed != 0 {
+		t.Fatalf("case counters = %+v: garbage must not reach the engine", c.Counters)
 	}
 }
 

@@ -11,6 +11,10 @@ func (e *Engine) LentColors() (lent []bool) {
 	return lent
 }
 
+// FlowGate is the gate the engine's ingest queues pause at their high
+// watermark — under a dispatcher, the one its entry listeners park on.
+func (e *Engine) FlowGate() *netapi.FlowGate { return e.gate }
+
 // PostForPreviousLife queues a requester payload for worker 0's only live
 // session as if it had been read for the session that struct was one
 // life ago; false when the struct has had no earlier life. Call it only

@@ -79,7 +79,8 @@ func TestBridgeConvergenceCollectsMultipleReplies(t *testing.T) {
 }
 
 // Closing the engine mid-session must release resources without
-// crashing; the client's lookup simply returns nothing.
+// crashing; the client's lookup simply returns nothing, and what still
+// reaches the dispatcher's listener is refused by the closed engine.
 func TestBridgeCloseMidSession(t *testing.T) {
 	sim := simnet.New()
 	e := deploy(t, sim, "bonjour-to-slp") // 6.25 s window: plenty of time
@@ -142,11 +143,7 @@ func TestTwoBridgesCoexist(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := newEngine(t, node, caseName)
-		if err := e.Start(); err != nil {
-			t.Fatal(err)
-		}
-		return e
+		return hosted(t, node, caseName)
 	}
 	e1 := deployOn("10.0.0.5", "slp-to-upnp")
 	e2 := deployOn("10.0.0.6", "bonjour-to-upnp")

@@ -229,10 +229,7 @@ func TestRequestersAreLent(t *testing.T) {
 	goroutines0, fds0, leases0 := runtime.NumGoroutine(), openFDs(t), netapi.LeasedBuffers()
 	host, _ := rt.NewNode("10.0.0.5")
 	var opened atomic.Int64
-	e := newEngine(t, countingNode{Node: host, udp: &opened}, "slp-to-bonjour", engine.WithIngestWorkers(workers))
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
+	e := hosted(t, countingNode{Node: host, udp: &opened}, "slp-to-bonjour", engine.WithIngestWorkers(workers))
 	listeners := opened.Load() // 0: the entry listener joins a group
 
 	for i := 1; i <= sequential; i++ {
@@ -277,7 +274,7 @@ func TestRequestersAreLent(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_ = host.Close()
+	_ = host.Close() // and with it the dispatcher's entry listener
 	waitFor(t, "goroutines, descriptors and leases to return to baseline", func() bool {
 		return runtime.NumGoroutine() <= goroutines0 && openFDs(t) <= fds0 && netapi.LeasedBuffers() == leases0
 	})
@@ -299,10 +296,7 @@ func TestUnlentColorOpensPerSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	var opened atomic.Int64
-	e := newEngine(t, countingNode{Node: host, udp: &opened}, "slp-to-upnp", engine.WithIngestWorkers(1))
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
+	e := hosted(t, countingNode{Node: host, udp: &opened}, "slp-to-upnp", engine.WithIngestWorkers(1))
 	ua := slp.NewUserAgent(cliNode, slp.WithConvergenceWait(20*time.Millisecond))
 	for i := 1; i <= sessions; i++ {
 		ua.Lookup("service:printer", func(slp.LookupResult) {})

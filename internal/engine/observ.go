@@ -20,14 +20,10 @@ import (
 // A worker runs nothing else meanwhile, so keep callbacks fast, and never
 // call Close or Shutdown synchronously from inside one.
 type Sink interface {
-	// Deployed announces a case about to serve traffic: an engine that
-	// binds its own entry listeners (Start) reports it before the first
-	// one opens, generation zero; a dispatcher reports it for the managed
-	// engines behind its shared listeners, with the registry generation.
-	Deployed(caseName string, generation uint64)
 	// Undeployed is the engine's one teardown notification, emitted as
-	// Close finishes — whether Close, Shutdown or the lifetime context
-	// started it — after the last SessionEnd.
+	// Close finishes — whether Close or Shutdown started it — after the
+	// last SessionEnd. (Deployed is the dispatcher's to report: see
+	// provision.Sink.)
 	Undeployed(caseName string)
 	// SessionStart fires when an initiator request is admitted as a new
 	// session; SessionEnd as each session finishes.
@@ -54,7 +50,7 @@ type Counters struct {
 	Dropped       int
 	ParseErrors   int
 	Ignored       int
-	// Ingested counts payloads accepted off entry listeners;
+	// Ingested counts payloads injected off the entry listeners;
 	// IngestedBatched counts the subset delivered by a multi-packet
 	// batched receive syscall (recvmmsg) — the structural evidence
 	// that transport batching engages under load.

@@ -444,37 +444,50 @@ func (r *Requester) Heard(src Source) bool {
 // separate spaces, and a stream requester's connection is never heard
 // by a listener of ours — a client's TCP source port may well equal a
 // live requester's UDP port.
+//
+// An entry is one bit of a per-IP port set (a bridge's requesters all
+// bind its one host IP), so a parked session costs the table no heap. A
+// requester leaves before its socket closes: no refcount is needed.
 type EgressTable struct {
 	mu    sync.RWMutex
-	addrs map[netapi.Addr]int
+	ports map[string]*portSet // by local IP
 }
+
+// portSet holds one bit per UDP port.
+type portSet [65536 / 64]uint64
 
 // NewEgressTable returns an empty table.
 func NewEgressTable() *EgressTable {
-	return &EgressTable{addrs: map[netapi.Addr]int{}}
+	return &EgressTable{ports: map[string]*portSet{}}
 }
 
-// Add registers a datagram requester's local address (refcounted).
+// Add registers a datagram requester's local address.
 func (t *EgressTable) Add(r *Requester) {
-	if r.sock == nil {
-		return
-	}
-	t.mu.Lock()
-	t.addrs[r.sock.LocalAddr()]++
-	t.mu.Unlock()
+	t.set(r, true)
 }
 
-// Remove unregisters one registration of the requester's address.
+// Remove unregisters the requester's address.
 func (t *EgressTable) Remove(r *Requester) {
+	t.set(r, false)
+}
+
+func (t *EgressTable) set(r *Requester, on bool) {
 	if r.sock == nil {
 		return
 	}
 	a := r.sock.LocalAddr()
+	port := uint16(a.Port)
+	word, bit := port/64, uint64(1)<<(port%64)
 	t.mu.Lock()
-	if n := t.addrs[a]; n <= 1 {
-		delete(t.addrs, a)
+	ps := t.ports[a.IP]
+	if ps == nil {
+		ps = new(portSet)
+		t.ports[a.IP] = ps
+	}
+	if on {
+		ps[word] |= bit
 	} else {
-		t.addrs[a] = n - 1
+		ps[word] &^= bit
 	}
 	t.mu.Unlock()
 }
@@ -485,8 +498,10 @@ func (t *EgressTable) Contains(src Source) bool {
 	if src.IsStream() {
 		return false
 	}
+	port := uint16(src.Addr.Port)
 	t.mu.RLock()
-	_, ok := t.addrs[src.Addr]
+	ps := t.ports[src.Addr.IP]
+	ok := ps != nil && ps[port/64]&(1<<(port%64)) != 0
 	t.mu.RUnlock()
 	return ok
 }

@@ -244,6 +244,42 @@ func TestTCPRequesterConnectionRefused(t *testing.T) {
 	}
 }
 
+// The egress table holds a requester's address from Add to Remove, and
+// only that address: the same port on another IP is someone else. After
+// the host IP's first socket an entry is a bit, so parking thousands of
+// sessions' requesters in it costs no heap.
+func TestEgressTableHoldsRequesterAddresses(t *testing.T) {
+	sim := simnet.New()
+	n, _ := sim.NewNode("10.0.0.5")
+	e := New(n)
+	var reqs [2]*Requester
+	for i := range reqs {
+		r, err := e.NewRequester(udpMulticastColor("239.5.5.5", "700"), netapi.Addr{}, nil, func([]byte, Source, *netapi.Buffer) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		reqs[i] = r
+	}
+	from := func(r *Requester) Source { return Source{Addr: r.sock.LocalAddr()} }
+	tab := NewEgressTable()
+	tab.Add(reqs[0])
+	tab.Add(reqs[1])
+	other := from(reqs[0])
+	other.Addr.IP = "10.0.0.6"
+	if !tab.Contains(from(reqs[0])) || !tab.Contains(from(reqs[1])) || tab.Contains(other) {
+		t.Fatalf("contains %v, %v, %v; want true, true, false",
+			tab.Contains(from(reqs[0])), tab.Contains(from(reqs[1])), tab.Contains(other))
+	}
+	tab.Remove(reqs[0])
+	if tab.Contains(from(reqs[0])) || !tab.Contains(from(reqs[1])) {
+		t.Fatal("Remove dropped the wrong address")
+	}
+	if n := testing.AllocsPerRun(100, func() { tab.Add(reqs[0]); tab.Remove(reqs[0]) }); n != 0 {
+		t.Errorf("an entry allocates %.1f times", n)
+	}
+}
+
 func TestSourceReplyUnknown(t *testing.T) {
 	var s Source
 	if err := s.Reply([]byte("x")); err == nil {

@@ -54,15 +54,21 @@ func WithSink(sink Sink) Option {
 
 // Sink receives every event of a dispatcher deployment: what each hosted
 // engine reports (engine.Sink — the dispatcher hands the same value to
-// all of them, and reports Deployed for them, after the case's listeners
-// are bound, with the registry generation its artifacts were compiled
-// at) plus the dispatcher's own classifications. Drops the dispatcher
+// all of them) plus the dispatcher's own: a Deployed per case it deploys
+// and a Classified per payload it dispatches. Drops the dispatcher
 // itself decides — the chosen engine already closed — arrive through
 // Dropped like an engine's. Calls come from the listeners', the workers'
 // and the reconciling goroutines and are not serialised; a nil sink
 // costs one branch per event.
 type Sink interface {
 	engine.Sink
+	// Deployed announces a case about to serve traffic, with the registry
+	// generation its artifacts were compiled at. It has returned before
+	// the case's entry points are published on the listeners, so it
+	// precedes every event of the case's sessions. It runs inside the
+	// reconciliation, under the lock that serialises Syncs, so it must
+	// not call Sync.
+	Deployed(caseName string, generation uint64)
 	// Classified fires for every payload handed to an engine, after
 	// classification. Events with Ambiguous set carry an Err marked
 	// serrors.ErrAmbiguousPayload and the full candidate list.
@@ -188,15 +194,15 @@ type listener struct {
 }
 
 // Dispatcher hosts every loaded (or explicitly selected) case of a
-// registry on one bridge node at once. It owns the entry listeners —
-// one per distinct entry color across all deployed cases — and
-// classifies each inbound payload by trial-parsing it against the
-// candidate entry parsers ("entry sniffing"), then hands it to the
-// engine of the case it belongs to. Engines run in managed mode
-// (engine.StartManaged): they never bind sockets of their own, so two
-// cases sharing an entry endpoint (e.g. both SLP-initiated bridges on
-// the SLP multicast group) coexist without port conflicts or duplicate
-// deliveries.
+// registry on one bridge node at once — or one case, which is what a
+// single-case bridge is. It owns the entry listeners — one per distinct
+// entry color across all deployed cases — and classifies each inbound
+// payload against the candidate entry protocols, by signature or by
+// trial parse ("entry sniffing"), then hands it to the engine of the
+// case it belongs to. Engines never bind entry sockets of their own, so
+// two cases sharing an entry endpoint (e.g. both SLP-initiated bridges
+// on the SLP multicast group) coexist without port conflicts or
+// duplicate deliveries.
 //
 // Sync reconciles the deployments with the registry's current state
 // and is cheap when nothing changed, so it can run after every model
@@ -227,6 +233,9 @@ type Dispatcher struct {
 	// quit ends the context watcher when the dispatcher closes first.
 	quit chan struct{}
 
+	// syncMu runs one reconciliation at a time: between deploying a case
+	// and publishing it, no other Sync may rebind the listeners.
+	syncMu    sync.Mutex
 	mu        sync.RWMutex
 	deployed  map[string]*deployment
 	listeners map[string]*listener // by color key
@@ -285,8 +294,9 @@ func NewDispatcher(reg *registry.Registry, node netapi.Node, opts ...Option) *Di
 // mutating the registry (or drive it from a Watcher) to pick up model
 // changes with zero restart.
 //
-// ctx follows the engine.Deploy contract: already cancelled it aborts
-// the deploy, and cancelling it later closes the dispatcher.
+// ctx governs both the deploy and the dispatcher's lifetime (like
+// exec.CommandContext): already cancelled it aborts the deploy, and
+// cancelling it later closes the dispatcher.
 func Deploy(ctx context.Context, reg *registry.Registry, rt netapi.Runtime, hostIP string, cases []string, opts ...Option) (*Dispatcher, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("provision: deploy dispatcher: %w", err)
@@ -347,6 +357,8 @@ func (d *Dispatcher) desiredCases() ([]string, error) {
 // cases are left entirely alone — same engine, same sessions — so a
 // Sync with nothing changed is a cheap no-op.
 func (d *Dispatcher) Sync() error {
+	d.syncMu.Lock()
+	defer d.syncMu.Unlock()
 	names, err := d.desiredCases()
 	if err != nil {
 		return err
@@ -359,22 +371,60 @@ func (d *Dispatcher) Sync() error {
 		}
 		desired[n] = c
 	}
-
-	var stale []*deployment
-	var staleListeners []netapi.Closer
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return serrors.Mark(fmt.Errorf("provision: dispatcher is closed"), serrors.ErrClosed)
+	d.mu.RLock()
+	err = d.syncErrLocked()
+	var todo []string
+	for _, name := range names {
+		if dep, ok := d.deployed[name]; !ok || dep.compiled != desired[name] {
+			todo = append(todo, name)
+		}
 	}
-	if d.State() == engine.StateDraining {
+	d.mu.RUnlock()
+	if err != nil {
+		return err
+	}
+
+	// Deploy new or changed cases, unpublished: no listener reaches them
+	// yet. names is sorted, so engines come up — and allocate their
+	// sockets and ephemeral ports — in deterministic order. A failing
+	// deploy does not abort the reconciliation: the listeners must still
+	// be rebound to the cases that ARE live, or stale entry points would
+	// keep routing payloads to engines closed below.
+	var deployErr error
+	var fresh []*deployment
+	for _, name := range todo {
+		dep, err := d.deploy(name, desired[name])
+		if err != nil {
+			if deployErr == nil {
+				deployErr = fmt.Errorf("provision: deploying %s: %w", name, err)
+			}
+			continue
+		}
+		fresh = append(fresh, dep)
+	}
+	// Reported before the rebind publishes the cases, so no session event
+	// of a case can precede its Deployed, and outside d.mu, so a callback
+	// may call back into the dispatcher (Cases, Snapshot) — but not Sync,
+	// whose syncMu this reconciliation holds.
+	if d.sink != nil {
+		for _, dep := range fresh {
+			d.sink.Deployed(dep.name, dep.compiled.Generation)
+		}
+	}
+
+	d.mu.Lock()
+	if err := d.syncErrLocked(); err != nil {
+		// Closed or draining meanwhile: what was deployed above was never
+		// published, so nothing but this Sync can close it.
 		d.mu.Unlock()
-		return serrors.Mark(fmt.Errorf("provision: dispatcher is draining"), serrors.ErrDraining)
+		d.closeAll(fresh, nil)
+		return err
 	}
 	// Undeploy removed or changed cases. Iteration is sorted so that
 	// teardown — and with it the socket-close events a simulated run
 	// traces — happens in the same order every time; map order here
 	// would break the DST determinism contract.
+	var stale []*deployment
 	for _, name := range sortedMapKeys(d.deployed) {
 		dep := d.deployed[name]
 		if c, ok := desired[name]; ok && c == dep.compiled {
@@ -383,38 +433,11 @@ func (d *Dispatcher) Sync() error {
 		delete(d.deployed, name)
 		stale = append(stale, dep)
 	}
-	// Deploy new or changed cases. A failing deploy does not abort the
-	// reconciliation: the listeners must still be rebound to the cases
-	// that ARE live, or stale entry points would keep routing payloads
-	// to engines closed above.
-	// names is sorted, so engines come up — and allocate their sockets
-	// and ephemeral ports — in deterministic order.
-	var deployErr error
-	var freshlyDeployed []*deployment
-	for _, name := range names {
-		c := desired[name]
-		if _, ok := d.deployed[name]; ok {
-			continue
-		}
-		dep, err := d.deploy(name, c)
-		if err != nil {
-			if deployErr == nil {
-				deployErr = fmt.Errorf("provision: deploying %s: %w", name, err)
-			}
-			continue
-		}
-		d.deployed[name] = dep
-		freshlyDeployed = append(freshlyDeployed, dep)
+	for _, dep := range fresh {
+		d.deployed[dep.name] = dep
 	}
-	staleListeners, err = d.rebindLocked()
+	staleListeners, err := d.rebindLocked()
 	d.mu.Unlock()
-	// Reported outside d.mu so a callback may freely call back into the
-	// dispatcher (Cases, Snapshot) without deadlocking.
-	if d.sink != nil {
-		for _, dep := range freshlyDeployed {
-			d.sink.Deployed(dep.name, dep.compiled.Generation)
-		}
-	}
 	d.closeAll(stale, staleListeners)
 	if deployErr != nil {
 		return deployErr
@@ -426,8 +449,19 @@ func (d *Dispatcher) Sync() error {
 	return err
 }
 
-// deploy builds and starts a managed engine for one case. Caller holds
-// d.mu; Sync reports Deployed once it is released.
+// syncErrLocked is why a Sync may not reconcile now — the dispatcher is
+// closed or draining — or nil. Caller holds d.mu.
+func (d *Dispatcher) syncErrLocked() error {
+	if d.closed {
+		return serrors.Mark(fmt.Errorf("provision: dispatcher is closed"), serrors.ErrClosed)
+	}
+	if d.State() == engine.StateDraining {
+		return serrors.Mark(fmt.Errorf("provision: dispatcher is draining"), serrors.ErrDraining)
+	}
+	return nil
+}
+
+// deploy builds and starts an engine for one case; Sync publishes it.
 func (d *Dispatcher) deploy(name string, c *registry.CompiledCase) (*deployment, error) {
 	opts := append([]engine.Option(nil), d.engOpts...)
 	opts = append(opts, engine.WithEgressTable(d.egress), engine.WithFlowGate(d.gate))
@@ -438,9 +472,7 @@ func (d *Dispatcher) deploy(name string, c *registry.CompiledCase) (*deployment,
 	if err != nil {
 		return nil, err
 	}
-	if err := eng.StartManaged(); err != nil {
-		return nil, err
-	}
+	eng.Start()
 	return &deployment{name: name, compiled: c, eng: eng}, nil
 }
 
@@ -597,13 +629,16 @@ func (d *Dispatcher) dispatch(colorKey string, data []byte, src netengine.Source
 	points, sigs, fast := l.points, l.sigs, l.sigOK
 	d.mu.RUnlock()
 
+	// A payload matches one case, or a few when ambiguous: the matches
+	// live in this frame.
+	var buf [4]match
 	var matches []match
 	var anyClassified bool
 	t0 := time.Now()
 	if fast {
-		matches, anyClassified = d.classifyFast(points, sigs, data, src.Addr.IP)
+		matches, anyClassified = classifyFast(buf[:0], points, sigs, data, src.Addr.IP)
 	} else {
-		matches, anyClassified = d.classifySlow(points, data, src.Addr.IP)
+		matches, anyClassified = classifySlow(buf[:0], points, data, src.Addr.IP)
 	}
 	classifyDur := time.Since(t0)
 	if fast {
@@ -696,33 +731,43 @@ func classifyEvent(matches []match, origin netapi.Addr, fast bool) ClassifyEvent
 	return ev
 }
 
+// verdicts memoizes the signature classification of one payload per
+// protocol, in a tiny linear cache: a listener hosts at most a handful
+// of protocols.
+type verdicts struct {
+	sigs map[string]*protoSignature
+	data []byte
+	memo [4]struct {
+		proto, name string
+		ok          bool
+	}
+	n int
+}
+
+func (v *verdicts) classify(proto string) (string, bool) {
+	for i := 0; i < v.n; i++ {
+		if v.memo[i].proto == proto {
+			return v.memo[i].name, v.memo[i].ok
+		}
+	}
+	name, ok := v.sigs[proto].Classify(v.data)
+	if v.n < len(v.memo) {
+		v.memo[v.n].proto, v.memo[v.n].name, v.memo[v.n].ok = proto, name, ok
+		v.n++
+	}
+	return name, ok
+}
+
 // classifyFast resolves the matching entry points from the signature
-// index alone: no parsing, no allocation beyond the match list.
-func (d *Dispatcher) classifyFast(points []entryPoint, sigs map[string]*protoSignature, data []byte, srcIP string) (matches []match, anyClassified bool) {
-	// Classification per protocol is memoized in a tiny linear cache —
-	// listeners host at most a handful of protocols.
-	type res struct {
-		proto string
-		name  string
-		ok    bool
-	}
-	var cache [4]res
-	nc := 0
-	classify := func(proto string) (string, bool) {
-		for i := 0; i < nc; i++ {
-			if cache[i].proto == proto {
-				return cache[i].name, cache[i].ok
-			}
-		}
-		name, ok := sigs[proto].Classify(data)
-		if nc < len(cache) {
-			cache[nc] = res{proto: proto, name: name, ok: ok}
-			nc++
-		}
-		return name, ok
-	}
+// index alone, appending them to matches: no parsing, and no allocation
+// while they fit the caller's buffer.
+//
+//starlink:hotpath
+func classifyFast(matches []match, points []entryPoint, sigs map[string]*protoSignature, data []byte, srcIP string) ([]match, bool) {
+	v := verdicts{sigs: sigs, data: data}
+	anyClassified := false
 	for _, p := range points {
-		name, ok := classify(p.proto)
+		name, ok := v.classify(p.proto)
 		if !ok {
 			continue
 		}
@@ -733,7 +778,7 @@ func (d *Dispatcher) classifyFast(points []entryPoint, sigs map[string]*protoSig
 	}
 	if len(matches) == 0 {
 		for _, p := range points {
-			if name, ok := classify(p.proto); ok && p.dep.eng.AwaitsEntry(p.proto, name, srcIP) {
+			if name, ok := v.classify(p.proto); ok && p.dep.eng.AwaitsEntry(p.proto, name, srcIP) {
 				matches = append(matches, match{pt: p, msg: name})
 			}
 		}
@@ -743,10 +788,10 @@ func (d *Dispatcher) classifyFast(points []entryPoint, sigs map[string]*protoSig
 
 // classifySlow resolves the matching entry points by trial-parsing the
 // payload with each candidate protocol's entry parser (once per
-// protocol). Parsed messages are classification scratch only — the
-// chosen engine re-parses from the raw payload — so they are recycled
-// before returning.
-func (d *Dispatcher) classifySlow(points []entryPoint, data []byte, srcIP string) (matches []match, anyParsed bool) {
+// protocol), appending them to matches. Parsed messages are
+// classification scratch only — the chosen engine re-parses from the
+// raw payload — so they are recycled before returning.
+func classifySlow(matches []match, points []entryPoint, data []byte, srcIP string) (_ []match, anyParsed bool) {
 	type outcome struct {
 		msg *message.Message
 		ok  bool
@@ -921,26 +966,10 @@ func (d *Dispatcher) Close() error {
 // torn down with sessions still live. Shutdown of an already closed
 // dispatcher returns nil.
 func (d *Dispatcher) Shutdown(ctx context.Context) error {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
+	deps, ok := d.drainPrefix()
+	if !ok {
 		return nil
 	}
-	for {
-		s := d.state.Load()
-		if s >= int32(engine.StateDraining) {
-			break
-		}
-		if d.state.CompareAndSwap(s, int32(engine.StateDraining)) {
-			break
-		}
-	}
-	deps := make([]*deployment, 0, len(d.deployed))
-	for _, dep := range d.deployed {
-		deps = append(deps, dep)
-	}
-	d.mu.Unlock()
-
 	// Drain every engine concurrently: each refuses new sessions from
 	// this point on, and the wait is bounded by the slowest engine (or
 	// ctx). Listeners stay bound during the drain so live sessions
@@ -970,26 +999,30 @@ func (d *Dispatcher) Shutdown(ctx context.Context) error {
 // inside a simulator event callback and let the event loop run the
 // sessions to completion before closing. No-op once closed.
 func (d *Dispatcher) BeginDrain() {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return
-	}
-	for {
-		s := d.state.Load()
-		if s >= int32(engine.StateDraining) {
-			break
-		}
-		if d.state.CompareAndSwap(s, int32(engine.StateDraining)) {
-			break
-		}
-	}
-	deps := make([]*deployment, 0, len(d.deployed))
-	for _, dep := range d.deployed {
-		deps = append(deps, dep)
-	}
-	d.mu.Unlock()
+	deps, _ := d.drainPrefix()
 	for _, dep := range deps {
 		dep.eng.BeginDrain()
 	}
+}
+
+// drainPrefix is what Shutdown and BeginDrain share: it flips the
+// dispatcher to Draining — from then on Sync refuses — and returns the
+// deployments to drain. ok is false, and nothing changes, once closed.
+func (d *Dispatcher) drainPrefix() (deps []*deployment, ok bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return nil, false
+	}
+	for {
+		s := d.state.Load()
+		if s >= int32(engine.StateDraining) || d.state.CompareAndSwap(s, int32(engine.StateDraining)) {
+			break
+		}
+	}
+	deps = make([]*deployment, 0, len(d.deployed))
+	for _, dep := range d.deployed {
+		deps = append(deps, dep)
+	}
+	return deps, true
 }

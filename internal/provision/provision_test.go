@@ -19,6 +19,7 @@ import (
 	"starlink/internal/protocols/dnssd"
 	"starlink/internal/protocols/slp"
 	"starlink/internal/protocols/upnp"
+	"starlink/internal/realnet"
 	"starlink/internal/registry"
 	"starlink/internal/serrors"
 	"starlink/internal/simnet"
@@ -655,6 +656,81 @@ func TestDeployOwnsNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	hostFree("Close")
+}
+
+// orderSink records, without serialising its calls — the Sink contract
+// allows that — whether any session started before Deployed returned.
+type orderSink struct {
+	deployed                 atomic.Bool
+	deploys, sessions, early atomic.Int64
+}
+
+func (k *orderSink) Deployed(string, uint64) {
+	time.Sleep(30 * time.Millisecond) // a slow sink widens the window
+	k.deploys.Add(1)
+	k.deployed.Store(true)
+}
+
+func (k *orderSink) SessionStart(string, netapi.Addr, time.Time) {
+	k.sessions.Add(1)
+	if !k.deployed.Load() {
+		k.early.Add(1)
+	}
+}
+
+func (*orderSink) Undeployed(string)                      {}
+func (*orderSink) SessionEnd(string, engine.SessionStats) {}
+func (*orderSink) Dropped(string, netapi.Addr, error)     {}
+func (*orderSink) Classified(ClassifyEvent)               {}
+
+// TestDeployEventPrecedesSessions: Sync reports a case's Deployed before
+// it publishes the case's entry points, so however fast a client fires
+// once the port is bound — here it is already firing — and however slow
+// a sink that serialises nothing is, no session of the case starts
+// before Deployed has returned.
+func TestDeployEventPrecedesSessions(t *testing.T) {
+	rt := realnet.New()
+	cli, err := rt.NewNode("early-bird")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	sock, err := cli.OpenUDP(0, func(netapi.Packet) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	request := (&slp.SrvRqst{Header: slp.Header{XID: 7, LangTag: "en"}, ServiceType: "service:printer"}).Marshal()
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = sock.Send(netapi.Addr{IP: slp.Group, Port: slp.Port}, request)
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
+	defer func() { close(stop); <-stopped }()
+
+	var sink orderSink
+	d, err := Deploy(context.Background(), builtin(t), rt, "127.0.0.1", []string{"slp-to-bonjour"},
+		WithSink(&sink), WithEngineOptions(engine.WithReceiveTimeout(20*time.Millisecond)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for deadline := time.Now().Add(10 * time.Second); sink.sessions.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the client never opened a session")
+		}
+	}
+	if deploys, early := sink.deploys.Load(), sink.early.Load(); deploys != 1 || early != 0 {
+		t.Fatalf("%d deploy event(s), %d of %d sessions started before Deployed returned; want 1 and 0",
+			deploys, early, sink.sessions.Load())
+	}
 }
 
 // BenchmarkWatcherNoopPoll is one poll of an unchanged model directory:

@@ -323,8 +323,8 @@ func TestClassificationPathsAgree(t *testing.T) {
 			}
 		}
 		for name, wire := range payloads {
-			fast, fastAny := d.classifyFast(l.points, l.sigs, wire, "10.0.0.1")
-			slow, slowAny := d.classifySlow(l.points, wire, "10.0.0.1")
+			fast, fastAny := classifyFast(nil, l.points, l.sigs, wire, "10.0.0.1")
+			slow, slowAny := classifySlow(nil, l.points, wire, "10.0.0.1")
 			if fastAny != slowAny || !reflect.DeepEqual(names(fast), names(slow)) {
 				t.Errorf("listener %s, %s: fast = %v (%v), slow = %v (%v)",
 					key, name, names(fast), fastAny, names(slow), slowAny)
@@ -394,31 +394,31 @@ func TestDispatcherClassificationEquivalence(t *testing.T) {
 	}
 }
 
-// BenchmarkDispatcherClassify compares the two classification paths on
-// a live dispatcher hosting all seven example cases, classifying an
-// SLP service request arriving on the shared SLP multicast listener
-// (two candidate cases) — the acceptance gate is signature ≥ 2× faster
-// than trial-parse.
-func BenchmarkDispatcherClassify(b *testing.B) {
+// sharedSLPListener deploys all seven example cases on a dispatcher and
+// returns its shared SLP multicast listener (slp-to-bonjour +
+// slp-to-upnp) and an SLP service request, which classifies there as
+// the ambiguous pair. The dispatcher is closed with tb.
+func sharedSLPListener(tb testing.TB) (*listener, []byte) {
+	tb.Helper()
 	sim := simnet.New()
 	reg, err := registry.Builtin()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if _, err := registry.LoadFS(reg, os.DirFS(fixturesDir)); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	node, err := sim.NewNode("10.0.0.5")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	d := NewDispatcher(reg, node)
+	tb.Cleanup(func() { _ = d.Close() })
 	if err := d.Sync(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer d.Close()
 	if n := len(d.Cases()); n < 4 {
-		b.Fatalf("want >= 4 cases loaded, have %d", n)
+		tb.Fatalf("want >= 4 cases loaded, have %d", n)
 	}
 
 	req := message.New("SLP", "SLPSrvRequest")
@@ -426,9 +426,8 @@ func BenchmarkDispatcherClassify(b *testing.B) {
 	req.AddPrimitive("XID", "Integer", message.Int(42))
 	req.AddPrimitive("LangTag", "String", message.Str("en"))
 	req.AddPrimitive("SRVType", "String", message.Str("service:printer"))
-	wire := composeSample(b, reg, req)
+	wire := composeSample(tb, reg, req)
 
-	// The shared SLP multicast listener (slp-to-bonjour + slp-to-upnp).
 	d.mu.RLock()
 	var l *listener
 	for _, cand := range d.listeners {
@@ -438,16 +437,45 @@ func BenchmarkDispatcherClassify(b *testing.B) {
 	}
 	d.mu.RUnlock()
 	if l == nil {
-		b.Fatal("no shared SLP listener found")
+		tb.Fatal("no shared SLP listener found")
 	}
 	if !l.sigOK {
-		b.Fatal("SLP listener has no derivable signature index")
+		tb.Fatal("SLP listener has no derivable signature index")
 	}
+	return l, wire
+}
 
+// TestClassifyFastAllocs pins the signature path at zero allocations per
+// payload: its matches fit the buffer dispatch keeps on its stack, and
+// its per-protocol memo is a value, not a closure.
+func TestClassifyFastAllocs(t *testing.T) {
+	l, wire := sharedSLPListener(t)
+	var n int
+	allocs := testing.AllocsPerRun(100, func() {
+		var buf [4]match
+		matches, _ := classifyFast(buf[:0], l.points, l.sigs, wire, "10.0.0.1")
+		n = len(matches)
+	})
+	if n != 2 {
+		t.Fatalf("matches = %d, want 2 (ambiguous pair)", n)
+	}
+	if allocs != 0 {
+		t.Errorf("classifyFast allocates %.1f times per payload, want 0", allocs)
+	}
+}
+
+// BenchmarkDispatcherClassify compares the two classification paths on
+// a live dispatcher hosting all seven example cases, classifying an
+// SLP service request arriving on the shared SLP multicast listener
+// (two candidate cases) — the acceptance gate is signature ≥ 2× faster
+// than trial-parse.
+func BenchmarkDispatcherClassify(b *testing.B) {
+	l, wire := sharedSLPListener(b)
 	b.Run("signature", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			matches, _ := d.classifyFast(l.points, l.sigs, wire, "10.0.0.1")
+			var buf [4]match
+			matches, _ := classifyFast(buf[:0], l.points, l.sigs, wire, "10.0.0.1")
 			if len(matches) != 2 {
 				b.Fatalf("matches = %d, want 2 (ambiguous pair)", len(matches))
 			}
@@ -456,7 +484,8 @@ func BenchmarkDispatcherClassify(b *testing.B) {
 	b.Run("trialparse", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			matches, _ := d.classifySlow(l.points, wire, "10.0.0.1")
+			var buf [4]match
+			matches, _ := classifySlow(buf[:0], l.points, wire, "10.0.0.1")
 			if len(matches) != 2 {
 				b.Fatalf("matches = %d, want 2 (ambiguous pair)", len(matches))
 			}

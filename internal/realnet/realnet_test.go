@@ -111,22 +111,8 @@ func TestStreamRoundtrip(t *testing.T) {
 	}
 	defer l.Close()
 
-	// Find the listener's port by dialing its Close-protected API is
-	// not exposed; use a fixed port instead.
-	l2, err := srv.ListenStream(39571, nil, func(c netapi.Conn, data []byte) {
-		if data != nil {
-			if err := c.Send(append([]byte("echo:"), data...)); err != nil {
-				t.Error(err)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-
 	var got string
-	conn, err := cli.DialStream(netapi.Addr{IP: "127.0.0.1", Port: 39571}, func(c netapi.Conn, data []byte) {
+	conn, err := cli.DialStream(netapi.Addr{IP: "127.0.0.1", Port: l.(*listener).Addr().Port}, func(c netapi.Conn, data []byte) {
 		if data != nil {
 			got += string(data)
 		}
@@ -151,7 +137,7 @@ func TestStreamReadBufferRecycled(t *testing.T) {
 	srv, _ := rt.NewNode("srv")
 	cli, _ := rt.NewNode("cli")
 	closed := 0
-	l, err := srv.ListenStream(39572, nil, func(c netapi.Conn, data []byte) {
+	l, err := srv.ListenStream(0, nil, func(c netapi.Conn, data []byte) {
 		if data == nil {
 			closed++
 			return
@@ -164,9 +150,10 @@ func TestStreamReadBufferRecycled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	port := l.(*listener).Addr().Port
 	exchange := func(i int) {
 		echoed := false
-		conn, err := cli.DialStream(netapi.Addr{IP: "127.0.0.1", Port: 39572}, func(c netapi.Conn, data []byte) {
+		conn, err := cli.DialStream(netapi.Addr{IP: "127.0.0.1", Port: port}, func(c netapi.Conn, data []byte) {
 			echoed = echoed || data != nil
 		})
 		if err != nil {

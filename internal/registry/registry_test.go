@@ -380,10 +380,7 @@ func TestConcurrentMutation(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := eng.StartManaged(); err != nil {
-					t.Error(err)
-					return
-				}
+				eng.Start()
 				if err := eng.Close(); err != nil {
 					t.Error(err)
 					return

@@ -101,9 +101,10 @@ func (m SessionMetrics) add(o SessionMetrics) SessionMetrics {
 	return m
 }
 
-// DispatchMetrics is a consistent snapshot of a dispatcher's payload
-// classification counters. Zero-valued for single-case bridges, which
-// bind their entry listeners directly.
+// DispatchMetrics is a consistent snapshot of the payload classification
+// counters of a deployment's entry listeners — a bridge's as much as a
+// dispatcher's: both classify every entry payload before handing it to
+// a case.
 type DispatchMetrics struct {
 	// Dispatched counts payloads handed to a case's engine.
 	Dispatched int
@@ -156,17 +157,16 @@ type LaneMetrics struct {
 }
 
 // Metrics is one deployment's full observability snapshot: lifecycle
-// state, aggregate and per-case session counters, and — for
-// dispatchers — the classification counters of the shared entry
-// listeners. Obtain it from Deployment.Metrics at any time, from any
-// goroutine.
+// state, aggregate and per-case session counters, and the
+// classification counters of its entry listeners. Obtain it from
+// Deployment.Metrics at any time, from any goroutine.
 type Metrics struct {
 	// State is the deployment's lifecycle state at snapshot time.
 	State State
 	// Sessions aggregates the session counters across every case.
 	Sessions SessionMetrics
-	// Dispatch holds the dispatcher classification counters (zero for
-	// a single-case bridge).
+	// Dispatch holds the classification counters of the deployment's
+	// entry listeners.
 	Dispatch DispatchMetrics
 	// Cases breaks the session counters down per hosted case.
 	Cases map[string]SessionMetrics
@@ -188,9 +188,9 @@ type Metrics struct {
 	Transport TransportMetrics
 }
 
-// metricsOf builds the public snapshot of a deployment from the internal
-// one; a single-case bridge is the one-case shape with a zero Dispatch
-// section. The counter blocks convert struct to struct — the internal
+// metricsOf builds the public snapshot of a deployment — a bridge or a
+// dispatcher, both a provision.Dispatcher underneath — from the internal
+// one. The counter blocks convert struct to struct — the internal
 // types mirror the public ones field for field, so a counter added on one
 // side only stops compiling here instead of being silently dropped.
 func metricsOf(s provision.Snapshot) Metrics {

@@ -124,7 +124,7 @@ type SessionStats struct {
 }
 
 // Classification describes one entry payload classified by a
-// dispatcher's shared listeners.
+// deployment's entry listeners (a bridge's or a dispatcher's).
 type Classification struct {
 	// Case is the case the payload was dispatched to.
 	Case string
@@ -146,19 +146,18 @@ type Classification struct {
 	Err error
 }
 
-// CaseEvent announces a case (un)deployment. The deploy event is emitted
-// before the case's entry listeners open, so it precedes every session
-// event of the case; a deploy that then fails (a port already bound, a
-// context cancelled mid-deploy) is followed by its undeploy event. The
-// undeploy event is emitted once per deployed case, after the last
-// session event, whichever of Close, Shutdown or context cancellation
-// tore the case down.
+// CaseEvent announces a case (un)deployment. The deploy event has been
+// delivered before the case's entry listeners reach it, so it precedes
+// every session event of the case; a deploy that then fails (a port
+// already bound, a context cancelled mid-deploy) is followed by its
+// undeploy event. The undeploy event is emitted once per deployed case,
+// after the last session event, whichever of Close, Shutdown or context
+// cancellation tore the case down.
 type CaseEvent struct {
 	// Case is the merged automaton name.
 	Case string
 	// Generation is the registry generation the case's artifacts were
-	// compiled at (zero for single-case bridges, which deploy outside
-	// the reconciliation loop).
+	// compiled at.
 	Generation uint64
 }
 
@@ -184,10 +183,12 @@ type Drop struct {
 // their own unless shared across deployments.
 //
 // Callbacks run on the deployment's internal goroutines: keep them
-// fast and non-blocking, and never call Close or Shutdown
-// synchronously from inside a callback — those wait for the very
-// goroutines the callback runs on. To tear a deployment down in
-// reaction to an event, do it from a fresh goroutine.
+// fast and non-blocking, and never call Close, Shutdown or Sync
+// synchronously from inside a callback — Close and Shutdown wait for
+// the very goroutines the callback runs on, and OnDeploy runs inside
+// the reconciliation a Sync waits its turn for. To tear a deployment
+// down or resync it in reaction to an event, do it from a fresh
+// goroutine.
 //
 // Implement the interface directly, or use Hooks to provide only the
 // callbacks you need.

@@ -114,66 +114,81 @@ func TestObserverSerialisedAcrossCases(t *testing.T) {
 	}
 }
 
-// TestBridgeDeployEventPrecedesSessions: a bridge's deploy event is
-// delivered before its entry listeners open, so however fast a client
-// fires once the port is bound — here it is already firing — and however
-// slow the observer is, no session is admitted until OnDeploy has
-// returned.
+// TestBridgeDeployEventPrecedesSessions: a deployment's deploy event is
+// delivered before its entry listeners reach the case, so however fast a
+// client fires once the port is bound — here it is already firing — and
+// however slow the observer is, no session is admitted until OnDeploy has
+// returned. A bridge and a dispatcher are deployed the same way, so the
+// same holds for both.
 func TestBridgeDeployEventPrecedesSessions(t *testing.T) {
-	rt := starlink.Loopback()
-	net := rt.Backend().(*realnet.Runtime)
-	fw, err := starlink.New(rt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	defer close(stop)
-	blast(t, net, &wg, stop, "early-bird", 4, netapi.Addr{IP: slp.Group, Port: slp.Port}, composeSLPRequest(t, 7))
+	for _, tc := range []struct {
+		name   string
+		deploy func(*starlink.Framework, ...starlink.Option) (starlink.Deployment, error)
+	}{
+		{"DeployBridge", func(fw *starlink.Framework, opts ...starlink.Option) (starlink.Deployment, error) {
+			return fw.DeployBridge(context.Background(), "127.0.0.1", "slp-to-bonjour", opts...)
+		}},
+		{"DeployDispatcher", func(fw *starlink.Framework, opts ...starlink.Option) (starlink.Deployment, error) {
+			return fw.DeployDispatcher(context.Background(), "127.0.0.1", []string{"slp-to-bonjour"}, opts...)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := starlink.Loopback()
+			net := rt.Backend().(*realnet.Runtime)
+			fw, err := starlink.New(rt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			defer wg.Wait()
+			defer close(stop)
+			blast(t, net, &wg, stop, "early-bird", 4, netapi.Addr{IP: slp.Group, Port: slp.Port}, composeSLPRequest(t, 7))
 
-	// Callbacks are serialised, so these need no lock among themselves;
-	// mu orders them against the test goroutine.
-	var mu sync.Mutex
-	var deployed time.Time // when OnDeploy returned
-	deploys, sessions, early := 0, 0, 0
-	bridge, err := fw.DeployBridge(context.Background(), "127.0.0.1", "slp-to-bonjour",
-		starlink.WithReceiveTimeout(20*time.Millisecond),
-		starlink.WithObserver(starlink.Hooks{
-			Deploy: func(starlink.CaseEvent) {
-				time.Sleep(30 * time.Millisecond) // a slow observer widens the window
+			// Callbacks are serialised, so these need no lock among themselves;
+			// mu orders them against the test goroutine.
+			var mu sync.Mutex
+			var deployed time.Time // when OnDeploy returned
+			deploys, sessions, early := 0, 0, 0
+			dep, err := tc.deploy(fw,
+				starlink.WithReceiveTimeout(20*time.Millisecond),
+				starlink.WithObserver(starlink.Hooks{
+					Deploy: func(starlink.CaseEvent) {
+						time.Sleep(30 * time.Millisecond) // a slow observer widens the window
+						mu.Lock()
+						deploys++
+						deployed = time.Now()
+						mu.Unlock()
+					},
+					SessionStart: func(e starlink.SessionStart) {
+						mu.Lock()
+						sessions++
+						if deployed.IsZero() || e.At.Before(deployed) {
+							early++
+						}
+						mu.Unlock()
+					},
+				}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dep.Close()
+			admitted := func() int {
 				mu.Lock()
-				deploys++
-				deployed = time.Now()
-				mu.Unlock()
-			},
-			SessionStart: func(e starlink.SessionStart) {
-				mu.Lock()
-				sessions++
-				if deployed.IsZero() || e.At.Before(deployed) {
-					early++
+				defer mu.Unlock()
+				return sessions
+			}
+			for deadline := time.Now().Add(10 * time.Second); admitted() == 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the client never opened a session")
 				}
-				mu.Unlock()
-			},
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bridge.Close()
-	admitted := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		return sessions
-	}
-	for deadline := time.Now().Add(10 * time.Second); admitted() == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the client never opened a session")
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if deploys != 1 || early != 0 {
-		t.Fatalf("%d deploy event(s), %d of %d sessions admitted before OnDeploy returned; want 1 and 0",
-			deploys, early, sessions)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if deploys != 1 || early != 0 {
+				t.Fatalf("%d deploy event(s), %d of %d sessions admitted before OnDeploy returned; want 1 and 0",
+					deploys, early, sessions)
+			}
+		})
 	}
 }

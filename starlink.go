@@ -55,15 +55,16 @@
 // compose into a chain, invoked in registration order and serialised
 // per deployment), implement only what you need via Hooks, and read
 // consistent counter snapshots at any time with Deployment.Metrics().
-// A case's deploy event is delivered before its entry listeners open
+// A case's deploy event is delivered before its entry listeners reach it
 // and its undeploy event exactly once, after its last session event.
 //
-// Underneath, each job is done once: the internal layers report to a
-// single event sink (the observer chain is its only implementation, and
-// a deployment without observers pays one nil check per event), each
-// layer exposes one Snapshot struct that Metrics is built from, and
-// Framework holds nothing but the registry and the runtime — the engine
-// and the dispatcher deploy themselves (DESIGN.md §10).
+// Underneath, each job is done once: a Bridge is a Dispatcher hosting one
+// case, so both deploy through one call and serve through one ingress
+// path; the internal layers report to a single event sink (the observer
+// chain is its only implementation, and a deployment without observers
+// pays one nil check per event), each layer exposes one Snapshot struct
+// that Metrics is built from, and Framework holds nothing but the
+// registry and the runtime (DESIGN.md §10).
 //
 // Three deeper surfaces sit underneath the counters. Every session
 // carries a flight recorder — a fixed-size, allocation-free ring of
@@ -241,26 +242,20 @@ func (f *Framework) Registry() *Registry { return f.reg }
 
 // DeployBridge creates a bridge host with the given IP, instantiates
 // the named merged automaton on it and starts listening. The bridge is
-// transparent: neither legacy side needs to know it exists.
+// transparent: neither legacy side needs to know it exists. It is
+// deployed exactly as a dispatcher hosting the one case, so its entry
+// payloads are classified like a dispatcher's (Metrics.Dispatch).
 //
 // ctx governs both the deploy and the bridge's lifetime: a cancelled
 // ctx aborts the deploy (releasing everything already created), and
 // cancelling it later closes the bridge, tearing down in-flight
 // sessions. Unknown case names fail with ErrUnknownCase.
 func (f *Framework) DeployBridge(ctx context.Context, hostIP, caseName string, opts ...Option) (*Bridge, error) {
-	cfg := compileOptions(opts)
-	// The registry's compiled-case cache makes repeated deployments of
-	// an unchanged case free of recompilation and codec construction.
-	c, err := f.reg.r.Compiled(caseName)
+	d, err := f.deploy(ctx, hostIP, []string{caseName}, opts)
 	if err != nil {
 		return nil, err
 	}
-	e, err := engine.Deploy(ctx, f.rt.rt, hostIP, c.Merged, c.Codecs,
-		append(cfg.engineOptions(), engine.WithSink(cfg.sink()))...)
-	if err != nil {
-		return nil, err
-	}
-	return &Bridge{e: e}, nil
+	return &Bridge{d: d, name: caseName}, nil
 }
 
 // DeployDispatcher creates a bridge host with the given IP and hosts
@@ -272,53 +267,52 @@ func (f *Framework) DeployBridge(ctx context.Context, hostIP, caseName string, o
 // ErrUnknownCase. Call Sync after mutating the registry to pick up
 // model changes with zero restart.
 func (f *Framework) DeployDispatcher(ctx context.Context, hostIP string, cases []string, opts ...Option) (*Dispatcher, error) {
-	cfg := compileOptions(opts)
-	d, err := provision.Deploy(ctx, f.reg.r, f.rt.rt, hostIP, cases,
-		provision.WithEngineOptions(cfg.engineOptions()...), provision.WithSink(cfg.sink()))
+	d, err := f.deploy(ctx, hostIP, cases, opts)
 	if err != nil {
 		return nil, err
 	}
 	return &Dispatcher{d: d}, nil
 }
 
+// deploy is the one way a deployment is made, a bridge or a dispatcher:
+// a provisioning dispatcher hosting cases on a bridge host it owns.
+func (f *Framework) deploy(ctx context.Context, hostIP string, cases []string, opts []Option) (*provision.Dispatcher, error) {
+	cfg := compileOptions(opts)
+	return provision.Deploy(ctx, f.reg.r, f.rt.rt, hostIP, cases,
+		provision.WithEngineOptions(cfg.engineOptions()...), provision.WithSink(cfg.sink()))
+}
+
 // Bridge is a deployed interoperability connector executing one merged
-// automaton.
+// automaton: a dispatcher hosting that one case.
 type Bridge struct {
-	e *engine.Engine
+	d    *provision.Dispatcher
+	name string
 }
 
 // Case returns the name of the merged automaton the bridge executes.
-func (b *Bridge) Case() string { return b.e.Case() }
+func (b *Bridge) Case() string { return b.name }
 
 // State returns the bridge's lifecycle state.
-func (b *Bridge) State() State { return stateOf(b.e.State()) }
+func (b *Bridge) State() State { return stateOf(b.d.State()) }
 
 // Metrics returns a consistent snapshot of the bridge's session
-// counters and staged latency distributions. The Dispatch section is
-// zero for a single-case bridge.
-func (b *Bridge) Metrics() Metrics {
-	s := b.e.Snapshot()
-	return metricsOf(provision.Snapshot{
-		State: s.State,
-		Cases: map[string]engine.Snapshot{b.e.Case(): s},
-	})
-}
+// counters, staged latency distributions and the classification
+// counters of its entry listeners.
+func (b *Bridge) Metrics() Metrics { return metricsOf(b.d.Snapshot()) }
 
 // Sessions lists the bridge's currently live sessions, oldest first.
-func (b *Bridge) Sessions() []SessionInfo {
-	return sessionsOf(map[string][]engine.LiveSession{b.e.Case(): b.e.LiveSessions()})
-}
+func (b *Bridge) Sessions() []SessionInfo { return sessionsOf(b.d.LiveSessions()) }
 
 // Shutdown drains the bridge gracefully: no new sessions are admitted
 // (late initiator requests surface as ErrDraining drops), live
 // sessions run to completion, and ctx bounds the drain — on expiry the
 // remaining sessions are torn down and the returned error wraps
 // ctx.Err(). The bridge host is released either way.
-func (b *Bridge) Shutdown(ctx context.Context) error { return b.e.Shutdown(ctx) }
+func (b *Bridge) Shutdown(ctx context.Context) error { return b.d.Shutdown(ctx) }
 
 // Close undeploys the bridge immediately, tearing down in-flight
 // sessions and releasing the bridge host.
-func (b *Bridge) Close() error { return b.e.Close() }
+func (b *Bridge) Close() error { return b.d.Close() }
 
 // Dispatcher is a multi-case bridge deployment: one daemon hosting
 // every selected case at once behind shared entry listeners, with
@@ -334,6 +328,8 @@ func (d *Dispatcher) Cases() []string { return d.d.Cases() }
 // new cases are deployed, changed ones redeployed, unloaded ones
 // undeployed. A Sync with nothing changed is a cheap no-op. Syncing a
 // draining or closed dispatcher fails with ErrDraining / ErrClosed.
+// Syncs run one at a time, and a Sync delivers its deploy events before
+// it returns, so an observer must not call Sync from OnDeploy.
 func (d *Dispatcher) Sync() error { return d.d.Sync() }
 
 // State returns the dispatcher's lifecycle state.
