@@ -141,8 +141,7 @@ func AcquireWriter() *Writer {
 }
 
 // ReleaseWriter resets w and returns it to the pool. The caller must
-// not use w (or retain slices from a previous Bytes call's copy — those
-// are safe, being copies) afterwards.
+// not use w afterwards; what AppendBytes appended elsewhere stays valid.
 func ReleaseWriter(w *Writer) {
 	w.Reset()
 	writerPool.Put(w)
@@ -219,12 +218,10 @@ func (w *Writer) WriteBytes(p []byte) error {
 	return nil
 }
 
-// Bytes returns the assembled bytes. A trailing partial byte is padded
-// with zero bits. The returned slice is a copy.
-func (w *Writer) Bytes() []byte {
-	out := make([]byte, (w.pos+7)/8)
-	copy(out, w.data)
-	return out
+// AppendBytes appends the assembled bytes to dst and returns the
+// extended slice. A trailing partial byte is padded with zero bits.
+func (w *Writer) AppendBytes(dst []byte) []byte {
+	return append(dst, w.data[:(w.pos+7)/8]...)
 }
 
 // PatchBits overwrites n bits at absolute bit position pos with the low

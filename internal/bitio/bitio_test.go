@@ -122,7 +122,7 @@ func TestWriteBitsBasic(t *testing.T) {
 	if err := w.WriteBits(0b10100, 5); err != nil {
 		t.Fatal(err)
 	}
-	got := w.Bytes()
+	got := w.AppendBytes(nil)
 	if !bytes.Equal(got, []byte{0b10110100}) {
 		t.Fatalf("got %08b", got)
 	}
@@ -149,7 +149,7 @@ func TestWriteBytesUnaligned(t *testing.T) {
 	if err := w.WriteBytes([]byte{0xBC}); err != nil {
 		t.Fatal(err)
 	}
-	got := w.Bytes()
+	got := w.AppendBytes(nil)
 	if !bytes.Equal(got, []byte{0xAB, 0xC0}) {
 		t.Fatalf("got %x", got)
 	}
@@ -166,7 +166,7 @@ func TestPatchBits(t *testing.T) {
 	if err := w.PatchBits(0, 3, 16); err != nil {
 		t.Fatal(err)
 	}
-	got := w.Bytes()
+	got := w.AppendBytes(nil)
 	want := append([]byte{0, 3}, []byte("abc")...)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("got %v want %v", got, want)
@@ -204,7 +204,7 @@ func TestQuickRoundtrip(t *testing.T) {
 				return false
 			}
 		}
-		r := NewReader(w.Bytes())
+		r := NewReader(w.AppendBytes(nil))
 		for _, fs := range fields {
 			got, err := r.ReadBits(fs.bits)
 			if err != nil || got != fs.v {
@@ -231,7 +231,7 @@ func TestQuickBytesRoundtripAtOffset(t *testing.T) {
 		if err := w.WriteBytes(data); err != nil {
 			return false
 		}
-		r := NewReader(w.Bytes())
+		r := NewReader(w.AppendBytes(nil))
 		if off > 0 {
 			if _, err := r.ReadBits(off); err != nil {
 				return false

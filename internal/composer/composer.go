@@ -53,13 +53,21 @@ func New(spec *mdl.Spec, reg *types.Registry, funcs *types.FuncRegistry) (*Compo
 // Spec returns the MDL specification the composer interprets.
 func (c *Composer) Spec() *mdl.Spec { return c.spec }
 
-// Compose serialises msg. The message's Name selects the message
-// definition, whose layout msg is bound to; the rule field is filled
-// automatically so callers (and translation logic) never set protocol
-// discriminators by hand.
+// Compose serialises msg into a new slice: AppendCompose(nil, msg).
+func (c *Composer) Compose(msg *message.Message) ([]byte, error) {
+	return c.AppendCompose(nil, msg)
+}
+
+// AppendCompose serialises msg, appends the wire to dst and returns the
+// extended slice (dst itself on error). The message's Name selects the
+// message definition, whose layout msg is bound to; the rule field is
+// filled automatically so callers (and translation logic) never set
+// protocol discriminators by hand. The wire is assembled in a pooled
+// buffer and copied once, into dst: a caller that reuses dst composes
+// without allocating.
 //
 //starlink:hotpath
-func (c *Composer) Compose(msg *message.Message) ([]byte, error) {
+func (c *Composer) AppendCompose(dst []byte, msg *message.Message) ([]byte, error) {
 	var pl *mdl.Plan
 	for _, p := range c.r.Plans {
 		if p.Def.Name == msg.Name {
@@ -68,18 +76,18 @@ func (c *Composer) Compose(msg *message.Message) ([]byte, error) {
 		}
 	}
 	if pl == nil {
-		return nil, fmt.Errorf("composer: spec %s has no message %q", c.spec.Protocol, msg.Name)
+		return dst, fmt.Errorf("composer: spec %s has no message %q", c.spec.Protocol, msg.Name)
 	}
 	if msg.Layout() != pl.Layout {
 		msg.SetLayout(pl.Layout)
 	}
 	switch c.spec.Dialect {
 	case mdl.DialectBinary:
-		return c.composeBinary(msg, pl)
+		return c.composeBinary(dst, msg, pl)
 	case mdl.DialectText:
-		return c.composeText(msg, pl)
+		return c.composeText(dst, msg, pl)
 	default:
-		return nil, fmt.Errorf("composer: spec %s has invalid dialect", c.spec.Protocol)
+		return dst, fmt.Errorf("composer: spec %s has invalid dialect", c.spec.Protocol)
 	}
 }
 
@@ -94,10 +102,11 @@ type patch struct {
 	e      *mdl.Entry
 }
 
-// encoded is a memoized variable-width encoding; ok marks it computed.
+// encoded is a memoized variable-width encoding, arena[start:end]; ok
+// marks it computed.
 type encoded struct {
-	raw []byte
-	ok  bool
+	start, end int
+	ok         bool
 }
 
 type binaryCtx struct {
@@ -111,19 +120,39 @@ type binaryCtx struct {
 	// written, and f-length patches measure it after, so every variable
 	// field would otherwise be encoded twice.
 	enc []encoded
+	// arena holds every encoding of one compose, appended by the
+	// marshallers; it is pooled with the context.
+	arena []byte
 }
 
 // encode returns the variable-width encoding of a top-level field,
 // memoized for the duration of one compose.
 func (b *binaryCtx) encode(e *mdl.Entry, f *message.Field) ([]byte, error) {
 	if e.Slot >= 0 && b.enc[e.Slot].ok {
-		return b.enc[e.Slot].raw, nil
+		x := b.enc[e.Slot]
+		return b.arena[x.start:x.end], nil
 	}
-	raw, err := encodeValue(e, f, 0)
+	start := len(b.arena)
+	raw, err := b.marshal(e, f, 0)
 	if err == nil && e.Slot >= 0 {
-		b.enc[e.Slot] = encoded{raw, true}
+		b.enc[e.Slot] = encoded{start, len(b.arena), true}
 	}
 	return raw, err
+}
+
+// marshal appends a field's encoding to the arena and returns it,
+// imploding a structured field first. The slice stays valid for the
+// compose: the arena only grows.
+func (b *binaryCtx) marshal(e *mdl.Entry, f *message.Field, bits int) ([]byte, error) {
+	v, err := implode(e, e.Label, f)
+	if err != nil {
+		return nil, err
+	}
+	start := len(b.arena)
+	if b.arena, err = e.M.AppendMarshal(b.arena, v, bits); err != nil {
+		return nil, fmt.Errorf("field %q: %w", e.Label, err)
+	}
+	return b.arena[start:], nil
 }
 
 // EncodedLength implements types.FuncContext.
@@ -177,41 +206,41 @@ func acquireBinaryCtx(c *Composer, msg *message.Message, pl *mdl.Plan) *binaryCt
 func releaseBinaryCtx(ctx *binaryCtx) {
 	bitio.ReleaseWriter(ctx.w)
 	clear(ctx.enc)
-	*ctx = binaryCtx{patches: ctx.patches[:0], enc: ctx.enc[:0]}
+	*ctx = binaryCtx{patches: ctx.patches[:0], enc: ctx.enc[:0], arena: ctx.arena[:0]}
 	binCtxPool.Put(ctx)
 }
 
 //starlink:hotpath
-func (c *Composer) composeBinary(msg *message.Message, pl *mdl.Plan) ([]byte, error) {
+func (c *Composer) composeBinary(dst []byte, msg *message.Message, pl *mdl.Plan) ([]byte, error) {
 	ctx := acquireBinaryCtx(c, msg, pl)
 	defer releaseBinaryCtx(ctx)
 
 	if err := c.writeFields(ctx, pl.Header, msg, nil); err != nil {
-		return nil, fmt.Errorf("composer: %s header: %w", c.spec.Protocol, err)
+		return dst, fmt.Errorf("composer: %s header: %w", c.spec.Protocol, err)
 	}
 	if err := c.writeFields(ctx, pl.Body, msg, nil); err != nil {
-		return nil, fmt.Errorf("composer: %s %s body: %w", c.spec.Protocol, pl.Def.Name, err)
+		return dst, fmt.Errorf("composer: %s %s body: %w", c.spec.Protocol, pl.Def.Name, err)
 	}
 	// Second pass: evaluate function fields now that the layout is known.
 	for _, p := range ctx.patches {
 		fn, err := c.funcs.Lookup(p.e.Type.Func.Name)
 		if err != nil {
-			return nil, fmt.Errorf("composer: field %q: %w", p.e.Label, err)
+			return dst, fmt.Errorf("composer: field %q: %w", p.e.Label, err)
 		}
 		v, err := fn(ctx, p.e.Type.Func.Args)
 		if err != nil {
-			return nil, fmt.Errorf("composer: field %q: %w", p.e.Label, err)
+			return dst, fmt.Errorf("composer: field %q: %w", p.e.Label, err)
 		}
 		n, ok := v.AsInt()
 		if !ok {
-			return nil, fmt.Errorf("composer: field %q: function result is not an integer", p.e.Label)
+			return dst, fmt.Errorf("composer: field %q: function result is not an integer", p.e.Label)
 		}
 		if err := ctx.w.PatchBits(p.bitOff, uint64(n), p.e.Def.SizeBits); err != nil {
-			return nil, fmt.Errorf("composer: field %q: %w", p.e.Label, err)
+			return dst, fmt.Errorf("composer: field %q: %w", p.e.Label, err)
 		}
 		setInt(msg, p.e, n)
 	}
-	return ctx.w.Bytes(), nil
+	return ctx.w.AppendBytes(dst), nil
 }
 
 // setInt records a derived integer in the message, so that
@@ -384,7 +413,7 @@ func (c *Composer) writeField(ctx *binaryCtx, e *mdl.Entry, f *message.Field, ca
 	if cacheable && def.SizeBits == 0 {
 		raw, err = ctx.encode(e, f)
 	} else {
-		raw, err = encodeValue(e, f, def.SizeBits)
+		raw, err = ctx.marshal(e, f, def.SizeBits)
 	}
 	if err != nil {
 		return err
@@ -396,20 +425,6 @@ func (c *Composer) writeField(ctx *binaryCtx, e *mdl.Entry, f *message.Field, ca
 		return fmt.Errorf("field %q: %w", def.Label, err)
 	}
 	return nil
-}
-
-// encodeValue marshals a field's value, imploding structured fields
-// first.
-func encodeValue(e *mdl.Entry, f *message.Field, bits int) ([]byte, error) {
-	v, err := implode(e, e.Label, f)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := e.M.Marshal(v, bits)
-	if err != nil {
-		return nil, fmt.Errorf("field %q: %w", e.Label, err)
-	}
-	return raw, nil
 }
 
 // implode returns a field's primitive value: its Value, or for a
@@ -479,7 +494,7 @@ func zeroValue(k message.Kind) message.Value {
 var textBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 //starlink:hotpath
-func (c *Composer) composeText(msg *message.Message, pl *mdl.Plan) ([]byte, error) {
+func (c *Composer) composeText(dst []byte, msg *message.Message, pl *mdl.Plan) ([]byte, error) {
 	buf := textBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer textBufPool.Put(buf)
@@ -491,7 +506,7 @@ func (c *Composer) composeText(msg *message.Message, pl *mdl.Plan) ([]byte, erro
 		}
 		if f := msg.At(e.Slot); f != nil {
 			if err := writeTextValue(buf, e, e.Label, f); err != nil {
-				return nil, err
+				return dst, err
 			}
 		} else if e.Slot == pl.RuleSlot {
 			buf.WriteString(pl.Def.Rule.Value)
@@ -538,7 +553,7 @@ func (c *Composer) composeText(msg *message.Message, pl *mdl.Plan) ([]byte, erro
 			buf.WriteByte(wildcard.InnerSplit)
 			buf.WriteString(" ")
 			if err := writeTextValue(buf, e, f.Label, f); err != nil {
-				return nil, err
+				return dst, err
 			}
 			buf.Write(wildcard.Delim)
 		}
@@ -558,10 +573,8 @@ func (c *Composer) composeText(msg *message.Message, pl *mdl.Plan) ([]byte, erro
 		}
 	case mdl.BodyNone:
 	}
-	// The buffer returns to the pool; hand the caller its own copy.
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	return out, nil
+	// The buffer returns to the pool: its bytes are appended to dst.
+	return append(dst, buf.Bytes()...), nil
 }
 
 // writeTextValue renders a field's text form straight into the compose

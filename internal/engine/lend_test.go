@@ -12,8 +12,10 @@ import (
 	"starlink/internal/engine"
 	"starlink/internal/netapi"
 	"starlink/internal/protocols/dnssd"
+	"starlink/internal/protocols/httpx"
 	"starlink/internal/protocols/slp"
 	"starlink/internal/protocols/ssdp"
+	"starlink/internal/protocols/upnp"
 	"starlink/internal/realnet"
 	"starlink/internal/simnet"
 )
@@ -128,6 +130,53 @@ func TestStaleReplyNeverDelivered(t *testing.T) {
 	until("client B's answer", func() bool { return len(*urlsB) == 1 })
 	if c := e.Counts(); c.Stale != 2 || c.Failed != 0 || c.RequesterLends != 2 || c.RequesterOpens != 1 {
 		t.Fatalf("final counters %+v, want 2 stale, 2 lends of 1 socket", c.Counters)
+	}
+}
+
+// streamTap keeps the handler and connection of the last stream dialed
+// through it.
+type streamTap struct {
+	netapi.Node
+	recv *netapi.StreamHandler
+	conn *netapi.Conn
+}
+
+func (n streamTap) DialStreamIn(m netapi.Mode, to netapi.Addr, recv netapi.StreamHandler) (netapi.Conn, error) {
+	c, err := n.Node.DialStreamIn(m, to, recv)
+	*n.recv, *n.conn = recv, c
+	return c, err
+}
+
+// A stream frame that reaches a requester after its session let it go
+// is counted Stale, and the lease the frame was copied into goes back to
+// the pool.
+func TestStaleStreamFrameReleasesLease(t *testing.T) {
+	sim := simnet.New()
+	host, _ := sim.NewNode("10.0.0.5")
+	var recv netapi.StreamHandler
+	var conn netapi.Conn
+	e := hosted(t, streamTap{Node: host, recv: &recv, conn: &conn}, "slp-to-upnp", engine.WithIngestWorkers(1))
+	devNode, _ := sim.NewNode("10.0.0.7")
+	if _, err := upnp.NewDevice(devNode, "urn:printer", "http://10.0.0.7:5431/svc", 5431); err != nil {
+		t.Fatal(err)
+	}
+	cliNode, _ := sim.NewNode("10.0.0.1")
+	done := false
+	slp.NewUserAgent(cliNode, slp.WithConvergenceWait(500*time.Millisecond)).Lookup("service:printer", func(slp.LookupResult) { done = true })
+	if err := sim.RunUntil(func() bool { return done && e.Counts().Completed == 1 }, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if recv == nil {
+		t.Fatal("the description GET was not dialed through the host node")
+	}
+	leases0 := netapi.LeasedBuffers()
+	recv(conn, httpx.MarshalResponse(200, "OK", "text/xml", upnp.DescriptionXML("Printer", "urn:printer", "http://10.0.0.7:5431/svc")))
+	sim.Run(10 * time.Millisecond)
+	if c := e.Counts(); c.Stale != 1 || c.ParseErrors != 0 || c.Ignored != 0 {
+		t.Errorf("after a frame for a finished session: %+v, want it counted stale and nothing else", c.Counters)
+	}
+	if got := netapi.LeasedBuffers(); got != leases0 {
+		t.Errorf("%d buffer lease(s) outstanding after the stale frame, want its lease released", got-leases0)
 	}
 }
 

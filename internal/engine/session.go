@@ -328,7 +328,8 @@ func (s *session) runSend(st *planStep) error {
 			out.SetPathParts(e.plan.txid[st.req], message.Int(int64(r.epoch)))
 		}
 	}
-	wire, err := st.codec.Composer.Compose(out)
+	wire, err := st.codec.Composer.AppendCompose(s.w.wire[:0], out)
+	s.w.wire = wire
 	t2 := time.Now()
 	e.stageHists[trace.StageCompose].Record(t2.Sub(t1))
 	if err != nil {

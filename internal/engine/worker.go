@@ -29,6 +29,9 @@ type worker struct {
 	// idle holds, per requester slot of a lent color, the open sockets
 	// no session holds; last returned, first lent.
 	idle [][]*requester
+	// wire is the buffer every send step of this worker's sessions
+	// composes into: Send and Reply write or copy it before they return.
+	wire []byte
 }
 
 // requester is a client-role channel and the session it serves now. A

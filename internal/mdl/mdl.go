@@ -73,7 +73,7 @@ type BodyKind int
 const (
 	BodyNone BodyKind = iota
 	BodyRaw           // single Bytes field labelled "Body"
-	BodyXML           // flatten XML elements into primitive fields
+	BodyXML           // flatten XML leaves into String fields; "Body" keeps the text as a String
 )
 
 // ParseBodyKind converts the body attribute to a BodyKind.

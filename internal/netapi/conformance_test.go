@@ -2,6 +2,8 @@ package netapi_test
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -249,16 +251,139 @@ func timerContract(t *testing.T, r runtimeUnderTest, view func(netapi.Node, *net
 	settle(fired.Load()+2, "Reset from the callback")
 }
 
+// sendContract checks that Send has written or copied data by the time
+// it returns, which is what lets a caller compose every message into one
+// reused buffer: the buffer is overwritten right after each Send, and
+// the peers still receive what was sent — unicast, multicast fan-out,
+// and on a stream a send queued behind a writer the peer is not reading
+// (realnet's busy connection; the simulator never blocks a writer).
+func sendContract(t *testing.T, r runtimeUnderTest) {
+	rt := r.new()
+	n, _ := rt.NewNode("10.0.0.5")
+	defer n.Close()
+	peer, _ := rt.NewNode("10.0.0.1")
+	defer peer.Close()
+	var mu sync.Mutex
+	var got []string
+	var streamed []byte
+	record := func(p netapi.Packet) {
+		mu.Lock()
+		got = append(got, string(p.Data))
+		mu.Unlock()
+	}
+	overwrite := func(b []byte) {
+		for i := range b {
+			b[i] = 'X'
+		}
+	}
+	uni, err := peer.OpenUDP(0, record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	group := netapi.Addr{IP: "239.7.7.7", Port: 7007}
+	for _, member := range []netapi.Node{n, peer} {
+		if _, err := member.JoinGroup(group, record); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sock, err := n.OpenUDP(0, func(netapi.Packet) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent []string
+	for _, to := range []netapi.Addr{uni.LocalAddr(), group} {
+		b := []byte("datagram to " + to.String())
+		if err := sock.Send(to, b); err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, string(b))
+		overwrite(b)
+	}
+	wantDatagrams := []string{sent[0], sent[1], sent[1]} // two group members
+	sort.Strings(wantDatagrams)
+
+	blocking := r.name == "realnet"
+	big := 1 << 10
+	if blocking {
+		big = 32 << 20 // past what the loopback socket buffers absorb
+	}
+	entered, hold := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	ln, err := peer.ListenStream(r.streamPort, nil, func(_ netapi.Conn, chunk []byte) {
+		if chunk == nil {
+			return
+		}
+		if blocking {
+			once.Do(func() { close(entered) })
+			<-hold
+		}
+		mu.Lock()
+		streamed = append(streamed[:0], streamed[max(0, len(streamed)-64):]...)
+		streamed = append(streamed, chunk...)
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	lnAddr := netapi.Addr{IP: peer.IP(), Port: r.streamPort}
+	if a, ok := ln.(interface{ Addr() netapi.Addr }); ok {
+		lnAddr = a.Addr()
+	}
+	conn, err := n.DialStream(lnAddr, func(netapi.Conn, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	first := make(chan error, 1)
+	if blocking {
+		go func() { first <- conn.Send(make([]byte, big)) }()
+		<-entered // the first send is writing, and nobody reads
+	} else {
+		first <- conn.Send(make([]byte, big))
+	}
+	queued := []byte("queued stream bytes")
+	if err := conn.Send(queued); err != nil {
+		t.Fatal(err)
+	}
+	want := string(queued)
+	overwrite(queued)
+	if blocking {
+		select {
+		case <-first:
+			t.Fatal("the first stream send returned while its peer read nothing: no send was queued")
+		default:
+		}
+	}
+	close(hold)
+	if err := rt.RunUntil(func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) == 3 && strings.HasSuffix(string(streamed), want)
+	}, 10*time.Second); err != nil {
+		t.Fatalf("datagrams %q, stream tail %q: %v", got, streamed, err)
+	}
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(got)
+	if fmt.Sprint(got) != fmt.Sprint(wantDatagrams) {
+		t.Errorf("peers received %q, want %q", got, wantDatagrams)
+	}
+}
+
 // TestNodeContract is the node contract, run against both runtimes: a
 // node's own endpoints and timers never overlap; endpoints opened
 // through Detach do; endpoints opened through Gated pause and resume
 // with the gate; the two compose in either order; a node's timers
-// re-arm, stop and never fire for an arm they no longer have; and a
-// wrapper that only embeds a Node loses none of it.
+// re-arm, stop and never fire for an arm they no longer have; a wrapper
+// that only embeds a Node loses none of it; and Send is done with its
+// data when it returns.
 func TestNodeContract(t *testing.T) {
 	type wrapper struct{ netapi.Node }
 	for _, r := range runtimesUnderTest {
 		t.Run(r.name, func(t *testing.T) {
+			t.Run("Send", func(t *testing.T) { sendContract(t, r) })
 			for _, tc := range []struct {
 				name        string
 				view        func(netapi.Node, *netapi.FlowGate) netapi.Node

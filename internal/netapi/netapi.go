@@ -35,12 +35,14 @@
 // # Buffer ownership
 //
 // Inbound datagram bytes are delivered in leased pooled buffers where
-// the runtime supports it (realnet): Packet.Data is valid for the
-// duration of the callback, and a handler that needs the bytes longer
-// takes the lease with Packet.TakeLease and releases it exactly once
-// (see Buffer). When Packet.TakeLease returns nil the data is
-// heap-owned and immutable (simnet deliveries, framed stream
-// payloads); consumers may retain the slice without copying.
+// the runtime leases (realnet; simnet with leased delivery on):
+// Packet.Data is valid for the duration of the callback, and a handler
+// that needs the bytes longer takes the lease with Packet.TakeLease and
+// releases it exactly once (see Buffer). When Packet.TakeLease returns
+// nil the data is heap-owned and immutable; consumers may retain the
+// slice without copying. Stream chunks are views valid for the
+// callback; the netengine framer copies each complete frame into a
+// lease of its own.
 package netapi
 
 import (
@@ -173,7 +175,8 @@ type UDPSocket interface {
 	LocalAddr() Addr
 	// Send transmits a datagram. A multicast destination fans out to
 	// all group members; a unicast destination delivers to the bound
-	// socket at that address. Safe to call from any goroutine.
+	// socket at that address. Safe to call from any goroutine. data may
+	// be reused once Send returns.
 	Send(to Addr, data []byte) error
 	// Close releases the socket. Closing twice is a no-op.
 	Close() error
@@ -187,7 +190,9 @@ type Conn interface {
 	LocalAddr() Addr
 	RemoteAddr() Addr
 	// Send transmits bytes in order. Safe to call from any goroutine;
-	// concurrent sends are coalesced, never interleaved mid-call.
+	// concurrent sends are coalesced, never interleaved mid-call. data
+	// may be reused once Send returns, also when the send was queued
+	// behind another.
 	Send(data []byte) error
 	Close() error
 }

@@ -24,11 +24,11 @@
 // be called from any goroutine (the engine replies from its ingest
 // workers).
 //
-// Buffer ownership: datagram payloads are handed to the Handler with
-// the leased receive buffer backing them (nil for framed stream
-// payloads and simulated deliveries, which are heap-owned and
-// immutable). A handler that keeps the bytes past the callback keeps
-// the lease and must Release it exactly once.
+// Buffer ownership: every payload is handed to the Handler with the
+// leased buffer backing it — the receive buffer of a datagram, and for a
+// stream the lease its frame was copied into, the one copy a framed
+// payload gets. The handler owns the lease and must Release it exactly
+// once.
 package netengine
 
 import (
@@ -121,7 +121,8 @@ func (k RoutingKey) String() string {
 func (s Source) IsStream() bool { return s.conn != nil }
 
 // Reply sends data back to the source peer: unicast for datagrams, on
-// the same connection for streams.
+// the same connection for streams. data may be reused once Reply
+// returns: both runtimes write or copy it before that.
 func (s Source) Reply(data []byte) error {
 	switch {
 	case s.conn != nil:
@@ -134,34 +135,67 @@ func (s Source) Reply(data []byte) error {
 }
 
 // Handler consumes inbound payloads (whole datagrams, or framed
-// messages on streams). lease is the pooled buffer backing data when
-// the runtime delivered it leased: the handler owns it and must
-// Release it exactly once when done with data. A nil lease means data
-// is heap-owned and immutable — safe to keep, nothing to release.
+// messages on streams). lease is the pooled buffer backing data: the
+// handler owns it and must Release it exactly once when done with data.
+// A nil lease — a runtime that delivered the datagram unleased — means
+// data is heap-owned and immutable: safe to keep, nothing to release.
 // Handlers for one endpoint run serially; distinct endpoints may
 // invoke their handlers in parallel.
 type Handler func(data []byte, src Source, lease *netapi.Buffer)
 
-// splitFrames appends a stream chunk to *buf and extracts every
-// complete frame. On an unframeable remainder it resets *buf — so
-// later healthy data is not wedged behind a corrupt prefix — and
-// reports ok=false; frames completed before the error are still
-// returned. Callers hold their buffer lock and deliver the returned
-// frames after releasing it.
-func splitFrames(framer *parser.Framer, buf *[]byte, data []byte) (frames [][]byte, ok bool) {
-	*buf = append(*buf, data...)
-	for {
-		n, err := framer.Frame(*buf)
-		if err != nil {
-			*buf = nil
+// splitFrames frames a stream chunk behind the partial frame buffered
+// in *buf and appends each complete frame to frames as a leased copy,
+// which the caller hands on with its lease. With nothing buffered it
+// frames straight from data, and only a trailing partial frame is copied
+// into *buf, which keeps its capacity. A frame longer than
+// netapi.BufferSize — no lease could hold it — or an unframeable
+// remainder is a framing error, so *buf never grows past that size: it
+// is emptied and ok is false; frames completed before the error are
+// still returned. Where the next frame starts is then unknown, so
+// callers frame nothing more from that connection. Callers hold their
+// buffer lock and deliver the returned frames after releasing it.
+//
+//starlink:hotpath
+func splitFrames(framer *parser.Framer, buf *[]byte, data []byte, frames []*netapi.Buffer) (_ []*netapi.Buffer, ok bool) {
+	for len(data) > 0 {
+		src := data
+		if len(*buf) > 0 {
+			k := min(len(data), netapi.BufferSize-len(*buf))
+			*buf = appendBounded(*buf, data[:k])
+			src, data = *buf, data[k:]
+		} else {
+			data = nil
+		}
+		for {
+			n, err := framer.Frame(src)
+			if err != nil || n > netapi.BufferSize {
+				*buf = (*buf)[:0]
+				return frames, false
+			}
+			if n == 0 {
+				break
+			}
+			lease := netapi.NewBuffer()
+			lease.SetFilled(copy(lease.Backing(), src[:n]))
+			frames = append(frames, lease)
+			src = src[n:]
+		}
+		if len(src) >= netapi.BufferSize {
+			*buf = (*buf)[:0]
 			return frames, false
 		}
-		if n == 0 {
-			return frames, true
-		}
-		frames = append(frames, (*buf)[:n])
-		*buf = (*buf)[n:]
+		*buf = appendBounded((*buf)[:0], src)
 	}
+	return frames, true
+}
+
+// appendBounded is append for an accumulation buffer: it grows dst to
+// at most netapi.BufferSize, which callers never ask it to exceed.
+func appendBounded(dst, src []byte) []byte {
+	if n := len(dst) + len(src); n > cap(dst) {
+		dst = append(make([]byte, 0, min(max(2*cap(dst), n), netapi.BufferSize)), dst...)
+	}
+	return append(dst, src...)
 }
 
 // Engine opens colored endpoints on one node (the bridge host).
@@ -301,12 +335,16 @@ func (e *Engine) Listen(c automata.Color, framer *parser.Framer, h Handler) (net
 				v, _ = buffers.LoadOrStore(conn, &connFraming{})
 			}
 			st := v.(*connFraming)
-			frames, ok := splitFrames(framer, &st.buf, data)
+			var fb [4]*netapi.Buffer
+			frames, ok := splitFrames(framer, &st.buf, data, fb[:0])
 			if !ok {
+				// Where the next frame starts is lost: drop the state
+				// and the connection.
 				buffers.Delete(conn)
+				_ = conn.Close()
 			}
-			for _, frame := range frames {
-				h(frame, Source{Addr: conn.RemoteAddr(), color: color, conn: conn}, nil)
+			for _, f := range frames {
+				h(f.Bytes(), Source{Addr: conn.RemoteAddr(), color: color, conn: conn}, f)
 			}
 		})
 		if err != nil {
@@ -350,9 +388,12 @@ type Requester struct {
 	// frMu guards the stream framing state: delivery mutates it from
 	// the connection's serial domain, while Close inspects it from the
 	// session's ingest worker to decide whether the connection is at a
-	// clean frame boundary and can be parked for reuse.
-	frMu  sync.Mutex
-	frBuf []byte
+	// clean frame boundary and can be parked for reuse. frLost records
+	// a framing error: nothing more is framed, and the connection is
+	// closed, never parked.
+	frMu   sync.Mutex
+	frBuf  []byte
+	frLost bool
 }
 
 // NewRequester opens a requester channel for the color. dest overrides
@@ -398,11 +439,17 @@ func (e *Engine) NewRequester(c automata.Color, dest netapi.Addr, framer *parser
 			if data == nil {
 				return
 			}
+			var fb [4]*netapi.Buffer
 			r.frMu.Lock()
-			frames, _ := splitFrames(framer, &r.frBuf, data)
+			if r.frLost {
+				r.frMu.Unlock()
+				return
+			}
+			frames, ok := splitFrames(framer, &r.frBuf, data, fb[:0])
+			r.frLost = !ok
 			r.frMu.Unlock()
-			for _, frame := range frames {
-				h(frame, Source{Addr: conn.RemoteAddr(), color: color, conn: conn}, nil)
+			for _, f := range frames {
+				h(f.Bytes(), Source{Addr: conn.RemoteAddr(), color: color, conn: conn}, f)
 			}
 		})
 		if err != nil {
@@ -413,7 +460,8 @@ func (e *Engine) NewRequester(c automata.Color, dest netapi.Addr, framer *parser
 	}
 }
 
-// Send transmits a request on the channel.
+// Send transmits a request on the channel. data may be reused once Send
+// returns.
 func (r *Requester) Send(data []byte) error {
 	if r.conn != nil {
 		return r.conn.Send(data)
@@ -507,16 +555,16 @@ func (t *EgressTable) Contains(src Source) bool {
 }
 
 // Close releases the channel. A stream channel whose inbound side sits
-// at a clean frame boundary is parked in the runtime's dial-reuse pool
-// (Node.ParkConn) instead of torn down, so the next session's
-// requester to the same destination skips the TCP handshake — the
-// client-side connection reuse of the NewRequester path.
+// at a clean frame boundary, and never lost framing, is parked in the
+// runtime's dial-reuse pool (Node.ParkConn) instead of torn down, so the
+// next session's requester to the same destination skips the TCP
+// handshake — the client-side connection reuse of the NewRequester path.
 func (r *Requester) Close() error {
 	if r.conn != nil {
 		conn := r.conn
 		r.conn = nil
 		r.frMu.Lock()
-		clean := len(r.frBuf) == 0
+		clean := len(r.frBuf) == 0 && !r.frLost
 		r.frMu.Unlock()
 		if clean && r.node.ParkConn(conn) {
 			return nil

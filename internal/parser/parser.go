@@ -316,12 +316,14 @@ func (p *Parser) parseText(data []byte) (*message.Message, error) {
 	case mdl.BodyRaw:
 		msg.Add(newField("Body", "Bytes", 0, message.Bytes(rest)))
 	case mdl.BodyXML:
-		if err := flattenXMLBody(rest, msg); err != nil {
+		// One copy of the body: the leaves are substrings of it, and Body
+		// keeps it as a String, which the composer writes back verbatim.
+		text := string(rest)
+		if err := flattenXMLBody(rest, text, msg); err != nil {
 			msg.Release()
 			return nil, fmt.Errorf("parser: %s xml body: %w", p.spec.Protocol, err)
 		}
-		// Preserve the raw body so it can be recomposed verbatim.
-		msg.Add(newField("Body", "Bytes", 0, message.Bytes(rest)))
+		msg.Add(newField("Body", "String", 0, message.Str(text)))
 	case mdl.BodyNone:
 		// Trailing bytes after the blank line are ignored (some stacks
 		// pad datagrams).

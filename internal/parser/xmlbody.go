@@ -32,12 +32,16 @@ import (
 // which defines accept/reject and the field list for every input —
 // otherwise. The scanner adds nothing to msg unless it accepts, so the
 // decoder always starts from the message the caller passed in.
-func flattenXMLBody(body []byte, msg *message.Message) error {
-	body = bytes.TrimSpace(body)
+//
+// text is string(body), the one copy of the body the caller makes: the
+// scanner's labels and verbatim values are substrings of it.
+func flattenXMLBody(body []byte, text string, msg *message.Message) error {
+	start := len(body) - len(bytes.TrimLeftFunc(body, unicode.IsSpace))
+	body = bytes.TrimRightFunc(body[start:], unicode.IsSpace)
 	if len(body) == 0 {
 		return nil
 	}
-	if scanXMLLeaves(body, msg) {
+	if scanXMLLeaves(body, text[start:start+len(body)], msg) {
 		return nil
 	}
 	return decodeXMLLeaves(body, msg)
@@ -191,10 +195,11 @@ type xmlLeaf struct {
 }
 
 // scanXMLLeaves is the fast path of flattenXMLBody. It reports false,
-// with msg untouched, for any body it does not accept.
+// with msg untouched, for any body it does not accept. s holds the same
+// bytes as body, as a string.
 //
 //starlink:hotpath
-func scanXMLLeaves(body []byte, msg *message.Message) bool {
+func scanXMLLeaves(body []byte, s string, msg *message.Message) bool {
 	if len(body) > math.MaxInt32 {
 		return false
 	}
@@ -292,9 +297,8 @@ func scanXMLLeaves(body []byte, msg *message.Message) bool {
 		return true
 	}
 
-	// Accepted. One copy of the body backs every label and every
-	// verbatim value.
-	s := string(body)
+	// Accepted. The caller's one copy of the body backs every label and
+	// every verbatim value.
 	for _, lf := range leaves {
 		label := s[lf.local:lf.nameEnd]
 		if _, exists := msg.Field(label); exists {

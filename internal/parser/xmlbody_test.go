@@ -134,7 +134,7 @@ func checkXMLBody(t testing.TB, body []byte) (fast bool) {
 		wantErr = decodeXMLLeaves(trimmed, want)
 	}
 	got := fresh()
-	gotErr := flattenXMLBody(body, got)
+	gotErr := flattenXMLBody(body, string(body), got)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("body %q: error %v, decoder loop says %v", body, gotErr, wantErr)
 	}
@@ -146,7 +146,7 @@ func checkXMLBody(t testing.TB, body []byte) (fast bool) {
 
 	alone := fresh()
 	if len(trimmed) > 0 {
-		fast = scanXMLLeaves(trimmed, alone)
+		fast = scanXMLLeaves(trimmed, string(trimmed), alone)
 	}
 	switch {
 	case fast && wantErr != nil:
@@ -180,7 +180,7 @@ func TestXMLBodyFlatteningContract(t *testing.T) {
 		" <note>one<!-- c -->&#32;two<![CDATA[ <3> ]]>\r\n</note>\r\n" +
 		" <empty/>\r\n <note>again</note>\r\n" +
 		" <box><inner>deep</inner>tail</box>\r\n</root>"
-	if !scanXMLLeaves([]byte(body), msg) {
+	if !scanXMLLeaves([]byte(body), body, msg) {
 		t.Fatal("scanner gave up on a body inside its subset")
 	}
 	want := [][2]string{

@@ -971,7 +971,8 @@ var streamReadBufs = sync.Pool{New: func() any { return new([streamReadBufSize]b
 // readLoop delivers inbound chunks as views into the connection's read
 // buffer, serially under the connection's domain. The slice is valid
 // only for the duration of the callback; consumers copy or consume
-// (the netengine framer appends into its own per-connection buffer).
+// (the netengine framer copies each complete frame into a lease and
+// buffers only a trailing partial frame).
 func (sc *streamConn) readLoop() {
 	bp := streamReadBufs.Get().(*[streamReadBufSize]byte)
 	defer streamReadBufs.Put(bp)

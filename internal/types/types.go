@@ -23,9 +23,11 @@ type Marshaller interface {
 	Name() string
 	// Kind is the abstract value kind produced by Unmarshal.
 	Kind() message.Kind
-	// Marshal encodes v. bits is the fixed field width in bits, or 0
-	// for variable-length fields (the encoding then determines length).
-	Marshal(v message.Value, bits int) ([]byte, error)
+	// AppendMarshal appends the encoding of v to dst and returns the
+	// extended slice (dst on error). bits is the fixed field width in
+	// bits, or 0 for variable-length fields (the encoding then determines
+	// length). Appending lets a composer marshal into one reused buffer.
+	AppendMarshal(dst []byte, v message.Value, bits int) ([]byte, error)
 	// Unmarshal decodes data (already extracted from the wire; for
 	// fixed-width fields exactly ceil(bits/8) bytes with the value in
 	// the low bits when bits%8 != 0).
@@ -110,29 +112,25 @@ func (IntegerMarshaller) Name() string { return "Integer" }
 // Kind implements Marshaller.
 func (IntegerMarshaller) Kind() message.Kind { return message.KindInt }
 
-// Marshal implements Marshaller.
-func (IntegerMarshaller) Marshal(v message.Value, bits int) ([]byte, error) {
+// AppendMarshal implements Marshaller.
+func (IntegerMarshaller) AppendMarshal(dst []byte, v message.Value, bits int) ([]byte, error) {
 	i, ok := v.AsInt()
 	if !ok {
-		return nil, fmt.Errorf("types: Integer marshal: value is %v, not int", v.Kind())
+		return dst, fmt.Errorf("types: Integer marshal: value is %v, not int", v.Kind())
 	}
 	if bits <= 0 || bits > 64 {
-		return nil, fmt.Errorf("types: Integer requires fixed width 1..64 bits, got %d", bits)
+		return dst, fmt.Errorf("types: Integer requires fixed width 1..64 bits, got %d", bits)
 	}
 	if i < 0 {
-		return nil, fmt.Errorf("types: Integer marshal: negative value %d", i)
+		return dst, fmt.Errorf("types: Integer marshal: negative value %d", i)
 	}
 	if bits < 64 && uint64(i) >= 1<<uint(bits) {
-		return nil, fmt.Errorf("types: value %d does not fit in %d bits", i, bits)
+		return dst, fmt.Errorf("types: value %d does not fit in %d bits", i, bits)
 	}
-	nbytes := (bits + 7) / 8
-	out := make([]byte, nbytes)
-	u := uint64(i)
-	for b := nbytes - 1; b >= 0; b-- {
-		out[b] = byte(u)
-		u >>= 8
+	for b := (bits+7)/8 - 1; b >= 0; b-- {
+		dst = append(dst, byte(uint64(i)>>(8*b)))
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Unmarshal implements Marshaller.
@@ -156,22 +154,22 @@ func (StringMarshaller) Name() string { return "String" }
 // Kind implements Marshaller.
 func (StringMarshaller) Kind() message.Kind { return message.KindString }
 
-// Marshal implements Marshaller.
-func (StringMarshaller) Marshal(v message.Value, bits int) ([]byte, error) {
-	s, ok := v.AsString()
-	if !ok {
+// AppendMarshal implements Marshaller.
+func (StringMarshaller) AppendMarshal(dst []byte, v message.Value, bits int) ([]byte, error) {
+	out := dst
+	if s, ok := v.AsString(); ok {
+		out = append(out, s...)
+	} else if i, iok := v.AsInt(); iok {
 		// Allow marshalling integer values as their decimal text; text
 		// protocols carry numbers as strings (e.g. an MX header).
-		if i, iok := v.AsInt(); iok {
-			s = strconv.FormatInt(i, 10)
-		} else {
-			return nil, fmt.Errorf("types: String marshal: value is %v", v.Kind())
-		}
+		out = strconv.AppendInt(out, i, 10)
+	} else {
+		return dst, fmt.Errorf("types: String marshal: value is %v", v.Kind())
 	}
-	if bits > 0 && len(s)*8 != bits {
-		return nil, fmt.Errorf("types: string %q is %d bits, field is %d", s, len(s)*8, bits)
+	if n := len(out) - len(dst); bits > 0 && n*8 != bits {
+		return dst, fmt.Errorf("types: string %q is %d bits, field is %d", out[len(dst):], n*8, bits)
 	}
-	return []byte(s), nil
+	return out, nil
 }
 
 // Unmarshal implements Marshaller.
@@ -188,20 +186,20 @@ func (BytesMarshaller) Name() string { return "Bytes" }
 // Kind implements Marshaller.
 func (BytesMarshaller) Kind() message.Kind { return message.KindBytes }
 
-// Marshal implements Marshaller.
-func (BytesMarshaller) Marshal(v message.Value, bits int) ([]byte, error) {
-	b, ok := v.AsBytes()
-	if !ok {
-		if s, sok := v.AsString(); sok {
-			b = []byte(s)
-		} else {
-			return nil, fmt.Errorf("types: Bytes marshal: value is %v", v.Kind())
-		}
+// AppendMarshal implements Marshaller.
+func (BytesMarshaller) AppendMarshal(dst []byte, v message.Value, bits int) ([]byte, error) {
+	out := dst
+	if b, ok := v.BytesView(); ok {
+		out = append(out, b...)
+	} else if s, sok := v.AsString(); sok {
+		out = append(out, s...)
+	} else {
+		return dst, fmt.Errorf("types: Bytes marshal: value is %v", v.Kind())
 	}
-	if bits > 0 && len(b)*8 != bits {
-		return nil, fmt.Errorf("types: bytes length %d bits, field is %d", len(b)*8, bits)
+	if n := len(out) - len(dst); bits > 0 && n*8 != bits {
+		return dst, fmt.Errorf("types: bytes length %d bits, field is %d", n*8, bits)
 	}
-	return b, nil
+	return out, nil
 }
 
 // Unmarshal implements Marshaller.
@@ -218,17 +216,17 @@ func (BooleanMarshaller) Name() string { return "Boolean" }
 // Kind implements Marshaller.
 func (BooleanMarshaller) Kind() message.Kind { return message.KindBool }
 
-// Marshal implements Marshaller.
-func (BooleanMarshaller) Marshal(v message.Value, bits int) ([]byte, error) {
+// AppendMarshal implements Marshaller.
+func (BooleanMarshaller) AppendMarshal(dst []byte, v message.Value, bits int) ([]byte, error) {
 	b, ok := v.AsBool()
 	if !ok {
-		return nil, fmt.Errorf("types: Boolean marshal: value is %v", v.Kind())
+		return dst, fmt.Errorf("types: Boolean marshal: value is %v", v.Kind())
 	}
 	var out byte
 	if b {
 		out = 1
 	}
-	return []byte{out}, nil
+	return append(dst, out), nil
 }
 
 // Unmarshal implements Marshaller.
@@ -253,27 +251,28 @@ func (FQDNMarshaller) Name() string { return "FQDN" }
 // Kind implements Marshaller.
 func (FQDNMarshaller) Kind() message.Kind { return message.KindString }
 
-// Marshal implements Marshaller.
-func (FQDNMarshaller) Marshal(v message.Value, bits int) ([]byte, error) {
+// AppendMarshal implements Marshaller.
+func (FQDNMarshaller) AppendMarshal(dst []byte, v message.Value, bits int) ([]byte, error) {
 	s, ok := v.AsString()
 	if !ok {
-		return nil, fmt.Errorf("types: FQDN marshal: value is %v", v.Kind())
+		return dst, fmt.Errorf("types: FQDN marshal: value is %v", v.Kind())
 	}
-	var out []byte
+	out := dst
 	if s != "" && s != "." {
-		for _, label := range strings.Split(strings.TrimSuffix(s, "."), ".") {
+		for rest, more := strings.TrimSuffix(s, "."), true; more; {
+			var label string
+			label, rest, more = strings.Cut(rest, ".")
 			if len(label) == 0 {
-				return nil, fmt.Errorf("types: FQDN %q has empty label", s)
+				return dst, fmt.Errorf("types: FQDN %q has empty label", s)
 			}
 			if len(label) > 63 {
-				return nil, fmt.Errorf("types: FQDN label %q exceeds 63 bytes", label)
+				return dst, fmt.Errorf("types: FQDN label %q exceeds 63 bytes", label)
 			}
 			out = append(out, byte(len(label)))
 			out = append(out, label...)
 		}
 	}
-	out = append(out, 0)
-	return out, nil
+	return append(out, 0), nil
 }
 
 // Unmarshal implements Marshaller.
@@ -324,13 +323,13 @@ func (URLMarshaller) Name() string { return "URL" }
 // Kind implements Marshaller.
 func (URLMarshaller) Kind() message.Kind { return message.KindString }
 
-// Marshal implements Marshaller.
-func (URLMarshaller) Marshal(v message.Value, bits int) ([]byte, error) {
+// AppendMarshal implements Marshaller.
+func (URLMarshaller) AppendMarshal(dst []byte, v message.Value, bits int) ([]byte, error) {
 	s, ok := v.AsString()
 	if !ok {
-		return nil, fmt.Errorf("types: URL marshal: value is %v", v.Kind())
+		return dst, fmt.Errorf("types: URL marshal: value is %v", v.Kind())
 	}
-	return []byte(s), nil
+	return append(dst, s...), nil
 }
 
 // Unmarshal implements Marshaller.
@@ -418,23 +417,23 @@ func (IPv4Marshaller) Name() string { return "IPv4" }
 // Kind implements Marshaller.
 func (IPv4Marshaller) Kind() message.Kind { return message.KindString }
 
-// Marshal implements Marshaller.
-func (IPv4Marshaller) Marshal(v message.Value, bits int) ([]byte, error) {
+// AppendMarshal implements Marshaller.
+func (IPv4Marshaller) AppendMarshal(dst []byte, v message.Value, bits int) ([]byte, error) {
 	s, ok := v.AsString()
 	if !ok {
-		return nil, fmt.Errorf("types: IPv4 marshal: value is %v", v.Kind())
+		return dst, fmt.Errorf("types: IPv4 marshal: value is %v", v.Kind())
 	}
 	parts := strings.Split(s, ".")
 	if len(parts) != 4 {
-		return nil, fmt.Errorf("types: invalid IPv4 %q", s)
+		return dst, fmt.Errorf("types: invalid IPv4 %q", s)
 	}
-	out := make([]byte, 4)
-	for i, p := range parts {
+	out := dst
+	for _, p := range parts {
 		n, err := strconv.Atoi(p)
 		if err != nil || n < 0 || n > 255 {
-			return nil, fmt.Errorf("types: invalid IPv4 octet %q", p)
+			return dst, fmt.Errorf("types: invalid IPv4 octet %q", p)
 		}
-		out[i] = byte(n)
+		out = append(out, byte(n))
 	}
 	return out, nil
 }

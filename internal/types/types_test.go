@@ -45,12 +45,12 @@ func TestIntegerMarshalWidths(t *testing.T) {
 		{65535, 16, []byte{0xFF, 0xFF}},
 	}
 	for _, tt := range tests {
-		got, err := m.Marshal(message.Int(tt.v), tt.bits)
+		got, err := m.AppendMarshal(nil, message.Int(tt.v), tt.bits)
 		if err != nil {
-			t.Fatalf("Marshal(%d,%d): %v", tt.v, tt.bits, err)
+			t.Fatalf("AppendMarshal(%d,%d): %v", tt.v, tt.bits, err)
 		}
 		if !bytes.Equal(got, tt.want) {
-			t.Errorf("Marshal(%d,%d) = %v, want %v", tt.v, tt.bits, got, tt.want)
+			t.Errorf("AppendMarshal(%d,%d) = %v, want %v", tt.v, tt.bits, got, tt.want)
 		}
 		back, err := m.Unmarshal(got, tt.bits)
 		if err != nil {
@@ -64,32 +64,32 @@ func TestIntegerMarshalWidths(t *testing.T) {
 
 func TestIntegerMarshalErrors(t *testing.T) {
 	m := IntegerMarshaller{}
-	if _, err := m.Marshal(message.Str("x"), 8); err == nil {
+	if _, err := m.AppendMarshal(nil, message.Str("x"), 8); err == nil {
 		t.Error("string value should fail")
 	}
-	if _, err := m.Marshal(message.Int(256), 8); err == nil {
+	if _, err := m.AppendMarshal(nil, message.Int(256), 8); err == nil {
 		t.Error("overflow should fail")
 	}
-	if _, err := m.Marshal(message.Int(-1), 8); err == nil {
+	if _, err := m.AppendMarshal(nil, message.Int(-1), 8); err == nil {
 		t.Error("negative should fail")
 	}
-	if _, err := m.Marshal(message.Int(1), 0); err == nil {
+	if _, err := m.AppendMarshal(nil, message.Int(1), 0); err == nil {
 		t.Error("zero width should fail")
 	}
 }
 
 func TestStringMarshal(t *testing.T) {
 	m := StringMarshaller{}
-	got, err := m.Marshal(message.Str("abc"), 0)
+	got, err := m.AppendMarshal(nil, message.Str("abc"), 0)
 	if err != nil || string(got) != "abc" {
 		t.Fatalf("got %q err %v", got, err)
 	}
 	// Fixed width must match exactly.
-	if _, err := m.Marshal(message.Str("abc"), 16); err == nil {
+	if _, err := m.AppendMarshal(nil, message.Str("abc"), 16); err == nil {
 		t.Error("width mismatch should fail")
 	}
 	// Integers are allowed and render as decimal text.
-	got, err = m.Marshal(message.Int(42), 0)
+	got, err = m.AppendMarshal(nil, message.Int(42), 0)
 	if err != nil || string(got) != "42" {
 		t.Fatalf("int-as-string: %q err %v", got, err)
 	}
@@ -104,15 +104,15 @@ func TestStringMarshal(t *testing.T) {
 
 func TestBytesMarshal(t *testing.T) {
 	m := BytesMarshaller{}
-	got, err := m.Marshal(message.Bytes([]byte{1, 2}), 16)
+	got, err := m.AppendMarshal(nil, message.Bytes([]byte{1, 2}), 16)
 	if err != nil || !bytes.Equal(got, []byte{1, 2}) {
 		t.Fatalf("got %v err %v", got, err)
 	}
-	if _, err := m.Marshal(message.Bytes([]byte{1}), 16); err == nil {
+	if _, err := m.AppendMarshal(nil, message.Bytes([]byte{1}), 16); err == nil {
 		t.Error("length mismatch should fail")
 	}
 	// Strings are accepted.
-	got, err = m.Marshal(message.Str("ab"), 0)
+	got, err = m.AppendMarshal(nil, message.Str("ab"), 0)
 	if err != nil || string(got) != "ab" {
 		t.Fatalf("string-as-bytes: %v %v", got, err)
 	}
@@ -120,7 +120,7 @@ func TestBytesMarshal(t *testing.T) {
 
 func TestBooleanMarshal(t *testing.T) {
 	m := BooleanMarshaller{}
-	got, err := m.Marshal(message.Bool(true), 8)
+	got, err := m.AppendMarshal(nil, message.Bool(true), 8)
 	if err != nil || !bytes.Equal(got, []byte{1}) {
 		t.Fatalf("got %v err %v", got, err)
 	}
@@ -141,9 +141,9 @@ func TestFQDNRoundtrip(t *testing.T) {
 	m := FQDNMarshaller{}
 	tests := []string{"printer._slp._udp.local", "a.b", "local", ""}
 	for _, name := range tests {
-		enc, err := m.Marshal(message.Str(name), 0)
+		enc, err := m.AppendMarshal(nil, message.Str(name), 0)
 		if err != nil {
-			t.Fatalf("Marshal(%q): %v", name, err)
+			t.Fatalf("AppendMarshal(%q): %v", name, err)
 		}
 		v, err := m.Unmarshal(enc, 0)
 		if err != nil {
@@ -157,7 +157,7 @@ func TestFQDNRoundtrip(t *testing.T) {
 
 func TestFQDNWireFormat(t *testing.T) {
 	m := FQDNMarshaller{}
-	enc, err := m.Marshal(message.Str("ab.c"), 0)
+	enc, err := m.AppendMarshal(nil, message.Str("ab.c"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,14 +169,14 @@ func TestFQDNWireFormat(t *testing.T) {
 
 func TestFQDNErrors(t *testing.T) {
 	m := FQDNMarshaller{}
-	if _, err := m.Marshal(message.Str("a..b"), 0); err == nil {
+	if _, err := m.AppendMarshal(nil, message.Str("a..b"), 0); err == nil {
 		t.Error("empty label should fail")
 	}
 	long := make([]byte, 70)
 	for i := range long {
 		long[i] = 'x'
 	}
-	if _, err := m.Marshal(message.Str(string(long)), 0); err == nil {
+	if _, err := m.AppendMarshal(nil, message.Str(string(long)), 0); err == nil {
 		t.Error("64+ byte label should fail")
 	}
 	if _, _, err := DecodeFQDN([]byte{5, 'a'}); err == nil {
@@ -259,7 +259,7 @@ func TestURLImplodeMissing(t *testing.T) {
 
 func TestIPv4Roundtrip(t *testing.T) {
 	m := IPv4Marshaller{}
-	enc, err := m.Marshal(message.Str("239.255.255.253"), 32)
+	enc, err := m.AppendMarshal(nil, message.Str("239.255.255.253"), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,10 +273,10 @@ func TestIPv4Roundtrip(t *testing.T) {
 	if s, _ := v.AsString(); s != "239.255.255.253" {
 		t.Fatalf("roundtrip = %q", s)
 	}
-	if _, err := m.Marshal(message.Str("1.2.3"), 32); err == nil {
+	if _, err := m.AppendMarshal(nil, message.Str("1.2.3"), 32); err == nil {
 		t.Error("3 octets should fail")
 	}
-	if _, err := m.Marshal(message.Str("1.2.3.999"), 32); err == nil {
+	if _, err := m.AppendMarshal(nil, message.Str("1.2.3.999"), 32); err == nil {
 		t.Error("octet overflow should fail")
 	}
 	if _, err := m.Unmarshal([]byte{1, 2}, 32); err == nil {
@@ -296,7 +296,7 @@ func TestQuickIntegerRoundtrip(t *testing.T) {
 		} else {
 			v = raw % (1 << uint(bits))
 		}
-		enc, err := m.Marshal(message.Int(int64(v)), bits)
+		enc, err := m.AppendMarshal(nil, message.Int(int64(v)), bits)
 		if err != nil {
 			// int64 overflow for 64-bit values with the high bit set
 			// is expected to fail (negative check).
@@ -334,7 +334,7 @@ func TestQuickFQDNRoundtrip(t *testing.T) {
 			}
 			name += l
 		}
-		enc, err := m.Marshal(message.Str(name), 0)
+		enc, err := m.AppendMarshal(nil, message.Str(name), 0)
 		if err != nil {
 			return false
 		}
