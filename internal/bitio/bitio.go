@@ -74,12 +74,14 @@ func (r *Reader) ReadBits(n int) (uint64, error) {
 	return v, nil
 }
 
-// ReadBytes reads n whole bytes. The read need not start byte-aligned.
+// ReadBytes reads a copy of n whole bytes. The read need not start
+// byte-aligned; an aligned reader can hand out the bytes at Pos()/8
+// and Skip them instead.
 func (r *Reader) ReadBytes(n int) ([]byte, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("bitio: negative byte count %d", n)
 	}
-	if r.Remaining() < n*8 {
+	if r.Remaining()/8 < n {
 		return nil, fmt.Errorf("%w: need %d bytes, have %d bits", ErrShortData, n, r.Remaining())
 	}
 	out := make([]byte, n)
@@ -96,18 +98,6 @@ func (r *Reader) ReadBytes(n int) ([]byte, error) {
 		}
 		out[i] = byte(b)
 	}
-	return out, nil
-}
-
-// ReadAll returns every remaining byte. It fails if the position is not
-// byte aligned (variable tails are only meaningful on byte boundaries).
-func (r *Reader) ReadAll() ([]byte, error) {
-	if !r.Aligned() {
-		return nil, fmt.Errorf("bitio: ReadAll at unaligned bit position %d", r.pos)
-	}
-	out := make([]byte, len(r.data)-r.pos/8)
-	copy(out, r.data[r.pos/8:])
-	r.pos = len(r.data) * 8
 	return out, nil
 }
 

@@ -72,31 +72,6 @@ func TestReadBytesUnaligned(t *testing.T) {
 	}
 }
 
-func TestReadAll(t *testing.T) {
-	r := NewReader([]byte{1, 2, 3})
-	if _, err := r.ReadBytes(1); err != nil {
-		t.Fatal(err)
-	}
-	rest, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rest, []byte{2, 3}) {
-		t.Fatalf("rest = %v", rest)
-	}
-	if r.Remaining() != 0 {
-		t.Fatal("should be drained")
-	}
-	// Unaligned ReadAll must fail.
-	r2 := NewReader([]byte{1, 2})
-	if _, err := r2.ReadBits(3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r2.ReadAll(); err == nil {
-		t.Fatal("unaligned ReadAll should fail")
-	}
-}
-
 func TestSkip(t *testing.T) {
 	r := NewReader([]byte{0x0F})
 	if err := r.Skip(4); err != nil {

@@ -6,6 +6,7 @@
 package parser_test
 
 import (
+	"slices"
 	"testing"
 
 	"starlink/internal/types"
@@ -45,6 +46,42 @@ func TestAppendComposeAllocs(t *testing.T) {
 				t.Errorf("%s %s: AppendCompose into a warm buffer allocates %.1f, its structured fields' Implode %.1f", cd.name, m.Name, got, implode)
 			}
 			m.Release()
+		}
+	}
+}
+
+// Parsing a message makes one copy of it, and every value that is not a
+// number is a substring of that copy: the four messages the benchmark's
+// bridges receive, as the legacy stacks' own Marshal writes them, cost
+// the copy plus, for a DNS answer, its FQDN rebuilt as a dotted name
+// and, for an SSDP response, what net/url allocates to explode LOCATION.
+func TestParseAllocs(t *testing.T) {
+	codecs := shippedCodecs(t)
+	seeds := roundTripSeeds(t, codecs)
+	for _, tc := range []struct {
+		codec string
+		seed  int
+		msg   string
+		max   float64
+	}{
+		{"slp", 0, "SLPSrvRequest", 1},
+		{"mdns", 1, "DNSResponse", 2},
+		{"ssdp", 1, "SSDPResponse", 3},
+		{"http", 1, "HTTPOk", 1},
+	} {
+		i := slices.IndexFunc(codecs, func(c codec) bool { return c.name == tc.codec })
+		p, wire := codecs[i].p, seeds[tc.codec][tc.seed]
+		m, err := p.Parse(wire)
+		if err != nil || m.Name != tc.msg {
+			t.Fatalf("%s: parsed %v, %v; want %s", tc.codec, m, err, tc.msg)
+		}
+		m.Release()
+		got := testing.AllocsPerRun(200, func() {
+			m, _ := p.Parse(wire)
+			m.Release()
+		})
+		if got > tc.max {
+			t.Errorf("Parse(%s) allocates %.1f, want at most %.0f", tc.msg, got, tc.max)
 		}
 	}
 }

@@ -27,6 +27,50 @@ func newField(label, typ string, length int, v message.Value) *message.Field {
 	return f
 }
 
+// maxTextFields bounds a text message's header lines plus XML leaves:
+// each label is looked up among the fields before it, so without a
+// bound parse time is quadratic in the size. Shipped stacks send ≤ 12.
+const maxTextFields = 256
+
+var errTooManyFields = fmt.Errorf("more than %d header lines and XML leaves", maxTextFields)
+
+// wire is a received message and, once a field needs it, its one string
+// copy s: every decoded value that is not a number is a substring of s.
+type wire struct {
+	data []byte
+	s    string
+}
+
+// str returns bytes [i, j) of the copy, making it on first use.
+func (w *wire) str(i, j int) string {
+	if i == j {
+		return ""
+	}
+	if len(w.s) < len(w.data) {
+		w.s = string(w.data)
+	}
+	return w.s[i:j]
+}
+
+// of returns the substring of the copy that b spans. b must be a
+// subslice of data, so its offset is cap(data) - cap(b).
+func (w *wire) of(b []byte) string {
+	i := cap(w.data) - cap(b)
+	return w.str(i, i+len(b))
+}
+
+// read returns the n bytes at r's position and moves r past them: a
+// substring of the copy, or a copy of their own at an unaligned bit
+// position (no shipped MDL has one).
+func (w *wire) read(r *bitio.Reader, n int) (string, error) {
+	if !r.Aligned() || n > r.Remaining()/8 {
+		raw, err := r.ReadBytes(n)
+		return string(raw), err
+	}
+	start := r.Pos() / 8
+	return w.str(start, start+n), r.Skip(n * 8)
+}
+
 // Parser turns wire bytes into abstract messages under an MDL spec.
 type Parser struct {
 	spec *mdl.Spec
@@ -103,9 +147,10 @@ func add(msg *message.Message, into *message.Field, e *mdl.Entry, f *message.Fie
 func (p *Parser) parseBinary(data []byte) (*message.Message, error) {
 	var r bitio.Reader
 	r.Init(data)
+	w := wire{data: data}
 	msg := message.NewPooled(p.spec.Protocol, "")
 	msg.SetLayout(p.r.Shared.Layout)
-	if err := parseBinaryFields(&r, data, p.r.Shared.Header, msg, nil); err != nil {
+	if err := parseBinaryFields(&r, &w, p.r.Shared.Header, msg, nil); err != nil {
 		msg.Release()
 		return nil, fmt.Errorf("parser: %s header: %w", p.spec.Protocol, err)
 	}
@@ -114,7 +159,7 @@ func (p *Parser) parseBinary(data []byte) (*message.Message, error) {
 		msg.Release()
 		return nil, err
 	}
-	if err := parseBinaryFields(&r, data, pl.Body, msg, nil); err != nil {
+	if err := parseBinaryFields(&r, &w, pl.Body, msg, nil); err != nil {
 		msg.Release()
 		return nil, fmt.Errorf("parser: %s %s body: %w", p.spec.Protocol, pl.Def.Name, err)
 	}
@@ -138,7 +183,7 @@ func sizeOf(msg *message.Message, into *message.Field, e *mdl.Entry) (int64, err
 // parseBinaryFields parses a field list. When into is non-nil the
 // decoded fields are appended as its children (repeat-group items);
 // otherwise they are added to msg.
-func parseBinaryFields(r *bitio.Reader, data []byte, entries []*mdl.Entry, msg *message.Message, into *message.Field) error {
+func parseBinaryFields(r *bitio.Reader, w *wire, entries []*mdl.Entry, msg *message.Message, into *message.Field) error {
 	for _, e := range entries {
 		def := e.Def
 		if def.IsGroup() {
@@ -154,7 +199,7 @@ func parseBinaryFields(r *bitio.Reader, data []byte, entries []*mdl.Entry, msg *
 			for i := int64(0); i < n; i++ {
 				item := message.NewField()
 				item.Label, item.Type, item.Children = strconv.FormatInt(i, 10), "GroupItem", []*message.Field{}
-				if err := parseBinaryFields(r, data, e.Group, msg, item); err != nil {
+				if err := parseBinaryFields(r, w, e.Group, msg, item); err != nil {
 					// Neither the partial item nor the group (with the
 					// items parsed so far) ever reaches the message;
 					// recycle both or the pool shrinks on malformed
@@ -176,7 +221,7 @@ func parseBinaryFields(r *bitio.Reader, data []byte, entries []*mdl.Entry, msg *
 		var err error
 		switch {
 		case def.SizeBits > 0:
-			f, err = parseFixed(r, e)
+			f, err = parseFixed(r, w, e)
 		case def.SizeRef != "":
 			n, lerr := sizeOf(msg, into, e)
 			if lerr != nil {
@@ -185,28 +230,27 @@ func parseBinaryFields(r *bitio.Reader, data []byte, entries []*mdl.Entry, msg *
 			if n < 0 {
 				return fmt.Errorf("field %q: negative length %d", def.Label, n)
 			}
-			raw, rerr := r.ReadBytes(int(n))
+			src, rerr := w.read(r, int(n))
 			if rerr != nil {
 				return fmt.Errorf("field %q: %w", def.Label, rerr)
 			}
-			f, err = unmarshal(e, raw, 0)
+			f, err = unmarshal(e, src, 0)
 		case def.Rest:
-			raw, rerr := r.ReadAll()
-			if rerr != nil {
-				return fmt.Errorf("field %q: %w", def.Label, rerr)
+			if !r.Aligned() {
+				return fmt.Errorf("field %q: rest at unaligned bit position %d", def.Label, r.Pos())
 			}
-			f, err = unmarshal(e, raw, 0)
+			src, _ := w.read(r, r.Remaining()/8)
+			f, err = unmarshal(e, src, 0)
 		default:
 			// Self-delimiting type (FQDN): decode from the remaining
 			// bytes and skip the consumed amount.
 			if !r.Aligned() {
 				return fmt.Errorf("field %q: self-delimiting field at unaligned position", def.Label)
 			}
-			remaining := data[r.Pos()/8:]
 			if e.Type.TypeName != "FQDN" {
 				return fmt.Errorf("field %q: type %q is not self-delimiting", def.Label, e.Type.TypeName)
 			}
-			name, n, derr := types.DecodeFQDN(remaining)
+			name, n, derr := types.DecodeFQDN(w.str(r.Pos()/8, len(w.data)))
 			if derr != nil {
 				return fmt.Errorf("field %q: %w", def.Label, derr)
 			}
@@ -226,7 +270,7 @@ func parseBinaryFields(r *bitio.Reader, data []byte, entries []*mdl.Entry, msg *
 // parseFixed reads a fixed-width field.
 //
 //starlink:returns-pooled
-func parseFixed(r *bitio.Reader, e *mdl.Entry) (*message.Field, error) {
+func parseFixed(r *bitio.Reader, w *wire, e *mdl.Entry) (*message.Field, error) {
 	bits := e.Def.SizeBits
 	if (e.Kind == message.KindInt || e.Kind == message.KindBool) && bits <= 64 {
 		v, err := r.ReadBits(bits)
@@ -242,18 +286,19 @@ func parseFixed(r *bitio.Reader, e *mdl.Entry) (*message.Field, error) {
 	if bits%8 != 0 {
 		return nil, fmt.Errorf("field %q: non-integer type with unaligned width %d", e.Label, bits)
 	}
-	raw, err := r.ReadBytes(bits / 8)
+	src, err := w.read(r, bits/8)
 	if err != nil {
 		return nil, fmt.Errorf("field %q: %w", e.Label, err)
 	}
-	return unmarshal(e, raw, bits)
+	return unmarshal(e, src, bits)
 }
 
-// unmarshal decodes raw content into a message field.
+// unmarshal decodes a field's content, a substring of the message's
+// copy, into a message field.
 //
 //starlink:returns-pooled
-func unmarshal(e *mdl.Entry, raw []byte, bits int) (*message.Field, error) {
-	v, err := e.M.Unmarshal(raw, bits)
+func unmarshal(e *mdl.Entry, src string, bits int) (*message.Field, error) {
+	v, err := e.M.Unmarshal(src, bits)
 	if err != nil {
 		return nil, fmt.Errorf("field %q: %w", e.Label, err)
 	}
@@ -283,11 +328,12 @@ func build(e *mdl.Entry, label string, bits int, v message.Value) (*message.Fiel
 func (p *Parser) parseText(data []byte) (*message.Message, error) {
 	msg := message.NewPooled(p.spec.Protocol, "")
 	msg.SetLayout(p.r.Shared.Layout)
+	w := wire{data: data}
 	rest := data
 	var err error
 	for _, e := range p.r.Shared.Header {
 		if e.Def.Wildcard {
-			rest, err = p.parseWildcard(rest, e.Def, msg)
+			rest, err = p.parseWildcard(rest, e.Def, msg, &w)
 			if err != nil {
 				msg.Release()
 				return nil, fmt.Errorf("parser: %s wildcard: %w", p.spec.Protocol, err)
@@ -300,7 +346,7 @@ func (p *Parser) parseText(data []byte) (*message.Message, error) {
 			msg.Release()
 			return nil, fmt.Errorf("parser: %s field %q: %w", p.spec.Protocol, e.Label, err)
 		}
-		f, err := textField(e, e.Label, token)
+		f, err := textField(e, e.Label, token, &w)
 		if err != nil {
 			msg.Release()
 			return nil, fmt.Errorf("parser: %s: %w", p.spec.Protocol, err)
@@ -316,9 +362,9 @@ func (p *Parser) parseText(data []byte) (*message.Message, error) {
 	case mdl.BodyRaw:
 		msg.Add(newField("Body", "Bytes", 0, message.Bytes(rest)))
 	case mdl.BodyXML:
-		// One copy of the body: the leaves are substrings of it, and Body
-		// keeps it as a String, which the composer writes back verbatim.
-		text := string(rest)
+		// The leaves and Body are substrings of the copy; the composer
+		// writes a String body back verbatim.
+		text := w.of(rest)
 		if err := flattenXMLBody(rest, text, msg); err != nil {
 			msg.Release()
 			return nil, fmt.Errorf("parser: %s xml body: %w", p.spec.Protocol, err)
@@ -335,7 +381,7 @@ func (p *Parser) parseText(data []byte) (*message.Message, error) {
 // parseWildcard consumes label:value lines until the empty line that
 // must end them. A label the spec types takes its slot — and its
 // string from the layout; any other is a String found by label.
-func (p *Parser) parseWildcard(data []byte, def *mdl.FieldDef, msg *message.Message) (rest []byte, err error) {
+func (p *Parser) parseWildcard(data []byte, def *mdl.FieldDef, msg *message.Message, w *wire) (rest []byte, err error) {
 	rest = data
 	for {
 		if len(rest) == 0 {
@@ -368,29 +414,31 @@ func (p *Parser) parseWildcard(data []byte, def *mdl.FieldDef, msg *message.Mess
 		}
 		label := e.Label
 		if e.Slot < 0 {
-			label = string(name)
+			label = w.of(name)
 		}
-		f, ferr := textField(e, label, bytes.TrimSpace(line[i+1:]))
+		f, ferr := textField(e, label, bytes.TrimSpace(line[i+1:]), w)
 		if ferr != nil {
 			return nil, ferr
 		}
 		add(msg, nil, e, f)
+		if msg.Len() > maxTextFields {
+			return nil, errTooManyFields
+		}
 	}
 }
 
-// textField builds an abstract field from a text token. token is
-// borrowed — marshallers copy what they keep — so the caller avoids a
-// string conversion per field.
+// textField builds an abstract field from a text token, a subslice of
+// w's data: an integer is parsed in place, anything else unmarshalled
+// from the token's substring of the copy.
 //
 //starlink:returns-pooled
-func textField(e *mdl.Entry, label string, token []byte) (*message.Field, error) {
+func textField(e *mdl.Entry, label string, token []byte, w *wire) (*message.Field, error) {
 	if e.M == nil {
 		return nil, fmt.Errorf("field %q: %w", label, e.Err)
 	}
 	var v message.Value
 	if e.Kind == message.KindInt {
-		// Text integers arrive as decimal strings; parsed in place so
-		// the borrowed token really does avoid a conversion.
+		// Text integers arrive as decimal strings, parsed in place.
 		n, err := parseIntBytes(token)
 		if err != nil {
 			return nil, fmt.Errorf("field %q: %q is not an integer", label, token)
@@ -398,7 +446,7 @@ func textField(e *mdl.Entry, label string, token []byte) (*message.Field, error)
 		v = message.Int(n)
 	} else {
 		var err error
-		v, err = e.M.Unmarshal(token, 0)
+		v, err = e.M.Unmarshal(w.of(token), 0)
 		if err != nil {
 			return nil, fmt.Errorf("field %q: %w", label, err)
 		}

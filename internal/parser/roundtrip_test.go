@@ -86,6 +86,30 @@ func roundTripSeeds(tb testing.TB, codecs []codec) map[string][][]byte {
 	return seeds
 }
 
+// A parsed message keeps no reference to its input: overwriting the
+// buffer after Parse leaves every value of every seed as it was.
+func TestParseOwnsItsValues(t *testing.T) {
+	codecs := shippedCodecs(t)
+	seeds := roundTripSeeds(t, codecs)
+	for _, cd := range codecs {
+		for _, wire := range seeds[cd.name] {
+			in := append([]byte(nil), wire...)
+			m, err := cd.p.Parse(in)
+			if err != nil {
+				t.Fatalf("%s: %v", cd.name, err)
+			}
+			before := m.String() // a copy of every value's text
+			for i := range in {
+				in[i] = '#'
+			}
+			if after := m.String(); after != before {
+				t.Errorf("%s: overwriting the input changed the parsed message\nbefore %s\nafter  %s", cd.name, before, after)
+			}
+			m.Release()
+		}
+	}
+}
+
 // FuzzRoundTrip holds every shipped codec to three properties: parse ∘
 // compose ∘ parse is a fixpoint (after one compose neither the bytes nor
 // the message change any more); every truncation of a seed parses to an

@@ -33,16 +33,17 @@ import (
 // otherwise. The scanner adds nothing to msg unless it accepts, so the
 // decoder always starts from the message the caller passed in.
 //
-// text is string(body), the one copy of the body the caller makes: the
-// scanner's labels and verbatim values are substrings of it.
+// text is body's bytes as a substring of the message's one copy, which
+// backs the scanner's labels and verbatim values. On both paths a leaf
+// that would take msg past maxTextFields fields is an error.
 func flattenXMLBody(body []byte, text string, msg *message.Message) error {
 	start := len(body) - len(bytes.TrimLeftFunc(body, unicode.IsSpace))
 	body = bytes.TrimRightFunc(body[start:], unicode.IsSpace)
 	if len(body) == 0 {
 		return nil
 	}
-	if scanXMLLeaves(body, text[start:start+len(body)], msg) {
-		return nil
+	if ok, err := scanXMLLeaves(body, text[start:start+len(body)], msg); ok {
+		return err
 	}
 	return decodeXMLLeaves(body, msg)
 }
@@ -86,6 +87,9 @@ func decodeXMLLeaves(body []byte, msg *message.Message) error {
 			if !top.hasElem {
 				label := top.name
 				if _, exists := msg.Field(label); !exists {
+					if msg.Len() >= maxTextFields {
+						return errTooManyFields
+					}
 					msg.Add(newField(label, "String", 0, message.Str(strings.TrimSpace(top.text.String()))))
 				}
 			}
@@ -195,13 +199,13 @@ type xmlLeaf struct {
 }
 
 // scanXMLLeaves is the fast path of flattenXMLBody. It reports false,
-// with msg untouched, for any body it does not accept. s holds the same
-// bytes as body, as a string.
+// with msg untouched, for any body it does not accept (an error comes
+// only with true). s holds the same bytes as body, as a string.
 //
 //starlink:hotpath
-func scanXMLLeaves(body []byte, s string, msg *message.Message) bool {
+func scanXMLLeaves(body []byte, s string, msg *message.Message) (bool, error) {
 	if len(body) > math.MaxInt32 {
-		return false
+		return false, nil
 	}
 	// All scanner state lives in this frame, and the helpers below take
 	// and return what they change: appending through a pointer would
@@ -225,19 +229,19 @@ func scanXMLLeaves(body []byte, s string, msg *message.Message) bool {
 			}
 			var ok bool
 			if text, scratch, ok = xmlChars(body, i, end, inText, leafOpen(frames), text, scratch); !ok {
-				return false
+				return false, nil
 			}
 			i = end
 			continue
 		}
 		if i+1 == len(body) {
-			return false
+			return false, nil
 		}
 		closes := false
 		switch body[i+1] {
 		case '/':
 			if len(frames) == 0 {
-				return false
+				return false, nil
 			}
 			i, closes = xmlEndTag(body, i, frames[len(frames)-1]), true
 		case '?':
@@ -250,20 +254,20 @@ func scanXMLLeaves(body []byte, s string, msg *message.Message) bool {
 				j := i + len("<![CDATA[")
 				k := bytes.Index(body[j:], []byte("]]>"))
 				if k < 0 {
-					return false
+					return false, nil
 				}
 				var ok bool
 				if text, scratch, ok = xmlChars(body, j, j+k, inCDATA, leafOpen(frames), text, scratch); !ok {
-					return false
+					return false, nil
 				}
 				i = j + k + len("]]>")
 			default:
-				return false // a directive: the decoder's business
+				return false, nil // a directive: the decoder's business
 			}
 		default:
 			f := xmlFrame{name: int32(i + 1)}
 			if i, f, closes = xmlStartTag(body, f); i < 0 {
-				return false
+				return false, nil
 			}
 			// The parent stops being a leaf candidate; drop its text.
 			if n := len(frames); n > 0 {
@@ -276,7 +280,7 @@ func scanXMLLeaves(body []byte, s string, msg *message.Message) bool {
 			frames = append(frames, f)
 		}
 		if i < 0 {
-			return false
+			return false, nil
 		}
 		if closes {
 			f := frames[len(frames)-1]
@@ -291,10 +295,10 @@ func scanXMLLeaves(body []byte, s string, msg *message.Message) bool {
 		}
 	}
 	if len(frames) != 0 {
-		return false
+		return false, nil
 	}
 	if len(leaves) == 0 {
-		return true
+		return true, nil
 	}
 
 	// Accepted. The caller's one copy of the body backs every label and
@@ -303,6 +307,9 @@ func scanXMLLeaves(body []byte, s string, msg *message.Message) bool {
 		label := s[lf.local:lf.nameEnd]
 		if _, exists := msg.Field(label); exists {
 			continue
+		}
+		if msg.Len() >= maxTextFields {
+			return true, errTooManyFields
 		}
 		var v string
 		switch lf.value.state {
@@ -313,7 +320,7 @@ func scanXMLLeaves(body []byte, s string, msg *message.Message) bool {
 		}
 		msg.Add(newField(label, "String", 0, message.Str(v)))
 	}
-	return true
+	return true, nil
 }
 
 // leafOpen reports whether text met now belongs to an element that can

@@ -5,6 +5,11 @@
 // new marshallers extends the language dynamically, with no compiler
 // changes — the paper's example is adding an FQDN type by plugging in a
 // marshaller that maps DNS-encoded names to strings.
+//
+// A parser makes one string copy of each message it receives and hands
+// every marshaller a substring of it: Unmarshal's src is kept, not
+// borrowed, so a marshaller returns it (or a substring of it) as the
+// value instead of copying.
 package types
 
 import (
@@ -28,10 +33,13 @@ type Marshaller interface {
 	// bits, or 0 for variable-length fields (the encoding then determines
 	// length). Appending lets a composer marshal into one reused buffer.
 	AppendMarshal(dst []byte, v message.Value, bits int) ([]byte, error)
-	// Unmarshal decodes data (already extracted from the wire; for
-	// fixed-width fields exactly ceil(bits/8) bytes with the value in
-	// the low bits when bits%8 != 0).
-	Unmarshal(data []byte, bits int) (message.Value, error)
+	// Unmarshal decodes src, the field's bytes as extracted from the
+	// wire: for fixed-width fields exactly ceil(bits/8) bytes with the
+	// value in the low bits when bits%8 != 0. src is a substring of the
+	// received message's one copy, never of a reused buffer, so the
+	// returned value may hold src or a substring of it as it is; a value
+	// kept past its message keeps that copy alive.
+	Unmarshal(src string, bits int) (message.Value, error)
 }
 
 // StructuredMarshaller is implemented by types that decode into
@@ -134,13 +142,13 @@ func (IntegerMarshaller) AppendMarshal(dst []byte, v message.Value, bits int) ([
 }
 
 // Unmarshal implements Marshaller.
-func (IntegerMarshaller) Unmarshal(data []byte, bits int) (message.Value, error) {
+func (IntegerMarshaller) Unmarshal(src string, bits int) (message.Value, error) {
 	if bits <= 0 || bits > 64 {
 		return message.Value{}, fmt.Errorf("types: Integer requires fixed width 1..64 bits, got %d", bits)
 	}
 	var u uint64
-	for _, b := range data {
-		u = u<<8 | uint64(b)
+	for i := 0; i < len(src); i++ {
+		u = u<<8 | uint64(src[i])
 	}
 	return message.Int(int64(u)), nil
 }
@@ -173,8 +181,8 @@ func (StringMarshaller) AppendMarshal(dst []byte, v message.Value, bits int) ([]
 }
 
 // Unmarshal implements Marshaller.
-func (StringMarshaller) Unmarshal(data []byte, bits int) (message.Value, error) {
-	return message.Str(string(data)), nil
+func (StringMarshaller) Unmarshal(src string, bits int) (message.Value, error) {
+	return message.Str(src), nil
 }
 
 // BytesMarshaller handles opaque byte strings.
@@ -203,8 +211,8 @@ func (BytesMarshaller) AppendMarshal(dst []byte, v message.Value, bits int) ([]b
 }
 
 // Unmarshal implements Marshaller.
-func (BytesMarshaller) Unmarshal(data []byte, bits int) (message.Value, error) {
-	return message.Bytes(data), nil
+func (BytesMarshaller) Unmarshal(src string, bits int) (message.Value, error) {
+	return message.Bytes([]byte(src)), nil
 }
 
 // BooleanMarshaller handles single-bit or single-byte booleans.
@@ -230,9 +238,9 @@ func (BooleanMarshaller) AppendMarshal(dst []byte, v message.Value, bits int) ([
 }
 
 // Unmarshal implements Marshaller.
-func (BooleanMarshaller) Unmarshal(data []byte, bits int) (message.Value, error) {
-	for _, b := range data {
-		if b != 0 {
+func (BooleanMarshaller) Unmarshal(src string, bits int) (message.Value, error) {
+	for i := 0; i < len(src); i++ {
+		if src[i] != 0 {
 			return message.Bool(true), nil
 		}
 	}
@@ -276,8 +284,8 @@ func (FQDNMarshaller) AppendMarshal(dst []byte, v message.Value, bits int) ([]by
 }
 
 // Unmarshal implements Marshaller.
-func (FQDNMarshaller) Unmarshal(data []byte, bits int) (message.Value, error) {
-	s, _, err := DecodeFQDN(data)
+func (FQDNMarshaller) Unmarshal(src string, bits int) (message.Value, error) {
+	s, _, err := DecodeFQDN(src)
 	if err != nil {
 		return message.Value{}, err
 	}
@@ -287,29 +295,27 @@ func (FQDNMarshaller) Unmarshal(data []byte, bits int) (message.Value, error) {
 // DecodeFQDN decodes a DNS-encoded name from the front of data,
 // returning the dotted name and the number of bytes consumed. It is
 // exported because variable-length FQDN fields require the parser to
-// learn the consumed length.
-func DecodeFQDN(data []byte) (name string, n int, err error) {
-	var labels []string
-	i := 0
-	for {
-		if i >= len(data) {
-			return "", 0, fmt.Errorf("types: truncated FQDN")
-		}
-		l := int(data[i])
-		i++
-		if l == 0 {
-			break
-		}
-		if l > 63 {
+// learn the consumed length. The labels are measured first, so the name
+// is built with one allocation.
+func DecodeFQDN(data string) (name string, n int, err error) {
+	for n < len(data) && data[n] != 0 {
+		if l := int(data[n]); l > 63 {
 			return "", 0, fmt.Errorf("types: FQDN label length %d (compression unsupported)", l)
 		}
-		if i+l > len(data) {
-			return "", 0, fmt.Errorf("types: truncated FQDN label")
-		}
-		labels = append(labels, string(data[i:i+l]))
-		i += l
+		n += 1 + int(data[n])
 	}
-	return strings.Join(labels, "."), i, nil
+	if n >= len(data) {
+		return "", 0, fmt.Errorf("types: truncated FQDN")
+	}
+	var b strings.Builder
+	b.Grow(max(n-1, 0)) // the length bytes after the first become dots
+	for i := 0; i < n; i += 1 + int(data[i]) {
+		if i > 0 {
+			b.WriteByte('.')
+		}
+		b.WriteString(data[i+1 : i+1+int(data[i])])
+	}
+	return b.String(), n + 1, nil
 }
 
 // URLMarshaller handles URLs carried as text on the wire, decoding them
@@ -333,8 +339,8 @@ func (URLMarshaller) AppendMarshal(dst []byte, v message.Value, bits int) ([]byt
 }
 
 // Unmarshal implements Marshaller.
-func (URLMarshaller) Unmarshal(data []byte, bits int) (message.Value, error) {
-	return message.Str(string(data)), nil
+func (URLMarshaller) Unmarshal(src string, bits int) (message.Value, error) {
+	return message.Str(src), nil
 }
 
 // Explode implements StructuredMarshaller.
@@ -361,12 +367,20 @@ func (URLMarshaller) Explode(v message.Value) ([]*message.Field, error) {
 	if resource == "" {
 		resource = "/"
 	}
+	// Pooled, so that the parent's Release recycles them.
 	return []*message.Field{
-		{Label: "protocol", Type: "String", Value: message.Str(u.Scheme)},
-		{Label: "address", Type: "String", Value: message.Str(u.Hostname())},
-		{Label: "port", Type: "Integer", Value: message.Int(port)},
-		{Label: "resource", Type: "String", Value: message.Str(resource)},
+		child("protocol", "String", message.Str(u.Scheme)),
+		child("address", "String", message.Str(u.Hostname())),
+		child("port", "Integer", message.Int(port)),
+		child("resource", "String", message.Str(resource)),
 	}, nil
+}
+
+// child returns a pooled primitive field.
+func child(label, typ string, v message.Value) *message.Field {
+	f := message.NewField()
+	f.Label, f.Type, f.Value = label, typ, v
+	return f
 }
 
 // Implode implements StructuredMarshaller.
@@ -439,11 +453,11 @@ func (IPv4Marshaller) AppendMarshal(dst []byte, v message.Value, bits int) ([]by
 }
 
 // Unmarshal implements Marshaller.
-func (IPv4Marshaller) Unmarshal(data []byte, bits int) (message.Value, error) {
-	if len(data) != 4 {
-		return message.Value{}, fmt.Errorf("types: IPv4 needs 4 bytes, got %d", len(data))
+func (IPv4Marshaller) Unmarshal(src string, bits int) (message.Value, error) {
+	if len(src) != 4 {
+		return message.Value{}, fmt.Errorf("types: IPv4 needs 4 bytes, got %d", len(src))
 	}
-	return message.Str(fmt.Sprintf("%d.%d.%d.%d", data[0], data[1], data[2], data[3])), nil
+	return message.Str(fmt.Sprintf("%d.%d.%d.%d", src[0], src[1], src[2], src[3])), nil
 }
 
 // Compile-time interface compliance checks.

@@ -52,7 +52,7 @@ func TestIntegerMarshalWidths(t *testing.T) {
 		if !bytes.Equal(got, tt.want) {
 			t.Errorf("AppendMarshal(%d,%d) = %v, want %v", tt.v, tt.bits, got, tt.want)
 		}
-		back, err := m.Unmarshal(got, tt.bits)
+		back, err := m.Unmarshal(string(got), tt.bits)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestStringMarshal(t *testing.T) {
 	if err != nil || string(got) != "42" {
 		t.Fatalf("int-as-string: %q err %v", got, err)
 	}
-	v, err := m.Unmarshal([]byte("hi"), 0)
+	v, err := m.Unmarshal("hi", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,14 +124,14 @@ func TestBooleanMarshal(t *testing.T) {
 	if err != nil || !bytes.Equal(got, []byte{1}) {
 		t.Fatalf("got %v err %v", got, err)
 	}
-	v, err := m.Unmarshal([]byte{0}, 8)
+	v, err := m.Unmarshal("\x00", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b, _ := v.AsBool(); b {
 		t.Fatal("0 should be false")
 	}
-	v, _ = m.Unmarshal([]byte{0, 4}, 16)
+	v, _ = m.Unmarshal("\x00\x04", 16)
 	if b, _ := v.AsBool(); !b {
 		t.Fatal("nonzero should be true")
 	}
@@ -145,7 +145,7 @@ func TestFQDNRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("AppendMarshal(%q): %v", name, err)
 		}
-		v, err := m.Unmarshal(enc, 0)
+		v, err := m.Unmarshal(string(enc), 0)
 		if err != nil {
 			t.Fatalf("Unmarshal(%q): %v", name, err)
 		}
@@ -179,19 +179,19 @@ func TestFQDNErrors(t *testing.T) {
 	if _, err := m.AppendMarshal(nil, message.Str(string(long)), 0); err == nil {
 		t.Error("64+ byte label should fail")
 	}
-	if _, _, err := DecodeFQDN([]byte{5, 'a'}); err == nil {
+	if _, _, err := DecodeFQDN("\x05a"); err == nil {
 		t.Error("truncated label should fail")
 	}
-	if _, _, err := DecodeFQDN([]byte{}); err == nil {
+	if _, _, err := DecodeFQDN(""); err == nil {
 		t.Error("empty data should fail")
 	}
-	if _, _, err := DecodeFQDN([]byte{0xC0, 0x01}); err == nil {
+	if _, _, err := DecodeFQDN("\xC0\x01"); err == nil {
 		t.Error("compression pointer should be rejected")
 	}
 }
 
 func TestDecodeFQDNConsumed(t *testing.T) {
-	data := []byte{1, 'a', 0, 0xFF, 0xFF}
+	data := "\x01a\x00\xFF\xFF"
 	name, n, err := DecodeFQDN(data)
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +266,7 @@ func TestIPv4Roundtrip(t *testing.T) {
 	if !bytes.Equal(enc, []byte{239, 255, 255, 253}) {
 		t.Fatalf("enc = %v", enc)
 	}
-	v, err := m.Unmarshal(enc, 32)
+	v, err := m.Unmarshal(string(enc), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestIPv4Roundtrip(t *testing.T) {
 	if _, err := m.AppendMarshal(nil, message.Str("1.2.3.999"), 32); err == nil {
 		t.Error("octet overflow should fail")
 	}
-	if _, err := m.Unmarshal([]byte{1, 2}, 32); err == nil {
+	if _, err := m.Unmarshal("\x01\x02", 32); err == nil {
 		t.Error("short data should fail")
 	}
 }
@@ -302,7 +302,7 @@ func TestQuickIntegerRoundtrip(t *testing.T) {
 			// is expected to fail (negative check).
 			return int64(v) < 0
 		}
-		back, err := m.Unmarshal(enc, bits)
+		back, err := m.Unmarshal(string(enc), bits)
 		if err != nil {
 			return false
 		}
@@ -338,7 +338,7 @@ func TestQuickFQDNRoundtrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		v, err := m.Unmarshal(enc, 0)
+		v, err := m.Unmarshal(string(enc), 0)
 		if err != nil {
 			return false
 		}
