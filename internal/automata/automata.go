@@ -121,7 +121,7 @@ const (
 	AttrMulticast = "multicast" // "yes" or "no"
 	AttrGroup     = "group"     // multicast group address
 	// AttrTxID, on a client-role datagram color, names the request header
-	// field the peer echoes in its reply (the engine owns that field).
+	// field the peer echoes in its reply (the engine owns an integer one).
 	AttrTxID = "txid"
 )
 

@@ -58,8 +58,8 @@ func TestScenarioParseErrors(t *testing.T) {
 }
 
 func TestBuiltinScenariosValidate(t *testing.T) {
-	if len(SweepSet) != 6 {
-		t.Fatalf("sweep set has %d scenarios, want the five fault modes and requester-reuse", len(SweepSet))
+	if len(SweepSet) != 7 {
+		t.Fatalf("sweep set has %d scenarios, want the five fault modes, requester-reuse and ssdp-reuse", len(SweepSet))
 	}
 	for _, name := range SweepSet {
 		if _, err := Lookup(name); err != nil {
@@ -207,6 +207,28 @@ func TestRequesterReuseIsDeterministic(t *testing.T) {
 	}
 	if text := FormatArtifact(a); !strings.Contains(text, "\ndistinct\n") || !strings.Contains(text, " stale=") {
 		t.Errorf("artifact lacks the distinct flag or the stale counter:\n%s", text[:600])
+	}
+}
+
+// TestSSDPReuseLendsByST checks that ssdp-reuse does what it is for:
+// slp-to-upnp bridged every lookup (and the duplicated ones again), its
+// SSDP sockets were lent again, and the stale guard fired.
+func TestSSDPReuseLendsByST(t *testing.T) {
+	sc, err := Lookup("ssdp-reuse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(sc, 11, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range res.Violations {
+		t.Errorf("seed 11: %s", v)
+	}
+	c := res.Cases["slp-to-upnp"]
+	if c.Completed < sc.Clients || c.RequesterOpens >= c.RequesterLends || c.Stale == 0 {
+		t.Errorf("slp-to-upnp completed %d, lent %d times from %d sockets, %d stale: want every lookup bridged, sockets reused and the ST guard exercised",
+			c.Completed, c.RequesterLends, c.RequesterOpens, c.Stale)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -200,15 +201,19 @@ func Run(sc *Scenario, seed int64, cfg Config) (*Result, error) {
 	epoch := sim.Now()
 
 	col := &collector{started: map[string]int{}, ended: map[string]int{}}
-	maxSessions := sc.MaxSessions
+	maxSessions, hosted := sc.MaxSessions, []string(nil)
 	if maxSessions == 0 {
 		maxSessions = 1024
 	}
-	// Host every loaded case (nil filter): multicast entry traffic may
-	// classify into any of them, and the invariants account per case.
-	// The worker count is pinned — the default tracks GOMAXPROCS,
-	// which must not influence a deterministic schedule.
-	d, err := provision.Deploy(context.Background(), reg, sim, bridgeIP, nil,
+	if sc.HostOnly {
+		hosted = sc.Cases
+	}
+	// Host every loaded case (nil filter) unless told otherwise:
+	// multicast entry traffic may classify into any of them, and the
+	// invariants account per case. The worker count is pinned — the
+	// default tracks GOMAXPROCS, which must not influence a
+	// deterministic schedule.
+	d, err := provision.Deploy(context.Background(), reg, sim, bridgeIP, hosted,
 		provision.WithSink(col),
 		provision.WithEngineOptions(
 			engine.WithIngestWorkers(4),
@@ -333,7 +338,8 @@ func Run(sc *Scenario, seed int64, cfg Config) (*Result, error) {
 // Response delays draw from per-service RNGs derived from the run
 // seed, so they vary across seeds but never across runs of one seed.
 // A Distinct scenario adds, per client index, an SLP agent and a Bonjour
-// responder for that client's own type on hosts of their own.
+// responder for that client's own type on hosts of their own, and a UPnP
+// device when it drives a *-to-upnp case.
 func startServices(sim *simnet.Net, seed int64, sc *Scenario) error {
 	for i := 0; sc.Distinct && i < sc.Clients; i++ {
 		own := distinctType(i)
@@ -353,6 +359,17 @@ func startServices(sim *simnet.Net, seed int64, sc *Scenario) error {
 		if err == nil {
 			_, err = dnssd.NewResponder(bn, own+".local", "service:"+own+"://"+bn.IP()+":515",
 				dnssd.WithAnswerDelay(5*time.Millisecond, 60*time.Millisecond, rng(200)))
+		}
+		if err != nil {
+			return err
+		}
+		if !slices.ContainsFunc(sc.Cases, func(c string) bool { return strings.HasSuffix(c, "-to-upnp") }) {
+			continue
+		}
+		un, err := sim.NewNode(fmt.Sprintf("10.0.7.%d", i+1))
+		if err == nil {
+			_, err = upnp.NewDevice(un, "urn:"+own, "service:"+own+"://"+un.IP()+":515", 5431,
+				upnp.WithSSDPDelay(5*time.Millisecond, 60*time.Millisecond, rng(300)))
 		}
 		if err != nil {
 			return err

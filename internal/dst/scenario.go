@@ -51,6 +51,9 @@ type Scenario struct {
 	Distinct bool
 	// MaxSessions caps each engine (0 → engine default).
 	MaxSessions int
+	// HostOnly hosts Cases alone, not every loaded case: ambiguous
+	// dispatch would hand an slp-to-upnp lookup to slp-to-bonjour.
+	HostOnly bool
 	// Faults is the delivery-layer fault plan (nil → fault-free run).
 	Faults *netapi.FaultPlan
 	// Drain, when positive, begins dispatcher drain at that virtual
@@ -138,6 +141,9 @@ func FormatScenario(s *Scenario) string {
 	if s.MaxSessions > 0 {
 		fmt.Fprintf(&b, "maxsessions %d\n", s.MaxSessions)
 	}
+	if s.HostOnly {
+		b.WriteString("hostonly\n")
+	}
 	if s.Faults != nil {
 		for i := range s.Faults.Rules {
 			b.WriteString(netapi.FormatFaultRule(s.Faults.Rules[i]))
@@ -186,6 +192,8 @@ func ParseScenario(text string) (*Scenario, error) {
 			s.Distinct = true
 		case "maxsessions":
 			s.MaxSessions, err = strconv.Atoi(rest)
+		case "hostonly":
+			s.HostOnly = true
 		case "fault":
 			var r netapi.FaultRule
 			if r, err = netapi.ParseFaultRule(line); err == nil {
@@ -230,8 +238,8 @@ var builtinCases = []string{
 }
 
 // Builtin returns the shipped scenario catalog, keyed by name. The
-// first five (loss, delay, reorder, duplicate, partition) and
-// requester-reuse are the CI sweep set; the rest exercise overload,
+// first five (loss, delay, reorder, duplicate, partition), requester-reuse
+// and ssdp-reuse are the CI sweep set; the rest exercise overload,
 // drain and hot-reload paths plus seed-pinned regressions. selftest-fail is intentionally
 // unsatisfiable — it exists so the artifact/replay pipeline itself is
 // covered by an always-failing run.
@@ -241,6 +249,12 @@ func Builtin() map[string]*Scenario {
 	}
 	m := map[string]*Scenario{}
 	add := func(s *Scenario) { m[s.Name] = s }
+	// lateReplies makes a reply land while a later session holds the
+	// socket its own session was lent.
+	lateReplies := plan(
+		netapi.FaultRule{Name: "late-dup", Proto: "udp", Duplicate: 0.5, DuplicateDelay: 40 * time.Millisecond},
+		netapi.FaultRule{Name: "swap", Proto: "udp", Reorder: 0.3},
+	)
 
 	add(&Scenario{
 		Name:    "loss",
@@ -362,11 +376,16 @@ func Builtin() map[string]*Scenario {
 		Cases:   []string{"slp-to-bonjour", "bonjour-to-slp"},
 		Clients: 12, Stagger: 9 * time.Millisecond,
 		Distinct: true,
-		Faults: plan(
-			netapi.FaultRule{Name: "late-dup", Proto: "udp",
-				Duplicate: 0.5, DuplicateDelay: 40 * time.Millisecond},
-			netapi.FaultRule{Name: "swap", Proto: "udp", Reorder: 0.3},
-		),
+		Faults:   lateReplies,
+		Expect:   []Expectation{{Counter: "completed", Min: 12}, {Counter: "stale", Min: 1}},
+	})
+	add(&Scenario{
+		Name:    "ssdp-reuse",
+		Info:    "SSDP sockets lent on the ST replies echo, under late duplicates and reordering: one UPnP device per client's type",
+		Cases:   []string{"slp-to-upnp"},
+		Clients: 12, Stagger: 9 * time.Millisecond,
+		Distinct: true, HostOnly: true,
+		Faults: lateReplies,
 		Expect: []Expectation{{Counter: "completed", Min: 12}, {Counter: "stale", Min: 1}},
 	})
 	add(&Scenario{
@@ -392,9 +411,9 @@ func Names() []string {
 }
 
 // SweepSet is the default scenario set for seed sweeps: the five fault
-// modes the issue's acceptance gate names, and the scenario that holds
-// lent requester sockets to per-session isolation.
-var SweepSet = []string{"loss", "delay", "reorder", "duplicate", "partition", "requester-reuse"}
+// modes, and the two scenarios that hold lent requester sockets — by
+// epoch and by echoed ST — to per-session isolation.
+var SweepSet = []string{"loss", "delay", "reorder", "duplicate", "partition", "requester-reuse", "ssdp-reuse"}
 
 // Lookup resolves a builtin scenario by name.
 func Lookup(name string) (*Scenario, error) {

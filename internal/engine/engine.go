@@ -536,7 +536,7 @@ func New(node netapi.Node, merged *merge.Merged, codecs map[string]*Codec, opts 
 	for i := range e.workers {
 		e.workers[i] = &worker{
 			q:    lanes.NewQueue[ingestJob](perWorker, e.gate),
-			idle: make([][]*requester, len(plan.txid)),
+			idle: make([][]*requester, len(plan.reqs)),
 		}
 	}
 	return e, nil

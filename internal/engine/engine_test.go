@@ -93,7 +93,13 @@ func build(t *testing.T, sim *simnet.Net, caseName string, opts ...engine.Option
 // the test.
 func hosted(t *testing.T, node netapi.Node, caseName string, opts ...engine.Option) *engine.Engine {
 	t.Helper()
-	d := provision.NewDispatcher(builtin(t), node, provision.WithCases(caseName), provision.WithEngineOptions(opts...))
+	return hostedFrom(t, builtin(t), node, caseName, opts...)
+}
+
+// hostedFrom is hosted with the models of reg.
+func hostedFrom(t *testing.T, reg *registry.Registry, node netapi.Node, caseName string, opts ...engine.Option) *engine.Engine {
+	t.Helper()
+	d := provision.NewDispatcher(reg, node, provision.WithCases(caseName), provision.WithEngineOptions(opts...))
 	t.Cleanup(func() { _ = d.Close() })
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
@@ -415,9 +421,9 @@ func TestBridgeProgramChain(t *testing.T) {
 			t.Fatalf("chain = %v, want %v", chain, want)
 		}
 	}
-	// The plan's requester color table: SSDP and HTTP, neither with a
-	// transaction id to lend sockets behind.
-	if lent := e.LentColors(); len(lent) != 2 || lent[0] || lent[1] {
-		t.Fatalf("requester color table lent = %v, want SSDP and HTTP, one socket per session each", lent)
+	// The plan's requester color table: SSDP, lent on the ST its replies
+	// echo, and HTTP, one connection per session.
+	if lent := e.LentColors(); len(lent) != 2 || !lent[0] || lent[1] {
+		t.Fatalf("requester color table lent = %v, want SSDP lent and HTTP one socket per session", lent)
 	}
 }

@@ -5,8 +5,8 @@ import "starlink/internal/netapi"
 // LentColors reports, per row of the plan's requester color table,
 // whether sockets of that color are lent (the color declares a txid).
 func (e *Engine) LentColors() (lent []bool) {
-	for _, txid := range e.plan.txid {
-		lent = append(lent, txid != nil)
+	for _, rs := range e.plan.reqs {
+		lent = append(lent, rs.txid != nil)
 	}
 	return lent
 }

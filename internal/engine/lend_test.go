@@ -2,14 +2,17 @@ package engine_test
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"starlink/internal/engine"
+	"starlink/internal/models"
 	"starlink/internal/netapi"
 	"starlink/internal/protocols/dnssd"
 	"starlink/internal/protocols/httpx"
@@ -247,8 +250,7 @@ func openFDs(t *testing.T) int {
 
 // Requester sockets of a color that declares a txid are lent, not
 // opened: sequential sessions reuse one per worker, a burst leaves at
-// most the idle cap behind, Close releases them all — and a color with
-// no txid (SSDP) still opens one socket per session.
+// most the idle cap behind, Close releases them all.
 func TestRequestersAreLent(t *testing.T) {
 	const (
 		sequential = 1000
@@ -329,8 +331,22 @@ func TestRequestersAreLent(t *testing.T) {
 	})
 }
 
+// A color with no txid opens one socket per session: here a test-local
+// ssdp-client that does not declare the ST its replies echo.
 func TestUnlentColorOpensPerSession(t *testing.T) {
 	const sessions = 5
+	reg := builtin(t)
+	doc, err := fs.ReadFile(models.FS, "ssdp-client.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	unlent := strings.Replace(string(doc), `<Attr key="txid" value="ST"/>`, "", 1)
+	if unlent == string(doc) {
+		t.Fatal("ssdp-client.xml no longer declares txid ST: this test removes that line")
+	}
+	if _, err := reg.ReplaceAutomaton("ssdp-client", unlent); err != nil {
+		t.Fatal(err)
+	}
 	goroutines0 := runtime.NumGoroutine()
 	rt := realnet.New()
 	devNode, _ := rt.NewNode("10.0.0.7")
@@ -345,7 +361,7 @@ func TestUnlentColorOpensPerSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	var opened atomic.Int64
-	e := hosted(t, countingNode{Node: host, udp: &opened}, "slp-to-upnp", engine.WithIngestWorkers(1))
+	e := hostedFrom(t, reg, countingNode{Node: host, udp: &opened}, "slp-to-upnp", engine.WithIngestWorkers(1))
 	ua := slp.NewUserAgent(cliNode, slp.WithConvergenceWait(20*time.Millisecond))
 	for i := 1; i <= sessions; i++ {
 		ua.Lookup("service:printer", func(slp.LookupResult) {})
@@ -355,4 +371,57 @@ func TestUnlentColorOpensPerSession(t *testing.T) {
 		t.Errorf("%d sessions opened %d SSDP sockets, counters %+v: want one socket per session and nothing lent", sessions, opened.Load(), c.Counters)
 	}
 	_ = e.Close()
+}
+
+// The shipped ssdp-client declares txid ST, a String the engine does not
+// stamp: sequential sessions borrow one SSDP socket, and a response
+// whose ST is not the one the holder searched for — an answer to some
+// other question, such as a previous holder's — is counted Stale and
+// never delivered, while the device's own answer completes the session.
+func TestSSDPRequesterLentByST(t *testing.T) {
+	const sessions = 5
+	sim := simnet.New()
+	host, _ := sim.NewNode("10.0.0.5")
+	var opened atomic.Int64
+	e := hostedFrom(t, builtin(t), countingNode{Node: host, udp: &opened}, "slp-to-upnp", engine.WithIngestWorkers(1))
+	devNode, _ := sim.NewNode("10.0.0.7")
+	if _, err := upnp.NewDevice(devNode, "urn:printer", "http://10.0.0.7:5431/svc", 5431,
+		upnp.WithSSDPDelay(20*time.Millisecond, 20*time.Millisecond, nil)); err != nil {
+		t.Fatal(err)
+	}
+	// Another device answers every search at once, for a type of its
+	// own, with a location nobody serves: taking it fails the session.
+	rogueNode, _ := sim.NewNode("10.0.0.8")
+	var searches []netapi.Addr
+	var rogue netapi.UDPSocket
+	rogue, err := rogueNode.JoinGroup(netapi.Addr{IP: ssdp.Group, Port: ssdp.Port}, func(pkt netapi.Packet) {
+		if msg, err := ssdp.Parse(pkt.Data); err == nil && msg.IsSearch() {
+			searches = append(searches, pkt.From)
+			_ = rogue.Send(pkt.From, ssdp.NewResponse("urn:scanner", "http://10.0.0.8:5431/desc.xml", "uuid:rogue").Marshal())
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cliNode, _ := sim.NewNode("10.0.0.1")
+	ua := slp.NewUserAgent(cliNode, slp.WithConvergenceWait(500*time.Millisecond))
+	for i := 1; i <= sessions; i++ {
+		var urls []string
+		done := false
+		ua.Lookup("service:printer", func(r slp.LookupResult) { urls, done = r.URLs, true })
+		if err := sim.RunUntil(func() bool { return done }, time.Minute); err != nil {
+			t.Fatalf("lookup %d: %v (%+v)", i, err, e.Counts().Counters)
+		}
+		if len(urls) != 1 || urls[0] != "http://10.0.0.7:5431/svc" {
+			t.Fatalf("lookup %d: urls %v, want the printer's alone", i, urls)
+		}
+	}
+	if len(searches) != sessions || searches[0] != searches[sessions-1] {
+		t.Errorf("searches came from %v, want %d from one socket", searches, sessions)
+	}
+	if c := e.Counts(); opened.Load() != 1 || c.RequesterOpens != 1 || c.RequesterLends != sessions ||
+		c.Stale != sessions || c.Completed != sessions || c.Failed != 0 || c.Ignored != 0 {
+		t.Errorf("%d sessions opened %d SSDP sockets, counters %+v: want one socket lent %d times and every scanner answer stale",
+			sessions, opened.Load(), c.Counters, sessions)
+	}
 }

@@ -16,11 +16,8 @@ import (
 // slots index. Read-only after New.
 type plan struct {
 	steps []planStep
-	// txid is the requester color table, one row per client-role
-	// protocol: the path of the header field the peer echoes (the color's
-	// txid attribute), whose sockets are lent from session to session, or
-	// nil — one socket per session, told apart by its port alone.
-	txid [][]string
+	// reqs is the requester color table, one row per client-role protocol.
+	reqs []reqSlot
 	// nHist and nEntry size a session's history and reply-target arrays.
 	nHist, nEntry int
 	// slotOf resolves a message name to its history slot for
@@ -37,6 +34,19 @@ type planStep struct {
 	// hist is the history slot of Message, entry the reply-target slot of
 	// Protocol and — on a send to the peer — req its requester slot.
 	hist, entry, req int
+}
+
+// reqSlot is a row of the requester color table. txid is the path of the
+// header field the peer echoes (the color's txid attribute), whose
+// sockets are lent from session to session, or nil — one socket per
+// session, told apart by its port alone. An integer txid the engine
+// stamps with the lend's epoch; a String one the translation fills, and
+// a reply must carry what the request in history slot sent carried: the
+// same question, not the same lend.
+type reqSlot struct {
+	txid  []string
+	stamp bool
+	sent  int
 }
 
 func compilePlan(program []merge.Step, codecs map[string]*Codec) (*plan, error) {
@@ -63,21 +73,26 @@ func compilePlan(program []merge.Step, codecs map[string]*Codec) (*plan, error) 
 		if step.Kind != merge.StepSend || step.ReplyToOrigin {
 			continue
 		}
-		if st.req = slot(reqs, step.Protocol); st.req < len(p.txid) {
-			continue
-		}
-		var txid []string
-		if scheme.TxID != "" {
-			if scheme.Transport != "udp" || st.codec.Spec.HeaderField(scheme.TxID) == nil {
-				return nil, serrors.Mark(fmt.Errorf("engine: color %s: txid %q is not a header field of datagram protocol %s",
+		if st.req = slot(reqs, step.Protocol); st.req < len(p.reqs) {
+			if rs := p.reqs[st.req]; rs.txid != nil && !rs.stamp && rs.sent != st.hist {
+				return nil, serrors.Mark(fmt.Errorf("engine: color %s: String txid %q on two requests of protocol %s",
 					step.Color, scheme.TxID, step.Protocol), serrors.ErrModelInvalid)
 			}
-			txid = message.SplitPath(scheme.TxID)
+			continue
 		}
-		p.txid = append(p.txid, txid)
+		rs := reqSlot{sent: st.hist}
+		if scheme.TxID != "" {
+			kind := st.codec.Parser.HeaderKind(scheme.TxID)
+			if scheme.Transport != "udp" || (kind != message.KindInt && kind != message.KindString) {
+				return nil, serrors.Mark(fmt.Errorf("engine: color %s: txid %q is not an integer or String header field of datagram protocol %s",
+					step.Color, scheme.TxID, step.Protocol), serrors.ErrModelInvalid)
+			}
+			rs.txid, rs.stamp = message.SplitPath(scheme.TxID), kind == message.KindInt
+		}
+		p.reqs = append(p.reqs, rs)
 	}
-	if len(p.txid) > 255 {
-		return nil, fmt.Errorf("engine: %d client-role protocols, want at most 255", len(p.txid))
+	if len(p.reqs) > 255 {
+		return nil, fmt.Errorf("engine: %d client-role protocols, want at most 255", len(p.reqs))
 	}
 	p.nHist, p.nEntry = len(p.slotOf), len(entries)
 	return p, nil

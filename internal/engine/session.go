@@ -119,7 +119,7 @@ func (e *Engine) newSession(w *worker, key sessionKey, seq uint64, first *messag
 			rec:     trace.New(e.traceRing, epoch),
 			entries: make([]netengine.Source, e.plan.nEntry),
 			history: make([][]*message.Message, e.plan.nHist),
-			reqs:    make([]*requester, len(e.plan.txid)),
+			reqs:    make([]*requester, len(e.plan.reqs)),
 		}
 		s.lookupFn = s.lookup
 		s.timer = e.node.NewTimer(func() { e.deliverTimer(s, s.armed.Load()) })
@@ -188,7 +188,7 @@ func (s *session) handle(job ingestJob) {
 		s.recordIngest(tm, trace.OutcomeErr)
 		return
 	}
-	if !s.reqs[job.req].answers(job.src, msg, s.e.plan.txid[job.req]) {
+	if !s.answers(job.req, job.src, msg) {
 		s.rec.RecordAt(trace.StageRecv, trace.OutcomeDrop, tm.parsed, tm.bytes)
 		s.e.stale.Add(1)
 		msg.Release()
@@ -316,8 +316,8 @@ func (s *session) runSend(st *planStep) error {
 		return err
 	}
 	s.rec.RecordAt(trace.StageTranslate, trace.OutcomeOK, t1, 0)
-	if !st.ReplyToOrigin && e.plan.txid[st.req] != nil {
-		// The engine owns the color's txid field: on a lent socket it
+	if !st.ReplyToOrigin && e.plan.reqs[st.req].stamp {
+		// The engine owns an integer txid field: on a lent socket it
 		// carries the epoch of this lend, which a reply must echo.
 		r, err := s.requester(st)
 		if err != nil {
@@ -325,7 +325,7 @@ func (s *session) runSend(st *planStep) error {
 			return err
 		}
 		if r.epoch != 0 {
-			out.SetPathParts(e.plan.txid[st.req], message.Int(int64(r.epoch)))
+			out.SetPathParts(e.plan.reqs[st.req].txid, message.Int(int64(r.epoch)))
 		}
 	}
 	wire, err := st.codec.Composer.AppendCompose(s.w.wire[:0], out)

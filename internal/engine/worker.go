@@ -37,13 +37,13 @@ type worker struct {
 // requester is a client-role channel and the session it serves now. A
 // color that declares a txid has its sockets lent: opened on first need,
 // held by one session at a time, closed by Engine.Close — what keeps a
-// reply to the previous holder from the next is the epoch, not the port.
+// reply to the previous holder from the next is the txid, not the port.
 // Any other channel serves the one session that opened it.
 type requester struct {
 	*netengine.Requester
 	// epoch numbers a lent socket's lends (16 bits, never 0; always 0 on
-	// a channel that is not lent): the holder sends it in the color's
-	// txid field and takes only replies that echo it. Worker-owned.
+	// a channel that is not lent): under an integer txid the holder sends
+	// it in the field and takes only replies that echo it. Worker-owned.
 	epoch uint16
 	// cur is the holder the read loop posts payloads to; nil once
 	// released, when whatever arrives answers a session that has gone.
@@ -60,7 +60,7 @@ func (s *session) requester(st *planStep) (*requester, error) {
 		return r, nil
 	}
 	e, w := s.e, s.w
-	lent := e.plan.txid[st.req] != nil && s.override.IsZero()
+	lent := e.plan.reqs[st.req].txid != nil && s.override.IsZero()
 	if idle := w.idle[st.req]; lent && len(idle) > 0 {
 		r, w.idle[st.req] = idle[len(idle)-1], idle[:len(idle)-1]
 		e.idleRequesters.Add(-1)
@@ -123,21 +123,28 @@ func (e *Engine) closeRequester(r *requester) {
 	_ = r.Close()
 }
 
-// answers reports whether a parsed payload is a reply to r's holder:
-// read off r's own channel — not one some other session holds now —
-// and, on a lent socket, echoing this lend's epoch in txid.
+// answers reports whether a payload parsed off requester slot is a
+// reply to s: read off s's own channel — not one some other session
+// holds now — and, on a lent socket, echoing in txid this lend's epoch
+// or, for a String txid, what s's request carried there.
 //
 //starlink:hotpath
-func (r *requester) answers(src netengine.Source, msg *message.Message, txid []string) bool {
+func (s *session) answers(slot uint8, src netengine.Source, msg *message.Message) bool {
+	r, rs := s.reqs[slot], &s.e.plan.reqs[slot]
 	if r == nil || !r.Heard(src) {
 		return false
 	}
 	if r.epoch == 0 {
 		return true
 	}
-	f, ok := msg.PathParts(txid)
+	f, ok := msg.PathParts(rs.txid)
 	if !ok {
 		return false
+	}
+	if !rs.stamp {
+		sent := s.history[rs.sent]
+		asked, ok := sent[len(sent)-1].PathParts(rs.txid)
+		return ok && asked.Value.Equal(f.Value)
 	}
 	id, ok := f.Value.AsInt()
 	return ok && id == int64(r.epoch)

@@ -27,6 +27,7 @@ package mdl
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -218,6 +219,14 @@ func (s *Spec) HeaderField(label string) *FieldDef {
 		}
 	}
 	return nil
+}
+
+// InHeader reports whether every message of s carries label in its
+// header: a header field's label or, when a text header absorbs
+// label:value lines, a label the Types table names.
+func (s *Spec) InHeader(label string) bool {
+	_, typed := s.Types[label]
+	return s.HeaderField(label) != nil || typed && slices.ContainsFunc(s.Header.Fields, func(f *FieldDef) bool { return f.Wildcard })
 }
 
 // TypeOf returns the type definition for a field label. Labels without

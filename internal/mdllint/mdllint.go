@@ -27,6 +27,7 @@ import (
 	"starlink/internal/provision"
 	"starlink/internal/registry"
 	"starlink/internal/translation"
+	"starlink/internal/xpath"
 )
 
 // Severity grades a diagnostic.
@@ -752,22 +753,25 @@ func checkCrossProto(sp map[string]*mdl.Spec, e1, e2 entry) []Diagnostic {
 // ruleTxID checks the txid color attribute: the model's assertion that
 // the peer echoes a header field of the request in its reply. On the
 // strength of it the engine lends one requester socket to session after
-// session and stamps the field itself, so a declaration the protocol
-// cannot honour drops every reply as stale or lets one session read
-// another's.
+// session: it stamps an integer field with the lend's epoch, so no case
+// may assign it, and leaves a String one to the cases, each of which must
+// assign it from session input. A declaration the protocol cannot honour
+// drops every reply as stale or lets one session read another's.
 func ruleTxID(ctx *Context) []Diagnostic {
 	var diags []Diagnostic
 	bad := func(model, format string, args ...any) {
 		diags = append(diags, Diagnostic{Rule: "txid", Severity: SevError, Model: model, Message: fmt.Sprintf(format, args...)})
 	}
-	// owned[automaton][message] is the field the engine owns on that send.
+	// owned[automaton][message] is the txid field of that send and, when
+	// it is a String, echoed[automaton][message] whether a case sends it.
 	owned := map[*automata.Automaton]map[string]string{}
+	echoed := map[*automata.Automaton]map[string]bool{}
 	for _, n := range ctx.Reg.AutomatonNames() {
 		a, err := ctx.Reg.Automaton(n)
 		if err != nil {
 			continue
 		}
-		owned[a] = map[string]string{}
+		owned[a], echoed[a] = map[string]string{}, map[string]bool{}
 		for _, t := range a.Transitions {
 			st, _ := a.StateByName(t.From)
 			field, ok := st.Color.Get(automata.AttrTxID)
@@ -780,16 +784,19 @@ func ruleTxID(ctx *Context) []Diagnostic {
 				continue // unknown-message reports the missing MDL
 			}
 			tr, _ := st.Color.Get(automata.AttrTransport)
-			switch fd := spec.HeaderField(field); {
+			fd, kind := spec.HeaderField(field), kindOf(ctx, spec, field)
+			switch {
 			case t.ReplyToOrigin:
 				bad(n, "txid %q on the server-role send of %s: the engine stamps only requests it originates", field, t.Message)
 			case tr != "" && tr != "udp":
 				bad(n, "txid %q on a %s color: only datagram requester sockets are lent", field, tr)
-			case fd == nil:
+			case !spec.InHeader(field):
 				bad(n, "txid %q is not a header field of MDL %s, so neither %s nor its reply can carry it", field, a.Protocol, t.Message)
-			case kindOf(ctx, spec, field) != message.KindInt:
-				bad(n, "txid field %q of MDL %s is not integer-typed: it cannot carry the lend's epoch", field, a.Protocol)
-			case fd.SizeBits < 16:
+			case kind == message.KindString:
+				echoed[a][t.Message] = false
+			case kind != message.KindInt:
+				bad(n, "txid field %q of MDL %s is neither integer- nor String-typed: it can carry neither the lend's epoch nor the question", field, a.Protocol)
+			case fd != nil && fd.SizeBits < 16:
 				bad(n, "txid field %q of MDL %s is %d bits wide, want at least 16", field, a.Protocol, fd.SizeBits)
 			}
 		}
@@ -799,24 +806,50 @@ func ruleTxID(ctx *Context) []Diagnostic {
 		if err != nil || m.Logic == nil {
 			continue
 		}
+		assigned := map[string]bool{}
 		for i, asg := range m.Logic.Assignments {
 			for _, a := range m.Automata {
-				field, ok := owned[a][asg.Target.Message]
-				if !ok || asg.Target.Path == nil {
+				msg := asg.Target.Message
+				field, ok := owned[a][msg]
+				if !ok || asg.Target.Path == nil || firstLabel(asg.Target.Path) != field {
 					continue
 				}
-				for _, step := range asg.Target.Path.Steps() {
-					if step.Label == field {
-						bad(name, "assignment %d targets %s.%s, the txid field of its color: the engine owns it and overwrites the value", i, asg.Target.Message, field)
-					}
-					if step.Label != "" {
-						break
-					}
+				if _, echo := echoed[a][msg]; !echo {
+					bad(name, "assignment %d targets %s.%s, the txid field of its color: the engine owns it and overwrites the value", i, msg, field)
+				} else if asg.Const != nil {
+					bad(name, "assignment %d sets %s.%s, the String txid of its color, to a constant: any late reply to the socket would match", i, msg, field)
+				}
+				assigned[msg] = true
+			}
+		}
+		for _, a := range m.Automata {
+			for _, msg := range sortedKeys(echoed[a]) {
+				if echoed[a][msg] = true; !assigned[msg] {
+					bad(name, "no assignment sets %s.%s, the String txid of its color, from session input: the engine does not stamp it", msg, owned[a][msg])
 				}
 			}
 		}
 	}
+	for _, n := range ctx.Reg.AutomatonNames() {
+		a, _ := ctx.Reg.Automaton(n)
+		for _, msg := range sortedKeys(echoed[a]) {
+			if !echoed[a][msg] {
+				bad(n, "txid field %q of MDL %s is a String no case assigns from session input: the engine does not stamp it", owned[a][msg], a.Protocol)
+			}
+		}
+	}
 	return diags
+}
+
+// firstLabel is the top-level field an assignment through p writes: the
+// label of its first labelled step.
+func firstLabel(p *xpath.Path) string {
+	for _, step := range p.Steps() {
+		if step.Label != "" {
+			return step.Label
+		}
+	}
+	return ""
 }
 
 // ---- helpers ----

@@ -182,7 +182,8 @@ func TestTxIDRule(t *testing.T) {
 	want := map[string]string{
 		"txid-missing":                `"Serial" is not a header field`,
 		"txid-narrow":                 `"Version" of MDL SLP is 8 bits wide`,
-		"txid-string":                 `"LangTag" of MDL SLP is not integer-typed`,
+		"txid-string":                 `"LangTag" of MDL SLP is a String no case assigns from session input`,
+		"slp-to-upnp-searches-all":    `sets SSDPMSearch.ST, the String txid of its color, to a constant`,
 		"txid-stream":                 `on a tcp color`,
 		"txid-server":                 `server-role send of DNSResponse`,
 		"slp-to-bonjour-assigns-txid": `targets DNSQuestion.ID`,

@@ -89,6 +89,15 @@ func New(spec *mdl.Spec, reg *types.Registry) (*Parser, error) {
 	return &Parser{spec: spec, r: spec.Resolve(reg)}, nil
 }
 
+// HeaderKind returns the value kind of a label every message carries
+// in its header (mdl.Spec.InHeader), else KindInvalid.
+func (p *Parser) HeaderKind(label string) message.Kind {
+	if i := p.r.Shared.Layout.Slot(label); i >= 0 && p.spec.InHeader(label) {
+		return p.r.Shared.Slots[i].Kind
+	}
+	return message.KindInvalid
+}
+
 // Spec returns the MDL specification the parser interprets.
 func (p *Parser) Spec() *mdl.Spec { return p.spec }
 

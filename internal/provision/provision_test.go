@@ -755,3 +755,43 @@ func BenchmarkWatcherNoopPoll(b *testing.B) {
 		}
 	}
 }
+
+// The bridge hears its own M-SEARCH on the shared SSDP listener. The
+// SSDP socket it was sent from is lent, and stays in the egress table
+// while idle, so the search is suppressed even when the group delivers
+// it back after its session has ended: it opens no upnp-to-bonjour
+// session.
+func TestOwnSearchHeardAfterSessionEndIsSuppressed(t *testing.T) {
+	sim := simnet.New()
+	node, err := sim.NewNode("10.0.0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDispatcher(builtin(t), node, WithCases("slp-to-upnp", "upnp-to-bonjour"))
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	devNode, _ := sim.NewNode("10.0.0.7")
+	if _, err := upnp.NewDevice(devNode, "urn:printer", "http://10.0.0.7:5431/svc", 5431); err != nil {
+		t.Fatal(err)
+	}
+	sim.InstallFaults(&netapi.FaultPlan{Rules: []netapi.FaultRule{{
+		Name: "late-self", From: "10.0.0.5", To: "10.0.0.5", Proto: "udp", Delay: 2 * time.Second,
+	}}})
+	cliNode, _ := sim.NewNode("10.0.0.1")
+	var urls []string
+	slp.NewUserAgent(cliNode, slp.WithConvergenceWait(500*time.Millisecond)).
+		Lookup("service:printer", func(r slp.LookupResult) { urls = r.URLs })
+	if err := sim.RunUntil(func() bool { return d.Counts().Cases["slp-to-upnp"].Completed == 1 }, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	sim.Run(3 * time.Second) // past the delayed delivery of the search
+	c := d.Counts()
+	if got := c.Cases["upnp-to-bonjour"]; got.Ingested != 0 || got.Live+got.Completed+got.Failed != 0 {
+		t.Errorf("the bridge's own search, heard after its session ended, reached upnp-to-bonjour: %+v", got.Counters)
+	}
+	if c.Dispatch.Suppressed != 1 || len(urls) != 1 {
+		t.Errorf("suppressed %d, client urls %v: want the one search suppressed and the lookup answered", c.Dispatch.Suppressed, urls)
+	}
+}
