@@ -6,8 +6,9 @@
 //
 // The daemon is a multi-case runtime: one process hosts any number of
 // merged automata at once behind shared entry listeners, and inbound
-// payloads are classified to the right case by trial-parsing them
-// against the candidate entry parsers (internal/provision). It is
+// payloads are classified to the right case by the candidate entry
+// parsers, which read each payload's message-selection rule field
+// without parsing it (internal/provision). It is
 // built entirely on the public starlink API — the same Framework,
 // Deployment, Observer and Collector surface any embedding program
 // uses.

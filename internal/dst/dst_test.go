@@ -28,6 +28,13 @@ func smallScenario(rules ...netapi.FaultRule) *Scenario {
 }
 
 func TestScenarioRoundTrip(t *testing.T) {
+	sc, err := ParseScenario("scenario g\ncase a\nclients 1\nfault to=10.0.0.5 proto=udp corrupt=0.2 truncate=0.1\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := sc.Faults.Rules[0]; r.Corrupt != 0.2 || r.Truncate != 0.1 {
+		t.Errorf("corrupt/truncate parsed as %g/%g, want 0.2/0.1", r.Corrupt, r.Truncate)
+	}
 	for name, sc := range Builtin() {
 		text := FormatScenario(sc)
 		got, err := ParseScenario(text)
@@ -58,8 +65,8 @@ func TestScenarioParseErrors(t *testing.T) {
 }
 
 func TestBuiltinScenariosValidate(t *testing.T) {
-	if len(SweepSet) != 7 {
-		t.Fatalf("sweep set has %d scenarios, want the five fault modes, requester-reuse and ssdp-reuse", len(SweepSet))
+	if len(SweepSet) != 8 {
+		t.Fatalf("sweep set has %d scenarios, want the five fault modes, garbage, requester-reuse and ssdp-reuse", len(SweepSet))
 	}
 	for _, name := range SweepSet {
 		if _, err := Lookup(name); err != nil {
@@ -160,7 +167,7 @@ func TestRunInvariantsHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-scenario sweep in -short mode")
 	}
-	for _, name := range []string{"loss", "duplicate", "partition", "flood", "drain-loss", "reload-partition", "requester-reuse"} {
+	for _, name := range []string{"loss", "duplicate", "partition", "garbage", "flood", "drain-loss", "reload-partition", "requester-reuse"} {
 		sc, err := Lookup(name)
 		if err != nil {
 			t.Fatal(err)

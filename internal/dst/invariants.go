@@ -32,6 +32,13 @@ func (r *Result) Counter(name string) int {
 		for _, n := range r.Ended {
 			sum += n
 		}
+	case "parseerrors":
+		// Payloads a parser refused: no candidate classified them at the
+		// dispatcher, or the engine's full parse failed.
+		sum = r.Dispatch.ParseErrors
+		for _, c := range r.Cases {
+			sum += c.ParseErrors
+		}
 	case "dispatched":
 		return r.Dispatch.Dispatched
 	case "ambiguous":
@@ -51,8 +58,6 @@ func (r *Result) Counter(name string) int {
 				sum += c.Completed
 			case "failed":
 				sum += c.Failed
-			case "parseerrors":
-				sum += c.ParseErrors
 			case "ignored":
 				sum += c.Ignored
 			case "rejected":

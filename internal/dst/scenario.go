@@ -238,8 +238,8 @@ var builtinCases = []string{
 }
 
 // Builtin returns the shipped scenario catalog, keyed by name. The
-// first five (loss, delay, reorder, duplicate, partition), requester-reuse
-// and ssdp-reuse are the CI sweep set; the rest exercise overload,
+// first five (loss, delay, reorder, duplicate, partition), garbage,
+// requester-reuse and ssdp-reuse are the CI sweep set; the rest exercise overload,
 // drain and hot-reload paths plus seed-pinned regressions. selftest-fail is intentionally
 // unsatisfiable — it exists so the artifact/replay pipeline itself is
 // covered by an always-failing run.
@@ -304,6 +304,14 @@ func Builtin() map[string]*Scenario {
 				Start: 0, End: 400 * time.Millisecond, Partition: true},
 		),
 		Expect: []Expectation{{Counter: "started", Min: 6}},
+	})
+	add(&Scenario{
+		Name:    "garbage",
+		Info:    "every case while datagrams to the bridge arrive corrupted or cut short",
+		Cases:   builtinCases,
+		Clients: 2, Stagger: 3 * time.Millisecond,
+		Faults: plan(netapi.FaultRule{Name: "garbage", To: bridgeIP, Proto: "udp", Corrupt: 0.2, Truncate: 0.3}),
+		Expect: []Expectation{{Counter: "parseerrors", Min: 1}},
 	})
 	add(&Scenario{
 		Name:    "flood",
@@ -411,9 +419,10 @@ func Names() []string {
 }
 
 // SweepSet is the default scenario set for seed sweeps: the five fault
-// modes, and the two scenarios that hold lent requester sockets — by
-// epoch and by echoed ST — to per-session isolation.
-var SweepSet = []string{"loss", "delay", "reorder", "duplicate", "partition", "requester-reuse", "ssdp-reuse"}
+// modes, garbage (hostile bytes at the bridge), and the two scenarios
+// that hold lent requester sockets — by epoch and by echoed ST — to
+// per-session isolation.
+var SweepSet = []string{"loss", "delay", "reorder", "duplicate", "partition", "garbage", "requester-reuse", "ssdp-reuse"}
 
 // Lookup resolves a builtin scenario by name.
 func Lookup(name string) (*Scenario, error) {

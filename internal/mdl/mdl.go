@@ -274,9 +274,8 @@ func (s *Spec) Validate() error {
 		if m.Rule.Field == "" {
 			return fmt.Errorf("mdl: spec %s: message %q has no rule", s.Protocol, m.Name)
 		}
-		if !headerLabels[m.Rule.Field] {
-			return fmt.Errorf("mdl: spec %s: message %q rule references unknown header field %q",
-				s.Protocol, m.Name, m.Rule.Field)
+		if _, _, err := s.RuleField(m.Rule.Field); err != nil {
+			return fmt.Errorf("mdl: spec %s: message %q %w", s.Protocol, m.Name, err)
 		}
 		prior := map[string]bool{}
 		for l := range headerLabels {
@@ -308,6 +307,32 @@ func (s *Spec) Validate() error {
 		}
 	}
 	return nil
+}
+
+// RuleField locates a rule's field in the header: its index and, in the
+// binary dialect, its bit offset. A classifier reaches it without
+// parsing, so it and every field before it must sit at a position the
+// spec fixes: a fixed bit width in the binary dialect, a delimiter of
+// its own in the text dialect. A size reference, a repeat group, a
+// self-delimiting type or the text wildcard before the rule field is an
+// error.
+func (s *Spec) RuleField(label string) (index, bit int, err error) {
+	for i, f := range s.Header.Fields {
+		fixed := !f.IsGroup() && f.SizeBits > 0
+		if s.Dialect == DialectText {
+			fixed = !f.Wildcard && len(f.Delim) > 0
+		}
+		switch {
+		case f.Label == label && fixed:
+			return i, bit, nil
+		case f.Label == label:
+			return -1, 0, fmt.Errorf("rule field %q has no fixed position: it is variable-width", label)
+		case !fixed:
+			return -1, 0, fmt.Errorf("rule field %q has no fixed position: it follows the variable-width field %q", label, f.Label)
+		}
+		bit += f.SizeBits
+	}
+	return -1, 0, fmt.Errorf("rule references unknown header field %q", label)
 }
 
 func collectLabels(fields []*FieldDef, into map[string]bool) {

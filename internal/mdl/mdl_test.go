@@ -170,6 +170,15 @@ func TestSelectMessage(t *testing.T) {
 			t.Errorf("FunctionID=%s selected %q, want %q", tc.v.Text(), got, tc.want)
 		}
 	}
+	// MatchesInt is Matches on an integer, non-canonical rule text included.
+	odd := &Plan{Def: &MessageDef{Rule: Rule{Field: "FunctionID", Value: "007"}}, Rule: typedRule(message.KindInt, "007")}
+	for _, p := range append(r.Plans, odd) {
+		for _, n := range []int64{-1, 0, 1, 2, 7, 99} {
+			if p.MatchesInt(n) != p.Matches(message.Int(n)) {
+				t.Errorf("%s=%s: MatchesInt(%d) = %v, Matches says %v", p.Def.Rule.Field, p.Def.Rule.Value, n, p.MatchesInt(n), !p.MatchesInt(n))
+			}
+		}
+	}
 }
 
 func TestParseTypeRef(t *testing.T) {
@@ -397,5 +406,32 @@ func TestDialectString(t *testing.T) {
 	}
 	if _, err := ParseBodyKind("weird"); err == nil {
 		t.Fatal("bad body kind should fail")
+	}
+}
+
+// A classifier reads the rule field without parsing, so Validate refuses
+// a rule field no fixed position reaches: one behind a size-referenced
+// field, behind a repeat group, or behind the text wildcard.
+func TestValidateRefusesRuleAfterVariableWidth(t *testing.T) {
+	for _, tc := range []struct{ name, xml string }{
+		{"behind a size reference", `<MDL protocol="P" dialect="binary">
+			<Types><N>Integer</N><S>String</S><F>Integer</F></Types>
+			<Header type="P"><N>8</N><S>N</S><F>8</F></Header>
+			<Message type="M"><Rule>F=1</Rule></Message></MDL>`},
+		{"behind a repeat group", `<MDL protocol="P" dialect="binary">
+			<Types><N>Integer</N><V>Integer</V><F>Integer</F></Types>
+			<Header type="P"><N>8</N><Repeat label="G" count="N"><V>8</V></Repeat><F>8</F></Header>
+			<Message type="M"><Rule>F=1</Rule></Message></MDL>`},
+		{"behind a text wildcard", `<MDL protocol="P" dialect="text">
+			<Types><Method>String</Method><Late>String</Late></Types>
+			<Header type="P"><Method>32</Method><Fields>13,10:58</Fields><Late>13,10</Late></Header>
+			<Message type="M"><Rule>Late=x</Rule></Message></MDL>`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ParseXMLString(tc.xml)
+			if err == nil || !strings.Contains(err.Error(), "no fixed position") {
+				t.Fatalf("err = %v, want the rule field refused for having no fixed position", err)
+			}
+		})
 	}
 }

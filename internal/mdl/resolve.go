@@ -129,6 +129,13 @@ func (p *Plan) Matches(v message.Value) bool {
 	return v.Text() == p.Def.Rule.Value
 }
 
+// MatchesInt is Matches(message.Int(n)) without the value: an integer
+// renders as the rule's value exactly when the rule holds that integer.
+func (p *Plan) MatchesInt(n int64) bool {
+	r, ok := p.Rule.AsInt()
+	return ok && r == n
+}
+
 func typedRule(kind message.Kind, text string) message.Value {
 	switch kind {
 	case message.KindInt:

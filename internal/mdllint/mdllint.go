@@ -22,9 +22,9 @@ import (
 	"strings"
 
 	"starlink/internal/automata"
+	"starlink/internal/engine"
 	"starlink/internal/mdl"
 	"starlink/internal/message"
-	"starlink/internal/provision"
 	"starlink/internal/registry"
 	"starlink/internal/translation"
 	"starlink/internal/xpath"
@@ -164,7 +164,7 @@ func Rules() []Rule {
 		{
 			Name: "discriminator-collision",
 			Tier: TierLint,
-			Doc:  "cases sharing an entry color have statically disjoint discriminators",
+			Doc:  "no message of one protocol on a shared entry color classifies as another protocol's",
 			Run:  ruleDiscriminatorCollision,
 		},
 		{
@@ -609,12 +609,9 @@ type entry struct {
 //     deliberate one-to-many configuration: the dispatcher counts the
 //     ambiguity and deterministically picks the lexicographically first
 //     case, so this reports as Info.
-//   - Two different protocols on one color collide if their derived
-//     signatures read the same payload location and share a
-//     discriminator value (Error), and are unprovable when either
-//     signature cannot be derived or the locations differ (Warning).
+//   - Two different protocols on one color are checked with the
+//     dispatcher's own classifier (see checkCrossProto).
 func ruleDiscriminatorCollision(ctx *Context) []Diagnostic {
-	sp := specs(ctx)
 	byColor := map[string][]entry{}
 	for _, name := range ctx.Reg.MergedNames() {
 		m, err := ctx.Reg.Merged(name)
@@ -669,85 +666,64 @@ func ruleDiscriminatorCollision(ctx *Context) []Diagnostic {
 		for i := 0; i < len(protos); i++ {
 			for j := i + 1; j < len(protos); j++ {
 				e1, e2 := byProto[protos[i]][0], byProto[protos[j]][0]
-				diags = append(diags, checkCrossProto(sp, e1, e2)...)
+				diags = append(diags, checkCrossProto(ctx, e1, e2)...)
 			}
 		}
 	}
 	return diags
 }
 
-// checkCrossProto decides whether two different protocols entering on
-// one color have provably disjoint discriminators.
-func checkCrossProto(sp map[string]*mdl.Spec, e1, e2 entry) []Diagnostic {
-	model := e1.caseName + ", " + e2.caseName
-	spec1, spec2 := sp[e1.protocol], sp[e2.protocol]
-	if spec1 == nil || spec2 == nil {
-		return nil // unknown-message reports the missing MDL
+// checkCrossProto asks whether a payload of one of two protocols
+// entering on one color can be taken for the other's, with the
+// evaluator the dispatcher runs: each definition of either protocol is
+// composed empty — the composer writes its rule value — and handed to
+// the other protocol's parser.Classify. A hit is an Error; a definition
+// that does not compose leaves the question open (Warning); otherwise
+// the sharing is reported as Info.
+func checkCrossProto(ctx *Context, e1, e2 entry) []Diagnostic {
+	c1, c2 := codecOf(ctx, e1), codecOf(ctx, e2)
+	if c1 == nil || c2 == nil {
+		return nil // case-compile reports it
 	}
-	sig1 := provision.DeriveSignatureInfo(spec1)
-	sig2 := provision.DeriveSignatureInfo(spec2)
-	if sig1 == nil || sig2 == nil {
-		return []Diagnostic{{
-			Rule:     "discriminator-collision",
-			Severity: SevWarning,
-			Model:    model,
-			Message: fmt.Sprintf("protocols %s and %s share entry color %s but at least one has no derivable signature; the dispatcher falls back to trial parsing",
-				e1.protocol, e2.protocol, e1.color),
-		}}
-	}
-	if sig1.Dialect != sig2.Dialect {
-		// A binary and a text discriminator read the payload
-		// incompatibly; trial order decides. Not provably disjoint.
-		return []Diagnostic{{
-			Rule:     "discriminator-collision",
-			Severity: SevWarning,
-			Model:    model,
-			Message: fmt.Sprintf("protocols %s (%s) and %s (%s) share entry color %s across dialects; disjointness is not statically provable",
-				e1.protocol, sig1.Dialect, e2.protocol, sig2.Dialect, e1.color),
-		}}
-	}
-	sameLocation := false
-	switch sig1.Dialect {
-	case mdl.DialectBinary:
-		sameLocation = sig1.BitOff == sig2.BitOff && sig1.Bits == sig2.Bits
-	case mdl.DialectText:
-		sameLocation = string(sig1.RuleDelim) == string(sig2.RuleDelim) &&
-			len(sig1.LeadDelims) == len(sig2.LeadDelims)
-		for i := 0; sameLocation && i < len(sig1.LeadDelims); i++ {
-			sameLocation = string(sig1.LeadDelims[i]) == string(sig2.LeadDelims[i])
-		}
-	}
-	if !sameLocation {
-		return []Diagnostic{{
-			Rule:     "discriminator-collision",
-			Severity: SevWarning,
-			Model:    model,
-			Message: fmt.Sprintf("protocols %s and %s share entry color %s but read their discriminators from different payload locations; disjointness is not statically provable",
-				e1.protocol, e2.protocol, e1.color),
-		}}
+	diag := func(sev Severity, format string, args ...any) Diagnostic {
+		return Diagnostic{Rule: "discriminator-collision", Severity: sev,
+			Model: e1.caseName + ", " + e2.caseName, Message: fmt.Sprintf(format, args...)}
 	}
 	var diags []Diagnostic
-	for _, r1 := range sig1.Rules {
-		for _, r2 := range sig2.Rules {
-			collide := false
-			switch sig1.Dialect {
-			case mdl.DialectBinary:
-				collide = r1.IntVal == r2.IntVal
-			case mdl.DialectText:
-				collide = r1.TextVal == r2.TextVal
+	seen := map[[2]string]bool{}
+	for _, dir := range [2][2]*engine.Codec{{c1, c2}, {c2, c1}} {
+		from, to := dir[0], dir[1]
+		for _, def := range from.Spec.Messages {
+			wire, err := from.Composer.Compose(message.New(from.Spec.Protocol, def.Name))
+			if err != nil {
+				diags = append(diags, diag(SevWarning, "%s/%s does not compose empty (%v): whether %s takes it for its own on color %s is not decided",
+					from.Spec.Protocol, def.Name, err, to.Spec.Protocol, e1.color))
+				continue
 			}
-			if collide {
-				diags = append(diags, Diagnostic{
-					Rule:     "discriminator-collision",
-					Severity: SevError,
-					Model:    model,
-					Message: fmt.Sprintf("a payload on color %s classifies as both %s/%s and %s/%s: the discriminator values are identical",
-						e1.color, e1.protocol, r1.Message, e2.protocol, r2.Message),
-				})
+			name, ok := to.Parser.Classify(wire)
+			a, b := from.Spec.Protocol+"/"+def.Name, to.Spec.Protocol+"/"+name
+			if !ok || seen[[2]string{b, a}] {
+				continue
 			}
+			seen[[2]string{a, b}] = true
+			diags = append(diags, diag(SevError, "a payload on color %s classifies as both %s and %s: their discriminators coincide",
+				e1.color, a, b))
 		}
 	}
+	if len(diags) == 0 {
+		diags = append(diags, diag(SevInfo, "protocols %s and %s share entry color %s; no definition of either classifies as the other's",
+			e1.protocol, e2.protocol, e1.color))
+	}
 	return diags
+}
+
+// codecOf returns the codec a case compiled for an entry's protocol.
+func codecOf(ctx *Context, e entry) *engine.Codec {
+	c, err := ctx.Reg.Compiled(e.caseName)
+	if err != nil {
+		return nil
+	}
+	return c.Codecs[e.protocol]
 }
 
 // ruleTxID checks the txid color attribute: the model's assertion that

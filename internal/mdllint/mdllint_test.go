@@ -1,6 +1,9 @@
 package mdllint
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -200,5 +203,57 @@ func TestTxIDRule(t *testing.T) {
 	}
 	for model, frag := range want {
 		t.Errorf("missing txid error on %s containing %q", model, frag)
+	}
+}
+
+// TestDiscriminatorCollision lints two binary protocols entering on one
+// color. Their Ask messages share Op=1, so a composed CLAAsk classifies
+// as CLBAsk under CLB's parser: one Error for the pair. With the values
+// apart, the sharing is Info.
+func TestDiscriminatorCollision(t *testing.T) {
+	collisions := func(dir string) []Diagnostic {
+		t.Helper()
+		ctx, diags, err := Run(dir, TierLint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ctx.LoadErr != nil {
+			t.Fatalf("%s must load: %v", dir, ctx.LoadErr)
+		}
+		var out []Diagnostic
+		for _, d := range diags {
+			if d.Rule == "discriminator-collision" && strings.Contains(d.Model, "cl") && strings.Contains(d.Message, "9500") {
+				out = append(out, d)
+			} else if d.Severity > SevInfo {
+				t.Errorf("unexpected diagnostic: %s", d)
+			}
+		}
+		return out
+	}
+	got := collisions("testdata/collision")
+	if len(got) != 1 || got[0].Severity != SevError || !strings.Contains(got[0].Message, "CLA/CLAAsk and CLB/CLBAsk") {
+		t.Fatalf("want one Error naming CLA/CLAAsk and CLB/CLBAsk, got %v", got)
+	}
+
+	dir := t.TempDir()
+	entries, err := os.ReadDir("testdata/collision")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		src, err := os.ReadFile(filepath.Join("testdata/collision", e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Name() == "clb-mdl.xml" {
+			src = bytes.Replace(src, []byte("<Rule>Op=1</Rule>"), []byte("<Rule>Op=4</Rule>"), 1)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), src, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got = collisions(dir)
+	if len(got) != 1 || got[0].Severity != SevInfo || !strings.Contains(got[0].Message, "share entry color") {
+		t.Fatalf("want one Info naming the shared color, got %v", got)
 	}
 }

@@ -53,6 +53,11 @@ type FaultRule struct {
 	// for streams (TCP delivers in order).
 	Reorder      float64
 	ReorderDelay time.Duration
+	// Corrupt is the probability (0..1) a matching datagram arrives with
+	// one byte flipped at a random offset, and Truncate the probability
+	// it arrives cut short at a random length. Both damage only the copy
+	// delivered. Ignored for streams.
+	Corrupt, Truncate float64
 	// Partition drops every matching datagram and stalls matching
 	// stream traffic until the rule's End (chunks in flight deliver at
 	// heal time; a partition with no End kills stream traffic too).
@@ -126,6 +131,7 @@ type FaultInjector interface {
 //
 //	fault name=cut from=10.0.0.1 to=10.0.0.9:427 proto=udp start=0s end=2s partition
 //	fault from=* to=10.0.0.5 loss=0.3 delay=1ms jitter=500us dup=0.2 dupdelay=1ms reorder=0.1 reorderdelay=2ms
+//	fault to=10.0.0.5 proto=udp corrupt=0.2 truncate=0.1
 // ---------------------------------------------------------------------
 
 // FormatFaultRule renders a rule in the table form; ParseFaultRule
@@ -172,6 +178,12 @@ func FormatFaultRule(r FaultRule) string {
 	}
 	if r.ReorderDelay != 0 {
 		add("reorderdelay", r.ReorderDelay.String())
+	}
+	if r.Corrupt != 0 {
+		add("corrupt", strconv.FormatFloat(r.Corrupt, 'g', -1, 64))
+	}
+	if r.Truncate != 0 {
+		add("truncate", strconv.FormatFloat(r.Truncate, 'g', -1, 64))
 	}
 	if r.Partition {
 		b.WriteString(" partition")
@@ -226,6 +238,10 @@ func ParseFaultRule(line string) (FaultRule, error) {
 			r.Reorder, err = parseProb(v)
 		case "reorderdelay":
 			r.ReorderDelay, err = time.ParseDuration(v)
+		case "corrupt":
+			r.Corrupt, err = parseProb(v)
+		case "truncate":
+			r.Truncate, err = parseProb(v)
 		default:
 			return r, fmt.Errorf("netapi: unknown fault rule field %q", k)
 		}

@@ -47,6 +47,7 @@ func TestFaultPlanRoundTrip(t *testing.T) {
 			Start: 2 * time.Millisecond, End: 6 * time.Millisecond, Partition: true},
 		{From: "10.0.1.*", Loss: 0.3, Delay: time.Millisecond, DelayJitter: 500 * time.Microsecond,
 			Duplicate: 0.25, DuplicateDelay: time.Millisecond, Reorder: 0.1, ReorderDelay: 2 * time.Millisecond},
+		{Name: "garbage", To: "10.0.0.5", Proto: "udp", Corrupt: 0.2, Truncate: 0.1},
 	}}
 	text := FormatFaultPlan(plan)
 	got, err := ParseFaultPlan(text)

@@ -8,6 +8,7 @@ package parser
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strconv"
 
@@ -75,7 +76,33 @@ func (w *wire) read(r *bitio.Reader, n int) (string, error) {
 type Parser struct {
 	spec *mdl.Spec
 	r    *mdl.Resolved
+	// rules locates each plan's rule field, for Classify.
+	rules []ruleField
 }
+
+// ruleField is where one plan's rule field sits in the header (see
+// mdl.Spec.RuleField), resolved once: the entry and its index; in the
+// binary dialect its bit offset and width, in the text one the
+// delimiters that end it and each header field before it. mode is how
+// Classify reads it.
+type ruleField struct {
+	pl        *mdl.Plan
+	e         *mdl.Entry
+	at        int
+	bit, bits int
+	delims    [][]byte
+	mode      ruleMode
+}
+
+// ruleMode is how Classify reads a rule field: as an integer, as its
+// bytes (a String field), or as the value its marshaller decodes.
+type ruleMode uint8
+
+const (
+	byValue ruleMode = iota
+	byInt
+	byBytes
+)
 
 // New returns a parser for the given specification. A nil registry uses
 // the built-in types.
@@ -86,7 +113,29 @@ func New(spec *mdl.Spec, reg *types.Registry) (*Parser, error) {
 	if reg == nil {
 		reg = types.NewRegistry()
 	}
-	return &Parser{spec: spec, r: spec.Resolve(reg)}, nil
+	p := &Parser{spec: spec, r: spec.Resolve(reg)}
+	for _, pl := range p.r.Plans {
+		at, bit, err := spec.RuleField(pl.Def.Rule.Field)
+		if err != nil {
+			return nil, fmt.Errorf("parser: %s message %s: %w", spec.Protocol, pl.Def.Name, err)
+		}
+		e := p.r.Shared.Header[at]
+		rf := ruleField{pl: pl, e: e, at: at, bit: bit, bits: e.Def.SizeBits}
+		if spec.Dialect == mdl.DialectText {
+			for _, f := range spec.Header.Fields[:at+1] {
+				rf.delims = append(rf.delims, f.Delim)
+			}
+		}
+		_, str := e.M.(types.StringMarshaller)
+		switch {
+		case e.M != nil && e.Kind == message.KindInt && (rf.delims != nil || rf.bits <= 64):
+			rf.mode = byInt
+		case str:
+			rf.mode = byBytes
+		}
+		p.rules = append(p.rules, rf)
+	}
+	return p, nil
 }
 
 // HeaderKind returns the value kind of a label every message carries
@@ -114,6 +163,113 @@ func (p *Parser) Parse(data []byte) (*message.Message, error) {
 	default:
 		return nil, fmt.Errorf("parser: spec %s has invalid dialect", p.spec.Protocol)
 	}
+}
+
+// Classify names the message data holds as Parse would select it — the
+// first definition whose rule its rule field meets — without parsing:
+// it skips the header fields before the rule field and reads that field
+// in place. ok is false wherever Parse fails to select a definition; the
+// rest of the message is not checked, so a named message may still fail
+// to parse. Integer and String rule fields cost no allocation.
+//
+//starlink:hotpath
+func (p *Parser) Classify(data []byte) (name string, ok bool) {
+	last := -1
+	var n int64
+	var raw []byte
+	var v message.Value
+	for i := range p.rules {
+		rf := &p.rules[i]
+		if rf.at != last {
+			switch rf.mode {
+			case byInt:
+				n, ok = rf.readInt(data)
+			case byBytes:
+				raw, ok = rf.read(data)
+			default:
+				v, ok = rf.readValue(data)
+			}
+			if !ok {
+				return "", false
+			}
+			last = rf.at
+		}
+		switch {
+		case rf.mode == byInt && rf.pl.MatchesInt(n),
+			rf.mode == byBytes && string(raw) == rf.pl.Def.Rule.Value,
+			rf.mode == byValue && rf.pl.Matches(v):
+			return rf.pl.Def.Name, true
+		}
+	}
+	return "", false
+}
+
+// read returns the field's bytes in data: in the text dialect the token
+// before its delimiter, in the binary one its whole bytes. ok is false
+// where Parse fails to read them.
+func (rf *ruleField) read(data []byte) (raw []byte, ok bool) {
+	if rf.delims != nil {
+		for _, d := range rf.delims {
+			i := bytes.Index(data, d)
+			if i < 0 {
+				return nil, false
+			}
+			raw, data = data[:i], data[i+len(d):]
+		}
+		return raw, true
+	}
+	if rf.bits%8 != 0 || len(data)*8 < rf.bit+rf.bits {
+		return nil, false
+	}
+	if rf.bit%8 == 0 {
+		return data[rf.bit/8 : rf.bit/8+rf.bits/8], true
+	}
+	var r bitio.Reader
+	r.Init(data)
+	_ = r.Skip(rf.bit)
+	raw, _ = r.ReadBytes(rf.bits / 8)
+	return raw, true
+}
+
+// readInt reads the field as Parse decodes an integer: its bits in the
+// binary dialect, its decimal token in the text one.
+func (rf *ruleField) readInt(data []byte) (int64, bool) {
+	if rf.delims != nil {
+		raw, ok := rf.read(data)
+		if !ok {
+			return 0, false
+		}
+		n, err := parseIntBytes(raw)
+		return n, err == nil
+	}
+	if len(data)*8 < rf.bit+rf.bits {
+		return 0, false
+	}
+	var r bitio.Reader
+	r.Init(data)
+	_ = r.Skip(rf.bit)
+	n, _ := r.ReadBits(rf.bits)
+	return int64(n), true
+}
+
+// readValue decodes any other field as Parse does: a binary boolean from
+// its bits, the rest through the field's marshaller. ok is false where
+// Parse fails on it.
+func (rf *ruleField) readValue(data []byte) (v message.Value, ok bool) {
+	e := rf.e
+	if e.M == nil {
+		return v, false
+	}
+	if rf.delims == nil && e.Kind == message.KindBool && rf.bits <= 64 {
+		n, ok := rf.readInt(data)
+		return message.Bool(n != 0), ok
+	}
+	raw, ok := rf.read(data)
+	if !ok {
+		return v, false
+	}
+	v, err := e.M.Unmarshal(string(raw), rf.bits)
+	return v, err == nil
 }
 
 // plan picks the first definition whose rule the parsed header meets.
@@ -421,6 +577,11 @@ func (p *Parser) parseWildcard(data []byte, def *mdl.FieldDef, msg *message.Mess
 				break
 			}
 		}
+		if e.Def != nil {
+			// A line may not restate a positional field: the rule read
+			// from the first line is the one that selects the message.
+			return nil, fmt.Errorf("line %q names the header field %q", line, e.Label)
+		}
 		label := e.Label
 		if e.Slot < 0 {
 			label = w.of(name)
@@ -463,6 +624,10 @@ func textField(e *mdl.Entry, label string, token []byte, w *wire) (*message.Fiel
 	return build(e, label, 0, v)
 }
 
+// errNotInteger is parseIntBytes' one error: a value, so that Classify
+// builds none.
+var errNotInteger = errors.New("parser: not a decimal int64")
+
 // parseIntBytes is strconv.ParseInt(string(b), 10, 64) over a borrowed
 // byte slice, without the string conversion; leading/trailing ASCII
 // space is tolerated the way the strings.TrimSpace form was. The full
@@ -475,7 +640,7 @@ func parseIntBytes(b []byte) (int64, error) {
 		b = b[1:]
 	}
 	if len(b) == 0 {
-		return 0, fmt.Errorf("parser: empty integer")
+		return 0, errNotInteger
 	}
 	// Accumulate unsigned against the sign-dependent cutoff so both
 	// MaxInt64 and MinInt64 parse exactly.
@@ -486,11 +651,11 @@ func parseIntBytes(b []byte) (int64, error) {
 	var n uint64
 	for _, c := range b {
 		if c < '0' || c > '9' {
-			return 0, fmt.Errorf("parser: bad digit %q", c)
+			return 0, errNotInteger
 		}
 		d := uint64(c - '0')
 		if n > (cutoff-d)/10 {
-			return 0, fmt.Errorf("parser: integer overflow")
+			return 0, errNotInteger
 		}
 		n = n*10 + d
 	}

@@ -279,6 +279,22 @@ func TestParseTextMissingSeparator(t *testing.T) {
 	}
 }
 
+// A header line may not restate a field of the first line. One named
+// Method used to overwrite the request line's method before the rule was
+// evaluated, so an M-SEARCH carrying "Method: HTTP/1.1" parsed as an
+// SSDPResponse while its first line, what Classify reads, said M-SEARCH.
+func TestHeaderLineMayNotRestatePositionalField(t *testing.T) {
+	spec, _ := mdl.ParseXMLString(ssdpMDL)
+	p, _ := New(spec, nil)
+	wire := []byte("M-SEARCH * HTTP/1.1\r\nMethod: HTTP/1.1\r\nST: urn:x\r\n\r\n")
+	if msg, err := p.Parse(wire); err == nil {
+		t.Fatalf("parsed as %s, want an error", msg.Name)
+	}
+	if name, ok := p.Classify(wire); !ok || name != "SSDPMSearch" {
+		t.Errorf("Classify = %q, %v; want SSDPMSearch from the first line", name, ok)
+	}
+}
+
 const httpMDL = `
 <MDL protocol="HTTP" dialect="text">
  <Types>

@@ -10,6 +10,26 @@ import (
 	"starlink/internal/registry"
 )
 
+// textMessage is a shipped text stack's request or response, and the
+// message the shipped model parses it as.
+type textMessage struct {
+	name, protocol string
+	wire           []byte
+	want           string // "" when the shipped model has no such message
+}
+
+func textMessages() []textMessage {
+	notify := &ssdp.Message{Method: "NOTIFY", URI: "*", Version: "HTTP/1.1", Headers: map[string]string{
+		"HOST": "239.255.255.250:1900", "NT": "urn:printer", "NTS": "ssdp:alive", "LOCATION": "http://10.0.0.7:5431/desc.xml",
+	}}
+	return []textMessage{
+		{"M-SEARCH", "SSDP", ssdp.NewMSearch("urn:printer", 1).Marshal(), "SSDPMSearch"},
+		{"NOTIFY", "SSDP", notify.Marshal(), ""},
+		{"response", "SSDP", ssdp.NewResponse("urn:printer", "http://10.0.0.7:5431/desc.xml", "uuid:1").Marshal(), "SSDPResponse"},
+		{"GET", "HTTP", httpx.MarshalRequest("/desc.xml", "10.0.0.7:5431"), "HTTPGet"},
+	}
+}
+
 // A text message is complete only with the empty line that ends its
 // header block. One that lost its tail used to parse when the cut fell
 // on a line boundary — an M-SEARCH missing its final CRLF came back as
@@ -21,19 +41,7 @@ func TestTruncatedTextMessageIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	notify := &ssdp.Message{Method: "NOTIFY", URI: "*", Version: "HTTP/1.1", Headers: map[string]string{
-		"HOST": "239.255.255.250:1900", "NT": "urn:printer", "NTS": "ssdp:alive", "LOCATION": "http://10.0.0.7:5431/desc.xml",
-	}}
-	for _, tc := range []struct {
-		name, protocol string
-		wire           []byte
-		want           string // "" when the shipped model has no such message
-	}{
-		{"M-SEARCH", "SSDP", ssdp.NewMSearch("urn:printer", 1).Marshal(), "SSDPMSearch"},
-		{"NOTIFY", "SSDP", notify.Marshal(), ""},
-		{"response", "SSDP", ssdp.NewResponse("urn:printer", "http://10.0.0.7:5431/desc.xml", "uuid:1").Marshal(), "SSDPResponse"},
-		{"GET", "HTTP", httpx.MarshalRequest("/desc.xml", "10.0.0.7:5431"), "HTTPGet"},
-	} {
+	for _, tc := range textMessages() {
 		t.Run(tc.name, func(t *testing.T) {
 			spec, err := reg.Spec(tc.protocol)
 			if err != nil {

@@ -13,9 +13,9 @@ import (
 	"starlink/internal/automata"
 	"starlink/internal/engine"
 	"starlink/internal/hist"
-	"starlink/internal/message"
 	"starlink/internal/netapi"
 	"starlink/internal/netengine"
+	"starlink/internal/parser"
 	"starlink/internal/registry"
 	"starlink/internal/serrors"
 )
@@ -89,8 +89,8 @@ type ClassifyEvent struct {
 	Candidates []string
 	// Ambiguous reports whether more than one case matched.
 	Ambiguous bool
-	// FastPath reports whether the signature index classified the
-	// payload without parsing.
+	// FastPath is always true: every payload is classified by the
+	// candidate parsers' Classify, which reads the rule field alone.
 	FastPath bool
 	// Err is non-nil for ambiguous classifications, marked with
 	// serrors.ErrAmbiguousPayload.
@@ -119,12 +119,9 @@ type DispatchCounters struct {
 	// refused them outright (already closed — e.g. one engine finished
 	// draining before the rest during Shutdown).
 	Rejected int
-	// FastPath counts payloads classified by the signature index alone
-	// (a bounds check plus a byte comparison — no parsing).
+	// FastPath counts classified payloads: each candidate parser's
+	// Classify read the rule field alone, with no parse.
 	FastPath int
-	// SlowPath counts payloads classified by trial-parsing, because a
-	// candidate protocol's signature was underivable.
-	SlowPath int
 }
 
 // Snapshot is everything the dispatcher exposes about itself at one
@@ -135,11 +132,9 @@ type DispatchCounters struct {
 type Snapshot struct {
 	State    engine.State
 	Dispatch DispatchCounters
-	// ClassifyFast and ClassifySlow time the classification decision
-	// itself on the signature-index path and the trial-parse path; left
-	// zero by Counts.
+	// ClassifyFast times the classification decision itself; left zero
+	// by Counts.
 	ClassifyFast hist.Snapshot
-	ClassifySlow hist.Snapshot
 	// Cases holds every deployed case and, once the dispatcher is
 	// closed, the final snapshot of every case it closed with.
 	Cases map[string]engine.Snapshot
@@ -170,11 +165,12 @@ type deployment struct {
 }
 
 // entryPoint is one case's claim on a listener color: the protocol it
-// receives there and, for the initiator protocol, the message that
-// opens a session.
+// receives there, the parser that classifies it and, for the initiator
+// protocol, the message that opens a session.
 type entryPoint struct {
 	dep       *deployment
 	proto     string
+	parser    *parser.Parser
 	initiator bool
 	initMsg   string
 }
@@ -186,20 +182,15 @@ type listener struct {
 	color  automata.Color
 	closer netapi.Closer
 	points []entryPoint
-	// sigs maps each candidate protocol to its derived signature; sigOK
-	// is true when every candidate protocol has one, enabling the
-	// parse-free fast path. Rebuilt (never mutated) by rebindLocked.
-	sigs  map[string]*protoSignature
-	sigOK bool
 }
 
 // Dispatcher hosts every loaded (or explicitly selected) case of a
 // registry on one bridge node at once — or one case, which is what a
 // single-case bridge is. It owns the entry listeners — one per distinct
 // entry color across all deployed cases — and classifies each inbound
-// payload against the candidate entry protocols, by signature or by
-// trial parse ("entry sniffing"), then hands it to the engine of the
-// case it belongs to. Engines never bind entry sockets of their own, so
+// payload against the candidate entry protocols with their parsers'
+// Classify ("entry sniffing"), then hands it to the engine of the case
+// it belongs to. Engines never bind entry sockets of their own, so
 // two cases sharing an entry endpoint (e.g. both SLP-initiated bridges
 // on the SLP multicast group) coexist without port conflicts or
 // duplicate deliveries.
@@ -244,9 +235,8 @@ type Dispatcher struct {
 	// (and the public Metrics) stay truthful on a closed dispatcher.
 	final map[string]engine.Snapshot
 
-	// classifyHists time the classification decision itself, split by
-	// path: [0] the signature-index fast path, [1] trial parsing.
-	classifyHists [2]*hist.Histogram
+	// classifyHist times the classification decision itself.
+	classifyHist hist.Histogram
 
 	statsMu  sync.Mutex
 	counters DispatchCounters
@@ -266,9 +256,6 @@ func NewDispatcher(reg *registry.Registry, node netapi.Node, opts ...Option) *Di
 		listeners: map[string]*listener{},
 		ctx:       context.Background(),
 		quit:      make(chan struct{}),
-	}
-	for i := range d.classifyHists {
-		d.classifyHists[i] = &hist.Histogram{}
 	}
 	for _, o := range opts {
 		o(d)
@@ -498,6 +485,7 @@ func (d *Dispatcher) rebindLocked() ([]netapi.Closer, error) {
 			s.points = append(s.points, entryPoint{
 				dep:       dep,
 				proto:     proto,
+				parser:    dep.compiled.Codecs[proto].Parser,
 				initiator: proto == init.Protocol,
 				initMsg:   init.Message,
 			})
@@ -520,7 +508,6 @@ func (d *Dispatcher) rebindLocked() ([]netapi.Closer, error) {
 		l := d.listeners[key]
 		if s, ok := needed[key]; ok {
 			l.points = s.points // refresh candidates on the kept binding
-			l.sigs, l.sigOK = deriveSignatures(s.points)
 			continue
 		}
 		stale = append(stale, l.closer)
@@ -532,7 +519,6 @@ func (d *Dispatcher) rebindLocked() ([]netapi.Closer, error) {
 			continue
 		}
 		l := &listener{color: s.color, points: s.points}
-		l.sigs, l.sigOK = deriveSignatures(s.points)
 		// A color carries one protocol's network semantics, so every
 		// candidate shares the framer; take it from the first.
 		framer := s.points[0].dep.compiled.Codecs[s.points[0].proto].Framer
@@ -547,25 +533,6 @@ func (d *Dispatcher) rebindLocked() ([]netapi.Closer, error) {
 		d.listeners[key] = l
 	}
 	return stale, nil
-}
-
-// deriveSignatures derives the per-protocol signatures for a
-// listener's entry points. ok is true only when every candidate
-// protocol yields one — the precondition for the parse-free fast path.
-func deriveSignatures(points []entryPoint) (map[string]*protoSignature, bool) {
-	sigs := make(map[string]*protoSignature, 2)
-	ok := true
-	for _, p := range points {
-		if _, seen := sigs[p.proto]; seen {
-			continue
-		}
-		sig := deriveSignature(p.dep.compiled.Codecs[p.proto].Spec)
-		sigs[p.proto] = sig
-		if sig == nil {
-			ok = false
-		}
-	}
-	return sigs, ok
 }
 
 // closeAll closes stale engines and listeners outside the lock.
@@ -583,12 +550,10 @@ func (d *Dispatcher) closeAll(deps []*deployment, listeners []netapi.Closer) {
 // dispatch classifies one inbound payload and hands it to the engine
 // of the case it belongs to:
 //
-//  1. the payload is classified per candidate protocol — on the fast
-//     path by the signature index (a byte-prefix check derived from the
-//     MDL specs, no parsing), falling back to trial-parsing with the
-//     candidate entry parsers only when some candidate protocol has no
-//     derivable signature (once per protocol either way — cases of one
-//     registry share specs, so the result is case-independent);
+//  1. the payload is classified once per candidate protocol by that
+//     protocol's parser.Classify, which reads the rule field alone
+//     (cases of one registry share specs, so the result is
+//     case-independent);
 //  2. cases whose initiator entry message matches win first — this is
 //     the request that opens a session;
 //  3. otherwise cases with a live session awaiting the message win
@@ -598,9 +563,7 @@ func (d *Dispatcher) closeAll(deps []*deployment, listeners []netapi.Closer) {
 //     lexicographically first case name — deterministic — and the
 //     ambiguity is counted and reported to the sink.
 //
-// Both paths implement the same decision procedure, so a payload
-// classifies identically on either; the only difference is that the
-// fast path defers body validation to the chosen engine's parser.
+// Body validation is the chosen engine's: its parser parses the payload.
 func (d *Dispatcher) dispatch(colorKey string, data []byte, src netengine.Source, lease *netapi.Buffer) {
 	// The dispatcher owns the payload's buffer lease until it hands the
 	// payload to an engine (Inject takes ownership on every path).
@@ -625,34 +588,19 @@ func (d *Dispatcher) dispatch(colorKey string, data []byte, src netengine.Source
 		release()
 		return
 	}
-	// rebind replaces these, never mutates them in place.
-	points, sigs, fast := l.points, l.sigs, l.sigOK
+	points := l.points // rebind replaces it, never mutates it in place
 	d.mu.RUnlock()
 
 	// A payload matches one case, or a few when ambiguous: the matches
 	// live in this frame.
 	var buf [4]match
-	var matches []match
-	var anyClassified bool
 	t0 := time.Now()
-	if fast {
-		matches, anyClassified = classifyFast(buf[:0], points, sigs, data, src.Addr.IP)
-	} else {
-		matches, anyClassified = classifySlow(buf[:0], points, data, src.Addr.IP)
-	}
+	matches, anyClassified := classify(buf[:0], points, data, src.Addr.IP)
 	classifyDur := time.Since(t0)
-	if fast {
-		d.classifyHists[0].Record(classifyDur)
-	} else {
-		d.classifyHists[1].Record(classifyDur)
-	}
+	d.classifyHist.Record(classifyDur)
 
 	d.statsMu.Lock()
-	if fast {
-		d.counters.FastPath++
-	} else {
-		d.counters.SlowPath++
-	}
+	d.counters.FastPath++
 	if len(matches) == 0 {
 		if anyClassified {
 			d.counters.Unroutable++
@@ -673,7 +621,7 @@ func (d *Dispatcher) dispatch(colorKey string, data []byte, src netengine.Source
 	// dispatcher measured the decision, the engine files it.
 	chosen.pt.dep.eng.RecordClassify(classifyDur)
 	if d.sink != nil {
-		d.sink.Classified(classifyEvent(matches, src.Addr, fast))
+		d.sink.Classified(classifyEvent(matches, src.Addr))
 	}
 	if err := chosen.pt.dep.eng.Inject(chosen.pt.proto, data, src, lease); err != nil {
 		// The chosen engine refused outright — it closed between
@@ -707,14 +655,14 @@ type match struct {
 
 // classifyEvent describes a classification that dispatched to
 // matches[0]; more than one match makes it ambiguous.
-func classifyEvent(matches []match, origin netapi.Addr, fast bool) ClassifyEvent {
+func classifyEvent(matches []match, origin netapi.Addr) ClassifyEvent {
 	chosen := matches[0]
 	ev := ClassifyEvent{
 		Case:     chosen.pt.dep.name,
 		Protocol: chosen.pt.proto,
 		Message:  chosen.msg,
 		Origin:   origin,
-		FastPath: fast,
+		FastPath: true,
 	}
 	if len(matches) > 1 {
 		names := make([]string, len(matches))
@@ -731,11 +679,9 @@ func classifyEvent(matches []match, origin netapi.Addr, fast bool) ClassifyEvent
 	return ev
 }
 
-// verdicts memoizes the signature classification of one payload per
-// protocol, in a tiny linear cache: a listener hosts at most a handful
-// of protocols.
+// verdicts memoizes the classification of one payload per protocol, in
+// a tiny linear cache: a listener hosts at most a handful of protocols.
 type verdicts struct {
-	sigs map[string]*protoSignature
 	data []byte
 	memo [4]struct {
 		proto, name string
@@ -744,30 +690,30 @@ type verdicts struct {
 	n int
 }
 
-func (v *verdicts) classify(proto string) (string, bool) {
+func (v *verdicts) classify(p entryPoint) (string, bool) {
 	for i := 0; i < v.n; i++ {
-		if v.memo[i].proto == proto {
+		if v.memo[i].proto == p.proto {
 			return v.memo[i].name, v.memo[i].ok
 		}
 	}
-	name, ok := v.sigs[proto].Classify(v.data)
+	name, ok := p.parser.Classify(v.data)
 	if v.n < len(v.memo) {
-		v.memo[v.n].proto, v.memo[v.n].name, v.memo[v.n].ok = proto, name, ok
+		v.memo[v.n].proto, v.memo[v.n].name, v.memo[v.n].ok = p.proto, name, ok
 		v.n++
 	}
 	return name, ok
 }
 
-// classifyFast resolves the matching entry points from the signature
-// index alone, appending them to matches: no parsing, and no allocation
-// while they fit the caller's buffer.
+// classify resolves the entry points the payload matches, appending
+// them to matches: no parsing, and no allocation while they fit the
+// caller's buffer. anyClassified reports whether some candidate
+// protocol named a message at all.
 //
 //starlink:hotpath
-func classifyFast(matches []match, points []entryPoint, sigs map[string]*protoSignature, data []byte, srcIP string) ([]match, bool) {
-	v := verdicts{sigs: sigs, data: data}
-	anyClassified := false
+func classify(matches []match, points []entryPoint, data []byte, srcIP string) (_ []match, anyClassified bool) {
+	v := verdicts{data: data}
 	for _, p := range points {
-		name, ok := v.classify(p.proto)
+		name, ok := v.classify(p)
 		if !ok {
 			continue
 		}
@@ -778,60 +724,12 @@ func classifyFast(matches []match, points []entryPoint, sigs map[string]*protoSi
 	}
 	if len(matches) == 0 {
 		for _, p := range points {
-			if name, ok := v.classify(p.proto); ok && p.dep.eng.AwaitsEntry(p.proto, name, srcIP) {
+			if name, ok := v.classify(p); ok && p.dep.eng.AwaitsEntry(p.proto, name, srcIP) {
 				matches = append(matches, match{pt: p, msg: name})
 			}
 		}
 	}
 	return matches, anyClassified
-}
-
-// classifySlow resolves the matching entry points by trial-parsing the
-// payload with each candidate protocol's entry parser (once per
-// protocol), appending them to matches. Parsed messages are
-// classification scratch only — the chosen engine re-parses from the
-// raw payload — so they are recycled before returning.
-func classifySlow(matches []match, points []entryPoint, data []byte, srcIP string) (_ []match, anyParsed bool) {
-	type outcome struct {
-		msg *message.Message
-		ok  bool
-	}
-	parsed := map[string]outcome{}
-	parse := func(p entryPoint) outcome {
-		o, seen := parsed[p.proto]
-		if !seen {
-			m, err := p.dep.compiled.Codecs[p.proto].Parser.Parse(data)
-			o = outcome{msg: m, ok: err == nil}
-			parsed[p.proto] = o
-		}
-		return o
-	}
-	defer func() {
-		for _, o := range parsed {
-			if o.ok {
-				o.msg.Release()
-			}
-		}
-	}()
-
-	for _, p := range points {
-		o := parse(p)
-		if !o.ok {
-			continue
-		}
-		anyParsed = true
-		if p.initiator && o.msg.Name == p.initMsg {
-			matches = append(matches, match{pt: p, msg: o.msg.Name})
-		}
-	}
-	if len(matches) == 0 {
-		for _, p := range points {
-			if o := parse(p); o.ok && p.dep.eng.AwaitsEntry(p.proto, o.msg.Name, srcIP) {
-				matches = append(matches, match{pt: p, msg: o.msg.Name})
-			}
-		}
-	}
-	return matches, anyParsed
 }
 
 // Cases lists the currently deployed case names, sorted.
@@ -886,8 +784,7 @@ func (d *Dispatcher) Counts() Snapshot {
 // classification-decision histograms and each case's engine.Snapshot.
 func (d *Dispatcher) Snapshot() Snapshot {
 	s := d.snapshot((*engine.Engine).Snapshot)
-	s.ClassifyFast = d.classifyHists[0].Snapshot()
-	s.ClassifySlow = d.classifyHists[1].Snapshot()
+	s.ClassifyFast = d.classifyHist.Snapshot()
 	return s
 }
 

@@ -13,10 +13,9 @@
 //     restart;
 //   - a Dispatcher that hosts every loaded case in one daemon at once:
 //     it indexes each case's entry colors, binds one shared listener
-//     per color, and classifies unknown inbound payloads — by a
-//     signature index derived from the MDLs, by trial-parsing where a
-//     candidate has no derivable signature — before handing them to
-//     the right engine. Deploy creates the bridge host it runs on. What
+//     per color, and classifies unknown inbound payloads — each
+//     candidate protocol's parser reads the message-selection rule
+//     field alone — before handing them to the right engine. Deploy creates the bridge host it runs on. What
 //     it observes goes to one Sink, which every hosted engine shares;
 //     what it counts is read as one Snapshot.
 package provision

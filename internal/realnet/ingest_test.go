@@ -10,7 +10,7 @@ package realnet_test
 // shape of a provisioning dispatcher's shared entry listeners), and M
 // sender nodes blast datagrams at them round-robin. Every received
 // payload pays a fixed classification-sized CPU cost (a repeated FNV
-// pass standing in for the signature index + header parse of a 7-case
+// pass standing in for the classification + header parse of a 7-case
 // dispatcher) and is acknowledged, so each sender runs a bounded window
 // and loopback UDP never overflows its receive queue. The receiver's
 // endpoints are detached, so they dispatch in parallel and throughput
@@ -34,7 +34,7 @@ const (
 	ingestPayloadSize = 512
 	// ingestWorkRounds fixes the per-payload CPU cost at roughly the
 	// cost of classifying and header-parsing the datagram against a
-	// multi-case signature index (a few microseconds).
+	// multi-case dispatcher (a few microseconds).
 	ingestWorkRounds = 16
 	// ingestAckTimeout bounds how long a sender waits for an expected
 	// ack, retransmissions included, before declaring the run broken.

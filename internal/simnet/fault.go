@@ -1,7 +1,7 @@
 // Fault plane and delivery-event trace: the DST rig's view of the
 // simulator. A netapi.FaultPlan installed into a Net injects loss,
-// extra delay, reordering, duplication and directional partitions at
-// the delivery layer; an enabled event trace records every delivery
+// extra delay, reordering, duplication, corrupted and truncated
+// datagrams and directional partitions at the delivery layer; an enabled event trace records every delivery
 // decision as one text line plus a rolling hash, so two runs can be
 // compared byte for byte.
 //
@@ -16,6 +16,7 @@ package simnet
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"time"
 
 	"starlink/internal/netapi"
@@ -93,13 +94,34 @@ type faultVerdict struct {
 	healHold time.Duration
 	// refuse fails a stream dial outright (unhealing partition).
 	refuse bool
+	// flip, when nonzero, is XORed into the byte at flipAt; cut, when
+	// not -1, is the length the datagram is cut to.
+	flip        byte
+	flipAt, cut int
 }
 
-// udp evaluates the plan for one datagram from→to at virtual instant
-// now. Caller holds Net.mu. Every matching rule applies in plan order;
-// a drop stops evaluation (nothing is left to deliver).
-func (f *faultState) udp(now time.Time, from, to netapi.Addr, defaultReorder time.Duration) faultVerdict {
-	var v faultVerdict
+// damage applies v's truncation and corruption to data and returns the
+// result with its trace kind ("" when v damages nothing). A flipped
+// byte is flipped in a copy: the sender's bytes stay as they were.
+func (v *faultVerdict) damage(data []byte) ([]byte, string) {
+	kind := ""
+	if v.cut >= 0 {
+		data, kind = data[:v.cut:v.cut], "truncate"
+	}
+	if v.flip != 0 && v.flipAt < len(data) {
+		data = append([]byte(nil), data...)
+		data[v.flipAt] ^= v.flip
+		kind = strings.TrimSpace("corrupt " + kind)
+	}
+	return data, kind
+}
+
+// udp evaluates the plan for one datagram of size bytes from→to at
+// virtual instant now. Caller holds Net.mu. Every matching rule applies
+// in plan order; a drop stops evaluation (nothing is left to deliver).
+// A probability of 0 draws nothing from the RNG.
+func (f *faultState) udp(now time.Time, from, to netapi.Addr, defaultReorder time.Duration, size int) faultVerdict {
+	v := faultVerdict{cut: -1}
 	elapsed := now.Sub(f.epoch)
 	for i := range f.plan.Rules {
 		r := &f.plan.Rules[i]
@@ -128,6 +150,12 @@ func (f *faultState) udp(now time.Time, from, to netapi.Addr, defaultReorder tim
 				hold = defaultReorder
 			}
 			v.extra += hold
+		}
+		if r.Corrupt > 0 && f.rng.Float64() < r.Corrupt && size > 0 {
+			v.flipAt, v.flip = f.rng.Intn(size), byte(1+f.rng.Intn(255))
+		}
+		if r.Truncate > 0 && f.rng.Float64() < r.Truncate && size > 0 {
+			v.cut = f.rng.Intn(size)
 		}
 	}
 	return v

@@ -74,6 +74,64 @@ func faultPlans() map[string]*netapi.FaultPlan {
 		"reorder":   {Rules: []netapi.FaultRule{{Proto: "udp", Reorder: 0.4}}},
 		"duplicate": {Rules: []netapi.FaultRule{{Proto: "udp", Duplicate: 0.4, DuplicateDelay: 500 * time.Microsecond}}},
 		"partition": {Rules: []netapi.FaultRule{{From: "10.0.0.1", To: "10.0.0.9", Start: 2 * time.Millisecond, End: 6 * time.Millisecond, Partition: true}}},
+		"corrupt":   {Rules: []netapi.FaultRule{{Proto: "udp", Corrupt: 0.4}}},
+		"truncate":  {Rules: []netapi.FaultRule{{Proto: "udp", Truncate: 0.4}}},
+	}
+}
+
+// TestFaultDamage pins what corrupt and truncate do to a datagram sent
+// to a multicast group whose one member the rule names: that member
+// receives it with one byte flipped, or cut short, and the trace says
+// so; the other member and the sender's buffer keep the bytes sent.
+func TestFaultDamage(t *testing.T) {
+	for _, tc := range []struct {
+		rule netapi.FaultRule
+		kind string
+		ok   func(got []byte) bool
+	}{
+		{netapi.FaultRule{To: "10.0.0.9", Corrupt: 1}, "corrupt", func(got []byte) bool {
+			diff := 0
+			for i := range got {
+				if got[i] != "datagram"[i] {
+					diff++
+				}
+			}
+			return len(got) == len("datagram") && diff == 1
+		}},
+		{netapi.FaultRule{To: "10.0.0.9", Truncate: 1}, "truncate", func(got []byte) bool {
+			return len(got) < len("datagram") && strings.HasPrefix("datagram", string(got))
+		}},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			n := New(WithSeed(5), WithEventTrace(), WithFaults(&netapi.FaultPlan{Rules: []netapi.FaultRule{tc.rule}}))
+			group := netapi.Addr{IP: "239.1.1.1", Port: 4000}
+			got := map[string][]byte{}
+			for _, ip := range []string{"10.0.0.8", "10.0.0.9"} {
+				nd, _ := n.NewNode(ip)
+				if _, err := nd.JoinGroup(group, func(p netapi.Packet) { got[ip] = append([]byte(nil), p.Data...) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			nd, _ := n.NewNode("10.0.0.1")
+			s, err := nd.OpenUDP(0, func(netapi.Packet) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sent := []byte("datagram")
+			if err := s.Send(group, sent); err != nil {
+				t.Fatal(err)
+			}
+			n.RunToQuiescence()
+			if string(sent) != "datagram" || string(got["10.0.0.8"]) != "datagram" {
+				t.Fatalf("sender holds %q, other member got %q: want both untouched", sent, got["10.0.0.8"])
+			}
+			if !tc.ok(got["10.0.0.9"]) {
+				t.Errorf("named member got %q", got["10.0.0.9"])
+			}
+			if !strings.Contains(strings.Join(n.TraceLines(), "\n"), " "+tc.kind) {
+				t.Errorf("trace lacks a %s mark:\n%s", tc.kind, strings.Join(n.TraceLines(), "\n"))
+			}
+		})
 	}
 }
 

@@ -708,14 +708,20 @@ func (s *udpSocket) deliverLocked(dst *udpSocket, data []byte, to netapi.Addr) {
 	// a fault-dropped packet consumes exactly the draws a no-plan run
 	// would — traffic the plan does not match keeps its exact timing.
 	lat := s.net.latencyLocked()
-	var v faultVerdict
+	v := faultVerdict{cut: -1}
 	if s.net.faults != nil {
-		v = s.net.faults.udp(s.net.now, from, dst.addr, s.net.defaultReorderLocked())
+		v = s.net.faults.udp(s.net.now, from, dst.addr, s.net.defaultReorderLocked(), len(data))
 	}
 	if v.drop {
 		s.net.PacketsDropped++
 		s.net.traceLocked("udp", "drop "+v.dropKind, from, dst.addr, len(data))
 		return
+	}
+	if damaged, kind := v.damage(data); kind != "" {
+		// Multicast members share the sender's copy: damage one of
+		// their own.
+		data = damaged
+		s.net.traceLocked("udp", kind, from, dst.addr, len(data))
 	}
 	lat += v.extra
 	s.net.scheduleUDPLocked(dst, from, to, data, lat)

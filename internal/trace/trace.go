@@ -30,8 +30,8 @@ import (
 type Stage uint8
 
 const (
-	// StageClassify is the dispatcher's payload classification
-	// (signature-index fast path or trial-parse slow path).
+	// StageClassify is the dispatcher's payload classification (the
+	// candidate parsers' Classify).
 	StageClassify Stage = iota
 	// StageRecv covers a payload's wait between arrival at the
 	// listener callback and pickup by the parsing worker or session.

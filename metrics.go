@@ -123,12 +123,13 @@ type DispatchMetrics struct {
 	// Rejected counts payloads that classified to a case whose engine
 	// refused them outright (already closed).
 	Rejected int
-	// FastPath counts payloads classified by the signature index alone
-	// (no parsing); SlowPath counts trial-parse classifications.
+	// FastPath counts classified payloads: every candidate parser reads
+	// the message-selection rule field alone, with no parse. SlowPath
+	// is always 0: there is no other path.
 	FastPath int
 	SlowPath int
-	// FastPathLatency and SlowPathLatency are the latency distributions
-	// of the classification decision itself, split by path.
+	// FastPathLatency is the latency distribution of the classification
+	// decision itself; SlowPathLatency stays empty.
 	FastPathLatency StageLatency
 	SlowPathLatency StageLatency
 }
@@ -194,9 +195,10 @@ type Metrics struct {
 // types mirror the public ones field for field, so a counter added on one
 // side only stops compiling here instead of being silently dropped.
 func metricsOf(s provision.Snapshot) Metrics {
-	// DispatchMetrics is DispatchCounters plus the two latency rows.
+	// DispatchMetrics is DispatchCounters plus SlowPath and the two
+	// latency rows.
 	dc := struct {
-		Dispatched, Ambiguous, Unroutable, ParseErrors, Suppressed, Rejected, FastPath, SlowPath int
+		Dispatched, Ambiguous, Unroutable, ParseErrors, Suppressed, Rejected, FastPath int
 	}(s.Dispatch)
 	m := Metrics{
 		State: stateOf(s.State),
@@ -208,9 +210,8 @@ func metricsOf(s provision.Snapshot) Metrics {
 			Suppressed:      dc.Suppressed,
 			Rejected:        dc.Rejected,
 			FastPath:        dc.FastPath,
-			SlowPath:        dc.SlowPath,
 			FastPathLatency: stageLatencyOf("classify", s.ClassifyFast),
-			SlowPathLatency: stageLatencyOf("classify", s.ClassifySlow),
+			SlowPathLatency: stageLatencyOf("classify", hist.Snapshot{}),
 		},
 		Cases:       make(map[string]SessionMetrics, len(s.Cases)),
 		CaseLatency: make(map[string][]StageLatency, len(s.Cases)),

@@ -138,8 +138,8 @@ type Classification struct {
 	Candidates []string
 	// Ambiguous reports whether more than one case matched.
 	Ambiguous bool
-	// FastPath reports whether the signature index classified the
-	// payload without parsing.
+	// FastPath is always true: the candidate parsers classify a payload
+	// by its message-selection rule field alone, with no parse.
 	FastPath bool
 	// Err is non-nil for ambiguous classifications, wrapping
 	// ErrAmbiguousPayload.
