@@ -313,8 +313,8 @@ func logStats(disp *starlink.Dispatcher) {
 			row.Stage, row.Count, row.P50, row.P90, row.P99)
 	}
 	d := m.Dispatch
-	fmt.Printf("starlinkd: dispatch: dispatched=%d ambiguous=%d suppressed=%d unroutable=%d parseErrs=%d fastpath=%d slowpath=%d\n",
-		d.Dispatched, d.Ambiguous, d.Suppressed, d.Unroutable, d.ParseErrors, d.FastPath, d.SlowPath)
+	fmt.Printf("starlinkd: dispatch: dispatched=%d ambiguous=%d suppressed=%d unroutable=%d parseErrs=%d\n",
+		d.Dispatched, d.Ambiguous, d.Suppressed, d.Unroutable, d.ParseErrors)
 	for _, row := range m.Lanes {
 		if row.Admitted == 0 && row.Shed == 0 {
 			continue

@@ -114,7 +114,7 @@ func TestSmokeMetricsSurface(t *testing.T) {
 		}
 	}
 	// Drop counters are always exposed.
-	for _, reason := range []string{"overloaded", "draining", "closed", "ambiguous", "other"} {
+	for _, reason := range []string{"overloaded", "draining", "closed", "stale"} {
 		if n := len(exp.Find("starlink_drops_total", map[string]string{"reason": reason})); n != 1 {
 			t.Errorf("drops_total{reason=%q}: %d series, want 1", reason, n)
 		}

@@ -1,7 +1,6 @@
 package starlink
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -15,20 +14,16 @@ import (
 // collectorFailureRing bounds the recent-failure trace buffer.
 const collectorFailureRing = 32
 
-// dropReasons are the structured drop classes the collector exposes;
-// every class is always emitted (zero-valued when never seen) so the
-// starlink_drops_total series exists from the first scrape.
-var dropReasons = []string{"overloaded", "draining", "closed", "ambiguous", "other"}
-
 // Collector turns deployments into an HTTP observability surface. It
-// plays two composable roles:
+// counts nothing itself: every series it exposes is read at scrape time
+// from its registered deployments' Metrics, the counters the engines and
+// dispatchers keep anyway. It plays two roles:
 //
-//   - an Observer (register with WithObserver) accumulating event-level
-//     counters — sessions started/completed/failed, classifications,
-//     drops by structured reason — and a ring of recent failed-session
-//     flight-recorder traces;
 //   - a registry of named Deployments (Register) whose Metrics and
-//     Sessions snapshots back the exposition.
+//     Sessions snapshots back the exposition;
+//   - an Observer (register with WithObserver) whose only work is a ring
+//     of recent failed-session flight-recorder traces. A successful
+//     session costs it no lock; every other callback is empty.
 //
 // Handler serves the Prometheus text exposition on /metrics and plain
 // text debug pages under /debug/starlink/ (index, live sessions,
@@ -39,22 +34,13 @@ type Collector struct {
 	names []string
 	deps  map[string]Deployment
 
-	started    uint64
-	completed  uint64
-	failed     uint64
-	classified uint64
-	drops      map[string]uint64
-
 	failures []SessionStats
 	failPos  int
 }
 
 // NewCollector creates an empty collector.
 func NewCollector() *Collector {
-	return &Collector{
-		deps:  map[string]Deployment{},
-		drops: map[string]uint64{},
-	}
+	return &Collector{deps: map[string]Deployment{}}
 }
 
 // Register adds (or replaces) a named deployment in the exposition.
@@ -87,23 +73,17 @@ func (c *Collector) Unregister(name string) {
 var _ Observer = (*Collector)(nil)
 
 // OnSessionStart implements Observer.
-func (c *Collector) OnSessionStart(SessionStart) {
-	c.mu.Lock()
-	c.started++
-	c.mu.Unlock()
-}
+func (c *Collector) OnSessionStart(SessionStart) {}
 
 // OnSessionEnd implements Observer. Failed sessions (with their
 // flight-recorder traces) are retained in a fixed ring readable on the
 // /debug/starlink/failures page.
 func (c *Collector) OnSessionEnd(s SessionStats) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if s.Err == nil {
-		c.completed++
 		return
 	}
-	c.failed++
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if len(c.failures) < collectorFailureRing {
 		c.failures = append(c.failures, s)
 		return
@@ -113,11 +93,7 @@ func (c *Collector) OnSessionEnd(s SessionStats) {
 }
 
 // OnClassify implements Observer.
-func (c *Collector) OnClassify(Classification) {
-	c.mu.Lock()
-	c.classified++
-	c.mu.Unlock()
-}
+func (c *Collector) OnClassify(Classification) {}
 
 // OnDeploy implements Observer.
 func (c *Collector) OnDeploy(CaseEvent) {}
@@ -125,42 +101,26 @@ func (c *Collector) OnDeploy(CaseEvent) {}
 // OnUndeploy implements Observer.
 func (c *Collector) OnUndeploy(CaseEvent) {}
 
-// OnDrop implements Observer, classifying the drop's structured reason
-// with errors.Is.
-func (c *Collector) OnDrop(d Drop) {
-	reason := "other"
-	switch {
-	case errors.Is(d.Reason, ErrOverloaded):
-		reason = "overloaded"
-	case errors.Is(d.Reason, ErrDraining):
-		reason = "draining"
-	case errors.Is(d.Reason, ErrClosed):
-		reason = "closed"
-	case errors.Is(d.Reason, ErrAmbiguousPayload):
-		reason = "ambiguous"
-	}
-	c.mu.Lock()
-	c.drops[reason]++
-	c.mu.Unlock()
-}
+// OnDrop implements Observer. Drops are read from the deployments'
+// counters at scrape time.
+func (c *Collector) OnDrop(d Drop) {}
 
-// snapshot copies the registry and observer state under the lock.
-func (c *Collector) snapshot() (names []string, deps map[string]Deployment,
-	started, completed, failed, classified uint64, drops map[string]uint64, failures []SessionStats) {
+// deployments copies the registry under the lock, in name order.
+func (c *Collector) deployments() ([]string, []Deployment) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	names = append([]string(nil), c.names...)
-	deps = make(map[string]Deployment, len(c.deps))
-	for n, d := range c.deps {
-		deps[n] = d
+	deps := make([]Deployment, len(c.names))
+	for i, n := range c.names {
+		deps[i] = c.deps[n]
 	}
-	drops = make(map[string]uint64, len(c.drops))
-	for r, n := range c.drops {
-		drops[r] = n
-	}
-	// Oldest-first view of the failure ring.
-	failures = append(append([]SessionStats(nil), c.failures[c.failPos:]...), c.failures[:c.failPos]...)
-	return names, deps, c.started, c.completed, c.failed, c.classified, drops, failures
+	return append([]string(nil), c.names...), deps
+}
+
+// recentFailures copies the failure ring, oldest first.
+func (c *Collector) recentFailures() []SessionStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append(append([]SessionStats(nil), c.failures[c.failPos:]...), c.failures[:c.failPos]...)
 }
 
 // Handler returns the collector's HTTP surface: the Prometheus text
@@ -178,44 +138,34 @@ func (c *Collector) Handler() http.Handler {
 }
 
 func (c *Collector) serveMetrics(w http.ResponseWriter, _ *http.Request) {
-	names, deps, started, completed, failed, classified, drops, _ := c.snapshot()
+	names, deps := c.deployments()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	pw := promtext.NewWriter(w)
-
-	pw.Family("starlink_observed_sessions_total",
-		"Sessions seen by the observer chain, by result.", "counter")
-	pw.Sample("starlink_observed_sessions_total",
-		[]promtext.Label{{Name: "result", Value: "started"}}, float64(started))
-	pw.Sample("starlink_observed_sessions_total",
-		[]promtext.Label{{Name: "result", Value: "completed"}}, float64(completed))
-	pw.Sample("starlink_observed_sessions_total",
-		[]promtext.Label{{Name: "result", Value: "failed"}}, float64(failed))
-
-	pw.Family("starlink_classifications_total",
-		"Entry payload classifications seen by the observer chain.", "counter")
-	pw.Sample("starlink_classifications_total", nil, float64(classified))
 
 	type depMetrics struct {
 		name string
 		m    Metrics
 	}
-	snaps := make([]depMetrics, 0, len(names))
-	stale := 0
-	for _, name := range names {
-		snaps = append(snaps, depMetrics{name: name, m: deps[name].Metrics()})
-		stale += snaps[len(snaps)-1].m.Sessions.Stale
+	snaps := make([]depMetrics, len(names))
+	var overloaded, draining, closed, stale int
+	for i, name := range names {
+		m := deps[i].Metrics()
+		snaps[i] = depMetrics{name: name, m: m}
+		overloaded += m.Sessions.Rejected + m.Sessions.Dropped
+		draining += m.Sessions.DrainRejected
+		closed += m.Dispatch.Rejected
+		stale += m.Sessions.Stale
 	}
 
 	pw.Family("starlink_drops_total",
-		"Refused work by structured reason (errors.Is classes), and replies that answered no current lend of their requester socket (stale).", "counter")
-	for _, reason := range dropReasons {
+		"Refused work by reason, summed over the deployments: overloaded (max-sessions rejections and shed payloads), draining (initiators refused mid-drain), closed (payloads a closed case refused) and stale (replies that answered no current lend of their requester socket).", "counter")
+	for _, rv := range []struct {
+		reason string
+		v      int
+	}{{"overloaded", overloaded}, {"draining", draining}, {"closed", closed}, {"stale", stale}} {
 		pw.Sample("starlink_drops_total",
-			[]promtext.Label{{Name: "reason", Value: reason}}, float64(drops[reason]))
+			[]promtext.Label{{Name: "reason", Value: rv.reason}}, float64(rv.v))
 	}
-	// Stale replies are counted by the engines, not reported one by one
-	// to observers: a peer can send any number of them.
-	pw.Sample("starlink_drops_total",
-		[]promtext.Label{{Name: "reason", Value: "stale"}}, float64(stale))
 
 	pw.Family("starlink_deployment_state",
 		"Deployment lifecycle state (1 = current state).", "gauge")
@@ -228,7 +178,7 @@ func (c *Collector) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	pw.Family("starlink_sessions_live", "Currently executing sessions.", "gauge")
 	for _, s := range snaps {
-		for _, cs := range sortedCases(s.m.Cases) {
+		for _, cs := range sortedKeys(s.m.Cases) {
 			pw.Sample("starlink_sessions_live", []promtext.Label{
 				{Name: "deployment", Value: s.name},
 				{Name: "case", Value: cs},
@@ -239,7 +189,7 @@ func (c *Collector) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	pw.Family("starlink_sessions_total", "Finished session admissions by result.", "counter")
 	pw.Family("starlink_payloads_total", "Discarded payloads by result.", "counter")
 	for _, s := range snaps {
-		for _, cs := range sortedCases(s.m.Cases) {
+		for _, cs := range sortedKeys(s.m.Cases) {
 			sm := s.m.Cases[cs]
 			base := []promtext.Label{
 				{Name: "deployment", Value: s.name},
@@ -287,8 +237,6 @@ func (c *Collector) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 			{"parse_errors", d.ParseErrors},
 			{"suppressed", d.Suppressed},
 			{"rejected", d.Rejected},
-			{"fast_path", d.FastPath},
-			{"slow_path", d.SlowPath},
 		} {
 			pw.Sample("starlink_dispatch_total", []promtext.Label{
 				{Name: "deployment", Value: s.name},
@@ -301,7 +249,7 @@ func (c *Collector) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		"Per-stage pipeline latency (the 'session' stage is the whole-session duration).",
 		"histogram")
 	for _, s := range snaps {
-		for _, cs := range sortedCaseLatency(s.m.CaseLatency) {
+		for _, cs := range sortedKeys(s.m.CaseLatency) {
 			for _, row := range s.m.CaseLatency[cs] {
 				pw.HistogramSample("starlink_stage_latency_seconds", []promtext.Label{
 					{Name: "deployment", Value: s.name},
@@ -346,26 +294,18 @@ func (c *Collector) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 
 	pw.Family("starlink_classify_latency_seconds",
-		"Classification decision latency by path.", "histogram")
+		"Classification decision latency of the entry listeners.", "histogram")
 	for _, s := range snaps {
-		for _, pv := range []struct {
-			path string
-			row  StageLatency
-		}{
-			{"fast", s.m.Dispatch.FastPathLatency},
-			{"slow", s.m.Dispatch.SlowPathLatency},
-		} {
-			pw.HistogramSample("starlink_classify_latency_seconds", []promtext.Label{
-				{Name: "deployment", Value: s.name},
-				{Name: "path", Value: pv.path},
-			}, promBuckets(pv.row.Buckets), pv.row.Sum.Seconds(), pv.row.Count)
-		}
+		row := s.m.Dispatch.FastPathLatency
+		pw.HistogramSample("starlink_classify_latency_seconds",
+			[]promtext.Label{{Name: "deployment", Value: s.name}},
+			promBuckets(row.Buckets), row.Sum.Seconds(), row.Count)
 	}
 
 	pw.Family("starlink_ingested_total",
 		"Payloads accepted off entry listeners, by receive path.", "counter")
 	for _, s := range snaps {
-		for _, cs := range sortedCases(s.m.Cases) {
+		for _, cs := range sortedKeys(s.m.Cases) {
 			sm := s.m.Cases[cs]
 			base := []promtext.Label{
 				{Name: "deployment", Value: s.name},
@@ -383,7 +323,7 @@ func (c *Collector) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	pw.Family("starlink_requester_lends_total",
 		"Sessions handed a requester socket kept open across sessions, by whether it was already open.", "counter")
 	for _, s := range snaps {
-		for _, cs := range sortedCases(s.m.Cases) {
+		for _, cs := range sortedKeys(s.m.Cases) {
 			sm := s.m.Cases[cs]
 			for _, rv := range []struct {
 				result string
@@ -437,16 +377,8 @@ func promBuckets(bs []LatencyBucket) []promtext.Bucket {
 	return out
 }
 
-func sortedCases(m map[string]SessionMetrics) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedCaseLatency(m map[string][]StageLatency) []string {
+// sortedKeys lists a per-case map's keys in name order.
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
@@ -460,18 +392,16 @@ func (c *Collector) serveIndex(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	names, deps, started, completed, failed, classified, drops, failures := c.snapshot()
+	names, deps := c.deployments()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "starlink debug surface\n\n")
-	fmt.Fprintf(w, "observer: started=%d completed=%d failed=%d classified=%d drops=%v\n",
-		started, completed, failed, classified, drops)
-	fmt.Fprintf(w, "recent failures retained: %d (see /debug/starlink/failures)\n", len(failures))
+	fmt.Fprintf(w, "recent failures retained: %d (see /debug/starlink/failures)\n", len(c.recentFailures()))
 	fmt.Fprintf(w, "live sessions: see /debug/starlink/sessions\n\n")
-	for _, name := range names {
-		m := deps[name].Metrics()
+	for i, name := range names {
+		m := deps[i].Metrics()
 		fmt.Fprintf(w, "deployment %q: state=%s live=%d completed=%d failed=%d rejected=%d\n",
 			name, m.State, m.Sessions.Live, m.Sessions.Completed, m.Sessions.Failed, m.Sessions.Rejected)
-		for _, cs := range sortedCases(m.Cases) {
+		for _, cs := range sortedKeys(m.Cases) {
 			sm := m.Cases[cs]
 			fmt.Fprintf(w, "  case %-20s live=%d completed=%d failed=%d dropped=%d parse_errors=%d stale=%d requesters: idle=%d lends=%d opens=%d\n",
 				cs, sm.Live, sm.Completed, sm.Failed, sm.Dropped, sm.ParseErrors, sm.Stale, sm.RequestersIdle, sm.RequesterLends, sm.RequesterOpens)
@@ -484,12 +414,12 @@ func (c *Collector) serveIndex(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Collector) serveSessions(w http.ResponseWriter, _ *http.Request) {
-	names, deps, _, _, _, _, _, _ := c.snapshot()
+	names, deps := c.deployments()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	now := time.Now()
 	total := 0
-	for _, name := range names {
-		for _, s := range deps[name].Sessions() {
+	for i, name := range names {
+		for _, s := range deps[i].Sessions() {
 			total++
 			fmt.Fprintf(w, "deployment=%s case=%s key=%s origin=%s age=%s\n",
 				name, s.Case, s.Key, s.Origin, now.Sub(s.Start).Round(time.Microsecond))
@@ -502,7 +432,7 @@ func (c *Collector) serveSessions(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (c *Collector) serveFailures(w http.ResponseWriter, _ *http.Request) {
-	_, _, _, _, _, _, _, failures := c.snapshot()
+	failures := c.recentFailures()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	for _, s := range failures {
 		fmt.Fprintf(w, "case=%s origin=%s start=%s duration=%s err=%v\n",

@@ -2,16 +2,22 @@ package starlink_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"starlink"
+	"starlink/internal/netapi"
 	"starlink/internal/promtext"
 	"starlink/internal/protocols/dnssd"
 	"starlink/internal/protocols/slp"
+	"starlink/internal/registry"
 	"starlink/internal/simnet"
 )
 
@@ -81,7 +87,7 @@ func TestCollectorExposition(t *testing.T) {
 		}
 	}
 	// Drop counters always exist, zero-valued when nothing dropped.
-	for _, reason := range []string{"overloaded", "draining", "closed", "ambiguous", "other", "stale"} {
+	for _, reason := range []string{"overloaded", "draining", "closed", "stale"} {
 		ds := exp.Find("starlink_drops_total", map[string]string{"reason": reason})
 		if len(ds) != 1 {
 			t.Errorf("drops_total{reason=%q}: %d series, want 1", reason, len(ds))
@@ -114,10 +120,6 @@ func TestCollectorExposition(t *testing.T) {
 		map[string]string{"deployment": "bridge", "case": "slp-to-bonjour", "result": "completed"})
 	if len(comp) != 1 || comp[0].Value != 1 {
 		t.Errorf("sessions_total completed = %+v, want 1", comp)
-	}
-	obs := exp.Find("starlink_observed_sessions_total", map[string]string{"result": "completed"})
-	if len(obs) != 1 || obs[0].Value != 1 {
-		t.Errorf("observed completed = %+v, want 1", obs)
 	}
 	// The session's mDNS requester was opened for lending and is idle now.
 	for result, want := range map[string]float64{"opened": 1, "reused": 0} {
@@ -240,25 +242,175 @@ func TestFailedSessionCarriesTrace(t *testing.T) {
 	}
 }
 
-// TestCollectorDropClassification feeds structured drops straight into
-// the observer interface and checks the errors.Is classification.
-func TestCollectorDropClassification(t *testing.T) {
+// TestExpositionMatchesEvents drives three faults through a bridge
+// on the simulator and holds the exposition to the events: each
+// starlink_drops_total{reason} equals the drops an observer classified
+// by errors.Is, and starlink_sessions_total the sessions it saw end.
+// The Collector counts nothing itself, so the two can only agree if
+// the deployments' counters and their events do.
+func TestExpositionMatchesEvents(t *testing.T) {
+	rt := starlink.Simulated()
+	sim := rt.Backend().(*simnet.Net)
+	fw, err := starlink.New(rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var closed, draining, overloaded, completed, failed atomic.Int64
+	tally := starlink.Hooks{
+		Drop: func(d starlink.Drop) {
+			switch {
+			case errors.Is(d.Reason, starlink.ErrClosed):
+				closed.Add(1)
+			case errors.Is(d.Reason, starlink.ErrDraining):
+				draining.Add(1)
+			case errors.Is(d.Reason, starlink.ErrOverloaded):
+				overloaded.Add(1)
+			default:
+				t.Errorf("drop with no structured reason: %v", d.Reason)
+			}
+		},
+		SessionEnd: func(s starlink.SessionStats) {
+			if s.Err == nil {
+				completed.Add(1)
+			} else {
+				failed.Add(1)
+			}
+		},
+	}
 	col := starlink.NewCollector()
-	col.OnDrop(starlink.Drop{Reason: fmt.Errorf("case x: %w", starlink.ErrOverloaded)})
-	col.OnDrop(starlink.Drop{Reason: fmt.Errorf("case x: %w", starlink.ErrOverloaded)})
-	col.OnDrop(starlink.Drop{Reason: fmt.Errorf("late: %w", starlink.ErrDraining)})
-	col.OnDrop(starlink.Drop{Reason: fmt.Errorf("payload: %w", starlink.ErrAmbiguousPayload)})
-	col.OnDrop(starlink.Drop{Reason: fmt.Errorf("whatever")})
+	bridge, err := fw.DeployBridge(context.Background(), "10.0.0.5", "slp-to-bonjour",
+		starlink.WithMaxSessions(1), starlink.WithObserver(col), starlink.WithObserver(tally))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bridge.Close()
+	col.Register("bridge", bridge)
+
+	svcNode, _ := sim.NewNode("10.0.0.9")
+	if _, err := dnssd.NewResponder(svcNode, "printer.local", "service:printer://10.0.0.9:515"); err != nil {
+		t.Fatal(err)
+	}
+	lookup := func(ip string, wait time.Duration) *bool {
+		node, err := sim.NewNode(ip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := new(bool)
+		slp.NewUserAgent(node, slp.WithConvergenceWait(wait)).
+			Lookup("service:printer", func(slp.LookupResult) { *done = true })
+		return done
+	}
+
+	// Overload: two clients at once against one session slot.
+	a, b := lookup("10.0.0.1", 300*time.Millisecond), lookup("10.0.0.2", 300*time.Millisecond)
+	if err := rt.RunUntil(func() bool { return *a && *b }, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+
+	// Stale: every answer of the service is repeated after its session
+	// ended, on the requester socket the session was lent. The clock runs
+	// past the repeats before the next session can borrow that socket.
+	sim.InstallFaults(&netapi.FaultPlan{Rules: []netapi.FaultRule{
+		{From: "10.0.0.9", Proto: "udp", Duplicate: 1, DuplicateDelay: 400 * time.Millisecond},
+	}})
+	c := lookup("10.0.0.3", 300*time.Millisecond)
+	if err := rt.RunUntil(func() bool { return *c }, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	rt.Run(time.Second)
+	sim.InstallFaults(nil)
+
+	// Draining: an initiator arrives after Shutdown has begun, while a
+	// session is still live.
+	lookup("10.0.0.4", 500*time.Millisecond)
+	if err := rt.RunUntil(func() bool { return bridge.Metrics().Sessions.Live == 1 }, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	res := make(chan error, 1)
+	go func() { res <- bridge.Shutdown(context.Background()) }()
+	for deadline := time.Now().Add(10 * time.Second); bridge.State() != starlink.StateDraining; {
+		if time.Now().After(deadline) {
+			t.Fatalf("bridge never reached Draining (state %v)", bridge.State())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	late := lookup("10.0.0.6", 200*time.Millisecond)
+	if err := rt.RunUntil(func() bool { return *late && draining.Load() > 0 }, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.RunUntil(func() bool { return bridge.Metrics().Sessions.Live == 0 }, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-res:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Shutdown did not return after the last session drained")
+	}
 
 	exp, err := promtext.Parse(strings.NewReader(scrape(t, col, "/metrics")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]float64{"overloaded": 2, "draining": 1, "closed": 0, "ambiguous": 1, "other": 1}
-	for reason, n := range want {
+	m := bridge.Metrics()
+	if overloaded.Load() == 0 || draining.Load() == 0 || m.Sessions.Stale == 0 {
+		t.Fatalf("a fault did not show: overloaded=%d draining=%d stale=%d",
+			overloaded.Load(), draining.Load(), m.Sessions.Stale)
+	}
+	for reason, want := range map[string]int64{
+		"overloaded": overloaded.Load(),
+		"draining":   draining.Load(),
+		"closed":     closed.Load(),
+		// Stale replies are counted, not reported one by one.
+		"stale": int64(m.Sessions.Stale),
+	} {
 		ds := exp.Find("starlink_drops_total", map[string]string{"reason": reason})
-		if len(ds) != 1 || ds[0].Value != n {
-			t.Errorf("drops_total{reason=%q} = %+v, want %v", reason, ds, n)
+		if len(ds) != 1 || ds[0].Value != float64(want) {
+			t.Errorf("drops_total{reason=%q} = %+v, observed %d", reason, ds, want)
 		}
+	}
+	for result, want := range map[string]int64{"completed": completed.Load(), "failed": failed.Load()} {
+		ds := exp.Find("starlink_sessions_total", map[string]string{"result": result})
+		if len(ds) != 1 || ds[0].Value != float64(want) {
+			t.Errorf("sessions_total{result=%q} = %+v, observed %d", result, ds, want)
+		}
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps nothing, so a scrape
+// benchmark prices the exposition and not a growing recorder.
+type discardWriter struct{ h http.Header }
+
+func (w discardWriter) Header() http.Header         { return w.h }
+func (w discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w discardWriter) WriteHeader(int)             {}
+
+// BenchmarkCollectorScrape prices one /metrics scrape of a dispatcher
+// hosting five cases, the dispatch_mix workload's set.
+func BenchmarkCollectorScrape(b *testing.B) {
+	reg, err := starlink.BuiltinRegistry()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := registry.LoadFS(reg.Backend().(*registry.Registry), os.DirFS("examples/models")); err != nil {
+		b.Fatal(err)
+	}
+	col := starlink.NewCollector()
+	disp, err := starlink.NewWithRegistry(starlink.Simulated(), reg).DeployDispatcher(context.Background(), "10.0.0.5",
+		[]string{"slp-to-bonjour", "slp-to-upnp", "upnp-to-bonjour", "bonjour-to-upnp", "slp-to-upnp-alt"},
+		starlink.WithObserver(col))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer disp.Close()
+	col.Register("dispatcher", disp)
+	h := col.Handler()
+	req := httptest.NewRequest("GET", "/metrics", nil)
+	w := discardWriter{h: http.Header{}}
+	b.ReportAllocs()
+	for b.Loop() {
+		h.ServeHTTP(w, req)
 	}
 }

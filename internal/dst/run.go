@@ -125,10 +125,10 @@ type Result struct {
 // Failed reports whether any invariant was violated.
 func (r *Result) Failed() bool { return len(r.Violations) > 0 }
 
-// collector is the dispatcher's sink: it counts session starts and ends
+// sessionLog is the dispatcher's sink: it counts session starts and ends
 // per case and keeps the failed ones. Its own mutex makes it safe from
 // engine goroutines; reads happen only after quiescence.
-type collector struct {
+type sessionLog struct {
 	mu      sync.Mutex
 	started map[string]int
 	ended   map[string]int
@@ -137,29 +137,29 @@ type collector struct {
 	misdelivered []string
 }
 
-func (*collector) Deployed(string, uint64)            {}
-func (*collector) Undeployed(string)                  {}
-func (*collector) Dropped(string, netapi.Addr, error) {}
-func (*collector) Classified(provision.ClassifyEvent) {}
+func (*sessionLog) Deployed(string, uint64)            {}
+func (*sessionLog) Undeployed(string)                  {}
+func (*sessionLog) Dropped(string, netapi.Addr, error) {}
+func (*sessionLog) Classified(provision.ClassifyEvent) {}
 
-func (c *collector) SessionStart(caseName string, _ netapi.Addr, _ time.Time) {
-	c.mu.Lock()
-	c.started[caseName]++
-	c.mu.Unlock()
+func (l *sessionLog) SessionStart(caseName string, _ netapi.Addr, _ time.Time) {
+	l.mu.Lock()
+	l.started[caseName]++
+	l.mu.Unlock()
 }
 
-func (c *collector) SessionEnd(caseName string, s engine.SessionStats) {
-	c.mu.Lock()
-	c.ended[caseName]++
+func (l *sessionLog) SessionEnd(caseName string, s engine.SessionStats) {
+	l.mu.Lock()
+	l.ended[caseName]++
 	if s.Err != nil {
-		c.failed = append(c.failed, FailedSession{
+		l.failed = append(l.failed, FailedSession{
 			Case:   caseName,
 			Origin: s.Origin.String(),
 			Err:    s.Err.Error(),
 			Trace:  s.Trace,
 		})
 	}
-	c.mu.Unlock()
+	l.mu.Unlock()
 }
 
 // Run executes one (scenario, seed) simulation to quiescence and
@@ -200,7 +200,7 @@ func Run(sc *Scenario, seed int64, cfg Config) (*Result, error) {
 	sim := simnet.New(opts...)
 	epoch := sim.Now()
 
-	col := &collector{started: map[string]int{}, ended: map[string]int{}}
+	col := &sessionLog{started: map[string]int{}, ended: map[string]int{}}
 	maxSessions, hosted := sc.MaxSessions, []string(nil)
 	if maxSessions == 0 {
 		maxSessions = 1024
@@ -414,7 +414,7 @@ func distinctType(i int) string { return fmt.Sprintf("printer%02d", i) }
 // else the shared printer. Wide client windows keep slow bridged paths
 // (SLP convergence, fault-delayed replies) inside the window; a client
 // whose window closes empty still counts as Done.
-func startClient(node netapi.Node, caseName, own string, col *collector, tally *ClientTally, fail func(error)) {
+func startClient(node netapi.Node, caseName, own string, col *sessionLog, tally *ClientTally, fail func(error)) {
 	record := func(urls []string) {
 		col.mu.Lock()
 		tally.Done++

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"starlink/internal/engine"
+	"starlink/internal/netapi"
 	"starlink/internal/protocols/dnssd"
 	"starlink/internal/protocols/slp"
 	"starlink/internal/protocols/ssdp"
@@ -110,7 +111,7 @@ func TestBridgeCloseMidSession(t *testing.T) {
 // request is dropped, the session times out cleanly, and a later
 // retry (fresh request) succeeds once loss stops.
 func TestBridgeSurvivesPacketLoss(t *testing.T) {
-	sim := simnet.New(simnet.WithLoss(1.0))
+	sim := simnet.New(simnet.WithFaults(&netapi.FaultPlan{Rules: []netapi.FaultRule{{Loss: 1}}}))
 	var stats []engine.SessionStats
 	e := deploy(t, sim, "slp-to-bonjour", onSessionEnd(func(s engine.SessionStats) {
 		stats = append(stats, s)

@@ -191,7 +191,9 @@ func FormatFaultRule(r FaultRule) string {
 	return b.String()
 }
 
-// ParseFaultRule parses one table-form rule line.
+// ParseFaultRule parses one table-form rule line. It refuses a line
+// that cannot mean anything: a probability outside [0,1] (NaN
+// included), a negative duration, or an end not after the start.
 func ParseFaultRule(line string) (FaultRule, error) {
 	var r FaultRule
 	fields := strings.Fields(line)
@@ -221,23 +223,23 @@ func ParseFaultRule(line string) (FaultRule, error) {
 			}
 			r.Proto = v
 		case "start":
-			r.Start, err = time.ParseDuration(v)
+			r.Start, err = parseDuration(v)
 		case "end":
-			r.End, err = time.ParseDuration(v)
+			r.End, err = parseDuration(v)
 		case "loss":
 			r.Loss, err = parseProb(v)
 		case "delay":
-			r.Delay, err = time.ParseDuration(v)
+			r.Delay, err = parseDuration(v)
 		case "jitter":
-			r.DelayJitter, err = time.ParseDuration(v)
+			r.DelayJitter, err = parseDuration(v)
 		case "dup":
 			r.Duplicate, err = parseProb(v)
 		case "dupdelay":
-			r.DuplicateDelay, err = time.ParseDuration(v)
+			r.DuplicateDelay, err = parseDuration(v)
 		case "reorder":
 			r.Reorder, err = parseProb(v)
 		case "reorderdelay":
-			r.ReorderDelay, err = time.ParseDuration(v)
+			r.ReorderDelay, err = parseDuration(v)
 		case "corrupt":
 			r.Corrupt, err = parseProb(v)
 		case "truncate":
@@ -249,6 +251,9 @@ func ParseFaultRule(line string) (FaultRule, error) {
 			return r, fmt.Errorf("netapi: fault rule field %s=%s: %w", k, v, err)
 		}
 	}
+	if r.End != 0 && r.End <= r.Start {
+		return r, fmt.Errorf("netapi: fault rule field end=%s is not after start=%s: the rule is never active", r.End, r.Start)
+	}
 	return r, nil
 }
 
@@ -257,10 +262,18 @@ func parseProb(v string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return 0, fmt.Errorf("probability %g outside [0,1]", p)
 	}
 	return p, nil
+}
+
+func parseDuration(v string) (time.Duration, error) {
+	d, err := time.ParseDuration(v)
+	if err == nil && d < 0 {
+		err = fmt.Errorf("negative duration %s", d)
+	}
+	return d, err
 }
 
 // FormatFaultPlan renders a plan one rule per line.

@@ -98,3 +98,31 @@ func TestFormatFaultRuleOmitsZeroFields(t *testing.T) {
 		t.Fatalf("bare partition rule grew key=value fields: %q", FormatFaultRule(FaultRule{Partition: true}))
 	}
 }
+
+// TestParseFaultRuleRefusesOutOfRange: a line that parses but cannot
+// mean anything is refused, and the error names the field.
+func TestParseFaultRuleRefusesOutOfRange(t *testing.T) {
+	for _, tc := range []struct{ line, field string }{
+		{"fault loss=NaN", "loss"},
+		{"fault dup=NaN", "dup"},
+		{"fault reorder=nan", "reorder"},
+		{"fault corrupt=-0.1", "corrupt"},
+		{"fault truncate=+Inf", "truncate"},
+		{"fault delay=-1ms", "delay"},
+		{"fault jitter=-1ms", "jitter"},
+		{"fault dupdelay=-1ms", "dupdelay"},
+		{"fault reorderdelay=-1ms", "reorderdelay"},
+		{"fault start=-1s", "start"},
+		{"fault start=2s end=1s partition", "end"},
+		{"fault start=1s end=1s loss=1", "end"},
+	} {
+		_, err := ParseFaultRule(tc.line)
+		if err == nil {
+			t.Errorf("ParseFaultRule(%q) accepted", tc.line)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.field+"=") {
+			t.Errorf("ParseFaultRule(%q) = %v, which does not name %s", tc.line, err, tc.field)
+		}
+	}
+}

@@ -390,10 +390,14 @@ type Requester struct {
 	// session's ingest worker to decide whether the connection is at a
 	// clean frame boundary and can be parked for reuse. frLost records
 	// a framing error: nothing more is framed, and the connection is
-	// closed, never parked.
+	// closed, never parked. frOut is the requests sent less the frames
+	// read back: above zero, an answer is still on its way, and would
+	// reach whoever reused the connection next (an int32 beside frLost
+	// keeps the struct in its allocation size class).
 	frMu   sync.Mutex
 	frBuf  []byte
 	frLost bool
+	frOut  int32
 }
 
 // NewRequester opens a requester channel for the color. dest overrides
@@ -447,6 +451,7 @@ func (e *Engine) NewRequester(c automata.Color, dest netapi.Addr, framer *parser
 			}
 			frames, ok := splitFrames(framer, &r.frBuf, data, fb[:0])
 			r.frLost = !ok
+			r.frOut -= int32(len(frames))
 			r.frMu.Unlock()
 			for _, f := range frames {
 				h(f.Bytes(), Source{Addr: conn.RemoteAddr(), color: color, conn: conn}, f)
@@ -464,6 +469,9 @@ func (e *Engine) NewRequester(c automata.Color, dest netapi.Addr, framer *parser
 // returns.
 func (r *Requester) Send(data []byte) error {
 	if r.conn != nil {
+		r.frMu.Lock()
+		r.frOut++
+		r.frMu.Unlock()
 		return r.conn.Send(data)
 	}
 	return r.sock.Send(r.dest, data)
@@ -555,16 +563,17 @@ func (t *EgressTable) Contains(src Source) bool {
 }
 
 // Close releases the channel. A stream channel whose inbound side sits
-// at a clean frame boundary, and never lost framing, is parked in the
-// runtime's dial-reuse pool (Node.ParkConn) instead of torn down, so the
-// next session's requester to the same destination skips the TCP
-// handshake — the client-side connection reuse of the NewRequester path.
+// at a clean frame boundary, never lost framing and awaits no answer to
+// a request it sent, is parked in the runtime's dial-reuse pool
+// (Node.ParkConn) instead of torn down, so the next session's requester
+// to the same destination skips the TCP handshake — the client-side
+// connection reuse of the NewRequester path.
 func (r *Requester) Close() error {
 	if r.conn != nil {
 		conn := r.conn
 		r.conn = nil
 		r.frMu.Lock()
-		clean := len(r.frBuf) == 0 && !r.frLost
+		clean := len(r.frBuf) == 0 && !r.frLost && r.frOut <= 0
 		r.frMu.Unlock()
 		if clean && r.node.ParkConn(conn) {
 			return nil

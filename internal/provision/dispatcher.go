@@ -89,17 +89,17 @@ type ClassifyEvent struct {
 	Candidates []string
 	// Ambiguous reports whether more than one case matched.
 	Ambiguous bool
-	// FastPath is always true: every payload is classified by the
-	// candidate parsers' Classify, which reads the rule field alone.
-	FastPath bool
 	// Err is non-nil for ambiguous classifications, marked with
 	// serrors.ErrAmbiguousPayload.
 	Err error
 }
 
 // DispatchCounters snapshots the dispatcher's classification counters.
+// Each classified payload is counted once, in exactly one of
+// Dispatched, Rejected, Unroutable or ParseErrors; their sum is the
+// number of classifications.
 type DispatchCounters struct {
-	// Dispatched counts payloads handed to an engine.
+	// Dispatched counts payloads an engine accepted.
 	Dispatched int
 	// Ambiguous counts payloads that matched the entry parser of more
 	// than one case (each was still dispatched, deterministically).
@@ -119,9 +119,6 @@ type DispatchCounters struct {
 	// refused them outright (already closed — e.g. one engine finished
 	// draining before the rest during Shutdown).
 	Rejected int
-	// FastPath counts classified payloads: each candidate parser's
-	// Classify read the rule field alone, with no parse.
-	FastPath int
 }
 
 // Snapshot is everything the dispatcher exposes about itself at one
@@ -599,9 +596,8 @@ func (d *Dispatcher) dispatch(colorKey string, data []byte, src netengine.Source
 	classifyDur := time.Since(t0)
 	d.classifyHist.Record(classifyDur)
 
-	d.statsMu.Lock()
-	d.counters.FastPath++
 	if len(matches) == 0 {
+		d.statsMu.Lock()
 		if anyClassified {
 			d.counters.Unroutable++
 		} else {
@@ -612,18 +608,24 @@ func (d *Dispatcher) dispatch(colorKey string, data []byte, src netengine.Source
 		return
 	}
 	chosen := matches[0]
-	d.counters.Dispatched++
-	if len(matches) > 1 {
-		d.counters.Ambiguous++
-	}
-	d.statsMu.Unlock()
 	// The chosen case owns the per-case classify histogram: the
 	// dispatcher measured the decision, the engine files it.
 	chosen.pt.dep.eng.RecordClassify(classifyDur)
 	if d.sink != nil {
 		d.sink.Classified(classifyEvent(matches, src.Addr))
 	}
-	if err := chosen.pt.dep.eng.Inject(chosen.pt.proto, data, src, lease); err != nil {
+	err := chosen.pt.dep.eng.Inject(chosen.pt.proto, data, src, lease)
+	d.statsMu.Lock()
+	if err == nil {
+		d.counters.Dispatched++
+	} else {
+		d.counters.Rejected++
+	}
+	if len(matches) > 1 {
+		d.counters.Ambiguous++
+	}
+	d.statsMu.Unlock()
+	if err != nil && d.sink != nil {
 		// The chosen engine refused outright — it closed between
 		// classification and delivery (e.g. it finished draining ahead
 		// of its siblings during Shutdown). While the dispatcher as a
@@ -634,15 +636,7 @@ func (d *Dispatcher) dispatch(colorKey string, data []byte, src netengine.Source
 		if d.State() == engine.StateDraining {
 			err = serrors.Mark(err, serrors.ErrDraining)
 		}
-		d.statsMu.Lock()
-		// The payload was never handed to an engine after all: keep
-		// Dispatched meaning exactly that.
-		d.counters.Dispatched--
-		d.counters.Rejected++
-		d.statsMu.Unlock()
-		if d.sink != nil {
-			d.sink.Dropped(chosen.pt.dep.name, src.Addr, err)
-		}
+		d.sink.Dropped(chosen.pt.dep.name, src.Addr, err)
 	}
 }
 
@@ -662,7 +656,6 @@ func classifyEvent(matches []match, origin netapi.Addr) ClassifyEvent {
 		Protocol: chosen.pt.proto,
 		Message:  chosen.msg,
 		Origin:   origin,
-		FastPath: true,
 	}
 	if len(matches) > 1 {
 		names := make([]string, len(matches))

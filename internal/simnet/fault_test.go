@@ -233,7 +233,11 @@ func TestFaultEffects(t *testing.T) {
 		return n, counts
 	}
 
-	_, c := run(&netapi.FaultPlan{Rules: []netapi.FaultRule{{Loss: 0.5}}})
+	n, c := run(&netapi.FaultPlan{Rules: []netapi.FaultRule{{Loss: 1}}})
+	if c["recv"] != 0 || c["drop loss"] != 100 || n.PacketsDropped != 100 {
+		t.Fatalf("total loss plan: %v, %d counted dropped: want every datagram dropped and counted", c, n.PacketsDropped)
+	}
+	_, c = run(&netapi.FaultPlan{Rules: []netapi.FaultRule{{Loss: 0.5}}})
 	if c["drop loss"] == 0 || c["recv"] == 0 || c["recv"]+c["drop loss"] != 100 {
 		t.Fatalf("loss plan: %v", c)
 	}

@@ -69,12 +69,6 @@ func WithLatency(base, jitter time.Duration) Option {
 	return func(n *Net) { n.latBase, n.latJitter = base, jitter }
 }
 
-// WithLoss sets the probability (0..1) that any datagram is dropped.
-// Streams are never lossy (TCP semantics).
-func WithLoss(p float64) Option {
-	return func(n *Net) { n.lossProb = p }
-}
-
 // WithStart sets the virtual epoch.
 func WithStart(t time.Time) Option {
 	return func(n *Net) { n.now = t }
@@ -145,7 +139,6 @@ type Net struct {
 	rng       *rand.Rand
 	latBase   time.Duration
 	latJitter time.Duration
-	lossProb  float64
 
 	nodes     map[string]*node
 	udpSocks  map[sockKey]*udpSocket
@@ -696,16 +689,10 @@ func sortedKeys(m map[sockKey]*udpSocket) []sockKey {
 func (s *udpSocket) deliverLocked(dst *udpSocket, data []byte, to netapi.Addr) {
 	s.net.PacketsSent++
 	from := s.addr
-	// Baseline loss draws from the shared jitter RNG exactly as it
-	// always has; fault decisions below draw only from the dedicated
-	// fault RNG, so an installed plan never perturbs these draws.
-	if s.net.lossProb > 0 && s.net.rng.Float64() < s.net.lossProb {
-		s.net.PacketsDropped++
-		s.net.traceLocked("udp", "drop loss", from, dst.addr, len(data))
-		return
-	}
-	// The latency draw happens before the fault verdict is applied, so
-	// a fault-dropped packet consumes exactly the draws a no-plan run
+	// Fault decisions draw only from the dedicated fault RNG, so an
+	// installed plan never perturbs the jitter RNG's draws. The latency
+	// draw happens before the fault verdict is applied, so a
+	// fault-dropped packet consumes exactly the draws a no-plan run
 	// would — traffic the plan does not match keeps its exact timing.
 	lat := s.net.latencyLocked()
 	v := faultVerdict{cut: -1}

@@ -353,8 +353,10 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// TestPacketLossInjection pins that a fault plan with total loss drops
+// every datagram and counts each one dropped.
 func TestPacketLossInjection(t *testing.T) {
-	sim := New(WithLoss(1.0))
+	sim := New(WithFaults(&netapi.FaultPlan{Rules: []netapi.FaultRule{{Loss: 1}}}))
 	a, _ := sim.NewNode("10.0.0.1")
 	b, _ := sim.NewNode("10.0.0.2")
 	recv := 0

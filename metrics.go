@@ -106,7 +106,7 @@ func (m SessionMetrics) add(o SessionMetrics) SessionMetrics {
 // dispatcher's: both classify every entry payload before handing it to
 // a case.
 type DispatchMetrics struct {
-	// Dispatched counts payloads handed to a case's engine.
+	// Dispatched counts payloads a case's engine accepted.
 	Dispatched int
 	// Ambiguous counts payloads that matched more than one case (each
 	// was still dispatched, deterministically).
@@ -123,7 +123,8 @@ type DispatchMetrics struct {
 	// Rejected counts payloads that classified to a case whose engine
 	// refused them outright (already closed).
 	Rejected int
-	// FastPath counts classified payloads: every candidate parser reads
+	// FastPath counts classified payloads, the sum of Dispatched,
+	// Rejected, Unroutable and ParseErrors: every candidate parser reads
 	// the message-selection rule field alone, with no parse. SlowPath
 	// is always 0: there is no other path.
 	FastPath int
@@ -195,10 +196,10 @@ type Metrics struct {
 // types mirror the public ones field for field, so a counter added on one
 // side only stops compiling here instead of being silently dropped.
 func metricsOf(s provision.Snapshot) Metrics {
-	// DispatchMetrics is DispatchCounters plus SlowPath and the two
-	// latency rows.
+	// DispatchMetrics is DispatchCounters plus the two path counts and
+	// the two latency rows.
 	dc := struct {
-		Dispatched, Ambiguous, Unroutable, ParseErrors, Suppressed, Rejected, FastPath int
+		Dispatched, Ambiguous, Unroutable, ParseErrors, Suppressed, Rejected int
 	}(s.Dispatch)
 	m := Metrics{
 		State: stateOf(s.State),
@@ -209,7 +210,7 @@ func metricsOf(s provision.Snapshot) Metrics {
 			ParseErrors:     dc.ParseErrors,
 			Suppressed:      dc.Suppressed,
 			Rejected:        dc.Rejected,
-			FastPath:        dc.FastPath,
+			FastPath:        dc.Dispatched + dc.Rejected + dc.Unroutable + dc.ParseErrors,
 			FastPathLatency: stageLatencyOf("classify", s.ClassifyFast),
 			SlowPathLatency: stageLatencyOf("classify", hist.Snapshot{}),
 		},

@@ -327,7 +327,7 @@ func (c *observerChain) Classified(ev provision.ClassifyEvent) {
 		Origin:     ev.Origin.String(),
 		Candidates: ev.Candidates,
 		Ambiguous:  ev.Ambiguous,
-		FastPath:   ev.FastPath,
+		FastPath:   true,
 		Err:        ev.Err,
 	}
 	c.each(func(o Observer) { o.OnClassify(e) })
