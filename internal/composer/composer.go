@@ -60,11 +60,11 @@ func (c *Composer) Compose(msg *message.Message) ([]byte, error) {
 
 // AppendCompose serialises msg, appends the wire to dst and returns the
 // extended slice (dst itself on error). The message's Name selects the
-// message definition, whose layout msg is bound to; the rule field is
-// filled automatically so callers (and translation logic) never set
-// protocol discriminators by hand. The wire is assembled in a pooled
-// buffer and copied once, into dst: a caller that reuses dst composes
-// without allocating.
+// message definition, whose layout msg is bound to; the definition's
+// fixed values, its rule among them, fill the fields msg leaves unset,
+// so callers (and translation logic) never restate a protocol's
+// constants. The wire is assembled in a pooled buffer and copied once,
+// into dst: a caller that reuses dst composes without allocating.
 //
 //starlink:hotpath
 func (c *Composer) AppendCompose(dst []byte, msg *message.Message) ([]byte, error) {
@@ -80,6 +80,13 @@ func (c *Composer) AppendCompose(dst []byte, msg *message.Message) ([]byte, erro
 	}
 	if msg.Layout() != pl.Layout {
 		msg.SetLayout(pl.Layout)
+	}
+	for _, e := range pl.Fixed {
+		if msg.At(e.Slot) == nil {
+			f := message.NewField()
+			f.Label, f.Type, f.Value = e.Label, e.Type.TypeName, e.Fixed
+			msg.SetAt(e.Slot, f)
+		}
 	}
 	switch c.spec.Dialect {
 	case mdl.DialectBinary:
@@ -313,22 +320,9 @@ func (c *Composer) writeFields(ctx *binaryCtx, entries []*mdl.Entry, msg *messag
 
 		f := e.Find(msg, scope)
 		if f == nil {
-			// The message's rule discriminator (e.g. FunctionID=2 for a
-			// SrvReply, Flags=33792 for a DNS response) is implied by
-			// the message name; other unset fields compose as zeroes.
-			v := zeroValue(e.Kind)
-			if scope == nil && e.Slot == ctx.plan.RuleSlot {
-				v = ctx.plan.Rule
-				if v.Kind() != e.Kind {
-					rv, err := coerceValue(message.Str(ctx.plan.Def.Rule.Value), e.Kind)
-					if err != nil {
-						return fmt.Errorf("field %q: rule value: %w", def.Label, err)
-					}
-					v = rv
-				}
-			}
+			// Unset fields the definition does not fix compose as zeroes.
 			f = message.NewField()
-			f.Label, f.Type, f.Value = def.Label, e.Type.TypeName, v
+			f.Label, f.Type, f.Value = def.Label, e.Type.TypeName, zeroValue(e.Kind)
 			if scope != nil {
 				// Composed for this item alone: nothing keeps it.
 				err := c.writeField(ctx, e, f, false)
@@ -508,8 +502,6 @@ func (c *Composer) composeText(dst []byte, msg *message.Message, pl *mdl.Plan) (
 			if err := writeTextValue(buf, e, e.Label, f); err != nil {
 				return dst, err
 			}
-		} else if e.Slot == pl.RuleSlot {
-			buf.WriteString(pl.Def.Rule.Value)
 		}
 		buf.Write(e.Def.Delim)
 	}
@@ -532,8 +524,8 @@ func (c *Composer) composeText(dst []byte, msg *message.Message, pl *mdl.Plan) (
 		}
 		// Emit every field but the fixed header ones as a label<split>
 		// value line, in message order for determinism (Body and
-		// structured helpers excluded). Unset rule fields were already
-		// emitted above.
+		// structured helpers excluded): the translation's, then the
+		// definition's fixed values in document order.
 	fields:
 		for _, f := range msg.Fields() {
 			if f.Label == "Body" {

@@ -523,3 +523,42 @@ func TestComposeDeterministic(t *testing.T) {
 		t.Fatal("compose not deterministic")
 	}
 }
+
+// TestComposeWritesFixedValues: the fields a message leaves unset take
+// the definition's fixed values, the rule's among them — header fields
+// in place, wildcard lines after the message's own in document order —
+// and a value the message sets overrides its fixed one.
+func TestComposeWritesFixedValues(t *testing.T) {
+	fixed := strings.NewReplacer("<ST>String</ST>", "<ST>String</ST><HOST>String</HOST>", "<Rule>Method=M-SEARCH</Rule>",
+		"<Rule>Method=M-SEARCH</Rule><Fixed>URI=*</Fixed><Fixed>Version=HTTP/1.1</Fixed><Fixed>HOST=239.255.255.250:1900</Fixed><Fixed>MX=1</Fixed>").Replace(ssdpMDL)
+	c, _ := newPair(t, fixed)
+	msg := message.New("SSDP", "SSDPMSearch")
+	msg.AddPrimitive("ST", "String", message.Str("urn:printer"))
+	wire, err := c.Compose(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "M-SEARCH * HTTP/1.1\r\nST: urn:printer\r\nHOST: 239.255.255.250:1900\r\nMX: 1\r\n\r\n"
+	if string(wire) != want {
+		t.Errorf("wire %q, want %q", wire, want)
+	}
+	over := message.New("SSDP", "SSDPMSearch")
+	over.AddPrimitive("MX", "Integer", message.Int(3))
+	if wire, err = c.Compose(over); err != nil || !strings.Contains(string(wire), "MX: 3\r\n") {
+		t.Errorf("an assigned MX did not override the fixed one: %q, %v", wire, err)
+	}
+
+	bin, p := newPair(t, strings.Replace(slpMDL, "<Rule>FunctionID=2</Rule>", "<Rule>FunctionID=2</Rule><Fixed>Version=2</Fixed><Fixed>URLCount=1</Fixed>", 1))
+	if wire, err = bin.Compose(message.New("SLP", "SLPSrvReply")); err != nil {
+		t.Fatal(err)
+	}
+	back, err := p.Parse(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, want := range map[string]int64{"Version": 2, "FunctionID": 2, "URLCount": 1} {
+		if f, ok := back.Field(label); !ok || !f.Value.Equal(message.Int(want)) {
+			t.Errorf("%s = %v, want %d", label, f, want)
+		}
+	}
+}

@@ -19,9 +19,10 @@
 //
 // Extensions over the paper's figures, documented in DESIGN.md §2:
 // repeat groups for counted sequences (<Repeat count=...>), mandatory
-// field attribution used by the semantic-equivalence operator, and a
-// body dialect attribute (none|raw|xml) for text messages that carry a
-// payload (HTTP).
+// field attribution used by the semantic-equivalence operator, fixed
+// field values (<Fixed>Field=value</Fixed>, the rule one of them), and
+// a body dialect attribute (none|raw|xml) for text messages that carry
+// a payload (HTTP).
 package mdl
 
 import (
@@ -158,10 +159,12 @@ type FieldDef struct {
 // IsGroup reports whether the field is a repeat group.
 func (f *FieldDef) IsGroup() bool { return f.Group != nil }
 
-// Rule relates a message body to header content (paper: the special
+// Rule is a value a message definition fixes a field to. Its <Rule>
+// relates the body to header content (paper: the special
 // <Rule>FunctionID=1</Rule> label): a message is the first definition
 // whose rule field renders as its value (Plan.Matches). Only equality is
-// needed by the paper's protocols.
+// needed by the paper's protocols. <Fixed>URLCount=1</Fixed> fixes any
+// other field.
 type Rule struct {
 	Field string
 	Value string
@@ -173,6 +176,9 @@ type MessageDef struct {
 	Name string
 	// Rule selects this message from header content.
 	Rule Rule
+	// Fixed lists the values the definition fixes, Rule among them, in
+	// document order: a composer writes those the message leaves unset.
+	Fixed []Rule
 	// Fields is the body layout (after the header).
 	Fields []*FieldDef
 	// Mandatory lists field labels participating in Mfields(n) for the
@@ -286,6 +292,11 @@ func (s *Spec) Validate() error {
 		}
 		bodyLabels := map[string]bool{}
 		collectLabels(m.Fields, bodyLabels)
+		for i, f := range m.Fixed {
+			if _, typed := s.Types[f.Field]; !typed && !headerLabels[f.Field] && !bodyLabels[f.Field] || slices.ContainsFunc(m.Fixed[:i], func(g Rule) bool { return g.Field == f.Field }) {
+				return fmt.Errorf("mdl: spec %s: message %q fixes %q twice or a field it lacks", s.Protocol, m.Name, f.Field)
+			}
+		}
 		// Text-dialect wildcard fields carry dynamic labels, so any
 		// mandatory label is permitted when a wildcard is present.
 		wildcard := false

@@ -336,6 +336,18 @@ func TestValidateErrors(t *testing.T) {
 			"not self-delimiting",
 		},
 		{
+			"fixed value of no field",
+			`<MDL protocol="P" dialect="binary"><Types><A>Integer</A></Types><Header type="P"><A>8</A></Header>
+			 <Message type="M"><Rule>A=1</Rule><Fixed>Ghost=2</Fixed></Message></MDL>`,
+			`fixes "Ghost"`,
+		},
+		{
+			"rule field fixed again",
+			`<MDL protocol="P" dialect="binary"><Types><A>Integer</A></Types><Header type="P"><A>8</A></Header>
+			 <Message type="M"><Rule>A=1</Rule><Fixed>A=2</Fixed></Message></MDL>`,
+			`fixes "A"`,
+		},
+		{
 			"repeat group without count",
 			`<MDL protocol="P" dialect="binary"><Types><A>Integer</A></Types><Header type="P"><A>8</A></Header>
 			 <Message type="M"><Rule>A=1</Rule><Repeat label="G"><A>8</A></Repeat></Message></MDL>`,
@@ -433,5 +445,30 @@ func TestValidateRefusesRuleAfterVariableWidth(t *testing.T) {
 				t.Fatalf("err = %v, want the rule field refused for having no fixed position", err)
 			}
 		})
+	}
+}
+
+// TestResolveFixedValues: a definition's fixed values, the rule's first
+// here, are typed once per plan, each in its field's kind.
+func TestResolveFixedValues(t *testing.T) {
+	spec, err := ParseXMLString(`<MDL protocol="P" dialect="binary">
+	 <Types><A>Integer</A><B>Integer</B><S>String</S><L>Integer</L></Types>
+	 <Header type="P"><A>8</A><B>8</B></Header>
+	 <Message type="M"><Rule>A=1</Rule><Fixed>B=2</Fixed><Fixed>S=en</Fixed><L>8</L><S>L</S></Message></MDL>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := spec.Resolve(types.NewRegistry()).Plans[0]
+	want := []message.Value{message.Int(1), message.Int(2), message.Str("en")}
+	if len(p.Fixed) != len(want) {
+		t.Fatalf("plan fixes %d values, want %d", len(p.Fixed), len(want))
+	}
+	for i, e := range p.Fixed {
+		if !e.Fixed.Equal(want[i]) || e != p.Slots[p.Layout.Slot(e.Label)] {
+			t.Errorf("fixed %d = %s %v in slot %d", i, e.Label, e.Fixed, e.Slot)
+		}
+	}
+	if p.RuleSlot != p.Fixed[0].Slot || !p.Rule.Equal(message.Int(1)) {
+		t.Errorf("rule %v in slot %d is not the first fixed value", p.Rule, p.RuleSlot)
 	}
 }

@@ -30,6 +30,9 @@ type Entry struct {
 	Ref, Owner *Entry
 	Counts     bool
 	Group      []*Entry
+	// Fixed is the value the definition fixes the field to, in its kind
+	// — its text when no value of the kind renders as it; zero if none.
+	Fixed message.Value
 }
 
 // Find returns e's field in msg: inside the repeat-group item scope the
@@ -54,9 +57,10 @@ type Plan struct {
 	// Slots holds an entry per slot; Header and Body the entries of the
 	// header's and the body's field definitions in wire order.
 	Slots, Header, Body []*Entry
-	// RuleSlot is the slot of the field the rule constrains (-1: none),
-	// and Rule the rule's value in that field's kind — its text when no
-	// value of the kind renders as it.
+	// Fixed holds the entries of the fields the definition fixes, in
+	// document order. The rule is one of them: RuleSlot is the slot of
+	// the field it constrains (-1: none), and Rule its value.
+	Fixed    []*Entry
 	RuleSlot int
 	Rule     message.Value
 }
@@ -109,10 +113,15 @@ func (s *Spec) Resolve(reg *types.Registry) *Resolved {
 				e.Owner, e.Counts = s.top(reg, p, owned), true
 			}
 		}
-		p.RuleSlot = r.Shared.Layout.Slot(def.Rule.Field)
-		p.Rule = message.Str(def.Rule.Value)
-		if p.RuleSlot >= 0 {
-			p.Rule = typedRule(p.Slots[p.RuleSlot].Kind, def.Rule.Value)
+		p.RuleSlot, p.Rule = -1, message.Str(def.Rule.Value)
+		for _, x := range def.Fixed {
+			if i := p.Layout.Slot(x.Field); i >= 0 {
+				e := p.Slots[i]
+				e.Fixed, p.Fixed = typedRule(e.Kind, x.Value), append(p.Fixed, e)
+				if x == def.Rule {
+					p.RuleSlot, p.Rule = i, e.Fixed
+				}
+			}
 		}
 		r.Plans = append(r.Plans, p)
 	}

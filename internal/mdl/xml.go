@@ -25,6 +25,7 @@ import (
 //	  </Header>
 //	  <Message type="SLPSrvRequest" mandatory="SRVType">
 //	    <Rule>FunctionID=1</Rule>
+//	    <Fixed>Version=2</Fixed>
 //	    <SRVTypeLength>16</SRVTypeLength>
 //	    <SRVType>SRVTypeLength</SRVType>
 //	    <Repeat label="Entries" count="URLCount"> ... </Repeat>
@@ -206,7 +207,7 @@ func parseMessage(dec *xml.Decoder, start xml.StartElement, spec *Spec) (*Messag
 }
 
 // parseFieldList reads field entries until the enclosing end element.
-// When msg is non-nil, Rule entries are routed to it.
+// When msg is non-nil, Rule and Fixed entries are routed to it.
 func parseFieldList(dec *xml.Decoder, spec *Spec, msg *MessageDef) ([]*FieldDef, error) {
 	var fields []*FieldDef
 	for {
@@ -217,19 +218,22 @@ func parseFieldList(dec *xml.Decoder, spec *Spec, msg *MessageDef) ([]*FieldDef,
 		switch t := tok.(type) {
 		case xml.StartElement:
 			name := t.Name.Local
-			if name == "Rule" {
+			if name == "Rule" || name == "Fixed" {
 				content, err := elementText(dec)
 				if err != nil {
 					return nil, err
 				}
 				if msg == nil {
-					return nil, fmt.Errorf("rule outside message")
+					return nil, fmt.Errorf("%s outside message", name)
 				}
 				rule, err := ParseRule(content)
 				if err != nil {
 					return nil, err
 				}
-				msg.Rule = rule
+				if name == "Rule" {
+					msg.Rule = rule
+				}
+				msg.Fixed = append(msg.Fixed, rule)
 				continue
 			}
 			if name == "Repeat" {

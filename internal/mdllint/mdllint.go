@@ -9,7 +9,8 @@
 // accepts but that fail (or silently misbehave) at bridge runtime:
 // automaton states no execution can leave, transition messages with no
 // MDL definition, translation logic addressing fields that do not
-// exist, message rules that shadow each other or can never match,
+// exist or messages the case never composes, constants a case restates
+// from an MDL, message rules that shadow each other or can never match,
 // field widths the wire codec cannot round-trip, and dispatcher
 // discriminator collisions between cases sharing a network color.
 package mdllint
@@ -17,6 +18,7 @@ package mdllint
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -24,6 +26,7 @@ import (
 	"starlink/internal/automata"
 	"starlink/internal/engine"
 	"starlink/internal/mdl"
+	"starlink/internal/merge"
 	"starlink/internal/message"
 	"starlink/internal/registry"
 	"starlink/internal/translation"
@@ -150,9 +153,15 @@ func Rules() []Rule {
 			Run:  ruleShadowedMessage,
 		},
 		{
+			Name: "restated-constant",
+			Tier: TierLint,
+			Doc:  "no assignment sets a field to the value its message's MDL already fixes",
+			Run:  ruleRestatedConstant,
+		},
+		{
 			Name: "unmatchable-rule",
 			Tier: TierLint,
-			Doc:  "every message rule value is representable in its header field",
+			Doc:  "every fixed value of a message, the rule included, is representable in its field",
 			Run:  ruleUnmatchableRule,
 		},
 		{
@@ -426,7 +435,8 @@ func checkFieldRef(sp map[string]*mdl.Spec, caseName, role string, ref translati
 }
 
 // ruleTranslationField checks that every assignment and λ action in
-// every case addresses messages and fields the loaded MDLs define.
+// every case addresses messages and fields the loaded MDLs define, and
+// that every assignment targets a message the case composes.
 // Load-time validation compiles the XPath expressions but resolves
 // nothing; a dangling reference otherwise fails at apply time, dropping
 // the session mid-bridge.
@@ -442,6 +452,10 @@ func ruleTranslationField(ctx *Context) []Diagnostic {
 			for i, a := range m.Logic.Assignments {
 				role := fmt.Sprintf("assignment %d target", i)
 				diags = append(diags, checkFieldRef(sp, name, role, a.Target)...)
+				if !slices.ContainsFunc(m.Equivalences, func(eq merge.Equivalence) bool { return eq.Output == a.Target.Message }) {
+					diags = append(diags, Diagnostic{Rule: "translation-field", Severity: SevError, Model: name,
+						Message: fmt.Sprintf("%s is message %q, which no equivalence outputs: the case never composes it", role, a.Target.Message)})
+				}
 				if a.Source != nil {
 					role = fmt.Sprintf("assignment %d source", i)
 					diags = append(diags, checkFieldRef(sp, name, role, *a.Source)...)
@@ -486,44 +500,46 @@ func ruleShadowedMessage(ctx *Context) []Diagnostic {
 	return diags
 }
 
-// ruleUnmatchableRule flags rule values that can never equal the
-// rendered rule field: a value outside an integer field's range parses
-// fine at load time but matches no payload, so the message is dead.
+// ruleRestatedConstant flags an assignment of the value the target
+// message's MDL already fixes: a protocol's constant is said once, in
+// its MDL. Lint-only: the assignment overrides the fixed value with
+// itself, so the model loads and composes as before.
+func ruleRestatedConstant(ctx *Context) []Diagnostic {
+	sp := specs(ctx)
+	var diags []Diagnostic
+	for _, name := range ctx.Reg.MergedNames() {
+		m, err := ctx.Reg.Merged(name)
+		if err != nil || m.Logic == nil {
+			continue
+		}
+		for i, a := range m.Logic.Assignments {
+			def, spec := findMessage(sp, a.Target.Message)
+			if def != nil && a.Const != nil && a.Func == "" && slices.Contains(def.Fixed, mdl.Rule{Field: firstLabel(a.Target.Path), Value: *a.Const}) {
+				diags = append(diags, Diagnostic{Rule: "restated-constant", Severity: SevError, Model: name,
+					Message: fmt.Sprintf("assignment %d sets %s.%s to %q, the value MDL %s already fixes", i, a.Target.Message, firstLabel(a.Target.Path), *a.Const, spec.Protocol)})
+			}
+		}
+	}
+	return diags
+}
+
+// ruleUnmatchableRule flags a fixed value, the rule included, that its
+// integer field cannot carry. It loads fine, but as a rule it matches no
+// payload, so the message is dead, and no composer can write it.
 func ruleUnmatchableRule(ctx *Context) []Diagnostic {
 	var diags []Diagnostic
 	sp := specs(ctx)
 	for _, p := range sortedKeys(sp) {
-		spec := sp[p]
-		if spec.Dialect != mdl.DialectBinary {
-			continue
-		}
-		for _, m := range spec.Messages {
-			if kindOf(ctx, spec, m.Rule.Field) != message.KindInt {
-				continue
-			}
-			fd := spec.HeaderField(m.Rule.Field)
-			if fd == nil || fd.SizeBits <= 0 || fd.SizeBits > 64 {
-				continue
-			}
-			v, err := strconv.ParseUint(m.Rule.Value, 10, 64)
-			if err != nil {
-				diags = append(diags, Diagnostic{
-					Rule:     "unmatchable-rule",
-					Severity: SevError,
-					Model:    p,
-					Message: fmt.Sprintf("message %q rule value %q is not an integer, but field %q is integer-typed: the rule can never match",
-						m.Name, m.Rule.Value, m.Rule.Field),
-				})
-				continue
-			}
-			if fd.SizeBits < 64 && v >= 1<<uint(fd.SizeBits) {
-				diags = append(diags, Diagnostic{
-					Rule:     "unmatchable-rule",
-					Severity: SevError,
-					Model:    p,
-					Message: fmt.Sprintf("message %q rule value %d does not fit the %d-bit field %q: the rule can never match",
-						m.Name, v, fd.SizeBits, m.Rule.Field),
-				})
+		for _, pl := range sp[p].Resolve(ctx.Reg.Types()).Plans {
+			for _, e := range pl.Fixed {
+				bits := 64
+				if e.Def != nil && e.Def.SizeBits > 0 && e.Def.SizeBits < 64 {
+					bits = e.Def.SizeBits
+				}
+				if n, err := strconv.ParseUint(e.Fixed.Text(), 10, 64); e.Kind == message.KindInt && (err != nil || n>>bits != 0) {
+					diags = append(diags, Diagnostic{Rule: "unmatchable-rule", Severity: SevError, Model: p,
+						Message: fmt.Sprintf("message %q fixes %s=%s, which does not fit the %d-bit field: it can never match or compose", pl.Def.Name, e.Label, e.Fixed.Text(), bits)})
+				}
 			}
 		}
 	}
@@ -676,10 +692,10 @@ func ruleDiscriminatorCollision(ctx *Context) []Diagnostic {
 // checkCrossProto asks whether a payload of one of two protocols
 // entering on one color can be taken for the other's, with the
 // evaluator the dispatcher runs: each definition of either protocol is
-// composed empty — the composer writes its rule value — and handed to
-// the other protocol's parser.Classify. A hit is an Error; a definition
-// that does not compose leaves the question open (Warning); otherwise
-// the sharing is reported as Info.
+// composed empty — the composer writes its fixed values, the rule's
+// among them — and handed to the other protocol's parser.Classify. A
+// hit is an Error; a definition that does not compose leaves the
+// question open (Warning); otherwise the sharing is reported as Info.
 func checkCrossProto(ctx *Context, e1, e2 entry) []Diagnostic {
 	c1, c2 := codecOf(ctx, e1), codecOf(ctx, e2)
 	if c1 == nil || c2 == nil {

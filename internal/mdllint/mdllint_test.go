@@ -257,3 +257,47 @@ func TestDiscriminatorCollision(t *testing.T) {
 		t.Fatalf("want one Info naming the shared color, got %v", got)
 	}
 }
+
+// TestModelsSayEachConstantOnce lints one fixture per way a merged
+// automaton restates what is not its own: assigning the value the MDL
+// already fixes (restated-constant), and assigning a message the case
+// never composes (translation-field). Each loads and compiles, and each
+// fails only its own rule.
+func TestModelsSayEachConstantOnce(t *testing.T) {
+	for dir, want := range map[string]struct{ rule, frag string }{
+		"testdata/restated": {"restated-constant", `sets SLPSrvReply.Version to "2", the value MDL SLP already fixes`},
+		"testdata/dead":     {"translation-field", `message "SLPSrvRequest", which no equivalence outputs`},
+	} {
+		ctx, diags, err := Run(dir, TierLint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ctx.LoadErr != nil {
+			t.Fatalf("%s must load: %v", dir, ctx.LoadErr)
+		}
+		var got []Diagnostic
+		for _, d := range diags {
+			if d.Severity > SevInfo {
+				got = append(got, d)
+			}
+		}
+		if len(got) != 1 || got[0].Rule != want.rule || got[0].Severity != SevError || !strings.Contains(got[0].Message, want.frag) {
+			t.Errorf("%s: want one %s error containing %q, got %v", dir, want.rule, want.frag, got)
+		}
+	}
+	// Lint-only: a model written before its constants moved, the
+	// benchmark's frozen copy, restates nine of them and still loads.
+	ctx, diags, err := Run("../../benchmarks/e2e/models", TierLint)
+	if err != nil || ctx.LoadErr != nil {
+		t.Fatalf("the frozen benchmark models must load: %v, %v", err, ctx.LoadErr)
+	}
+	restated := 0
+	for _, d := range diags {
+		if d.Rule == "restated-constant" {
+			restated++
+		}
+	}
+	if restated != 9 {
+		t.Errorf("the frozen benchmark models restate %d constants, want 9", restated)
+	}
+}

@@ -860,10 +860,11 @@ func (d *Dispatcher) Shutdown(ctx context.Context) error {
 	if !ok {
 		return nil
 	}
-	// Drain every engine concurrently: each refuses new sessions from
-	// this point on, and the wait is bounded by the slowest engine (or
-	// ctx). Listeners stay bound during the drain so live sessions
-	// still receive the entry payloads they are waiting for.
+	drainBegun()
+	// Drain every engine concurrently: each already refuses new
+	// sessions, and the wait is bounded by the slowest engine (or ctx).
+	// Listeners stay bound during the drain so live sessions still
+	// receive the entry payloads they are waiting for.
 	errs := make([]error, len(deps))
 	var wg sync.WaitGroup
 	for i, dep := range deps {
@@ -888,31 +889,33 @@ func (d *Dispatcher) Shutdown(ctx context.Context) error {
 // for callers — the DST scenario engine — that must start a drain from
 // inside a simulator event callback and let the event loop run the
 // sessions to completion before closing. No-op once closed.
-func (d *Dispatcher) BeginDrain() {
-	deps, _ := d.drainPrefix()
-	for _, dep := range deps {
-		dep.eng.BeginDrain()
-	}
-}
+func (d *Dispatcher) BeginDrain() { d.drainPrefix() }
 
-// drainPrefix is what Shutdown and BeginDrain share: it flips the
-// dispatcher to Draining — from then on Sync refuses — and returns the
-// deployments to drain. ok is false, and nothing changes, once closed.
+// drainBegun runs in Shutdown between its drain prefix and the engines'
+// drains: the window a reported Draining must fence. Tests hook it.
+var drainBegun = func() {}
+
+// drainPrefix is what Shutdown and BeginDrain share: it flips every
+// engine, then the dispatcher, to Draining — so once State reports
+// Draining no engine admits a new session, and Sync refuses — and
+// returns the deployments to drain. ok is false, and nothing changes,
+// once closed.
 func (d *Dispatcher) drainPrefix() (deps []*deployment, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return nil, false
 	}
+	deps = make([]*deployment, 0, len(d.deployed))
+	for _, dep := range d.deployed {
+		dep.eng.BeginDrain()
+		deps = append(deps, dep)
+	}
 	for {
 		s := d.state.Load()
 		if s >= int32(engine.StateDraining) || d.state.CompareAndSwap(s, int32(engine.StateDraining)) {
 			break
 		}
-	}
-	deps = make([]*deployment, 0, len(d.deployed))
-	for _, dep := range d.deployed {
-		deps = append(deps, dep)
 	}
 	return deps, true
 }

@@ -473,8 +473,8 @@ func TestWatcherAppliesSameSizeEdit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The M-SEARCH's MX goes from 1 to 2: same size, new content.
-	edited := strings.Replace(string(data), "<Value>1</Value>", "<Value>2</Value>", 1)
+	// The M-SEARCH's ST translation turns round: same size, new content.
+	edited := strings.Replace(string(data), `"service-type-to-urn"`, `"urn-to-service-type"`, 1)
 	if edited == string(data) || len(edited) != len(data) {
 		t.Fatal("fixture no longer holds the edited value")
 	}
