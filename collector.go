@@ -362,10 +362,10 @@ func (c *Collector) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		"Per-datagram send syscalls (unicast and portable fan-out).", "counter")
 	pw.Sample("starlink_udp_send_singles_total", nil, float64(t.SendSingles))
 	pw.Family("starlink_stream_flushes_total",
-		"Coalesced stream-writer flushes (one vectored write each).", "counter")
+		"Stream writes, one per Send.", "counter")
 	pw.Sample("starlink_stream_flushes_total", nil, float64(t.StreamFlushes))
 	pw.Family("starlink_stream_flush_chunks_total",
-		"Queued chunks drained by coalesced stream flushes.", "counter")
+		"Chunks written by stream writes (one each).", "counter")
 	pw.Sample("starlink_stream_flush_chunks_total", nil, float64(t.StreamFlushChunks))
 }
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"flag"
@@ -13,22 +14,28 @@ import (
 	"time"
 
 	"starlink/internal/netapi"
+	"starlink/internal/protocols/httpx"
 	"starlink/internal/provision"
 	"starlink/internal/simnet"
 )
 
 var updateWire = flag.Bool("update", false, "rewrite testdata/wire/*.golden")
 
-// wireRecorder keeps, in order, every payload a bridge node sends.
+// wireRecorder keeps, in order, every payload a bridge node sends, and
+// apart those it sends on a stream.
 type wireRecorder struct {
-	mu    sync.Mutex
-	sent  []string
-	conns map[netapi.Conn]netapi.Conn
+	mu       sync.Mutex
+	sent     []string
+	streamed [][]byte
+	conns    map[netapi.Conn]netapi.Conn
 }
 
-func (r *wireRecorder) add(data []byte) {
+func (r *wireRecorder) add(data []byte, stream bool) {
 	r.mu.Lock()
 	r.sent = append(r.sent, hex.EncodeToString(data))
+	if stream {
+		r.streamed = append(r.streamed, bytes.Clone(data))
+	}
 	r.mu.Unlock()
 }
 
@@ -121,7 +128,7 @@ type recSocket struct {
 }
 
 func (s recSocket) Send(to netapi.Addr, data []byte) error {
-	s.r.add(data)
+	s.r.add(data, false)
 	return s.UDPSocket.Send(to, data)
 }
 
@@ -131,8 +138,41 @@ type recConn struct {
 }
 
 func (c recConn) Send(data []byte) error {
-	c.r.add(data)
+	c.r.add(data, true)
 	return c.Conn.Send(data)
+}
+
+// recordWire runs one interaction of a builtin case on the simulator
+// against the builtin legacy stacks and returns what the bridge node
+// sent.
+func recordWire(t *testing.T, name string) *wireRecorder {
+	t.Helper()
+	reg, err := sharedRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := simnet.New(simnet.WithSeed(1))
+	rec := &wireRecorder{conns: map[netapi.Conn]netapi.Conn{}}
+	var stats sessionEnds
+	bridge, err := provision.Deploy(context.Background(), reg, recRuntime{sim, rec}, "10.0.0.5",
+		[]string{name}, provision.WithSink(&stats))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bridge.Close()
+	if err := startBridgeWorkload(sim, rand.New(rand.NewSource(1)), name); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.RunUntil(func() bool { return len(stats) > 0 }, 2*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	sim.RunToQuiescence()
+	if stats[0].Err != nil {
+		t.Fatal(stats[0].Err)
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	return rec
 }
 
 // TestWireGolden holds what the bridge puts on the wire byte for byte:
@@ -142,34 +182,9 @@ func (c recConn) Send(data []byte) error {
 // change to the models or the codecs that moves a byte shows here.
 // Regenerate deliberately with `go test -run TestWireGolden -update`.
 func TestWireGolden(t *testing.T) {
-	reg, err := sharedRegistry()
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, name := range CaseOrder {
 		t.Run(name, func(t *testing.T) {
-			sim := simnet.New(simnet.WithSeed(1))
-			rec := &wireRecorder{conns: map[netapi.Conn]netapi.Conn{}}
-			var stats sessionEnds
-			bridge, err := provision.Deploy(context.Background(), reg, recRuntime{sim, rec}, "10.0.0.5",
-				[]string{name}, provision.WithSink(&stats))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer bridge.Close()
-			if err := startBridgeWorkload(sim, rand.New(rand.NewSource(1)), name); err != nil {
-				t.Fatal(err)
-			}
-			if err := sim.RunUntil(func() bool { return len(stats) > 0 }, 2*time.Minute); err != nil {
-				t.Fatal(err)
-			}
-			sim.RunToQuiescence()
-			if stats[0].Err != nil {
-				t.Fatal(stats[0].Err)
-			}
-			rec.mu.Lock()
-			got := strings.Join(rec.sent, "\n") + "\n"
-			rec.mu.Unlock()
+			got := strings.Join(recordWire(t, name).sent, "\n") + "\n"
 			path := filepath.Join("testdata", "wire", name+".golden")
 			if *updateWire {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -182,6 +197,27 @@ func TestWireGolden(t *testing.T) {
 			}
 			if got != string(want) {
 				t.Errorf("the bridge's wire moved.\n--- got ---\n%s--- want ---\n%s", got, want)
+			}
+		})
+	}
+}
+
+// TestBridgeHTTPReplyIsNative holds the bridge's description reply to
+// what the legacy UPnP stack serves: in the cases where the bridge plays
+// the UPnP device, its HTTP 200 is byte for byte the one
+// httpx.MarshalResponse writes for the same body — no header a native
+// device would not send.
+func TestBridgeHTTPReplyIsNative(t *testing.T) {
+	for _, name := range []string{"upnp-to-slp", "upnp-to-bonjour"} {
+		t.Run(name, func(t *testing.T) {
+			streamed := recordWire(t, name).streamed
+			if len(streamed) != 1 {
+				t.Fatalf("the bridge sent %d payloads on a stream, want its one HTTP 200", len(streamed))
+			}
+			wire := streamed[0]
+			_, body, _ := bytes.Cut(wire, []byte("\r\n\r\n"))
+			if want := httpx.MarshalResponse(200, "OK", "text/xml", body); !bytes.Equal(wire, want) {
+				t.Errorf("the bridge's HTTP 200\n%q\nis not the native\n%q", wire, want)
 			}
 		})
 	}

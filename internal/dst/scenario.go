@@ -345,9 +345,9 @@ func Builtin() map[string]*Scenario {
 	})
 	add(&Scenario{
 		Name:    "drain-partition",
-		Info:    "drain begins while the legacy side is partitioned; stalled sessions must still terminate",
+		Info:    "drain begins while the legacy side is partitioned: stalled sessions must still terminate, and the client that comes late is refused",
 		Cases:   builtinCases,
-		Clients: 2, Stagger: 3 * time.Millisecond,
+		Clients: 3, Stagger: 12 * time.Millisecond,
 		Faults: plan(
 			netapi.FaultRule{Name: "cut-upnp", From: "10.0.0.5", To: "10.0.0.7",
 				Start: 0, End: 100 * time.Millisecond, Partition: true},
@@ -357,7 +357,7 @@ func Builtin() map[string]*Scenario {
 				Start: 0, End: 100 * time.Millisecond, Partition: true},
 		),
 		Drain:  20 * time.Millisecond,
-		Expect: []Expectation{{Counter: "started", Min: 1}},
+		Expect: []Expectation{{Counter: "started", Min: 1}, {Counter: "drainrejected", Min: 1}},
 	})
 	add(&Scenario{
 		Name:    "flood-dup",

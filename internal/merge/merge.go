@@ -272,8 +272,10 @@ func (m *Merged) IsStronglyMerged() bool {
 // CheckEquivalences verifies the declared n ⊨ m⃗ relations against the
 // MDL specifications (eq. 1): every *mandatory* field of the output
 // message must be obtainable — either a translation-logic assignment
-// targets it, or an input message carries a same-labelled field.
-// specs maps protocol name to its MDL.
+// targets it, or an input message carries a same-labelled field. In a
+// message with an XML body, a mandatory field the MDL does not type is
+// a leaf of that body (the parser flattens it out of there), so what
+// provides Body provides it. specs maps protocol name to its MDL.
 func (m *Merged) CheckEquivalences(specs map[string]*mdl.Spec) error {
 	defFor := func(msgName string) (*mdl.MessageDef, *mdl.Spec) {
 		for _, s := range specs {
@@ -284,7 +286,7 @@ func (m *Merged) CheckEquivalences(specs map[string]*mdl.Spec) error {
 		return nil, nil
 	}
 	for _, eq := range m.Equivalences {
-		outDef, _ := defFor(eq.Output)
+		outDef, outSpec := defFor(eq.Output)
 		if outDef == nil {
 			return fmt.Errorf("merge: %s: equivalence output %q not in any MDL", m.Name, eq.Output)
 		}
@@ -298,6 +300,9 @@ func (m *Merged) CheckEquivalences(specs map[string]*mdl.Spec) error {
 		}
 		for _, mandatory := range outDef.Mandatory {
 			if m.mandatoryCovered(eq, mandatory, inputs) {
+				continue
+			}
+			if _, typed := outSpec.Types[mandatory]; !typed && outDef.Body == mdl.BodyXML && m.mandatoryCovered(eq, "Body", inputs) {
 				continue
 			}
 			return fmt.Errorf("merge: %s: %s ⊨ %v fails: mandatory field %q of %s has no semantically equivalent source",

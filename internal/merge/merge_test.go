@@ -372,6 +372,26 @@ func TestCheckEquivalencesFailsWithoutAssignment(t *testing.T) {
 	}
 }
 
+// A mandatory field of an XML-body message that the MDL does not type
+// is a leaf of the body, so the assignment that writes Body provides
+// it; without that assignment ⊨ fails.
+func TestCheckEquivalencesXMLBodyLeaf(t *testing.T) {
+	body := &translation.Assignment{
+		Target: translation.FieldRef{Message: "HTTPOk", Path: xpath.MustCompile("/field/primitiveField[label='Body']/value")},
+		Source: &translation.FieldRef{Message: "SLPSrvReply", Path: xpath.MustCompile("/field/primitiveField[label='URLEntry']/value")},
+		Func:   "urlbase-xml",
+	}
+	m := &Merged{Name: "upnp-to-slp", Equivalences: []Equivalence{{Output: "HTTPOk", Inputs: []string{"SLPSrvReply"}}}}
+	m.Logic = &translation.Logic{Assignments: []*translation.Assignment{body}}
+	if err := m.CheckEquivalences(loadSpecs(t)); err != nil {
+		t.Fatal(err)
+	}
+	m.Logic = &translation.Logic{}
+	if err := m.CheckEquivalences(loadSpecs(t)); err == nil || !strings.Contains(err.Error(), `mandatory field "URLBase"`) {
+		t.Fatalf("err = %v", err)
+	}
+}
+
 func TestCheckEquivalencesUnknownMessages(t *testing.T) {
 	m := fig4()
 	m.Equivalences = []Equivalence{{Output: "Ghost", Inputs: []string{"SLPSrvRequest"}}}

@@ -255,8 +255,10 @@ func timerContract(t *testing.T, r runtimeUnderTest, view func(netapi.Node, *net
 // it returns, which is what lets a caller compose every message into one
 // reused buffer: the buffer is overwritten right after each Send, and
 // the peers still receive what was sent — unicast, multicast fan-out,
-// and on a stream a send queued behind a writer the peer is not reading
-// (realnet's busy connection; the simulator never blocks a writer).
+// and on a stream a send that waited its turn behind a writer the peer
+// is not reading (realnet's blocked write; the simulator never blocks a
+// writer). One Send writes at a time: the second returns only after the
+// first has written.
 func sendContract(t *testing.T, r runtimeUnderTest) {
 	rt := r.new()
 	n, _ := rt.NewNode("10.0.0.5")
@@ -343,16 +345,21 @@ func sendContract(t *testing.T, r runtimeUnderTest) {
 		first <- conn.Send(make([]byte, big))
 	}
 	queued := []byte("queued stream bytes")
-	if err := conn.Send(queued); err != nil {
-		t.Fatal(err)
-	}
 	want := string(queued)
-	overwrite(queued)
-	if blocking {
+	second := make(chan error, 1)
+	sendQueued := func() {
+		err := conn.Send(queued)
+		overwrite(queued)
+		second <- err
+	}
+	if !blocking {
+		sendQueued()
+	} else {
+		go sendQueued()
 		select {
-		case <-first:
-			t.Fatal("the first stream send returned while its peer read nothing: no send was queued")
-		default:
+		case <-second:
+			t.Fatal("a stream send returned while the send before it was still writing to a peer that read nothing")
+		case <-time.After(50 * time.Millisecond):
 		}
 	}
 	close(hold)
@@ -363,8 +370,10 @@ func sendContract(t *testing.T, r runtimeUnderTest) {
 	}, 10*time.Second); err != nil {
 		t.Fatalf("datagrams %q, stream tail %q: %v", got, streamed, err)
 	}
-	if err := <-first; err != nil {
-		t.Fatal(err)
+	for _, done := range []chan error{first, second} {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
 	}
 	sort.Strings(got)
 	if fmt.Sprint(got) != fmt.Sprint(wantDatagrams) {

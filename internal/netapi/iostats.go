@@ -31,11 +31,9 @@ type IOStats struct {
 	SendBatchPackets uint64
 	SendSingles      uint64
 
-	// StreamFlushes counts coalesced stream-writer flushes;
-	// StreamFlushChunks counts the queued chunks those flushes drained,
-	// so chunks/flushes > 1 means one vectored write (writev) is
-	// draining backlogs that the pre-batch writer paid one syscall per
-	// chunk for.
+	// StreamFlushes counts stream writes, one per Send, and
+	// StreamFlushChunks the chunks they wrote: one each, since each
+	// Send writes alone.
 	StreamFlushes     uint64
 	StreamFlushChunks uint64
 }
@@ -76,8 +74,8 @@ func CountSendBatch(n int) {
 // CountSendSingle records one per-datagram send.
 func CountSendSingle() { ioStats.sendSingles.Add(1) }
 
-// CountStreamFlush records one coalesced stream-writer flush that
-// drained chunks queued chunks in a single vectored write.
+// CountStreamFlush records one stream write of the given number of
+// chunks.
 func CountStreamFlush(chunks int) {
 	ioStats.streamFlushes.Add(1)
 	ioStats.streamChunks.Add(uint64(chunks))

@@ -190,9 +190,9 @@ type Conn interface {
 	LocalAddr() Addr
 	RemoteAddr() Addr
 	// Send transmits bytes in order. Safe to call from any goroutine;
-	// concurrent sends are coalesced, never interleaved mid-call. data
-	// may be reused once Send returns, also when the send was queued
-	// behind another.
+	// one Send writes at a time, so concurrent sends are never
+	// interleaved mid-call, and each waits its turn. data may be reused
+	// once Send returns.
 	Send(data []byte) error
 	Close() error
 }

@@ -16,7 +16,7 @@ import (
 // Many per-session goroutines replying on one realnet stream
 // connection while the peer keeps sending: the engine's sessions do
 // exactly this (Reply from session goroutines, entry payloads arriving
-// concurrently), so the conn's write coalescing and the framer's
+// concurrently), so the conn's turn-taking writes and the framer's
 // reassembly must hold up under -race and deliver every frame intact.
 func TestConcurrentReplySendOneStreamConn(t *testing.T) {
 	rt := realnet.New()

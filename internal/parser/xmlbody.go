@@ -2,10 +2,7 @@ package parser
 
 import (
 	"bytes"
-	"encoding/xml"
 	"errors"
-	"fmt"
-	"io"
 	"math"
 	"strings"
 	"unicode"
@@ -27,76 +24,28 @@ import (
 // replaced. A leaf's value is its character data and CDATA sections
 // concatenated, references expanded, line ends normalised, trimmed.
 //
-// The body is decided by scanXMLLeaves when it lies in the subset that
-// scanner validates, and by decodeXMLLeaves — the encoding/xml loop,
-// which defines accept/reject and the field list for every input —
-// otherwise. The scanner adds nothing to msg unless it accepts, so the
-// decoder always starts from the message the caller passed in.
+// The body is decided by scanXMLLeaves, which accepts the subset of XML
+// it validates in full; a body outside it is a parse error, and the
+// message keeps no field from it. Every description the repository's
+// stacks and translation functions produce lies in the subset.
 //
 // text is body's bytes as a substring of the message's one copy, which
-// backs the scanner's labels and verbatim values. On both paths a leaf
-// that would take msg past maxTextFields fields is an error.
+// backs the scanner's labels and verbatim values. A leaf that would take
+// msg past maxTextFields fields is an error.
 func flattenXMLBody(body []byte, text string, msg *message.Message) error {
 	start := len(body) - len(bytes.TrimLeftFunc(body, unicode.IsSpace))
 	body = bytes.TrimRightFunc(body[start:], unicode.IsSpace)
 	if len(body) == 0 {
 		return nil
 	}
-	if ok, err := scanXMLLeaves(body, text[start:start+len(body)], msg); ok {
-		return err
+	ok, err := scanXMLLeaves(body, text[start:start+len(body)], msg)
+	if !ok {
+		return errXMLBody
 	}
-	return decodeXMLLeaves(body, msg)
+	return err
 }
 
-// decodeXMLLeaves is flattenXMLBody over encoding/xml's token stream:
-// the only path for input outside the scanner's subset (directives,
-// custom entities, non-ASCII names, every malformed body — whose error
-// it words) and the reference FuzzXMLBody holds the scanner to.
-func decodeXMLLeaves(body []byte, msg *message.Message) error {
-	dec := xml.NewDecoder(bytes.NewReader(body))
-	type frame struct {
-		name    string
-		text    strings.Builder
-		hasElem bool
-	}
-	var stack []*frame
-	for {
-		tok, err := dec.Token()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("xml body: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if len(stack) > 0 {
-				stack[len(stack)-1].hasElem = true
-			}
-			stack = append(stack, &frame{name: t.Name.Local})
-		case xml.CharData:
-			if len(stack) > 0 {
-				stack[len(stack)-1].text.Write(t)
-			}
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return fmt.Errorf("xml body: unbalanced end element %q", t.Name.Local)
-			}
-			top := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if !top.hasElem {
-				label := top.name
-				if _, exists := msg.Field(label); !exists {
-					if msg.Len() >= maxTextFields {
-						return errTooManyFields
-					}
-					msg.Add(newField(label, "String", 0, message.Str(strings.TrimSpace(top.text.String()))))
-				}
-			}
-		}
-	}
-	return nil
-}
+var errXMLBody = errors.New("not well formed, or outside the subset the scanner accepts")
 
 // ---------------------------------------------------------------------
 // Single-pass leaf scanner
@@ -118,11 +67,11 @@ func decodeXMLLeaves(body []byte, msg *message.Message) error {
 //
 // Anything else — <!DOCTYPE and other directives, custom entities,
 // non-ASCII names, a malformed construct — makes it give up without
-// having touched the message, and decodeXMLLeaves decides. Within the
-// subset the two agree on the field list; encoding/xml's leniencies the
-// old loop inherited (text or several elements at top level, repeated
-// attributes, no space between attributes) are kept, because they only
-// ever widen what both accept.
+// having touched the message. FuzzXMLBody holds it to an encoding/xml
+// loop: what the scanner accepts, that loop accepts with the same field
+// list. encoding/xml's leniencies (text or several elements at top
+// level, repeated attributes, no space between attributes) are kept,
+// because they only widen what both accept.
 
 // Byte classes of xmlClass.
 const (
@@ -198,7 +147,7 @@ type xmlLeaf struct {
 	value          xmlValue
 }
 
-// scanXMLLeaves is the fast path of flattenXMLBody. It reports false,
+// scanXMLLeaves decides the body of flattenXMLBody. It reports false,
 // with msg untouched, for any body it does not accept (an error comes
 // only with true). s holds the same bytes as body, as a string.
 //

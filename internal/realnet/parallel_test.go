@@ -143,7 +143,7 @@ func TestTakeLeaseKeepsDataStable(t *testing.T) {
 	}
 }
 
-// Concurrent stream sends coalesce into ordered writes: every byte
+// Concurrent stream sends take turns, each one whole write: every byte
 // arrives exactly once.
 func TestStreamWriteCoalescing(t *testing.T) {
 	rt := realnet.New()

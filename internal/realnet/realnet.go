@@ -765,36 +765,19 @@ type streamConn struct {
 	// the read loop while blocked. Immutable after the read loop starts.
 	gate *netapi.FlowGate
 
-	// Write coalescing: the first sender becomes the writer and drains
-	// the chunks queued by concurrent senders, so N concurrent sends
-	// become few syscalls while per-sender order is preserved. Each
-	// queued send is its own chunk (copied into recycled storage from
-	// wfree) and the writer drains the whole backlog with ONE vectored
-	// write (net.Buffers → writev) per drain pass instead of one write
-	// per chunk; wvec is the writer-owned scratch header vector, copied
-	// from the batch because net.Buffers.WriteTo consumes its receiver.
-	// werr latches the first write error for subsequent senders.
-	// wparked is latched by ParkConn in the same wmu critical section
-	// that proves the write path clean, and cleared when a claimant
-	// takes over: a Send racing the park fails instead of interleaving
-	// its bytes with the next claimant's traffic.
+	// Writes take turns: a Send holds wmu across its write, so its bytes
+	// are never interleaved with another's, and a peer that stops reading
+	// holds every sender back instead of letting their bytes pile up
+	// here. werr latches the first write error for subsequent senders.
+	// wparked is set by ParkConn while it holds wmu (so no write is in
+	// flight) and cleared when the connection leaves the pool: a Send
+	// racing the park fails instead of interleaving its bytes with the
+	// next claimant's traffic. It is atomic because those clearing it
+	// hold stateMu, which must never wait on a Send stuck in a write.
 	wmu     sync.Mutex
-	wbusy   bool
-	wparked bool
-	wqueue  [][]byte
-	wqspare [][]byte
-	wfree   [][]byte
-	wvec    net.Buffers
+	wparked atomic.Bool
 	werr    error
 }
-
-// maxRecycledChunk bounds the capacity of a coalescing chunk kept on
-// the free list (a multi-MB burst chunk must not be pinned by an idle
-// connection); maxFreeChunks bounds how many are kept.
-const (
-	maxRecycledChunk = 64 * 1024
-	maxFreeChunks    = 32
-)
 
 var _ netapi.Conn = (*streamConn)(nil)
 
@@ -890,7 +873,7 @@ func (rt *Runtime) claimParked(to netapi.Addr, recv netapi.StreamHandler, owner 
 			rt.removeParkedLocked(cand)
 			cand.recv = recv
 			cand.owner = owner
-			cand.unparkWrites()
+			cand.wparked.Store(false)
 			rt.stateMu.Unlock()
 			cand.dom.mu.Unlock()
 			return cand
@@ -923,27 +906,25 @@ func (n *node) ParkConn(c netapi.Conn) bool {
 		return false
 	}
 	// The user-to-parked transition is atomic under all three locks
-	// (see the recv invariant on streamConn): the write-path clean
-	// check happens under wmu inside the same critical section that
-	// latches wparked, so a Send racing the park either lands entirely
-	// before it (wbusy/wbuf then fail the check) or observes wparked
-	// and refuses — no write can start between the check and the state
-	// change. A concurrent claim likewise can never observe the
-	// connection pooled but still carrying the old handler.
+	// (see the recv invariant on streamConn). wmu is only tried: a Send
+	// holds it across a write that can block for as long as the peer
+	// does not read, so a held wmu means a write in flight — not clean.
+	// Holding it, ParkConn latches wparked, so a Send racing the park
+	// either completes before it or observes wparked and refuses. A
+	// concurrent claim likewise can never observe the connection pooled
+	// but still carrying the old handler.
 	sc.dom.mu.Lock()
 	n.rt.stateMu.Lock()
-	sc.wmu.Lock()
-	clean := sc.werr == nil && !sc.wbusy && len(sc.wqueue) == 0
-	if !clean || sc.state != connActive || len(n.rt.parked[sc.remote.Port]) >= maxParkedPerDest {
-		sc.wmu.Unlock()
+	locked := sc.wmu.TryLock()
+	if !locked || sc.werr != nil || sc.state != connActive || len(n.rt.parked[sc.remote.Port]) >= maxParkedPerDest {
+		if locked {
+			sc.wmu.Unlock()
+		}
 		n.rt.stateMu.Unlock()
 		sc.dom.mu.Unlock()
 		return false
 	}
-	sc.wparked = true
-	// Drop the coalescing scratch: a burst before the park can have
-	// grown it to many MB, which an idle pooled connection must not pin.
-	sc.wqueue, sc.wqspare, sc.wfree, sc.wvec = nil, nil, nil, nil
+	sc.wparked.Store(true)
 	sc.state = connParked
 	n.rt.parked[sc.remote.Port] = append(n.rt.parked[sc.remote.Port], sc)
 	sc.recv = nil
@@ -999,7 +980,7 @@ func (sc *streamConn) readLoop() {
 				sc.rt.stateMu.Lock()
 				if sc.state == connParked {
 					sc.rt.removeParkedLocked(sc)
-					sc.unparkWrites()
+					sc.wparked.Store(false)
 				}
 				sc.state = connClosed
 				sc.rt.stateMu.Unlock()
@@ -1018,7 +999,7 @@ func (sc *streamConn) readLoop() {
 			st := sc.state
 			if st == connParked {
 				sc.rt.removeParkedLocked(sc)
-				sc.unparkWrites()
+				sc.wparked.Store(false)
 			}
 			sc.state = connClosed
 			owner := sc.owner
@@ -1043,92 +1024,25 @@ func (sc *streamConn) readLoop() {
 func (sc *streamConn) LocalAddr() netapi.Addr  { return sc.local }
 func (sc *streamConn) RemoteAddr() netapi.Addr { return sc.remote }
 
-// unparkWrites clears the wparked latch on every transition out of the
-// parked state (claimed, evicted by stray bytes, or closed), so a
-// stale holder's Send reports the write path's real error instead of
-// claiming the connection is still pooled. Callers hold stateMu (and
-// possibly dom.mu); taking wmu here follows the dom.mu → stateMu → wmu
-// lock order.
-func (sc *streamConn) unparkWrites() {
-	sc.wmu.Lock()
-	sc.wparked = false
-	sc.wmu.Unlock()
-}
-
-// Send transmits data in order. Concurrent senders coalesce: the first
-// one becomes the writer; later senders queue their bytes as chunks
-// (copied into recycled storage) and return. The writer drains the
-// whole queued backlog with one vectored write (net.Buffers → writev)
-// per drain pass, so N concurrent sends cost ~one syscall regardless
-// of how many chunks piled up. A write error is returned to the writer
-// that hit it and latched for every later sender.
+// Send transmits data in order. Concurrent senders take turns: each
+// holds the write lock across its write, so it returns once the kernel
+// has taken its bytes. A write error is returned to the sender that hit
+// it and latched for every later one.
 func (sc *streamConn) Send(data []byte) error {
 	sc.wmu.Lock()
-	if sc.wparked {
-		sc.wmu.Unlock()
+	defer sc.wmu.Unlock()
+	if sc.wparked.Load() {
 		return fmt.Errorf("realnet: send on a parked connection")
 	}
 	if sc.werr != nil {
-		err := sc.werr
-		sc.wmu.Unlock()
+		return fmt.Errorf("realnet: %w", sc.werr)
+	}
+	netapi.CountStreamFlush(1)
+	if _, err := sc.c.Write(data); err != nil {
+		sc.werr = err
 		return fmt.Errorf("realnet: %w", err)
 	}
-	if sc.wbusy {
-		// Queue this send as its own chunk, reusing freed storage when
-		// a recycled chunk is available.
-		var chunk []byte
-		if n := len(sc.wfree); n > 0 {
-			chunk = sc.wfree[n-1]
-			sc.wfree = sc.wfree[:n-1]
-		}
-		sc.wqueue = append(sc.wqueue, append(chunk, data...))
-		sc.wmu.Unlock()
-		return nil
-	}
-	sc.wbusy = true
-	sc.wmu.Unlock()
-	_, err := sc.c.Write(data)
-	var prev [][]byte
-	for {
-		sc.wmu.Lock()
-		// Recycle the previous drain pass's chunks: storage onto the
-		// bounded free list, the header slice as the next queue.
-		for _, c := range prev {
-			if cap(c) <= maxRecycledChunk && len(sc.wfree) < maxFreeChunks {
-				sc.wfree = append(sc.wfree, c[:0])
-			}
-		}
-		if prev != nil {
-			sc.wqspare = prev[:0]
-		}
-		prev = nil
-		if err != nil {
-			sc.werr = err
-			sc.wbusy = false
-			sc.wqueue, sc.wqspare, sc.wfree, sc.wvec = nil, nil, nil, nil
-			sc.wmu.Unlock()
-			return fmt.Errorf("realnet: %w", err)
-		}
-		if len(sc.wqueue) == 0 {
-			sc.wbusy = false
-			sc.wmu.Unlock()
-			return nil
-		}
-		batch := sc.wqueue
-		sc.wqueue = sc.wqspare[:0]
-		sc.wqspare = nil
-		sc.wmu.Unlock()
-		// One writev drains the whole backlog. WriteTo consumes its
-		// receiver, so it runs on a local header copy of the
-		// writer-owned scratch vector — sc.wvec keeps addressing the
-		// scratch backing array from index 0 for the next pass, and
-		// batch keeps the chunk headers alive for recycling.
-		netapi.CountStreamFlush(len(batch))
-		sc.wvec = append(sc.wvec[:0], batch...)
-		vec := sc.wvec
-		_, err = vec.WriteTo(sc.c)
-		prev = batch
-	}
+	return nil
 }
 
 func (sc *streamConn) Close() error {
@@ -1139,7 +1053,7 @@ func (sc *streamConn) Close() error {
 	sc.owner = nil
 	if st == connParked {
 		sc.rt.removeParkedLocked(sc)
-		sc.unparkWrites()
+		sc.wparked.Store(false)
 	}
 	sc.rt.stateMu.Unlock()
 	if st == connClosed {

@@ -335,9 +335,8 @@ type TransportMetrics struct {
 	SendBatches      uint64
 	SendBatchPackets uint64
 	SendSingles      uint64
-	// StreamFlushes counts coalesced stream-writer flushes;
-	// StreamFlushChunks counts the queued chunks those flushes drained
-	// in one vectored write (writev) each.
+	// StreamFlushes counts stream writes, one per Send; each writes one
+	// chunk, so StreamFlushChunks equals it.
 	StreamFlushes     uint64
 	StreamFlushChunks uint64
 }
