@@ -91,11 +91,11 @@ func slpRequestWire(b *testing.B) []byte {
 		b.Fatal(err)
 	}
 	msg := message.New("SLP", "SLPSrvRequest")
-	msg.AddPrimitive("Version", "Integer", message.Int(2))
-	msg.AddPrimitive("FunctionID", "Integer", message.Int(1))
-	msg.AddPrimitive("XID", "Integer", message.Int(42))
-	msg.AddPrimitive("LangTag", "String", message.Str("en"))
-	msg.AddPrimitive("SRVType", "String", message.Str("service:printer"))
+	msg.AddPrimitive("Version", message.Int(2))
+	msg.AddPrimitive("FunctionID", message.Int(1))
+	msg.AddPrimitive("XID", message.Int(42))
+	msg.AddPrimitive("LangTag", message.Str("en"))
+	msg.AddPrimitive("SRVType", message.Str("service:printer"))
 	wire, err := c.Compose(msg)
 	if err != nil {
 		b.Fatal(err)
@@ -137,12 +137,12 @@ func BenchmarkComposeSLPBinary(b *testing.B) {
 		b.Fatal(err)
 	}
 	msg := message.New("SLP", "SLPSrvReply")
-	msg.AddPrimitive("Version", "Integer", message.Int(2))
-	msg.AddPrimitive("FunctionID", "Integer", message.Int(2))
-	msg.AddPrimitive("XID", "Integer", message.Int(42))
-	msg.AddPrimitive("LangTag", "String", message.Str("en"))
-	msg.AddPrimitive("URLCount", "Integer", message.Int(1))
-	msg.AddPrimitive("URLEntry", "String", message.Str("service:printer://10.0.0.9:515"))
+	msg.AddPrimitive("Version", message.Int(2))
+	msg.AddPrimitive("FunctionID", message.Int(2))
+	msg.AddPrimitive("XID", message.Int(42))
+	msg.AddPrimitive("LangTag", message.Str("en"))
+	msg.AddPrimitive("URLCount", message.Int(1))
+	msg.AddPrimitive("URLEntry", message.Str("service:printer://10.0.0.9:515"))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -255,11 +255,11 @@ func BenchmarkTranslationApply(b *testing.B) {
 	}
 	funcs := translation.NewFuncRegistry()
 	request := message.New("SLP", "SLPSrvRequest")
-	request.AddPrimitive("XID", "Integer", message.Int(42))
-	request.AddPrimitive("LangTag", "String", message.Str("en"))
-	request.AddPrimitive("SRVType", "String", message.Str("service:printer"))
+	request.AddPrimitive("XID", message.Int(42))
+	request.AddPrimitive("LangTag", message.Str("en"))
+	request.AddPrimitive("SRVType", message.Str("service:printer"))
 	ok := message.New("HTTP", "HTTPOk")
-	ok.AddPrimitive("URLBase", "String", message.Str("http://10.0.0.7:5431/svc"))
+	ok.AddPrimitive("URLBase", message.Str("http://10.0.0.7:5431/svc"))
 	stored := map[string]*message.Message{"SLPSrvRequest": request, "HTTPOk": ok}
 	env := translation.Env{Lookup: func(n string) *message.Message { return stored[n] }}
 	b.ReportAllocs()

@@ -84,7 +84,7 @@ func (c *Composer) AppendCompose(dst []byte, msg *message.Message) ([]byte, erro
 	for _, e := range pl.Fixed {
 		if msg.At(e.Slot) == nil {
 			f := message.NewField()
-			f.Label, f.Type, f.Value = e.Label, e.Type.TypeName, e.Fixed
+			f.Label, f.Value = e.Label, e.Fixed
 			msg.SetAt(e.Slot, f)
 		}
 	}
@@ -117,7 +117,6 @@ type encoded struct {
 }
 
 type binaryCtx struct {
-	c       *Composer
 	msg     *message.Message
 	plan    *mdl.Plan
 	w       *bitio.Writer
@@ -203,9 +202,9 @@ func (b *binaryCtx) Count(label string) (int, error) {
 
 var binCtxPool = sync.Pool{New: func() any { return new(binaryCtx) }}
 
-func acquireBinaryCtx(c *Composer, msg *message.Message, pl *mdl.Plan) *binaryCtx {
+func acquireBinaryCtx(msg *message.Message, pl *mdl.Plan) *binaryCtx {
 	ctx := binCtxPool.Get().(*binaryCtx)
-	ctx.c, ctx.msg, ctx.plan, ctx.w = c, msg, pl, bitio.AcquireWriter()
+	ctx.msg, ctx.plan, ctx.w = msg, pl, bitio.AcquireWriter()
 	ctx.enc = append(ctx.enc[:0], make([]encoded, len(pl.Slots))...)
 	return ctx
 }
@@ -219,7 +218,7 @@ func releaseBinaryCtx(ctx *binaryCtx) {
 
 //starlink:hotpath
 func (c *Composer) composeBinary(dst []byte, msg *message.Message, pl *mdl.Plan) ([]byte, error) {
-	ctx := acquireBinaryCtx(c, msg, pl)
+	ctx := acquireBinaryCtx(msg, pl)
 	defer releaseBinaryCtx(ctx)
 
 	if err := c.writeFields(ctx, pl.Header, msg, nil); err != nil {
@@ -261,7 +260,7 @@ func setInt(msg *message.Message, e *mdl.Entry, n int64) {
 		f.Label = e.Label
 		msg.SetAt(e.Slot, f)
 	}
-	f.Type, f.Length, f.Value = e.Type.TypeName, e.Def.SizeBits, message.Int(n)
+	f.Value = message.Int(n)
 }
 
 // writeFields serialises a field list; group items pass their item
@@ -322,7 +321,7 @@ func (c *Composer) writeFields(ctx *binaryCtx, entries []*mdl.Entry, msg *messag
 		if f == nil {
 			// Unset fields the definition does not fix compose as zeroes.
 			f = message.NewField()
-			f.Label, f.Type, f.Value = def.Label, e.Type.TypeName, zeroValue(e.Kind)
+			f.Label, f.Value = def.Label, zeroValue(e.Kind)
 			if scope != nil {
 				// Composed for this item alone: nothing keeps it.
 				err := c.writeField(ctx, e, f, false)
@@ -461,7 +460,7 @@ func coerceValue(v message.Value, want message.Kind) (message.Value, error) {
 		return message.Str(v.Text()), nil
 	case message.KindBytes:
 		if s, ok := v.AsString(); ok {
-			return message.Bytes([]byte(s)), nil
+			return message.Bytes(s), nil
 		}
 	}
 	return message.Value{}, fmt.Errorf("cannot coerce %v to %v", v.Kind(), want)
@@ -475,7 +474,7 @@ func zeroValue(k message.Kind) message.Value {
 	case message.KindBool:
 		return message.Bool(false)
 	case message.KindBytes:
-		return message.Bytes(nil)
+		return message.Bytes("")
 	default:
 		return message.Str("")
 	}
@@ -513,12 +512,12 @@ func (c *Composer) composeText(dst []byte, msg *message.Message, pl *mdl.Plan) (
 			if _, has := msg.Field("Content-Length"); !has {
 				if bf, ok := msg.Field("Body"); ok {
 					n := 0
-					if b, ok := bf.Value.BytesView(); ok { // measuring only: no copy
+					if b, ok := bf.Value.BytesView(); ok {
 						n = len(b)
 					} else if s, ok := bf.Value.AsString(); ok {
 						n = len(s)
 					}
-					msg.AddPrimitive("Content-Length", "Integer", message.Int(int64(n)))
+					msg.AddPrimitive("Content-Length", message.Int(int64(n)))
 				}
 			}
 		}
@@ -554,11 +553,8 @@ func (c *Composer) composeText(dst []byte, msg *message.Message, pl *mdl.Plan) (
 	switch pl.Def.Body {
 	case mdl.BodyRaw, mdl.BodyXML:
 		if f, ok := msg.Field("Body"); ok {
-			// BytesView: the buffer copies on Write, so the transient
-			// alias never outlives this call — no body-sized AsBytes
-			// copy per composed message.
 			if b, ok := f.Value.BytesView(); ok {
-				buf.Write(b)
+				buf.WriteString(b)
 			} else if s, ok := f.Value.AsString(); ok {
 				buf.WriteString(s)
 			}

@@ -77,11 +77,11 @@ func newPair(t *testing.T, xml string) (*Composer, *parser.Parser) {
 func TestComposeSLPRequestRoundtrip(t *testing.T) {
 	c, p := newPair(t, slpMDL)
 	msg := message.New("SLP", "SLPSrvRequest")
-	msg.AddPrimitive("Version", "Integer", message.Int(2))
-	msg.AddPrimitive("FunctionID", "Integer", message.Int(1))
-	msg.AddPrimitive("XID", "Integer", message.Int(4242))
-	msg.AddPrimitive("LangTag", "String", message.Str("en"))
-	msg.AddPrimitive("SRVType", "String", message.Str("service:printer"))
+	msg.AddPrimitive("Version", message.Int(2))
+	msg.AddPrimitive("FunctionID", message.Int(1))
+	msg.AddPrimitive("XID", message.Int(4242))
+	msg.AddPrimitive("LangTag", message.Str("en"))
+	msg.AddPrimitive("SRVType", message.Str("service:printer"))
 
 	wire, err := c.Compose(msg)
 	if err != nil {
@@ -121,9 +121,9 @@ func TestComposeAutoDerivesLengths(t *testing.T) {
 	// Deliberately set a WRONG SRVTypeLength; composer must override it
 	// with the measured length.
 	msg := message.New("SLP", "SLPSrvRequest")
-	msg.AddPrimitive("FunctionID", "Integer", message.Int(1))
-	msg.AddPrimitive("SRVTypeLength", "Integer", message.Int(999))
-	msg.AddPrimitive("SRVType", "String", message.Str("abc"))
+	msg.AddPrimitive("FunctionID", message.Int(1))
+	msg.AddPrimitive("SRVTypeLength", message.Int(999))
+	msg.AddPrimitive("SRVType", message.Str("abc"))
 	wire, err := c.Compose(msg)
 	if err != nil {
 		t.Fatal(err)
@@ -139,12 +139,12 @@ func TestComposeAutoDerivesLengths(t *testing.T) {
 func TestComposeSLPReplyRoundtrip(t *testing.T) {
 	c, p := newPair(t, slpMDL)
 	msg := message.New("SLP", "SLPSrvReply")
-	msg.AddPrimitive("Version", "Integer", message.Int(2))
-	msg.AddPrimitive("FunctionID", "Integer", message.Int(2))
-	msg.AddPrimitive("XID", "Integer", message.Int(7))
-	msg.AddPrimitive("LangTag", "String", message.Str("en"))
-	msg.AddPrimitive("URLCount", "Integer", message.Int(1))
-	msg.AddPrimitive("URLEntry", "String", message.Str("service:printer://10.0.0.9:515"))
+	msg.AddPrimitive("Version", message.Int(2))
+	msg.AddPrimitive("FunctionID", message.Int(2))
+	msg.AddPrimitive("XID", message.Int(7))
+	msg.AddPrimitive("LangTag", message.Str("en"))
+	msg.AddPrimitive("URLCount", message.Int(1))
+	msg.AddPrimitive("URLEntry", message.Str("service:printer://10.0.0.9:515"))
 
 	wire, err := c.Compose(msg)
 	if err != nil {
@@ -175,7 +175,7 @@ func TestComposeUnknownMessage(t *testing.T) {
 func TestComposeUnsetFieldsDefaultToZero(t *testing.T) {
 	c, p := newPair(t, slpMDL)
 	msg := message.New("SLP", "SLPSrvRequest")
-	msg.AddPrimitive("FunctionID", "Integer", message.Int(1))
+	msg.AddPrimitive("FunctionID", message.Int(1))
 	wire, err := c.Compose(msg)
 	if err != nil {
 		t.Fatal(err)
@@ -221,10 +221,10 @@ const ssdpMDL = `
 func TestComposeSSDPMSearch(t *testing.T) {
 	c, p := newPair(t, ssdpMDL)
 	msg := message.New("SSDP", "SSDPMSearch")
-	msg.AddPrimitive("URI", "String", message.Str("*"))
-	msg.AddPrimitive("Version", "String", message.Str("HTTP/1.1"))
-	msg.AddPrimitive("HOST", "String", message.Str("239.255.255.250:1900"))
-	msg.AddPrimitive("ST", "String", message.Str("urn:printer"))
+	msg.AddPrimitive("URI", message.Str("*"))
+	msg.AddPrimitive("Version", message.Str("HTTP/1.1"))
+	msg.AddPrimitive("HOST", message.Str("239.255.255.250:1900"))
+	msg.AddPrimitive("ST", message.Str("urn:printer"))
 
 	wire, err := c.Compose(msg)
 	if err != nil {
@@ -256,9 +256,9 @@ func TestComposeSSDPMSearch(t *testing.T) {
 func TestComposeSSDPResponseImplodesURL(t *testing.T) {
 	c, p := newPair(t, ssdpMDL)
 	msg := message.New("SSDP", "SSDPResponse")
-	msg.AddPrimitive("URI", "String", message.Str("200"))
-	msg.AddPrimitive("Version", "String", message.Str("OK"))
-	loc := &message.Field{Label: "LOCATION", Type: "URL", Children: []*message.Field{
+	msg.AddPrimitive("URI", message.Str("200"))
+	msg.AddPrimitive("Version", message.Str("OK"))
+	loc := &message.Field{Label: "LOCATION", Children: []*message.Field{
 		{Label: "protocol", Value: message.Str("http")},
 		{Label: "address", Value: message.Str("10.0.0.7")},
 		{Label: "port", Value: message.Int(5431)},
@@ -311,10 +311,10 @@ func TestComposeHTTPOkWithBody(t *testing.T) {
 	c, p := newPair(t, httpMDL)
 	body := "<root><URLBase>http://10.0.0.7:5431/svc</URLBase></root>"
 	msg := message.New("HTTP", "HTTPOk")
-	msg.AddPrimitive("URI", "String", message.Str("200"))
-	msg.AddPrimitive("Version", "String", message.Str("OK"))
-	msg.AddPrimitive("Content-Length", "Integer", message.Int(int64(len(body))))
-	msg.AddPrimitive("Body", "Bytes", message.Bytes([]byte(body)))
+	msg.AddPrimitive("URI", message.Str("200"))
+	msg.AddPrimitive("Version", message.Str("OK"))
+	msg.AddPrimitive("Content-Length", message.Int(int64(len(body))))
+	msg.AddPrimitive("Body", message.Bytes(body))
 
 	wire, err := c.Compose(msg)
 	if err != nil {
@@ -358,8 +358,8 @@ const groupMDL = `
 func TestComposeRepeatGroupRoundtrip(t *testing.T) {
 	c, p := newPair(t, groupMDL)
 	msg := message.New("G", "M")
-	msg.AddPrimitive("FID", "Integer", message.Int(1))
-	group := &message.Field{Label: "Items", Type: "Group", Children: []*message.Field{}}
+	msg.AddPrimitive("FID", message.Int(1))
+	group := &message.Field{Label: "Items", Children: []*message.Field{}}
 	for i, s := range []string{"alpha", "be", "gamma!"} {
 		item := &message.Field{Label: message.Int(int64(i)).Text(), Children: []*message.Field{
 			{Label: "V", Value: message.Str(s)},
@@ -396,7 +396,7 @@ func TestComposeRepeatGroupRoundtrip(t *testing.T) {
 func TestComposeEmptyGroup(t *testing.T) {
 	c, p := newPair(t, groupMDL)
 	msg := message.New("G", "M")
-	msg.AddPrimitive("FID", "Integer", message.Int(1))
+	msg.AddPrimitive("FID", message.Int(1))
 	wire, err := c.Compose(msg)
 	if err != nil {
 		t.Fatal(err)
@@ -421,9 +421,9 @@ func TestQuickSLPRequestRoundtrip(t *testing.T) {
 			svc = append(svc, 'a'+b%26)
 		}
 		msg := message.New("SLP", "SLPSrvRequest")
-		msg.AddPrimitive("FunctionID", "Integer", message.Int(1))
-		msg.AddPrimitive("XID", "Integer", message.Int(int64(xid)))
-		msg.AddPrimitive("SRVType", "String", message.Str(string(svc)))
+		msg.AddPrimitive("FunctionID", message.Int(1))
+		msg.AddPrimitive("XID", message.Int(int64(xid)))
+		msg.AddPrimitive("SRVType", message.Str(string(svc)))
 		wire, err := c.Compose(msg)
 		if err != nil {
 			return false
@@ -452,8 +452,8 @@ func TestQuickSLPMessageLengthInvariant(t *testing.T) {
 			svc = append(svc, 'a'+b%26)
 		}
 		msg := message.New("SLP", "SLPSrvRequest")
-		msg.AddPrimitive("FunctionID", "Integer", message.Int(1))
-		msg.AddPrimitive("SRVType", "String", message.Str(string(svc)))
+		msg.AddPrimitive("FunctionID", message.Int(1))
+		msg.AddPrimitive("SRVType", message.Str(string(svc)))
 		wire, err := c.Compose(msg)
 		if err != nil {
 			return false
@@ -471,14 +471,14 @@ func TestQuickSSDPWildcardRoundtrip(t *testing.T) {
 	c, p := newPair(t, ssdpMDL)
 	f := func(vals []uint16) bool {
 		msg := message.New("SSDP", "SSDPMSearch")
-		msg.AddPrimitive("URI", "String", message.Str("*"))
-		msg.AddPrimitive("Version", "String", message.Str("HTTP/1.1"))
+		msg.AddPrimitive("URI", message.Str("*"))
+		msg.AddPrimitive("Version", message.Str("HTTP/1.1"))
 		want := map[string]string{}
 		for i, v := range vals {
 			label := "X-H" + message.Int(int64(i)).Text()
 			val := "v" + message.Int(int64(v)).Text()
 			want[label] = val
-			msg.AddPrimitive(label, "String", message.Str(val))
+			msg.AddPrimitive(label, message.Str(val))
 		}
 		wire, err := c.Compose(msg)
 		if err != nil {
@@ -507,10 +507,10 @@ func TestQuickSSDPWildcardRoundtrip(t *testing.T) {
 func TestComposeDeterministic(t *testing.T) {
 	c, _ := newPair(t, ssdpMDL)
 	msg := message.New("SSDP", "SSDPMSearch")
-	msg.AddPrimitive("URI", "String", message.Str("*"))
-	msg.AddPrimitive("Version", "String", message.Str("HTTP/1.1"))
-	msg.AddPrimitive("A", "String", message.Str("1"))
-	msg.AddPrimitive("B", "String", message.Str("2"))
+	msg.AddPrimitive("URI", message.Str("*"))
+	msg.AddPrimitive("Version", message.Str("HTTP/1.1"))
+	msg.AddPrimitive("A", message.Str("1"))
+	msg.AddPrimitive("B", message.Str("2"))
 	w1, err := c.Compose(msg.Clone())
 	if err != nil {
 		t.Fatal(err)
@@ -533,7 +533,7 @@ func TestComposeWritesFixedValues(t *testing.T) {
 		"<Rule>Method=M-SEARCH</Rule><Fixed>URI=*</Fixed><Fixed>Version=HTTP/1.1</Fixed><Fixed>HOST=239.255.255.250:1900</Fixed><Fixed>MX=1</Fixed>").Replace(ssdpMDL)
 	c, _ := newPair(t, fixed)
 	msg := message.New("SSDP", "SSDPMSearch")
-	msg.AddPrimitive("ST", "String", message.Str("urn:printer"))
+	msg.AddPrimitive("ST", message.Str("urn:printer"))
 	wire, err := c.Compose(msg)
 	if err != nil {
 		t.Fatal(err)
@@ -543,7 +543,7 @@ func TestComposeWritesFixedValues(t *testing.T) {
 		t.Errorf("wire %q, want %q", wire, want)
 	}
 	over := message.New("SSDP", "SSDPMSearch")
-	over.AddPrimitive("MX", "Integer", message.Int(3))
+	over.AddPrimitive("MX", message.Int(3))
 	if wire, err = c.Compose(over); err != nil || !strings.Contains(string(wire), "MX: 3\r\n") {
 		t.Errorf("an assigned MX did not override the fixed one: %q, %v", wire, err)
 	}

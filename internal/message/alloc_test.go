@@ -1,6 +1,9 @@
 package message
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // The message layer sits on the per-packet fast path; these tests pin
 // its allocation behaviour so regressions fail loudly instead of
@@ -12,13 +15,13 @@ func TestValueTextAllocs(t *testing.T) {
 		want float64
 	}{
 		// Small-integer and string renders are allocation free; large
-		// integers pay the result string; bytes pay hex.EncodeToString's
-		// buffer + string (AppendText is the zero-alloc form).
+		// integers pay the result string; bytes pay the hex buffer +
+		// string (AppendText is the zero-alloc form).
 		"int-small": {Int(7), 0},
 		"string":    {Str("service:printer"), 0},
 		"bool":      {Bool(true), 0},
 		"int-large": {Int(1234567), 1},
-		"bytes":     {Bytes([]byte{0xde, 0xad}), 2},
+		"bytes":     {Bytes("\xde\xad"), 2},
 	}
 	for name, tc := range cases {
 		if got := testing.AllocsPerRun(100, func() { _ = tc.v.Text() }); got > tc.want {
@@ -32,7 +35,7 @@ func TestValueAppendTextAllocs(t *testing.T) {
 	for name, v := range map[string]Value{
 		"int":    Int(1234567890),
 		"string": Str("urn:printer"),
-		"bytes":  Bytes([]byte{1, 2, 3, 4}),
+		"bytes":  Bytes("\x01\x02\x03\x04"),
 		"bool":   Bool(false),
 	} {
 		if got := testing.AllocsPerRun(100, func() { _ = v.AppendText(buf[:0]) }); got != 0 {
@@ -43,22 +46,30 @@ func TestValueAppendTextAllocs(t *testing.T) {
 
 func TestValueAppendTextMatchesText(t *testing.T) {
 	for _, v := range []Value{Int(-42), Int(0), Int(99), Int(1 << 40), Str("x"), Str(""),
-		Bytes(nil), Bytes([]byte{0x00, 0xff, 0x5a}), Bool(true), Bool(false), {}} {
+		Bytes(""), Bytes("\x00\xff\x5a"), Bool(true), Bool(false), {}} {
 		if got, want := string(v.AppendText(nil)), v.Text(); got != want {
 			t.Errorf("AppendText = %q, Text = %q", got, want)
 		}
 	}
 }
 
+// A bytes value is held as a string, like a string value: a parsed one
+// is a substring of the message's one copy, and BytesView returns that
+// very string; AsBytes is the mutable copy.
 func TestBytesViewAliasesWithoutCopy(t *testing.T) {
-	v := Bytes([]byte{1, 2, 3})
+	wire := "\x00\x01\x02\x03\x04"
+	v := Bytes(wire[1:4])
 	view, ok := v.BytesView()
-	if !ok || len(view) != 3 {
-		t.Fatalf("BytesView = %v, %v", view, ok)
+	if !ok || view != "\x01\x02\x03" {
+		t.Fatalf("BytesView = %q, %v", view, ok)
+	}
+	if unsafe.StringData(view) != unsafe.StringData(wire[1:]) {
+		t.Error("BytesView must return the substring it was given, not a copy")
 	}
 	cp, _ := v.AsBytes()
-	if &view[0] == &cp[0] {
-		t.Error("AsBytes must copy; BytesView must not")
+	cp[0] = 9
+	if view, _ := v.BytesView(); view[0] != 1 {
+		t.Error("AsBytes must copy")
 	}
 	if got := testing.AllocsPerRun(100, func() { v.BytesView() }); got != 0 {
 		t.Errorf("BytesView allocates %.1f per run, want 0", got)
@@ -77,7 +88,7 @@ func nestedMessage(extra int) *Message {
 		{Label: "port", Value: Int(5431)},
 	}})
 	for i := 0; i < extra; i++ {
-		m.AddPrimitive("filler"+string(rune('A'+i)), "String", Str("x"))
+		m.AddPrimitive("filler"+string(rune('A'+i)), Str("x"))
 	}
 	return m
 }
@@ -128,9 +139,9 @@ func TestPathMatchesPathParts(t *testing.T) {
 func TestAddReplacesInPlaceAcrossIndexForms(t *testing.T) {
 	for _, extra := range []int{0, 12} {
 		m := nestedMessage(extra)
-		m.AddPrimitive("ST", "String", Str("urn:a"))
+		m.AddPrimitive("ST", Str("urn:a"))
 		before := m.Len()
-		m.AddPrimitive("ST", "String", Str("urn:b"))
+		m.AddPrimitive("ST", Str("urn:b"))
 		if m.Len() != before {
 			t.Fatalf("extra=%d: replace grew the message", extra)
 		}
@@ -153,7 +164,7 @@ func TestAddReplacesInPlaceAcrossIndexForms(t *testing.T) {
 
 func TestPooledMessageReuse(t *testing.T) {
 	m := NewPooled("SLP", "SLPSrvRequest")
-	m.AddPrimitive("XID", "Integer", Int(42))
+	m.AddPrimitive("XID", Int(42))
 	m.Add(&Field{Label: "URL", Children: []*Field{{Label: "port", Value: Int(1)}}})
 	m.Release()
 	m2 := NewPooled("SSDP", "SSDPMSearch")
@@ -166,19 +177,28 @@ func TestPooledMessageReuse(t *testing.T) {
 	m2.Release()
 }
 
-func TestFieldCloneCopiesBytesOnce(t *testing.T) {
-	f := &Field{Label: "Body", Value: Bytes([]byte{1, 2, 3})}
+// Values are immutable, so a clone shares a bytes value's string the
+// way it shares a string value's: the Field is the one allocation.
+func TestFieldCloneSharesBytes(t *testing.T) {
+	f := &Field{Label: "Body", Value: Bytes("\x01\x02\x03")}
 	cp := f.Clone()
 	if !cp.Equal(f) {
 		t.Fatal("clone differs")
 	}
 	ov, _ := f.Value.BytesView()
 	cv, _ := cp.Value.BytesView()
-	if &ov[0] == &cv[0] {
-		t.Error("clone aliases the original's bytes")
+	if unsafe.StringData(ov) != unsafe.StringData(cv) {
+		t.Error("clone copied the original's bytes")
 	}
-	// One Field + one backing array: the historical double copy is gone.
-	if got := testing.AllocsPerRun(100, func() { f.Clone() }); got > 2 {
-		t.Errorf("bytes clone allocates %.1f per run, want <= 2", got)
+	if got := testing.AllocsPerRun(100, func() { f.Clone().Release() }); got > 0 {
+		t.Errorf("bytes clone allocates %.1f per run beyond the pooled Field, want 0", got)
+	}
+}
+
+// A field is a label and a value: its MDL type, width and mandatory flag
+// are its definition's, so a field fits Go's 80-byte size class.
+func TestFieldSize(t *testing.T) {
+	if got := unsafe.Sizeof(Field{}); got > 80 {
+		t.Errorf("unsafe.Sizeof(Field{}) = %d, want <= 80", got)
 	}
 }

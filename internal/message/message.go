@@ -1,8 +1,10 @@
 // Package message implements Starlink's abstract message representation
 // (paper §III-A). A network message, once parsed, becomes a protocol
-// independent tree of labelled, typed fields. Primitive fields carry a
-// value; structured fields carry child primitive fields (for example a
-// URL field splits into protocol, address, port and resource).
+// independent tree of labelled fields. Primitive fields carry a value;
+// structured fields carry child primitive fields (for example a URL
+// field splits into protocol, address, port and resource). A field's
+// type, width and mandatory flag are facts of its MDL definition, not
+// of the message: a field holds only what the wire said.
 //
 // Abstract messages are the interface between the Starlink framework and
 // the underlying network messages: parsers produce them, the automata
@@ -16,17 +18,18 @@
 //   - Every field the data path builds comes from the pool (NewField),
 //     and so does every message (NewPooled); both return to it through
 //     Release. Release is strictly owner-driven: whoever holds the last
-//     reference to a tree calls it exactly once, after which every node,
-//     value and BytesView aliasing it is invalid. Trees built with New /
-//     plain literals (tests) may be mixed in freely — Release feeds every
-//     node back to the pools regardless of origin.
+//     reference to a tree calls it exactly once, after which every node
+//     is invalid. Trees built with New / plain literals (tests) may be
+//     mixed in freely — Release feeds every node back to the pools
+//     regardless of origin.
 //   - A message definition has one Layout, fixed when its model loads. A
 //     message bound to it (SetLayout) keeps a slot→position array, so
 //     parsers and composers address fields by slot (At, SetAt) and never
 //     look a label up. The label API (Field, Path, SetPath, Add, Swap)
 //     is a view over the same fields, kept in insertion order.
-//   - Value.BytesView and Value.AppendText are the non-copying siblings
-//     of AsBytes and Text, for callers that only read transiently.
+//   - A value that is not a number is a string: a parsed one is a
+//     substring of the received message's one copy, bytes included, so
+//     reading it (AsString, BytesView, AppendText) never copies.
 //   - Path and SetPath split dotted paths ("LOCATION.port") at most
 //     once and delegate to PathParts/SetPathParts; callers resolving the
 //     same path repeatedly can pre-split it with SplitPath and use the
@@ -34,7 +37,6 @@
 package message
 
 import (
-	"encoding/hex"
 	"slices"
 	"sort"
 	"strconv"
@@ -71,13 +73,12 @@ func (k Kind) String() string {
 }
 
 // Value is the content of a primitive field. The zero Value is invalid.
-// Values are immutable once created. A boolean is held in i, 1 or 0, so
-// that a Field fits the 128-byte size class.
+// Values are immutable once created. A number (an integer, or a boolean
+// as 1 or 0) is held in i; a string or a byte string in s.
 type Value struct {
 	kind Kind
 	i    int64
 	s    string
-	b    []byte
 }
 
 // Int returns a Value holding an integer.
@@ -86,13 +87,8 @@ func Int(v int64) Value { return Value{kind: KindInt, i: v} }
 // Str returns a Value holding a string.
 func Str(v string) Value { return Value{kind: KindString, s: v} }
 
-// Bytes returns a Value holding a byte slice. The slice is copied so the
-// Value cannot alias caller-owned memory.
-func Bytes(v []byte) Value {
-	cp := make([]byte, len(v))
-	copy(cp, v)
-	return Value{kind: KindBytes, b: cp}
-}
+// Bytes returns a Value holding the byte string v.
+func Bytes(v string) Value { return Value{kind: KindBytes, s: v} }
 
 // Bool returns a Value holding a boolean.
 func Bool(v bool) Value {
@@ -119,21 +115,12 @@ func (v Value) AsBytes() ([]byte, bool) {
 	if v.kind != KindBytes {
 		return nil, false
 	}
-	cp := make([]byte, len(v.b))
-	copy(cp, v.b)
-	return cp, true
+	return []byte(v.s), true
 }
 
-// BytesView returns the bytes content without copying; ok is false if
-// the kind differs. The returned slice aliases the Value's backing
-// store: it must not be mutated, and it is invalid once the owning
-// message is Released. Use AsBytes when the bytes outlive the message.
-func (v Value) BytesView() ([]byte, bool) {
-	if v.kind != KindBytes {
-		return nil, false
-	}
-	return v.b, true
-}
+// BytesView returns the bytes content as the string that holds it,
+// without copying; ok is false if the kind differs.
+func (v Value) BytesView() (string, bool) { return v.s, v.kind == KindBytes }
 
 // AsBool returns the boolean content; ok is false if the kind differs.
 func (v Value) AsBool() (bool, bool) { return v.i != 0, v.kind == KindBool }
@@ -148,7 +135,7 @@ func (v Value) Text() string {
 	case KindString:
 		return v.s
 	case KindBytes:
-		return hex.EncodeToString(v.b)
+		return string(appendHex(make([]byte, 0, 2*len(v.s)), v.s))
 	case KindBool:
 		if v.i != 0 {
 			return "true"
@@ -169,7 +156,7 @@ func (v Value) AppendText(dst []byte) []byte {
 	case KindString:
 		return append(dst, v.s...)
 	case KindBytes:
-		return hex.AppendEncode(dst, v.b)
+		return appendHex(dst, v.s)
 	case KindBool:
 		if v.i != 0 {
 			return append(dst, "true"...)
@@ -180,6 +167,15 @@ func (v Value) AppendText(dst []byte) []byte {
 	}
 }
 
+// appendHex appends the lower-case hex encoding of s to dst.
+func appendHex(dst []byte, s string) []byte {
+	const digits = "0123456789abcdef"
+	for i := 0; i < len(s); i++ {
+		dst = append(dst, digits[s[i]>>4], digits[s[i]&0x0f])
+	}
+	return dst
+}
+
 // Equal reports deep equality of two values.
 func (v Value) Equal(o Value) bool {
 	if v.kind != o.kind {
@@ -188,28 +184,20 @@ func (v Value) Equal(o Value) bool {
 	switch v.kind {
 	case KindInt, KindBool:
 		return v.i == o.i
-	case KindString:
+	case KindString, KindBytes:
 		return v.s == o.s
-	case KindBytes:
-		return string(v.b) == string(o.b)
 	default:
 		return true
 	}
 }
 
 // Field is one field of an abstract message (paper §III-A). A primitive
-// field has Label, Type, Length (in bits; 0 when variable) and Value. A
-// structured field has non-nil Children and no Value of its own.
+// field has a Label and a Value; a structured field has non-nil
+// Children and no Value of its own. The field's MDL type, wire width
+// and mandatory flag are its definition's (mdl.Entry, mdl.MessageDef).
 type Field struct {
 	// Label names the field, e.g. "XID" or "ST".
 	Label string
-	// Type is the MDL type name of the content, e.g. "Integer" or "URL".
-	Type string
-	// Length is the wire length of the field in bits; 0 means variable.
-	Length int
-	// Mandatory marks fields that participate in the semantic
-	// equivalence operator |= (paper eq. 1, Mfields).
-	Mandatory bool
 	// Value is the content of a primitive field.
 	Value Value
 	// Children are the sub-fields of a structured field. A field with a
@@ -250,11 +238,7 @@ func (f *Field) Child(label string) (*Field, bool) {
 // Clone returns a deep copy of the field.
 func (f *Field) Clone() *Field {
 	cp := NewField()
-	cp.Label, cp.Type, cp.Length, cp.Mandatory, cp.Value = f.Label, f.Type, f.Length, f.Mandatory, f.Value
-	if f.Value.kind == KindBytes {
-		// One copy of the backing bytes so the clone cannot alias f.
-		cp.Value = Bytes(f.Value.b)
-	}
+	cp.Label, cp.Value = f.Label, f.Value
 	if f.Children != nil {
 		cp.Children = make([]*Field, len(f.Children))
 		for i, c := range f.Children {
@@ -266,7 +250,7 @@ func (f *Field) Clone() *Field {
 
 // Equal reports deep equality of two fields.
 func (f *Field) Equal(o *Field) bool {
-	if f.Label != o.Label || f.Type != o.Type || f.Length != o.Length || f.Mandatory != o.Mandatory {
+	if f.Label != o.Label {
 		return false
 	}
 	if (f.Children == nil) != (o.Children == nil) {
@@ -345,9 +329,9 @@ func NewPooled(protocol, name string) *Message {
 }
 
 // Release returns the message and every field in it to the pools. The
-// caller must hold the last reference: after Release the message, its
-// fields, and any BytesView obtained from them are invalid. Safe to
-// call on messages built with New as well — their nodes feed the pools.
+// caller must hold the last reference: after Release the message and
+// its fields are invalid. Safe to call on messages built with New as
+// well — their nodes feed the pools.
 func (m *Message) Release() {
 	for _, f := range m.fields {
 		f.Release()
@@ -431,9 +415,9 @@ func (m *Message) Swap(f *Field) *Field {
 }
 
 // AddPrimitive adds a pooled primitive field and returns it.
-func (m *Message) AddPrimitive(label, typ string, v Value) *Field {
+func (m *Message) AddPrimitive(label string, v Value) *Field {
 	f := NewField()
-	f.Label, f.Type, f.Value = label, typ, v
+	f.Label, f.Value = label, v
 	m.Add(f)
 	return f
 }
@@ -487,7 +471,7 @@ func (m *Message) PathParts(parts []string) (*Field, bool) {
 }
 
 // SetPath assigns a value to the (possibly nested) primitive field at
-// path, creating missing components as untyped primitives.
+// path, creating missing components as primitives.
 func (m *Message) SetPath(path string, v Value) *Field {
 	if !strings.Contains(path, ".") {
 		return m.setTop(path, v)
@@ -529,18 +513,6 @@ func (m *Message) SetPathParts(parts []string, v Value) *Field {
 	}
 	f.Value = v
 	return f
-}
-
-// MandatoryFields returns the labels of mandatory top-level fields —
-// Mfields(n) in the paper's equivalence operator (eq. 1).
-func (m *Message) MandatoryFields() []string {
-	var out []string
-	for _, f := range m.fields {
-		if f.Mandatory {
-			out = append(out, f.Label)
-		}
-	}
-	return out
 }
 
 // Clone returns a deep copy of the message.

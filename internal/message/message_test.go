@@ -15,7 +15,7 @@ func TestValueKinds(t *testing.T) {
 		{"int", Int(42), KindInt, "42"},
 		{"negative int", Int(-7), KindInt, "-7"},
 		{"string", Str("hello"), KindString, "hello"},
-		{"bytes", Bytes([]byte{0xde, 0xad}), KindBytes, "dead"},
+		{"bytes", Bytes("\xde\xad"), KindBytes, "dead"},
 		{"bool true", Bool(true), KindBool, "true"},
 		{"bool false", Bool(false), KindBool, "false"},
 	}
@@ -57,7 +57,7 @@ func TestValueAccessors(t *testing.T) {
 	if s, ok := Str("x").AsString(); !ok || s != "x" {
 		t.Errorf("AsString = %q,%v", s, ok)
 	}
-	if b, ok := Bytes([]byte{1, 2}).AsBytes(); !ok || len(b) != 2 {
+	if b, ok := Bytes("\x01\x02").AsBytes(); !ok || len(b) != 2 {
 		t.Errorf("AsBytes = %v,%v", b, ok)
 	}
 	if v, ok := Bool(true).AsBool(); !ok || !v {
@@ -67,11 +67,11 @@ func TestValueAccessors(t *testing.T) {
 
 func TestBytesValueIsCopied(t *testing.T) {
 	src := []byte{1, 2, 3}
-	v := Bytes(src)
+	v := Bytes(string(src))
 	src[0] = 99
 	got, _ := v.AsBytes()
 	if got[0] != 1 {
-		t.Fatal("Bytes() must copy its input")
+		t.Fatal("a bytes value must not see its source change")
 	}
 	got[1] = 99
 	again, _ := v.AsBytes()
@@ -89,8 +89,9 @@ func TestValueEqual(t *testing.T) {
 		{Int(1), Int(2), false},
 		{Int(1), Str("1"), false},
 		{Str("a"), Str("a"), true},
-		{Bytes([]byte{1}), Bytes([]byte{1}), true},
-		{Bytes([]byte{1}), Bytes([]byte{2}), false},
+		{Bytes("\x01"), Bytes("\x01"), true},
+		{Bytes("\x01"), Bytes("\x02"), false},
+		{Bytes("a"), Str("a"), false},
 		{Bool(true), Bool(true), true},
 		{Bool(true), Bool(false), false},
 		{Value{}, Value{}, true},
@@ -104,8 +105,8 @@ func TestValueEqual(t *testing.T) {
 
 func TestMessageAddAndField(t *testing.T) {
 	m := New("SLP", "SLPSrvRequest")
-	m.AddPrimitive("XID", "Integer", Int(77))
-	m.AddPrimitive("SRVType", "String", Str("printer"))
+	m.AddPrimitive("XID", Int(77))
+	m.AddPrimitive("SRVType", Str("printer"))
 
 	if m.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", m.Len())
@@ -124,9 +125,9 @@ func TestMessageAddAndField(t *testing.T) {
 
 func TestMessageAddReplacesSameLabel(t *testing.T) {
 	m := New("P", "M")
-	m.AddPrimitive("A", "Integer", Int(1))
-	m.AddPrimitive("B", "Integer", Int(2))
-	m.AddPrimitive("A", "Integer", Int(3))
+	m.AddPrimitive("A", Int(1))
+	m.AddPrimitive("B", Int(2))
+	m.AddPrimitive("A", Int(3))
 	if m.Len() != 2 {
 		t.Fatalf("Len = %d, want 2 after replace", m.Len())
 	}
@@ -142,11 +143,11 @@ func TestMessageAddReplacesSameLabel(t *testing.T) {
 
 func TestStructuredFieldPath(t *testing.T) {
 	m := New("SSDP", "SSDPResponse")
-	loc := &Field{Label: "LOCATION", Type: "URL", Children: []*Field{
-		{Label: "protocol", Type: "String", Value: Str("http")},
-		{Label: "address", Type: "String", Value: Str("10.0.0.2")},
-		{Label: "port", Type: "Integer", Value: Int(5431)},
-		{Label: "resource", Type: "String", Value: Str("/desc.xml")},
+	loc := &Field{Label: "LOCATION", Children: []*Field{
+		{Label: "protocol", Value: Str("http")},
+		{Label: "address", Value: Str("10.0.0.2")},
+		{Label: "port", Value: Int(5431)},
+		{Label: "resource", Value: Str("/desc.xml")},
 	}}
 	m.Add(loc)
 
@@ -186,20 +187,9 @@ func TestSetPathCreatesNested(t *testing.T) {
 	}
 }
 
-func TestMandatoryFields(t *testing.T) {
-	m := New("SLP", "SLPSrvReply")
-	m.Add(&Field{Label: "URL", Type: "String", Mandatory: true, Value: Str("service:x")})
-	m.Add(&Field{Label: "XID", Type: "Integer", Mandatory: true, Value: Int(1)})
-	m.Add(&Field{Label: "LangTag", Type: "String", Value: Str("en")})
-	got := m.MandatoryFields()
-	if len(got) != 2 || got[0] != "URL" || got[1] != "XID" {
-		t.Fatalf("MandatoryFields = %v", got)
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	m := New("P", "M")
-	m.AddPrimitive("A", "Integer", Int(1))
+	m.AddPrimitive("A", Int(1))
 	m.Add(&Field{Label: "S", Children: []*Field{{Label: "x", Value: Str("v")}}})
 	cp := m.Clone()
 	if !m.Equal(cp) {
@@ -216,18 +206,18 @@ func TestCloneIsDeep(t *testing.T) {
 
 func TestMessageEqual(t *testing.T) {
 	a := New("P", "M")
-	a.AddPrimitive("A", "Integer", Int(1))
+	a.AddPrimitive("A", Int(1))
 	b := New("P", "M")
-	b.AddPrimitive("A", "Integer", Int(1))
+	b.AddPrimitive("A", Int(1))
 	if !a.Equal(b) {
 		t.Fatal("equal messages reported unequal")
 	}
-	b.AddPrimitive("B", "Integer", Int(2))
+	b.AddPrimitive("B", Int(2))
 	if a.Equal(b) {
 		t.Fatal("different lengths reported equal")
 	}
 	c := New("P", "Other")
-	c.AddPrimitive("A", "Integer", Int(1))
+	c.AddPrimitive("A", Int(1))
 	if a.Equal(c) {
 		t.Fatal("different names reported equal")
 	}
@@ -235,7 +225,7 @@ func TestMessageEqual(t *testing.T) {
 
 func TestStringRendering(t *testing.T) {
 	m := New("SLP", "Req")
-	m.AddPrimitive("XID", "Integer", Int(5))
+	m.AddPrimitive("XID", Int(5))
 	m.Add(&Field{Label: "U", Children: []*Field{{Label: "p", Value: Int(80)}}})
 	got := m.String()
 	want := "SLP/Req{XID=5, U[p=80]}"
@@ -246,8 +236,8 @@ func TestStringRendering(t *testing.T) {
 
 func TestLabelsSorted(t *testing.T) {
 	m := New("P", "M")
-	m.AddPrimitive("Z", "Integer", Int(1))
-	m.AddPrimitive("A", "Integer", Int(2))
+	m.AddPrimitive("Z", Int(1))
+	m.AddPrimitive("A", Int(2))
 	got := m.Labels()
 	if len(got) != 2 || got[0] != "A" || got[1] != "Z" {
 		t.Fatalf("Labels = %v", got)
@@ -269,7 +259,7 @@ func TestQuickCloneEqual(t *testing.T) {
 			} else {
 				v = Str(l)
 			}
-			m.AddPrimitive(l, "T", v)
+			m.AddPrimitive(l, v)
 		}
 		return m.Equal(m.Clone())
 	}

@@ -9,6 +9,8 @@ import (
 	"slices"
 	"testing"
 
+	"starlink/internal/mdl"
+	"starlink/internal/parser"
 	"starlink/internal/types"
 )
 
@@ -32,7 +34,7 @@ func TestAppendComposeAllocs(t *testing.T) {
 				if !f.IsStructured() {
 					continue
 				}
-				sm, err := reg.Lookup(f.Type)
+				sm, err := reg.Lookup(cd.c.Spec().TypeOf(f.Label).TypeName)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -55,6 +57,8 @@ func TestAppendComposeAllocs(t *testing.T) {
 // bridges receive, as the legacy stacks' own Marshal writes them, cost
 // the copy plus, for a DNS answer, its FQDN rebuilt as a dotted name
 // and, for an SSDP response, what net/url allocates to explode LOCATION.
+// A Bytes field and a raw body are substrings like a string: a message
+// of each costs the copy alone.
 func TestParseAllocs(t *testing.T) {
 	codecs := shippedCodecs(t)
 	seeds := roundTripSeeds(t, codecs)
@@ -70,18 +74,91 @@ func TestParseAllocs(t *testing.T) {
 		{"http", 1, "HTTPOk", 1},
 	} {
 		i := slices.IndexFunc(codecs, func(c codec) bool { return c.name == tc.codec })
-		p, wire := codecs[i].p, seeds[tc.codec][tc.seed]
-		m, err := p.Parse(wire)
-		if err != nil || m.Name != tc.msg {
-			t.Fatalf("%s: parsed %v, %v; want %s", tc.codec, m, err, tc.msg)
+		checkParseAllocs(t, codecs[i].p, seeds[tc.codec][tc.seed], tc.msg, tc.max)
+	}
+	for _, tc := range []struct {
+		mdl   string
+		wire  string
+		msg   string
+		field string // a Bytes field holding "abc"
+	}{
+		{blobMDL, "\x01\xde\xad\xbe\xef\x00\x03abc", "BLOBData", "Data"},
+		{rawMDL, "PUT /x RAW/1\r\nContent-Length: 3\r\n\r\nabc", "RAWPut", "Body"},
+	} {
+		spec, err := mdl.ParseXMLString(tc.mdl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := parser.New(spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := p.Parse([]byte(tc.wire))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f, ok := m.Field(tc.field); !ok || f.Value.Text() != "616263" {
+			t.Fatalf("%s: %s = %v, want the bytes abc", tc.msg, tc.field, f)
 		}
 		m.Release()
-		got := testing.AllocsPerRun(200, func() {
-			m, _ := p.Parse(wire)
-			m.Release()
-		})
-		if got > tc.max {
-			t.Errorf("Parse(%s) allocates %.1f, want at most %.0f", tc.msg, got, tc.max)
-		}
+		checkParseAllocs(t, p, []byte(tc.wire), tc.msg, 1)
+	}
+}
+
+// blobMDL's message carries a fixed-width and a sized Bytes field.
+const blobMDL = `
+<MDL protocol="BLOB" dialect="binary">
+ <Types>
+  <Kind>Integer</Kind>
+  <Tag>Bytes</Tag>
+  <DataLen>Integer</DataLen>
+  <Data>Bytes</Data>
+ </Types>
+ <Header type="BLOB">
+  <Kind>8</Kind>
+ </Header>
+ <Message type="BLOBData">
+  <Rule>Kind=1</Rule>
+  <Tag>32</Tag>
+  <DataLen>16</DataLen>
+  <Data>DataLen</Data>
+ </Message>
+</MDL>`
+
+// rawMDL's message carries a raw body.
+const rawMDL = `
+<MDL protocol="RAW" dialect="text">
+ <Types>
+  <Method>String</Method>
+  <URI>String</URI>
+  <Version>String</Version>
+  <Content-Length>Integer</Content-Length>
+ </Types>
+ <Header type="RAW">
+  <Method>32</Method>
+  <URI>32</URI>
+  <Version>13,10</Version>
+  <Fields>13,10:58</Fields>
+ </Header>
+ <Message type="RAWPut" body="raw">
+  <Rule>Method=PUT</Rule>
+ </Message>
+</MDL>`
+
+// checkParseAllocs parses wire as msg and holds a parse to max
+// allocations.
+func checkParseAllocs(t *testing.T, p *parser.Parser, wire []byte, msg string, max float64) {
+	t.Helper()
+	m, err := p.Parse(wire)
+	if err != nil || m.Name != msg {
+		t.Fatalf("parsed %v, %v; want %s", m, err, msg)
+	}
+	m.Release()
+	got := testing.AllocsPerRun(200, func() {
+		m, _ := p.Parse(wire)
+		m.Release()
+	})
+	if got > max {
+		t.Errorf("Parse(%s) allocates %.1f, want at most %.0f", msg, got, max)
 	}
 }

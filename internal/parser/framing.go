@@ -16,10 +16,9 @@ type Framer struct {
 	spec *mdl.Spec
 	// binary: bit offset and width of the total-length header field,
 	// and the byte length of the fixed header prefix needed to read it.
-	lenBitOff   int
-	lenBits     int
-	minBytes    int
-	hasLenField bool
+	lenBitOff int
+	lenBits   int
+	minBytes  int
 }
 
 // NewFramer builds a framer for the spec. Binary specs must declare a
@@ -41,7 +40,6 @@ func NewFramer(spec *mdl.Spec) (*Framer, error) {
 			f.lenBitOff = off
 			f.lenBits = fd.SizeBits
 			f.minBytes = (off + fd.SizeBits + 7) / 8
-			f.hasLenField = true
 			return f, nil
 		}
 		if fd.SizeBits <= 0 {

@@ -22,9 +22,9 @@ import (
 // message's pool lifetime: the message's Release recycles it.
 //
 //starlink:returns-pooled
-func newField(label, typ string, length int, v message.Value) *message.Field {
+func newField(label string, v message.Value) *message.Field {
 	f := message.NewField()
-	f.Label, f.Type, f.Length, f.Value = label, typ, length, v
+	f.Label, f.Value = label, v
 	return f
 }
 
@@ -328,7 +328,6 @@ func (p *Parser) parseBinary(data []byte) (*message.Message, error) {
 		msg.Release()
 		return nil, fmt.Errorf("parser: %s %s body: %w", p.spec.Protocol, pl.Def.Name, err)
 	}
-	markMandatory(msg, pl.Def)
 	return msg, nil
 }
 
@@ -360,10 +359,10 @@ func parseBinaryFields(r *bitio.Reader, w *wire, entries []*mdl.Entry, msg *mess
 				return fmt.Errorf("group %q count %d out of range", def.Label, n)
 			}
 			group := message.NewField()
-			group.Label, group.Type, group.Children = def.Label, "Group", []*message.Field{}
+			group.Label, group.Children = def.Label, []*message.Field{}
 			for i := int64(0); i < n; i++ {
 				item := message.NewField()
-				item.Label, item.Type, item.Children = strconv.FormatInt(i, 10), "GroupItem", []*message.Field{}
+				item.Label, item.Children = strconv.FormatInt(i, 10), []*message.Field{}
 				if err := parseBinaryFields(r, w, e.Group, msg, item); err != nil {
 					// Neither the partial item nor the group (with the
 					// items parsed so far) ever reaches the message;
@@ -422,7 +421,7 @@ func parseBinaryFields(r *bitio.Reader, w *wire, entries []*mdl.Entry, msg *mess
 			if serr := r.Skip(n * 8); serr != nil {
 				return fmt.Errorf("field %q: %w", def.Label, serr)
 			}
-			f = newField(def.Label, e.Type.TypeName, 0, message.Str(name))
+			f = newField(def.Label, message.Str(name))
 		}
 		if err != nil {
 			return err
@@ -446,7 +445,7 @@ func parseFixed(r *bitio.Reader, w *wire, e *mdl.Entry) (*message.Field, error) 
 		if e.Kind == message.KindBool {
 			val = message.Bool(v != 0)
 		}
-		return newField(e.Label, e.Type.TypeName, bits, val), nil
+		return newField(e.Label, val), nil
 	}
 	if bits%8 != 0 {
 		return nil, fmt.Errorf("field %q: non-integer type with unaligned width %d", e.Label, bits)
@@ -467,14 +466,14 @@ func unmarshal(e *mdl.Entry, src string, bits int) (*message.Field, error) {
 	if err != nil {
 		return nil, fmt.Errorf("field %q: %w", e.Label, err)
 	}
-	return build(e, e.Label, bits, v)
+	return build(e, e.Label, v)
 }
 
 // build makes the pooled field holding v, exploding a structured type.
 //
 //starlink:returns-pooled
-func build(e *mdl.Entry, label string, bits int, v message.Value) (*message.Field, error) {
-	f := newField(label, e.Type.TypeName, bits, v)
+func build(e *mdl.Entry, label string, v message.Value) (*message.Field, error) {
+	f := newField(label, v)
 	if sm, ok := e.M.(types.StructuredMarshaller); ok {
 		children, err := sm.Explode(v)
 		if err != nil {
@@ -525,7 +524,7 @@ func (p *Parser) parseText(data []byte) (*message.Message, error) {
 	}
 	switch pl.Def.Body {
 	case mdl.BodyRaw:
-		msg.Add(newField("Body", "Bytes", 0, message.Bytes(rest)))
+		msg.Add(newField("Body", message.Bytes(w.of(rest))))
 	case mdl.BodyXML:
 		// The leaves and Body are substrings of the copy; the composer
 		// writes a String body back verbatim.
@@ -534,12 +533,11 @@ func (p *Parser) parseText(data []byte) (*message.Message, error) {
 			msg.Release()
 			return nil, fmt.Errorf("parser: %s xml body: %w", p.spec.Protocol, err)
 		}
-		msg.Add(newField("Body", "String", 0, message.Str(text)))
+		msg.Add(newField("Body", message.Str(text)))
 	case mdl.BodyNone:
 		// Trailing bytes after the blank line are ignored (some stacks
 		// pad datagrams).
 	}
-	markMandatory(msg, pl.Def)
 	return msg, nil
 }
 
@@ -621,7 +619,7 @@ func textField(e *mdl.Entry, label string, token []byte, w *wire) (*message.Fiel
 			return nil, fmt.Errorf("field %q: %w", label, err)
 		}
 	}
-	return build(e, label, 0, v)
+	return build(e, label, v)
 }
 
 // errNotInteger is parseIntBytes' one error: a value, so that Classify
@@ -681,12 +679,4 @@ func truncate(b []byte) string {
 		return string(b[:48]) + "..."
 	}
 	return string(b)
-}
-
-func markMandatory(msg *message.Message, def *mdl.MessageDef) {
-	for _, l := range def.Mandatory {
-		if f, ok := msg.Field(l); ok {
-			f.Mandatory = true
-		}
-	}
 }

@@ -104,10 +104,6 @@ func TestParseSLPRequest(t *testing.T) {
 	if f, _ := msg.Field("LangTag"); mustStr(t, f) != "en" {
 		t.Errorf("LangTag = %q", mustStr(t, f))
 	}
-	f, _ := msg.Field("SRVType")
-	if !f.Mandatory {
-		t.Error("SRVType should be mandatory")
-	}
 	if f, _ := msg.Field("MessageLength"); mustInt(t, f) != int64(len(wire)) {
 		t.Errorf("MessageLength = %d, wire = %d", mustInt(t, f), len(wire))
 	}

@@ -267,7 +267,7 @@ func scanXMLLeaves(body []byte, s string, msg *message.Message) (bool, error) {
 		case valueBuilt:
 			v = string(bytes.TrimSpace(scratch[lf.value.start:lf.value.end]))
 		}
-		msg.Add(newField(label, "String", 0, message.Str(v)))
+		msg.Add(newField(label, message.Str(v)))
 	}
 	return true, nil
 }

@@ -155,7 +155,7 @@ func decodeXMLLeaves(body []byte, msg *message.Message) error {
 					if msg.Len() >= maxTextFields {
 						return errTooManyFields
 					}
-					msg.Add(newField(label, "String", 0, message.Str(strings.TrimSpace(top.text.String()))))
+					msg.Add(newField(label, message.Str(strings.TrimSpace(top.text.String()))))
 				}
 			}
 		}
@@ -172,7 +172,7 @@ func checkXMLBody(t testing.TB, body []byte) (ok bool) {
 	t.Helper()
 	fresh := func() *message.Message {
 		m := message.New("HTTP", "HTTPOk")
-		m.AddPrimitive(headerLabel, "String", message.Str("from header"))
+		m.AddPrimitive(headerLabel, message.Str("from header"))
 		return m
 	}
 	trimmed := bytes.TrimSpace(body)
@@ -251,7 +251,7 @@ func TestXMLBodyScannerMatchesDecoder(t *testing.T) {
 // scanner and its oracle cannot drift together.
 func TestXMLBodyFlatteningContract(t *testing.T) {
 	msg := message.New("HTTP", "HTTPOk")
-	msg.AddPrimitive(headerLabel, "String", message.Str("from header"))
+	msg.AddPrimitive(headerLabel, message.Str("from header"))
 	body := "<?xml version=\"1.0\"?>\r\n<root>ignored\r\n" +
 		" <Server>from body</Server>\r\n" +
 		" <u:URLBase xmlns:u=\"urn:x\"> http://h/?a=1&amp;b=2 </u:URLBase>\r\n" +
@@ -272,8 +272,8 @@ func TestXMLBodyFlatteningContract(t *testing.T) {
 		t.Fatalf("fields = %s", msg)
 	}
 	for i, f := range msg.Fields() {
-		if v, _ := f.Value.AsString(); f.Label != want[i][0] || v != want[i][1] || f.Type != "String" {
-			t.Errorf("field %d = %s %q %q, want %q %q", i, f.Type, f.Label, v, want[i][0], want[i][1])
+		if v, ok := f.Value.AsString(); f.Label != want[i][0] || v != want[i][1] || !ok {
+			t.Errorf("field %d = %q %s, want %q %q", i, f.Label, f.Value.Kind(), want[i][0], want[i][1])
 		}
 	}
 }

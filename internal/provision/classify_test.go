@@ -215,10 +215,10 @@ func sharedListener(tb testing.TB, proto string) (*listener, *registry.Registry)
 func slpRequest(tb testing.TB, reg *registry.Registry) []byte {
 	tb.Helper()
 	req := message.New("SLP", "SLPSrvRequest")
-	req.AddPrimitive("Version", "Integer", message.Int(2))
-	req.AddPrimitive("XID", "Integer", message.Int(42))
-	req.AddPrimitive("LangTag", "String", message.Str("en"))
-	req.AddPrimitive("SRVType", "String", message.Str("service:printer"))
+	req.AddPrimitive("Version", message.Int(2))
+	req.AddPrimitive("XID", message.Int(42))
+	req.AddPrimitive("LangTag", message.Str("en"))
+	req.AddPrimitive("SRVType", message.Str("service:printer"))
 	return composeSample(tb, reg, req)
 }
 

@@ -172,11 +172,10 @@ type entryPoint struct {
 	initMsg   string
 }
 
-// listener is one shared entry listener: a bound color plus the entry
-// points of every case currently listening on it, sorted by case name
-// so classification ties break deterministically.
+// listener is one shared entry listener: a bound color's closer plus
+// the entry points of every case currently listening on it, sorted by
+// case name so classification ties break deterministically.
 type listener struct {
-	color  automata.Color
 	closer netapi.Closer
 	points []entryPoint
 }
@@ -515,7 +514,7 @@ func (d *Dispatcher) rebindLocked() ([]netapi.Closer, error) {
 		if _, ok := d.listeners[key]; ok {
 			continue
 		}
-		l := &listener{color: s.color, points: s.points}
+		l := &listener{points: s.points}
 		// A color carries one protocol's network semantics, so every
 		// candidate shares the framer; take it from the first.
 		framer := s.points[0].dep.compiled.Codecs[s.points[0].proto].Framer

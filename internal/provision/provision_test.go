@@ -225,11 +225,11 @@ func slpUnicastLookup(t *testing.T, sim *simnet.Net, reg *registry.Registry, cli
 		t.Fatal(err)
 	}
 	req := message.New("SLP", "SLPSrvRequest")
-	req.AddPrimitive("Version", "Integer", message.Int(2))
-	req.AddPrimitive("FunctionID", "Integer", message.Int(1))
-	req.AddPrimitive("XID", "Integer", message.Int(7))
-	req.AddPrimitive("LangTag", "String", message.Str("en"))
-	req.AddPrimitive("SRVType", "String", message.Str("service:printer"))
+	req.AddPrimitive("Version", message.Int(2))
+	req.AddPrimitive("FunctionID", message.Int(1))
+	req.AddPrimitive("XID", message.Int(7))
+	req.AddPrimitive("LangTag", message.Str("en"))
+	req.AddPrimitive("SRVType", message.Str("service:printer"))
 	wire, err := comp.Compose(req)
 	if err != nil {
 		t.Fatal(err)

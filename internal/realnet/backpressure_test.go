@@ -1,6 +1,7 @@
 package realnet_test
 
 import (
+	"errors"
 	"net"
 	"os"
 	"runtime"
@@ -94,6 +95,80 @@ func TestStreamSendToPeerThatNeverReads(t *testing.T) {
 		t.Errorf("Send accepted %d bytes for a peer that reads nothing, want at most %d", got, bound)
 	}
 
+	peer.Close()
+	ln.Close()
+	node.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after Close, %d before", n, base)
+	}
+}
+
+// A Send blocked on a peer that never reads fails once it has waited the
+// write timeout, with an error wrapping os.ErrDeadlineExceeded; the
+// error latches, so the senders queued behind it fail at once rather
+// than each waiting its own timeout, and none is held until Close.
+func TestStreamSendTimesOutOnPeerThatNeverReads(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	defer realnet.SetIOTimeout(timeout)()
+	base := runtime.NumGoroutine()
+
+	ln, err := net.Listen("tcp4", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	peers := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			peers <- c
+		}
+	}()
+	rt := realnet.New()
+	node, _ := rt.NewNode("10.0.0.1")
+	defer node.Close()
+	conn, err := node.DialStream(netapi.Addr{IP: "127.0.0.1", Port: ln.Addr().(*net.TCPAddr).Port}, func(netapi.Conn, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := <-peers
+	defer peer.Close()
+
+	const senders, chunk = 8, 64 << 10
+	payload := make([]byte, chunk)
+	errs := make(chan error, senders)
+	waits := make(chan time.Duration, senders)
+	for i := 0; i < senders; i++ {
+		go func() {
+			for {
+				start := time.Now()
+				if err := conn.Send(payload); err != nil {
+					waits <- time.Since(start)
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	limit := time.After(senders * 2 * timeout)
+	for i := 0; i < senders; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Errorf("blocked Send returned %v, want an error wrapping os.ErrDeadlineExceeded", err)
+			}
+			if wait := <-waits; wait > 2*timeout {
+				t.Errorf("blocked Send returned after %v, want within %v", wait, 2*timeout)
+			}
+		case <-limit:
+			t.Fatalf("%d of %d senders still blocked on a peer that reads nothing", senders-i, senders)
+		}
+	}
+
+	conn.Close()
 	peer.Close()
 	ln.Close()
 	node.Close()

@@ -1,5 +1,7 @@
 package realnet
 
+import "time"
+
 // NewPortable creates a runtime whose UDP sockets read through the
 // portable receive primitive whatever the build carries, so one Linux
 // test binary can compare it against recvmmsg.
@@ -13,4 +15,13 @@ const RecvBatch = recvBatch
 func Batched() bool {
 	_, portable := newReceiver(&udpSocket{}).(*portableReceiver)
 	return !portable
+}
+
+// SetIOTimeout sets the dial and stream write timeout until the
+// returned function restores it; a test calling it must not run in
+// parallel with one that dials or sends.
+func SetIOTimeout(d time.Duration) (restore func()) {
+	old := ioTimeout
+	ioTimeout = d
+	return func() { ioTimeout = old }
 }

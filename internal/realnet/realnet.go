@@ -54,6 +54,12 @@ const recvBatch = 32
 // maxParkedPerDest bounds the dial-reuse pool per destination address.
 const maxParkedPerDest = 4
 
+// ioTimeout bounds a dial and each stream write. A peer that stops
+// reading fails the write waiting on it with os.ErrDeadlineExceeded
+// instead of holding the sender until Close; the error latches, so the
+// connection is never parked for reuse.
+var ioTimeout = 5 * time.Second
+
 // domain is one serial dispatch context: callbacks scheduled on a
 // domain never overlap. Handlers run holding mu; RunUntil locks every
 // node's root domain to evaluate its condition against quiesced state.
@@ -159,13 +165,10 @@ func (rt *Runtime) wake() {
 	}
 }
 
-// NewNode returns a host bound to 127.0.0.1. The requested IP is kept
-// as a label only; all real sockets live on loopback.
-func (rt *Runtime) NewNode(ip string) (netapi.Node, error) {
-	if ip == "" {
-		ip = "127.0.0.1"
-	}
-	n := &node{rt: rt, label: ip, owned: map[netapi.Closer]struct{}{}}
+// NewNode returns a host bound to 127.0.0.1 whatever IP is requested:
+// all real sockets live on loopback.
+func (rt *Runtime) NewNode(string) (netapi.Node, error) {
+	n := &node{rt: rt, owned: map[netapi.Closer]struct{}{}}
 	n.root = &domain{rt: rt, root: true}
 	rt.rootsMu.Lock()
 	rt.roots = append(rt.roots, n.root)
@@ -215,8 +218,7 @@ func (rt *Runtime) RunUntil(cond func() bool, timeout time.Duration) error {
 func (rt *Runtime) Run(d time.Duration) { time.Sleep(d) }
 
 type node struct {
-	rt    *Runtime
-	label string
+	rt *Runtime
 	// root is the node's default dispatch domain: every endpoint the
 	// node opens directly, and every timer it schedules, dispatches
 	// there.
@@ -812,7 +814,7 @@ func (n *node) DialStreamIn(m netapi.Mode, to netapi.Addr, recv netapi.StreamHan
 			return sc, nil
 		}
 	}
-	c, err := net.DialTimeout("tcp4", fmt.Sprintf("127.0.0.1:%d", to.Port), 5*time.Second)
+	c, err := net.DialTimeout("tcp4", fmt.Sprintf("127.0.0.1:%d", to.Port), ioTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("realnet: dial %s: %w", to, err)
 	}
@@ -848,7 +850,7 @@ func (rt *Runtime) removeParkedLocked(sc *streamConn) {
 // private-domain connections, so the claimant inherits a dispatch
 // domain used by this connection alone — never a node's root domain.
 // The pool is keyed by remote port: every realnet socket lives on
-// loopback, and node IPs are labels only.
+// loopback, and the IP a node was asked for is not kept.
 func (rt *Runtime) claimParked(to netapi.Addr, recv netapi.StreamHandler, owner *node) *streamConn {
 	for {
 		rt.stateMu.Lock()
@@ -1026,8 +1028,9 @@ func (sc *streamConn) RemoteAddr() netapi.Addr { return sc.remote }
 
 // Send transmits data in order. Concurrent senders take turns: each
 // holds the write lock across its write, so it returns once the kernel
-// has taken its bytes. A write error is returned to the sender that hit
-// it and latched for every later one.
+// has taken its bytes, or fails once it has waited ioTimeout for them.
+// A write error is returned to the sender that hit it and latched for
+// every later one.
 func (sc *streamConn) Send(data []byte) error {
 	sc.wmu.Lock()
 	defer sc.wmu.Unlock()
@@ -1038,7 +1041,11 @@ func (sc *streamConn) Send(data []byte) error {
 		return fmt.Errorf("realnet: %w", sc.werr)
 	}
 	netapi.CountStreamFlush(1)
-	if _, err := sc.c.Write(data); err != nil {
+	err := sc.c.SetWriteDeadline(time.Now().Add(ioTimeout))
+	if err == nil {
+		_, err = sc.c.Write(data)
+	}
+	if err != nil {
 		sc.werr = err
 		return fmt.Errorf("realnet: %w", err)
 	}

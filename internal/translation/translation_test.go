@@ -17,8 +17,8 @@ func srvTypePath() string { return "/field/primitiveField[label='SRVType']/value
 
 func storedSLPRequest() *message.Message {
 	m := message.New("SLP", "SLPSrvRequest")
-	m.AddPrimitive("SRVType", "String", message.Str("service:printer"))
-	m.AddPrimitive("XID", "Integer", message.Int(99))
+	m.AddPrimitive("SRVType", message.Str("service:printer"))
+	m.AddPrimitive("XID", message.Int(99))
 	return m
 }
 
@@ -80,7 +80,7 @@ func TestApplyWithTranslationFunction(t *testing.T) {
 	}}
 	funcs := NewFuncRegistry()
 	stored := message.New("mDNS", "DNSResponse")
-	stored.AddPrimitive("RDATA", "String", message.Str("printer._ipp.local"))
+	stored.AddPrimitive("RDATA", message.Str("printer._ipp.local"))
 	target := message.New("SLP", "SLPSrvReply")
 	env := Env{Lookup: func(name string) *message.Message { return stored }}
 	if err := logic.Apply(target, env, funcs); err != nil {

@@ -212,7 +212,7 @@ func (BytesMarshaller) AppendMarshal(dst []byte, v message.Value, bits int) ([]b
 
 // Unmarshal implements Marshaller.
 func (BytesMarshaller) Unmarshal(src string, bits int) (message.Value, error) {
-	return message.Bytes([]byte(src)), nil
+	return message.Bytes(src), nil
 }
 
 // BooleanMarshaller handles single-bit or single-byte booleans.
@@ -369,17 +369,17 @@ func (URLMarshaller) Explode(v message.Value) ([]*message.Field, error) {
 	}
 	// Pooled, so that the parent's Release recycles them.
 	return []*message.Field{
-		child("protocol", "String", message.Str(u.Scheme)),
-		child("address", "String", message.Str(u.Hostname())),
-		child("port", "Integer", message.Int(port)),
-		child("resource", "String", message.Str(resource)),
+		child("protocol", message.Str(u.Scheme)),
+		child("address", message.Str(u.Hostname())),
+		child("port", message.Int(port)),
+		child("resource", message.Str(resource)),
 	}, nil
 }
 
 // child returns a pooled primitive field.
-func child(label, typ string, v message.Value) *message.Field {
+func child(label string, v message.Value) *message.Field {
 	f := message.NewField()
-	f.Label, f.Type, f.Value = label, typ, v
+	f.Label, f.Value = label, v
 	return f
 }
 

@@ -104,11 +104,11 @@ func TestStringMarshal(t *testing.T) {
 
 func TestBytesMarshal(t *testing.T) {
 	m := BytesMarshaller{}
-	got, err := m.AppendMarshal(nil, message.Bytes([]byte{1, 2}), 16)
+	got, err := m.AppendMarshal(nil, message.Bytes("\x01\x02"), 16)
 	if err != nil || !bytes.Equal(got, []byte{1, 2}) {
 		t.Fatalf("got %v err %v", got, err)
 	}
-	if _, err := m.AppendMarshal(nil, message.Bytes([]byte{1}), 16); err == nil {
+	if _, err := m.AppendMarshal(nil, message.Bytes("\x01"), 16); err == nil {
 		t.Error("length mismatch should fail")
 	}
 	// Strings are accepted.

@@ -10,9 +10,9 @@ import (
 
 func sampleMsg() *message.Message {
 	m := message.New("SSDP", "SSDPResponse")
-	m.AddPrimitive("ST", "String", message.Str("urn:printer"))
-	m.AddPrimitive("MX", "Integer", message.Int(1))
-	m.Add(&message.Field{Label: "LOCATION", Type: "URL", Children: []*message.Field{
+	m.AddPrimitive("ST", message.Str("urn:printer"))
+	m.AddPrimitive("MX", message.Int(1))
+	m.Add(&message.Field{Label: "LOCATION", Children: []*message.Field{
 		{Label: "protocol", Value: message.Str("http")},
 		{Label: "address", Value: message.Str("10.0.0.7")},
 		{Label: "port", Value: message.Int(5431)},

@@ -35,11 +35,11 @@ func composeSLPRequest(t *testing.T, xid int) []byte {
 		t.Fatal(err)
 	}
 	req := message.New("SLP", "SLPSrvRequest")
-	req.AddPrimitive("Version", "Integer", message.Int(2))
-	req.AddPrimitive("FunctionID", "Integer", message.Int(1))
-	req.AddPrimitive("XID", "Integer", message.Int(int64(xid)))
-	req.AddPrimitive("LangTag", "String", message.Str("en"))
-	req.AddPrimitive("SRVType", "String", message.Str("service:printer"))
+	req.AddPrimitive("Version", message.Int(2))
+	req.AddPrimitive("FunctionID", message.Int(1))
+	req.AddPrimitive("XID", message.Int(int64(xid)))
+	req.AddPrimitive("LangTag", message.Str("en"))
+	req.AddPrimitive("SRVType", message.Str("service:printer"))
 	wire, err := comp.Compose(req)
 	if err != nil {
 		t.Fatal(err)

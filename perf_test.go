@@ -48,18 +48,18 @@ func TestBridgeRoundTripAllocs(t *testing.T) {
 
 	// The initiator request on the wire.
 	req := message.New("SLP", "SLPSrvRequest")
-	req.AddPrimitive("Version", "Integer", message.Int(2))
-	req.AddPrimitive("FunctionID", "Integer", message.Int(1))
-	req.AddPrimitive("XID", "Integer", message.Int(42))
-	req.AddPrimitive("LangTag", "String", message.Str("en"))
-	req.AddPrimitive("SRVType", "String", message.Str("service:printer"))
+	req.AddPrimitive("Version", message.Int(2))
+	req.AddPrimitive("FunctionID", message.Int(1))
+	req.AddPrimitive("XID", message.Int(42))
+	req.AddPrimitive("LangTag", message.Str("en"))
+	req.AddPrimitive("SRVType", message.Str("service:printer"))
 	wire, err := comp.Compose(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The mid-session HTTP OK whose URLBase feeds the reply.
 	httpOK := message.New("HTTP", "HTTPOk")
-	httpOK.AddPrimitive("URLBase", "String", message.Str("http://10.0.0.7:5431/svc"))
+	httpOK.AddPrimitive("URLBase", message.Str("http://10.0.0.7:5431/svc"))
 
 	funcs := translation.NewFuncRegistry()
 	var reply []byte // a worker's wire buffer: composed into, reused
