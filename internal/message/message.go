@@ -401,9 +401,20 @@ func (m *Message) Add(f *Field) { m.Swap(f) }
 func (m *Message) Swap(f *Field) *Field {
 	for i, g := range m.fields {
 		if g.Label == f.Label {
-			m.fields[i] = f
-			return g
+			return m.Put(i, f)
 		}
+	}
+	return m.Put(-1, f)
+}
+
+// Put is Swap for a caller that has looked the label up itself: at is
+// the position in Fields of the field labelled as f is, -1 when there is
+// none.
+func (m *Message) Put(at int, f *Field) *Field {
+	if at >= 0 {
+		old := m.fields[at]
+		m.fields[at] = f
+		return old
 	}
 	m.fields = append(m.fields, f)
 	if m.layout != nil {

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"strconv"
 
 	"starlink/internal/bitio"
@@ -28,12 +29,45 @@ func newField(label string, v message.Value) *message.Field {
 	return f
 }
 
-// maxTextFields bounds a text message's header lines plus XML leaves:
-// each label is looked up among the fields before it, so without a
-// bound parse time is quadratic in the size. Shipped stacks send ≤ 12.
+// maxTextFields bounds a text message's header lines plus XML leaves,
+// and so what its labelIndex holds. Shipped stacks send ≤ 12.
 const maxTextFields = 256
 
 var errTooManyFields = fmt.Errorf("more than %d header lines and XML leaves", maxTextFields)
+
+// labelIndex finds a text message's top-level fields by label in O(1),
+// so that a header line or an XML leaf need not scan the fields before
+// it: an open-addressed table of 1 + each field's position in Fields,
+// keyed by a seeded hash (no peer can aim its labels at one bucket) and
+// confirmed by comparing the label. A parse keeps one in its frame. The
+// table has twice the room of the most fields a text message may hold.
+type labelIndex struct {
+	n     int // fields indexed so far
+	table [2 * maxTextFields]uint16
+}
+
+var labelSeed = maphash.MakeSeed()
+
+// find returns the position in msg's Fields of the field labelled
+// label, -1 when there is none, after indexing the fields msg gained
+// since the last call.
+func (x *labelIndex) find(msg *message.Message, label string) int {
+	const mask = uint64(len(x.table) - 1)
+	fields := msg.Fields()
+	for ; x.n < len(fields); x.n++ {
+		h := maphash.String(labelSeed, fields[x.n].Label) & mask
+		for x.table[h] != 0 {
+			h = (h + 1) & mask
+		}
+		x.table[h] = uint16(x.n + 1)
+	}
+	for h := maphash.String(labelSeed, label) & mask; x.table[h] != 0; h = (h + 1) & mask {
+		if at := int(x.table[h]) - 1; fields[at].Label == label {
+			return at
+		}
+	}
+	return -1
+}
 
 // wire is a received message and, once a field needs it, its one string
 // copy s: every decoded value that is not a number is a substring of s.
@@ -112,6 +146,10 @@ func New(spec *mdl.Spec, reg *types.Registry) (*Parser, error) {
 	}
 	if reg == nil {
 		reg = types.NewRegistry()
+	}
+	// A text message's fields must fit its labelIndex.
+	if spec.Dialect == mdl.DialectText && len(spec.Header.Fields) > maxTextFields {
+		return nil, fmt.Errorf("parser: %s header has more than %d fields", spec.Protocol, maxTextFields)
 	}
 	p := &Parser{spec: spec, r: spec.Resolve(reg)}
 	for _, pl := range p.r.Plans {
@@ -287,20 +325,13 @@ func (p *Parser) plan(msg *message.Message) (*mdl.Plan, error) {
 	return nil, fmt.Errorf("mdl: no message rule matched for protocol %s", p.spec.Protocol)
 }
 
-// add stores a parsed field: in its slot, by label when it has none, or
-// as the next child of a repeat-group item. A field it displaces (a
-// repeated label) was the parser's and is recycled.
+// add stores a parsed field: in its slot, or as the next child of a
+// repeat-group item. A field it displaces (a repeated label) was the
+// parser's and is recycled.
 func add(msg *message.Message, into *message.Field, e *mdl.Entry, f *message.Field) {
-	var old *message.Field
-	switch {
-	case into != nil:
+	if into != nil {
 		into.Children = append(into.Children, f)
-	case e.Slot < 0:
-		old = msg.Swap(f)
-	default:
-		old = msg.SetAt(e.Slot, f)
-	}
-	if old != nil {
+	} else if old := msg.SetAt(e.Slot, f); old != nil {
 		old.Release()
 	}
 }
@@ -495,9 +526,10 @@ func (p *Parser) parseText(data []byte) (*message.Message, error) {
 	w := wire{data: data}
 	rest := data
 	var err error
+	var labels labelIndex
 	for _, e := range p.r.Shared.Header {
 		if e.Def.Wildcard {
-			rest, err = p.parseWildcard(rest, e.Def, msg, &w)
+			rest, err = p.parseWildcard(rest, e.Def, msg, &w, &labels)
 			if err != nil {
 				msg.Release()
 				return nil, fmt.Errorf("parser: %s wildcard: %w", p.spec.Protocol, err)
@@ -529,7 +561,7 @@ func (p *Parser) parseText(data []byte) (*message.Message, error) {
 		// The leaves and Body are substrings of the copy; the composer
 		// writes a String body back verbatim.
 		text := w.of(rest)
-		if err := flattenXMLBody(rest, text, msg); err != nil {
+		if err := flattenXMLBody(rest, text, msg, &labels); err != nil {
 			msg.Release()
 			return nil, fmt.Errorf("parser: %s xml body: %w", p.spec.Protocol, err)
 		}
@@ -543,8 +575,9 @@ func (p *Parser) parseText(data []byte) (*message.Message, error) {
 
 // parseWildcard consumes label:value lines until the empty line that
 // must end them. A label the spec types takes its slot — and its
-// string from the layout; any other is a String found by label.
-func (p *Parser) parseWildcard(data []byte, def *mdl.FieldDef, msg *message.Message, w *wire) (rest []byte, err error) {
+// string from the layout; any other is a String found by label in
+// labels, and a repeated one replaces its field in place.
+func (p *Parser) parseWildcard(data []byte, def *mdl.FieldDef, msg *message.Message, w *wire, labels *labelIndex) (rest []byte, err error) {
 	rest = data
 	for {
 		if len(rest) == 0 {
@@ -588,7 +621,11 @@ func (p *Parser) parseWildcard(data []byte, def *mdl.FieldDef, msg *message.Mess
 		if ferr != nil {
 			return nil, ferr
 		}
-		add(msg, nil, e, f)
+		if e.Slot >= 0 {
+			add(msg, nil, e, f)
+		} else if old := msg.Put(labels.find(msg, label), f); old != nil {
+			old.Release()
+		}
 		if msg.Len() > maxTextFields {
 			return nil, errTooManyFields
 		}

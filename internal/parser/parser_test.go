@@ -3,10 +3,12 @@ package parser
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"starlink/internal/mdl"
 	"starlink/internal/message"
@@ -466,11 +468,11 @@ func TestParseUnalignedStringIsCopied(t *testing.T) {
 	}
 }
 
-// A text message has at most maxTextFields top-level fields. Without the
-// bound each distinct label cost a scan of the ones before it: a 64 KiB
-// datagram of header lines, or an HTTP body of XML leaves, took 0.1-0.2 s
-// to parse and held its worker for as long. Past the bound, parsing is
-// an error, and it allocates in proportion to the input.
+// A text message has at most maxTextFields top-level fields. Before the
+// bound, when each distinct label cost a scan of the ones before it, a
+// 64 KiB datagram of header lines, or an HTTP body of XML leaves, took
+// 0.1-0.2 s to parse and held its worker for as long. Past the bound,
+// parsing is an error, and it allocates in proportion to the input.
 func TestTextFieldCountIsBounded(t *testing.T) {
 	const size = 64 << 10
 	lines := []byte("M-SEARCH * HTTP/1.1\r\n")
@@ -513,6 +515,105 @@ func TestTextFieldCountIsBounded(t *testing.T) {
 			}
 			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*len(tc.wire)+64<<10); got > limit {
 				t.Errorf("parsing %d bytes allocated %d B, want at most %d", len(tc.wire), got, limit)
+			}
+		})
+	}
+}
+
+// A text header may not have more fields than a text message may hold:
+// the parser refuses it when built, so the label index, sized for that
+// bound, never fills up.
+func TestTextHeaderFieldsAreBounded(t *testing.T) {
+	var types, header strings.Builder
+	for i := 0; i <= maxTextFields; i++ {
+		fmt.Fprintf(&types, "<F%d>String</F%d>", i, i)
+		fmt.Fprintf(&header, "<F%d>32</F%d>", i, i)
+	}
+	spec, err := mdl.ParseXMLString(`<MDL protocol="WIDE" dialect="text"><Types>` + types.String() +
+		`</Types><Header type="WIDE">` + header.String() + `</Header><Message type="WIDEAll"><Rule>F0=a</Rule></Message></MDL>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(spec, nil); err == nil {
+		t.Fatalf("a text header of %d fields was accepted", maxTextFields+1)
+	}
+}
+
+// Labels looked up through the index keep their semantics: a repeated
+// header line replaces its field in place, and an XML leaf replaces no
+// field, a header's or an earlier leaf's.
+func TestTextRepeatedLabels(t *testing.T) {
+	spec, err := mdl.ParseXMLString(httpMDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := New(spec, nil)
+	msg, err := p.Parse([]byte("HTTP/1.1 200 OK\r\nA: 1\r\nB: 2\r\nA: 3\r\n\r\n<r><B>leaf</B><C>4</C><C>5</C></r>"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer msg.Release()
+	var got []string
+	for _, f := range msg.Fields()[3 : msg.Len()-1] {
+		got = append(got, f.Label+"="+f.Value.Text())
+	}
+	if want := "A=3 B=2 C=4"; strings.Join(got, " ") != want {
+		t.Errorf("fields %q, want %s", got, want)
+	}
+}
+
+// A text message costs O(bytes): each header line and XML leaf looks its
+// label up among the fields before it in O(1), so 250 fields cost per
+// byte what 16 cost. Before, each lookup scanned those fields and 250
+// cost 4 to 10 times as much per byte. Each size is timed as the fastest of
+// several runs of a fixed count of parses, which a loaded machine can
+// only slow.
+func TestTextParseIsLinearInFields(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation distorts the timing")
+	}
+	spec, err := mdl.ParseXMLString(httpMDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := New(spec, nil)
+	for _, tc := range []struct {
+		name string
+		wire func(n int) []byte
+	}{
+		{"header lines", func(n int) []byte {
+			b := []byte("GET / HTTP/1.1\r\n")
+			for i := 0; i < n; i++ {
+				b = fmt.Appendf(b, "h%02x: v\r\n", i)
+			}
+			return append(b, "\r\n"...)
+		}},
+		{"XML leaves", func(n int) []byte { return httpOkWire(manyLeaves(n)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const parses, runs = 100, 7
+			perByte := func(n int) float64 {
+				wire := tc.wire(n)
+				msg, err := p.Parse(wire)
+				if err != nil || msg.Len() < n {
+					t.Fatalf("%d fields: parsed %v, %v", n, msg, err)
+				}
+				msg.Release()
+				best := time.Duration(math.MaxInt64)
+				for range runs {
+					start := time.Now()
+					for range parses {
+						msg, _ := p.Parse(wire)
+						msg.Release()
+					}
+					best = min(best, time.Since(start))
+				}
+				return float64(best) / float64(parses*len(wire))
+			}
+			few, many := perByte(16), perByte(250)
+			t.Logf("%.2f ns/B at 16 fields, %.2f ns/B at 250 (ratio %.2f)", few, many, many/few)
+			if many > 2*few {
+				t.Errorf("250 fields cost %.2f ns/B, 16 fields %.2f: more than twice as much per byte", many, few)
 			}
 		})
 	}
