@@ -7,9 +7,8 @@
 //   - leasecheck: every Packet.TakeLease result is Released exactly
 //     once on all control-flow paths, never used after release, and
 //     Packet.Data is not retained past the handler without a lease;
-//   - poolcheck: pooled message trees (message.NewPooled / NewField and
-//     //starlink:returns-pooled helpers) reach a Release or transfer
-//     ownership on every path, with no use-after-release;
+//   - poolcheck: pooled messages (message.NewPooled) reach a Release or
+//     transfer ownership on every path, with no use-after-release;
 //   - domaincheck: transport read loops bind a frame-local lease flag
 //     before dispatching a leased packet (the PR 5 TOCTOU class), and
 //     endpoint callbacks of undetached nodes spawn no goroutines;

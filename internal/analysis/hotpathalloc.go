@@ -22,8 +22,9 @@ import (
 //     (growth from zero reallocates on the steady path; appending to a
 //     caller-provided or make()-sized slice is the sanctioned idiom);
 //   - the address of a message.Field or message.Message composite
-//     literal: a heap allocation where the pools package message keeps
-//     (NewField, NewPooled) would recycle one.
+//     literal: a heap allocation where a message's own fields
+//     (Message.NewField) or the message pool (NewPooled) would recycle
+//     one.
 //
 // Error construction is exempt: an expression inside a return whose
 // final result is a non-nil error sits on the failure path, which is
@@ -94,7 +95,7 @@ func checkHotBody(pass *Pass, decl *ast.FuncDecl) {
 			}
 			if named, ok := pass.TypesInfo.Types[lit].Type.(*types.Named); ok && named.Obj().Pkg() != nil &&
 				named.Obj().Pkg().Path() == messagePath && pooledTypes[named.Obj().Name()] != "" {
-				pass.Reportf(n.Pos(), "&message.%s{} on a //starlink:hotpath success path allocates; take one from the pool (message.%s)",
+				pass.Reportf(n.Pos(), "&message.%s{} on a //starlink:hotpath success path allocates; take one from %s",
 					named.Obj().Name(), pooledTypes[named.Obj().Name()])
 			}
 		case *ast.FuncLit:
@@ -110,8 +111,12 @@ func checkHotBody(pass *Pass, decl *ast.FuncDecl) {
 	})
 }
 
-// pooledTypes maps each type package message pools to its constructor.
-var pooledTypes = map[string]string{"Field": "NewField", "Message": "NewPooled"}
+// pooledTypes maps each type package message recycles to where one
+// comes from instead.
+var pooledTypes = map[string]string{
+	"Field":   "its message (Message.NewField)",
+	"Message": "the pool (message.NewPooled)",
+}
 
 // coldReturnSpans finds the source spans of return statements whose
 // last result is a non-nil error — the sanctioned allocation sites.

@@ -26,9 +26,7 @@ import (
 //	ownMaybe    owned on some predecessor paths but not others
 //
 // Branch conditions refine facts: on the false edge of `v == nil` the
-// value is owned, on the true edge there is nothing to release; when an
-// acquisition comes from a (T, error) call, `err != nil` implies the
-// resource was not acquired (the idiomatic constructor contract).
+// value is owned, on the true edge there is nothing to release.
 
 type ownState uint8
 
@@ -59,9 +57,9 @@ func joinOwn(a, b ownState) ownState {
 // ownConfig parameterises the dataflow for one analyzer.
 type ownConfig struct {
 	// isAcquire reports whether the call acquires an owned resource,
-	// returning a short description for diagnostics. multi reports
+	// returning a short description for diagnostics. mayBeNil reports
 	// whether the acquisition may legitimately return nil (so nil
-	// checks and (T, error) forms refine it).
+	// checks refine it).
 	isAcquire func(pass *Pass, call *ast.CallExpr) (what string, mayBeNil bool, ok bool)
 	// releaseMethod is the method name that consumes the resource.
 	releaseMethod string
@@ -75,9 +73,6 @@ type acquisition struct {
 	obj  *types.Var // the variable bound to the resource
 	pos  token.Pos  // acquisition site
 	what string
-	// errObj pairs the acquisition with the error result of a
-	// (T, error) call, enabling err-based branch refinement.
-	errObj *types.Var
 	// mayBeNil enables nil-based branch refinement.
 	mayBeNil bool
 	// deferRelease is set when a `defer v.Release()` guarantees the
@@ -235,13 +230,7 @@ func findAcquisitions(pass *Pass, cfg *ownConfig, body *ast.BlockStmt) []*acquis
 		if v == nil {
 			return
 		}
-		acq := &acquisition{obj: v, pos: call.Pos(), what: what, mayBeNil: mayBeNil}
-		if len(as.Lhs) == 2 {
-			if e := lhsVar(pass, as.Lhs[1]); e != nil && isErrorVar(e) {
-				acq.errObj = e
-			}
-		}
-		acqs = append(acqs, acq)
+		acqs = append(acqs, &acquisition{obj: v, pos: call.Pos(), what: what, mayBeNil: mayBeNil})
 	})
 	return acqs
 }
@@ -279,11 +268,6 @@ func lhsVar(pass *Pass, e ast.Expr) *types.Var {
 	return nil
 }
 
-func isErrorVar(v *types.Var) bool {
-	named, ok := v.Type().(*types.Named)
-	return ok && named.Obj().Name() == "error" && named.Obj().Pkg() == nil
-}
-
 // acqIndex finds the tracked acquisition for an identifier use.
 func acqIndex(pass *Pass, acqs []*acquisition, e ast.Expr) int {
 	id, ok := ast.Unparen(e).(*ast.Ident)
@@ -306,8 +290,8 @@ func acqIndex(pass *Pass, acqs []*acquisition, e ast.Expr) int {
 	return -1
 }
 
-// refineCond sharpens states on a branch edge for `v == nil`,
-// `v != nil`, `err == nil` and `err != nil` conditions.
+// refineCond sharpens states on a branch edge for `v == nil` and
+// `v != nil` conditions.
 func refineCond(pass *Pass, acqs []*acquisition, st []ownState, cond ast.Expr, trueEdge bool) {
 	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
 	if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
@@ -327,26 +311,6 @@ func refineCond(pass *Pass, acqs []*acquisition, st []ownState, cond ast.Expr, t
 	if i := acqIndex(pass, acqs, varSide); i >= 0 && acqs[i].mayBeNil {
 		if st[i] == ownOwned || st[i] == ownMaybe {
 			if isNil {
-				st[i] = ownNone
-			} else {
-				st[i] = ownOwned
-			}
-		}
-		return
-	}
-	// err-paired refinement: on the err != nil edge the resource was
-	// never acquired.
-	id, ok := ast.Unparen(varSide).(*ast.Ident)
-	if !ok {
-		return
-	}
-	eObj, _ := pass.TypesInfo.Uses[id].(*types.Var)
-	if eObj == nil {
-		return
-	}
-	for i, a := range acqs {
-		if a.errObj == eObj && (st[i] == ownOwned || st[i] == ownMaybe) {
-			if !isNil { // err != nil on this edge
 				st[i] = ownNone
 			} else {
 				st[i] = ownOwned

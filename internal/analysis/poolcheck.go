@@ -2,28 +2,26 @@ package analysis
 
 import (
 	"go/ast"
-	"go/types"
 )
 
 // PoolCheck enforces the pooled-message ownership protocol of
-// internal/message: every tree acquired from the pool —
-// message.NewPooled, message.NewField, or a same-package helper marked
-// //starlink:returns-pooled — reaches a Release or transfers ownership
-// (is passed on, stored, returned) on every control-flow path, and is
-// never used after a definite Release.
+// internal/message: every message acquired from the pool
+// (message.NewPooled) reaches a Release or transfers ownership (is
+// passed on, stored, returned) on every control-flow path, and is never
+// used after a definite Release. A message's fields are its own and end
+// with its Release, so they need no tracking of their own.
 //
-// Ownership transfer is generous by design: attaching a pooled field to
-// a message (msg.Add(f), msg.Swap(f)) hands the field's lifetime to the
-// message, and returning or storing a tree makes the recipient
-// responsible. What the analyzer catches is the historical bug class
-// where an early error return drops a freshly acquired tree on the
-// floor, quietly shrinking the pool under load.
+// Ownership transfer is generous by design: returning or storing a
+// message makes the recipient responsible. What the analyzer catches
+// is the historical bug class where an early error return drops a
+// freshly acquired message on the floor, quietly shrinking the pool
+// under load.
 //
 // Test files are skipped: message tests probe double-release recycling
 // deliberately.
 var PoolCheck = &Analyzer{
 	Name:      "poolcheck",
-	Doc:       "pooled message trees (message.NewPooled/NewField) are released or transferred on every path",
+	Doc:       "pooled messages (message.NewPooled) are released or transferred on every path",
 	SkipTests: true,
 	Run:       runPoolCheck,
 }
@@ -34,51 +32,13 @@ func runPoolCheck(pass *Pass) error {
 			if isPkgFunc(pass.TypesInfo, call, messagePath, "NewPooled") {
 				return "pooled message from message.NewPooled", false, true
 			}
-			if isPkgFunc(pass.TypesInfo, call, messagePath, "NewField") {
-				return "pooled field from message.NewField", false, true
-			}
-			if fn := calleeFunc(pass.TypesInfo, call); fn != nil && returnsPooled(pass, fn) {
-				return "pooled value from " + fn.Name() + " (//starlink:returns-pooled)", false, true
-			}
 			return "", false, false
 		},
 		releaseMethod: "Release",
 		releaseOn: func(pass *Pass, call *ast.CallExpr) (ast.Expr, bool) {
-			if recv, ok := isMethodCall(pass.TypesInfo, call, messagePath, "Message", "Release"); ok {
-				return recv, ok
-			}
-			return isMethodCall(pass.TypesInfo, call, messagePath, "Field", "Release")
+			return isMethodCall(pass.TypesInfo, call, messagePath, "Message", "Release")
 		},
 	}
 	runOwnership(pass, cfg)
-	return nil
-}
-
-// returnsPooled reports whether fn is declared in the analyzed package
-// with a //starlink:returns-pooled directive: a constructor helper
-// whose result carries pool ownership exactly like message.NewPooled.
-func returnsPooled(pass *Pass, fn *types.Func) bool {
-	if fn.Pkg() == nil || fn.Pkg() != pass.Pkg {
-		return false
-	}
-	decl := pass.funcDeclOf(fn)
-	return decl != nil && hasDirective(decl, "returns-pooled")
-}
-
-// funcDeclOf finds the declaration of a function object in the pass's
-// files, or nil when it is declared elsewhere (other package, or a
-// body-less declaration).
-func (p *Pass) funcDeclOf(fn *types.Func) *ast.FuncDecl {
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if p.TypesInfo.Defs[fd.Name] == fn {
-				return fd
-			}
-		}
-	}
 	return nil
 }

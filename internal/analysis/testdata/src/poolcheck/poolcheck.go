@@ -1,47 +1,22 @@
-// Fixtures for the poolcheck analyzer: pooled message-tree ownership.
+// Fixtures for the poolcheck analyzer: pooled message ownership.
 package poolcheck
 
-import (
-	"fmt"
-
-	"starlink/internal/message"
-)
-
-// Historical bug class (found in the parser's repeat-group path): a
-// pooled field acquired before a loop leaks when an iteration fails.
-func leakOnErrorReturn(parse func() error, n int) error {
-	group := message.NewField() // want "never released or transferred"
-	group.Label = "Group"
-	for i := 0; i < n; i++ {
-		if err := parse(); err != nil {
-			return fmt.Errorf("item %d: %w", i, err)
-		}
-	}
-	group.Release()
-	return nil
-}
-
-func releaseOnEveryPath(parse func() error) error {
-	f := message.NewField()
-	if err := parse(); err != nil {
-		f.Release()
-		return err
-	}
-	f.Release()
-	return nil
-}
-
-// Attaching to a message transfers the field's lifetime.
-func transferToMessage(msg *message.Message) {
-	f := message.NewField()
-	f.Label = "ST"
-	msg.Add(f)
-}
+import "starlink/internal/message"
 
 func messageLeak(validate func() error) error {
 	m := message.NewPooled("SLP", "Request") // want "never released or transferred"
 	if err := validate(); err != nil {
 		return err // m leaked
+	}
+	m.Release()
+	return nil
+}
+
+func releaseOnEveryPath(parse func() error) error {
+	m := message.NewPooled("SLP", "Request")
+	if err := parse(); err != nil {
+		m.Release()
+		return err
 	}
 	m.Release()
 	return nil
@@ -53,44 +28,8 @@ func useAfterRelease() int {
 	return m.Len() // want "use of m after release"
 }
 
-// Returning a pooled tree hands ownership to the caller.
+// Returning a pooled message hands ownership to the caller.
 func returnedTree() *message.Message {
 	m := message.NewPooled("SSDP", "MSearch")
 	return m
-}
-
-// Same-package constructors marked //starlink:returns-pooled carry
-// ownership exactly like message.NewPooled.
-//
-//starlink:returns-pooled
-func newRequest() *message.Message {
-	return message.NewPooled("SLP", "Request")
-}
-
-//starlink:returns-pooled
-func newRequestChecked(ok bool) (*message.Message, error) {
-	if !ok {
-		return nil, fmt.Errorf("not ok")
-	}
-	return message.NewPooled("SLP", "Request"), nil
-}
-
-func helperLeak(bad func() error) error {
-	m := newRequest() // want "never released or transferred"
-	if err := bad(); err != nil {
-		return err // m leaked
-	}
-	m.Release()
-	return nil
-}
-
-// The (T, error) constructor contract: on the err != nil edge nothing
-// was acquired.
-func errRefined() error {
-	m, err := newRequestChecked(true)
-	if err != nil {
-		return err
-	}
-	m.Release()
-	return nil
 }

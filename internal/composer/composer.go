@@ -83,9 +83,7 @@ func (c *Composer) AppendCompose(dst []byte, msg *message.Message) ([]byte, erro
 	}
 	for _, e := range pl.Fixed {
 		if msg.At(e.Slot) == nil {
-			f := message.NewField()
-			f.Label, f.Value = e.Label, e.Fixed
-			msg.SetAt(e.Slot, f)
+			msg.SetAt(e.Slot, msg.NewField(e.Label, e.Fixed))
 		}
 	}
 	switch c.spec.Dialect {
@@ -256,8 +254,7 @@ func setInt(msg *message.Message, e *mdl.Entry, n int64) {
 	if e.Slot < 0 {
 		f = msg.SetPath(e.Label, message.Int(n))
 	} else if f = msg.At(e.Slot); f == nil {
-		f = message.NewField()
-		f.Label = e.Label
+		f = msg.NewField(e.Label, message.Value{})
 		msg.SetAt(e.Slot, f)
 	}
 	f.Value = message.Int(n)
@@ -319,19 +316,12 @@ func (c *Composer) writeFields(ctx *binaryCtx, entries []*mdl.Entry, msg *messag
 
 		f := e.Find(msg, scope)
 		if f == nil {
-			// Unset fields the definition does not fix compose as zeroes.
-			f = message.NewField()
-			f.Label, f.Value = def.Label, zeroValue(e.Kind)
-			if scope != nil {
-				// Composed for this item alone: nothing keeps it.
-				err := c.writeField(ctx, e, f, false)
-				f.Release()
-				if err != nil {
-					return err
-				}
-				continue
+			// Unset fields the definition does not fix compose as
+			// zeroes; a group item's is composed for that item alone.
+			f = msg.NewField(def.Label, zeroValue(e.Kind))
+			if scope == nil {
+				msg.SetAt(e.Slot, f)
 			}
-			msg.SetAt(e.Slot, f)
 		}
 		if err := c.writeField(ctx, e, f, scope == nil); err != nil {
 			return err
@@ -356,9 +346,7 @@ func (c *Composer) writeIntField(ctx *binaryCtx, msg *message.Message, scope *me
 	} else if f, ok := scope.Child(e.Label); ok {
 		f.Value = message.Int(n)
 	} else {
-		f := message.NewField()
-		f.Label, f.Value = e.Label, message.Int(n)
-		scope.Children = append(scope.Children, f)
+		scope.Children = append(scope.Children, msg.NewField(e.Label, message.Int(n)))
 	}
 	return nil
 }

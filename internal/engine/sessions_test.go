@@ -61,7 +61,7 @@ func (c *sessionEnds) errs() []string {
 func TestSessionsAreData(t *testing.T) {
 	const (
 		parked             = 2000
-		maxBytesPerSession = 6000 // 5 777 measured on linux/amd64, Go 1.24 (6 977 while each of a parked request's 25 fields took 128 B, not 80): 91 of them histograms allocated on first Record (73 the engine's, 18 the dispatcher's), 4 the egress table's one port set
+		maxBytesPerSession = 6000 // 5 921 measured on linux/amd64, Go 1.24, the messages' fields in blocks of four (5 777 while each field came from a field pool alone; 6 977 while each of a parked request's 25 fields took 128 B, not 80): 91 of them histograms allocated on first Record (73 the engine's, 18 the dispatcher's), 4 the egress table's one port set
 	)
 	sim := simnet.New()
 	e := deploy(t, sim, "slp-to-bonjour", engine.WithMaxSessions(parked)) // no service answers

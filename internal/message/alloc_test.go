@@ -55,7 +55,7 @@ func TestValueAppendTextMatchesText(t *testing.T) {
 
 // A bytes value is held as a string, like a string value: a parsed one
 // is a substring of the message's one copy, and BytesView returns that
-// very string; AsBytes is the mutable copy.
+// very string.
 func TestBytesViewAliasesWithoutCopy(t *testing.T) {
 	wire := "\x00\x01\x02\x03\x04"
 	v := Bytes(wire[1:4])
@@ -65,11 +65,6 @@ func TestBytesViewAliasesWithoutCopy(t *testing.T) {
 	}
 	if unsafe.StringData(view) != unsafe.StringData(wire[1:]) {
 		t.Error("BytesView must return the substring it was given, not a copy")
-	}
-	cp, _ := v.AsBytes()
-	cp[0] = 9
-	if view, _ := v.BytesView(); view[0] != 1 {
-		t.Error("AsBytes must copy")
 	}
 	if got := testing.AllocsPerRun(100, func() { v.BytesView() }); got != 0 {
 		t.Errorf("BytesView allocates %.1f per run, want 0", got)
@@ -175,24 +170,6 @@ func TestPooledMessageReuse(t *testing.T) {
 		t.Error("reused message leaked a field from its previous life")
 	}
 	m2.Release()
-}
-
-// Values are immutable, so a clone shares a bytes value's string the
-// way it shares a string value's: the Field is the one allocation.
-func TestFieldCloneSharesBytes(t *testing.T) {
-	f := &Field{Label: "Body", Value: Bytes("\x01\x02\x03")}
-	cp := f.Clone()
-	if !cp.Equal(f) {
-		t.Fatal("clone differs")
-	}
-	ov, _ := f.Value.BytesView()
-	cv, _ := cp.Value.BytesView()
-	if unsafe.StringData(ov) != unsafe.StringData(cv) {
-		t.Error("clone copied the original's bytes")
-	}
-	if got := testing.AllocsPerRun(100, func() { f.Clone().Release() }); got > 0 {
-		t.Errorf("bytes clone allocates %.1f per run beyond the pooled Field, want 0", got)
-	}
 }
 
 // A field is a label and a value: its MDL type, width and mandatory flag

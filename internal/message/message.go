@@ -15,17 +15,19 @@
 // The bridge data path builds and discards one message tree per packet,
 // so the package keeps that traffic off the garbage collector:
 //
-//   - Every field the data path builds comes from the pool (NewField),
-//     and so does every message (NewPooled); both return to it through
-//     Release. Release is strictly owner-driven: whoever holds the last
-//     reference to a tree calls it exactly once, after which every node
-//     is invalid. Trees built with New / plain literals (tests) may be
-//     mixed in freely — Release feeds every node back to the pools
-//     regardless of origin.
+//   - A message comes from the pool (NewPooled) and goes back to it
+//     through Release, which its owner calls exactly once, after which
+//     the message and every field in it are invalid.
+//   - A field belongs to the message that made it (Message.NewField)
+//     and lives as long as it does: the message takes its fields from
+//     blocks drawn from one pool, and its Release zeroes the blocks and
+//     puts them back. A field a repeated label displaces stays in its
+//     block until then. Fields built as plain literals (tests) may be
+//     mixed in freely; Release leaves them to the garbage collector.
 //   - A message definition has one Layout, fixed when its model loads. A
 //     message bound to it (SetLayout) keeps a slot→position array, so
 //     parsers and composers address fields by slot (At, SetAt) and never
-//     look a label up. The label API (Field, Path, SetPath, Add, Swap)
+//     look a label up. The label API (Field, Path, SetPath, Add)
 //     is a view over the same fields, kept in insertion order.
 //   - A value that is not a number is a string: a parsed one is a
 //     substring of the received message's one copy, bytes included, so
@@ -109,14 +111,6 @@ func (v Value) AsInt() (int64, bool) { return v.i, v.kind == KindInt }
 
 // AsString returns the string content; ok is false if the kind differs.
 func (v Value) AsString() (string, bool) { return v.s, v.kind == KindString }
-
-// AsBytes returns a copy of the bytes content; ok is false if the kind differs.
-func (v Value) AsBytes() ([]byte, bool) {
-	if v.kind != KindBytes {
-		return nil, false
-	}
-	return []byte(v.s), true
-}
 
 // BytesView returns the bytes content as the string that holds it,
 // without copying; ok is false if the kind differs.
@@ -205,23 +199,6 @@ type Field struct {
 	Children []*Field
 }
 
-var fieldPool = sync.Pool{New: func() any { return new(Field) }}
-
-// NewField returns a zeroed Field from the pool. Fields added to a
-// message are returned to the pool by the message's Release.
-func NewField() *Field { return fieldPool.Get().(*Field) }
-
-// Release resets the field tree and returns every node to the pool.
-// The caller must hold the only reference; for fields inside a message
-// use the message's Release instead.
-func (f *Field) Release() {
-	for _, c := range f.Children {
-		c.Release()
-	}
-	*f = Field{}
-	fieldPool.Put(f)
-}
-
 // IsStructured reports whether f is a structured field.
 func (f *Field) IsStructured() bool { return f.Children != nil }
 
@@ -233,19 +210,6 @@ func (f *Field) Child(label string) (*Field, bool) {
 		}
 	}
 	return nil, false
-}
-
-// Clone returns a deep copy of the field.
-func (f *Field) Clone() *Field {
-	cp := NewField()
-	cp.Label, cp.Value = f.Label, f.Value
-	if f.Children != nil {
-		cp.Children = make([]*Field, len(f.Children))
-		for i, c := range f.Children {
-			cp.Children[i] = c.Clone()
-		}
-	}
-	return cp
 }
 
 // Equal reports deep equality of two fields.
@@ -309,10 +273,22 @@ type Message struct {
 	// fields (0 while the slot is unset).
 	layout *Layout
 	pos    []int32
+	// blocks hold the fields NewField made; the last has free unused.
+	blocks []*fieldBlock
+	free   int
 	pooled bool
 }
 
-var messagePool = sync.Pool{New: func() any { return new(Message) }}
+// fieldBlockLen is how many fields a message takes from the pool at a
+// time: a parked session holds its messages' partly used blocks.
+const fieldBlockLen = 4
+
+type fieldBlock [fieldBlockLen]Field
+
+var (
+	messagePool = sync.Pool{New: func() any { return new(Message) }}
+	blockPool   = sync.Pool{New: func() any { return new(fieldBlock) }}
+)
 
 // New creates an empty abstract message.
 func New(protocol, name string) *Message {
@@ -328,19 +304,36 @@ func NewPooled(protocol, name string) *Message {
 	return m
 }
 
-// Release returns the message and every field in it to the pools. The
+// NewField returns a field of m holding label and v. It is valid until
+// m's Release, whether or not it is added to m.
+func (m *Message) NewField(label string, v Value) *Field {
+	if m.free == 0 {
+		m.blocks = append(m.blocks, blockPool.Get().(*fieldBlock))
+		m.free = fieldBlockLen
+	}
+	f := &m.blocks[len(m.blocks)-1][fieldBlockLen-m.free]
+	m.free--
+	f.Label, f.Value = label, v
+	return f
+}
+
+// Release returns the message and the fields it made to the pools. The
 // caller must hold the last reference: after Release the message and
 // its fields are invalid. Safe to call on messages built with New as
-// well — their nodes feed the pools.
+// well — their blocks feed the pool.
 func (m *Message) Release() {
-	for _, f := range m.fields {
-		f.Release()
+	for _, b := range m.blocks {
+		*b = fieldBlock{}
+		blockPool.Put(b)
 	}
-	pooled, fields, pos := m.pooled, m.fields[:0], m.pos[:0]
+	// Hold no pointer into a block the pool may free.
+	clear(m.blocks)
+	clear(m.fields)
+	pooled, fields, pos, blocks := m.pooled, m.fields[:0], m.pos[:0], m.blocks[:0]
 	*m = Message{}
 	if pooled {
-		// Keep the field and slot arrays' capacity for the next user.
-		m.fields, m.pos = fields, pos
+		// Keep the field, slot and block arrays' capacity for the next user.
+		m.fields, m.pos, m.blocks = fields, pos, blocks
 		messagePool.Put(m)
 	}
 }
@@ -376,45 +369,36 @@ func (m *Message) At(slot int) *Field {
 	return nil
 }
 
-// SetAt is Swap by slot: f, labelled as the slot is, takes the place of
-// the slot's field, which it returns, or is appended.
-func (m *Message) SetAt(slot int, f *Field) *Field {
+// SetAt is Add by slot: f, labelled as the slot is, takes the place of
+// the slot's field or is appended.
+func (m *Message) SetAt(slot int, f *Field) {
 	if p := m.pos[slot]; p > 0 {
-		old := m.fields[p-1]
 		m.fields[p-1] = f
-		return old
+		return
 	}
 	m.fields = append(m.fields, f)
 	m.pos[slot] = int32(len(m.fields))
-	return nil
 }
 
 // Add appends a field. Adding a field whose label already exists replaces
-// the previous field in place (labels are unique within a message). The
-// displaced field, if any, is left to the garbage collector — callers
-// that know they hold its only reference should use Swap and Release it.
-func (m *Message) Add(f *Field) { m.Swap(f) }
-
-// Swap is Add returning the field the insertion displaced (nil when the
-// label was new). Owners that built the displaced field from the pool
-// can hand it back with Release.
-func (m *Message) Swap(f *Field) *Field {
+// the previous field in place (labels are unique within a message).
+func (m *Message) Add(f *Field) {
 	for i, g := range m.fields {
 		if g.Label == f.Label {
-			return m.Put(i, f)
+			m.Put(i, f)
+			return
 		}
 	}
-	return m.Put(-1, f)
+	m.Put(-1, f)
 }
 
-// Put is Swap for a caller that has looked the label up itself: at is
+// Put is Add for a caller that has looked the label up itself: at is
 // the position in Fields of the field labelled as f is, -1 when there is
 // none.
-func (m *Message) Put(at int, f *Field) *Field {
+func (m *Message) Put(at int, f *Field) {
 	if at >= 0 {
-		old := m.fields[at]
 		m.fields[at] = f
-		return old
+		return
 	}
 	m.fields = append(m.fields, f)
 	if m.layout != nil {
@@ -422,13 +406,11 @@ func (m *Message) Put(at int, f *Field) *Field {
 			m.pos[s] = int32(len(m.fields))
 		}
 	}
-	return nil
 }
 
-// AddPrimitive adds a pooled primitive field and returns it.
+// AddPrimitive adds a primitive field of m and returns it.
 func (m *Message) AddPrimitive(label string, v Value) *Field {
-	f := NewField()
-	f.Label, f.Value = label, v
+	f := m.NewField(label, v)
 	m.Add(f)
 	return f
 }
@@ -494,8 +476,7 @@ func (m *Message) SetPath(path string, v Value) *Field {
 func (m *Message) setTop(label string, v Value) *Field {
 	f, ok := m.Field(label)
 	if !ok {
-		f = NewField()
-		f.Label = label
+		f = m.NewField(label, v)
 		m.Add(f)
 	}
 	f.Value = v
@@ -506,15 +487,13 @@ func (m *Message) setTop(label string, v Value) *Field {
 func (m *Message) SetPathParts(parts []string, v Value) *Field {
 	f, ok := m.Field(parts[0])
 	if !ok {
-		f = NewField()
-		f.Label = parts[0]
+		f = m.NewField(parts[0], Value{})
 		m.Add(f)
 	}
 	for _, p := range parts[1:] {
 		c, ok := f.Child(p)
 		if !ok {
-			c = NewField()
-			c.Label = p
+			c = m.NewField(p, Value{})
 			if f.Children == nil {
 				f.Children = []*Field{}
 			}
@@ -526,11 +505,24 @@ func (m *Message) SetPathParts(parts []string, v Value) *Field {
 	return f
 }
 
-// Clone returns a deep copy of the message.
+// Clone returns a deep copy of the message, drawn from the pool like
+// NewPooled's.
 func (m *Message) Clone() *Message {
-	cp := New(m.Protocol, m.Name)
+	cp := NewPooled(m.Protocol, m.Name)
 	for _, f := range m.fields {
-		cp.Add(f.Clone())
+		cp.Add(cp.clone(f))
+	}
+	return cp
+}
+
+// clone returns a deep copy of f made of m's fields.
+func (m *Message) clone(f *Field) *Field {
+	cp := m.NewField(f.Label, f.Value)
+	if f.Children != nil {
+		cp.Children = make([]*Field, len(f.Children))
+		for i, c := range f.Children {
+			cp.Children[i] = m.clone(c)
+		}
 	}
 	return cp
 }

@@ -1,6 +1,7 @@
 package message
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -57,26 +58,8 @@ func TestValueAccessors(t *testing.T) {
 	if s, ok := Str("x").AsString(); !ok || s != "x" {
 		t.Errorf("AsString = %q,%v", s, ok)
 	}
-	if b, ok := Bytes("\x01\x02").AsBytes(); !ok || len(b) != 2 {
-		t.Errorf("AsBytes = %v,%v", b, ok)
-	}
 	if v, ok := Bool(true).AsBool(); !ok || !v {
 		t.Errorf("AsBool = %v,%v", v, ok)
-	}
-}
-
-func TestBytesValueIsCopied(t *testing.T) {
-	src := []byte{1, 2, 3}
-	v := Bytes(string(src))
-	src[0] = 99
-	got, _ := v.AsBytes()
-	if got[0] != 1 {
-		t.Fatal("a bytes value must not see its source change")
-	}
-	got[1] = 99
-	again, _ := v.AsBytes()
-	if again[1] != 2 {
-		t.Fatal("AsBytes() must return a copy")
 	}
 }
 
@@ -277,5 +260,31 @@ func TestQuickIntValueRoundtrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A field lives as long as the message that made it: one a repeated
+// label displaces stays valid until the message's Release, which zeroes
+// every field the message made, added or not.
+func TestFieldsLiveWithTheirMessage(t *testing.T) {
+	m := NewPooled("SSDP", "SSDPResponse")
+	first := m.AddPrimitive("ST", Str("urn:a"))
+	m.AddPrimitive("ST", Str("urn:b"))
+	loose := m.NewField("unadded", Int(7))
+	url := m.AddPrimitive("URL", Value{})
+	for i := 0; i < 2*fieldBlockLen; i++ {
+		url.Children = append(url.Children, m.NewField(strconv.Itoa(i), Int(int64(i))))
+	}
+	if first.Value.Text() != "urn:a" || loose.Value.Text() != "7" {
+		t.Fatalf("a displaced or unadded field changed before Release: %v, %v", first.Value, loose.Value)
+	}
+	if f, _ := m.Field("ST"); f.Value.Text() != "urn:b" || m.Len() != 2 {
+		t.Fatalf("message = %v", m)
+	}
+	m.Release()
+	for _, f := range []*Field{first, loose, url} {
+		if f.Label != "" || f.Value.IsValid() || f.Children != nil {
+			t.Errorf("Release left a field as %+v", *f)
+		}
 	}
 }

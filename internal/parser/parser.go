@@ -19,18 +19,9 @@ import (
 	"starlink/internal/types"
 )
 
-// newField builds a pooled primitive field. The field joins its
-// message's pool lifetime: the message's Release recycles it.
-//
-//starlink:returns-pooled
-func newField(label string, v message.Value) *message.Field {
-	f := message.NewField()
-	f.Label, f.Value = label, v
-	return f
-}
-
 // maxTextFields bounds a text message's header lines plus XML leaves,
-// and so what its labelIndex holds. Shipped stacks send ≤ 12.
+// and so what its labelIndex holds and the fields it makes, a line that
+// repeats a label included. Shipped stacks send ≤ 12.
 const maxTextFields = 256
 
 var errTooManyFields = fmt.Errorf("more than %d header lines and XML leaves", maxTextFields)
@@ -326,13 +317,12 @@ func (p *Parser) plan(msg *message.Message) (*mdl.Plan, error) {
 }
 
 // add stores a parsed field: in its slot, or as the next child of a
-// repeat-group item. A field it displaces (a repeated label) was the
-// parser's and is recycled.
+// repeat-group item.
 func add(msg *message.Message, into *message.Field, e *mdl.Entry, f *message.Field) {
 	if into != nil {
 		into.Children = append(into.Children, f)
-	} else if old := msg.SetAt(e.Slot, f); old != nil {
-		old.Release()
+	} else {
+		msg.SetAt(e.Slot, f)
 	}
 }
 
@@ -389,18 +379,12 @@ func parseBinaryFields(r *bitio.Reader, w *wire, entries []*mdl.Entry, msg *mess
 			if n < 0 || n > 1<<16 {
 				return fmt.Errorf("group %q count %d out of range", def.Label, n)
 			}
-			group := message.NewField()
-			group.Label, group.Children = def.Label, []*message.Field{}
+			group := msg.NewField(def.Label, message.Value{})
+			group.Children = []*message.Field{}
 			for i := int64(0); i < n; i++ {
-				item := message.NewField()
-				item.Label, item.Children = strconv.FormatInt(i, 10), []*message.Field{}
+				item := msg.NewField(strconv.FormatInt(i, 10), message.Value{})
+				item.Children = []*message.Field{}
 				if err := parseBinaryFields(r, w, e.Group, msg, item); err != nil {
-					// Neither the partial item nor the group (with the
-					// items parsed so far) ever reaches the message;
-					// recycle both or the pool shrinks on malformed
-					// input.
-					item.Release()
-					group.Release()
 					return fmt.Errorf("group %q item %d: %w", def.Label, i, err)
 				}
 				group.Children = append(group.Children, item)
@@ -416,7 +400,7 @@ func parseBinaryFields(r *bitio.Reader, w *wire, entries []*mdl.Entry, msg *mess
 		var err error
 		switch {
 		case def.SizeBits > 0:
-			f, err = parseFixed(r, w, e)
+			f, err = parseFixed(r, w, msg, e)
 		case def.SizeRef != "":
 			n, lerr := sizeOf(msg, into, e)
 			if lerr != nil {
@@ -429,13 +413,13 @@ func parseBinaryFields(r *bitio.Reader, w *wire, entries []*mdl.Entry, msg *mess
 			if rerr != nil {
 				return fmt.Errorf("field %q: %w", def.Label, rerr)
 			}
-			f, err = unmarshal(e, src, 0)
+			f, err = unmarshal(msg, e, src, 0)
 		case def.Rest:
 			if !r.Aligned() {
 				return fmt.Errorf("field %q: rest at unaligned bit position %d", def.Label, r.Pos())
 			}
 			src, _ := w.read(r, r.Remaining()/8)
-			f, err = unmarshal(e, src, 0)
+			f, err = unmarshal(msg, e, src, 0)
 		default:
 			// Self-delimiting type (FQDN): decode from the remaining
 			// bytes and skip the consumed amount.
@@ -452,7 +436,7 @@ func parseBinaryFields(r *bitio.Reader, w *wire, entries []*mdl.Entry, msg *mess
 			if serr := r.Skip(n * 8); serr != nil {
 				return fmt.Errorf("field %q: %w", def.Label, serr)
 			}
-			f = newField(def.Label, message.Str(name))
+			f = msg.NewField(def.Label, message.Str(name))
 		}
 		if err != nil {
 			return err
@@ -463,9 +447,7 @@ func parseBinaryFields(r *bitio.Reader, w *wire, entries []*mdl.Entry, msg *mess
 }
 
 // parseFixed reads a fixed-width field.
-//
-//starlink:returns-pooled
-func parseFixed(r *bitio.Reader, w *wire, e *mdl.Entry) (*message.Field, error) {
+func parseFixed(r *bitio.Reader, w *wire, msg *message.Message, e *mdl.Entry) (*message.Field, error) {
 	bits := e.Def.SizeBits
 	if (e.Kind == message.KindInt || e.Kind == message.KindBool) && bits <= 64 {
 		v, err := r.ReadBits(bits)
@@ -476,7 +458,7 @@ func parseFixed(r *bitio.Reader, w *wire, e *mdl.Entry) (*message.Field, error) 
 		if e.Kind == message.KindBool {
 			val = message.Bool(v != 0)
 		}
-		return newField(e.Label, val), nil
+		return msg.NewField(e.Label, val), nil
 	}
 	if bits%8 != 0 {
 		return nil, fmt.Errorf("field %q: non-integer type with unaligned width %d", e.Label, bits)
@@ -485,30 +467,25 @@ func parseFixed(r *bitio.Reader, w *wire, e *mdl.Entry) (*message.Field, error) 
 	if err != nil {
 		return nil, fmt.Errorf("field %q: %w", e.Label, err)
 	}
-	return unmarshal(e, src, bits)
+	return unmarshal(msg, e, src, bits)
 }
 
 // unmarshal decodes a field's content, a substring of the message's
-// copy, into a message field.
-//
-//starlink:returns-pooled
-func unmarshal(e *mdl.Entry, src string, bits int) (*message.Field, error) {
+// copy, into a field of msg.
+func unmarshal(msg *message.Message, e *mdl.Entry, src string, bits int) (*message.Field, error) {
 	v, err := e.M.Unmarshal(src, bits)
 	if err != nil {
 		return nil, fmt.Errorf("field %q: %w", e.Label, err)
 	}
-	return build(e, e.Label, v)
+	return build(msg, e, e.Label, v)
 }
 
-// build makes the pooled field holding v, exploding a structured type.
-//
-//starlink:returns-pooled
-func build(e *mdl.Entry, label string, v message.Value) (*message.Field, error) {
-	f := newField(label, v)
+// build makes the field of msg holding v, exploding a structured type.
+func build(msg *message.Message, e *mdl.Entry, label string, v message.Value) (*message.Field, error) {
+	f := msg.NewField(label, v)
 	if sm, ok := e.M.(types.StructuredMarshaller); ok {
-		children, err := sm.Explode(v)
+		children, err := sm.Explode(msg, v)
 		if err != nil {
-			f.Release()
 			return nil, fmt.Errorf("field %q: %w", label, err)
 		}
 		f.Children = children
@@ -542,7 +519,7 @@ func (p *Parser) parseText(data []byte) (*message.Message, error) {
 			msg.Release()
 			return nil, fmt.Errorf("parser: %s field %q: %w", p.spec.Protocol, e.Label, err)
 		}
-		f, err := textField(e, e.Label, token, &w)
+		f, err := textField(msg, e, e.Label, token, &w)
 		if err != nil {
 			msg.Release()
 			return nil, fmt.Errorf("parser: %s: %w", p.spec.Protocol, err)
@@ -556,7 +533,7 @@ func (p *Parser) parseText(data []byte) (*message.Message, error) {
 	}
 	switch pl.Def.Body {
 	case mdl.BodyRaw:
-		msg.Add(newField("Body", message.Bytes(w.of(rest))))
+		msg.Add(msg.NewField("Body", message.Bytes(w.of(rest))))
 	case mdl.BodyXML:
 		// The leaves and Body are substrings of the copy; the composer
 		// writes a String body back verbatim.
@@ -565,7 +542,7 @@ func (p *Parser) parseText(data []byte) (*message.Message, error) {
 			msg.Release()
 			return nil, fmt.Errorf("parser: %s xml body: %w", p.spec.Protocol, err)
 		}
-		msg.Add(newField("Body", message.Str(text)))
+		msg.Add(msg.NewField("Body", message.Str(text)))
 	case mdl.BodyNone:
 		// Trailing bytes after the blank line are ignored (some stacks
 		// pad datagrams).
@@ -576,10 +553,14 @@ func (p *Parser) parseText(data []byte) (*message.Message, error) {
 // parseWildcard consumes label:value lines until the empty line that
 // must end them. A label the spec types takes its slot — and its
 // string from the layout; any other is a String found by label in
-// labels, and a repeated one replaces its field in place.
+// labels, and a repeated one replaces its field in place. Every line
+// makes a field and counts against maxTextFields.
 func (p *Parser) parseWildcard(data []byte, def *mdl.FieldDef, msg *message.Message, w *wire, labels *labelIndex) (rest []byte, err error) {
 	rest = data
-	for {
+	for made := msg.Len(); ; made++ {
+		if made > maxTextFields {
+			return nil, errTooManyFields
+		}
 		if len(rest) == 0 {
 			// The datagram ended at a line boundary with no empty line: a
 			// header block that lost its tail, not a complete message.
@@ -617,17 +598,14 @@ func (p *Parser) parseWildcard(data []byte, def *mdl.FieldDef, msg *message.Mess
 		if e.Slot < 0 {
 			label = w.of(name)
 		}
-		f, ferr := textField(e, label, bytes.TrimSpace(line[i+1:]), w)
+		f, ferr := textField(msg, e, label, bytes.TrimSpace(line[i+1:]), w)
 		if ferr != nil {
 			return nil, ferr
 		}
 		if e.Slot >= 0 {
 			add(msg, nil, e, f)
-		} else if old := msg.Put(labels.find(msg, label), f); old != nil {
-			old.Release()
-		}
-		if msg.Len() > maxTextFields {
-			return nil, errTooManyFields
+		} else {
+			msg.Put(labels.find(msg, label), f)
 		}
 	}
 }
@@ -635,9 +613,7 @@ func (p *Parser) parseWildcard(data []byte, def *mdl.FieldDef, msg *message.Mess
 // textField builds an abstract field from a text token, a subslice of
 // w's data: an integer is parsed in place, anything else unmarshalled
 // from the token's substring of the copy.
-//
-//starlink:returns-pooled
-func textField(e *mdl.Entry, label string, token []byte, w *wire) (*message.Field, error) {
+func textField(msg *message.Message, e *mdl.Entry, label string, token []byte, w *wire) (*message.Field, error) {
 	if e.M == nil {
 		return nil, fmt.Errorf("field %q: %w", label, e.Err)
 	}
@@ -656,7 +632,7 @@ func textField(e *mdl.Entry, label string, token []byte, w *wire) (*message.Fiel
 			return nil, fmt.Errorf("field %q: %w", label, err)
 		}
 	}
-	return build(e, label, v)
+	return build(msg, e, label, v)
 }
 
 // errNotInteger is parseIntBytes' one error: a value, so that Classify

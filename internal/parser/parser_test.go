@@ -468,11 +468,13 @@ func TestParseUnalignedStringIsCopied(t *testing.T) {
 	}
 }
 
-// A text message has at most maxTextFields top-level fields. Before the
-// bound, when each distinct label cost a scan of the ones before it, a
-// 64 KiB datagram of header lines, or an HTTP body of XML leaves, took
-// 0.1-0.2 s to parse and held its worker for as long. Past the bound,
-// parsing is an error, and it allocates in proportion to the input.
+// A text message has at most maxTextFields header lines and XML leaves.
+// Before the bound, when each distinct label cost a scan of the ones
+// before it, a 64 KiB datagram of header lines, or an HTTP body of XML
+// leaves, took 0.1-0.2 s to parse and held its worker for as long. A
+// line that repeats a label counts too: each makes a field of the
+// message. Past the bound, parsing is an error, and it allocates in
+// proportion to the input.
 func TestTextFieldCountIsBounded(t *testing.T) {
 	const size = 64 << 10
 	lines := []byte("M-SEARCH * HTTP/1.1\r\n")
@@ -480,6 +482,11 @@ func TestTextFieldCountIsBounded(t *testing.T) {
 		lines = fmt.Appendf(lines, "%x:\r\n", i)
 	}
 	lines = append(lines, "\r\n"...)
+	repeated := []byte("M-SEARCH * HTTP/1.1\r\n")
+	for len(repeated) < size-16 {
+		repeated = append(repeated, "a:\r\n"...)
+	}
+	repeated = append(repeated, "\r\n"...)
 	body := []byte("<root>")
 	for i := 0; len(body) < size-128; i++ {
 		body = fmt.Appendf(body, "<l%x>v</l%x>", i, i)
@@ -491,6 +498,7 @@ func TestTextFieldCountIsBounded(t *testing.T) {
 		wire      []byte
 	}{
 		{"SSDP header lines", ssdpMDL, lines},
+		{"SSDP one repeated line", ssdpMDL, repeated},
 		{"HTTP header lines", httpMDL, lines},
 		{"HTTP XML leaves", httpMDL, leaves},
 	} {

@@ -2,6 +2,7 @@ package parser_test
 
 import (
 	"io/fs"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -110,11 +111,12 @@ func TestParseOwnsItsValues(t *testing.T) {
 	}
 }
 
-// FuzzRoundTrip holds every shipped codec to three properties: parse ∘
+// FuzzRoundTrip holds every shipped codec to four properties: parse ∘
 // compose ∘ parse is a fixpoint (after one compose neither the bytes nor
 // the message change any more); every truncation of a seed parses to an
-// error or a message, never a panic; and a parsed message does not alias
-// its input, so mutating the input leaves the message unchanged.
+// error or a message, never a panic; a parsed message does not alias
+// its input, so mutating the input leaves the message unchanged; and
+// every parse allocates in proportion to its input (parseBounded).
 func FuzzRoundTrip(f *testing.F) {
 	codecs := shippedCodecs(f)
 	seeds, isSeed := roundTripSeeds(f, codecs), map[string]bool{}
@@ -132,12 +134,12 @@ func FuzzRoundTrip(f *testing.F) {
 		// Every truncation of a seed; the walk is quadratic, and over the
 		// mutator's inputs it would starve the search.
 		for i := 0; i < len(data) && isSeed[string(data)]; i++ {
-			if m, err := cd.p.Parse(data[:i]); err == nil {
+			if m, err := parseBounded(t, cd.p, data[:i]); err == nil {
 				m.Release()
 			}
 		}
 		in := append([]byte(nil), data...)
-		m1, err := cd.p.Parse(in)
+		m1, err := parseBounded(t, cd.p, in)
 		if err != nil {
 			return
 		}
@@ -153,7 +155,7 @@ func FuzzRoundTrip(f *testing.F) {
 		if err != nil {
 			return // a value the marshallers cannot write back
 		}
-		m2, err := cd.p.Parse(w1)
+		m2, err := parseBounded(t, cd.p, w1)
 		if err != nil {
 			t.Fatalf("%s: composed %q does not parse: %v\nfrom %s", cd.name, w1, err, m1)
 		}
@@ -165,7 +167,7 @@ func FuzzRoundTrip(f *testing.F) {
 		if string(w2) != string(w1) {
 			t.Fatalf("%s: compose∘parse moved the bytes\nfirst  %q\nsecond %q", cd.name, w1, w2)
 		}
-		m3, err := cd.p.Parse(w2)
+		m3, err := parseBounded(t, cd.p, w2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,4 +176,18 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatalf("%s: parse∘compose moved the message\nfirst  %s\nsecond %s", cd.name, m2, m3)
 		}
 	})
+}
+
+// parseBounded is p.Parse(data) that fails t when the parse allocated
+// more than 8 bytes per input byte plus 64 KiB: what the bytes of a
+// hostile peer can make the parser hold, malformed input included.
+func parseBounded(t *testing.T, p *parser.Parser, data []byte) (*message.Message, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := p.Parse(data)
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*len(data)+64<<10); got > limit {
+		t.Fatalf("parsing %d bytes %q allocated %d B, want at most %d (error %v)", len(data), data, got, limit, err)
+	}
+	return m, err
 }

@@ -273,7 +273,7 @@ func scanXMLLeaves(body []byte, s string, msg *message.Message, labels *labelInd
 		case valueBuilt:
 			v = string(bytes.TrimSpace(scratch[lf.value.start:lf.value.end]))
 		}
-		msg.Put(-1, newField(label, message.Str(v)))
+		msg.Put(-1, msg.NewField(label, message.Str(v)))
 	}
 	return true, nil
 }

@@ -175,7 +175,7 @@ func decodeXMLLeaves(body []byte, msg *message.Message) error {
 					if msg.Len() >= maxTextFields {
 						return errTooManyFields
 					}
-					msg.Add(newField(label, message.Str(strings.TrimSpace(top.text.String()))))
+					msg.Add(msg.NewField(label, message.Str(strings.TrimSpace(top.text.String()))))
 				}
 			}
 		}
@@ -492,7 +492,7 @@ func FuzzXMLBody(f *testing.F) {
 
 // raceEnabled is set by race_test.go: under the race detector sync.Pool
 // drops a quarter of what it is given, so allocation pins over pooled
-// fields do not hold.
+// messages and field blocks do not hold.
 var raceEnabled bool
 
 // TestParseHTTPOkAllocs pins the allocations of a whole Parse of an

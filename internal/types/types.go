@@ -47,8 +47,8 @@ type Marshaller interface {
 // port, resource children).
 type StructuredMarshaller interface {
 	Marshaller
-	// Explode turns a decoded value into child fields.
-	Explode(v message.Value) ([]*message.Field, error)
+	// Explode turns a decoded value into child fields of m.
+	Explode(m *message.Message, v message.Value) ([]*message.Field, error)
 	// Implode rebuilds the primitive value from child fields.
 	Implode(children []*message.Field) (message.Value, error)
 }
@@ -344,7 +344,7 @@ func (URLMarshaller) Unmarshal(src string, bits int) (message.Value, error) {
 }
 
 // Explode implements StructuredMarshaller.
-func (URLMarshaller) Explode(v message.Value) ([]*message.Field, error) {
+func (URLMarshaller) Explode(m *message.Message, v message.Value) ([]*message.Field, error) {
 	s, ok := v.AsString()
 	if !ok {
 		return nil, fmt.Errorf("types: URL explode: value is %v", v.Kind())
@@ -367,20 +367,12 @@ func (URLMarshaller) Explode(v message.Value) ([]*message.Field, error) {
 	if resource == "" {
 		resource = "/"
 	}
-	// Pooled, so that the parent's Release recycles them.
 	return []*message.Field{
-		child("protocol", message.Str(u.Scheme)),
-		child("address", message.Str(u.Hostname())),
-		child("port", message.Int(port)),
-		child("resource", message.Str(resource)),
+		m.NewField("protocol", message.Str(u.Scheme)),
+		m.NewField("address", message.Str(u.Hostname())),
+		m.NewField("port", message.Int(port)),
+		m.NewField("resource", message.Str(resource)),
 	}, nil
-}
-
-// child returns a pooled primitive field.
-func child(label string, v message.Value) *message.Field {
-	f := message.NewField()
-	f.Label, f.Value = label, v
-	return f
 }
 
 // Implode implements StructuredMarshaller.

@@ -203,7 +203,7 @@ func TestDecodeFQDNConsumed(t *testing.T) {
 
 func TestURLExplodeImplode(t *testing.T) {
 	m := URLMarshaller{}
-	children, err := m.Explode(message.Str("http://10.0.0.2:5431/desc.xml"))
+	children, err := m.Explode(message.New("SSDP", "SSDPResponse"), message.Str("http://10.0.0.2:5431/desc.xml"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestURLExplodeImplode(t *testing.T) {
 
 func TestURLExplodeDefaults(t *testing.T) {
 	m := URLMarshaller{}
-	children, err := m.Explode(message.Str("http://example.com"))
+	children, err := m.Explode(message.New("SSDP", "SSDPResponse"), message.Str("http://example.com"))
 	if err != nil {
 		t.Fatal(err)
 	}
