@@ -1,6 +1,7 @@
 // Command starlink-vet runs Starlink's static-analysis suite: the
-// project-specific analyzers that machine-check the runtime's ownership
-// and concurrency invariants (see internal/analysis).
+// project-specific analyzers that machine-check the runtime's dispatch
+// domains, error comparisons and hot-path allocations (see
+// internal/analysis).
 //
 // Standalone:
 //

@@ -1,14 +1,8 @@
 // Package analysis is Starlink's static-analysis suite: a small,
 // dependency-free analogue of golang.org/x/tools/go/analysis (which the
-// build environment does not vendor) plus the five project analyzers
-// that machine-check the runtime's ownership and concurrency
-// invariants:
+// build environment does not vendor) plus the three project analyzers
+// that machine-check invariants no test observes:
 //
-//   - leasecheck: every Packet.TakeLease result is Released exactly
-//     once on all control-flow paths, never used after release, and
-//     Packet.Data is not retained past the handler without a lease;
-//   - poolcheck: pooled messages (message.NewPooled) reach a Release or
-//     transfer ownership on every path, with no use-after-release;
 //   - domaincheck: transport read loops bind a frame-local lease flag
 //     before dispatching a leased packet (the PR 5 TOCTOU class), and
 //     endpoint callbacks of undetached nodes spawn no goroutines;
@@ -18,6 +12,12 @@
 //     fmt calls, non-constant string concatenation, capturing closures
 //     and unbounded appends — the structural guard behind the
 //     AllocsPerRun regression tests.
+//
+// Who releases a buffer lease or a pooled message is not checked here:
+// each has one owner and one end, and two dynamic balances hold them —
+// netapi.LeasedBuffers and the engine's Snapshot.Messages, both zero
+// after every simulated run (the DST lease-balance and message-balance
+// invariants).
 //
 // The suite is exposed through cmd/starlink-vet, which runs standalone
 // (starlink-vet ./...) and as a `go vet -vettool` backend. Deliberate
@@ -46,10 +46,9 @@ type Analyzer struct {
 	Doc string
 	// Run reports the analyzer's diagnostics through pass.Report.
 	Run func(pass *Pass) error
-	// SkipTests excludes *_test.go files from the analysis. The
-	// ownership analyzers set it: tests deliberately probe the
-	// ownership machinery (double-release panics, lease transfer
-	// across goroutines) in ways that are wrong in production code.
+	// SkipTests excludes *_test.go files from the analysis. domaincheck
+	// sets it: tests drive the dispatch machinery from outside in ways
+	// that are wrong in production code.
 	SkipTests bool
 }
 
@@ -78,8 +77,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Suite is the full starlink-vet analyzer suite, in reporting order.
 func Suite() []*Analyzer {
 	return []*Analyzer{
-		LeaseCheck,
-		PoolCheck,
 		DomainCheck,
 		ErrCmp,
 		HotPathAlloc,
@@ -89,6 +86,13 @@ func Suite() []*Analyzer {
 // ---------------------------------------------------------------------
 // Type and AST helpers shared by the analyzers
 // ---------------------------------------------------------------------
+
+// Module-internal package paths the analyzers key on: they check
+// Starlink's own contracts, not a general Go idiom.
+const (
+	netapiPath  = "starlink/internal/netapi"
+	messagePath = "starlink/internal/message"
+)
 
 // namedType unwraps pointers and returns the named type's package path
 // and name, or "" when the type is unnamed.
@@ -215,4 +219,60 @@ func (p *Pass) eachFuncDecl(fn func(file *ast.File, decl *ast.FuncDecl)) {
 			}
 		}
 	}
+}
+
+// inspectBodies visits every function body — declarations and function
+// literals — in the analyzed files.
+func inspectBodies(pass *Pass, fn func(body *ast.BlockStmt)) {
+	for _, f := range pass.analyzedFiles() {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					fn(n.Body)
+				}
+			case *ast.FuncLit:
+				fn(n.Body)
+			}
+			return true // visit nested literals too
+		})
+	}
+}
+
+// walkShallow visits nodes without descending into function literals.
+func walkShallow(root ast.Node, fn func(ast.Node)) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		if n != nil {
+			fn(n)
+		}
+		return true
+	})
+}
+
+// lhsVar returns the function-local variable an assignment target
+// names, or nil for a blank, a package variable, a field or an index.
+func lhsVar(pass *Pass, e ast.Expr) *types.Var {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok || id.Name == "_" {
+		return nil
+	}
+	if def, ok := pass.TypesInfo.Defs[id]; ok {
+		v, _ := def.(*types.Var)
+		return v
+	}
+	if use, ok := pass.TypesInfo.Uses[id]; ok {
+		v, _ := use.(*types.Var)
+		if v != nil && v.Parent() != nil && v.Parent() != v.Pkg().Scope() {
+			return v
+		}
+	}
+	return nil
+}
+
+func isNilIdent(e ast.Expr) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	return ok && id.Name == "nil"
 }

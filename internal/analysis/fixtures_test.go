@@ -148,14 +148,12 @@ func listExports(dir string, patterns ...string) (map[string]string, error) {
 	return exports, nil
 }
 
-func TestLeaseCheckFixtures(t *testing.T)   { runFixture(t, LeaseCheck, "leasecheck") }
-func TestPoolCheckFixtures(t *testing.T)    { runFixture(t, PoolCheck, "poolcheck") }
 func TestDomainCheckFixtures(t *testing.T)  { runFixture(t, DomainCheck, "domaincheck") }
 func TestErrCmpFixtures(t *testing.T)       { runFixture(t, ErrCmp, "errcmp") }
 func TestHotPathAllocFixtures(t *testing.T) { runFixture(t, HotPathAlloc, "hotpathalloc") }
 func TestSuppressionFixtures(t *testing.T)  { runFixture(t, ErrCmp, "suppress") }
-func TestSuiteHasFiveAnalyzers(t *testing.T) {
-	if n := len(Suite()); n != 5 {
-		t.Fatalf("Suite() has %d analyzers, want 5", n)
+func TestSuiteHasThreeAnalyzers(t *testing.T) {
+	if n := len(Suite()); n != 3 {
+		t.Fatalf("Suite() has %d analyzers, want 3", n)
 	}
 }

@@ -26,7 +26,7 @@ func noReason(err error) bool {
 
 // A directive for a different analyzer does not suppress.
 func wrongAnalyzer(err error) bool {
-	//lint:ignore leasecheck reason text
+	//lint:ignore hotpathalloc reason text
 	return err == errSentinel // want "use errors.Is"
 }
 

@@ -70,6 +70,7 @@ func FormatArtifact(r *Result) string {
 		fmt.Fprintf(&b, "clients %s done=%d hits=%d\n", c, t.Done, t.Hits)
 	}
 	fmt.Fprintf(&b, "lease-delta %d\n", r.LeaseDelta)
+	fmt.Fprintf(&b, "message-delta %d\n", r.MessageDelta)
 
 	if len(r.FailedSessions) > 0 {
 		b.WriteString("\n[failed-sessions]\n")

@@ -11,7 +11,7 @@ import (
 // broke it.
 type Violation struct {
 	// Invariant names the catalog entry: sessions-terminal,
-	// session-leak, lease-balance, lane-conservation,
+	// session-leak, lease-balance, message-balance, lane-conservation,
 	// drain-consistency, reply-isolation or expectations.
 	Invariant string
 	Detail    string
@@ -112,6 +112,12 @@ func checkInvariants(sc *Scenario, r *Result) []Violation {
 	// released exactly once by teardown.
 	if r.LeaseDelta != 0 {
 		bad("lease-balance", "%+d pooled buffer leases outstanding after teardown", r.LeaseDelta)
+	}
+
+	// message-balance: every message an engine drew during the run was
+	// released exactly once by teardown.
+	if r.MessageDelta != 0 {
+		bad("message-balance", "%+d messages outstanding after teardown", r.MessageDelta)
 	}
 
 	// lane-conservation: per case and lane, every admitted payload was

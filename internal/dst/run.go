@@ -113,6 +113,10 @@ type Result struct {
 	// LeaseDelta is outstanding pooled buffers after teardown minus
 	// before setup; nonzero means a leak (or double release).
 	LeaseDelta int64
+	// MessageDelta is the hosted engines' message balance after
+	// teardown (engine.Snapshot.Messages summed over the cases);
+	// nonzero means an owner dropped a message (or released one twice).
+	MessageDelta int
 
 	// Misdelivered lists, for a Distinct scenario, every URL a client
 	// accepted that does not name the type it asked for.
@@ -168,7 +172,8 @@ func (l *sessionLog) SessionEnd(caseName string, s engine.SessionStats) {
 // invariants returns a Result with Violations set and a nil error.
 //
 // Runs must not execute concurrently in one process: the lease-balance
-// invariant reads the process-global netapi.LeasedBuffers counter.
+// invariant reads the process-global netapi.LeasedBuffers counter. The
+// message balance is the dispatcher's own, read after Close.
 func Run(sc *Scenario, seed int64, cfg Config) (*Result, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -328,6 +333,9 @@ func Run(sc *Scenario, seed int64, cfg Config) (*Result, error) {
 	_ = d.Close()
 	sim.RunToQuiescence()
 	res.LeaseDelta = netapi.LeasedBuffers() - leases0
+	for _, c := range d.Counts().Cases {
+		res.MessageDelta += c.Messages
+	}
 	res.Violations = checkInvariants(sc, res)
 	return res, nil
 }

@@ -137,8 +137,8 @@ func TestBridgeCloseDrainsConcurrentSessions(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.Counts(); st.Live != 0 {
-		t.Fatalf("live after close = %d", st.Live)
+	if st := e.Counts(); st.Live != 0 || st.Messages != 0 {
+		t.Fatalf("after close: live = %d, messages outstanding = %d", st.Live, st.Messages)
 	}
 	sim.RunToQuiescence() // client windows expire cleanly
 }

@@ -310,9 +310,10 @@ const (
 // inbound entry payload awaiting parse + route, or — when sess is set —
 // the next event of a session that worker owns. It carries one
 // work-tracker token, and — when the runtime delivered the payload in a
-// leased buffer — the lease, which the worker releases right after the
-// parse (the parser never aliases its input) or on any drop path. key
-// is an entry payload's routing key, computed once on the listener hot
+// leased buffer — the lease, which ends right after the parse (the
+// parser never aliases its input). A job ends in one place, worker.done,
+// whatever path it took: refused, shed, drained at Close or run. key is
+// an entry payload's routing key, computed once on the listener hot
 // path.
 type ingestJob struct {
 	codec *Codec
@@ -327,6 +328,7 @@ type ingestJob struct {
 	arrived time.Time
 
 	sess *session
+	// msg is the job's parsed message until a session adopts it.
 	msg  *message.Message
 	kind jobKind
 	// rerouted marks a jobEntry already forwarded once by a session
@@ -347,24 +349,20 @@ type ingestTiming struct {
 	bytes   int
 }
 
-// releaseJobLease returns the job's leased receive buffer, if any.
-func releaseJobLease(job *ingestJob) {
+// releaseLease returns the job's leased receive buffer, if any.
+func (job *ingestJob) releaseLease() {
 	if job.lease != nil {
 		job.lease.Release()
 		job.lease = nil
 	}
 }
 
-// releaseJob recycles what an undelivered job holds: the receive-buffer
-// lease and the parsed message. The holder of the job is the sole owner
-// of both, so the pooled fast path keeps recycling under overload —
-// dropped payloads must not degrade into per-packet garbage.
-func releaseJob(job *ingestJob) {
-	releaseJobLease(job)
-	if job.msg != nil {
-		job.msg.Release()
-		job.msg = nil
-	}
+// adopt hands the job's message to a new owner — a session's history,
+// or the job that carries it on — so that the job's end leaves it be.
+func (job *ingestJob) adopt() *message.Message {
+	m := job.msg
+	job.msg = nil
+	return m
 }
 
 // Engine executes one merged automaton on one bridge node.
@@ -581,20 +579,16 @@ func (e *Engine) Inject(proto string, data []byte, src netengine.Source, lease *
 		e.ignored.Add(1)
 		return fmt.Errorf("engine: %s: no codec for protocol %q", e.merged.Name, proto)
 	}
-	if e.State() == StateClosed {
-		if lease != nil {
-			lease.Release()
-		}
+	key := src.RoutingKey()
+	lane := e.classifyLane(codec.Spec.Protocol, key, src)
+	w := e.workers[key.Hash()%uint32(len(e.workers))]
+	if !e.offer(w, lane, ingestJob{codec: codec, key: key, data: data, src: src, lease: lease, arrived: time.Now()}) {
 		return serrors.Mark(fmt.Errorf("engine: %s is closed", e.merged.Name), serrors.ErrClosed)
 	}
 	e.ingestTotal.Add(1)
 	if src.Batch > 1 {
 		e.ingestBatched.Add(1)
 	}
-	key := src.RoutingKey()
-	lane := e.classifyLane(codec.Spec.Protocol, key, src)
-	w := e.workers[key.Hash()%uint32(len(e.workers))]
-	e.offer(w.q, lane, ingestJob{codec: codec, key: key, data: data, src: src, lease: lease, arrived: time.Now()})
 	return nil
 }
 
@@ -629,13 +623,12 @@ func (e *Engine) Close() error {
 	// Closing the queues wakes the ingest workers (Dequeue returns
 	// false), releases any gate hold a pressured queue has taken — so
 	// paused transport read loops wake for teardown — and hands back
-	// the tokens, buffer leases and messages of jobs the workers never
-	// picked up. offer holds closeMu.RLock around its token+enqueue, and
-	// closed was flipped under the write lock, so no job can slip in
-	// after this.
+	// the tokens of jobs the workers never picked up, which end here.
+	// offer holds closeMu.RLock around its token+enqueue, and closed was
+	// flipped under the write lock, so no job can slip in after this.
 	for _, w := range e.workers {
 		w.q.Close(func(_ lanes.Lane, job ingestJob) {
-			releaseJob(&job)
+			w.done(&job)
 			e.node.WorkDone()
 		})
 	}
@@ -770,19 +763,21 @@ func (e *Engine) classifyLane(proto string, key netengine.RoutingKey, src neteng
 	return lanes.Telemetry
 }
 
-// offer takes a work token for job and enqueues it on q. The read lock
-// makes the closed-check + token + enqueue atomic with respect to
-// Close, so no token or job can leak past shutdown; a job offered to a
-// closed engine is released silently — that is teardown, not overload.
-func (e *Engine) offer(q *lanes.Queue[ingestJob], lane lanes.Lane, job ingestJob) {
+// offer takes a work token for job and enqueues it on w's queue. The
+// read lock makes the closed-check + token + enqueue atomic with respect
+// to Close, so no token or job can leak past shutdown. A closed engine
+// refuses the job: it ends here and offer returns false — the one
+// refusal, which Inject reports as ErrClosed. Anything else the queue
+// decides, and a shed job is dropped and reported as overload.
+func (e *Engine) offer(w *worker, lane lanes.Lane, job ingestJob) bool {
 	e.closeMu.RLock()
 	if e.State() == StateClosed {
 		e.closeMu.RUnlock()
-		releaseJob(&job)
-		return
+		w.done(&job)
+		return false
 	}
 	e.node.WorkAdd()
-	verdict, victim := q.Enqueue(lane, job)
+	verdict, victim := w.q.Enqueue(lane, job)
 	// The sink is called outside closeMu: a callback reacting to the drop
 	// (even one that tears the deployment down from a fresh goroutine)
 	// must not deadlock against Close's write lock. The work token is
@@ -795,8 +790,9 @@ func (e *Engine) offer(q *lanes.Queue[ingestJob], lane lanes.Lane, job ingestJob
 		job = victim
 	}
 	if verdict != lanes.Admitted {
-		e.shedJob(job, lane.String()+" lane")
+		e.shedJob(w, job, lane.String()+" lane")
 	}
+	return true
 }
 
 // post queues a payload job for one life of s on the data lane of the
@@ -806,18 +802,18 @@ func (e *Engine) offer(q *lanes.Queue[ingestJob], lane lanes.Lane, job ingestJob
 func (e *Engine) post(s *session, life uint32, job ingestJob) {
 	job.sess, job.gen = s, life
 	if s.queued.Add(1) <= sessionQueueCap {
-		e.offer(s.w.q, lanes.Data, job)
+		e.offer(s.w, lanes.Data, job)
 		return
 	}
 	e.node.WorkAdd() // held through the drop report, like offer's
-	e.shedJob(job, "session queue")
+	e.shedJob(s.w, job, "session queue")
 }
 
-// shedJob accounts one payload shed by a lane queue or a session's
-// cap: what it holds is released, the drop is counted and reported as
-// ErrOverloaded, and its work token is returned.
-func (e *Engine) shedJob(job ingestJob, by string) {
-	releaseJob(&job)
+// shedJob accounts one payload shed by w's lane queue or a session's
+// cap: the job ends, the drop is counted and reported as ErrOverloaded,
+// and its work token is returned.
+func (e *Engine) shedJob(w *worker, job ingestJob, by string) {
+	w.done(&job)
 	if job.sess != nil {
 		job.sess.queued.Add(-1)
 	}
@@ -863,23 +859,26 @@ func (e *Engine) ingestLoop(w *worker) {
 			e.laneHists[lane].Record(time.Since(job.arrived))
 		}
 		if job.sess != nil {
-			job.sess.handle(job)
+			job.sess.handle(&job)
 		} else {
-			e.ingest(w, job)
+			e.ingest(w, &job)
 		}
+		w.done(&job)
 		e.node.WorkDone()
 	}
 }
 
-// parse runs a job's payload through its codec and times the recv and
-// parse stages. The job's buffer lease ends here — the parse copies
-// everything it keeps into pooled messages, so the receive buffer goes
-// back to its pool before anything is routed or delivered.
-func (e *Engine) parse(job *ingestJob) (*message.Message, ingestTiming, error) {
+// parse runs a job's payload through its codec into a message w draws,
+// which the job holds (msg) until a session adopts it, and times the
+// recv and parse stages. The job's buffer lease ends here — the parse
+// copies everything it keeps into the message, so the receive buffer
+// goes back to its pool before anything is routed or delivered.
+func (e *Engine) parse(w *worker, job *ingestJob) (ingestTiming, error) {
 	tm := ingestTiming{arrived: job.arrived, picked: time.Now(), bytes: len(job.data)}
-	msg, err := job.codec.Parser.Parse(job.data)
+	job.msg = w.draw(job.codec.Spec.Protocol, "")
+	err := job.codec.Parser.ParseInto(job.msg, job.data)
 	tm.parsed = time.Now()
-	releaseJobLease(job)
+	job.releaseLease()
 	if !tm.arrived.IsZero() {
 		e.stageHists[trace.StageRecv].Record(tm.picked.Sub(tm.arrived))
 	}
@@ -887,33 +886,33 @@ func (e *Engine) parse(job *ingestJob) (*message.Message, ingestTiming, error) {
 	if err != nil {
 		e.parseErrors.Add(1)
 	}
-	return msg, tm, err
+	return tm, err
 }
 
 // ingest parses one entry payload and routes it: an initiator request
 // opens (or rendezvouses with) a keyed session on this worker; anything
-// else goes to the worker of a session awaiting that message.
-func (e *Engine) ingest(w *worker, job ingestJob) {
-	msg, tm, err := e.parse(&job)
+// else goes to the worker of a session awaiting that message. A message
+// no session adopts ends with the job.
+func (e *Engine) ingest(w *worker, job *ingestJob) {
+	tm, err := e.parse(w, job)
 	if err != nil {
 		return
 	}
-	proto := job.codec.Spec.Protocol
+	proto, name := job.codec.Spec.Protocol, job.msg.Name
 	first := e.program[0]
-	if proto == first.Protocol && msg.Name == first.Message {
-		e.openSession(w, job, msg, tm)
+	if proto == first.Protocol && name == first.Message {
+		e.openSession(w, job, tm)
 		return
 	}
 	// Route to a session awaiting this message on this protocol,
 	// preferring one opened by the same peer host.
-	if s := e.table.findAwaiting(proto, msg.Name, job.src.Addr.IP); s != nil {
+	if s := e.table.findAwaiting(proto, name, job.src.Addr.IP); s != nil {
 		life := s.life.Load()
 		s.recordIngest(tm, trace.OutcomeOK)
-		e.post(s, life, ingestJob{kind: jobEntry, codec: job.codec, msg: msg, src: job.src})
+		e.post(s, life, ingestJob{kind: jobEntry, codec: job.codec, msg: job.adopt(), src: job.src})
 		return
 	}
 	e.ignored.Add(1)
-	msg.Release() // never escaped this worker: recycle
 }
 
 // openSession handles an initiator request on the worker owning its
@@ -925,15 +924,15 @@ func (e *Engine) ingest(w *worker, job ingestJob) {
 // socket for a new interaction) — an independent session is admitted,
 // under a uniquified key when the base key is taken. One session per
 // initiator request, as in the paper.
-func (e *Engine) openSession(w *worker, job ingestJob, msg *message.Message, tm ingestTiming) {
+func (e *Engine) openSession(w *worker, job *ingestJob, tm ingestTiming) {
 	key := sessionKey{RoutingKey: job.key}
 	sh := e.table.shardFor(key)
 	sh.mu.RLock()
 	s := sh.sessions[key]
 	sh.mu.RUnlock()
-	if s != nil && s.waitsFor(job.codec, msg.Name) {
+	if s != nil && s.waitsFor(job.codec, job.msg.Name) {
 		s.recordIngest(tm, trace.OutcomeOK)
-		s.deliverEntry(msg, job.src)
+		s.deliverEntry(job)
 		return
 	}
 	seq := e.sessionSeq.Add(1)
@@ -942,38 +941,38 @@ func (e *Engine) openSession(w *worker, job ingestJob, msg *message.Message, tm 
 		// from the same client socket. Give it its own key.
 		key.n = seq
 	}
-	e.admit(w, key, seq, msg, job.src, tm)
+	e.admit(w, key, seq, job, tm)
 }
 
 // admit registers a new session under key against the max-sessions
 // semaphore and runs it to its first receive, or refuses the request.
 // The lifecycle check and the insert share the shard lock, so a drain
 // that starts concurrently either refuses this session or counts it
-// live.
-func (e *Engine) admit(w *worker, key sessionKey, seq uint64, msg *message.Message, src netengine.Source, tm ingestTiming) {
+// live. The new session adopts the job's message.
+func (e *Engine) admit(w *worker, key sessionKey, seq uint64, job *ingestJob, tm ingestTiming) {
+	src := job.src
 	sh := e.table.shardFor(key)
 	sh.mu.Lock()
 	switch State(e.state.Load()) {
 	case StateClosed:
 		sh.mu.Unlock()
-		msg.Release()
 		return
 	case StateDraining:
 		// Rendezvous deliveries to live sessions were handled by the
 		// caller; only brand-new sessions reach here, and a draining
 		// engine admits none.
 		sh.mu.Unlock()
-		e.refuse(&e.drainRejected, msg, src, serrors.ErrDraining, "engine is draining")
+		e.refuse(&e.drainRejected, src, serrors.ErrDraining, "engine is draining")
 		return
 	}
 	select {
 	case e.sem <- struct{}{}:
 	default:
 		sh.mu.Unlock()
-		e.refuse(&e.rejected, msg, src, serrors.ErrOverloaded, fmt.Sprintf("max sessions (%d) live", e.maxSessions))
+		e.refuse(&e.rejected, src, serrors.ErrOverloaded, fmt.Sprintf("max sessions (%d) live", e.maxSessions))
 		return
 	}
-	s := e.newSession(w, key, seq, msg, src, tm)
+	s := e.newSession(w, key, seq, job.adopt(), src, tm)
 	sh.sessions[key] = s
 	sh.mu.Unlock()
 	if e.sink != nil {
@@ -982,12 +981,11 @@ func (e *Engine) admit(w *worker, key sessionKey, seq uint64, msg *message.Messa
 	s.advance()
 }
 
-// refuse counts and reports an initiator request that opens no session
-// and recycles its message. The worker still holds the job's token, so
-// quiescence implies observers saw the rejection.
-func (e *Engine) refuse(counter *atomic.Int64, msg *message.Message, src netengine.Source, kind error, why string) {
+// refuse counts and reports an initiator request that opens no session;
+// its message ends with the job. The worker still holds the job's token,
+// so quiescence implies observers saw the rejection.
+func (e *Engine) refuse(counter *atomic.Int64, src netengine.Source, kind error, why string) {
 	counter.Add(1)
-	msg.Release()
 	e.reportDrop(src.Addr, serrors.Mark(
 		fmt.Errorf("engine: %s: new session from %s rejected: %s", e.merged.Name, src.Addr, why), kind))
 }
@@ -997,17 +995,16 @@ func (e *Engine) refuse(counter *atomic.Int64, msg *message.Message, src netengi
 // awaiting it: the original routing choice is made from a lock-free
 // await snapshot, which can go stale by delivery time, and the payload
 // would otherwise starve the session it was meant for. One hop only; if
-// no other session awaits it, the message is counted Ignored.
-func (e *Engine) rerouteEntry(s *session, job ingestJob) {
+// no other session awaits it, the message is counted Ignored and ends
+// with the job.
+func (e *Engine) rerouteEntry(s *session, job *ingestJob) {
 	if !job.rerouted {
 		if s2 := e.table.findAwaiting(job.codec.Spec.Protocol, job.msg.Name, job.src.Addr.IP); s2 != nil && s2 != s {
-			job.rerouted = true
-			e.post(s2, s2.life.Load(), job) // on refusal, post recycles the message
+			e.post(s2, s2.life.Load(), ingestJob{kind: jobEntry, codec: job.codec, msg: job.adopt(), src: job.src, rerouted: true})
 			return
 		}
 	}
 	e.ignored.Add(1)
-	releaseJob(&job) // no session wanted it: recycle
 }
 
 // sessionDone finishes a session and hands its struct back to its

@@ -116,6 +116,11 @@ type Snapshot struct {
 	// invariant surface).
 	SemInUse  int
 	LaneDepth int
+	// Messages is the message balance: messages the workers drew (a
+	// parse, a composed send) and have not released. It reads zero at
+	// quiescence with no session live and after Close, or some owner
+	// dropped one.
+	Messages int
 
 	// Latency and Lanes are left zero by Counts.
 	Latency LatencyDump
@@ -143,6 +148,7 @@ func (e *Engine) Counts() Snapshot {
 	s.RequestersIdle = int(e.idleRequesters.Load())
 	for _, w := range e.workers {
 		s.LaneDepth += w.q.Depth()
+		s.Messages += int(w.msgs.Load())
 	}
 	return s
 }

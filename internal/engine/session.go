@@ -152,8 +152,9 @@ func (s *session) recordIngest(tm ingestTiming, parse trace.Outcome) {
 }
 
 // handle runs one queued event of the session on its worker. Events
-// that outlived the session they were posted for are recycled silently.
-func (s *session) handle(job ingestJob) {
+// that outlived the session they were posted for end unhandled, and
+// with them whatever message the session does not adopt.
+func (s *session) handle(job *ingestJob) {
 	if job.kind == jobTimer {
 		// A fire is stale when its arm was stopped or replaced — or when
 		// it read the generation of an arm made after it was on its way.
@@ -170,7 +171,6 @@ func (s *session) handle(job ingestJob) {
 	}
 	s.queued.Add(-1)
 	if job.gen != s.life.Load() {
-		releaseJob(&job)
 		return
 	}
 	if job.kind == jobEntry {
@@ -180,22 +180,21 @@ func (s *session) handle(job ingestJob) {
 			s.e.rerouteEntry(s, job)
 			return
 		}
-		s.deliverEntry(job.msg, job.src)
+		s.deliverEntry(job)
 		return
 	}
-	msg, tm, err := s.e.parse(&job)
+	tm, err := s.e.parse(s.w, job)
 	if err != nil {
 		s.recordIngest(tm, trace.OutcomeErr)
 		return
 	}
-	if !s.answers(job.req, job.src, msg) {
+	if !s.answers(job.req, job.src, job.msg) {
 		s.rec.RecordAt(trace.StageRecv, trace.OutcomeDrop, tm.parsed, tm.bytes)
 		s.e.stale.Add(1)
-		msg.Release()
 		return
 	}
 	s.recordIngest(tm, trace.OutcomeOK)
-	s.deliver(job.codec, msg)
+	s.deliver(job)
 }
 
 // waitsFor reports whether the session is blocked on message name of
@@ -216,10 +215,9 @@ func (s *session) waiting() string {
 
 // deliverEntry hands the session an entry message it waitsFor, and
 // makes its peer the reply target of the protocol.
-func (s *session) deliverEntry(msg *message.Message, src netengine.Source) {
-	st := &s.e.plan.steps[s.wait]
-	s.entries[st.entry] = src
-	s.deliver(st.codec, msg)
+func (s *session) deliverEntry(job *ingestJob) {
+	s.entries[s.e.plan.steps[s.wait].entry] = job.src
+	s.deliver(job)
 }
 
 func (s *session) store(st *planStep, m *message.Message) {
@@ -299,47 +297,18 @@ func (s *session) runDelta(st *planStep) error {
 
 // runSend builds, translates, composes and transmits a message, timing
 // each of the three stages into the engine's histograms and the
-// session's flight recorder.
+// session's flight recorder. The message joins the history once
+// composed, and ends with it at cleanup.
 func (s *session) runSend(st *planStep) error {
-	e := s.e
-	// Pooled: the composed message joins the session history and is
-	// recycled with it at cleanup.
-	out := message.NewPooled(st.Protocol, st.Message)
-	env := translation.Env{Lookup: s.lookupFn, Vars: e.vars}
-	t0 := time.Now()
-	err := e.merged.Logic.Apply(out, env, e.tfuncs)
-	t1 := time.Now()
-	e.stageHists[trace.StageTranslate].Record(t1.Sub(t0))
+	out := s.w.draw(st.Protocol, st.Message)
+	wire, composed, err := s.compose(st, out)
 	if err != nil {
-		out.Release() // never joined the history
-		s.rec.RecordAt(trace.StageTranslate, trace.OutcomeErr, t1, 0)
+		s.w.release(out) // never joined the history
 		return err
 	}
-	s.rec.RecordAt(trace.StageTranslate, trace.OutcomeOK, t1, 0)
-	if !st.ReplyToOrigin && e.plan.reqs[st.req].stamp {
-		// The engine owns an integer txid field: on a lent socket it
-		// carries the epoch of this lend, which a reply must echo.
-		r, err := s.requester(st)
-		if err != nil {
-			out.Release()
-			return err
-		}
-		if r.epoch != 0 {
-			out.SetPathParts(e.plan.reqs[st.req].txid, message.Int(int64(r.epoch)))
-		}
-	}
-	wire, err := st.codec.Composer.AppendCompose(s.w.wire[:0], out)
-	s.w.wire = wire
-	t2 := time.Now()
-	e.stageHists[trace.StageCompose].Record(t2.Sub(t1))
-	if err != nil {
-		out.Release()
-		s.rec.RecordAt(trace.StageCompose, trace.OutcomeErr, t2, 0)
-		return err
-	}
-	s.rec.RecordAt(trace.StageCompose, trace.OutcomeOK, t2, len(wire))
 	s.store(st, out) // sent instances join the history (⇒ over sends)
 
+	e := s.e
 	what := "send"
 	if st.ReplyToOrigin {
 		what = "reply"
@@ -357,13 +326,51 @@ func (s *session) runSend(st *planStep) error {
 		}
 		err = r.Send(wire)
 	}
-	e.stageHists[trace.StageSend].Record(time.Since(t2))
+	e.stageHists[trace.StageSend].Record(time.Since(composed))
 	if err != nil {
 		s.rec.Record(trace.StageSend, trace.OutcomeErr, len(wire))
 		return fmt.Errorf("engine: %s: %w", what, err)
 	}
 	s.rec.Record(trace.StageSend, trace.OutcomeOK, len(wire))
 	return nil
+}
+
+// compose fills out by the translation logic, stamps a lent socket's
+// epoch into its txid and composes it into the worker's wire buffer,
+// returning the wire and when the compose stage ended.
+func (s *session) compose(st *planStep, out *message.Message) ([]byte, time.Time, error) {
+	e := s.e
+	env := translation.Env{Lookup: s.lookupFn, Vars: e.vars}
+	t0 := time.Now()
+	err := e.merged.Logic.Apply(out, env, e.tfuncs)
+	t1 := time.Now()
+	e.stageHists[trace.StageTranslate].Record(t1.Sub(t0))
+	if err != nil {
+		s.rec.RecordAt(trace.StageTranslate, trace.OutcomeErr, t1, 0)
+		return nil, t1, err
+	}
+	s.rec.RecordAt(trace.StageTranslate, trace.OutcomeOK, t1, 0)
+	if !st.ReplyToOrigin && e.plan.reqs[st.req].stamp {
+		// The engine owns an integer txid field: on a lent socket it
+		// carries the epoch of this lend, which a reply must echo.
+		r, err := s.requester(st)
+		if err != nil {
+			return nil, t1, err
+		}
+		if r.epoch != 0 {
+			out.SetPathParts(e.plan.reqs[st.req].txid, message.Int(int64(r.epoch)))
+		}
+	}
+	wire, err := st.codec.Composer.AppendCompose(s.w.wire[:0], out)
+	s.w.wire = wire
+	t2 := time.Now()
+	e.stageHists[trace.StageCompose].Record(t2.Sub(t1))
+	if err != nil {
+		s.rec.RecordAt(trace.StageCompose, trace.OutcomeErr, t2, 0)
+		return nil, t2, err
+	}
+	s.rec.RecordAt(trace.StageCompose, trace.OutcomeOK, t2, len(wire))
+	return wire, t2, nil
 }
 
 // armReceive blocks the session on a receive step (advance already
@@ -412,15 +419,15 @@ func (s *session) clearWait() {
 	s.await.Store(nil)
 }
 
-func (s *session) deliver(codec *Codec, msg *message.Message) {
-	if !s.waitsFor(codec, msg.Name) {
+// deliver stores the job's message in the history if the session
+// waitsFor it; one it does not ends with the job.
+func (s *session) deliver(job *ingestJob) {
+	if !s.waitsFor(job.codec, job.msg.Name) {
 		s.rec.Record(trace.StageRecv, trace.OutcomeDrop, 0)
 		s.e.ignored.Add(1)
-		// Parsed for this session alone and never stored: recycle.
-		msg.Release()
 		return
 	}
-	s.store(&s.e.plan.steps[s.wait], msg)
+	s.store(&s.e.plan.steps[s.wait], job.adopt())
 	if s.windowed {
 		s.collected++
 		return // keep collecting until the window expires
@@ -443,10 +450,10 @@ func (s *session) cleanup() {
 	// The session owns every message in its history (parsed inputs and
 	// composed outputs); nothing references them once the session ends,
 	// so the whole working set returns to the message pools here — the
-	// session boundary of the pooled fast path.
+	// one place a session releases a message it adopted.
 	for i, h := range s.history {
 		for j, m := range h {
-			m.Release()
+			s.w.release(m)
 			h[j] = nil
 		}
 		s.history[i] = h[:0]

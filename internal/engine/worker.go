@@ -24,6 +24,12 @@ const (
 // goroutine draining it touches (and Close, once that has stopped).
 type worker struct {
 	q *lanes.Queue[ingestJob]
+	// msgs is the worker's share of the message balance: messages drawn
+	// (draw) minus messages released (release) by this worker's jobs and
+	// sessions, and by Close and shed paths on its behalf. A message may
+	// be drawn on one worker and released on another; the sum over the
+	// workers is what is outstanding (Snapshot.Messages).
+	msgs atomic.Int64
 	// free holds finished sessions, the next ones this worker admits.
 	free []*session
 	// idle holds, per requester slot of a lent color, the open sockets
@@ -32,6 +38,28 @@ type worker struct {
 	// wire is the buffer every send step of this worker's sessions
 	// composes into: Send and Reply write or copy it before they return.
 	wire []byte
+}
+
+// draw takes a message from the pool for a job or session of w: every
+// message the engine holds is drawn here and ends in release.
+func (w *worker) draw(protocol, name string) *message.Message {
+	w.msgs.Add(1)
+	return message.NewPooled(protocol, name)
+}
+
+// release returns a message the engine drew to the pool.
+func (w *worker) release(m *message.Message) {
+	m.Release()
+	w.msgs.Add(-1)
+}
+
+// done ends a job on w, whatever path it took: the lease and the message
+// still in it — those no session adopted — are released.
+func (w *worker) done(job *ingestJob) {
+	job.releaseLease()
+	if job.msg != nil {
+		w.release(job.adopt())
+	}
 }
 
 // requester is a client-role channel and the session it serves now. A

@@ -17,7 +17,14 @@
 //
 //   - A message comes from the pool (NewPooled) and goes back to it
 //     through Release, which its owner calls exactly once, after which
-//     the message and every field in it are invalid.
+//     the message and every field in it are invalid. On the bridge data
+//     path the engine owns every message: it draws one per parse
+//     (parser.ParseInto fills it) and per send, and releases it in one
+//     of three places — where the ingest job carrying it ends, at the
+//     cleanup of the session whose history adopted it, or beside the
+//     draw of a send that failed — counting both sides in its message
+//     balance. Parser.Parse is the one other owner: it releases the
+//     message a failed parse leaves.
 //   - A field belongs to the message that made it (Message.NewField)
 //     and lives as long as it does: the message takes its fields from
 //     blocks drawn from one pool, and its Release zeroes the blocks and

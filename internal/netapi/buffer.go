@@ -14,10 +14,11 @@ var bufferPool = sync.Pool{
 }
 
 // outstanding counts leased-but-unreleased buffers process-wide: one
-// atomic increment per NewBuffer, one decrement per Release. It exists
-// for the DST lease-balance invariant — after a simulated run tears
-// down, the delta over the run must be zero or some owner leaked (or
-// double-released, which panics first).
+// atomic increment per NewBuffer, one decrement per Release. It is the
+// lease balance the DST lease-balance invariant reads — after a
+// simulated run tears down, the delta over the run must be zero or some
+// owner leaked (or double-released, which panics first). No static
+// check stands behind it: a lease has one owner and one end.
 var outstanding atomic.Int64
 
 // LeasedBuffers returns the number of pool buffers currently leased
@@ -36,14 +37,15 @@ func LeasedBuffers() int64 { return outstanding.Load() }
 //   - While the handler callback runs, the packet's Data (a view into
 //     the buffer) is valid and the runtime still owns the buffer; a
 //     handler that finishes with the bytes synchronously does nothing,
-//     and the runtime reuses the buffer for the next datagram.
+//     and the runtime reuses the buffer for the next datagram (simnet
+//     zeroes it first, so a handler that kept Data anyway reads zeros).
 //   - A handler that needs the bytes beyond the callback — e.g. the
 //     Automata Engine queueing the payload for an ingest worker —
 //     takes the lease with Packet.TakeLease and MUST Release it
-//     exactly once when done (for the engine: right after the payload
-//     is parsed into pooled messages, or on the drop path, or at
-//     session cleanup for events still queued at teardown). The
-//     parser never aliases its input, so post-parse release is safe.
+//     exactly once when done. The engine's ingest job is the lease's
+//     one owner: it ends right after the payload is parsed (the parser
+//     never aliases its input) or, for a payload never parsed —
+//     refused, shed, stale or drained by Close — where the job ends.
 //
 // Release returns the buffer to the pool; releasing twice panics,
 // because a double release would hand one buffer to two owners.

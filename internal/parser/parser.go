@@ -179,18 +179,34 @@ func (p *Parser) HeaderKind(label string) message.Kind {
 // Spec returns the MDL specification the parser interprets.
 func (p *Parser) Spec() *mdl.Spec { return p.spec }
 
-// Parse decodes one complete wire message into an abstract message.
-// The returned message comes from the message pool, is bound to its
-// definition's layout and never aliases data; callers that fully
-// consume it may hand it back with Release.
+// Parse decodes one complete wire message into an abstract message
+// drawn from the message pool: ParseInto over a fresh message, which
+// Parse releases itself when the parse fails. The caller owns the
+// message it returns and may hand it back with Release.
 func (p *Parser) Parse(data []byte) (*message.Message, error) {
+	msg := message.NewPooled(p.spec.Protocol, "")
+	if err := p.ParseInto(msg, data); err != nil {
+		msg.Release()
+		return nil, err
+	}
+	return msg, nil
+}
+
+// ParseInto decodes one complete wire message into msg, an empty
+// message its caller drew (message.NewPooled) and goes on owning
+// whatever ParseInto returns: the caller releases it, filled or not. The
+// filled message is bound to its definition's layout and never aliases
+// data.
+func (p *Parser) ParseInto(msg *message.Message, data []byte) error {
+	msg.Protocol = p.spec.Protocol
+	msg.SetLayout(p.r.Shared.Layout)
 	switch p.spec.Dialect {
 	case mdl.DialectBinary:
-		return p.parseBinary(data)
+		return p.parseBinary(msg, data)
 	case mdl.DialectText:
-		return p.parseText(data)
+		return p.parseText(msg, data)
 	default:
-		return nil, fmt.Errorf("parser: spec %s has invalid dialect", p.spec.Protocol)
+		return fmt.Errorf("parser: spec %s has invalid dialect", p.spec.Protocol)
 	}
 }
 
@@ -330,26 +346,21 @@ func add(msg *message.Message, into *message.Field, e *mdl.Entry, f *message.Fie
 // Binary dialect
 // ---------------------------------------------------------------------
 
-func (p *Parser) parseBinary(data []byte) (*message.Message, error) {
+func (p *Parser) parseBinary(msg *message.Message, data []byte) error {
 	var r bitio.Reader
 	r.Init(data)
 	w := wire{data: data}
-	msg := message.NewPooled(p.spec.Protocol, "")
-	msg.SetLayout(p.r.Shared.Layout)
 	if err := parseBinaryFields(&r, &w, p.r.Shared.Header, msg, nil); err != nil {
-		msg.Release()
-		return nil, fmt.Errorf("parser: %s header: %w", p.spec.Protocol, err)
+		return fmt.Errorf("parser: %s header: %w", p.spec.Protocol, err)
 	}
 	pl, err := p.plan(msg)
 	if err != nil {
-		msg.Release()
-		return nil, err
+		return err
 	}
 	if err := parseBinaryFields(&r, &w, pl.Body, msg, nil); err != nil {
-		msg.Release()
-		return nil, fmt.Errorf("parser: %s %s body: %w", p.spec.Protocol, pl.Def.Name, err)
+		return fmt.Errorf("parser: %s %s body: %w", p.spec.Protocol, pl.Def.Name, err)
 	}
-	return msg, nil
+	return nil
 }
 
 // sizeOf returns the integer the size or count field e names holds.
@@ -497,9 +508,7 @@ func build(msg *message.Message, e *mdl.Entry, label string, v message.Value) (*
 // Text dialect
 // ---------------------------------------------------------------------
 
-func (p *Parser) parseText(data []byte) (*message.Message, error) {
-	msg := message.NewPooled(p.spec.Protocol, "")
-	msg.SetLayout(p.r.Shared.Layout)
+func (p *Parser) parseText(msg *message.Message, data []byte) error {
 	w := wire{data: data}
 	rest := data
 	var err error
@@ -508,28 +517,24 @@ func (p *Parser) parseText(data []byte) (*message.Message, error) {
 		if e.Def.Wildcard {
 			rest, err = p.parseWildcard(rest, e.Def, msg, &w, &labels)
 			if err != nil {
-				msg.Release()
-				return nil, fmt.Errorf("parser: %s wildcard: %w", p.spec.Protocol, err)
+				return fmt.Errorf("parser: %s wildcard: %w", p.spec.Protocol, err)
 			}
 			continue
 		}
 		var token []byte
 		token, rest, err = cutDelim(rest, e.Def.Delim)
 		if err != nil {
-			msg.Release()
-			return nil, fmt.Errorf("parser: %s field %q: %w", p.spec.Protocol, e.Label, err)
+			return fmt.Errorf("parser: %s field %q: %w", p.spec.Protocol, e.Label, err)
 		}
 		f, err := textField(msg, e, e.Label, token, &w)
 		if err != nil {
-			msg.Release()
-			return nil, fmt.Errorf("parser: %s: %w", p.spec.Protocol, err)
+			return fmt.Errorf("parser: %s: %w", p.spec.Protocol, err)
 		}
 		add(msg, nil, e, f)
 	}
 	pl, err := p.plan(msg)
 	if err != nil {
-		msg.Release()
-		return nil, err
+		return err
 	}
 	switch pl.Def.Body {
 	case mdl.BodyRaw:
@@ -539,15 +544,14 @@ func (p *Parser) parseText(data []byte) (*message.Message, error) {
 		// writes a String body back verbatim.
 		text := w.of(rest)
 		if err := flattenXMLBody(rest, text, msg, &labels); err != nil {
-			msg.Release()
-			return nil, fmt.Errorf("parser: %s xml body: %w", p.spec.Protocol, err)
+			return fmt.Errorf("parser: %s xml body: %w", p.spec.Protocol, err)
 		}
 		msg.Add(msg.NewField("Body", message.Str(text)))
 	case mdl.BodyNone:
 		// Trailing bytes after the blank line are ignored (some stacks
 		// pad datagrams).
 	}
-	return msg, nil
+	return nil
 }
 
 // parseWildcard consumes label:value lines until the empty line that

@@ -762,6 +762,10 @@ func (n *Net) scheduleUDPLocked(dst *udpSocket, from, to netapi.Addr, data []byt
 		pkt.BindLeaseFlag(&retained)
 		dst.handler(pkt)
 		if !retained {
+			// Poison what the handler left: one that kept Data without
+			// the lease reads zeros, not a datagram that happens to
+			// survive until the buffer's next lease.
+			clear(buf.Bytes())
 			buf.Release()
 		}
 	}
