@@ -65,8 +65,6 @@ func (c *Composer) Compose(msg *message.Message) ([]byte, error) {
 // so callers (and translation logic) never restate a protocol's
 // constants. The wire is assembled in a pooled buffer and copied once,
 // into dst: a caller that reuses dst composes without allocating.
-//
-//starlink:hotpath
 func (c *Composer) AppendCompose(dst []byte, msg *message.Message) ([]byte, error) {
 	var pl *mdl.Plan
 	for _, p := range c.r.Plans {
@@ -214,7 +212,6 @@ func releaseBinaryCtx(ctx *binaryCtx) {
 	binCtxPool.Put(ctx)
 }
 
-//starlink:hotpath
 func (c *Composer) composeBinary(dst []byte, msg *message.Message, pl *mdl.Plan) ([]byte, error) {
 	ctx := acquireBinaryCtx(msg, pl)
 	defer releaseBinaryCtx(ctx)
@@ -262,8 +259,6 @@ func setInt(msg *message.Message, e *mdl.Entry, n int64) {
 
 // writeFields serialises a field list; group items pass their item
 // field as scope for label lookups.
-//
-//starlink:hotpath
 func (c *Composer) writeFields(ctx *binaryCtx, entries []*mdl.Entry, msg *message.Message, scope *message.Field) error {
 	for _, e := range entries {
 		def := e.Def
@@ -332,8 +327,6 @@ func (c *Composer) writeFields(ctx *binaryCtx, entries []*mdl.Entry, msg *messag
 
 // writeIntField writes a derived integer and records it: in the group
 // item scope, or at the top level (setInt).
-//
-//starlink:hotpath
 func (c *Composer) writeIntField(ctx *binaryCtx, msg *message.Message, scope *message.Field, e *mdl.Entry, n int64) error {
 	if e.Def.SizeBits <= 0 || e.Def.SizeBits > 64 {
 		return fmt.Errorf("field %q: derived integer needs fixed width <=64 bits", e.Label)
@@ -354,8 +347,6 @@ func (c *Composer) writeIntField(ctx *binaryCtx, msg *message.Message, scope *me
 // writeField serialises one field. cacheable marks top-level fields
 // whose variable-width encoding may be shared with the measurement
 // passes (group items repeat labels, so they must not hit the cache).
-//
-//starlink:hotpath
 func (c *Composer) writeField(ctx *binaryCtx, e *mdl.Entry, f *message.Field, cacheable bool) error {
 	def := e.Def
 	if e.M == nil {
@@ -474,7 +465,6 @@ func zeroValue(k message.Kind) message.Value {
 
 var textBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-//starlink:hotpath
 func (c *Composer) composeText(dst []byte, msg *message.Message, pl *mdl.Plan) ([]byte, error) {
 	buf := textBufPool.Get().(*bytes.Buffer)
 	buf.Reset()

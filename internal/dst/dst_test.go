@@ -333,6 +333,7 @@ func TestArtifactRejectsGarbage(t *testing.T) {
 		"not an artifact\n",
 		artifactHeader + "\nseed nope\n",
 		artifactHeader + "\nwat 1\n",
+		artifactHeader + "\n[scenario]\nscenario x\ncase a\nclients 2000000000\n",
 	} {
 		if _, err := ParseArtifact(bad); err == nil {
 			t.Errorf("ParseArtifact accepted %q", bad)

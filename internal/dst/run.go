@@ -114,7 +114,8 @@ type Result struct {
 	// before setup; nonzero means a leak (or double release).
 	LeaseDelta int64
 	// MessageDelta is the hosted engines' message balance after
-	// teardown (engine.Snapshot.Messages summed over the cases);
+	// teardown, the engines a reload retired included
+	// (provision.Snapshot.Messages);
 	// nonzero means an owner dropped a message (or released one twice).
 	MessageDelta int
 
@@ -333,9 +334,7 @@ func Run(sc *Scenario, seed int64, cfg Config) (*Result, error) {
 	_ = d.Close()
 	sim.RunToQuiescence()
 	res.LeaseDelta = netapi.LeasedBuffers() - leases0
-	for _, c := range d.Counts().Cases {
-		res.MessageDelta += c.Messages
-	}
+	res.MessageDelta = d.Counts().Messages()
 	res.Violations = checkInvariants(sc, res)
 	return res, nil
 }

@@ -92,7 +92,14 @@ var expectCounters = map[string]bool{
 	"ambiguous": true, "unroutable": true, "shed": true,
 }
 
-// Validate rejects unrunnable scenarios.
+// MaxClients bounds Clients and AltClients. The builtins start at most
+// 12 per case; a scenario read back from an artifact must not schedule
+// billions.
+const MaxClients = 64
+
+// Validate rejects unrunnable scenarios, and any scenario FormatScenario
+// would not write back as it is: a negative duration, which it drops,
+// and an empty case name. A floor below zero checks nothing.
 func (s *Scenario) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("dst: scenario has no name")
@@ -103,6 +110,17 @@ func (s *Scenario) Validate() error {
 	if s.Clients < 0 || s.MaxSessions < 0 || s.AltClients < 0 {
 		return fmt.Errorf("dst: scenario %s has negative counts", s.Name)
 	}
+	if s.Clients > MaxClients || s.AltClients > MaxClients {
+		return fmt.Errorf("dst: scenario %s starts more than %d clients per case", s.Name, MaxClients)
+	}
+	if s.Stagger < 0 || s.Drain < 0 || s.Reload < 0 {
+		return fmt.Errorf("dst: scenario %s has a negative duration", s.Name)
+	}
+	for _, c := range s.Cases {
+		if c == "" {
+			return fmt.Errorf("dst: scenario %s has a case with no name", s.Name)
+		}
+	}
 	if len(s.Cases) > 0 && s.Clients == 0 {
 		return fmt.Errorf("dst: scenario %s lists cases but zero clients", s.Name)
 	}
@@ -112,6 +130,9 @@ func (s *Scenario) Validate() error {
 	for _, e := range s.Expect {
 		if !expectCounters[e.Counter] {
 			return fmt.Errorf("dst: scenario %s expects unknown counter %q", s.Name, e.Counter)
+		}
+		if e.Min < 0 {
+			return fmt.Errorf("dst: scenario %s expects %s at least %d, below zero", s.Name, e.Counter, e.Min)
 		}
 	}
 	return nil

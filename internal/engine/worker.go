@@ -155,8 +155,6 @@ func (e *Engine) closeRequester(r *requester) {
 // reply to s: read off s's own channel — not one some other session
 // holds now — and, on a lent socket, echoing in txid this lend's epoch
 // or, for a String txid, what s's request carried there.
-//
-//starlink:hotpath
 func (s *session) answers(slot uint8, src netengine.Source, msg *message.Message) bool {
 	r, rs := s.reqs[slot], &s.e.plan.reqs[slot]
 	if r == nil || !r.Heard(src) {

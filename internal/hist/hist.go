@@ -9,8 +9,8 @@
 // bucket table is sharded into four independent arrays of atomic
 // counters and a recording goroutine picks its shard by hashing the
 // recorded value, so concurrent sessions rarely contend on one cache
-// line. Record performs no allocation and no locking; it is annotated
-// //starlink:hotpath and guarded by AllocsPerRun tests.
+// line. Record performs no allocation and no locking; TestRecordAllocs holds
+// it at zero.
 //
 // Snapshot merges the shards into an immutable value that answers
 // quantile and cumulative-count queries. Export code (the Prometheus
@@ -61,8 +61,6 @@ type Histogram struct {
 // Record adds one duration sample. Negative durations clamp to zero,
 // durations beyond ~137s clamp into the last bucket. Wait-free: two
 // atomic adds on a shard selected by hashing the value.
-//
-//starlink:hotpath
 func (h *Histogram) Record(d time.Duration) {
 	if h == nil {
 		return
@@ -83,8 +81,6 @@ func (h *Histogram) Record(d time.Duration) {
 
 // bucketIndex maps a clamped sample value to its bucket: values below
 // subCount get unit buckets, larger values log-linear octave buckets.
-//
-//starlink:hotpath
 func bucketIndex(v uint64) int {
 	if v < subCount {
 		return int(v)

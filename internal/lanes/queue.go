@@ -91,8 +91,6 @@ func (q *Queue[T]) depthLocked() int {
 // admitting until their own ring fills; a full ring evicts its oldest
 // under ShedOldest — except control, which always keeps its oldest,
 // refusing the arrival instead.
-//
-//starlink:hotpath
 func (q *Queue[T]) Enqueue(lane Lane, item T) (Verdict, T) {
 	var zero T
 	q.mu.Lock()
@@ -160,8 +158,6 @@ func (q *Queue[T]) Enqueue(lane Lane, item T) (Verdict, T) {
 
 // TryDequeue pops the highest-priority queued item without blocking.
 // ok is false when the queue is empty or closed.
-//
-//starlink:hotpath
 func (q *Queue[T]) TryDequeue() (item T, lane Lane, ok bool) {
 	q.mu.Lock()
 	item, lane, ok = q.dequeueLocked()

@@ -339,8 +339,8 @@ func TestSumRollup(t *testing.T) {
 }
 
 // TestEnqueueDequeueAllocFree pins the accept path at zero
-// allocations: lane enqueue and dequeue must not allocate, per the
-// //starlink:hotpath contract.
+// allocations: lane enqueue and dequeue run once per ingested payload
+// and must not allocate.
 func TestEnqueueDequeueAllocFree(t *testing.T) {
 	q := NewQueue[int](policy(16, 40, 8, ShedOldest), netapi.NewFlowGate())
 	if avg := testing.AllocsPerRun(1000, func() {

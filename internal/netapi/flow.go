@@ -79,8 +79,6 @@ func (g *FlowGate) Resume() {
 }
 
 // Blocked reports whether any hold is outstanding. Lock-free.
-//
-//starlink:hotpath
 func (g *FlowGate) Blocked() bool { return g.blocked.Load() }
 
 // Wait blocks until the gate is open. It returns immediately when the

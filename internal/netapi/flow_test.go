@@ -27,6 +27,10 @@ func TestFlowGateCounting(t *testing.T) {
 	if g.Pauses() != 1 {
 		t.Fatalf("pause cycles = %d, want 1 (nested holds are one cycle)", g.Pauses())
 	}
+	// Every read loop asks twice per read.
+	if n := testing.AllocsPerRun(100, func() { g.Blocked() }); n != 0 {
+		t.Fatalf("Blocked allocates %v per call, want 0", n)
+	}
 }
 
 func TestFlowGateResumeWithoutPausePanics(t *testing.T) {

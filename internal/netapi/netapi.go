@@ -61,8 +61,6 @@ type Addr struct {
 
 // String renders "ip:port". One allocation (the returned string): the
 // scratch buffer is stack-sized for every dotted-quad address.
-//
-//starlink:hotpath
 func (a Addr) String() string {
 	var buf [64]byte
 	b := buf[:0]
@@ -93,8 +91,6 @@ func (a Addr) IsZero() bool { return a.IP == "" && a.Port == 0 }
 
 // IsMulticast reports whether the IP is in the IPv4 multicast range
 // (224.0.0.0/4). Allocation-free: it runs on every datagram send.
-//
-//starlink:hotpath
 func (a Addr) IsMulticast() bool {
 	// Parse the leading decimal octet by hand; reject anything that is
 	// not 1-3 digits followed by a dot.

@@ -183,14 +183,21 @@ func TestWorkTrackerHoldsVirtualClock(t *testing.T) {
 	}
 }
 
-// Addr.String and Addr.IsMulticast run on every datagram send; the
-// //starlink:hotpath annotations (enforced by starlink-vet's
-// hotpathalloc analyzer) keep fmt-based parsing from regressing back
-// in, so this only checks rendering correctness.
+// Addr.String renders into a stack buffer, so its one allocation is
+// the returned string; Addr.IsMulticast runs on every datagram send and
+// allocates nothing.
+var addrSink string
+
 func TestAddrString(t *testing.T) {
 	a := netapi.Addr{IP: "239.255.255.253", Port: 42700}
 	if s := a.String(); s != "239.255.255.253:42700" {
 		t.Fatalf("String = %q", s)
+	}
+	if n := testing.AllocsPerRun(100, func() { addrSink = a.String() }); n > 1 {
+		t.Errorf("Addr.String allocates %v per call, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = a.IsMulticast() }); n != 0 {
+		t.Errorf("Addr.IsMulticast allocates %v per call, want 0", n)
 	}
 }
 

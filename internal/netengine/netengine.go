@@ -94,8 +94,6 @@ type RoutingKey struct {
 }
 
 // RoutingKey returns the key of the payload's color and peer.
-//
-//starlink:hotpath
 func (s Source) RoutingKey() RoutingKey {
 	var buf [64]byte // every dotted-quad "ip:port" fits
 	h := s.color.seed
@@ -154,8 +152,6 @@ type Handler func(data []byte, src Source, lease *netapi.Buffer)
 // still returned. Where the next frame starts is then unknown, so
 // callers frame nothing more from that connection. Callers hold their
 // buffer lock and deliver the returned frames after releasing it.
-//
-//starlink:hotpath
 func splitFrames(framer *parser.Framer, buf *[]byte, data []byte, frames []*netapi.Buffer) (_ []*netapi.Buffer, ok bool) {
 	for len(data) > 0 {
 		src := data

@@ -216,8 +216,6 @@ func (p *Parser) ParseInto(msg *message.Message, data []byte) error {
 // in place. ok is false wherever Parse fails to select a definition; the
 // rest of the message is not checked, so a named message may still fail
 // to parse. Integer and String rule fields cost no allocation.
-//
-//starlink:hotpath
 func (p *Parser) Classify(data []byte) (name string, ok bool) {
 	last := -1
 	var n int64

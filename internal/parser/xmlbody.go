@@ -156,8 +156,6 @@ type xmlLeaf struct {
 // scanXMLLeaves decides the body of flattenXMLBody. It reports false,
 // with msg untouched, for any body it does not accept (an error comes
 // only with true). s holds the same bytes as body, as a string.
-//
-//starlink:hotpath
 func scanXMLLeaves(body []byte, s string, msg *message.Message, labels *labelIndex) (bool, error) {
 	if len(body) > math.MaxInt32 {
 		return false, nil
@@ -257,7 +255,9 @@ func scanXMLLeaves(body []byte, s string, msg *message.Message, labels *labelInd
 	}
 
 	// Accepted. The caller's one copy of the body backs every label and
-	// every verbatim value.
+	// every verbatim value; the values rebuilt in scratch share one
+	// string of their own.
+	var built string
 	for _, lf := range leaves {
 		label := s[lf.local:lf.nameEnd]
 		if labels.find(msg, label) >= 0 {
@@ -271,7 +271,10 @@ func scanXMLLeaves(body []byte, s string, msg *message.Message, labels *labelInd
 		case valueSpan:
 			v = strings.TrimSpace(s[lf.value.start:lf.value.end])
 		case valueBuilt:
-			v = string(bytes.TrimSpace(scratch[lf.value.start:lf.value.end]))
+			if built == "" {
+				built = string(scratch)
+			}
+			v = strings.TrimSpace(built[lf.value.start:lf.value.end])
 		}
 		msg.Put(-1, msg.NewField(label, message.Str(v)))
 	}
@@ -479,8 +482,6 @@ func xmlValid(body []byte, i, end int, kind charKind) bool {
 // appends the run to value — references expanded, CR and CRLF turned
 // into LF — and returns the value and the scratch buffer it may have
 // grown into. Bytes that need no attention it passes eight at a time.
-//
-//starlink:hotpath
 func xmlChars(body []byte, i, end int, kind charKind, keep bool, value xmlValue, scratch []byte) (xmlValue, []byte, bool) {
 	seg := i // start of the verbatim piece not yet collected
 	run := body[:end]
@@ -565,8 +566,6 @@ func xmlAttention(w uint64) uint64 {
 
 // xmlCollect appends piece to a value that lives in scratch, moving
 // there first what the value held as a span of body.
-//
-//starlink:hotpath
 func xmlCollect(piece, body []byte, value xmlValue, scratch []byte) (xmlValue, []byte) {
 	if value.state != valueBuilt {
 		start := int32(len(scratch))

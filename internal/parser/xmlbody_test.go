@@ -529,6 +529,50 @@ func TestParseHTTPOkAllocs(t *testing.T) {
 	}
 }
 
+// TestParseHTTPOkEntityAllocs holds the path that expands references,
+// which no benchmark body takes: an HTTP 200 whose leaves carry &amp;
+// and &#NN; allocates what the same body with plain text in their place
+// does, plus the one string that every rebuilt value shares.
+func TestParseHTTPOkEntityAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	spec, err := mdl.ParseXMLString(httpMDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := New(spec, nil)
+	body := func(amp, hash string) string {
+		return strings.NewReplacer(
+			"Office printer, 2nd floor", "Office printer "+amp+" scanner, floor "+hash+"2",
+			"starlink-go", "starlink "+amp+" go",
+		).Replace(longDescription())
+	}
+	allocs := func(body, name string) float64 {
+		wire := httpOkWire(body)
+		msg, err := p.Parse(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f, _ := msg.Field("friendlyName"); f == nil || f.Value.Text() != name {
+			t.Fatalf("friendlyName = %v, want %q", f, name)
+		}
+		msg.Release()
+		return testing.AllocsPerRun(200, func() {
+			msg, err := p.Parse(wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg.Release()
+		})
+	}
+	plain := allocs(body("and", "no"), "Office printer and scanner, floor no2")
+	refs := allocs(body("&amp;", "&#35;"), "Office printer & scanner, floor #2")
+	if refs != plain+1 {
+		t.Errorf("Parse allocates %.0f times with references, %.0f without; want one more", refs, plain)
+	}
+}
+
 // BenchmarkParseHTTPOk is a whole Parse of an HTTP 200 on the three
 // shapes a description takes: the benchmark's one 4 KiB text run, a real
 // device's 60 short leaves, and 250 leaves, the most a text message may

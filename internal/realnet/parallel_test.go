@@ -143,6 +143,112 @@ func TestTakeLeaseKeepsDataStable(t *testing.T) {
 	}
 }
 
+// Two sockets on two nodes share the buffer pool. Socket A's handler
+// takes each lease and releases it at once; socket B's handler takes the
+// lease of one datagram and only reads the next, which leaves that
+// buffer with its read loop. A's handler returns only once B has handled
+// both, so the buffer A released may by then be B's receive buffer when
+// A's read loop asks whether its handler took the lease. The loop reads
+// the answer from a flag in its own frame (Packet.BindLeaseFlag), which
+// the buffer's next owner cannot touch: every buffer has one owner, no
+// buffer is released twice, and every lease comes back.
+func TestTwoSocketsReleaseLeasesAtOnce(t *testing.T) {
+	ledger := newLeaseLedger(t)
+	rt := realnet.New()
+	var (
+		mu       sync.Mutex
+		failures []string
+	)
+	fail := func(format string, args ...any) {
+		mu.Lock()
+		failures = append(failures, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	failed := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(failures) > 0
+	}
+	open := func(ip string, h netapi.PacketHandler) netapi.UDPSocket {
+		node, _ := rt.NewNode(ip)
+		sock, err := node.OpenUDP(0, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sock
+	}
+
+	seenB := make(chan struct{}, 4)
+	sockB := open("10.0.1.2", func(pkt netapi.Packet) {
+		defer func() {
+			if r := recover(); r != nil {
+				fail("socket B, %q: %v", pkt.Data, r)
+			}
+			seenB <- struct{}{}
+		}()
+		switch string(pkt.Data) {
+		case "take":
+			pkt.TakeLease().Release()
+		case "look":
+			// Read in the callback: the lease stays with the read loop.
+		default:
+			fail("socket B received %q: its buffer has a second owner", pkt.Data)
+		}
+	})
+	toB := open("10.0.2.2", func(netapi.Packet) {})
+	doneA := make(chan struct{}, 1)
+	sockA := open("10.0.1.1", func(pkt netapi.Packet) {
+		defer func() {
+			if r := recover(); r != nil {
+				fail("socket A: %v", r)
+			}
+			doneA <- struct{}{}
+		}()
+		if string(pkt.Data) != "a" {
+			fail("socket A received %q: its buffer has a second owner", pkt.Data)
+		}
+		pkt.TakeLease().Release()
+		for _, m := range []string{"take", "look"} {
+			if err := toB.Send(sockB.LocalAddr(), []byte(m)); err != nil {
+				fail("send to B: %v", err)
+				return
+			}
+			select {
+			case <-seenB:
+			case <-time.After(5 * time.Second):
+				fail("socket B never handled %q", m)
+				return
+			}
+		}
+	})
+	toA := open("10.0.2.1", func(netapi.Packet) {})
+
+	for round := 0; round < 500 && !failed(); round++ {
+		if err := toA.Send(sockA.LocalAddr(), []byte("a")); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-doneA:
+		case <-time.After(5 * time.Second):
+			fail("round %d: socket A never handled its datagram", round)
+		}
+	}
+	mu.Lock()
+	for _, f := range failures {
+		t.Error(f)
+	}
+	mu.Unlock()
+	if t.Failed() {
+		// A buffer with two owners would panic again in the read loops'
+		// Close; leave the sockets open so the failures above are reported.
+		return
+	}
+	for _, s := range []netapi.UDPSocket{sockA, sockB, toA, toB} {
+		s.Close()
+	}
+	ledger.settle(0, "after Close")
+}
+
 // Concurrent stream sends take turns, each one whole write: every byte
 // arrives exactly once.
 func TestStreamWriteCoalescing(t *testing.T) {

@@ -538,8 +538,6 @@ func (s *udpSocket) srcIP(a netip.Addr) string {
 // the whole slab released (a paused reader must not pin pool memory),
 // and a read already off the wire when the gate closes is held — one
 // bounded slab, usually one datagram — and delivered in order on reopen.
-//
-//starlink:hotpath
 func (s *udpSocket) readLoop() {
 	s.slab = s.slab0[:]
 	// The lease-transfer signal lives in this loop's own frame, not on
@@ -606,8 +604,6 @@ func (s *udpSocket) LocalAddr() netapi.Addr { return s.addr }
 // live group members: the member snapshot reuses a per-socket scratch
 // slice (no per-send allocation), and on the Linux fast path the whole
 // fan-out is one sendmmsg instead of one write syscall per member.
-//
-//starlink:hotpath
 func (s *udpSocket) Send(to netapi.Addr, data []byte) error {
 	if to.IsMulticast() {
 		s.sendMu.Lock()

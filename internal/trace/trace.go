@@ -5,8 +5,8 @@
 // transition, translate, compose, egress send.
 //
 // The recorder is built for the engine's hot path. Recording is
-// wait-free and allocation-free (//starlink:hotpath, guarded by
-// AllocsPerRun tests): a slot is claimed with one atomic add and
+// wait-free and allocation-free (held at zero by
+// TestRecordAllocs): a slot is claimed with one atomic add and
 // written as two atomic words, so late writers — an ingest worker
 // racing a session that already failed — never corrupt a dump and
 // never need a lock. A nil *Recorder is the disabled recorder: every
@@ -179,8 +179,6 @@ func (r *Recorder) Total() uint64 {
 }
 
 // Record notes a stage boundary at the current time.
-//
-//starlink:hotpath
 func (r *Recorder) Record(st Stage, out Outcome, bytes int) {
 	if r == nil {
 		return
@@ -190,8 +188,6 @@ func (r *Recorder) Record(st Stage, out Outcome, bytes int) {
 
 // RecordAt notes a stage boundary at an explicit completion time (used
 // when the caller already read the clock for a histogram sample).
-//
-//starlink:hotpath
 func (r *Recorder) RecordAt(st Stage, out Outcome, at time.Time, bytes int) {
 	if r == nil {
 		return
@@ -199,7 +195,6 @@ func (r *Recorder) RecordAt(st Stage, out Outcome, at time.Time, bytes int) {
 	r.put(st, out, int64(at.Sub(base))-r.epoch.Load(), bytes)
 }
 
-//starlink:hotpath
 func (r *Recorder) put(st Stage, out Outcome, at int64, bytes int) {
 	i := (r.next.Add(1) - 1) & r.mask
 	b := uint64(bytes)

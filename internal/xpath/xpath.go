@@ -127,8 +127,6 @@ func parseStep(s string) (Step, error) {
 
 // SelectField resolves the path down to the field it addresses (the
 // step before any trailing /value).
-//
-//starlink:hotpath
 func (p *Path) SelectField(msg *message.Message) (*message.Field, error) {
 	var cur *message.Field
 	for _, step := range p.steps {
@@ -168,8 +166,6 @@ func (p *Path) SelectField(msg *message.Message) (*message.Field, error) {
 }
 
 // Get reads the value the path addresses.
-//
-//starlink:hotpath
 func (p *Path) Get(msg *message.Message) (message.Value, error) {
 	f, err := p.SelectField(msg)
 	if err != nil {
@@ -180,15 +176,11 @@ func (p *Path) Get(msg *message.Message) (message.Value, error) {
 
 // Eval reads the value the compiled path addresses — the steady-state
 // entry point: zero allocations on the success path.
-//
-//starlink:hotpath
 func (p *Compiled) Eval(msg *message.Message) (message.Value, error) { return p.Get(msg) }
 
 // Set writes a value at the path, creating intermediate fields — msg's
 // own — as needed so translation targets need not pre-exist in the
 // outgoing message template.
-//
-//starlink:hotpath
 func (p *Path) Set(msg *message.Message, v message.Value) error {
 	var cur *message.Field
 	for _, step := range p.steps {

@@ -207,10 +207,9 @@ func TestQuickSetGetInverse(t *testing.T) {
 	}
 }
 
-// TestCompiledEvalAllocs pins the steady-state contract for Set over
-// existing fields; Eval's zero-alloc guarantee is enforced
-// structurally by the //starlink:hotpath annotation (starlink-vet
-// hotpathalloc), so only correctness is checked here.
+// TestCompiledEvalAllocs pins the steady state of a translation: Eval
+// (through Get and SelectField) and Set over existing fields allocate
+// nothing.
 func TestCompiledEvalAllocs(t *testing.T) {
 	msg := message.New("SSDP", "SSDPResponse")
 	msg.Add(&message.Field{Label: "LOCATION", Children: []*message.Field{
@@ -224,6 +223,13 @@ func TestCompiledEvalAllocs(t *testing.T) {
 	}
 	if n, _ := v.AsInt(); n != 5431 {
 		t.Fatalf("Eval = %v", v)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := p.Eval(msg); err != nil {
+			t.Error(err)
+		}
+	}); got != 0 {
+		t.Errorf("Compiled.Eval allocates %.1f per run, want 0", got)
 	}
 	// Set over existing fields is allocation free.
 	if got := testing.AllocsPerRun(100, func() {
