@@ -20,8 +20,6 @@
 //	          [-max-sessions 4096] [-stats-interval 30s]
 //	          [-drain-timeout 10s] [-pprof addr]
 //	          [-metrics-addr addr] [-demo-traffic n]
-//	          [-lane-capacity n] [-watermark-high n] [-watermark-low n]
-//	          [-shed-policy shed-oldest|reject-new|defer]
 //
 // -case selects the cases to host: "all" (the default) hosts every
 // loaded case, a comma-separated list hosts exactly those. -models
@@ -39,15 +37,11 @@
 // text debug pages under /debug/starlink/ (live sessions with their
 // flight-recorder traces, recent failures).
 //
-// -lane-capacity, -watermark-high, -watermark-low and -shed-policy
-// configure the prioritized ingest lanes (per case): each of the three
-// lanes — control > data > telemetry — is a bounded ring of
-// -lane-capacity payloads; past -watermark-high total queued payloads
-// the transport read loops pause and telemetry sheds per -shed-policy
-// (drops tagged ErrOverloaded, scrapeable as
-// starlink_lane_shed_total), resuming below -watermark-low. Zero
-// values keep the built-in defaults; -watermark-high must exceed
-// -watermark-low when both are set.
+// Each case's ingest runs at the built-in bounds: three prioritized
+// lanes — control > data > telemetry — of 341 payloads each; at three
+// quarters of the total the transport read loops pause and telemetry
+// sheds oldest-first (drops tagged ErrOverloaded, scrapeable as
+// starlink_lane_shed_total), resuming at half that.
 //
 // -demo-traffic runs n rounds of example traffic through the hosted
 // cases over the in-process loopback network — legacy clients and
@@ -99,10 +93,6 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060) for live saturation debugging")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/starlink/ on this address (e.g. 127.0.0.1:9464)")
 	demoTraffic := flag.Int("demo-traffic", 0, "run this many rounds of example traffic through the hosted cases (0 disables)")
-	laneCapacity := flag.Int("lane-capacity", 0, "per-lane ingest ring capacity per case (0 keeps the default, 1024)")
-	watermarkHigh := flag.Int("watermark-high", 0, "total queued payloads that pause the transports and start shedding (0 keeps the default)")
-	watermarkLow := flag.Int("watermark-low", 0, "total queued payloads at which paused transports resume (0 keeps the default)")
-	shedPolicy := flag.String("shed-policy", "shed-oldest", "telemetry shedding under pressure: shed-oldest, reject-new or defer")
 	flag.Parse()
 
 	if *pprofAddr != "" {
@@ -117,16 +107,6 @@ func main() {
 
 	if *maxSessions < 1 {
 		fatal(fmt.Errorf("-max-sessions must be >= 1, got %d", *maxSessions))
-	}
-	if *laneCapacity < 0 || *watermarkHigh < 0 || *watermarkLow < 0 {
-		fatal(fmt.Errorf("-lane-capacity, -watermark-high and -watermark-low must be >= 0"))
-	}
-	if *watermarkHigh > 0 && *watermarkLow > 0 && *watermarkHigh <= *watermarkLow {
-		fatal(fmt.Errorf("-watermark-high (%d) must exceed -watermark-low (%d)", *watermarkHigh, *watermarkLow))
-	}
-	shed, err := starlink.ParseShedPolicy(*shedPolicy)
-	if err != nil {
-		fatal(fmt.Errorf("-shed-policy: %w", err))
 	}
 	var cases []string
 	if *caseList != "all" {
@@ -163,8 +143,6 @@ func main() {
 	col := starlink.NewCollector()
 	opts := []starlink.Option{
 		starlink.WithMaxSessions(*maxSessions),
-		starlink.WithLanePolicy(*laneCapacity, shed),
-		starlink.WithWatermarks(*watermarkHigh, *watermarkLow),
 		starlink.WithObserver(col),
 		starlink.WithObserver(starlink.Hooks{
 			SessionEnd: func(s starlink.SessionStats) {

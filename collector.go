@@ -261,7 +261,7 @@ func (c *Collector) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 
 	pw.Family("starlink_lane_depth",
-		"Payloads queued in each ingest lane (capacity via WithLanePolicy).", "gauge")
+		"Payloads queued in each ingest lane; under pressure telemetry sheds oldest-first.", "gauge")
 	for _, s := range snaps {
 		for _, row := range s.m.Lanes {
 			pw.Sample("starlink_lane_depth", []promtext.Label{
@@ -364,9 +364,6 @@ func (c *Collector) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	pw.Family("starlink_stream_flushes_total",
 		"Stream writes, one per Send.", "counter")
 	pw.Sample("starlink_stream_flushes_total", nil, float64(t.StreamFlushes))
-	pw.Family("starlink_stream_flush_chunks_total",
-		"Chunks written by stream writes (one each).", "counter")
-	pw.Sample("starlink_stream_flush_chunks_total", nil, float64(t.StreamFlushChunks))
 }
 
 func promBuckets(bs []LatencyBucket) []promtext.Bucket {

@@ -198,7 +198,6 @@ func Run(sc *Scenario, seed int64, cfg Config) (*Result, error) {
 	opts := []simnet.Option{
 		simnet.WithSeed(seed),
 		simnet.WithEventTrace(),
-		simnet.WithLeasedDelivery(),
 	}
 	if sc.Faults != nil {
 		opts = append(opts, simnet.WithFaults(sc.Faults))

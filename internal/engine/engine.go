@@ -232,7 +232,8 @@ func WithMaxSessions(n int) Option {
 }
 
 // WithIngestWorkers sets the size of the worker pool that parses and
-// routes inbound entry payloads.
+// routes inbound entry payloads. Deployments derive it from GOMAXPROCS;
+// DST pins it so the schedule does not depend on the machine.
 func WithIngestWorkers(n int) Option {
 	return func(e *Engine) {
 		if n > 0 {
@@ -260,12 +261,13 @@ func WithTraceRing(events int) Option {
 	}
 }
 
-// WithLanePolicy bounds and parameterizes the lane-prioritized ingest
-// queues: per-lane ring capacity, the high/low pressure watermarks on
-// total depth, and the shed mode applied while pressured. Zero fields
-// are filled from lanes.DefaultPolicy; the filled policy must validate
-// (New rejects inverted or out-of-range watermarks). The configured
-// totals are divided across the ingest workers' queues.
+// WithLanePolicy bounds the lane-prioritized ingest queues: per-lane
+// ring capacity and the high/low pressure watermarks on total depth.
+// Deployments run at the defaults; the overload tests shrink them to
+// reach pressure with a handful of payloads. Zero fields are filled
+// from lanes.DefaultPolicy; the filled policy must validate (New
+// rejects inverted or out-of-range watermarks). The configured totals
+// are divided across the ingest workers' queues.
 func WithLanePolicy(p lanes.Policy) Option {
 	return func(e *Engine) { e.lanePolicy = p }
 }
@@ -309,12 +311,11 @@ const (
 // ingestJob is one unit of work on an ingest worker's lane queue: an
 // inbound entry payload awaiting parse + route, or — when sess is set —
 // the next event of a session that worker owns. It carries one
-// work-tracker token, and — when the runtime delivered the payload in a
-// leased buffer — the lease, which ends right after the parse (the
-// parser never aliases its input). A job ends in one place, worker.done,
-// whatever path it took: refused, shed, drained at Close or run. key is
-// an entry payload's routing key, computed once on the listener hot
-// path.
+// work-tracker token; a payload job also carries the lease its payload
+// arrived in, which ends right after the parse (the parser never
+// aliases its input). A job ends in one place, worker.done, whatever
+// path it took: refused, shed, drained at Close or run. key is an entry
+// payload's routing key, computed once on the listener hot path.
 type ingestJob struct {
 	codec *Codec
 	key   netengine.RoutingKey
@@ -349,7 +350,8 @@ type ingestTiming struct {
 	bytes   int
 }
 
-// releaseLease returns the job's leased receive buffer, if any.
+// releaseLease ends the job's buffer lease unless it has ended: a
+// payload job holds one until its parse, a timer job never holds one.
 func (job *ingestJob) releaseLease() {
 	if job.lease != nil {
 		job.lease.Release()
@@ -561,21 +563,18 @@ func (e *Engine) Start() {
 // priority lane and offered to the lane queue of the ingest worker
 // owning the payload's routing key, so payloads from one origin keep
 // their arrival order, then parsed and routed there. Safe to call from
-// any goroutine. lease is the pooled buffer backing data when the caller
-// received it leased (nil otherwise); the engine takes ownership on
-// every path, including refusals. Payloads for an unknown protocol
-// are counted Ignored and reported; payloads injected after Close are
-// refused with an error wrapping serrors.ErrClosed. A draining engine
-// still accepts injection — live sessions need their mid-program
-// entries to finish — but refuses the ones that would open a new
-// session at admission, reporting them to the sink as drops marked
-// serrors.ErrDraining.
+// any goroutine. lease is the pooled buffer backing data; the engine
+// takes ownership on every path, including refusals. Payloads for an
+// unknown protocol are counted Ignored and reported; payloads injected
+// after Close are refused with an error wrapping serrors.ErrClosed. A
+// draining engine still accepts injection — live sessions need their
+// mid-program entries to finish — but refuses the ones that would open
+// a new session at admission, reporting them to the sink as drops
+// marked serrors.ErrDraining.
 func (e *Engine) Inject(proto string, data []byte, src netengine.Source, lease *netapi.Buffer) error {
 	codec, ok := e.codecs[proto]
 	if !ok {
-		if lease != nil {
-			lease.Release()
-		}
+		lease.Release()
 		e.ignored.Add(1)
 		return fmt.Errorf("engine: %s: no codec for protocol %q", e.merged.Name, proto)
 	}

@@ -48,7 +48,7 @@ func TestLaneWatermarkShedsTelemetryKeepsControl(t *testing.T) {
 	var reasons []error
 	e := build(t, sim, "slp-to-bonjour",
 		engine.WithIngestWorkers(1),
-		engine.WithLanePolicy(lanes.Policy{Capacity: 4, High: 6, Low: 2, Mode: lanes.ShedOldest}),
+		engine.WithLanePolicy(lanes.Policy{Capacity: 4, High: 6, Low: 2}),
 		engine.WithFlowGate(gate),
 		engine.WithSink(&testSink{drop: func(_ netapi.Addr, reason error) {
 			mu.Lock()
@@ -59,7 +59,7 @@ func TestLaneWatermarkShedsTelemetryKeepsControl(t *testing.T) {
 
 	inject := func(proto string, n *int) {
 		*n++
-		if err := e.Inject(proto, []byte("garbage"), src(*n), nil); err != nil {
+		if err := e.Inject(proto, []byte("garbage"), src(*n), netapi.NewBuffer()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,7 +137,7 @@ func TestLaneSaturationRace(t *testing.T) {
 	sim := simnet.New()
 	e := deploy(t, sim, "slp-to-bonjour",
 		engine.WithIngestWorkers(1),
-		engine.WithLanePolicy(lanes.Policy{Capacity: 64, High: 8, Low: 4, Mode: lanes.ShedOldest}))
+		engine.WithLanePolicy(lanes.Policy{Capacity: 64, High: 8, Low: 4}))
 	control, telemetry := protoPair(t, e)
 
 	var shed atomic.Bool
@@ -149,7 +149,7 @@ func TestLaneSaturationRace(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; !shed.Load() && i < 1<<20; i++ {
-				if err := e.Inject(telemetry, []byte("chatter"), src(p*1000+i%256), nil); err != nil {
+				if err := e.Inject(telemetry, []byte("chatter"), src(p*1000+i%256), netapi.NewBuffer()); err != nil {
 					t.Error(err)
 					return
 				}
@@ -163,7 +163,7 @@ func TestLaneSaturationRace(t *testing.T) {
 	// Control keeps flowing throughout the flood.
 	const controls = 6
 	for i := 0; i < controls; i++ {
-		if err := e.Inject(control, []byte("garbage"), src(900+i), nil); err != nil {
+		if err := e.Inject(control, []byte("garbage"), src(900+i), netapi.NewBuffer()); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(time.Millisecond)
@@ -190,7 +190,7 @@ func TestLaneSaturationRace(t *testing.T) {
 		total += offered[p]
 	}
 	// Conservation: every offered telemetry payload was either admitted
-	// (and later processed or still queued) or shed — ShedOldest evicts
+	// (and later processed or still queued) or shed — shedding evicts
 	// admitted payloads, so admitted + rejected-at-ingress ≥ offered and
 	// nothing is unaccounted.
 	if tel.Admitted+tel.Shed < total {

@@ -115,7 +115,7 @@ func TestTimerSurvivesFullDataLane(t *testing.T) {
 		engine.WithIngestWorkers(1),
 		engine.WithMaxSessions(1),
 		engine.WithReceiveTimeout(100*time.Millisecond),
-		engine.WithLanePolicy(lanes.Policy{Capacity: ring, High: 3 * ring, Low: 1, Mode: lanes.ShedOldest}),
+		engine.WithLanePolicy(lanes.Policy{Capacity: ring, High: 3 * ring, Low: 1}),
 		// The first drop is the max-sessions refusal below, reported on
 		// the worker: holding the callback holds the only worker (and, the
 		// test sink serialising them, every later report behind it).
@@ -128,11 +128,11 @@ func TestTimerSurvivesFullDataLane(t *testing.T) {
 	e.Start()
 	control, _ := protoPair(t, e)
 	request := (&slp.SrvRqst{Header: slp.Header{XID: 7, LangTag: "en"}, ServiceType: "service:printer"}).Marshal()
-	if err := e.Inject(control, request, src(1), nil); err != nil {
+	if err := e.Inject(control, request, src(1), netapi.NewBuffer()); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "the session to park at its receive", func() bool { return e.Counts().Live == 1 })
-	if err := e.Inject(control, request, src(2), nil); err != nil { // refused: the hook holds the worker
+	if err := e.Inject(control, request, src(2), netapi.NewBuffer()); err != nil { // refused: the hook holds the worker
 		t.Fatal(err)
 	}
 	<-held
@@ -141,7 +141,7 @@ func TestTimerSurvivesFullDataLane(t *testing.T) {
 	// waits behind the held hook, hence the goroutine).
 	go func() {
 		for i := 0; i <= ring; i++ {
-			_ = e.Inject(control, []byte("garbage"), src(1), nil)
+			_ = e.Inject(control, []byte("garbage"), src(1), netapi.NewBuffer())
 		}
 	}()
 	waitFor(t, "the data ring to fill and shed", func() bool {

@@ -100,9 +100,7 @@ func (s *session) requester(st *planStep) (*requester, error) {
 			cur := r.cur.Load()
 			if cur == nil {
 				e.stale.Add(1)
-				if lease != nil {
-					lease.Release()
-				}
+				lease.Release()
 				return
 			}
 			e.post(cur, cur.life.Load(), ingestJob{kind: jobData, req: slot, codec: codec, data: data, src: src, lease: lease, arrived: time.Now()})

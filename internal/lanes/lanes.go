@@ -9,22 +9,18 @@
 // Two watermarks on the queue's total depth drive a hysteresis state
 // machine (Normal ⇄ Pressured). Crossing the high watermark takes a
 // hold on the queue's netapi.FlowGate — pausing the transport read
-// loops that feed it — and starts degrading telemetry per the
-// configured ShedMode; draining back to the low watermark releases the
-// hold. Shedding is never silent: Enqueue reports exactly which item
-// was refused or evicted so the caller can release its buffer lease
-// and account the drop (serrors.ErrOverloaded through the observer
-// path).
+// loops that feed it — and starts shedding telemetry oldest-first;
+// draining back to the low watermark releases the hold. Shedding is
+// never silent: Enqueue reports exactly which item was refused or
+// evicted so the caller can release its buffer lease and account the
+// drop (serrors.ErrOverloaded through the observer path).
 //
 // Enqueue and TryDequeue are the per-payload accept path and perform
 // no allocation (guarded by AllocsPerRun tests); Dequeue adds only
 // condition-variable parking when the queue is empty.
 package lanes
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Lane is a payload's priority class. Lower values drain first.
 type Lane uint8
@@ -57,52 +53,6 @@ func (l Lane) String() string {
 	}
 }
 
-// ShedMode selects the watermark action: what happens to arriving work
-// once the queue is pressured (and to any arrival whose lane ring is
-// full).
-type ShedMode uint8
-
-const (
-	// ShedOldest evicts the oldest queued item of the same lane to
-	// admit the arriving one — keeping the freshest traffic, which
-	// matters for retransmitted discovery requests. The default.
-	ShedOldest ShedMode = iota
-	// RejectNew refuses the arriving item, keeping what is queued.
-	RejectNew
-	// DeferOnly never sheds on pressure alone: the gate pauses the
-	// transport and only a full lane ring refuses arrivals. Pure
-	// backpressure.
-	DeferOnly
-)
-
-// String names the mode (the -shed-policy flag values).
-func (m ShedMode) String() string {
-	switch m {
-	case ShedOldest:
-		return "shed-oldest"
-	case RejectNew:
-		return "reject-new"
-	case DeferOnly:
-		return "defer"
-	default:
-		return "unknown"
-	}
-}
-
-// ParseShedMode parses a -shed-policy flag value.
-func ParseShedMode(s string) (ShedMode, error) {
-	switch s {
-	case "shed-oldest":
-		return ShedOldest, nil
-	case "reject-new":
-		return RejectNew, nil
-	case "defer":
-		return DeferOnly, nil
-	default:
-		return ShedOldest, fmt.Errorf("lanes: unknown shed mode %q (want shed-oldest, reject-new or defer)", s)
-	}
-}
-
 // Policy bounds and parameterizes one queue.
 type Policy struct {
 	// Capacity is the per-lane ring capacity: the queue holds at most
@@ -114,8 +64,6 @@ type Policy struct {
 	// 0 < Low < High ≤ NumLanes*Capacity.
 	High int
 	Low  int
-	// Mode is the watermark action. The zero value is ShedOldest.
-	Mode ShedMode
 }
 
 // DefaultPolicy mirrors the pre-lane ingest bound (1024 queued
@@ -159,9 +107,6 @@ func (p Policy) Validate() error {
 		return fmt.Errorf("lanes: high watermark %d exceeds total capacity %d (%d lanes × %d)",
 			p.High, max, NumLanes, p.Capacity)
 	}
-	if p.Mode > DeferOnly {
-		return errors.New("lanes: unknown shed mode")
-	}
 	return nil
 }
 
@@ -198,9 +143,8 @@ const (
 	// Admitted: the item was queued; nothing was displaced.
 	Admitted Verdict = iota
 	// Evicted: the item was queued and the returned victim — the
-	// oldest item of the same lane — was evicted to make room
-	// (ShedOldest). The caller owns the victim: release its lease and
-	// account the drop.
+	// oldest item of the same lane — was evicted to make room. The
+	// caller owns the victim: release its lease and account the drop.
 	Evicted
 	// Rejected: the arriving item was refused (pressure shedding, a
 	// full ring, or a closed queue). The caller keeps ownership.
@@ -223,9 +167,9 @@ type Counters struct {
 	// conservation identity checked by the DST invariants: once a queue
 	// is closed, Admitted == Processed + Evicted + Drained.
 	Processed uint64
-	// Evicted counts admitted items later displaced by a ShedOldest
-	// eviction (the victims — a subset of Shed, which also counts
-	// refusals that were never admitted).
+	// Evicted counts admitted items later displaced by an eviction (the
+	// victims — a subset of Shed, which also counts refusals that were
+	// never admitted).
 	Evicted uint64
 	// Drained counts admitted items surfaced through Close's drain
 	// callback instead of a consumer.

@@ -85,12 +85,12 @@ func (q *Queue[T]) depthLocked() int {
 //     must be released and accounted by the caller;
 //   - Rejected: refused — the caller keeps the item.
 //
-// While the queue is pressured, telemetry arrivals are shed (ShedOldest
-// replaces the oldest queued telemetry; RejectNew refuses the arrival;
-// DeferOnly admits until the ring fills). Control and data keep
-// admitting until their own ring fills; a full ring evicts its oldest
-// under ShedOldest — except control, which always keeps its oldest,
-// refusing the arrival instead.
+// While the queue is pressured, a telemetry arrival replaces the oldest
+// queued telemetry, or is refused when none is queued. Control and data
+// keep admitting until their own ring fills; a full ring evicts its
+// oldest — except control, which always keeps its oldest, refusing the
+// arrival instead. Evicting the oldest keeps the freshest traffic,
+// which is what a retransmitted discovery request needs.
 func (q *Queue[T]) Enqueue(lane Lane, item T) (Verdict, T) {
 	var zero T
 	q.mu.Lock()
@@ -101,29 +101,18 @@ func (q *Queue[T]) Enqueue(lane Lane, item T) (Verdict, T) {
 	r := &q.rings[lane]
 	verdict := Admitted
 	victim := zero
+	// Pressure sheds telemetry before its ring is anywhere near full, so
+	// queue space stays available for control and data.
+	shed := q.pressured && lane == Telemetry || r.n >= q.policy.Capacity
 	switch {
-	case q.pressured && lane == Telemetry && q.policy.Mode != DeferOnly:
-		// Pressure shedding: telemetry degrades first, before its ring
-		// is anywhere near full, so queue space stays available for
-		// control and data.
-		if q.policy.Mode == ShedOldest && r.n > 0 {
-			victim = r.pop()
-			r.push(item, q.policy.Capacity)
-			verdict = Evicted
-		} else {
-			// RejectNew, or nothing older to shed: refuse the arrival.
-			verdict = Rejected
-		}
-	case r.n >= q.policy.Capacity:
-		if q.policy.Mode == ShedOldest && lane != Control {
-			victim = r.pop()
-			r.push(item, q.policy.Capacity)
-			verdict = Evicted
-		} else {
-			verdict = Rejected
-		}
-	default:
+	case !shed:
 		r.push(item, q.policy.Capacity)
+	case lane == Control || r.n == 0:
+		verdict = Rejected
+	default:
+		victim = r.pop()
+		r.push(item, q.policy.Capacity)
+		verdict = Evicted
 	}
 	if verdict != Rejected {
 		q.admitted[lane]++

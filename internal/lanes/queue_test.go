@@ -8,22 +8,13 @@ import (
 	"starlink/internal/netapi"
 )
 
-func policy(capacity, high, low int, mode ShedMode) Policy {
-	return Policy{Capacity: capacity, High: high, Low: low, Mode: mode}
+func policy(capacity, high, low int) Policy {
+	return Policy{Capacity: capacity, High: high, Low: low}
 }
 
 func TestLaneStrings(t *testing.T) {
 	if Control.String() != "control" || Data.String() != "data" || Telemetry.String() != "telemetry" {
 		t.Fatalf("lane names: %s/%s/%s", Control, Data, Telemetry)
-	}
-	for _, m := range []ShedMode{ShedOldest, RejectNew, DeferOnly} {
-		back, err := ParseShedMode(m.String())
-		if err != nil || back != m {
-			t.Fatalf("ParseShedMode(%q) = %v, %v", m.String(), back, err)
-		}
-	}
-	if _, err := ParseShedMode("bogus"); err == nil {
-		t.Fatal("ParseShedMode accepted bogus mode")
 	}
 }
 
@@ -34,12 +25,12 @@ func TestPolicyValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"default", DefaultPolicy(), true},
-		{"explicit", policy(8, 12, 4, ShedOldest), true},
-		{"zero capacity", policy(0, 2, 1, ShedOldest), false},
-		{"high below low", policy(8, 4, 12, ShedOldest), false},
-		{"high equals low", policy(8, 4, 4, ShedOldest), false},
-		{"zero low", policy(8, 4, 0, ShedOldest), false},
-		{"high beyond total", policy(4, 13, 2, ShedOldest), false},
+		{"explicit", policy(8, 12, 4), true},
+		{"zero capacity", policy(0, 2, 1), false},
+		{"high below low", policy(8, 4, 12), false},
+		{"high equals low", policy(8, 4, 4), false},
+		{"zero low", policy(8, 4, 0), false},
+		{"high beyond total", policy(4, 13, 2), false},
 	}
 	for _, tc := range cases {
 		if err := tc.p.Validate(); (err == nil) != tc.ok {
@@ -56,7 +47,7 @@ func TestPolicyScaleStaysValid(t *testing.T) {
 			t.Fatalf("Scale(%d) produced invalid policy %+v: %v", n, s, err)
 		}
 	}
-	tiny := policy(1, 3, 1, ShedOldest)
+	tiny := policy(1, 3, 1)
 	for n := 1; n <= 8; n++ {
 		if err := tiny.Scale(n).Validate(); err != nil {
 			t.Fatalf("tiny Scale(%d): %v", n, err)
@@ -65,7 +56,7 @@ func TestPolicyScaleStaysValid(t *testing.T) {
 }
 
 func TestPriorityOrder(t *testing.T) {
-	q := NewQueue[int](policy(4, 11, 2, ShedOldest), nil)
+	q := NewQueue[int](policy(4, 11, 2), nil)
 	q.Enqueue(Telemetry, 30)
 	q.Enqueue(Data, 20)
 	q.Enqueue(Control, 10)
@@ -88,7 +79,7 @@ func TestPriorityOrder(t *testing.T) {
 
 func TestWatermarkPauseResume(t *testing.T) {
 	g := netapi.NewFlowGate()
-	q := NewQueue[int](policy(4, 3, 1, DeferOnly), g)
+	q := NewQueue[int](policy(4, 3, 1), g)
 	q.Enqueue(Data, 1)
 	q.Enqueue(Data, 2)
 	if g.Blocked() {
@@ -120,7 +111,7 @@ func TestWatermarkPauseResume(t *testing.T) {
 func TestPressureShedsTelemetryFirst(t *testing.T) {
 	// High=2 pressures the queue immediately; telemetry then sheds
 	// while control and data keep admitting.
-	q := NewQueue[int](policy(4, 2, 1, ShedOldest), nil)
+	q := NewQueue[int](policy(4, 2, 1), nil)
 	q.Enqueue(Telemetry, 100)
 	q.Enqueue(Telemetry, 101) // now pressured
 	if !q.Pressured() {
@@ -149,46 +140,10 @@ func TestPressureShedsTelemetryFirst(t *testing.T) {
 	}
 }
 
-func TestRejectNewMode(t *testing.T) {
-	q := NewQueue[int](policy(4, 2, 1, RejectNew), nil)
-	q.Enqueue(Telemetry, 100)
-	q.Enqueue(Telemetry, 101)
-	if v, _ := q.Enqueue(Telemetry, 102); v != Rejected {
-		t.Fatalf("pressured telemetry under reject-new: %v, want Rejected", v)
-	}
-	// The queued items survive.
-	if v, _, _ := q.TryDequeue(); v != 100 {
-		t.Fatalf("reject-new displaced queued item: got %d", v)
-	}
-}
-
-func TestDeferOnlyShedsOnlyOnFullRing(t *testing.T) {
-	q := NewQueue[int](policy(2, 3, 1, DeferOnly), nil)
-	for i := 0; i < 2; i++ {
-		if v, _ := q.Enqueue(Telemetry, i); v != Admitted {
-			t.Fatalf("telemetry %d: %v", i, v)
-		}
-	}
-	// Pressured (depth 2 < high 3? no: high=3 needs depth>=3). Fill data.
-	q.Enqueue(Data, 10)
-	if !q.Pressured() {
-		t.Fatal("not pressured at depth 3")
-	}
-	// Telemetry ring is full: defer-only still refuses, but only
-	// because the ring is full, not because of pressure.
-	if v, _ := q.Enqueue(Telemetry, 2); v != Rejected {
-		t.Fatal("full telemetry ring admitted under defer-only")
-	}
-	// Data ring has room: admitted despite pressure.
-	if v, _ := q.Enqueue(Data, 11); v != Admitted {
-		t.Fatal("defer-only shed data with ring room")
-	}
-}
-
 func TestFullRingBehavior(t *testing.T) {
-	// ShedOldest: full data ring evicts its oldest; full control ring
-	// refuses the arrival (control keeps its oldest).
-	q := NewQueue[int](policy(2, 6, 1, ShedOldest), nil)
+	// A full data ring evicts its oldest; a full control ring refuses
+	// the arrival (control keeps its oldest).
+	q := NewQueue[int](policy(2, 6, 1), nil)
 	q.Enqueue(Data, 20)
 	q.Enqueue(Data, 21)
 	v, victim := q.Enqueue(Data, 22)
@@ -208,7 +163,7 @@ func TestFullRingBehavior(t *testing.T) {
 
 func TestCloseDrainsAndReleasesGate(t *testing.T) {
 	g := netapi.NewFlowGate()
-	q := NewQueue[int](policy(4, 2, 1, DeferOnly), g)
+	q := NewQueue[int](policy(4, 2, 1), g)
 	q.Enqueue(Control, 1)
 	q.Enqueue(Telemetry, 3)
 	q.Enqueue(Data, 2)
@@ -234,7 +189,7 @@ func TestCloseDrainsAndReleasesGate(t *testing.T) {
 }
 
 func TestDequeueBlocksUntilEnqueue(t *testing.T) {
-	q := NewQueue[int](policy(4, 11, 2, ShedOldest), nil)
+	q := NewQueue[int](policy(4, 11, 2), nil)
 	got := make(chan int, 1)
 	go func() {
 		v, _, ok := q.Dequeue()
@@ -253,7 +208,7 @@ func TestDequeueBlocksUntilEnqueue(t *testing.T) {
 // + dequeued total matches what producers offered.
 func TestConcurrentProducersConsumers(t *testing.T) {
 	g := netapi.NewFlowGate()
-	q := NewQueue[uint64](policy(64, 96, 32, ShedOldest), g)
+	q := NewQueue[uint64](policy(64, 96, 32), g)
 	const producers, perProducer = 8, 2000
 	var wg sync.WaitGroup
 	var shed, evicted [NumLanes]uint64
@@ -324,8 +279,8 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 }
 
 func TestSumRollup(t *testing.T) {
-	q1 := NewQueue[int](policy(2, 6, 1, ShedOldest), nil)
-	q2 := NewQueue[int](policy(2, 6, 1, ShedOldest), nil)
+	q1 := NewQueue[int](policy(2, 6, 1), nil)
+	q2 := NewQueue[int](policy(2, 6, 1), nil)
 	q1.Enqueue(Control, 1)
 	q2.Enqueue(Control, 2)
 	q2.Enqueue(Telemetry, 3)
@@ -342,7 +297,7 @@ func TestSumRollup(t *testing.T) {
 // allocations: lane enqueue and dequeue run once per ingested payload
 // and must not allocate.
 func TestEnqueueDequeueAllocFree(t *testing.T) {
-	q := NewQueue[int](policy(16, 40, 8, ShedOldest), netapi.NewFlowGate())
+	q := NewQueue[int](policy(16, 40, 8), netapi.NewFlowGate())
 	if avg := testing.AllocsPerRun(1000, func() {
 		q.Enqueue(Control, 1)
 		q.Enqueue(Telemetry, 2)
@@ -356,9 +311,11 @@ func TestEnqueueDequeueAllocFree(t *testing.T) {
 // Rings grow on demand: a fresh queue holds nothing, a lane that queues
 // a handful holds ringMin slots, and each lane still accepts exactly
 // Policy.Capacity items — in FIFO order across a wrap followed by growth.
+// The control lane is the one grown: a full control ring refuses the
+// arrival rather than evict its oldest.
 func TestRingsGrowOnDemand(t *testing.T) {
 	const capacity = 100 // not a power of two: the last doubling is clipped
-	q := NewQueue[int](policy(capacity, 3*capacity, 1, RejectNew), nil)
+	q := NewQueue[int](policy(capacity, 3*capacity, 1), nil)
 	slots := func() (n int) {
 		for l := range q.rings {
 			n += len(q.rings[l].buf)
@@ -368,11 +325,11 @@ func TestRingsGrowOnDemand(t *testing.T) {
 	if slots() != 0 {
 		t.Fatalf("fresh queue holds %d slots, want none before the first enqueue", slots())
 	}
-	// Wrap the data ring's head before it has to grow.
+	// Wrap the control ring's head before it has to grow.
 	next, want := 0, 0
 	push := func(n int) {
 		for i := 0; i < n; i++ {
-			if v, _ := q.Enqueue(Data, next); v != Admitted {
+			if v, _ := q.Enqueue(Control, next); v != Admitted {
 				t.Fatalf("item %d: verdict %v below capacity", next, v)
 			}
 			next++
@@ -381,7 +338,7 @@ func TestRingsGrowOnDemand(t *testing.T) {
 	pop := func(n int) {
 		for i := 0; i < n; i++ {
 			got, lane, ok := q.TryDequeue()
-			if !ok || lane != Data || got != want {
+			if !ok || lane != Control || got != want {
 				t.Fatalf("dequeued %d (lane %v, ok %v), want %d: FIFO broken", got, lane, ok, want)
 			}
 			want++
@@ -389,30 +346,30 @@ func TestRingsGrowOnDemand(t *testing.T) {
 	}
 	push(ringMin)
 	pop(ringMin - 3)
-	if len(q.rings[Data].buf) != ringMin || slots() != ringMin {
-		t.Fatalf("data ring %d slots, queue %d, want %d: one small ring, others untouched", len(q.rings[Data].buf), slots(), ringMin)
+	if len(q.rings[Control].buf) != ringMin || slots() != ringMin {
+		t.Fatalf("control ring %d slots, queue %d, want %d: one small ring, others untouched", len(q.rings[Control].buf), slots(), ringMin)
 	}
 	push(capacity - 3) // head is mid-ring: growth must unwrap
-	if len(q.rings[Data].buf) != capacity {
-		t.Fatalf("full data ring has %d slots, want Capacity %d", len(q.rings[Data].buf), capacity)
+	if len(q.rings[Control].buf) != capacity {
+		t.Fatalf("full control ring has %d slots, want Capacity %d", len(q.rings[Control].buf), capacity)
 	}
-	if v, _ := q.Enqueue(Data, -1); v != Rejected {
+	if v, _ := q.Enqueue(Control, -1); v != Rejected {
 		t.Fatalf("item beyond Capacity: verdict %v, want Rejected", v)
 	}
-	for _, l := range []Lane{Control, Telemetry} {
+	for _, l := range []Lane{Data, Telemetry} {
 		for i := 0; i < capacity; i++ {
 			if v, _ := q.Enqueue(l, i); v != Admitted {
 				t.Fatalf("%s item %d: verdict %v below capacity", l, i, v)
 			}
 		}
 	}
-	if c := q.Counters(); c[Data].Depth != capacity || c[Data].Capacity != capacity {
-		t.Fatalf("data lane depth %d capacity %d, want %d/%d", c[Data].Depth, c[Data].Capacity, capacity, capacity)
+	if c := q.Counters(); c[Control].Depth != capacity || c[Control].Capacity != capacity {
+		t.Fatalf("control lane depth %d capacity %d, want %d/%d", c[Control].Depth, c[Control].Capacity, capacity, capacity)
 	}
+	pop(capacity) // the control lane, still in order after growing full
 	for i := 0; i < capacity; i++ {
-		if _, lane, _ := q.TryDequeue(); lane != Control {
-			t.Fatalf("dequeue %d from lane %v, want control first", i, lane)
+		if _, lane, _ := q.TryDequeue(); lane != Data {
+			t.Fatalf("dequeue %d from lane %v, want data after control", i, lane)
 		}
 	}
-	pop(capacity) // the data lane, still in order after growing full
 }

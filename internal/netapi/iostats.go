@@ -31,11 +31,8 @@ type IOStats struct {
 	SendBatchPackets uint64
 	SendSingles      uint64
 
-	// StreamFlushes counts stream writes, one per Send, and
-	// StreamFlushChunks the chunks they wrote: one each, since each
-	// Send writes alone.
-	StreamFlushes     uint64
-	StreamFlushChunks uint64
+	// StreamFlushes counts stream writes, one per Send.
+	StreamFlushes uint64
 }
 
 var ioStats struct {
@@ -47,7 +44,6 @@ var ioStats struct {
 	sendBatchPackets atomic.Uint64
 	sendSingles      atomic.Uint64
 	streamFlushes    atomic.Uint64
-	streamChunks     atomic.Uint64
 }
 
 // CountRecvBatch records one batched receive syscall that returned n
@@ -74,26 +70,21 @@ func CountSendBatch(n int) {
 // CountSendSingle records one per-datagram send.
 func CountSendSingle() { ioStats.sendSingles.Add(1) }
 
-// CountStreamFlush records one stream write of the given number of
-// chunks.
-func CountStreamFlush(chunks int) {
-	ioStats.streamFlushes.Add(1)
-	ioStats.streamChunks.Add(uint64(chunks))
-}
+// CountStreamFlush records one stream write.
+func CountStreamFlush() { ioStats.streamFlushes.Add(1) }
 
 // ReadIOStats snapshots the process-wide transport counters. Like
 // LeasedBuffers, the counters are monotonic and process-global:
 // meaningful as a before/after delta around a scoped run.
 func ReadIOStats() IOStats {
 	return IOStats{
-		RecvBatches:       ioStats.recvBatches.Load(),
-		RecvBatchPackets:  ioStats.recvBatchPackets.Load(),
-		RecvMultiBatches:  ioStats.recvMultiBatches.Load(),
-		RecvSingles:       ioStats.recvSingles.Load(),
-		SendBatches:       ioStats.sendBatches.Load(),
-		SendBatchPackets:  ioStats.sendBatchPackets.Load(),
-		SendSingles:       ioStats.sendSingles.Load(),
-		StreamFlushes:     ioStats.streamFlushes.Load(),
-		StreamFlushChunks: ioStats.streamChunks.Load(),
+		RecvBatches:      ioStats.recvBatches.Load(),
+		RecvBatchPackets: ioStats.recvBatchPackets.Load(),
+		RecvMultiBatches: ioStats.recvMultiBatches.Load(),
+		RecvSingles:      ioStats.recvSingles.Load(),
+		SendBatches:      ioStats.sendBatches.Load(),
+		SendBatchPackets: ioStats.sendBatchPackets.Load(),
+		SendSingles:      ioStats.sendSingles.Load(),
+		StreamFlushes:    ioStats.streamFlushes.Load(),
 	}
 }

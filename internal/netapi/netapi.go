@@ -34,15 +34,12 @@
 //
 // # Buffer ownership
 //
-// Inbound datagram bytes are delivered in leased pooled buffers where
-// the runtime leases (realnet; simnet with leased delivery on):
-// Packet.Data is valid for the duration of the callback, and a handler
-// that needs the bytes longer takes the lease with Packet.TakeLease and
-// releases it exactly once (see Buffer). When Packet.TakeLease returns
-// nil the data is heap-owned and immutable; consumers may retain the
-// slice without copying. Stream chunks are views valid for the
-// callback; the netengine framer copies each complete frame into a
-// lease of its own.
+// Both runtimes deliver inbound datagram bytes in leased pooled
+// buffers: Packet.Data is valid for the duration of the callback, and a
+// handler that needs the bytes longer takes the lease with
+// Packet.TakeLease and releases it exactly once (see Buffer). Stream
+// chunks are views valid for the callback; the netengine framer copies
+// each complete frame into a lease of its own.
 package netapi
 
 import (
@@ -114,9 +111,8 @@ type Packet struct {
 	From Addr
 	To   Addr
 	Data []byte
-	// Buf is the leased buffer backing Data on runtimes with pooled
-	// receive buffers; nil when the data is heap-owned and immutable.
-	// Handlers take ownership through TakeLease, never directly.
+	// Buf is the leased buffer backing Data. Handlers take ownership
+	// through TakeLease, never directly.
 	Buf *Buffer
 
 	// Batch is the number of datagrams delivered by the same receive
@@ -128,7 +124,7 @@ type Packet struct {
 	Batch int
 
 	// leased points at lease-transfer state owned by the dispatching
-	// read loop (see BindLeaseFlag); nil when Buf is nil.
+	// read loop (see BindLeaseFlag).
 	leased *bool
 }
 
@@ -144,13 +140,8 @@ func (p *Packet) BindLeaseFlag(f *bool) { p.leased = f }
 // caller, who must Release it exactly once when done with Data. It
 // must be called synchronously inside the handler callback (it records
 // the transfer in the dispatching read loop's own state, which only
-// the callback's goroutine may touch). A nil result means the data is
-// heap-owned and immutable: the caller may keep the slice without
-// copying, and there is nothing to release.
+// the callback's goroutine may touch).
 func (p Packet) TakeLease() *Buffer {
-	if p.Buf == nil {
-		return nil
-	}
 	if p.leased == nil {
 		// A runtime that sets Buf but never bound a lease flag would
 		// keep reusing a buffer the handler now owns — corruption with

@@ -248,12 +248,6 @@ func TestBufferLeaseLifecycle(t *testing.T) {
 	lease.Release()
 }
 
-func TestTakeLeaseNilBuf(t *testing.T) {
-	if (netapi.Packet{Data: []byte("x")}).TakeLease() != nil {
-		t.Fatal("TakeLease on heap-owned data must be nil")
-	}
-}
-
 // A slab's accounting must balance through every size it takes: Resize
 // releases what it drops, adds only empty slots, reuses the storage an
 // earlier size left behind, and leaves transferred (nil) slots alone.

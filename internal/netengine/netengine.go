@@ -135,8 +135,6 @@ func (s Source) Reply(data []byte) error {
 // Handler consumes inbound payloads (whole datagrams, or framed
 // messages on streams). lease is the pooled buffer backing data: the
 // handler owns it and must Release it exactly once when done with data.
-// A nil lease — a runtime that delivered the datagram unleased — means
-// data is heap-owned and immutable: safe to keep, nothing to release.
 // Handlers for one endpoint run serially; distinct endpoints may
 // invoke their handlers in parallel.
 type Handler func(data []byte, src Source, lease *netapi.Buffer)

@@ -9,6 +9,7 @@ package promtext
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -130,43 +131,19 @@ func formatLe(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-func escapeLabel(s string) string {
-	if !strings.ContainsAny(s, "\\\"\n") {
-		return s
-	}
-	var sb strings.Builder
-	for _, r := range s {
-		switch r {
-		case '\\':
-			sb.WriteString(`\\`)
-		case '"':
-			sb.WriteString(`\"`)
-		case '\n':
-			sb.WriteString(`\n`)
-		default:
-			sb.WriteRune(r)
-		}
-	}
-	return sb.String()
-}
+// The escapers work byte by byte, so text that is not UTF-8 passes
+// through unchanged.
+var (
+	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+	// helpUnescaper reads helpEscaper's output back; any other escape
+	// stays as written.
+	helpUnescaper = strings.NewReplacer(`\\`, `\`, `\n`, "\n")
+)
 
-func escapeHelp(s string) string {
-	if !strings.ContainsAny(s, "\\\n") {
-		return s
-	}
-	var sb strings.Builder
-	for _, r := range s {
-		switch r {
-		case '\\':
-			sb.WriteString(`\\`)
-		case '\n':
-			sb.WriteString(`\n`)
-		default:
-			sb.WriteRune(r)
-		}
-	}
-	return sb.String()
-}
+func escapeLabel(s string) string { return labelEscaper.Replace(s) }
+
+func escapeHelp(s string) string { return helpEscaper.Replace(s) }
 
 // Sample is one parsed sample line.
 type Sample struct {
@@ -196,15 +173,17 @@ func Parse(r io.Reader) (*Exposition, error) {
 	exp := &Exposition{Types: map[string]string{}, Help: map[string]string{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Split(splitLF)
 	lineno := 0
 	for sc.Scan() {
 		lineno++
-		line := strings.TrimRight(sc.Text(), " \t")
+		line := strings.TrimRight(sc.Text(), " \t\r")
 		if line == "" {
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
-			if err := exp.parseComment(line); err != nil {
+			// A HELP text keeps its trailing blanks: the raw line.
+			if err := exp.parseComment(sc.Text()); err != nil {
 				return nil, fmt.Errorf("promtext: line %d: %w", lineno, err)
 			}
 			continue
@@ -221,6 +200,18 @@ func Parse(r io.Reader) (*Exposition, error) {
 	return exp, nil
 }
 
+// splitLF splits lines at '\n' alone: a '\r' ending a HELP text is
+// part of it.
+func splitLF(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
+}
+
 func (e *Exposition) parseComment(line string) error {
 	fields := strings.SplitN(line, " ", 4)
 	if len(fields) < 2 {
@@ -231,19 +222,20 @@ func (e *Exposition) parseComment(line string) error {
 		if len(fields) < 4 {
 			return fmt.Errorf("malformed TYPE line %q", line)
 		}
-		switch fields[3] {
+		typ := strings.TrimRight(fields[3], " \t\r")
+		switch typ {
 		case "counter", "gauge", "histogram", "summary", "untyped":
 		default:
-			return fmt.Errorf("unknown metric type %q", fields[3])
+			return fmt.Errorf("unknown metric type %q", typ)
 		}
-		e.Types[fields[2]] = fields[3]
+		e.Types[fields[2]] = typ
 	case "HELP":
 		if len(fields) < 3 {
 			return fmt.Errorf("malformed HELP line %q", line)
 		}
 		help := ""
 		if len(fields) == 4 {
-			help = fields[3]
+			help = helpUnescaper.Replace(fields[3])
 		}
 		e.Help[fields[2]] = help
 	}

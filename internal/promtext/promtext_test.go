@@ -120,3 +120,48 @@ func TestNames(t *testing.T) {
 		t.Errorf("Names = %v", names)
 	}
 }
+
+// FuzzPromtextRoundTrip holds the two halves of the format to each
+// other: a family Writer emits reads back through Parse with its help,
+// and its sample with its name, labels and value, whatever bytes the
+// help and label value hold; and Parse returns an error, never a
+// panic, on an arbitrary document.
+func FuzzPromtextRoundTrip(f *testing.F) {
+	f.Add("starlink_sessions_total", "Finished sessions.", "case", "slp-to-upnp", 42.0, "# TYPE m gauge\nm 1\n")
+	f.Add("m", `a\b`, "l", `back\slash "quoted"`, 1.5, "m{l=\"\\q\"} 1\n")
+	f.Add("m", "two\nlines", "l", "two\nlines", math.Inf(-1), "# HELP m a\\\n")
+	f.Add("m", `ends in \`, "le", "+Inf", math.NaN(), "m{l=\"x\",} NaN 123\n")
+	f.Add("m", "trailing blank \t", "l", "", -0.0, "# HELP\n# TYPE m\n")
+	f.Add("m", "carriage return\r", "l", "\xff\xfe", 1e-300, "m{\n")
+	f.Add("m", "not\\utf-8 \xff", "l", "\xff\"\r", 7.0, "{} 1\n")
+	f.Fuzz(func(t *testing.T, name, help, label, value string, v float64, doc string) {
+		_, _ = Parse(strings.NewReader(doc))
+		if !validName(name) || !validName(label) || help == "" {
+			return
+		}
+		var sb strings.Builder
+		w := NewWriter(&sb)
+		w.Family(name, help, "gauge")
+		w.Sample(name, []Label{{Name: label, Value: value}}, v)
+		exp, err := Parse(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatalf("Parse of Writer output: %v\n%q", err, sb.String())
+		}
+		if got := exp.Help[name]; got != help {
+			t.Errorf("help = %q, want %q", got, help)
+		}
+		if exp.Types[name] != "gauge" {
+			t.Errorf("type = %q, want gauge", exp.Types[name])
+		}
+		if len(exp.Samples) != 1 {
+			t.Fatalf("%d samples, want 1\n%q", len(exp.Samples), sb.String())
+		}
+		s := exp.Samples[0]
+		if s.Name != name || len(s.Labels) != 1 || s.Labels[label] != value {
+			t.Errorf("sample %q %q, want %q {%q=%q}", s.Name, s.Labels, name, label, value)
+		}
+		if s.Value != v && !(math.IsNaN(s.Value) && math.IsNaN(v)) {
+			t.Errorf("value = %v, want %v", s.Value, v)
+		}
+	})
+}

@@ -595,15 +595,10 @@ func (d *Dispatcher) closeAll(deps []*deployment, listeners []netapi.Closer) {
 func (d *Dispatcher) dispatch(colorKey string, data []byte, src netengine.Source, lease *netapi.Buffer) {
 	// The dispatcher owns the payload's buffer lease until it hands the
 	// payload to an engine (Inject takes ownership on every path).
-	release := func() {
-		if lease != nil {
-			lease.Release()
-		}
-	}
 	if d.egress.Contains(src) {
 		// Our own multicast request echoed back by the group: an
 		// opposite-direction case must not bridge it.
-		release()
+		lease.Release()
 		d.statsMu.Lock()
 		d.counters.Suppressed++
 		d.statsMu.Unlock()
@@ -613,7 +608,7 @@ func (d *Dispatcher) dispatch(colorKey string, data []byte, src netengine.Source
 	l := d.listeners[colorKey]
 	if l == nil || d.closed {
 		d.mu.RUnlock()
-		release()
+		lease.Release()
 		return
 	}
 	points := l.points // rebind replaces it, never mutates it in place
@@ -635,7 +630,7 @@ func (d *Dispatcher) dispatch(colorKey string, data []byte, src netengine.Source
 			d.counters.ParseErrors++
 		}
 		d.statsMu.Unlock()
-		release()
+		lease.Release()
 		return
 	}
 	chosen := matches[0]

@@ -73,7 +73,7 @@ const (
 // burst small, so the control payloads inside a burst wait behind only
 // a handful of lane siblings and control p99 stays near its
 // uncontended value even while telemetry sheds.
-var overloadPolicy = lanes.Policy{Capacity: 256, High: 512, Low: 448, Mode: lanes.ShedOldest}
+var overloadPolicy = lanes.Policy{Capacity: 256, High: 512, Low: 448}
 
 // overloadSink keeps the consumer's checksum loop observable so the
 // compiler cannot elide overloadWork.

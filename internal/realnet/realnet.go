@@ -1036,7 +1036,7 @@ func (sc *streamConn) Send(data []byte) error {
 	if sc.werr != nil {
 		return fmt.Errorf("realnet: %w", sc.werr)
 	}
-	netapi.CountStreamFlush(1)
+	netapi.CountStreamFlush()
 	err := sc.c.SetWriteDeadline(time.Now().Add(ioTimeout))
 	if err == nil {
 		_, err = sc.c.Write(data)

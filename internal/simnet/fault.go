@@ -37,16 +37,6 @@ func WithEventTrace() Option {
 	return func(n *Net) { n.trace = &eventTrace{epoch: n.now} }
 }
 
-// WithLeasedDelivery makes UDP deliveries carry pooled leased buffers
-// (netapi.Buffer + lease flag) exactly like the real runtime's read
-// loops, instead of heap-owned slices. This puts the engine's
-// lease-ownership paths — including duplicate deliveries each owning a
-// distinct buffer — under the simulator's deterministic schedule, so
-// the DST lease-balance invariant can catch leaks.
-func WithLeasedDelivery() Option {
-	return func(n *Net) { n.leased = true }
-}
-
 var _ netapi.FaultInjector = (*Net)(nil)
 
 // InstallFaults installs (or, with nil, removes) the fault plan. The

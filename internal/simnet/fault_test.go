@@ -283,12 +283,12 @@ func TestFaultReorderOvertakes(t *testing.T) {
 	}
 }
 
-// TestLeasedDeliveryBalances pins the leased-delivery mode: handlers
+// TestLeasedDeliveryBalances pins leased delivery: handlers
 // that never take the lease leak nothing (the runtime releases), and a
 // handler that does take it owns a private copy it must release.
 func TestLeasedDeliveryBalances(t *testing.T) {
 	before := netapi.LeasedBuffers()
-	n := New(WithSeed(5), WithLeasedDelivery(),
+	n := New(WithSeed(5),
 		WithFaults(&netapi.FaultPlan{Rules: []netapi.FaultRule{{Duplicate: 1}}}))
 	recvNode, _ := n.NewNode("10.0.0.9")
 	var taken []*netapi.Buffer
@@ -296,9 +296,7 @@ func TestLeasedDeliveryBalances(t *testing.T) {
 	sock, err := recvNode.OpenUDP(5000, func(p netapi.Packet) {
 		seen = append(seen, string(p.Data))
 		if len(taken) == 0 { // take exactly one lease, hold it past the callback
-			if b := p.TakeLease(); b != nil {
-				taken = append(taken, b)
-			}
+			taken = append(taken, p.TakeLease())
 		}
 	})
 	if err != nil {

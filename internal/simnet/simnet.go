@@ -69,11 +69,6 @@ func WithLatency(base, jitter time.Duration) Option {
 	return func(n *Net) { n.latBase, n.latJitter = base, jitter }
 }
 
-// WithStart sets the virtual epoch.
-func WithStart(t time.Time) Option {
-	return func(n *Net) { n.now = t }
-}
-
 type event struct {
 	at time.Time
 	// tie is the seeded per-domain tiebreak: events for the same
@@ -154,11 +149,9 @@ type Net struct {
 	gateSubs map[*netapi.FlowGate]bool
 
 	// faults is the installed fault plan (nil: no faults); trace is
-	// the delivery-event trace (nil: disabled); leased switches UDP
-	// deliveries to pooled leased buffers. See fault.go.
+	// the delivery-event trace (nil: disabled). See fault.go.
 	faults *faultState
 	trace  *eventTrace
-	leased bool
 
 	workMu   sync.Mutex
 	workCond *sync.Cond
@@ -572,6 +565,9 @@ type udpSocket struct {
 	gate   *netapi.FlowGate
 	closed bool
 	groups []sockKey
+	// taken is the lease-transfer flag of the delivery in progress (see
+	// scheduleUDPLocked): one per socket, as realnet's read loop keeps.
+	taken bool
 }
 
 var _ netapi.UDPSocket = (*udpSocket)(nil)
@@ -714,8 +710,7 @@ func (s *udpSocket) deliverLocked(dst *udpSocket, data []byte, to netapi.Addr) {
 	s.net.scheduleUDPLocked(dst, from, to, data, lat)
 	if v.dup {
 		// The duplicate is a full independent delivery owning its own
-		// leased buffer (when leased delivery is on) — exactly the
-		// hazard a receiver must survive.
+		// leased buffer — exactly the hazard a receiver must survive.
 		s.net.PacketsSent++
 		s.net.traceLocked("udp", "dup", from, dst.addr, len(data))
 		s.net.scheduleUDPLocked(dst, from, to, data, lat+v.dupDelay)
@@ -724,9 +719,9 @@ func (s *udpSocket) deliverLocked(dst *udpSocket, data []byte, to netapi.Addr) {
 
 // scheduleUDPLocked schedules one UDP delivery at lat from now. Caller
 // holds Net.mu. The delivery re-checks destination and gate state when
-// its event fires, and — with leased delivery on — hands the handler a
-// pooled buffer under the standard lease-flag protocol (the simulated
-// twin of realnet's read loop).
+// its event fires, and hands the handler a pooled buffer under the
+// standard lease-flag protocol (the simulated twin of realnet's read
+// loop).
 func (n *Net) scheduleUDPLocked(dst *udpSocket, from, to netapi.Addr, data []byte, lat time.Duration) {
 	var deliver func()
 	deliver = func() {
@@ -745,23 +740,20 @@ func (n *Net) scheduleUDPLocked(dst *udpSocket, from, to netapi.Addr, data []byt
 			return
 		}
 		n.traceLocked("udp", "deliver", from, dst.addr, len(data))
-		leased := n.leased
 		n.mu.Unlock()
-		if !leased {
-			dst.handler(netapi.Packet{From: from, To: to, Data: data})
-			return
-		}
 		buf := netapi.NewBuffer()
 		m := copy(buf.Backing(), data)
 		buf.SetFilled(m)
-		// The lease-transfer signal lives in this delivery's own frame
-		// (see netapi.Buffer): the handler may release and the pool
-		// re-lease the buffer before we look at it again.
-		retained := false
+		// The lease-transfer signal lives on the socket, not the buffer:
+		// the handler may release and the pool re-lease the buffer
+		// before we look at it again (see netapi.Buffer). Deliveries to
+		// one socket run one at a time, so one flag reset per delivery
+		// serves them all; a flag per delivery would escape to the heap.
+		dst.taken = false
 		pkt := netapi.Packet{From: from, To: to, Data: buf.Bytes(), Buf: buf}
-		pkt.BindLeaseFlag(&retained)
+		pkt.BindLeaseFlag(&dst.taken)
 		dst.handler(pkt)
-		if !retained {
+		if !dst.taken {
 			// Poison what the handler left: one that kept Data without
 			// the lease reads zeros, not a datagram that happens to
 			// survive until the buffer's next lease.

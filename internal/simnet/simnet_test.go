@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 	"time"
@@ -84,8 +85,12 @@ func TestUnicastUDP(t *testing.T) {
 	a, _ := sim.NewNode("10.0.0.1")
 	b, _ := sim.NewNode("10.0.0.2")
 
+	// Data is valid for the callback: keep a copy.
 	var got []netapi.Packet
-	bs, err := b.OpenUDP(4000, func(p netapi.Packet) { got = append(got, p) })
+	bs, err := b.OpenUDP(4000, func(p netapi.Packet) {
+		p.Data = bytes.Clone(p.Data)
+		got = append(got, p)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +426,7 @@ func TestPayloadIsolation(t *testing.T) {
 	a, _ := sim.NewNode("10.0.0.1")
 	b, _ := sim.NewNode("10.0.0.2")
 	var got []byte
-	bs, _ := b.OpenUDP(4000, func(p netapi.Packet) { got = p.Data })
+	bs, _ := b.OpenUDP(4000, func(p netapi.Packet) { got = bytes.Clone(p.Data) })
 	as, _ := a.OpenUDP(0, func(netapi.Packet) {})
 	buf := []byte("original")
 	if err := as.Send(bs.LocalAddr(), buf); err != nil {

@@ -250,7 +250,6 @@ func TestContextCancelClosesBridge(t *testing.T) {
 		t.Helper()
 		undeploys := new(atomic.Int32)
 		b, err := fw.DeployBridge(ctx, hostIP, "slp-to-bonjour",
-			starlink.WithIngestWorkers(2),
 			starlink.WithObserver(starlink.Hooks{Undeploy: func(starlink.CaseEvent) { undeploys.Add(1) }}))
 		if err != nil {
 			t.Fatal(err)

@@ -136,7 +136,7 @@ type DispatchMetrics struct {
 }
 
 // LaneMetrics is a consistent snapshot of one ingest lane's admission
-// accounting (see WithLanePolicy). One row per lane, priority order:
+// accounting (see the package overview). One row per lane, priority order:
 // "control", "data", "telemetry".
 type LaneMetrics struct {
 	// Lane names the lane: "control", "data" or "telemetry".
@@ -335,8 +335,6 @@ type TransportMetrics struct {
 	SendBatches      uint64
 	SendBatchPackets uint64
 	SendSingles      uint64
-	// StreamFlushes counts stream writes, one per Send; each writes one
-	// chunk, so StreamFlushChunks equals it.
-	StreamFlushes     uint64
-	StreamFlushChunks uint64
+	// StreamFlushes counts stream writes, one per Send.
+	StreamFlushes uint64
 }

@@ -138,9 +138,6 @@ type Classification struct {
 	Candidates []string
 	// Ambiguous reports whether more than one case matched.
 	Ambiguous bool
-	// FastPath is always true: the candidate parsers classify a payload
-	// by its message-selection rule field alone, with no parse.
-	FastPath bool
 	// Err is non-nil for ambiguous classifications, wrapping
 	// ErrAmbiguousPayload.
 	Err error
@@ -327,7 +324,6 @@ func (c *observerChain) Classified(ev provision.ClassifyEvent) {
 		Origin:     ev.Origin.String(),
 		Candidates: ev.Candidates,
 		Ambiguous:  ev.Ambiguous,
-		FastPath:   true,
 		Err:        ev.Err,
 	}
 	c.each(func(o Observer) { o.OnClassify(e) })

@@ -91,11 +91,11 @@
 // payloads flow through bounded, prioritized ingest lanes — control
 // (session entry, receive timers) over data (mid-session payloads) over
 // telemetry (multicast chatter) — before a worker pool parses and
-// routes them. Past the lanes' high watermark
-// the transport read loops pause (releasing their buffers) and
-// telemetry sheds first, control last (WithLanePolicy,
-// WithWatermarks); a max-sessions semaphore (WithMaxSessions) bounds
-// the live-session population on top. Both bounds surface as drops
+// routes them. The lanes run at one set of built-in bounds: past their
+// high watermark the transport read loops pause (releasing their
+// buffers) and telemetry sheds oldest-first, control last; a
+// max-sessions semaphore (WithMaxSessions) bounds the live-session
+// population on top. Both bounds surface as drops
 // tagged ErrOverloaded, so overload degrades into dropped requests
 // rather than unbounded memory growth. Timers and requester payloads
 // re-enter through the owning worker's lane queue instead of touching
@@ -279,7 +279,7 @@ func (f *Framework) DeployDispatcher(ctx context.Context, hostIP string, cases [
 func (f *Framework) deploy(ctx context.Context, hostIP string, cases []string, opts []Option) (*provision.Dispatcher, error) {
 	cfg := compileOptions(opts)
 	return provision.Deploy(ctx, f.reg.r, f.rt.rt, hostIP, cases,
-		provision.WithEngineOptions(cfg.engineOptions()...), provision.WithSink(cfg.sink()))
+		provision.WithEngineOptions(cfg.engOpts...), provision.WithSink(cfg.sink()))
 }
 
 // Bridge is a deployed interoperability connector executing one merged
