@@ -62,8 +62,8 @@
 // bridge is a dispatcher hosting one case). What the engine observes
 // goes to one Sink (a nil one costs a branch per event); what it counts
 // is read as one Snapshot, by Counts (cheap) or Snapshot (with the
-// distributions). Close is where every teardown ends and the one origin
-// of the Undeployed event.
+// distributions). Close is where every teardown ends; the dispatcher
+// reports the case's Undeployed once the engine and its host are gone.
 package engine
 
 import (
@@ -607,9 +607,9 @@ func (e *Engine) AwaitsEntry(proto, msg, ip string) bool {
 // stops the ingest workers, and once no worker runs any more it ends
 // every session still live, on the calling goroutine, with an error
 // wrapping serrors.ErrClosed, and closes the requester sockets the
-// workers were lending; last it reports Undeployed. Every teardown ends
-// here, and only the first call does the work. For a graceful stop that
-// lets live sessions finish first, use Shutdown.
+// workers were lending. Every teardown ends here, and only the first
+// call does the work. For a graceful stop that lets live sessions
+// finish first, use Shutdown.
 func (e *Engine) Close() error {
 	e.closeMu.Lock()
 	// state is the single source of truth for the lifecycle; the swap
@@ -655,9 +655,6 @@ func (e *Engine) Close() error {
 		}
 	}
 	e.signalDrained() // a closed engine has, vacuously, drained
-	if e.sink != nil {
-		e.sink.Undeployed(e.merged.Name)
-	}
 	return nil
 }
 

@@ -26,7 +26,6 @@ type testSink struct {
 	drop func(origin netapi.Addr, reason error)
 }
 
-func (*testSink) Undeployed(string)                           {}
 func (*testSink) SessionStart(string, netapi.Addr, time.Time) {}
 
 func (k *testSink) SessionEnd(_ string, s engine.SessionStats) {

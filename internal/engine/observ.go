@@ -18,13 +18,10 @@ import (
 // for the sessions it tears down — and does not serialise the calls:
 // ordering and fan-out are the business of whoever configured the sink.
 // A worker runs nothing else meanwhile, so keep callbacks fast, and never
-// call Close or Shutdown synchronously from inside one.
+// call Close or Shutdown synchronously from inside one. A case's
+// Deployed and Undeployed are the dispatcher's to report: see
+// provision.Sink.
 type Sink interface {
-	// Undeployed is the engine's one teardown notification, emitted as
-	// Close finishes — whether Close or Shutdown started it — after the
-	// last SessionEnd. (Deployed is the dispatcher's to report: see
-	// provision.Sink.)
-	Undeployed(caseName string)
 	// SessionStart fires when an initiator request is admitted as a new
 	// session; SessionEnd as each session finishes.
 	SessionStart(caseName string, origin netapi.Addr, at time.Time)

@@ -54,12 +54,12 @@ func WithSink(sink Sink) Option {
 
 // Sink receives every event of a dispatcher deployment: what each hosted
 // engine reports (engine.Sink — the dispatcher hands the same value to
-// all of them) plus the dispatcher's own: a Deployed per case it deploys
-// and a Classified per payload it dispatches. Drops the dispatcher
-// itself decides — the chosen engine already closed — arrive through
-// Dropped like an engine's. Calls come from the listeners', the workers'
-// and the reconciling goroutines and are not serialised; a nil sink
-// costs one branch per event.
+// all of them) plus the dispatcher's own: a Deployed and an Undeployed
+// per case it deploys and a Classified per payload it dispatches. Drops
+// the dispatcher itself decides — the chosen engine already closed —
+// arrive through Dropped like an engine's. Calls come from the
+// listeners', the workers' and the reconciling goroutines and are not
+// serialised; a nil sink costs one branch per event.
 type Sink interface {
 	engine.Sink
 	// Deployed announces a case about to serve traffic, with the registry
@@ -69,6 +69,12 @@ type Sink interface {
 	// reconciliation, under the lock that serialises Syncs, so it must
 	// not call Sync.
 	Deployed(caseName string, generation uint64)
+	// Undeployed announces a case torn down, once per Deployed, after
+	// the case's last session event: when a Sync retires it, after its
+	// engine has closed; when the dispatcher closes — by Close, Shutdown
+	// or context cancellation — after the bridge host is released too.
+	// Cases closed together are reported in name order.
+	Undeployed(caseName string)
 	// Classified fires for every payload handed to an engine, after
 	// classification. Events with Ambiguous set carry an Err marked
 	// serrors.ErrAmbiguousPayload and the full candidate list.
@@ -421,6 +427,7 @@ func (d *Dispatcher) Sync() error {
 		d.mu.Unlock()
 		d.closeAll(fresh, nil)
 		d.retire(fresh)
+		d.undeployed(fresh)
 		return err
 	}
 	// Undeploy removed or changed cases. Iteration is sorted so that
@@ -443,6 +450,7 @@ func (d *Dispatcher) Sync() error {
 	d.mu.Unlock()
 	d.closeAll(stale, staleListeners)
 	d.retire(stale)
+	d.undeployed(stale)
 	if deployErr != nil {
 		return deployErr
 	}
@@ -564,14 +572,28 @@ func (d *Dispatcher) rebindLocked() ([]netapi.Closer, error) {
 }
 
 // closeAll closes stale engines and listeners outside the lock.
-// Listeners close first so no payload races a draining engine. Each
-// engine reports its own Undeployed as its Close finishes.
+// Listeners close first so no payload races a draining engine.
 func (d *Dispatcher) closeAll(deps []*deployment, listeners []netapi.Closer) {
 	for _, c := range listeners {
 		_ = c.Close()
 	}
 	for _, dep := range deps {
 		_ = dep.eng.Close()
+	}
+}
+
+// undeployed reports closed deployments to the sink, in name order.
+func (d *Dispatcher) undeployed(deps []*deployment) {
+	if d.sink == nil {
+		return
+	}
+	names := make([]string, len(deps))
+	for i, dep := range deps {
+		names[i] = dep.name
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		d.sink.Undeployed(name)
 	}
 }
 
@@ -865,10 +887,12 @@ func (d *Dispatcher) Close() error {
 	d.mu.Lock()
 	d.final = final
 	d.mu.Unlock()
+	var err error
 	if d.ownsNode {
-		return d.node.Close()
+		err = d.node.Close()
 	}
-	return nil
+	d.undeployed(deps)
+	return err
 }
 
 // Shutdown drains the dispatcher gracefully: every hosted engine stops

@@ -72,8 +72,17 @@ func TestGroupReplyToSource(t *testing.T) {
 	svc, _ := rt.NewNode("svc")
 	cli, _ := rt.NewNode("cli")
 
+	// Nothing orders the assignment of svcSock before the handler's read
+	// (the ping passes through the kernel), and the shared group port may
+	// deliver a stray datagram first: the handler waits until svcSock is
+	// published and answers only the test's ping.
 	var svcSock netapi.UDPSocket
+	published := make(chan struct{})
 	svcSock, err := svc.JoinGroup(group, func(p netapi.Packet) {
+		if string(p.Data) != "ping" {
+			return
+		}
+		<-published
 		if err := svcSock.Send(p.From, []byte("pong")); err != nil {
 			t.Error(err)
 		}
@@ -81,6 +90,7 @@ func TestGroupReplyToSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	close(published)
 	defer svcSock.Close()
 
 	var got string

@@ -148,8 +148,11 @@ type Classification struct {
 // every session event of the case; a deploy that then fails (a port
 // already bound, a context cancelled mid-deploy) is followed by its
 // undeploy event. The undeploy event is emitted once per deployed case,
-// after the last session event, whichever of Close, Shutdown or context
-// cancellation tore the case down.
+// after the last session event, whichever of Close, Shutdown, context
+// cancellation or a Sync that retired the case tore it down. When the
+// deployment closes it follows the release of the bridge host, so the
+// host's IP is free by then; cases closed together are reported in name
+// order.
 type CaseEvent struct {
 	// Case is the merged automaton name.
 	Case string

@@ -13,15 +13,10 @@
 //   - merged automata chaining the protocols with δ-transitions and
 //     carrying the translation logic that maps field content across.
 //
-// Quickstart (bridging an SLP client to a Bonjour service on the
-// deterministic network simulator):
-//
-//	rt := starlink.Simulated()
-//	fw, _ := starlink.New(rt)
-//	bridge, _ := fw.DeployBridge(ctx, "10.0.0.5", "slp-to-bonjour")
-//	defer bridge.Close()
-//	// ... start a dnssd.Responder and an slp.UserAgent; the lookup
-//	// completes across protocols, through the bridge.
+// The package Example bridges an SLP client to a Bonjour service on the
+// deterministic network simulator; ExampleDispatcher_Sync hosts every
+// case behind one dispatcher and deploys a seventh at runtime. go test
+// runs both and checks their output.
 //
 // # Lifecycle
 //
@@ -56,7 +51,8 @@
 // per deployment), implement only what you need via Hooks, and read
 // consistent counter snapshots at any time with Deployment.Metrics().
 // A case's deploy event is delivered before its entry listeners reach it
-// and its undeploy event exactly once, after its last session event.
+// and its undeploy event exactly once, after its last session event and,
+// when the deployment closes, after its host is released.
 //
 // Underneath, each job is done once: a Bridge is a Dispatcher hosting one
 // case, so both deploy through one call and serve through one ingress
@@ -104,8 +100,8 @@
 // reports in-flight work through a work tracker, which keeps simulated
 // runs deterministic; see README.md for the full lifecycle.
 //
-// See examples/ for complete programs and DESIGN.md for the mapping
-// from the paper's formal model to this implementation.
+// See DESIGN.md for the mapping from the paper's formal model to this
+// implementation.
 package starlink
 
 import (

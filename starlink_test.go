@@ -5,60 +5,11 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"starlink"
 	"starlink/internal/netapi"
-	"starlink/internal/protocols/dnssd"
-	"starlink/internal/protocols/slp"
 	"starlink/internal/simnet"
 )
-
-// TestPublicAPIQuickstart exercises the exact flow the package
-// documentation promises.
-func TestPublicAPIQuickstart(t *testing.T) {
-	rt := starlink.Simulated()
-	sim := rt.Backend().(*simnet.Net)
-	fw, err := starlink.New(rt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sessions []starlink.SessionStats
-	bridge, err := fw.DeployBridge(context.Background(), "10.0.0.5", "slp-to-bonjour",
-		starlink.WithObserver(starlink.Hooks{
-			SessionEnd: func(s starlink.SessionStats) { sessions = append(sessions, s) },
-		}),
-		starlink.WithVars(map[string]string{"example.var": "x"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bridge.Close()
-	if got := bridge.State(); got != starlink.StateRunning {
-		t.Fatalf("state = %v, want running", got)
-	}
-
-	svcNode, _ := sim.NewNode("10.0.0.9")
-	if _, err := dnssd.NewResponder(svcNode, "printer.local", "service:printer://10.0.0.9:515"); err != nil {
-		t.Fatal(err)
-	}
-	cliNode, _ := sim.NewNode("10.0.0.1")
-	ua := slp.NewUserAgent(cliNode, slp.WithConvergenceWait(300*time.Millisecond))
-	var urls []string
-	done := false
-	ua.Lookup("service:printer", func(r slp.LookupResult) { urls = r.URLs; done = true })
-	if err := sim.RunUntil(func() bool { return done }, time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if len(urls) != 1 {
-		t.Fatalf("urls = %v", urls)
-	}
-	if len(sessions) != 1 || sessions[0].Err != nil {
-		t.Fatalf("sessions = %+v", sessions)
-	}
-	if sessions[0].Duration <= 0 || sessions[0].Duration > time.Second {
-		t.Fatalf("translation time = %v", sessions[0].Duration)
-	}
-}
 
 // TestPublicAPICustomModels loads a user-defined protocol pair through
 // the registry — the runtime-extensibility path: a trivial text "PING"
