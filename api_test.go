@@ -29,7 +29,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/api.golden, or testdata/dst_hashes.txt")
+var update = flag.Bool("update", false, "rewrite testdata/api.golden, testdata/exposition.golden or testdata/dst_hashes.txt")
 
 // parsePackage parses the non-test files of the root package.
 func parsePackage(t *testing.T) (*token.FileSet, []*ast.File) {

@@ -1,12 +1,15 @@
 package starlink_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -413,4 +416,96 @@ func BenchmarkCollectorScrape(b *testing.B) {
 	for b.Loop() {
 		h.ServeHTTP(w, req)
 	}
+}
+
+// TestExpositionShape pins what /metrics serves for a two-case
+// dispatcher: each family's HELP and TYPE, and its series' identities
+// (name and labels, value dropped), sorted. A series renamed, relabelled
+// or lost is a diff of testdata/exposition.golden; regenerate it with
+// `go test -run TestExpositionShape -update .` and say why.
+func TestExpositionShape(t *testing.T) {
+	fw, err := starlink.New(starlink.Simulated())
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := starlink.NewCollector()
+	disp, err := fw.DeployDispatcher(context.Background(), "10.0.0.5",
+		[]string{"slp-to-bonjour", "slp-to-upnp"}, starlink.WithObserver(col))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disp.Close()
+	col.Register("dispatcher", disp)
+	exp, err := promtext.Parse(strings.NewReader(scrape(t, col, "/metrics")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := map[string][]string{}
+	for _, s := range exp.Samples {
+		family := s.Name
+		if base, ok := histogramFamily(exp, s.Name); ok {
+			family = base
+		}
+		keys := make([]string, 0, len(s.Labels))
+		for k := range s.Labels {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		id := s.Name
+		for i, k := range keys {
+			sep := ","
+			if i == 0 {
+				sep = "{"
+			}
+			id += fmt.Sprintf("%s%s=%q", sep, k, s.Labels[k])
+		}
+		if len(keys) > 0 {
+			id += "}"
+		}
+		series[family] = append(series[family], id)
+	}
+	families := make([]string, 0, len(exp.Types))
+	for f := range exp.Types {
+		families = append(families, f)
+	}
+	sort.Strings(families)
+	var buf bytes.Buffer
+	buf.WriteString("# Generated by `go test -run TestExpositionShape -update .` — every family /metrics serves for a two-case dispatcher, its series sorted, values dropped.\n")
+	for _, f := range families {
+		fmt.Fprintf(&buf, "\n# HELP %s %s\n# TYPE %s %s\n", f, exp.Help[f], f, exp.Types[f])
+		ids := series[f]
+		sort.Strings(ids)
+		for _, id := range ids {
+			buf.WriteString(id + "\n")
+		}
+		delete(series, f)
+	}
+	for f := range series {
+		t.Errorf("series of %s carry no TYPE", f)
+	}
+	golden := filepath.Join("testdata", "exposition.golden")
+	if *update {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing %s (run `go test -run TestExpositionShape -update .`): %v", golden, err)
+	}
+	if !bytes.Equal(want, buf.Bytes()) {
+		t.Fatalf("exposition shape changed.\nIf intentional, regenerate with `go test -run TestExpositionShape -update .`\n--- got ---\n%s", buf.String())
+	}
+}
+
+// histogramFamily names the histogram family a _bucket, _sum or _count
+// sample belongs to.
+func histogramFamily(exp *promtext.Exposition, name string) (string, bool) {
+	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+		if base, ok := strings.CutSuffix(name, suffix); ok && exp.Types[base] == "histogram" {
+			return base, true
+		}
+	}
+	return "", false
 }
