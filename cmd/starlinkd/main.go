@@ -27,9 +27,11 @@
 // loaded on top of the builtins at startup and hot-reloaded while the
 // daemon runs — polled every -models-poll, and reloaded immediately on
 // SIGHUP — so dropping a new case file into the directory deploys it
-// with zero restart. The daemon logs one line per bridged session
-// (with its case name), periodically logs per-case session stats plus
-// the dispatcher's classification counters, and runs until signalled.
+// with zero restart. The daemon logs failed sessions (and, with -v,
+// every session, drop and undeploy), prints the debug index page —
+// every counter the Collector exposes, per case and per lane, and the
+// stage quantiles — every -stats-interval and once at shutdown, and
+// runs until signalled.
 //
 // -metrics-addr serves the observability surface on the given address:
 // Prometheus text exposition on /metrics (per-case session and
@@ -69,6 +71,7 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
@@ -83,12 +86,12 @@ import (
 
 func main() {
 	caseList := flag.String("case", "all", `cases to host: "all" or a comma-separated list (see mdlc list)`)
-	host := flag.String("host", "127.0.0.1", "bridge host address")
+	host := flag.String("host", "127.0.0.1", "bridge host address: a 127/8 address binds there, any other 127.0.0.1")
 	verbose := flag.Bool("v", false, "log every session")
 	modelsDir := flag.String("models", "", "directory of model XML files loaded over the builtins and hot-reloaded")
 	modelsPoll := flag.Duration("models-poll", 2*time.Second, "how often to poll -models for changes (0 disables polling; SIGHUP still reloads)")
 	maxSessions := flag.Int("max-sessions", 4096, "bound on concurrently live sessions per case")
-	statsInterval := flag.Duration("stats-interval", 30*time.Second, "how often to log per-case statistics (0 disables)")
+	statsInterval := flag.Duration("stats-interval", 30*time.Second, "how often to print the /debug/starlink/ index page: every counter, per case and lane (0 disables)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long a graceful shutdown waits for live sessions (0 closes immediately)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060) for live saturation debugging")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/starlink/ on this address (e.g. 127.0.0.1:9464)")
@@ -217,46 +220,41 @@ func main() {
 		}()
 	}
 
-	stop := make(chan struct{})
+	// The index page every -stats-interval, and the signals: SIGHUP
+	// reloads the models, SIGINT or SIGTERM ends the loop.
+	var tick <-chan time.Time
 	if *statsInterval > 0 {
-		go func() {
-			t := time.NewTicker(*statsInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					logStats(disp)
-				case <-stop:
-					return
-				}
-			}
-		}()
+		t := time.NewTicker(*statsInterval)
+		defer t.Stop()
+		tick = t.C
 	}
-
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
-	for s := range sig {
-		if s == syscall.SIGHUP {
-			if watcher == nil {
+	for running := true; running; {
+		select {
+		case <-tick:
+			printIndex(col)
+		case s := <-sig:
+			switch {
+			case s != syscall.SIGHUP:
+				running = false
+			case watcher == nil:
 				fmt.Println("starlinkd: SIGHUP ignored (no -models directory)")
-				continue
+			default:
+				fmt.Println("starlinkd: SIGHUP: reloading models")
+				if err := watcher.Reload(); err != nil {
+					fmt.Fprintln(os.Stderr, "starlinkd: reload:", err)
+				}
 			}
-			fmt.Println("starlinkd: SIGHUP: reloading models")
-			if err := watcher.Reload(); err != nil {
-				fmt.Fprintln(os.Stderr, "starlinkd: reload:", err)
-			}
-			continue
 		}
-		break
 	}
-	close(stop)
 
 	// Graceful drain: stop admitting new sessions, let the live ones
 	// finish (bounded by -drain-timeout), then release everything.
 	if live := disp.Metrics().Sessions.Live; *drainTimeout > 0 && live > 0 {
 		fmt.Printf("starlinkd: draining %d live session(s) (up to %s)\n", live, *drainTimeout)
 	}
-	logStats(disp)
+	printIndex(col)
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	err = disp.Shutdown(ctx)
 	cancel()
@@ -270,36 +268,11 @@ func main() {
 	fmt.Printf("starlinkd: %d sessions bridged, %d failed\n", sessions.Completed, sessions.Failed)
 }
 
-// logStats prints per-case session counters, staged latency quantiles
-// and the dispatcher's payload-classification counters — all read from
-// the public Metrics snapshot.
-func logStats(disp *starlink.Dispatcher) {
-	m := disp.Metrics()
-	for _, n := range disp.Cases() {
-		st, ok := m.Cases[n]
-		if !ok {
-			continue
-		}
-		fmt.Printf("starlinkd: [%s] live=%d completed=%d failed=%d rejected=%d dropped=%d parseErrs=%d ignored=%d\n",
-			n, st.Live, st.Completed, st.Failed, st.Rejected, st.Dropped, st.ParseErrors, st.Ignored)
-	}
-	for _, row := range m.Latency {
-		if row.Count == 0 {
-			continue
-		}
-		fmt.Printf("starlinkd: latency %-10s n=%-6d p50=%-12s p90=%-12s p99=%s\n",
-			row.Stage, row.Count, row.P50, row.P90, row.P99)
-	}
-	d := m.Dispatch
-	fmt.Printf("starlinkd: dispatch: dispatched=%d ambiguous=%d suppressed=%d unroutable=%d parseErrs=%d\n",
-		d.Dispatched, d.Ambiguous, d.Suppressed, d.Unroutable, d.ParseErrors)
-	for _, row := range m.Lanes {
-		if row.Admitted == 0 && row.Shed == 0 {
-			continue
-		}
-		fmt.Printf("starlinkd: lane %-9s depth=%d/%d admitted=%d deferred=%d shed=%d wait-p99=%s\n",
-			row.Lane, row.Depth, row.Capacity, row.Admitted, row.Deferred, row.Shed, row.Wait.P99)
-	}
+// printIndex writes the Collector's debug index page to stdout.
+func printIndex(col *starlink.Collector) {
+	rec := httptest.NewRecorder()
+	col.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/starlink/", nil))
+	os.Stdout.Write(rec.Body.Bytes())
 }
 
 func fatal(err error) {

@@ -22,12 +22,13 @@ var demoCases = []string{
 	"upnp-to-bonjour", "upnp-to-slp",
 }
 
-// TestSmokeMetricsSurface is the in-process version of the CI smoke
-// step: deploy the dispatcher exactly as main does (builtin models
-// plus examples/models, loopback runtime, Collector observing), run
-// one round of demo traffic, and assert the /metrics exposition
-// parses, exposes per-stage latency histograms for all seven cases,
-// and shows the traffic — including the deliberate parse error.
+// TestSmokeMetricsSurface deploys the dispatcher exactly as main does
+// (builtin models plus examples/models, loopback runtime, Collector
+// observing), runs one round of demo traffic, and asserts that the
+// /metrics exposition parses, exposes per-stage latency histograms for
+// all seven cases, and shows the traffic — including the deliberate
+// parse error. It holds every series assertion about a scrape; CI's
+// smoke step only starts the binary and fetches its pages.
 func TestSmokeMetricsSurface(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives wall-clock demo traffic")
@@ -43,7 +44,9 @@ func TestSmokeMetricsSurface(t *testing.T) {
 	rt := starlink.Loopback()
 	fw := starlink.NewWithRegistry(rt, reg)
 	col := starlink.NewCollector()
-	const host = "127.0.0.1"
+	// This package deploys on real sockets at its own 127/8 host (see the
+	// root package's loopbackHost).
+	const host = "127.0.0.7"
 	disp, err := fw.DeployDispatcher(context.Background(), host, nil,
 		starlink.WithObserver(col))
 	if err != nil {
@@ -113,15 +116,52 @@ func TestSmokeMetricsSurface(t *testing.T) {
 			t.Errorf("alt case stage %s histogram is empty", stage)
 		}
 	}
-	// Drop counters are always exposed.
-	for _, reason := range []string{"overloaded", "draining", "closed", "stale"} {
-		if n := len(exp.Find("starlink_drops_total", map[string]string{"reason": reason})); n != 1 {
-			t.Errorf("drops_total{reason=%q}: %d series, want 1", reason, n)
+	// Each row's selector must match a sample; a nonzero row's samples
+	// must also sum above 0: the session histograms, the drop counters,
+	// the lane series and the transport counters always exist, and the
+	// demo's traffic moves the rest — the deliberate parse error included.
+	for _, row := range []struct {
+		selector string
+		nonzero  bool
+	}{
+		{`starlink_stage_latency_seconds_count{case="slp-to-upnp",stage="session"}`, false},
+		{`starlink_stage_latency_seconds_count{case="slp-to-bonjour",stage="session"}`, false},
+		{`starlink_stage_latency_seconds_count{case="slp-to-upnp-alt",stage="session"}`, false},
+		{`starlink_stage_latency_seconds_count{case="upnp-to-slp",stage="session"}`, false},
+		{`starlink_stage_latency_seconds_count{case="upnp-to-bonjour",stage="session"}`, false},
+		{`starlink_stage_latency_seconds_count{case="bonjour-to-upnp",stage="session"}`, false},
+		{`starlink_stage_latency_seconds_count{case="bonjour-to-slp",stage="session"}`, false},
+		{`starlink_stage_latency_seconds_count{case="slp-to-upnp-alt",stage="send"}`, true},
+		{`starlink_drops_total{reason="overloaded"}`, false},
+		{`starlink_drops_total{reason="draining"}`, false},
+		{`starlink_drops_total{reason="closed"}`, false},
+		{`starlink_drops_total{reason="stale"}`, false},
+		{`starlink_requester_lends_total{case="slp-to-bonjour",result="opened"}`, true},
+		{`starlink_lane_depth{lane="control"}`, false},
+		{`starlink_lane_depth{lane="data"}`, false},
+		{`starlink_lane_depth{lane="telemetry"}`, false},
+		{`starlink_lane_shed_total{lane="telemetry"}`, false},
+		{`starlink_lane_wait_seconds_count{lane="telemetry"}`, false},
+		{`starlink_lane_wait_seconds_count{lane="control"}`, true},
+		{`starlink_dispatch_total{result="dispatched"}`, true},
+		{`starlink_dispatch_total{result="parse_errors"}`, true},
+		{`starlink_classify_latency_seconds_count`, true},
+		{`starlink_udp_recv_batches_total`, false},
+		{`starlink_udp_recv_batch_packets_total`, false},
+		{`starlink_udp_send_batch_packets_total`, false},
+		{`starlink_stream_flushes_total`, false},
+	} {
+		sel, err := promtext.Parse(strings.NewReader(row.selector + " 0\n"))
+		if err != nil {
+			t.Fatalf("selector %s: %v", row.selector, err)
 		}
-	}
-	// Classification latency histograms exist for the dispatcher.
-	if n := sum(exp.Find("starlink_classify_latency_seconds_count", nil)); n == 0 {
-		t.Error("classification latency histograms are empty")
+		matches := exp.Find(sel.Samples[0].Name, sel.Samples[0].Labels)
+		switch {
+		case len(matches) == 0:
+			t.Errorf("no samples match %s", row.selector)
+		case row.nonzero && sum(matches) <= 0:
+			t.Errorf("%s: %d sample(s) sum to %v, want > 0", row.selector, len(matches), sum(matches))
+		}
 	}
 
 	// The debug pages serve.

@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -148,7 +150,7 @@ func TestCollectorExposition(t *testing.T) {
 	}
 
 	idx := scrape(t, col, "/debug/starlink/")
-	if !strings.Contains(idx, "slp-to-bonjour") || !strings.Contains(idx, "stage") || !strings.Contains(idx, "requesters: idle=1 lends=1 opens=1") {
+	if !strings.Contains(idx, "slp-to-bonjour") || !strings.Contains(idx, "stage") || !strings.Contains(idx, "requester_lends_total reused=0 opened=1 | requesters_idle 1") {
 		t.Errorf("debug index missing case/latency rows:\n%s", idx)
 	}
 	if got := scrape(t, col, "/debug/starlink/sessions"); !strings.Contains(got, "0 live session(s)") {
@@ -390,31 +392,164 @@ func (w discardWriter) Header() http.Header         { return w.h }
 func (w discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (w discardWriter) WriteHeader(int)             {}
 
-// BenchmarkCollectorScrape prices one /metrics scrape of a dispatcher
-// hosting five cases, the dispatch_mix workload's set.
-func BenchmarkCollectorScrape(b *testing.B) {
+// fiveCaseScrape returns one /metrics scrape of a dispatcher hosting
+// five cases, the dispatch_mix workload's set, into a writer that keeps
+// nothing.
+func fiveCaseScrape(tb testing.TB) func() {
 	reg, err := starlink.BuiltinRegistry()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if _, err := registry.LoadFS(reg.Backend().(*registry.Registry), os.DirFS("examples/models")); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	col := starlink.NewCollector()
 	disp, err := starlink.NewWithRegistry(starlink.Simulated(), reg).DeployDispatcher(context.Background(), "10.0.0.5",
 		[]string{"slp-to-bonjour", "slp-to-upnp", "upnp-to-bonjour", "bonjour-to-upnp", "slp-to-upnp-alt"},
 		starlink.WithObserver(col))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer disp.Close()
+	tb.Cleanup(func() { disp.Close() })
 	col.Register("dispatcher", disp)
 	h := col.Handler()
 	req := httptest.NewRequest("GET", "/metrics", nil)
 	w := discardWriter{h: http.Header{}}
+	return func() { h.ServeHTTP(w, req) }
+}
+
+// BenchmarkCollectorScrape prices one /metrics scrape of a dispatcher
+// hosting five cases.
+func BenchmarkCollectorScrape(b *testing.B) {
+	scrape := fiveCaseScrape(b)
 	b.ReportAllocs()
 	for b.Loop() {
-		h.ServeHTTP(w, req)
+		scrape()
+	}
+}
+
+// TestCollectorScrapeAllocs bounds what a five-case scrape allocates:
+// the deployments' Metrics snapshots, and next to nothing per series.
+func TestCollectorScrapeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	if n := testing.AllocsPerRun(20, fiveCaseScrape(t)); n > 500 {
+		t.Errorf("a five-case scrape allocates %.0f times, want <= 500", n)
+	}
+}
+
+// fakeDeployment serves a Metrics snapshot the test writes.
+type fakeDeployment struct{ m starlink.Metrics }
+
+func (d *fakeDeployment) State() starlink.State              { return d.m.State }
+func (d *fakeDeployment) Metrics() starlink.Metrics          { return d.m }
+func (d *fakeDeployment) Sessions() []starlink.SessionInfo   { return nil }
+func (d *fakeDeployment) Shutdown(ctx context.Context) error { return nil }
+func (d *fakeDeployment) Close() error                       { return nil }
+
+// zeroMetrics is a Metrics with one of every row and every number 0.
+func zeroMetrics() starlink.Metrics {
+	row := func(stage string) starlink.StageLatency {
+		return starlink.StageLatency{Stage: stage, Buckets: make([]starlink.LatencyBucket, 2)}
+	}
+	rows := func() []starlink.StageLatency { return []starlink.StageLatency{row("parse"), row("session")} }
+	return starlink.Metrics{
+		Cases:       map[string]starlink.SessionMetrics{"c": {}},
+		CaseLatency: map[string][]starlink.StageLatency{"c": rows()},
+		Latency:     rows(),
+		Lanes:       []starlink.LaneMetrics{{Lane: "control", Wait: row("control")}},
+		Dispatch:    starlink.DispatchMetrics{FastPathLatency: row("classify"), SlowPathLatency: row("classify")},
+	}
+}
+
+// notASeries lists the Metrics leaves /metrics does not expose, each
+// with the reason. A leaf matching no row must move the scrape.
+var notASeries = []struct{ leaf, why string }{
+	{`^Dispatch\.FastPath$`, "the sum of dispatch_total's dispatched, rejected, unroutable and parse_errors"},
+	{`^Dispatch\.SlowPath$`, "always 0: there is one classification path"},
+	{`^Dispatch\.SlowPathLatency\.`, "always empty: there is one classification path"},
+	{`\.P(50|90|99)$`, "estimates read off the buckets, which are exposed"},
+	{`^Sessions\.(Live|Completed|Failed|ParseErrors|Ignored|Ingested|IngestedBatched|RequesterLends|RequesterOpens|RequestersIdle)$`,
+		"the sum of the per-case rows, each exposed"},
+	{`^Latency\[`, "the sum of the per-case CaseLatency rows, each exposed"},
+}
+
+// TestEveryMetricIsASeries sets one numeric leaf of Metrics at a time —
+// every counter of Cases, Lanes, Dispatch and Transport, and each
+// StageLatency's Count, Sum and Buckets — on a registered deployment,
+// and requires the scrape to differ from the zero snapshot's unless a
+// row of notASeries names the leaf. A leaf a row names must not move
+// the scrape, and every row must name a leaf.
+func TestEveryMetricIsASeries(t *testing.T) {
+	dep := &fakeDeployment{m: zeroMetrics()}
+	col := starlink.NewCollector()
+	col.Register("d", dep)
+	zero := scrape(t, col, "/metrics")
+	if _, err := promtext.Parse(strings.NewReader(zero)); err != nil {
+		t.Fatal(err)
+	}
+	var leaves []string
+	numericLeaves(reflect.ValueOf(&dep.m).Elem(), "", func() {}, func(leaf string, _ func()) { leaves = append(leaves, leaf) })
+	used := make([]bool, len(notASeries))
+	for n, leaf := range leaves {
+		excluded := false
+		for i, row := range notASeries {
+			if regexp.MustCompile(row.leaf).MatchString(leaf) {
+				excluded, used[i] = true, true
+			}
+		}
+		dep.m = zeroMetrics()
+		k := 0
+		numericLeaves(reflect.ValueOf(&dep.m).Elem(), "", func() {}, func(_ string, set func()) {
+			if k == n {
+				set()
+			}
+			k++
+		})
+		switch moved := scrape(t, col, "/metrics") != zero; {
+		case !moved && !excluded:
+			t.Errorf("Metrics.%s reaches no series: give it a row of collector.go's families, or a row of notASeries with its reason", leaf)
+		case moved && excluded:
+			t.Errorf("Metrics.%s reaches a series, but a row of notASeries names it", leaf)
+		}
+	}
+	for i, row := range notASeries {
+		if !used[i] {
+			t.Errorf("notASeries row %s names no leaf of Metrics", row.leaf)
+		}
+	}
+}
+
+// numericLeaves calls visit with the path of every numeric leaf under v
+// and a function that sets the leaf to 1; store writes v back where it
+// is a copy (a map's value).
+func numericLeaves(v reflect.Value, path string, store func(), visit func(leaf string, set func())) {
+	switch {
+	case v.Kind() == reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			name := v.Type().Field(i).Name
+			if path != "" {
+				name = path + "." + name
+			}
+			numericLeaves(v.Field(i), name, store, visit)
+		}
+	case v.Kind() == reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			numericLeaves(v.Index(i), fmt.Sprintf("%s[%d]", path, i), store, visit)
+		}
+	case v.Kind() == reflect.Map:
+		keys := v.MapKeys()
+		sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
+		for _, k := range keys {
+			e := reflect.New(v.Type().Elem()).Elem()
+			e.Set(v.MapIndex(k))
+			numericLeaves(e, fmt.Sprintf("%s[%s]", path, k), func() { v.SetMapIndex(k, e); store() }, visit)
+		}
+	case v.CanInt():
+		visit(path, func() { v.SetInt(1); store() })
+	case v.CanUint():
+		visit(path, func() { v.SetUint(1); store() })
 	}
 }
 

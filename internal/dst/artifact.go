@@ -2,6 +2,8 @@ package dst
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -53,7 +55,7 @@ func FormatArtifact(r *Result) string {
 	}
 
 	b.WriteString("\n[counters]\n")
-	for _, c := range sortedKeys(r.Cases) {
+	for _, c := range slices.Sorted(maps.Keys(r.Cases)) {
 		st := r.Cases[c]
 		fmt.Fprintf(&b, "case %s started=%d ended=%d completed=%d failed=%d parseerrors=%d ignored=%d rejected=%d dropped=%d drainrejected=%d stale=%d live=%d\n",
 			c, r.Started[c], r.Ended[c], st.Completed, st.Failed, st.ParseErrors,
@@ -61,11 +63,11 @@ func FormatArtifact(r *Result) string {
 	}
 	fmt.Fprintf(&b, "dispatch dispatched=%d ambiguous=%d unroutable=%d parseerrors=%d\n",
 		r.Dispatch.Dispatched, r.Dispatch.Ambiguous, r.Dispatch.Unroutable, r.Dispatch.ParseErrors)
-	for _, c := range sortedKeys(r.Cases) {
+	for _, c := range slices.Sorted(maps.Keys(r.Cases)) {
 		p := r.Cases[c]
 		fmt.Fprintf(&b, "probe %s live=%d sem=%d lanedepth=%d\n", c, p.Live, p.SemInUse, p.LaneDepth)
 	}
-	for _, c := range sortedKeys(r.Clients) {
+	for _, c := range slices.Sorted(maps.Keys(r.Clients)) {
 		t := r.Clients[c]
 		fmt.Fprintf(&b, "clients %s done=%d hits=%d\n", c, t.Done, t.Hits)
 	}

@@ -2,7 +2,8 @@ package dst
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"starlink/internal/lanes"
 )
@@ -100,7 +101,7 @@ func checkInvariants(sc *Scenario, r *Result) []Violation {
 
 	// session-leak: at quiescence no engine may still hold a session
 	// slot, a semaphore token, or a queued payload.
-	for _, c := range sortedKeys(r.Cases) {
+	for _, c := range slices.Sorted(maps.Keys(r.Cases)) {
 		p := r.Cases[c]
 		if p.Live != 0 || p.SemInUse != 0 || p.LaneDepth != 0 {
 			bad("session-leak", "%s: live=%d sem=%d lanedepth=%d at quiescence",
@@ -122,7 +123,7 @@ func checkInvariants(sc *Scenario, r *Result) []Violation {
 
 	// lane-conservation: per case and lane, every admitted payload was
 	// processed, evicted or drained — none vanished, none remain.
-	for _, c := range sortedKeys(r.Cases) {
+	for _, c := range slices.Sorted(maps.Keys(r.Cases)) {
 		for l, ct := range r.Cases[c].Lanes.Counters {
 			if out := ct.Processed + ct.Evicted + ct.Drained; ct.Admitted != out {
 				bad("lane-conservation", "%s/%s: admitted %d != processed %d + evicted %d + drained %d",
@@ -169,14 +170,5 @@ func caseUnion(r *Result) []string {
 	for c := range r.Cases {
 		set[c] = true
 	}
-	return sortedKeys(set)
-}
-
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(set))
 }

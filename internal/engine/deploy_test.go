@@ -93,7 +93,9 @@ func TestDeployCloseReleasesNode(t *testing.T) {
 func TestBridgeOverRealSockets(t *testing.T) {
 	rt := realnet.New()
 	var ends sessionEnds
-	bridge, err := deployCase(context.Background(), t, rt, "127.0.0.1", "slp-to-bonjour", ends.hook())
+	// This package deploys on real sockets at its own 127/8 host (see the
+	// root package's loopbackHost).
+	bridge, err := deployCase(context.Background(), t, rt, "127.0.0.3", "slp-to-bonjour", ends.hook())
 	if err != nil {
 		t.Fatal(err)
 	}

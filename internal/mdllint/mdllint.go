@@ -17,6 +17,7 @@ package mdllint
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"slices"
 	"sort"
@@ -479,7 +480,7 @@ func ruleTranslationField(ctx *Context) []Diagnostic {
 // match in spec order, so the later message is unreachable on parse.
 func ruleShadowedMessage(ctx *Context) []Diagnostic {
 	var diags []Diagnostic
-	for _, p := range sortedKeys(specs(ctx)) {
+	for _, p := range slices.Sorted(maps.Keys(specs(ctx))) {
 		spec := specs(ctx)[p]
 		first := map[string]string{}
 		for _, m := range spec.Messages {
@@ -529,7 +530,7 @@ func ruleRestatedConstant(ctx *Context) []Diagnostic {
 func ruleUnmatchableRule(ctx *Context) []Diagnostic {
 	var diags []Diagnostic
 	sp := specs(ctx)
-	for _, p := range sortedKeys(sp) {
+	for _, p := range slices.Sorted(maps.Keys(sp)) {
 		for _, pl := range sp[p].Resolve(ctx.Reg.Types()).Plans {
 			for _, e := range pl.Fixed {
 				bits := 64
@@ -554,7 +555,7 @@ func ruleUnmatchableRule(ctx *Context) []Diagnostic {
 func ruleLossyRoundtrip(ctx *Context) []Diagnostic {
 	var diags []Diagnostic
 	sp := specs(ctx)
-	for _, p := range sortedKeys(sp) {
+	for _, p := range slices.Sorted(maps.Keys(sp)) {
 		spec := sp[p]
 		if spec.Dialect != mdl.DialectBinary {
 			continue
@@ -644,7 +645,7 @@ func ruleDiscriminatorCollision(ctx *Context) []Diagnostic {
 		}
 	}
 	var diags []Diagnostic
-	for _, k := range sortedKeys(byColor) {
+	for _, k := range slices.Sorted(maps.Keys(byColor)) {
 		group := byColor[k]
 		if len(group) < 2 {
 			continue
@@ -660,7 +661,7 @@ func ruleDiscriminatorCollision(ctx *Context) []Diagnostic {
 		for _, e := range group {
 			byProto[e.protocol] = append(byProto[e.protocol], e)
 		}
-		for _, proto := range sortedKeys(byProto) {
+		for _, proto := range slices.Sorted(maps.Keys(byProto)) {
 			es := byProto[proto]
 			if len(es) < 2 {
 				continue
@@ -678,7 +679,7 @@ func ruleDiscriminatorCollision(ctx *Context) []Diagnostic {
 			})
 		}
 		// Cross-protocol overlap: must be statically separable.
-		protos := sortedKeys(byProto)
+		protos := slices.Sorted(maps.Keys(byProto))
 		for i := 0; i < len(protos); i++ {
 			for j := i + 1; j < len(protos); j++ {
 				e1, e2 := byProto[protos[i]][0], byProto[protos[j]][0]
@@ -815,7 +816,7 @@ func ruleTxID(ctx *Context) []Diagnostic {
 			}
 		}
 		for _, a := range m.Automata {
-			for _, msg := range sortedKeys(echoed[a]) {
+			for _, msg := range slices.Sorted(maps.Keys(echoed[a])) {
 				if echoed[a][msg] = true; !assigned[msg] {
 					bad(name, "no assignment sets %s.%s, the String txid of its color, from session input: the engine does not stamp it", msg, owned[a][msg])
 				}
@@ -824,7 +825,7 @@ func ruleTxID(ctx *Context) []Diagnostic {
 	}
 	for _, n := range ctx.Reg.AutomatonNames() {
 		a, _ := ctx.Reg.Automaton(n)
-		for _, msg := range sortedKeys(echoed[a]) {
+		for _, msg := range slices.Sorted(maps.Keys(echoed[a])) {
 			if !echoed[a][msg] {
 				bad(n, "txid field %q of MDL %s is a String no case assigns from session input: the engine does not stamp it", owned[a][msg], a.Protocol)
 			}
@@ -855,15 +856,4 @@ func kindOf(ctx *Context, spec *mdl.Spec, label string) message.Kind {
 		return message.KindString
 	}
 	return m.Kind()
-}
-
-// sortedKeys returns a map's keys in sorted order, for deterministic
-// diagnostic output.
-func sortedKeys[M map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -13,8 +13,8 @@ type IOStats struct {
 	// returned at least one datagram; RecvBatchPackets counts the
 	// datagrams they returned, so RecvBatchPackets/RecvBatches is the
 	// mean batch size. RecvMultiBatches counts the batches that
-	// carried more than one datagram — the series promcheck asserts
-	// nonzero under ingest saturation.
+	// carried more than one datagram — nonzero only once datagrams
+	// queued between reads, as under ingest saturation.
 	RecvBatches      uint64
 	RecvBatchPackets uint64
 	RecvMultiBatches uint64

@@ -1,10 +1,10 @@
 // Package promtext implements the Prometheus text exposition format
 // (version 0.0.4): a Writer that renders metric families with escaped
 // labels and histogram triplets, and a Parser that reads an exposition
-// back into samples for programmatic assertions (cmd/promcheck, the CI
-// smoke test). Only the subset the Starlink collector emits is
-// supported: counter, gauge and histogram families with optional HELP
-// lines.
+// back into samples for programmatic assertions (the collector's tests
+// and starlinkd's smoke test), holding each family to one group of
+// lines. Only the subset the Starlink collector emits is supported:
+// counter, gauge and histogram families with optional HELP lines.
 package promtext
 
 import (
@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -33,10 +32,16 @@ type Bucket struct {
 	Count uint64
 }
 
-// Writer renders an exposition incrementally. The zero value is not
-// usable; construct with NewWriter.
+// Writer renders an exposition incrementally. Each call renders into
+// one buffer the Writer reuses, with strconv's appenders (which write
+// the infinities and NaN as the format's +Inf, -Inf and NaN), and
+// writes it out whole. The zero value is not usable; construct with NewWriter.
 type Writer struct {
 	w   io.Writer
+	buf []byte
+	// lbl holds a histogram series' rendered labels, appended to each of
+	// its lines.
+	lbl []byte
 	err error
 }
 
@@ -49,101 +54,105 @@ func NewWriter(w io.Writer) *Writer {
 // Err returns the first write error, if any.
 func (w *Writer) Err() error { return w.err }
 
-func (w *Writer) printf(format string, args ...any) {
-	if w.err != nil {
-		return
+// flush writes the rendered lines out and empties the buffer.
+func (w *Writer) flush() {
+	if w.err == nil {
+		_, w.err = w.w.Write(w.buf)
 	}
-	_, w.err = fmt.Fprintf(w.w, format, args...)
+	w.buf = w.buf[:0]
 }
 
 // Family opens a metric family: a # HELP line (when help is non-empty)
 // and a # TYPE line. Call before the family's samples.
 func (w *Writer) Family(name, help, typ string) {
 	if help != "" {
-		w.printf("# HELP %s %s\n", name, escapeHelp(help))
+		w.buf = append(append(append(w.buf, "# HELP "...), name...), ' ')
+		w.buf = append(appendEscaped(w.buf, help, false), '\n')
 	}
-	w.printf("# TYPE %s %s\n", name, typ)
+	w.buf = append(append(append(append(append(w.buf, "# TYPE "...), name...), ' '), typ...), '\n')
+	w.flush()
 }
 
 // Sample emits one sample line: name{labels} value.
 func (w *Writer) Sample(name string, labels []Label, value float64) {
-	w.printf("%s%s %s\n", name, formatLabels(labels), formatValue(value))
+	w.lbl = appendLabels(w.lbl[:0], labels)
+	w.appendSeries(name, "", value)
+	w.flush()
 }
 
 // HistogramSample emits the conventional histogram triplet for one
 // series: name_bucket lines (cumulative, with a trailing +Inf bucket
-// added if absent), name_sum and name_count.
+// added if absent), name_sum and name_count. The labels are rendered
+// once; each bucket line appends its le.
 func (w *Writer) HistogramSample(name string, labels []Label, buckets []Bucket, sum float64, count uint64) {
+	w.lbl = appendLabels(w.lbl[:0], labels)
 	hasInf := false
 	for _, b := range buckets {
-		ls := append(append(make([]Label, 0, len(labels)+1), labels...),
-			Label{Name: "le", Value: formatLe(b.Le)})
-		w.Sample(name+"_bucket", ls, float64(b.Count))
-		if math.IsInf(b.Le, 1) {
-			hasInf = true
-		}
+		w.appendBucket(name, b.Le, b.Count)
+		hasInf = hasInf || math.IsInf(b.Le, 1)
 	}
 	if !hasInf {
-		ls := append(append(make([]Label, 0, len(labels)+1), labels...),
-			Label{Name: "le", Value: "+Inf"})
-		w.Sample(name+"_bucket", ls, float64(count))
+		w.appendBucket(name, math.Inf(1), count)
 	}
-	w.Sample(name+"_sum", labels, sum)
-	w.Sample(name+"_count", labels, float64(count))
+	w.appendSeries(name, "_sum", sum)
+	w.appendSeries(name, "_count", float64(count))
+	w.flush()
 }
 
-func formatLabels(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
+// appendSeries renders "name+suffix{labels} value\n" with the labels in
+// w.lbl.
+func (w *Writer) appendSeries(name, suffix string, v float64) {
+	w.buf = append(append(w.buf, name...), suffix...)
+	if len(w.lbl) > 0 {
+		w.buf = append(append(append(w.buf, '{'), w.lbl...), '}')
 	}
-	var sb strings.Builder
-	sb.WriteByte('{')
+	w.buf = append(strconv.AppendFloat(append(w.buf, ' '), v, 'g', -1, 64), '\n')
+}
+
+// appendBucket renders one name_bucket line: the labels in w.lbl, then le.
+func (w *Writer) appendBucket(name string, le float64, n uint64) {
+	w.buf = append(append(append(w.buf, name...), "_bucket{"...), w.lbl...)
+	if len(w.lbl) > 0 {
+		w.buf = append(w.buf, ',')
+	}
+	w.buf = append(strconv.AppendFloat(append(w.buf, `le="`...), le, 'g', -1, 64), `"} `...)
+	w.buf = append(strconv.AppendUint(w.buf, n, 10), '\n')
+}
+
+// appendLabels renders name="value" pairs, comma-separated.
+func appendLabels(b []byte, labels []Label) []byte {
 	for i, l := range labels {
 		if i > 0 {
-			sb.WriteByte(',')
+			b = append(b, ',')
 		}
-		sb.WriteString(l.Name)
-		sb.WriteString(`="`)
-		sb.WriteString(escapeLabel(l.Value))
-		sb.WriteByte('"')
+		b = append(append(b, l.Name...), `="`...)
+		b = append(appendEscaped(b, l.Value, true), '"')
 	}
-	sb.WriteByte('}')
-	return sb.String()
+	return b
 }
 
-func formatValue(v float64) string {
-	switch {
-	case math.IsInf(v, 1):
-		return "+Inf"
-	case math.IsInf(v, -1):
-		return "-Inf"
-	case math.IsNaN(v):
-		return "NaN"
+// appendEscaped escapes a backslash and a newline, and in a label value
+// a double quote. It works byte by byte, so text that is not UTF-8
+// passes through unchanged.
+func appendEscaped(b []byte, s string, label bool) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '\\':
+			b = append(b, `\\`...)
+		case c == '\n':
+			b = append(b, `\n`...)
+		case c == '"' && label:
+			b = append(b, `\"`...)
+		default:
+			b = append(b, c)
+		}
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return b
 }
 
-// formatLe renders a bucket bound; +Inf uses the conventional literal.
-func formatLe(v float64) string {
-	if math.IsInf(v, 1) {
-		return "+Inf"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// The escapers work byte by byte, so text that is not UTF-8 passes
-// through unchanged.
-var (
-	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	// helpUnescaper reads helpEscaper's output back; any other escape
-	// stays as written.
-	helpUnescaper = strings.NewReplacer(`\\`, `\`, `\n`, "\n")
-)
-
-func escapeLabel(s string) string { return labelEscaper.Replace(s) }
-
-func escapeHelp(s string) string { return helpEscaper.Replace(s) }
+// helpUnescaper reads appendEscaped's HELP text back; any other escape
+// stays as written.
+var helpUnescaper = strings.NewReplacer(`\\`, `\`, `\n`, "\n")
 
 // Sample is one parsed sample line.
 type Sample struct {
@@ -168,36 +177,63 @@ type Exposition struct {
 
 // Parse reads a text exposition, validating line syntax, label quoting
 // and numeric values. It does not require TYPE lines but records the
-// ones present.
+// ones present. A family's HELP, TYPE and sample lines must be one
+// contiguous group, with one TYPE, before its samples; a histogram's
+// _bucket, _sum and _count samples belong to its family.
 func Parse(r io.Reader) (*Exposition, error) {
 	exp := &Exposition{Types: map[string]string{}, Help: map[string]string{}}
+	// current is the family of the lines being read; ended holds the
+	// families another family's lines came after.
+	current, ended, sampled := "", map[string]bool{}, map[string]bool{}
+	enter := func(family string) error {
+		if family != current && ended[family] {
+			return fmt.Errorf("family %s is not one group: its lines resume after another family's", family)
+		}
+		ended[current], current = true, family
+		return nil
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	sc.Split(splitLF)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
+	for lineno := 1; sc.Scan(); lineno++ {
 		line := strings.TrimRight(sc.Text(), " \t\r")
 		if line == "" {
 			continue
 		}
+		var err error
 		if strings.HasPrefix(line, "#") {
 			// A HELP text keeps its trailing blanks: the raw line.
-			if err := exp.parseComment(sc.Text()); err != nil {
-				return nil, fmt.Errorf("promtext: line %d: %w", lineno, err)
+			var family string
+			if family, err = exp.parseComment(sc.Text(), sampled); err == nil && family != "" {
+				err = enter(family)
 			}
-			continue
+		} else {
+			var s Sample
+			if s, err = parseSample(line); err == nil {
+				exp.Samples = append(exp.Samples, s)
+				err = enter(exp.family(s.Name))
+				sampled[current] = true
+			}
 		}
-		s, err := parseSample(line)
 		if err != nil {
 			return nil, fmt.Errorf("promtext: line %d: %w", lineno, err)
 		}
-		exp.Samples = append(exp.Samples, s)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("promtext: %w", err)
 	}
 	return exp, nil
+}
+
+// family names the family a sample belongs to: a histogram's _bucket,
+// _sum and _count samples are its own.
+func (e *Exposition) family(sample string) string {
+	for _, suffix := range [...]string{"_bucket", "_sum", "_count"} {
+		if base, ok := strings.CutSuffix(sample, suffix); ok && e.Types[base] == "histogram" {
+			return base
+		}
+	}
+	return sample
 }
 
 // splitLF splits lines at '\n' alone: a '\r' ending a HELP text is
@@ -212,34 +248,45 @@ func splitLF(data []byte, atEOF bool) (int, []byte, error) {
 	return 0, nil, nil
 }
 
-func (e *Exposition) parseComment(line string) error {
+// parseComment reads a HELP or TYPE line into e and returns the family
+// it declares ("" for any other comment). sampled says whether that
+// family's samples were read already.
+func (e *Exposition) parseComment(line string, sampled map[string]bool) (string, error) {
 	fields := strings.SplitN(line, " ", 4)
 	if len(fields) < 2 {
-		return nil // bare comment
+		return "", nil // bare comment
 	}
 	switch fields[1] {
 	case "TYPE":
 		if len(fields) < 4 {
-			return fmt.Errorf("malformed TYPE line %q", line)
+			return "", fmt.Errorf("malformed TYPE line %q", line)
 		}
 		typ := strings.TrimRight(fields[3], " \t\r")
 		switch typ {
 		case "counter", "gauge", "histogram", "summary", "untyped":
 		default:
-			return fmt.Errorf("unknown metric type %q", typ)
+			return "", fmt.Errorf("unknown metric type %q", typ)
+		}
+		if _, dup := e.Types[fields[2]]; dup {
+			return "", fmt.Errorf("TYPE of %s repeated", fields[2])
+		}
+		if sampled[fields[2]] {
+			return "", fmt.Errorf("TYPE of %s follows its samples", fields[2])
 		}
 		e.Types[fields[2]] = typ
 	case "HELP":
 		if len(fields) < 3 {
-			return fmt.Errorf("malformed HELP line %q", line)
+			return "", fmt.Errorf("malformed HELP line %q", line)
 		}
 		help := ""
 		if len(fields) == 4 {
 			help = helpUnescaper.Replace(fields[3])
 		}
 		e.Help[fields[2]] = help
+	default:
+		return "", nil
 	}
-	return nil
+	return fields[2], nil
 }
 
 func parseSample(line string) (Sample, error) {
@@ -405,19 +452,5 @@ func (e *Exposition) Find(name string, match map[string]string) []Sample {
 			out = append(out, s)
 		}
 	}
-	return out
-}
-
-// Names lists the distinct sample names present, sorted.
-func (e *Exposition) Names() []string {
-	seen := map[string]bool{}
-	for _, s := range e.Samples {
-		seen[s.Name] = true
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
 	return out
 }

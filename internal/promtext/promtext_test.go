@@ -110,14 +110,25 @@ func TestParseRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestNames(t *testing.T) {
-	exp, err := Parse(strings.NewReader("b 1\na 2\nb 3\n"))
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
+// TestParseRejectsSplitFamilies holds the rule that a family's HELP,
+// TYPE and sample lines are one group, with one TYPE, before its
+// samples: one row per shape rejected.
+func TestParseRejectsSplitFamilies(t *testing.T) {
+	for _, tc := range []struct{ doc, want string }{
+		{"# TYPE a counter\n# TYPE b counter\na 1\nb 1\n", "family a is not one group"}, // declarations first, samples after
+		{"a 1\nb 1\na 2\n", "family a is not one group"},                                // samples resume
+		{"a 1\nb 1\n# HELP a y\n", "family a is not one group"},                         // HELP after the group ended
+		{"# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1\nx 1\nh_sum 1\n", "family h is not one group"},
+		{"# TYPE m gauge\n# TYPE m gauge\nm 1\n", "TYPE of m repeated"},
+		{"m 1\n# TYPE m gauge\n", "TYPE of m follows its samples"},
+	} {
+		if _, err := Parse(strings.NewReader(tc.doc)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Parse(%q) = %v, want an error naming %q", tc.doc, err, tc.want)
+		}
 	}
-	names := exp.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("Names = %v", names)
+	// A histogram's parts, and its declarations in either order, are one group.
+	if _, err := Parse(strings.NewReader("# TYPE h histogram\n# HELP h x\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\nx 1\n")); err != nil {
+		t.Errorf("one histogram group: %v", err)
 	}
 }
 
@@ -134,6 +145,7 @@ func FuzzPromtextRoundTrip(f *testing.F) {
 	f.Add("m", "trailing blank \t", "l", "", -0.0, "# HELP\n# TYPE m\n")
 	f.Add("m", "carriage return\r", "l", "\xff\xfe", 1e-300, "m{\n")
 	f.Add("m", "not\\utf-8 \xff", "l", "\xff\"\r", 7.0, "{} 1\n")
+	f.Add("m", "interleaved", "l", "v", 1.0, "# TYPE a counter\n# TYPE b counter\na 1\nb 1\n")
 	f.Fuzz(func(t *testing.T, name, help, label, value string, v float64, doc string) {
 		_, _ = Parse(strings.NewReader(doc))
 		if !validName(name) || !validName(label) || help == "" {

@@ -799,7 +799,9 @@ func TestDeployEventPrecedesSessions(t *testing.T) {
 	defer func() { close(stop); <-stopped }()
 
 	var sink orderSink
-	d, err := Deploy(context.Background(), builtin(t), rt, "127.0.0.1", []string{"slp-to-bonjour"},
+	// This package deploys on real sockets at its own 127/8 host (see the
+	// root package's loopbackHost).
+	d, err := Deploy(context.Background(), builtin(t), rt, "127.0.0.4", []string{"slp-to-bonjour"},
 		WithSink(&sink), WithEngineOptions(engine.WithReceiveTimeout(20*time.Millisecond)))
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,9 @@
 // Package realnet implements netapi over real loopback sockets. It lets
 // the same protocol stacks and bridges that run under the simulator run
-// over the operating system's UDP and TCP on 127.0.0.1 — used by the
-// examples and the starlinkd daemon.
+// over the operating system's UDP and TCP on loopback — used by the
+// examples and the starlinkd daemon. A node named by a 127/8 address
+// binds its sockets there, so two processes can each host a case on a
+// fixed port; any other name binds 127.0.0.1.
 //
 // Substitution note (DESIGN.md §5): IP multicast is virtualised with an
 // in-process group registry — joining a group binds a real ephemeral
@@ -34,6 +36,8 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -42,8 +46,29 @@ import (
 	"starlink/internal/netapi"
 )
 
-// loopback is the address every real socket binds to.
+// loopback is the address a node binds to unless it names another
+// 127/8 host.
 var loopback = netip.AddrFrom4([4]byte{127, 0, 0, 1})
+
+// hostOf is the loopback address an IP names: itself when in 127/8,
+// 127.0.0.1 for any other.
+func hostOf(ip string) netip.Addr {
+	if ip != "127.0.0.1" && strings.HasPrefix(ip, "127.") {
+		if a, err := netip.ParseAddr(ip); err == nil && a.Is4() {
+			return a
+		}
+	}
+	return loopback
+}
+
+// hostString renders a loopback address, allocating for none but the
+// ones other than 127.0.0.1.
+func hostString(a netip.Addr) string {
+	if a = a.Unmap(); a == loopback {
+		return "127.0.0.1"
+	}
+	return a.String()
+}
 
 // recvBatch caps a UDP read loop's buffer slab: how many datagrams one
 // read may return once a socket's kernel queue has shown a backlog.
@@ -102,8 +127,8 @@ type Runtime struct {
 	stateMu  sync.Mutex // guards groups, pool and closed flags
 	waitCh   chan struct{}
 	timerSeq atomic.Uint64
-	groups   map[netapi.Addr][]*udpSocket // group address -> members
-	parked   map[int][]*streamConn        // dial-reuse pool, by remote port
+	groups   map[netapi.Addr][]*udpSocket     // group address -> members
+	parked   map[netip.AddrPort][]*streamConn // dial-reuse pool, by remote address
 
 	// newRx builds the receive primitive of every UDP socket the
 	// runtime opens; fixed at construction.
@@ -129,7 +154,7 @@ func newRuntime(newRx func(*udpSocket) receiver) *Runtime {
 		newRx:  newRx,
 		waitCh: make(chan struct{}, 1),
 		groups: map[netapi.Addr][]*udpSocket{},
-		parked: map[int][]*streamConn{},
+		parked: map[netip.AddrPort][]*streamConn{},
 	}
 }
 
@@ -165,10 +190,11 @@ func (rt *Runtime) wake() {
 	}
 }
 
-// NewNode returns a host bound to 127.0.0.1 whatever IP is requested:
-// all real sockets live on loopback.
-func (rt *Runtime) NewNode(string) (netapi.Node, error) {
-	n := &node{rt: rt, owned: map[netapi.Closer]struct{}{}}
+// NewNode returns a host on loopback: at ip when it is a 127/8
+// address, at 127.0.0.1 otherwise.
+func (rt *Runtime) NewNode(ip string) (netapi.Node, error) {
+	n := &node{rt: rt, ip: hostOf(ip), owned: map[netapi.Closer]struct{}{}}
+	n.host = hostString(n.ip)
 	n.root = &domain{rt: rt, root: true}
 	rt.rootsMu.Lock()
 	rt.roots = append(rt.roots, n.root)
@@ -218,7 +244,9 @@ func (rt *Runtime) RunUntil(cond func() bool, timeout time.Duration) error {
 func (rt *Runtime) Run(d time.Duration) { time.Sleep(d) }
 
 type node struct {
-	rt *Runtime
+	rt   *Runtime
+	ip   netip.Addr // every socket of the node binds here
+	host string     // ip, rendered
 	// root is the node's default dispatch domain: every endpoint the
 	// node opens directly, and every timer it schedules, dispatches
 	// there.
@@ -284,7 +312,7 @@ func (n *node) Close() error {
 
 var _ netapi.Node = (*node)(nil)
 
-func (n *node) IP() string { return "127.0.0.1" }
+func (n *node) IP() string { return n.host }
 
 // Mode is the zero mode: the node's own endpoints dispatch on its root
 // domain, ungated. Views in other modes are netapi's (Detach, Gated).
@@ -412,7 +440,7 @@ func (n *node) OpenUDPIn(m netapi.Mode, port int, h netapi.PacketHandler) (netap
 	if h == nil {
 		return nil, fmt.Errorf("realnet: OpenUDP needs a handler")
 	}
-	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: port})
+	conn, err := net.ListenUDP("udp4", net.UDPAddrFromAddrPort(netip.AddrPortFrom(n.ip, uint16(port))))
 	if err != nil {
 		return nil, fmt.Errorf("realnet: %w", err)
 	}
@@ -428,7 +456,7 @@ func (n *node) OpenUDPIn(m netapi.Mode, port int, h netapi.PacketHandler) (netap
 		dom:     n.domainFor(m),
 		conn:    conn,
 		rc:      rc,
-		addr:    netapi.Addr{IP: "127.0.0.1", Port: local.Port},
+		addr:    netapi.Addr{IP: n.host, Port: local.Port},
 		handler: h,
 		gate:    m.Gate,
 	}
@@ -498,9 +526,10 @@ func (p *portableReceiver) datagram(int) (int, netip.AddrPort) { return p.size, 
 
 // srcIP returns the dotted-quad string of a datagram source without
 // allocating for the one address realnet traffic normally carries
-// (every socket binds loopback). Other 127/8 sources are interned in a
-// cache the read loop goroutine owns, bounded defensively: an unbounded
-// map keyed by remote-controlled input must not exist.
+// (127.0.0.1, where a node binds unless it names another 127/8 host).
+// Other 127/8 sources are interned in a cache the read loop goroutine
+// owns, bounded defensively: an unbounded map keyed by
+// remote-controlled input must not exist.
 func (s *udpSocket) srcIP(a netip.Addr) string {
 	a = a.Unmap()
 	if a == loopback {
@@ -611,7 +640,7 @@ func (s *udpSocket) Send(to netapi.Addr, data []byte) error {
 		s.rt.stateMu.Lock()
 		for _, m := range s.rt.groups[to] {
 			if !m.closed.Load() {
-				dsts = append(dsts, netip.AddrPortFrom(loopback, uint16(m.addr.Port)))
+				dsts = append(dsts, netip.AddrPortFrom(m.owner.ip, uint16(m.addr.Port)))
 			}
 		}
 		s.rt.stateMu.Unlock()
@@ -626,7 +655,7 @@ func (s *udpSocket) Send(to netapi.Addr, data []byte) error {
 		return err
 	}
 	netapi.CountSendSingle()
-	dst := netip.AddrPortFrom(loopback, uint16(to.Port))
+	dst := netip.AddrPortFrom(hostOf(to.IP), uint16(to.Port))
 	if _, err := s.conn.WriteToUDPAddrPort(data, dst); err != nil {
 		return fmt.Errorf("realnet: send to %s: %w", to, err)
 	}
@@ -680,7 +709,7 @@ type listener struct {
 // their port here).
 func (l *listener) Addr() netapi.Addr {
 	ta := l.ln.Addr().(*net.TCPAddr)
-	return netapi.Addr{IP: "127.0.0.1", Port: ta.Port}
+	return netapi.Addr{IP: l.owner.host, Port: ta.Port}
 }
 
 func (n *node) ListenStream(port int, accept netapi.ConnHandler, recv netapi.StreamHandler) (netapi.Closer, error) {
@@ -691,7 +720,7 @@ func (n *node) ListenStreamIn(m netapi.Mode, port int, accept netapi.ConnHandler
 	if recv == nil {
 		return nil, fmt.Errorf("realnet: ListenStream needs a recv handler")
 	}
-	ln, err := net.Listen("tcp4", fmt.Sprintf("127.0.0.1:%d", port))
+	ln, err := net.Listen("tcp4", netip.AddrPortFrom(n.ip, uint16(port)).String())
 	if err != nil {
 		return nil, fmt.Errorf("realnet: %w", err)
 	}
@@ -780,12 +809,12 @@ type streamConn struct {
 var _ netapi.Conn = (*streamConn)(nil)
 
 func newStreamConn(rt *Runtime, c net.Conn, recv netapi.StreamHandler, dom *domain) *streamConn {
-	la := c.LocalAddr().(*net.TCPAddr)
-	ra := c.RemoteAddr().(*net.TCPAddr)
+	la := c.LocalAddr().(*net.TCPAddr).AddrPort()
+	ra := c.RemoteAddr().(*net.TCPAddr).AddrPort()
 	return &streamConn{
 		rt: rt, c: c, recv: recv, dom: dom,
-		local:  netapi.Addr{IP: "127.0.0.1", Port: la.Port},
-		remote: netapi.Addr{IP: "127.0.0.1", Port: ra.Port},
+		local:  netapi.Addr{IP: hostString(la.Addr()), Port: int(la.Port())},
+		remote: netapi.Addr{IP: hostString(ra.Addr()), Port: int(ra.Port())},
 	}
 }
 
@@ -810,7 +839,7 @@ func (n *node) DialStreamIn(m netapi.Mode, to netapi.Addr, recv netapi.StreamHan
 			return sc, nil
 		}
 	}
-	c, err := net.DialTimeout("tcp4", fmt.Sprintf("127.0.0.1:%d", to.Port), ioTimeout)
+	c, err := net.DialTimeout("tcp4", net.JoinHostPort(hostString(hostOf(to.IP)), strconv.Itoa(to.Port)), ioTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("realnet: dial %s: %w", to, err)
 	}
@@ -825,7 +854,8 @@ func (n *node) DialStreamIn(m netapi.Mode, to netapi.Addr, recv netapi.StreamHan
 // removeParkedLocked drops a connection from the dial-reuse pool.
 // Caller holds rt.stateMu.
 func (rt *Runtime) removeParkedLocked(sc *streamConn) {
-	pool := rt.parked[sc.remote.Port]
+	key := poolKey(sc.remote)
+	pool := rt.parked[key]
 	for i, p := range pool {
 		if p == sc {
 			pool = append(pool[:i], pool[i+1:]...)
@@ -833,10 +863,16 @@ func (rt *Runtime) removeParkedLocked(sc *streamConn) {
 		}
 	}
 	if len(pool) == 0 {
-		delete(rt.parked, sc.remote.Port)
+		delete(rt.parked, key)
 	} else {
-		rt.parked[sc.remote.Port] = pool
+		rt.parked[key] = pool
 	}
+}
+
+// poolKey is the dial-reuse pool's key for a connection's remote
+// address: the loopback address and port it names.
+func poolKey(a netapi.Addr) netip.AddrPort {
+	return netip.AddrPortFrom(hostOf(a.IP), uint16(a.Port))
 }
 
 // claimParked pops a live parked connection to the destination from
@@ -845,13 +881,11 @@ func (rt *Runtime) removeParkedLocked(sc *streamConn) {
 // nil. Only detached dials call it, and ParkConn only admits
 // private-domain connections, so the claimant inherits a dispatch
 // domain used by this connection alone — never a node's root domain.
-// The pool is keyed by remote port: every realnet socket lives on
-// loopback, and the IP a node was asked for is not kept.
 func (rt *Runtime) claimParked(to netapi.Addr, recv netapi.StreamHandler, owner *node) *streamConn {
 	for {
 		rt.stateMu.Lock()
 		var cand *streamConn
-		pool := rt.parked[to.Port]
+		pool := rt.parked[poolKey(to)]
 		for i := len(pool) - 1; i >= 0; i-- {
 			if pool[i].state == connParked {
 				cand = pool[i]
@@ -914,7 +948,7 @@ func (n *node) ParkConn(c netapi.Conn) bool {
 	sc.dom.mu.Lock()
 	n.rt.stateMu.Lock()
 	locked := sc.wmu.TryLock()
-	if !locked || sc.werr != nil || sc.state != connActive || len(n.rt.parked[sc.remote.Port]) >= maxParkedPerDest {
+	if !locked || sc.werr != nil || sc.state != connActive || len(n.rt.parked[poolKey(sc.remote)]) >= maxParkedPerDest {
 		if locked {
 			sc.wmu.Unlock()
 		}
@@ -924,7 +958,7 @@ func (n *node) ParkConn(c netapi.Conn) bool {
 	}
 	sc.wparked.Store(true)
 	sc.state = connParked
-	n.rt.parked[sc.remote.Port] = append(n.rt.parked[sc.remote.Port], sc)
+	n.rt.parked[poolKey(sc.remote)] = append(n.rt.parked[poolKey(sc.remote)], sc)
 	sc.recv = nil
 	owner := sc.owner
 	sc.owner = nil

@@ -104,7 +104,7 @@ func TestMetricsConsistencyUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disp, err := fw.DeployDispatcher(context.Background(), "127.0.0.1",
+	disp, err := fw.DeployDispatcher(context.Background(), loopbackHost,
 		[]string{"slp-to-upnp", "slp-to-bonjour"},
 		starlink.WithMaxSessions(32),
 		starlink.WithReceiveTimeout(100*time.Millisecond))

@@ -13,6 +13,13 @@ import (
 	"starlink/internal/realnet"
 )
 
+// loopbackHost is the 127/8 host this package's tests deploy on over
+// real sockets. Each package that deploys there has its own (the
+// engine's 127.0.0.3, provision's 127.0.0.4, starlinkd's 127.0.0.7):
+// `go test ./...` runs packages at once, and a case with a fixed port,
+// such as upnp-to-bonjour's HTTP 8080, binds it on its host alone.
+const loopbackHost = "127.0.0.2"
+
 // blast multicasts wire to dst from `sockets` distinct sockets of a fresh
 // node — every socket a distinct origin, so each send can open a
 // session — until stop is closed.
@@ -69,7 +76,7 @@ func TestObserverSerialisedAcrossCases(t *testing.T) {
 		*n++
 		byCase[caseName]++
 	}
-	disp, err := fw.DeployDispatcher(context.Background(), "127.0.0.1",
+	disp, err := fw.DeployDispatcher(context.Background(), loopbackHost,
 		[]string{"slp-to-bonjour", "upnp-to-bonjour"},
 		starlink.WithMaxSessions(2), // the blast overruns it: refusals report drops
 		starlink.WithReceiveTimeout(20*time.Millisecond),
@@ -126,10 +133,10 @@ func TestBridgeDeployEventPrecedesSessions(t *testing.T) {
 		deploy func(*starlink.Framework, ...starlink.Option) (starlink.Deployment, error)
 	}{
 		{"DeployBridge", func(fw *starlink.Framework, opts ...starlink.Option) (starlink.Deployment, error) {
-			return fw.DeployBridge(context.Background(), "127.0.0.1", "slp-to-bonjour", opts...)
+			return fw.DeployBridge(context.Background(), loopbackHost, "slp-to-bonjour", opts...)
 		}},
 		{"DeployDispatcher", func(fw *starlink.Framework, opts ...starlink.Option) (starlink.Deployment, error) {
-			return fw.DeployDispatcher(context.Background(), "127.0.0.1", []string{"slp-to-bonjour"}, opts...)
+			return fw.DeployDispatcher(context.Background(), loopbackHost, []string{"slp-to-bonjour"}, opts...)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
