@@ -33,7 +33,8 @@ const demoRoundTimeout = 15 * time.Second
 // against the slp-to-upnp-alt entry when that case is hosted, and one
 // deliberately malformed datagram so the parse-error counters move.
 // Lookups that time out are logged, not fatal — the point is moving
-// the metrics surface, and partial traffic still does.
+// the metrics surface, and partial traffic still does. The demo's
+// nodes close when it returns, so it can run again in one process.
 func runDemo(rt *starlink.Runtime, host string, rounds int, hosted []string) error {
 	net, ok := rt.Backend().(*realnet.Runtime)
 	if !ok {
@@ -48,6 +49,7 @@ func runDemo(rt *starlink.Runtime, host string, rounds int, hosted []string) err
 	if err != nil {
 		return err
 	}
+	defer upnpNode.Close()
 	if _, err := upnp.NewDevice(upnpNode, demoUPnPType, demoServiceURL, demoHTTPPort); err != nil {
 		return err
 	}
@@ -55,6 +57,7 @@ func runDemo(rt *starlink.Runtime, host string, rounds int, hosted []string) err
 	if err != nil {
 		return err
 	}
+	defer bonjourNode.Close()
 	if _, err := dnssd.NewResponder(bonjourNode, demoDNSName, demoServiceURL); err != nil {
 		return err
 	}
@@ -62,6 +65,7 @@ func runDemo(rt *starlink.Runtime, host string, rounds int, hosted []string) err
 	if err != nil {
 		return err
 	}
+	defer slpNode.Close()
 	if _, err := slp.NewServiceAgent(slpNode, demoSLPType, demoServiceURL); err != nil {
 		return err
 	}
@@ -80,6 +84,7 @@ func runDemo(rt *starlink.Runtime, host string, rounds int, hosted []string) err
 	if err != nil {
 		return err
 	}
+	defer cliNode.Close()
 	// rawSock carries the alt-case unicast request and the malformed
 	// datagram; replies are counted, not decoded.
 	altReplies := 0
@@ -87,7 +92,6 @@ func runDemo(rt *starlink.Runtime, host string, rounds int, hosted []string) err
 	if err != nil {
 		return err
 	}
-	defer rawSock.Close()
 
 	for round := 1; round <= rounds; round++ {
 		fmt.Printf("starlinkd: demo round %d/%d\n", round, rounds)

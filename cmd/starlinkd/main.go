@@ -40,10 +40,10 @@
 // flight-recorder traces, recent failures).
 //
 // Each case's ingest runs at the built-in bounds: three prioritized
-// lanes — control > data > telemetry — of 341 payloads each; at three
-// quarters of the total the transport read loops pause and telemetry
-// sheds oldest-first (drops tagged ErrOverloaded, scrapeable as
-// starlink_lane_shed_total), resuming at half that.
+// lanes — control > data > telemetry — of 341 payloads each, split
+// across the ingest workers and rounded up per worker (342 on two). At
+// three quarters of the total the read loops pause and telemetry sheds
+// oldest-first (ErrOverloaded, starlink_lane_shed_total) until half that.
 //
 // -demo-traffic runs n rounds of example traffic through the hosted
 // cases over the in-process loopback network — legacy clients and

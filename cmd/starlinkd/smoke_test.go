@@ -33,34 +33,8 @@ func TestSmokeMetricsSurface(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives wall-clock demo traffic")
 	}
-	reg, err := starlink.BuiltinRegistry()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ireg := reg.Backend().(*registry.Registry)
-	if _, err := registry.LoadFS(ireg, os.DirFS("../../examples/models")); err != nil {
-		t.Fatal(err)
-	}
-	rt := starlink.Loopback()
-	fw := starlink.NewWithRegistry(rt, reg)
-	col := starlink.NewCollector()
-	// This package deploys on real sockets at its own 127/8 host (see the
-	// root package's loopbackHost).
-	const host = "127.0.0.7"
-	disp, err := fw.DeployDispatcher(context.Background(), host, nil,
-		starlink.WithObserver(col))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disp.Close()
-	col.Register("starlinkd", disp)
-
-	hosted := disp.Cases()
-	if len(hosted) != len(demoCases) {
-		t.Fatalf("hosted cases = %v, want %v", hosted, demoCases)
-	}
-
-	if err := runDemo(rt, host, 1, hosted); err != nil {
+	rt, disp, col := deployDemo(t)
+	if err := runDemo(rt, demoHost, 1, disp.Cases()); err != nil {
 		t.Fatalf("demo traffic: %v", err)
 	}
 
@@ -172,6 +146,54 @@ func TestSmokeMetricsSurface(t *testing.T) {
 			t.Errorf("GET %s = %d", path, rec.Code)
 		}
 	}
+}
+
+// TestDemoRunsTwice runs the demo twice in one process: each run
+// starts its own legacy services, and their sockets must be released
+// when it returns.
+func TestDemoRunsTwice(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drives wall-clock demo traffic")
+	}
+	rt, disp, _ := deployDemo(t)
+	for run := 1; run <= 2; run++ {
+		if err := runDemo(rt, demoHost, 1, disp.Cases()); err != nil {
+			t.Fatalf("demo run %d: %v", run, err)
+		}
+	}
+}
+
+// demoHost is this package's own 127/8 host for real sockets (see the
+// root package's loopbackHost).
+const demoHost = "127.0.0.7"
+
+// deployDemo deploys the dispatcher exactly as main does: builtin
+// models plus examples/models, the loopback runtime, a Collector
+// observing. It is closed when the test ends.
+func deployDemo(t *testing.T) (*starlink.Runtime, *starlink.Dispatcher, *starlink.Collector) {
+	t.Helper()
+	reg, err := starlink.BuiltinRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ireg := reg.Backend().(*registry.Registry)
+	if _, err := registry.LoadFS(ireg, os.DirFS("../../examples/models")); err != nil {
+		t.Fatal(err)
+	}
+	rt := starlink.Loopback()
+	fw := starlink.NewWithRegistry(rt, reg)
+	col := starlink.NewCollector()
+	disp, err := fw.DeployDispatcher(context.Background(), demoHost, nil,
+		starlink.WithObserver(col))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { disp.Close() })
+	col.Register("starlinkd", disp)
+	if hosted := disp.Cases(); len(hosted) != len(demoCases) {
+		t.Fatalf("hosted cases = %v, want %v", hosted, demoCases)
+	}
+	return rt, disp, col
 }
 
 func sum(samples []promtext.Sample) float64 {

@@ -111,9 +111,9 @@ func (p Policy) Validate() error {
 }
 
 // Scale divides the policy across n parallel queues (the engine runs
-// one queue per ingest worker), keeping the configured totals: each
-// queue gets ~1/n of the capacity and watermarks, never below the
-// floor needed to stay valid.
+// one queue per ingest worker): each gets 1/n of the capacity and
+// watermarks, rounded up and never below the floor needed to stay valid,
+// so 341 payloads per lane are 342 on two queues and 344 on four.
 func (p Policy) Scale(n int) Policy {
 	if n <= 1 {
 		return p

@@ -46,6 +46,11 @@ func TestPolicyScaleStaysValid(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("Scale(%d) produced invalid policy %+v: %v", n, s, err)
 		}
+		// What starlink_lane_capacity reads: 341 payloads per lane split
+		// across n ingest workers, rounded up per worker, summed.
+		if got, want := n*s.Capacity, n*((341+n-1)/n); got != want {
+			t.Fatalf("Scale(%d): %d payloads per lane, want %d", n, got, want)
+		}
 	}
 	tiny := policy(1, 3, 1)
 	for n := 1; n <= 8; n++ {
