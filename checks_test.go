@@ -1,3 +1,5 @@
+//go:build !starlink.nobatch
+
 package starlink_test
 
 // The repository's own checks are two tables. gates pairs each patch
@@ -6,17 +8,17 @@ package starlink_test
 // checkout never changes and no package built beside the check sees it.
 // tombstones holds the names PRs deleted on purpose, with the PR and the
 // reason; a row goes only with a CHANGES.md line naming the test that
-// now holds its property.
+// now holds its property. The checks are of the tree, not of one build,
+// and the gate runs take no build tags from this one: the
+// starlink.nobatch build leaves the file out.
 
 import (
 	"bytes"
 	"encoding/json"
-	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"regexp/syntax"
 	"strings"
 	"testing"
 )
@@ -130,92 +132,47 @@ func applyGate(t *testing.T, name string) string {
 	return overlay
 }
 
-// tombstone is a name a PR deleted on purpose: no scanned file may
-// match re again, and where re is empty no such file may exist. A file
-// is scanned when its path from the module root matches a pattern of in
-// and none of out. In a pattern '*' matches any run of characters, '/'
-// included; a pattern without one names a file or a directory.
+// tombstone is a name a PR deleted on purpose: no tracked file that
+// paths (git pathspecs) select may match re, an extended regexp as
+// `git grep -E` reads it, again; where re is empty no such file may
+// exist.
 type tombstone struct {
-	re      string
-	in, out []string
-	pr      int
-	why     string
+	re    string
+	paths []string
+	pr    int
+	why   string
 }
 
 var (
 	goFiles  = []string{"*.go"}
-	nonTests = []string{"*_test.go"}
+	nonTests = []string{"*.go", ":!*_test.go"}
 )
 
 var tombstones = []tombstone{
-	{`starlink:hotpath|lint:ignore|starlink-vet|internal/analysis`, goFiles, nil, 42, "properties are held by tests that run: the analyzer package, its vettool, the hot-path directive and the suppression comment stay gone"},
-	{`runOwnership|buildCFG|LeaseCheck|PoolCheck`, goFiles, nil, 41, "one owner and one end per lease and per message, held by the DST lease-balance and message-balance invariants, not a static dataflow"},
-	{`provision\.LoadDir|models\.(MDLs|Automata|MergedAutomata)|sameDoc|fileStamp|changedLocked`, goFiles, nil, 26, "models are files loaded by registry.LoadFS, compared byte for byte, with one change detector"},
-	{`starlink/internal/core|obsMu|WithSessionObserver|WithTrialParseOnly`, goFiles, nil, 14, "one event sink, one snapshot, one owner: the facade, the per-layer observer mutexes and the option aliases stay gone"},
-	{`SetBatchIO|batchDisabled|useBatchIO|readLoopSerial`, goFiles, nil, 15, "one UDP read loop; the starlink.nobatch build tag is the only selector"},
-	{`detachedNode|gatedNode|EndpointDetacher|FlowLimiter|noTracker|LeaseBatch|WithShardCount`, goFiles, nil, 21, "one node contract: netapi.Mode and methods of netapi.Node, no wrapper node types or sniffed interfaces"},
-	{`engine\.Deploy\(|StartManaged|engine\.WithContext`, goFiles, nil, 29, "one way to deploy: a bridge is provision.Deploy of one case; engines bind no entry socket"},
-	{`protoSignature|deriveSignature|DeriveSignatureInfo|SignatureInfo|classifySlow|sigOK`, goFiles, nil, 33, "one rule evaluator: parser.Classify is the dispatcher's and mdlc lint's classifier"},
-	{`decodeXMLLeaves|wqueue|wqspare|maxRecycledChunk`, goFiles, nonTests, 37, "the XML scanner decides every body (encoding/xml is FuzzXMLBody's oracle only), and stream sends take turns"},
-	{`ShedMode|ShedPolicy|RejectNew|DeferOnly|WithWatermarks|WithLeasedDelivery|simnet\.WithStart|StreamFlushChunks|shed-policy|lane-capacity|watermark-(high|low)`, goFiles, nil, 44, "one way to run: oldest-first shedding at the built-in lane bounds, workers from GOMAXPROCS, every datagram leased"},
-	{`observed_sessions_total|classifications_total|dropReasons|c\.started|c\.classified|counters\.FastPath|lossProb`, goFiles, nil, 35, "counted once: the Collector reads Metrics() at scrape, FastPath is a sum, the fault plane's Loss is simnet's only loss"},
-	{`&message\.Field\{`, []string{"internal/*.go"}, nonTests, 40, "every field the data path builds comes from its message"},
-	{`func NewField\(\)|fieldPool|\(f \*Field\) Release|\(f \*Field\) Clone|AsBytes|returns-pooled`, goFiles, nil, 40, "a field ends with its message: no field pool, per-field Release or Clone"},
-	{`indexThreshold|composePlan|ruleLabelFor|textFixed|siblingSizeOwner|fnv32a|Cancel\(id TimerID\)`, goFiles, nil, 27, "a codec's field table is built when it is; no per-arm timers, label index or string routing key"},
-	{`func \(r \*Reader\) ReadAll|strings\.Join\(labels`, []string{"internal/bitio", "internal/types", "internal/parser"}, nil, 31, "one copy per received message: decoded values are substrings of it"},
-	{`MandatoryFields|markMandatory|\.Mandatory = true|f\.Type, f\.Length|BytesView\(\) \(\[\]byte`, goFiles, nil, 38, "a field is a label and a value; a bytes value is a substring of the copy"},
-	{`map\[string\]`, []string{"internal/engine/session.go"}, nil, 19, "a session is slot arrays: no map, no per-session string key"},
-	{``, []string{"BENCH_PR*"}, nil, 17, "one measuring system: the per-PR benchmark captures stay gone"},
-	{`benchdiff|max-regress|BENCH_PR`, []string{"*.go", "*.sh", "*README.md", "DESIGN.md"}, nil, 17, "one measuring system: the comparator and its percentage gates stay gone from the code and the documents on building and running it"},
+	{`starlink:hotpath|lint:ignore|starlink-vet|internal/analysis`, goFiles, 42, "properties are held by tests that run: the analyzer package, its vettool, the hot-path directive and the suppression comment stay gone"},
+	{`runOwnership|buildCFG|LeaseCheck|PoolCheck`, goFiles, 41, "one owner and one end per lease and per message, held by the DST lease-balance and message-balance invariants, not a static dataflow"},
+	{`provision\.LoadDir|models\.(MDLs|Automata|MergedAutomata)|sameDoc|fileStamp|changedLocked`, goFiles, 26, "models are files loaded by registry.LoadFS, compared byte for byte, with one change detector"},
+	{`starlink/internal/core|obsMu|WithSessionObserver|WithTrialParseOnly`, goFiles, 14, "one event sink, one snapshot, one owner: the facade, the per-layer observer mutexes and the option aliases stay gone"},
+	{`SetBatchIO|batchDisabled|useBatchIO|readLoopSerial`, goFiles, 15, "one UDP read loop; the starlink.nobatch build tag is the only selector"},
+	{`detachedNode|gatedNode|EndpointDetacher|FlowLimiter|noTracker|LeaseBatch|WithShardCount`, goFiles, 21, "one node contract: netapi.Mode and methods of netapi.Node, no wrapper node types or sniffed interfaces"},
+	{`engine\.Deploy\(|StartManaged|engine\.WithContext`, goFiles, 29, "one way to deploy: a bridge is provision.Deploy of one case; engines bind no entry socket"},
+	{`protoSignature|deriveSignature|DeriveSignatureInfo|SignatureInfo|classifySlow|sigOK`, goFiles, 33, "one rule evaluator: parser.Classify is the dispatcher's and mdlc lint's classifier"},
+	{`decodeXMLLeaves|wqueue|wqspare|maxRecycledChunk`, nonTests, 37, "the XML scanner decides every body (encoding/xml is FuzzXMLBody's oracle only), and stream sends take turns"},
+	{`ShedMode|ShedPolicy|RejectNew|DeferOnly|WithWatermarks|WithLeasedDelivery|simnet\.WithStart|StreamFlushChunks|shed-policy|lane-capacity|watermark-(high|low)`, goFiles, 44, "one way to run: oldest-first shedding at the built-in lane bounds, workers from GOMAXPROCS, every datagram leased"},
+	{`observed_sessions_total|classifications_total|dropReasons|c\.started|c\.classified|counters\.FastPath|lossProb`, goFiles, 35, "counted once: the Collector reads Metrics() at scrape, FastPath is a sum, the fault plane's Loss is simnet's only loss"},
+	{`&message.Field\{`, []string{"internal/*.go", ":!*_test.go"}, 40, "every field the data path builds comes from its message"},
+	{`func NewField\(\)|fieldPool|\(f \*Field\) Release|\(f \*Field\) Clone|AsBytes|returns-pooled`, goFiles, 40, "a field ends with its message: no field pool, per-field Release or Clone"},
+	{`indexThreshold|composePlan|ruleLabelFor|textFixed|siblingSizeOwner|fnv32a|Cancel\(id TimerID\)`, goFiles, 27, "a codec's field table is built when it is; no per-arm timers, label index or string routing key"},
+	{`func \(r \*Reader\) ReadAll|strings\.Join\(labels`, []string{"internal/bitio", "internal/types", "internal/parser"}, 31, "one copy per received message: decoded values are substrings of it"},
+	{`MandatoryFields|markMandatory|\.Mandatory = true|f\.Type, f\.Length|BytesView\(\) \(\[\]byte`, goFiles, 38, "a field is a label and a value; a bytes value is a substring of the copy"},
+	{`map\[string\]`, []string{"internal/engine/session.go"}, 19, "a session is slot arrays: no map, no per-session string key"},
+	{``, []string{"BENCH_PR*"}, 17, "one measuring system: the per-PR benchmark captures stay gone"},
+	{`benchdiff|max-regress|BENCH_PR`, []string{"*.go", "*.md", "*.sh", ":!CHANGES.md", ":!ROADMAP.md", ":!ISSUE.md", ":!results"}, 17, "one measuring system: the comparator and its percentage gates stay gone"},
 }
 
-// TestTombstones fails when a deleted name comes back, and holds the
-// documents to their budgets.
+// TestTombstones holds the documents to their budgets, and fails when
+// a deleted name comes back to a tracked file.
 func TestTombstones(t *testing.T) {
-	res := make([][]*regexp.Regexp, len(tombstones))
-	for i, ts := range tombstones {
-		res[i] = branches(ts.re)
-	}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := filepath.ToSlash(path)
-		if d.IsDir() {
-			if name != "." && strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if name == "checks_test.go" {
-			return nil
-		}
-		var text []byte
-		for i, ts := range tombstones {
-			if !anyGlob(ts.in, name) || anyGlob(ts.out, name) {
-				continue
-			}
-			if ts.re == "" {
-				t.Errorf("%s exists: deleted in PR %d (%s)", name, ts.pr, ts.why)
-				continue
-			}
-			if text == nil {
-				if text, err = os.ReadFile(path); err != nil {
-					return err
-				}
-			}
-			for _, re := range res[i] {
-				for _, m := range re.FindAllIndex(text, -1) {
-					t.Errorf("%s:%d: %q: deleted in PR %d (%s)", name, bytes.Count(text[:m[0]], []byte("\n"))+1, text[m[0]:m[1]], ts.pr, ts.why)
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	read := func(name string) []byte {
 		b, err := os.ReadFile(name)
 		if err != nil {
@@ -235,34 +192,30 @@ func TestTombstones(t *testing.T) {
 	if lines := bytes.Count(append(read("README.md"), read("DESIGN.md")...), []byte("\n")); lines > 1600 {
 		t.Errorf("README.md + DESIGN.md: %d lines, over their budget of 1600", lines)
 	}
-}
 
-// branches compiles each top-level alternative of re on its own. A
-// regexp that starts with a literal is searched for that literal's
-// next occurrence, while an alternation of them is stepped through
-// byte by byte: split, the table scans the module in 0.07 s, not 2.5 s
-// (2 vCPUs).
-func branches(re string) []*regexp.Regexp {
-	p, err := syntax.Parse(re, syntax.Perl)
-	if err != nil || p.Op != syntax.OpAlternate {
-		return []*regexp.Regexp{regexp.MustCompile(re)}
+	if err := exec.Command("git", "rev-parse", "--is-inside-work-tree").Run(); err != nil {
+		t.Skipf("not in a git work tree (%v): the tombstones are searched in the tracked files", err)
 	}
-	out := make([]*regexp.Regexp, len(p.Sub))
-	for i, s := range p.Sub {
-		out[i] = regexp.MustCompile(s.String())
-	}
-	return out
-}
-
-// anyGlob reports whether name matches one of the patterns (each with
-// at most one '*').
-func anyGlob(patterns []string, name string) bool {
-	for _, p := range patterns {
-		before, after, star := strings.Cut(p, "*")
-		if star && len(name) >= len(before)+len(after) && strings.HasPrefix(name, before) && strings.HasSuffix(name, after) ||
-			!star && (name == p || strings.HasPrefix(name, p+"/")) {
-			return true
+	for _, ts := range tombstones {
+		args := []string{"ls-files"}
+		if ts.re != "" {
+			args = []string{"grep", "-nE", ts.re}
+		}
+		args = append(append(append(args, "--"), ts.paths...), ":!checks_test.go")
+		var stderr bytes.Buffer
+		cmd := exec.Command("git", args...)
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		switch {
+		case ts.re != "" && cmd.ProcessState != nil && cmd.ProcessState.ExitCode() == 1:
+			continue // git grep found nothing
+		case err != nil:
+			t.Fatalf("git %s: %v\n%s", strings.Join(args, " "), err, stderr.Bytes())
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+			if line != "" {
+				t.Errorf("%s: deleted in PR %d (%s)", line, ts.pr, ts.why)
+			}
 		}
 	}
-	return false
 }

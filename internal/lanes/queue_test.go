@@ -41,15 +41,18 @@ func TestPolicyValidate(t *testing.T) {
 
 func TestPolicyScaleStaysValid(t *testing.T) {
 	base := DefaultPolicy()
+	// starlink_lane_capacity reads n workers' rings, each 341 payloads
+	// per lane split n ways and rounded up.
+	if base.Capacity != 341 {
+		t.Fatalf("DefaultPolicy: %d payloads per lane, want 341", base.Capacity)
+	}
 	for n := 1; n <= 64; n++ {
 		s := base.Scale(n)
 		if err := s.Validate(); err != nil {
 			t.Fatalf("Scale(%d) produced invalid policy %+v: %v", n, s, err)
 		}
-		// What starlink_lane_capacity reads: 341 payloads per lane split
-		// across n ingest workers, rounded up per worker, summed.
-		if got, want := n*s.Capacity, n*((341+n-1)/n); got != want {
-			t.Fatalf("Scale(%d): %d payloads per lane, want %d", n, got, want)
+		if want := (base.Capacity + n - 1) / n; s.Capacity != want {
+			t.Fatalf("Scale(%d): %d payloads per lane per worker, want ⌈341/%d⌉ = %d", n, s.Capacity, n, want)
 		}
 	}
 	tiny := policy(1, 3, 1)
