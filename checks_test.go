@@ -166,6 +166,7 @@ var tombstones = []tombstone{
 	{`func \(r \*Reader\) ReadAll|strings\.Join\(labels`, []string{"internal/bitio", "internal/types", "internal/parser"}, 31, "one copy per received message: decoded values are substrings of it"},
 	{`MandatoryFields|markMandatory|\.Mandatory = true|f\.Type, f\.Length|BytesView\(\) \(\[\]byte`, goFiles, 38, "a field is a label and a value; a bytes value is a substring of the copy"},
 	{`map\[string\]`, []string{"internal/engine/session.go"}, 19, "a session is slot arrays: no map, no per-session string key"},
+	{`AcquireWriter|ReleaseWriter|writerPool|AppendBytes`, goFiles, 49, "the composer writes into the caller's buffer: no pooled bit writer, no copy out of one"},
 	{``, []string{"BENCH_PR*"}, 17, "one measuring system: the per-PR benchmark captures stay gone"},
 	{`benchdiff|max-regress|BENCH_PR`, []string{"*.go", "*.md", "*.sh", ":!CHANGES.md", ":!ROADMAP.md", ":!ISSUE.md", ":!results"}, 17, "one measuring system: the comparator and its percentage gates stay gone"},
 }

@@ -75,7 +75,7 @@ func TestSmokeMetricsSurface(t *testing.T) {
 
 	// Per-stage latency histograms for every hosted case.
 	for _, cs := range demoCases {
-		for _, stage := range []string{"classify", "recv", "parse", "transition", "translate", "compose", "send", "session"} {
+		for _, stage := range []string{"classify", "recv", "parse", "transition", "translate", "compose", "send", "peer", "session"} {
 			series := exp.Find("starlink_stage_latency_seconds_count",
 				map[string]string{"case": cs, "stage": stage})
 			if len(series) != 1 {

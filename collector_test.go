@@ -78,14 +78,14 @@ func TestCollectorExposition(t *testing.T) {
 	}
 	// Every pipeline stage plus the session row must expose a series
 	// for the case; the stages this scenario exercises must be nonzero.
-	for _, stage := range []string{"classify", "recv", "parse", "transition", "translate", "compose", "send", "session"} {
+	for _, stage := range []string{"classify", "recv", "parse", "transition", "translate", "compose", "send", "peer", "session"} {
 		cnt := exp.Find("starlink_stage_latency_seconds_count",
 			map[string]string{"deployment": "bridge", "case": "slp-to-bonjour", "stage": stage})
 		if len(cnt) != 1 {
 			t.Fatalf("stage %q: %d count series, want 1", stage, len(cnt))
 		}
 		switch stage {
-		case "recv", "parse", "transition", "translate", "compose", "send", "session":
+		case "recv", "parse", "transition", "translate", "compose", "send", "peer", "session":
 			if cnt[0].Value == 0 {
 				t.Errorf("stage %q histogram is empty after a completed session", stage)
 			}

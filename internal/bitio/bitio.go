@@ -5,12 +5,19 @@
 //
 // Bits are numbered most-significant first within a byte, matching
 // network wire order for the protocols modelled in the paper.
+//
+// Every field of the shipped binary MDLs is a whole number of bytes on
+// a byte boundary, so reads and writes move whole bytes there, and any
+// other field a chunk of up to eight bits per byte it touches: no path
+// works a bit at a time. A Writer writes after the bytes of the slice
+// its caller hands it, so a composer writes straight into the buffer a
+// message is sent from and nothing is copied out.
 package bitio
 
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"slices"
 )
 
 // ErrShortData is returned when a read runs past the end of input.
@@ -53,9 +60,10 @@ func (r *Reader) ReadBits(n int) (uint64, error) {
 		return 0, fmt.Errorf("%w: need %d bits, have %d", ErrShortData, n, r.Remaining())
 	}
 	// Byte-aligned whole-byte reads are the overwhelmingly common case
-	// (MDL fields are usually 8/16/24/32 bits on byte boundaries).
+	// (MDL fields are usually 8/16/24/32 bits on byte boundaries); any
+	// other read takes a chunk of up to eight bits per byte it touches.
+	var v uint64
 	if r.pos%8 == 0 && n%8 == 0 {
-		var v uint64
 		start := r.pos / 8
 		for i := 0; i < n/8; i++ {
 			v = v<<8 | uint64(r.data[start+i])
@@ -63,13 +71,11 @@ func (r *Reader) ReadBits(n int) (uint64, error) {
 		r.pos += n
 		return v, nil
 	}
-	var v uint64
-	for i := 0; i < n; i++ {
-		byteIdx := r.pos / 8
-		bitIdx := 7 - r.pos%8
-		bit := (r.data[byteIdx] >> bitIdx) & 1
-		v = v<<1 | uint64(bit)
-		r.pos++
+	for n > 0 {
+		off := r.pos % 8
+		k := min(8-off, n)
+		v = v<<k | uint64(r.data[r.pos/8]>>(8-off-k))&(1<<k-1)
+		r.pos, n = r.pos+k, n-k
 	}
 	return v, nil
 }
@@ -110,38 +116,26 @@ func (r *Reader) Skip(n int) error {
 	return nil
 }
 
-// Writer assembles a byte slice from bit fields.
+// Writer assembles bit fields after the bytes of a caller's slice —
+// a composer's destination, so a message is composed straight into the
+// buffer it is sent from. Positions (Len, PatchBits) count from the
+// start of what the writer wrote, not from the start of the slice. The
+// zero Writer writes into a new slice.
 type Writer struct {
-	data []byte
-	pos  int // absolute bit position
+	data []byte // the caller's bytes, then the written ones
+	base int    // len of the caller's bytes: where position 0 is
+	pos  int    // bit position from base
 }
 
-// NewWriter returns an empty Writer.
-func NewWriter() *Writer { return &Writer{} }
-
-var writerPool = sync.Pool{New: func() any { return new(Writer) }}
-
-// AcquireWriter returns an empty Writer from the pool; pair with
-// ReleaseWriter. Pooled writers keep their grown buffers, so composers
-// on the steady-state path stop paying per-message buffer growth.
-func AcquireWriter() *Writer {
-	w := writerPool.Get().(*Writer)
-	w.Reset()
-	return w
+// Init points the writer at dst: it writes after dst's bytes, into its
+// spare capacity while that lasts.
+func (w *Writer) Init(dst []byte) {
+	w.data, w.base, w.pos = dst, len(dst), 0
 }
 
-// ReleaseWriter resets w and returns it to the pool. The caller must
-// not use w afterwards; what AppendBytes appended elsewhere stays valid.
-func ReleaseWriter(w *Writer) {
-	w.Reset()
-	writerPool.Put(w)
-}
-
-// Reset rewinds the writer, keeping the allocated buffer.
-func (w *Writer) Reset() {
-	w.data = w.data[:0]
-	w.pos = 0
-}
+// Bytes returns dst extended by the written bytes; a trailing partial
+// byte is padded with zero bits.
+func (w *Writer) Bytes() []byte { return w.data }
 
 // Len returns the number of bits written so far.
 func (w *Writer) Len() int { return w.pos }
@@ -149,54 +143,40 @@ func (w *Writer) Len() int { return w.pos }
 // Aligned reports whether the position is on a byte boundary.
 func (w *Writer) Aligned() bool { return w.pos%8 == 0 }
 
-func (w *Writer) grow(bits int) {
-	needBytes := (w.pos + bits + 7) / 8
-	if needBytes <= len(w.data) {
-		return
+// room makes capacity for bits more and returns the length they need.
+// A slice too short is replaced by one of twice that length and at
+// least minCap bytes, so that composing a short message into no slice
+// allocates once.
+func (w *Writer) room(bits int) int {
+	n := w.base + (w.pos+bits+7)/8
+	if n > cap(w.data) {
+		w.data = slices.Grow(w.data, max(2*n, minCap)-len(w.data))
 	}
-	if needBytes <= cap(w.data) {
-		// Re-exposed capacity may hold stale bits from a previous use;
-		// zero it so unwritten padding bits stay zero.
-		old := len(w.data)
-		w.data = w.data[:needBytes]
-		for i := old; i < needBytes; i++ {
-			w.data[i] = 0
-		}
-		return
-	}
-	nd := make([]byte, needBytes, max(2*needBytes, 64))
-	copy(nd, w.data)
-	w.data = nd
+	return n
 }
+
+const minCap = 64
 
 // WriteBits writes the low n bits of v (1..64), most significant first.
 func (w *Writer) WriteBits(v uint64, n int) error {
-	if n < 1 || n > 64 {
-		return fmt.Errorf("bitio: invalid bit count %d", n)
+	if err := checkBits(v, n); err != nil {
+		return err
 	}
-	if n < 64 && v >= 1<<uint(n) {
-		return fmt.Errorf("bitio: value %d does not fit in %d bits", v, n)
+	// New bytes start zeroed: spare capacity may hold stale bytes, and
+	// a byte's bits not written yet are its padding.
+	for end := w.room(n); len(w.data) < end; {
+		w.data = append(w.data, 0)
 	}
-	w.grow(n)
-	for i := n - 1; i >= 0; i-- {
-		bit := byte(v>>uint(i)) & 1
-		byteIdx := w.pos / 8
-		bitIdx := 7 - w.pos%8
-		if bit == 1 {
-			w.data[byteIdx] |= 1 << bitIdx
-		} else {
-			w.data[byteIdx] &^= 1 << bitIdx
-		}
-		w.pos++
-	}
+	putBits(w.data[w.base:], w.pos, v, n)
+	w.pos += n
 	return nil
 }
 
 // WriteBytes writes whole bytes at the current position.
 func (w *Writer) WriteBytes(p []byte) error {
 	if w.Aligned() {
-		w.grow(len(p) * 8)
-		copy(w.data[w.pos/8:], p)
+		w.room(len(p) * 8)
+		w.data = append(w.data, p...)
 		w.pos += len(p) * 8
 		return nil
 	}
@@ -208,36 +188,49 @@ func (w *Writer) WriteBytes(p []byte) error {
 	return nil
 }
 
-// AppendBytes appends the assembled bytes to dst and returns the
-// extended slice. A trailing partial byte is padded with zero bits.
-func (w *Writer) AppendBytes(dst []byte) []byte {
-	return append(dst, w.data[:(w.pos+7)/8]...)
-}
-
-// PatchBits overwrites n bits at absolute bit position pos with the low
-// n bits of v, without moving the write position. Used by composers to
-// fill in length fields computed after the message body is known
-// (paper §IV-A function fields such as f-length).
+// PatchBits overwrites n bits at bit position pos with the low n bits
+// of v, without moving the write position. Used by composers to fill
+// in length fields computed after the message body is known (paper
+// §IV-A function fields such as f-length).
 func (w *Writer) PatchBits(pos int, v uint64, n int) error {
 	if pos < 0 || pos+n > w.pos {
 		return fmt.Errorf("bitio: patch [%d,%d) outside written range [0,%d)", pos, pos+n, w.pos)
 	}
+	if err := checkBits(v, n); err != nil {
+		return err
+	}
+	putBits(w.data[w.base:], pos, v, n)
+	return nil
+}
+
+func checkBits(v uint64, n int) error {
 	if n < 1 || n > 64 {
 		return fmt.Errorf("bitio: invalid bit count %d", n)
 	}
 	if n < 64 && v >= 1<<uint(n) {
 		return fmt.Errorf("bitio: value %d does not fit in %d bits", v, n)
 	}
-	for i := n - 1; i >= 0; i-- {
-		bit := byte(v>>uint(i)) & 1
-		byteIdx := pos / 8
-		bitIdx := 7 - pos%8
-		if bit == 1 {
-			w.data[byteIdx] |= 1 << bitIdx
-		} else {
-			w.data[byteIdx] &^= 1 << bitIdx
-		}
-		pos++
-	}
 	return nil
+}
+
+// putBits writes the low n bits of v at bit pos of p, most significant
+// first, leaving the other bits of the bytes it touches as they were:
+// an aligned whole-byte width byte by byte, any other in chunks of up to
+// eight bits, one per byte touched.
+func putBits(p []byte, pos int, v uint64, n int) {
+	if pos%8 == 0 && n%8 == 0 {
+		for i := (pos+n)/8 - 1; n > 0; i, n = i-1, n-8 {
+			p[i] = byte(v)
+			v >>= 8
+		}
+		return
+	}
+	for n > 0 {
+		off := pos % 8
+		k := min(8-off, n)
+		shift := 8 - off - k
+		mask := byte(1<<k-1) << shift
+		p[pos/8] = p[pos/8]&^mask | byte(v>>(n-k))<<shift&mask
+		pos, n = pos+k, n-k
+	}
 }

@@ -30,9 +30,10 @@ import (
 
 // Composer serialises abstract messages under an MDL spec.
 type Composer struct {
-	spec  *mdl.Spec
-	funcs *types.FuncRegistry
-	r     *mdl.Resolved
+	spec *mdl.Spec
+	r    *mdl.Resolved
+	// funcs holds each function type's implementation, looked up once.
+	funcs map[*mdl.FuncRef]types.Func
 }
 
 // New returns a composer for the specification. Nil registries use the
@@ -47,7 +48,17 @@ func New(spec *mdl.Spec, reg *types.Registry, funcs *types.FuncRegistry) (*Compo
 	if funcs == nil {
 		funcs = types.NewFuncRegistry()
 	}
-	return &Composer{spec: spec, funcs: funcs, r: spec.Resolve(reg)}, nil
+	c := &Composer{spec: spec, r: spec.Resolve(reg), funcs: map[*mdl.FuncRef]types.Func{}}
+	for label, td := range spec.Types {
+		if td.Func != nil {
+			fn, err := funcs.Lookup(td.Func.Name)
+			if err != nil {
+				return nil, fmt.Errorf("composer: field %q: %w", label, err)
+			}
+			c.funcs[td.Func] = fn
+		}
+	}
+	return c, nil
 }
 
 // Spec returns the MDL specification the composer interprets.
@@ -63,8 +74,9 @@ func (c *Composer) Compose(msg *message.Message) ([]byte, error) {
 // message definition, whose layout msg is bound to; the definition's
 // fixed values, its rule among them, fill the fields msg leaves unset,
 // so callers (and translation logic) never restate a protocol's
-// constants. The wire is assembled in a pooled buffer and copied once,
-// into dst: a caller that reuses dst composes without allocating.
+// constants. A binary message is written straight into dst's spare
+// capacity, a text one assembled in a pooled buffer and copied once:
+// a caller that reuses dst composes without allocating.
 func (c *Composer) AppendCompose(dst []byte, msg *message.Message) ([]byte, error) {
 	var pl *mdl.Plan
 	for _, p := range c.r.Plans {
@@ -115,7 +127,7 @@ type encoded struct {
 type binaryCtx struct {
 	msg     *message.Message
 	plan    *mdl.Plan
-	w       *bitio.Writer
+	w       bitio.Writer
 	patches []patch
 	// enc memoizes variable-width field encodings by slot within one
 	// compose: size fields measure their owned field before it is
@@ -172,7 +184,8 @@ func (b *binaryCtx) EncodedLength(label string) (int, error) {
 	return len(raw), nil
 }
 
-// TotalLength implements types.FuncContext.
+// TotalLength implements types.FuncContext: the message's own bytes,
+// not those of the slice it is appended to.
 func (b *binaryCtx) TotalLength() (int, error) { return (b.w.Len() + 7) / 8, nil }
 
 // FieldValue implements types.FuncContext.
@@ -198,22 +211,24 @@ func (b *binaryCtx) Count(label string) (int, error) {
 
 var binCtxPool = sync.Pool{New: func() any { return new(binaryCtx) }}
 
-func acquireBinaryCtx(msg *message.Message, pl *mdl.Plan) *binaryCtx {
+func acquireBinaryCtx(dst []byte, msg *message.Message, pl *mdl.Plan) *binaryCtx {
 	ctx := binCtxPool.Get().(*binaryCtx)
-	ctx.msg, ctx.plan, ctx.w = msg, pl, bitio.AcquireWriter()
+	ctx.msg, ctx.plan = msg, pl
+	ctx.w.Init(dst)
 	ctx.enc = append(ctx.enc[:0], make([]encoded, len(pl.Slots))...)
 	return ctx
 }
 
+// releaseBinaryCtx returns ctx to the pool, keeping its scratch but
+// not the caller's buffer.
 func releaseBinaryCtx(ctx *binaryCtx) {
-	bitio.ReleaseWriter(ctx.w)
 	clear(ctx.enc)
 	*ctx = binaryCtx{patches: ctx.patches[:0], enc: ctx.enc[:0], arena: ctx.arena[:0]}
 	binCtxPool.Put(ctx)
 }
 
 func (c *Composer) composeBinary(dst []byte, msg *message.Message, pl *mdl.Plan) ([]byte, error) {
-	ctx := acquireBinaryCtx(msg, pl)
+	ctx := acquireBinaryCtx(dst, msg, pl)
 	defer releaseBinaryCtx(ctx)
 
 	if err := c.writeFields(ctx, pl.Header, msg, nil); err != nil {
@@ -224,11 +239,7 @@ func (c *Composer) composeBinary(dst []byte, msg *message.Message, pl *mdl.Plan)
 	}
 	// Second pass: evaluate function fields now that the layout is known.
 	for _, p := range ctx.patches {
-		fn, err := c.funcs.Lookup(p.e.Type.Func.Name)
-		if err != nil {
-			return dst, fmt.Errorf("composer: field %q: %w", p.e.Label, err)
-		}
-		v, err := fn(ctx, p.e.Type.Func.Args)
+		v, err := c.funcs[p.e.Type.Func](ctx, p.e.Type.Func.Args)
 		if err != nil {
 			return dst, fmt.Errorf("composer: field %q: %w", p.e.Label, err)
 		}
@@ -241,7 +252,7 @@ func (c *Composer) composeBinary(dst []byte, msg *message.Message, pl *mdl.Plan)
 		}
 		setInt(msg, p.e, n)
 	}
-	return ctx.w.AppendBytes(dst), nil
+	return ctx.w.Bytes(), nil
 }
 
 // setInt records a derived integer in the message, so that

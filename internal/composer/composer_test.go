@@ -172,6 +172,18 @@ func TestComposeUnknownMessage(t *testing.T) {
 	}
 }
 
+// A function field names its function once, where the composer is
+// built: one its registry lacks refuses the composer, not a compose.
+func TestNewRefusesUnknownFunction(t *testing.T) {
+	spec, err := mdl.ParseXMLString(strings.Replace(slpMDL, "f-totallength()", "f-nosuch()", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(spec, nil, nil); err == nil || !strings.Contains(err.Error(), `"MessageLength"`) {
+		t.Fatalf("New = %v, want an error naming MessageLength", err)
+	}
+}
+
 func TestComposeUnsetFieldsDefaultToZero(t *testing.T) {
 	c, p := newPair(t, slpMDL)
 	msg := message.New("SLP", "SLPSrvRequest")

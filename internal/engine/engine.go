@@ -324,8 +324,10 @@ type ingestJob struct {
 	lease *netapi.Buffer
 	// arrived is the wall-clock arrival time at the listener or
 	// requester callback, the origin of the payload's lane-wait and
-	// recv-stage latency samples and — for an initiator request — the
-	// epoch of the session's flight recorder.
+	// recv-stage latency samples, the end of its peer-stage sample and
+	// — for an initiator request — the epoch of the session's flight
+	// recorder. Every job but a timer carries it; a jobEntry, that of
+	// the payload it was parsed from.
 	arrived time.Time
 
 	sess *session
@@ -348,6 +350,15 @@ type ingestTiming struct {
 	picked  time.Time
 	parsed  time.Time
 	bytes   int
+}
+
+// elapsed reads the clock once, for the time since start and the
+// instant that ends it, which closes one stage and opens the next:
+// time.Since reads the monotonic clock alone, time.Now the wall clock
+// too.
+func elapsed(start time.Time) (time.Duration, time.Time) {
+	d := time.Since(start)
+	return d, start.Add(d)
 }
 
 // releaseLease ends the job's buffer lease unless it has ended: a
@@ -851,13 +862,18 @@ func (e *Engine) ingestLoop(w *worker) {
 		if !ok {
 			return // queue closed
 		}
-		if !job.arrived.IsZero() {
-			e.laneHists[lane].Record(time.Since(job.arrived))
+		// A payload's pickup ends its lane wait and starts its parse: one
+		// clock read marks both.
+		var picked time.Time
+		if job.kind == jobPayload || job.kind == jobData {
+			var wait time.Duration
+			wait, picked = elapsed(job.arrived)
+			e.laneHists[lane].Record(wait)
 		}
 		if job.sess != nil {
-			job.sess.handle(&job)
+			job.sess.handle(&job, picked)
 		} else {
-			e.ingest(w, &job)
+			e.ingest(w, &job, picked)
 		}
 		w.done(&job)
 		e.node.WorkDone()
@@ -866,19 +882,19 @@ func (e *Engine) ingestLoop(w *worker) {
 
 // parse runs a job's payload through its codec into a message w draws,
 // which the job holds (msg) until a session adopts it, and times the
-// recv and parse stages. The job's buffer lease ends here — the parse
-// copies everything it keeps into the message, so the receive buffer
-// goes back to its pool before anything is routed or delivered.
-func (e *Engine) parse(w *worker, job *ingestJob) (ingestTiming, error) {
-	tm := ingestTiming{arrived: job.arrived, picked: time.Now(), bytes: len(job.data)}
+// recv and parse stages, which meet where the worker picked the job.
+// The job's buffer lease ends here — the parse copies everything it
+// keeps into the message, so the receive buffer goes back to its pool
+// before anything is routed or delivered.
+func (e *Engine) parse(w *worker, job *ingestJob, picked time.Time) (ingestTiming, error) {
+	tm := ingestTiming{arrived: job.arrived, picked: picked, bytes: len(job.data)}
 	job.msg = w.draw(job.codec.Spec.Protocol, "")
 	err := job.codec.Parser.ParseInto(job.msg, job.data)
-	tm.parsed = time.Now()
+	took, parsed := elapsed(tm.picked)
+	tm.parsed = parsed
 	job.releaseLease()
-	if !tm.arrived.IsZero() {
-		e.stageHists[trace.StageRecv].Record(tm.picked.Sub(tm.arrived))
-	}
-	e.stageHists[trace.StageParse].Record(tm.parsed.Sub(tm.picked))
+	e.stageHists[trace.StageRecv].Record(tm.picked.Sub(tm.arrived))
+	e.stageHists[trace.StageParse].Record(took)
 	if err != nil {
 		e.parseErrors.Add(1)
 	}
@@ -889,8 +905,8 @@ func (e *Engine) parse(w *worker, job *ingestJob) (ingestTiming, error) {
 // opens (or rendezvouses with) a keyed session on this worker; anything
 // else goes to the worker of a session awaiting that message. A message
 // no session adopts ends with the job.
-func (e *Engine) ingest(w *worker, job *ingestJob) {
-	tm, err := e.parse(w, job)
+func (e *Engine) ingest(w *worker, job *ingestJob, picked time.Time) {
+	tm, err := e.parse(w, job, picked)
 	if err != nil {
 		return
 	}
@@ -905,7 +921,7 @@ func (e *Engine) ingest(w *worker, job *ingestJob) {
 	if s := e.table.findAwaiting(proto, name, job.src.Addr.IP); s != nil {
 		life := s.life.Load()
 		s.recordIngest(tm, trace.OutcomeOK)
-		e.post(s, life, ingestJob{kind: jobEntry, codec: job.codec, msg: job.adopt(), src: job.src})
+		e.post(s, life, ingestJob{kind: jobEntry, codec: job.codec, msg: job.adopt(), src: job.src, arrived: job.arrived})
 		return
 	}
 	e.ignored.Add(1)
@@ -996,7 +1012,7 @@ func (e *Engine) refuse(counter *atomic.Int64, src netengine.Source, kind error,
 func (e *Engine) rerouteEntry(s *session, job *ingestJob) {
 	if !job.rerouted {
 		if s2 := e.table.findAwaiting(job.codec.Spec.Protocol, job.msg.Name, job.src.Addr.IP); s2 != nil && s2 != s {
-			e.post(s2, s2.life.Load(), ingestJob{kind: jobEntry, codec: job.codec, msg: job.adopt(), src: job.src, rerouted: true})
+			e.post(s2, s2.life.Load(), ingestJob{kind: jobEntry, codec: job.codec, msg: job.adopt(), src: job.src, arrived: job.arrived, rerouted: true})
 			return
 		}
 	}

@@ -1,6 +1,10 @@
 package engine
 
-import "starlink/internal/netapi"
+import (
+	"time"
+
+	"starlink/internal/netapi"
+)
 
 // LentColors reports, per row of the plan's requester color table,
 // whether sockets of that color are lent (the color declares a txid).
@@ -25,6 +29,6 @@ func (e *Engine) PostForPreviousLife(data []byte, lease *netapi.Buffer) bool {
 	if s == nil || s.life.Load() == 0 {
 		return false
 	}
-	e.post(s, s.life.Load()-1, ingestJob{kind: jobData, codec: e.plan.steps[len(e.plan.steps)-1].codec, data: data, lease: lease})
+	e.post(s, s.life.Load()-1, ingestJob{kind: jobData, codec: e.plan.steps[len(e.plan.steps)-1].codec, data: data, lease: lease, arrived: time.Now()})
 	return true
 }

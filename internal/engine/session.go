@@ -97,6 +97,9 @@ type session struct {
 	// seeded per session so concurrent sessions never share a stream.
 	rng *rand.Rand
 
+	// sent is when the session's last send ended, the start of the peer
+	// stage of the replies it awaits; zero before its first send.
+	sent    time.Time
 	replyAt time.Time
 }
 
@@ -126,7 +129,7 @@ func (e *Engine) newSession(w *worker, key sessionKey, seq uint64, first *messag
 	}
 	s.key, s.seq, s.origin, s.start = key, seq, src, e.node.Now()
 	s.pc, s.wait = 1, -1 // step 0 is the initiator receive, satisfied by first
-	s.replyAt = time.Time{}
+	s.sent, s.replyAt = time.Time{}, time.Time{}
 	if e.windowJitter > 0 {
 		seed := e.jitterSeed + int64(seq)*0x9E3779B9
 		if s.rng == nil {
@@ -154,7 +157,7 @@ func (s *session) recordIngest(tm ingestTiming, parse trace.Outcome) {
 // handle runs one queued event of the session on its worker. Events
 // that outlived the session they were posted for end unhandled, and
 // with them whatever message the session does not adopt.
-func (s *session) handle(job *ingestJob) {
+func (s *session) handle(job *ingestJob, picked time.Time) {
 	if job.kind == jobTimer {
 		// A fire is stale when its arm was stopped or replaced — or when
 		// it read the generation of an arm made after it was on its way.
@@ -183,7 +186,7 @@ func (s *session) handle(job *ingestJob) {
 		s.deliverEntry(job)
 		return
 	}
-	tm, err := s.e.parse(s.w, job)
+	tm, err := s.e.parse(s.w, job, picked)
 	if err != nil {
 		s.recordIngest(tm, trace.OutcomeErr)
 		return
@@ -249,11 +252,12 @@ func (s *session) advance() {
 		case merge.StepDelta:
 			t0 := time.Now()
 			err = s.runDelta(st)
-			s.e.stageHists[trace.StageTransition].Record(time.Since(t0))
+			took, t1 := elapsed(t0)
+			s.e.stageHists[trace.StageTransition].Record(took)
 			if err != nil {
-				s.rec.Record(trace.StageTransition, trace.OutcomeErr, 0)
+				s.rec.RecordAt(trace.StageTransition, trace.OutcomeErr, t1, 0)
 			} else {
-				s.rec.Record(trace.StageTransition, trace.OutcomeOK, 0)
+				s.rec.RecordAt(trace.StageTransition, trace.OutcomeOK, t1, 0)
 			}
 		case merge.StepSend:
 			err = s.runSend(st)
@@ -326,12 +330,14 @@ func (s *session) runSend(st *planStep) error {
 		}
 		err = r.Send(wire)
 	}
-	e.stageHists[trace.StageSend].Record(time.Since(composed))
+	took, sent := elapsed(composed)
+	e.stageHists[trace.StageSend].Record(took)
 	if err != nil {
-		s.rec.Record(trace.StageSend, trace.OutcomeErr, len(wire))
+		s.rec.RecordAt(trace.StageSend, trace.OutcomeErr, sent, len(wire))
 		return fmt.Errorf("engine: %s: %w", what, err)
 	}
-	s.rec.Record(trace.StageSend, trace.OutcomeOK, len(wire))
+	s.rec.RecordAt(trace.StageSend, trace.OutcomeOK, sent, len(wire))
+	s.sent = sent
 	return nil
 }
 
@@ -343,8 +349,8 @@ func (s *session) compose(st *planStep, out *message.Message) ([]byte, time.Time
 	env := translation.Env{Lookup: s.lookupFn, Vars: e.vars}
 	t0 := time.Now()
 	err := e.merged.Logic.Apply(out, env, e.tfuncs)
-	t1 := time.Now()
-	e.stageHists[trace.StageTranslate].Record(t1.Sub(t0))
+	took, t1 := elapsed(t0)
+	e.stageHists[trace.StageTranslate].Record(took)
 	if err != nil {
 		s.rec.RecordAt(trace.StageTranslate, trace.OutcomeErr, t1, 0)
 		return nil, t1, err
@@ -363,8 +369,8 @@ func (s *session) compose(st *planStep, out *message.Message) ([]byte, time.Time
 	}
 	wire, err := st.codec.Composer.AppendCompose(s.w.wire[:0], out)
 	s.w.wire = wire
-	t2 := time.Now()
-	e.stageHists[trace.StageCompose].Record(t2.Sub(t1))
+	took, t2 := elapsed(t1)
+	e.stageHists[trace.StageCompose].Record(took)
 	if err != nil {
 		s.rec.RecordAt(trace.StageCompose, trace.OutcomeErr, t2, 0)
 		return nil, t2, err
@@ -426,6 +432,12 @@ func (s *session) deliver(job *ingestJob) {
 		s.rec.Record(trace.StageRecv, trace.OutcomeDrop, 0)
 		s.e.ignored.Add(1)
 		return
+	}
+	if !s.sent.IsZero() {
+		// Its arrival ends the peer stage the last send began; a reply
+		// that beat the send's own end counts as 0.
+		s.e.stageHists[trace.StagePeer].Record(job.arrived.Sub(s.sent))
+		s.rec.RecordAt(trace.StagePeer, trace.OutcomeOK, job.arrived, 0)
 	}
 	s.store(&s.e.plan.steps[s.wait], job.adopt())
 	if s.windowed {

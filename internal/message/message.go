@@ -262,8 +262,13 @@ func (l *Layout) Extend(labels ...string) *Layout {
 // Labels returns the labels in slot order; callers must not mutate it.
 func (l *Layout) Labels() []string { return l.labels }
 
-// Slot returns the slot of label, or -1.
-func (l *Layout) Slot(label string) int { return slices.Index(l.labels, label) }
+// Slot returns the slot of label, or -1; a nil layout has none.
+func (l *Layout) Slot(label string) int {
+	if l == nil {
+		return -1
+	}
+	return slices.Index(l.labels, label)
+}
 
 // Message is an abstract message: a named, ordered set of fields
 // belonging to a protocol. The paper writes msg.field for field
@@ -392,26 +397,25 @@ func (m *Message) SetAt(slot int, f *Field) {
 func (m *Message) Add(f *Field) {
 	for i, g := range m.fields {
 		if g.Label == f.Label {
-			m.Put(i, f)
+			m.fields[i] = f
 			return
 		}
 	}
-	m.Put(-1, f)
+	m.Put(-1, m.layout.Slot(f.Label), f)
 }
 
 // Put is Add for a caller that has looked the label up itself: at is
 // the position in Fields of the field labelled as f is, -1 when there is
+// none, and slot the label's slot in the bound layout, -1 when it has
 // none.
-func (m *Message) Put(at int, f *Field) {
+func (m *Message) Put(at, slot int, f *Field) {
 	if at >= 0 {
 		m.fields[at] = f
 		return
 	}
 	m.fields = append(m.fields, f)
-	if m.layout != nil {
-		if s := m.layout.Slot(f.Label); s >= 0 {
-			m.pos[s] = int32(len(m.fields))
-		}
+	if slot >= 0 {
+		m.pos[slot] = int32(len(m.fields))
 	}
 }
 

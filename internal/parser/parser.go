@@ -607,7 +607,9 @@ func (p *Parser) parseWildcard(data []byte, def *mdl.FieldDef, msg *message.Mess
 		if e.Slot >= 0 {
 			add(msg, nil, e, f)
 		} else {
-			msg.Put(labels.find(msg, label), f)
+			// The message is bound to the shared layout, which lacks
+			// the label: it has no slot to take.
+			msg.Put(labels.find(msg, label), -1, f)
 		}
 	}
 }

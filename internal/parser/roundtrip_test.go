@@ -1,6 +1,7 @@
 package parser_test
 
 import (
+	"bytes"
 	"io/fs"
 	"runtime"
 	"strings"
@@ -107,6 +108,41 @@ func TestParseOwnsItsValues(t *testing.T) {
 				t.Errorf("%s: overwriting the input changed the parsed message\nbefore %s\nafter  %s", cd.name, before, after)
 			}
 			m.Release()
+		}
+	}
+}
+
+// Composing after a prefix writes the message as composing it alone
+// does, for every definition of every shipped binary MDL, empty or as a
+// legacy stack sends it: a function field such as SLP's f-totallength
+// counts the message's bytes, not the prefix's.
+func TestAppendComposeAfterPrefix(t *testing.T) {
+	codecs := shippedCodecs(t)
+	seeds := roundTripSeeds(t, codecs)
+	prefix := []byte("prefix bytes")
+	for _, cd := range codecs {
+		if cd.c.Spec().Dialect != mdl.DialectBinary {
+			continue
+		}
+		for _, wire := range seeds[cd.name] {
+			alone, err := cd.p.Parse(wire)
+			if err != nil {
+				t.Fatalf("%s: %v", cd.name, err)
+			}
+			after, _ := cd.p.Parse(wire)
+			want, err := cd.c.Compose(alone)
+			if err != nil {
+				t.Fatalf("%s %s: %v", cd.name, alone.Name, err)
+			}
+			got, err := cd.c.AppendCompose(append(make([]byte, 0, 2*len(prefix)), prefix...), after)
+			if err != nil {
+				t.Fatalf("%s %s: %v", cd.name, after.Name, err)
+			}
+			if !bytes.Equal(got, append(append([]byte(nil), prefix...), want...)) {
+				t.Errorf("%s %s: after a prefix\n got %x\nwant %x‖%x", cd.name, after.Name, got, prefix, want)
+			}
+			alone.Release()
+			after.Release()
 		}
 	}
 }

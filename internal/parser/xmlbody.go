@@ -276,7 +276,7 @@ func scanXMLLeaves(body []byte, s string, msg *message.Message, labels *labelInd
 			}
 			v = strings.TrimSpace(built[lf.value.start:lf.value.end])
 		}
-		msg.Put(-1, msg.NewField(label, message.Str(v)))
+		msg.Put(-1, msg.Layout().Slot(label), msg.NewField(label, message.Str(v)))
 	}
 	return true, nil
 }

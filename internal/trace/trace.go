@@ -2,7 +2,8 @@
 // fixed-size ring of pipeline stage events (stage id, offset from the
 // session's arrival epoch, byte count, outcome) recorded at each stage
 // boundary of the bridge pipeline — classify, recv, parse, automaton
-// transition, translate, compose, egress send.
+// transition, translate, compose, egress send — and at the arrival of
+// each reply a session awaited (peer).
 //
 // The recorder is built for the engine's hot path. Recording is
 // wait-free and allocation-free (held at zero by
@@ -49,13 +50,17 @@ const (
 	StageCompose
 	// StageSend is the egress transmission of a composed payload.
 	StageSend
+	// StagePeer covers a message a receive step takes, from the end of
+	// the session's last send to the message's arrival: the peer's
+	// service time and the network in between.
+	StagePeer
 
 	// NumStages counts the pipeline stages.
 	NumStages = int(iota)
 )
 
 var stageNames = [NumStages]string{
-	"classify", "recv", "parse", "transition", "translate", "compose", "send",
+	"classify", "recv", "parse", "transition", "translate", "compose", "send", "peer",
 }
 
 // String names the stage as used in traces and metric labels.

@@ -8,7 +8,7 @@ import (
 )
 
 func TestStageAndOutcomeNames(t *testing.T) {
-	want := []string{"classify", "recv", "parse", "transition", "translate", "compose", "send"}
+	want := []string{"classify", "recv", "parse", "transition", "translate", "compose", "send", "peer"}
 	if NumStages != len(want) {
 		t.Fatalf("NumStages = %d, want %d", NumStages, len(want))
 	}

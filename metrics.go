@@ -27,8 +27,10 @@ type LatencyBucket struct {
 // exact at every bound.
 type StageLatency struct {
 	// Stage names the pipeline stage: "classify", "recv", "parse",
-	// "transition", "translate", "compose", "send", or "session" for
-	// the whole-session distribution (the paper's §VI translation time).
+	// "transition", "translate", "compose", "send", "peer" (a send's end
+	// to the arrival of the reply a receive step takes), or "session"
+	// for the whole-session distribution (the paper's §VI translation
+	// time).
 	Stage string
 	// Count and Sum accumulate over all recorded samples.
 	Count uint64

@@ -260,3 +260,56 @@ func TestSnapshotSurvivesClose(t *testing.T) {
 		})
 	}
 }
+
+// Every reply a session awaits ends one sample of the peer stage, from
+// the end of the send it answers to its arrival: n slp-to-bonjour
+// sessions on real loopback sockets, each taking one mDNS answer, record
+// n samples, and the time they spent waiting on the peer lies inside
+// the sessions' own.
+func TestPeerStageOnLoopback(t *testing.T) {
+	const n = 4
+	rt := starlink.Loopback()
+	net := rt.Backend().(*realnet.Runtime)
+	fw, err := starlink.New(rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bridge, err := fw.DeployBridge(context.Background(), loopbackHost, "slp-to-bonjour")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bridge.Close()
+	svcNode, _ := net.NewNode("svc")
+	responder, err := dnssd.NewResponder(svcNode, "printer.local", "service:printer://127.0.0.1:515")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer responder.Close()
+	cliNode, _ := net.NewNode("cli")
+	ua := slp.NewUserAgent(cliNode, slp.WithConvergenceWait(300*time.Millisecond))
+	for i := 0; i < n; i++ {
+		var res slp.LookupResult
+		done := false
+		ua.Lookup("service:printer", func(r slp.LookupResult) { res, done = r, true })
+		if err := net.RunUntil(func() bool { return done }, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if res.Err != nil || len(res.URLs) != 1 {
+			t.Fatalf("lookup %d: urls %v, err %v", i, res.URLs, res.Err)
+		}
+	}
+	rows := map[string]starlink.StageLatency{}
+	for deadline := time.Now().Add(5 * time.Second); rows["session"].Count < n; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sessions ended, want %d", rows["session"].Count, n)
+		}
+		for _, l := range bridge.Metrics().Latency {
+			rows[l.Stage] = l
+		}
+	}
+	peer, session := rows["peer"], rows["session"]
+	if peer.Count != n || peer.Sum <= 0 || peer.Sum > session.Sum {
+		t.Fatalf("peer stage: %d samples summing %v, want %d summing more than 0 and at most the sessions' %v (%d)",
+			peer.Count, peer.Sum, n, session.Sum, session.Count)
+	}
+}

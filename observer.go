@@ -12,7 +12,7 @@ import (
 
 // TraceEvent is one flight-recorder entry: a pipeline stage boundary
 // the session crossed. Stage is one of "classify", "recv", "parse",
-// "transition", "translate", "compose", "send"; Outcome is "ok", "err"
+// "transition", "translate", "compose", "send", "peer"; Outcome is "ok", "err"
 // or "drop"; At is the offset from the arrival of the session's
 // initiating payload; Bytes is the payload size where meaningful
 // (ingress and egress stages), zero otherwise.
