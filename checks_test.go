@@ -167,6 +167,7 @@ var tombstones = []tombstone{
 	{`MandatoryFields|markMandatory|\.Mandatory = true|f\.Type, f\.Length|BytesView\(\) \(\[\]byte`, goFiles, 38, "a field is a label and a value; a bytes value is a substring of the copy"},
 	{`map\[string\]`, []string{"internal/engine/session.go"}, 19, "a session is slot arrays: no map, no per-session string key"},
 	{`AcquireWriter|ReleaseWriter|writerPool|AppendBytes`, goFiles, 49, "the composer writes into the caller's buffer: no pooled bit writer, no copy out of one"},
+	{`shardBits|shardCount|type shard struct`, []string{"internal/hist"}, 50, "one table per histogram; a snapshot is one copy"},
 	{``, []string{"BENCH_PR*"}, 17, "one measuring system: the per-PR benchmark captures stay gone"},
 	{`benchdiff|max-regress|BENCH_PR`, []string{"*.go", "*.md", "*.sh", ":!CHANGES.md", ":!ROADMAP.md", ":!ISSUE.md", ":!results"}, 17, "one measuring system: the comparator and its percentage gates stay gone"},
 }

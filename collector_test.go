@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -551,6 +552,45 @@ func numericLeaves(v reflect.Value, path string, store func(), visit func(leaf s
 	case v.CanUint():
 		visit(path, func() { v.SetUint(1); store() })
 	}
+}
+
+// TestCollectorUnregister takes a deployment out of /metrics and the
+// debug index, ignores a name it does not hold, and puts a deployment
+// registered again back in name order.
+func TestCollectorUnregister(t *testing.T) {
+	col := starlink.NewCollector()
+	col.Register("b", &fakeDeployment{m: zeroMetrics()})
+	col.Register("a", &fakeDeployment{m: zeroMetrics()})
+	// listed returns the deployments /metrics and the index name, in the
+	// order each first names them.
+	listed := func() (metrics, index []string) {
+		exp, err := promtext.Parse(strings.NewReader(scrape(t, col, "/metrics")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range exp.Samples {
+			if d, ok := s.Labels["deployment"]; ok && !slices.Contains(metrics, d) {
+				metrics = append(metrics, d)
+			}
+		}
+		for _, m := range regexp.MustCompile(`(?m)^deployment "([^"]*)":`).FindAllStringSubmatch(scrape(t, col, "/debug/starlink/"), -1) {
+			index = append(index, m[1])
+		}
+		return metrics, index
+	}
+	check := func(step string, want ...string) {
+		t.Helper()
+		if m, i := listed(); !slices.Equal(m, want) || !slices.Equal(i, want) {
+			t.Errorf("%s: /metrics names %q and the index %q, want %q", step, m, i, want)
+		}
+	}
+	check("registered", "a", "b")
+	col.Unregister("a")
+	check(`after Unregister("a")`, "b")
+	col.Unregister("x")
+	check(`after Unregister("x")`, "b")
+	col.Register("a", &fakeDeployment{m: zeroMetrics()})
+	check(`after Register("a") again`, "a", "b")
 }
 
 // TestExpositionShape pins what /metrics serves for a two-case

@@ -406,11 +406,11 @@ type Engine struct {
 
 	// Stage latency histograms, always on: one per pipeline stage plus
 	// the whole-session distribution. Lock-free; see internal/hist.
-	stageHists [trace.NumStages]*hist.Histogram
-	sessHist   *hist.Histogram
+	stageHists [trace.NumStages]hist.Histogram
+	sessHist   hist.Histogram
 	// laneHists measures per-lane queue wait: listener arrival to
 	// ingest-worker pickup.
-	laneHists [lanes.NumLanes]*hist.Histogram
+	laneHists [lanes.NumLanes]hist.Histogram
 
 	// Lifecycle. state moves strictly forward.
 	state atomic.Int32
@@ -508,13 +508,6 @@ func New(node netapi.Node, merged *merge.Merged, codecs map[string]*Codec, opts 
 		ingestWorkers: workers,
 		traceRing:     defaultTraceRing,
 		drained:       make(chan struct{}),
-	}
-	for i := range e.stageHists {
-		e.stageHists[i] = &hist.Histogram{}
-	}
-	e.sessHist = &hist.Histogram{}
-	for i := range e.laneHists {
-		e.laneHists[i] = &hist.Histogram{}
 	}
 	for _, o := range opts {
 		o(e)

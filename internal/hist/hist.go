@@ -1,18 +1,16 @@
 // Package hist implements the lock-free latency histogram behind the
-// framework's staged latency metrics (Metrics.Latency, the Prometheus
-// exposition, starlink-bench -latency-hist).
+// framework's staged latency metrics (Metrics.Latency and the
+// Prometheus exposition).
 //
 // The layout is log-linear (HDR-style): each power-of-two octave is cut
 // into 16 linear sub-buckets, giving a worst-case relative error of
 // 2^-4 = 6.25% across the whole range — nanoseconds to tens of
-// seconds — in a fixed 544-bucket table. Recording is wait-free: the
-// bucket table is sharded into four independent arrays of atomic
-// counters and a recording goroutine picks its shard by hashing the
-// recorded value, so concurrent sessions rarely contend on one cache
-// line. Record performs no allocation and no locking; TestRecordAllocs holds
-// it at zero.
+// seconds — in a fixed 544-bucket table of atomic counters plus the
+// sum. Record is wait-free, two atomic adds, and performs no allocation
+// and no locking once the table exists; TestRecordAllocs holds it at
+// zero.
 //
-// Snapshot merges the shards into an immutable value that answers
+// Snapshot copies the table into an immutable value that answers
 // quantile and cumulative-count queries. Export code (the Prometheus
 // writer, bench tables) uses the shared Ladder bounds so every consumer
 // agrees on bucket boundaries.
@@ -37,46 +35,34 @@ const (
 	maxVal = uint64(1)<<(maxExp+1) - 1
 
 	nBuckets = subCount + (maxExp-subBits+1)*subCount
-
-	shardBits  = 2
-	shardCount = 1 << shardBits
 )
 
-// shard is one independently updated bucket table. Each recording
-// goroutine lands on a shard by value hash; readers merge all shards.
-type shard struct {
+// table is the bucket counters and the sum: 4 360 B.
+type table struct {
 	counts [nBuckets]atomic.Uint64
 	sum    atomic.Uint64
 }
 
 // Histogram is a lock-free log-linear duration histogram. The zero
-// value is ready to use; all methods are safe for concurrent use. A nil
-// *Histogram is a valid no-op recorder. The 17 KiB bucket table is
-// allocated by the first Record, so a histogram nothing records costs
-// a pointer.
+// value is ready to use; all methods are safe for concurrent use. The
+// bucket table is allocated by the first Record, so a histogram nothing
+// records costs a pointer.
 type Histogram struct {
-	shards atomic.Pointer[[shardCount]shard]
+	t atomic.Pointer[table]
 }
 
-// Record adds one duration sample. Negative durations clamp to zero,
-// durations beyond ~137s clamp into the last bucket. Wait-free: two
-// atomic adds on a shard selected by hashing the value.
+// Record adds one duration sample. A negative duration is recorded as
+// zero; one beyond ~137s lands in the last bucket and adds to the sum
+// in full. Wait-free: two atomic adds.
 func (h *Histogram) Record(d time.Duration) {
-	if h == nil {
-		return
-	}
-	v := uint64(d)
-	if d < 0 {
-		v = 0
-	}
-	t := h.shards.Load()
+	v := uint64(max(d, 0))
+	t := h.t.Load()
 	if t == nil {
-		h.shards.CompareAndSwap(nil, new([shardCount]shard))
-		t = h.shards.Load()
+		h.t.CompareAndSwap(nil, new(table))
+		t = h.t.Load()
 	}
-	sh := &t[(v*0x9e3779b97f4a7c15)>>(64-shardBits)]
-	sh.counts[bucketIndex(v)].Add(1)
-	sh.sum.Add(v)
+	t.counts[bucketIndex(v)].Add(1)
+	t.sum.Add(v)
 }
 
 // bucketIndex maps a clamped sample value to its bucket: values below
@@ -104,39 +90,33 @@ func bucketBounds(i int) (lo, hi uint64) {
 	return lo, lo + width - 1
 }
 
-// Snapshot is an immutable merged view of a histogram, safe to copy and
-// to query from any goroutine.
+// Snapshot is an immutable copy of a histogram, safe to copy and to
+// query from any goroutine.
 type Snapshot struct {
 	// Count is the total number of recorded samples.
 	Count uint64
-	// Sum is the sum of all recorded samples (clamped values).
+	// Sum is the sum of all recorded samples, a negative one counted
+	// as zero.
 	Sum time.Duration
 
 	counts [nBuckets]uint64
 }
 
-// Snapshot merges the shards into an immutable view. Concurrent
+// Snapshot copies the table into an immutable view. Concurrent
 // recording keeps going; the snapshot is a consistent-enough cut for
 // metrics (each bucket is read atomically, the cut across buckets is
 // not a single instant).
 func (h *Histogram) Snapshot() Snapshot {
 	var s Snapshot
-	if h == nil {
-		return s
-	}
-	t := h.shards.Load()
+	t := h.t.Load()
 	if t == nil {
 		return s
 	}
-	for i := range t {
-		sh := &t[i]
-		s.Sum += time.Duration(sh.sum.Load())
-		for b := range sh.counts {
-			if c := sh.counts[b].Load(); c != 0 {
-				s.counts[b] += c
-				s.Count += c
-			}
-		}
+	s.Sum = time.Duration(t.sum.Load())
+	for b := range t.counts {
+		c := t.counts[b].Load()
+		s.counts[b] = c
+		s.Count += c
 	}
 	return s
 }
@@ -176,30 +156,26 @@ func (s Snapshot) Quantile(q float64) time.Duration {
 	return time.Duration(hi)
 }
 
-// CumulativeAt counts the samples recorded in buckets that lie wholly
-// at or below d — the count of samples ≤ d, exact whenever d+1 is a
-// bucket boundary (every Ladder bound qualifies), otherwise rounded
-// down by at most one sub-bucket.
-func (s Snapshot) CumulativeAt(d time.Duration) uint64 {
-	if d < 0 {
-		return 0
-	}
-	v := uint64(d)
-	var cum uint64
-	for i := 0; i < nBuckets; i++ {
-		if _, hi := bucketBounds(i); hi > v {
-			break
-		}
-		cum += s.counts[i]
-	}
-	return cum
-}
-
-// Cumulative evaluates CumulativeAt for each bound, in order.
+// Cumulative counts, for each bound in ascending order, the samples
+// recorded in buckets that lie wholly at or below it — the count of
+// samples ≤ bound, exact whenever bound+1 is a bucket boundary (every
+// Ladder bound qualifies), otherwise rounded down by at most one
+// sub-bucket. One pass over the buckets serves every bound.
 func (s Snapshot) Cumulative(bounds []time.Duration) []uint64 {
 	out := make([]uint64, len(bounds))
-	for i, b := range bounds {
-		out[i] = s.CumulativeAt(b)
+	var cum uint64
+	i := 0
+	for j, d := range bounds {
+		if d < 0 {
+			continue
+		}
+		for ; i < nBuckets; i++ {
+			if _, hi := bucketBounds(i); hi > uint64(d) {
+				break
+			}
+			cum += s.counts[i]
+		}
+		out[j] = cum
 	}
 	return out
 }
@@ -207,7 +183,7 @@ func (s Snapshot) Cumulative(bounds []time.Duration) []uint64 {
 // Ladder returns the shared export bucket bounds: thirteen
 // octave-aligned steps from ~1µs (2^10−1 ns) to ~17s (2^34−1 ns), every
 // fourth power of two. Each bound is the exact upper edge of a bucket,
-// so CumulativeAt is exact at every rung; production exposition and
+// so Cumulative is exact at every rung; production exposition and
 // starlink-bench both use it, keeping their bucket boundaries in
 // agreement.
 func Ladder() []time.Duration {

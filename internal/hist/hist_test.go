@@ -2,6 +2,7 @@ package hist
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -119,6 +120,22 @@ func TestQuantileEdges(t *testing.T) {
 	}
 }
 
+// cumulativeAt is the per-bound oracle for Cumulative: it rescans the
+// buckets from the first for one bound.
+func cumulativeAt(s Snapshot, d time.Duration) uint64 {
+	if d < 0 {
+		return 0
+	}
+	var cum uint64
+	for i := 0; i < nBuckets; i++ {
+		if _, hi := bucketBounds(i); hi > uint64(d) {
+			break
+		}
+		cum += s.counts[i]
+	}
+	return cum
+}
+
 func TestCumulativeAtLadderExact(t *testing.T) {
 	h := &Histogram{}
 	bounds := Ladder()
@@ -135,17 +152,24 @@ func TestCumulativeAtLadderExact(t *testing.T) {
 		// Bounds are bucket upper edges, so counts at each rung are
 		// exact: all samples ≤ b.
 		want := uint64(2*i + 1)
-		if got := s.CumulativeAt(b); got != want {
-			t.Errorf("CumulativeAt(%v) = %d, want %d", b, got, want)
+		if got := cumulativeAt(s, b); got != want {
+			t.Errorf("cumulativeAt(%v) = %d, want %d", b, got, want)
 		}
 	}
-	if got := s.CumulativeAt(-1); got != 0 {
-		t.Errorf("CumulativeAt(-1) = %d, want 0", got)
+	if got := s.Cumulative([]time.Duration{-1}); got[0] != 0 {
+		t.Errorf("Cumulative(-1) = %d, want 0", got[0])
 	}
 	cum := s.Cumulative(bounds)
 	for i, b := range bounds {
-		if cum[i] != s.CumulativeAt(b) {
-			t.Errorf("Cumulative[%d] = %d, want %d", i, cum[i], s.CumulativeAt(b))
+		if cum[i] != cumulativeAt(s, b) {
+			t.Errorf("Cumulative[%d] = %d, want %d", i, cum[i], cumulativeAt(s, b))
+		}
+	}
+	// Bounds between bucket edges round down alike.
+	odd := []time.Duration{0, 5, 100, 1500, 1_000_000, 3 * time.Second}
+	for i, got := range s.Cumulative(odd) {
+		if want := cumulativeAt(s, odd[i]); got != want {
+			t.Errorf("Cumulative at %v = %d, want %d", odd[i], got, want)
 		}
 	}
 }
@@ -165,24 +189,17 @@ func TestMerge(t *testing.T) {
 	if merged.Sum != sa.Sum+sb.Sum {
 		t.Fatalf("merged Sum = %v, want %v", merged.Sum, sa.Sum+sb.Sum)
 	}
-	for _, bound := range Ladder() {
-		want := sa.CumulativeAt(bound) + sb.CumulativeAt(bound)
-		if got := merged.CumulativeAt(bound); got != want {
-			t.Fatalf("merged CumulativeAt(%v) = %d, want %d", bound, got, want)
+	bounds := Ladder()
+	for i, got := range merged.Cumulative(bounds) {
+		bound := bounds[i]
+		if want := cumulativeAt(sa, bound) + cumulativeAt(sb, bound); got != want {
+			t.Fatalf("merged Cumulative at %v = %d, want %d", bound, got, want)
 		}
 	}
 }
 
-func TestNilHistogram(t *testing.T) {
-	var h *Histogram
-	h.Record(time.Millisecond) // must not panic
-	if s := h.Snapshot(); s.Count != 0 || s.Sum != 0 {
-		t.Fatalf("nil Snapshot = %+v, want zero", s)
-	}
-}
-
-// TestConcurrentRecord exercises sharded recording under the race
-// detector and checks no sample is lost.
+// TestConcurrentRecord records into one table from eight goroutines
+// under the race detector and checks no sample is lost.
 func TestConcurrentRecord(t *testing.T) {
 	h := &Histogram{}
 	const workers, per = 8, 10_000
@@ -219,9 +236,26 @@ func TestRecordAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { h.Record(d) }); n != 0 {
 		t.Fatalf("Record allocates %v per op, want 0", n)
 	}
-	var nilH *Histogram
-	if n := testing.AllocsPerRun(1000, func() { nilH.Record(d) }); n != 0 {
-		t.Fatalf("nil Record allocates %v per op, want 0", n)
+}
+
+// raceEnabled is set by race_test.go: the race detector adds
+// allocations of its own.
+var raceEnabled bool
+
+// TestFirstRecordAllocatesOneTable holds what a histogram costs once
+// anything records into it: one 4 360 B table, which the allocator
+// rounds to 4 864 B.
+func TestFirstRecordAllocatesOneTable(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	var h Histogram
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.Record(time.Millisecond)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 5<<10 {
+		t.Fatalf("the first Record allocates %d B, want <= %d", n, 5<<10)
 	}
 }
 

@@ -88,17 +88,6 @@ func (m *Merged) AutomatonFor(protocol string) (*automata.Automaton, bool) {
 	return nil, false
 }
 
-// DeltasFrom returns the δ-transitions leaving the given state.
-func (m *Merged) DeltasFrom(ref StateRef) []*Delta {
-	var out []*Delta
-	for _, d := range m.Deltas {
-		if d.From == ref {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // MessageNames returns the union M = ∪ M_i of abstract message names
 // used by the member automata's transitions.
 func (m *Merged) MessageNames() []string {
