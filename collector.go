@@ -183,11 +183,12 @@ type family struct {
 func one(read func(at) float64) []reading { return []reading{{read: read}} }
 
 var families = []family{
-	{"starlink_drops_total", "counter", perSum, "reason", "Refused work by reason, summed over the deployments: overloaded (max-sessions rejections and shed payloads), draining (initiators refused mid-drain), closed (payloads a closed case refused) and stale (replies that answered no current lend of their requester socket).", []reading{
+	{"starlink_drops_total", "counter", perSum, "reason", "Refused work by reason, summed over the deployments: overloaded (max-sessions rejections and shed payloads), draining (initiators refused mid-drain), closed (payloads a closed case refused), stale (replies that answered no current lend of their requester socket) and framing (stream connections dropped once where their next frame starts was lost).", []reading{
 		{label: "overloaded", read: func(a at) float64 { return float64(a.m.Sessions.Rejected + a.m.Sessions.Dropped) }},
 		{label: "draining", read: func(a at) float64 { return float64(a.m.Sessions.DrainRejected) }},
 		{label: "closed", read: func(a at) float64 { return float64(a.m.Dispatch.Rejected) }},
 		{label: "stale", read: func(a at) float64 { return float64(a.m.Sessions.Stale) }},
+		{label: "framing", read: func(a at) float64 { return float64(a.m.Dispatch.Framing) }},
 	}, nil},
 	{"starlink_deployment_state", "gauge", perDeployment, "state", "Deployment lifecycle state (1 = current state).", []reading{
 		{labelAt: func(a at) string { return a.m.State.String() }, read: func(at) float64 { return 1 }},

@@ -539,8 +539,9 @@ func New(node netapi.Node, merged *merge.Merged, codecs map[string]*Codec, opts 
 	e.workers = make([]*worker, e.ingestWorkers)
 	for i := range e.workers {
 		e.workers[i] = &worker{
-			q:    lanes.NewQueue[ingestJob](perWorker, e.gate),
-			idle: make([][]*requester, len(plan.reqs)),
+			q:     lanes.NewQueue[ingestJob](perWorker, e.gate),
+			idle:  make([][]*requester, len(plan.reqs)),
+			spare: make([][]*requester, len(plan.reqs)),
 		}
 	}
 	return e, nil

@@ -118,6 +118,9 @@ type Snapshot struct {
 	// quiescence with no session live and after Close, or some owner
 	// dropped one.
 	Messages int
+	// Framing counts requester stream connections dropped because
+	// where their next frame starts was lost.
+	Framing int
 
 	// Latency and Lanes are left zero by Counts.
 	Latency LatencyDump
@@ -143,6 +146,7 @@ func (e *Engine) Counts() Snapshot {
 	s.RequesterLends = int(e.requesterLends.Load())
 	s.RequesterOpens = int(e.requesterOpens.Load())
 	s.RequestersIdle = int(e.idleRequesters.Load())
+	s.Framing = e.net.FramingDrops()
 	for _, w := range e.workers {
 		s.LaneDepth += w.q.Depth()
 		s.Messages += int(w.msgs.Load())

@@ -275,8 +275,9 @@ func (s *session) advance() {
 
 // runDelta executes the λ actions of a δ-transition.
 func (s *session) runDelta(st *planStep) error {
+	var scratch [2]message.Value // setHost's host and port
 	for _, act := range st.Delta.Actions {
-		vals, err := act.Resolve(s.lookupFn)
+		vals, err := act.Resolve(scratch[:0], s.lookupFn)
 		if err != nil {
 			return err
 		}

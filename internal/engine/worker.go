@@ -33,8 +33,12 @@ type worker struct {
 	// free holds finished sessions, the next ones this worker admits.
 	free []*session
 	// idle holds, per requester slot of a lent color, the open sockets
-	// no session holds; last returned, first lent.
-	idle [][]*requester
+	// no session holds; last returned, first lent. spare holds, per slot
+	// of a stream color, closed channels kept for their structs and
+	// handlers: the next session redials one, and the runtime's dial
+	// pool hands it the connection the last one parked.
+	idle  [][]*requester
+	spare [][]*requester
 	// wire is the buffer every send step of this worker's sessions
 	// composes into: Send and Reply write or copy it before they return.
 	wire []byte
@@ -81,7 +85,7 @@ type requester struct {
 // requester returns s's channel for a send step, acquiring it on first
 // use: for a lent color the socket returned last — else a new one —
 // under its next epoch; for any other, or after a setHost redirect, a
-// new channel of s's own.
+// channel of s's own: a spare stream channel redialled, else a new one.
 func (s *session) requester(st *planStep) (*requester, error) {
 	r := s.reqs[st.req]
 	if r != nil {
@@ -92,6 +96,13 @@ func (s *session) requester(st *planStep) (*requester, error) {
 	if idle := w.idle[st.req]; lent && len(idle) > 0 {
 		r, w.idle[st.req] = idle[len(idle)-1], idle[:len(idle)-1]
 		e.idleRequesters.Add(-1)
+	} else if spare := w.spare[st.req]; len(spare) > 0 {
+		r = spare[len(spare)-1]
+		if err := r.Redial(s.override); err != nil {
+			return nil, err
+		}
+		w.spare[st.req] = spare[:len(spare)-1]
+		s.override = netapi.Addr{}
 	} else {
 		r = &requester{}
 		slot, codec := uint8(st.req), st.codec
@@ -129,7 +140,7 @@ func (s *session) requester(st *planStep) (*requester, error) {
 
 // release ends s's hold on the channel in slot: a lent socket goes back
 // on the idle list, any other channel — and a lent one beyond the idle
-// bound — is closed.
+// bound — is closed, and a stream one kept spare within the same bound.
 func (s *session) release(slot int) {
 	r, w := s.reqs[slot], s.w
 	s.reqs[slot] = nil
@@ -140,6 +151,9 @@ func (s *session) release(slot int) {
 		return
 	}
 	s.e.closeRequester(r)
+	if r.Stream() && len(w.spare[slot]) < maxIdleRequesters {
+		w.spare[slot] = append(w.spare[slot], r)
+	}
 }
 
 func (e *Engine) closeRequester(r *requester) {

@@ -288,6 +288,8 @@ type Message struct {
 	// blocks hold the fields NewField made; the last has free unused.
 	blocks []*fieldBlock
 	free   int
+	// kids holds the child slices NewChildren carved, back to back.
+	kids   []*Field
 	pooled bool
 }
 
@@ -329,6 +331,20 @@ func (m *Message) NewField(label string, v Value) *Field {
 	return f
 }
 
+// NewChildren returns an empty child slice of capacity n for a field
+// of m, carved from an array m keeps across Release, so a pooled
+// message explodes its structured fields without allocating. Appending
+// beyond n moves the slice to an array of its own.
+func (m *Message) NewChildren(n int) []*Field {
+	k := len(m.kids)
+	if cap(m.kids)-k < n {
+		m.kids = make([]*Field, 0, max(2*cap(m.kids), n, 8))
+		k = 0
+	}
+	m.kids = m.kids[:k+n]
+	return m.kids[k : k : k+n]
+}
+
 // Release returns the message and the fields it made to the pools. The
 // caller must hold the last reference: after Release the message and
 // its fields are invalid. Safe to call on messages built with New as
@@ -341,11 +357,13 @@ func (m *Message) Release() {
 	// Hold no pointer into a block the pool may free.
 	clear(m.blocks)
 	clear(m.fields)
-	pooled, fields, pos, blocks := m.pooled, m.fields[:0], m.pos[:0], m.blocks[:0]
+	clear(m.kids)
+	pooled, fields, pos, blocks, kids := m.pooled, m.fields[:0], m.pos[:0], m.blocks[:0], m.kids[:0]
 	*m = Message{}
 	if pooled {
-		// Keep the field, slot and block arrays' capacity for the next user.
-		m.fields, m.pos, m.blocks = fields, pos, blocks
+		// Keep the field, slot, block and child arrays' capacity for the
+		// next user.
+		m.fields, m.pos, m.blocks, m.kids = fields, pos, blocks, kids
 		messagePool.Put(m)
 	}
 }

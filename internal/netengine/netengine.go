@@ -197,6 +197,10 @@ type Engine struct {
 	base    netapi.Node // the node as handed in (identity, ownership)
 	node    netapi.Node // detached view used to open requester endpoints
 	ingress netapi.Node // detached (and optionally gated) view for entry listeners
+	// framing counts the stream connections dropped because where their
+	// next frame starts was lost: a frame longer than netapi.BufferSize,
+	// or bytes the framer refuses.
+	framing atomic.Int64
 }
 
 // Option configures an Engine.
@@ -229,6 +233,10 @@ func New(node netapi.Node, opts ...Option) *Engine {
 
 // Node returns the bridge host node.
 func (e *Engine) Node() netapi.Node { return e.base }
+
+// FramingDrops returns how many stream connections, listened or
+// requested, the engine has dropped on a framing error.
+func (e *Engine) FramingDrops() int { return int(e.framing.Load()) }
 
 // ColorScheme extracts the transport decisions from a color.
 type ColorScheme struct {
@@ -335,6 +343,7 @@ func (e *Engine) Listen(c automata.Color, framer *parser.Framer, h Handler) (net
 				// Where the next frame starts is lost: drop the state
 				// and the connection.
 				buffers.Delete(conn)
+				e.framing.Add(1)
 				_ = conn.Close()
 			}
 			for _, f := range frames {
@@ -377,7 +386,12 @@ type Requester struct {
 	dest netapi.Addr
 	node netapi.Node
 	sock netapi.UDPSocket
+	// conn is a stream channel's connection, nil once closed: written
+	// under frMu, so delivery can tell the connection the channel holds
+	// now from one it closed. recv, the channel's stream handler, is
+	// built once, and Redial hands it to each connection it opens.
 	conn netapi.Conn
+	recv netapi.StreamHandler
 
 	// frMu guards the stream framing state: delivery mutates it from
 	// the connection's serial domain, while Close inspects it from the
@@ -432,14 +446,17 @@ func (e *Engine) NewRequester(c automata.Color, dest netapi.Addr, framer *parser
 		if framer == nil {
 			return nil, fmt.Errorf("netengine: tcp requester %s needs a framer", c)
 		}
-		r.dest = dest
-		conn, err := e.node.DialStream(dest, func(conn netapi.Conn, data []byte) {
+		// Once the channel holds a connection, a chunk of any other — a
+		// late one of a connection it closed before it redialled — is
+		// dropped. One arriving while it holds none is framed, and the
+		// frames answer no session.
+		r.recv = func(conn netapi.Conn, data []byte) {
 			if data == nil {
 				return
 			}
 			var fb [4]*netapi.Buffer
 			r.frMu.Lock()
-			if r.frLost {
+			if r.frLost || r.conn != nil && conn != r.conn {
 				r.frMu.Unlock()
 				return
 			}
@@ -447,16 +464,41 @@ func (e *Engine) NewRequester(c automata.Color, dest netapi.Addr, framer *parser
 			r.frLost = !ok
 			r.frOut -= int32(len(frames))
 			r.frMu.Unlock()
+			if !ok {
+				e.framing.Add(1)
+				_ = conn.Close()
+			}
 			for _, f := range frames {
 				h(f.Bytes(), Source{Addr: conn.RemoteAddr(), color: color, conn: conn}, f)
 			}
-		})
-		if err != nil {
-			return nil, fmt.Errorf("netengine: requester dial %s: %w", dest, err)
 		}
-		r.conn = conn
+		if err := r.Redial(dest); err != nil {
+			return nil, err
+		}
 		return r, nil
 	}
+}
+
+// Stream reports whether the channel is a stream one, which Redial
+// can reopen once closed.
+func (r *Requester) Stream() bool { return r.recv != nil }
+
+// Redial reopens a closed stream channel on a connection to dest — a
+// parked one when the runtime holds one, else a new dial — with the
+// channel's framing state reset and its handler kept.
+func (r *Requester) Redial(dest netapi.Addr) error {
+	if dest.IsZero() {
+		return fmt.Errorf("netengine: tcp requester needs a setHost destination")
+	}
+	conn, err := r.node.DialStream(dest, r.recv)
+	if err != nil {
+		return fmt.Errorf("netengine: requester dial %s: %w", dest, err)
+	}
+	r.frMu.Lock()
+	r.dest, r.conn = dest, conn
+	r.frBuf, r.frLost, r.frOut = nil, false, 0
+	r.frMu.Unlock()
+	return nil
 }
 
 // Send transmits a request on the channel. data may be reused once Send
@@ -565,9 +607,10 @@ func (t *EgressTable) Contains(src Source) bool {
 func (r *Requester) Close() error {
 	if r.conn != nil {
 		conn := r.conn
-		r.conn = nil
 		r.frMu.Lock()
+		r.conn = nil
 		clean := len(r.frBuf) == 0 && !r.frLost && r.frOut <= 0
+		r.frBuf = nil
 		r.frMu.Unlock()
 		if clean && r.node.ParkConn(conn) {
 			return nil

@@ -493,11 +493,9 @@ func unmarshal(msg *message.Message, e *mdl.Entry, src string, bits int) (*messa
 func build(msg *message.Message, e *mdl.Entry, label string, v message.Value) (*message.Field, error) {
 	f := msg.NewField(label, v)
 	if sm, ok := e.M.(types.StructuredMarshaller); ok {
-		children, err := sm.Explode(msg, v)
-		if err != nil {
+		if err := sm.Explode(msg, f, v); err != nil {
 			return nil, fmt.Errorf("field %q: %w", label, err)
 		}
-		f.Children = children
 	}
 	return f, nil
 }

@@ -125,6 +125,10 @@ type DispatchCounters struct {
 	// refused them outright (already closed — e.g. one engine finished
 	// draining before the rest during Shutdown).
 	Rejected int
+	// Framing counts stream connections dropped because where their
+	// next frame starts was lost — on the shared listeners and on the
+	// cases' requesters — and is no classification.
+	Framing int
 }
 
 // Snapshot is everything the dispatcher exposes about itself at one
@@ -800,6 +804,7 @@ func (d *Dispatcher) snapshot(read func(*engine.Engine) engine.Snapshot) Snapsho
 	s := Snapshot{State: d.State()}
 	d.statsMu.Lock()
 	s.Dispatch = d.counters
+	s.Dispatch.Framing += d.net.FramingDrops()
 	d.statsMu.Unlock()
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -810,6 +815,9 @@ func (d *Dispatcher) snapshot(read func(*engine.Engine) engine.Snapshot) Snapsho
 	}
 	for name, dep := range d.deployed {
 		s.Cases[name] = read(dep.eng)
+	}
+	for _, c := range s.Cases {
+		s.Dispatch.Framing += c.Framing
 	}
 	return s
 }

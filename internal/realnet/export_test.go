@@ -1,6 +1,10 @@
 package realnet
 
-import "time"
+import (
+	"time"
+
+	"starlink/internal/netapi"
+)
 
 // NewPortable creates a runtime whose UDP sockets read through the
 // portable receive primitive whatever the build carries, so one Linux
@@ -25,3 +29,7 @@ func SetIOTimeout(d time.Duration) (restore func()) {
 	ioTimeout = d
 	return func() { ioTimeout = old }
 }
+
+// StreamReads returns how many read(2) calls a stream connection's read
+// loop has made.
+func StreamReads(c netapi.Conn) uint64 { return c.(*streamConn).reads.Load() }

@@ -28,14 +28,17 @@
 // copying; a handler that keeps the bytes past the callback takes the
 // lease (Packet.TakeLease) and releases it, otherwise the buffer is
 // reused for the next read. Stream chunks are likewise delivered as
-// views into the connection's read buffer, valid only for the duration
-// of the callback.
+// views into a buffer the read loop leases once the connection is
+// readable, valid only for the duration of the callback.
 package realnet
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"net/netip"
+	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -720,7 +723,7 @@ func (n *node) ListenStreamIn(m netapi.Mode, port int, accept netapi.ConnHandler
 	if recv == nil {
 		return nil, fmt.Errorf("realnet: ListenStream needs a recv handler")
 	}
-	ln, err := net.Listen("tcp4", netip.AddrPortFrom(n.ip, uint16(port)).String())
+	ln, err := net.ListenTCP("tcp4", net.TCPAddrFromAddrPort(netip.AddrPortFrom(n.ip, uint16(port))))
 	if err != nil {
 		return nil, fmt.Errorf("realnet: %w", err)
 	}
@@ -728,18 +731,20 @@ func (n *node) ListenStreamIn(m netapi.Mode, port int, accept netapi.ConnHandler
 	n.adopt(l)
 	go func() {
 		for {
-			c, err := ln.Accept()
+			c, err := ln.AcceptTCP()
 			if err != nil {
 				return
 			}
 			// Each accepted connection is its own endpoint: detached, it
 			// gets a private domain so connections ingest in parallel.
-			dom := n.domainFor(m)
-			sc := newStreamConn(n.rt, c, recv, dom)
+			sc, err := n.newStreamConn(c, recv, m.Detached)
+			if err != nil {
+				continue
+			}
 			sc.owner = n
 			sc.gate = m.Gate
 			n.adopt(sc)
-			dom.run(func() {
+			sc.dom.run(func() {
 				if accept != nil {
 					accept(sc)
 				}
@@ -768,13 +773,25 @@ const (
 	connClosed
 )
 
+// The bits of streamConn.io, the handshake between Close and a read
+// loop delivering a chunk.
+const (
+	ioBusy  uint32 = 1 << iota // the read loop is handing a chunk to recv
+	ioClose                    // Close ran: the loop delivers nothing more
+)
+
 type streamConn struct {
 	rt     *Runtime
 	dom    *domain
-	c      net.Conn
+	c      *net.TCPConn
+	rc     syscall.RawConn
 	local  netapi.Addr
 	remote netapi.Addr
 	dialed bool
+
+	// own is the private dispatch domain of a detached connection, held
+	// here so that opening one allocates no domain of its own.
+	own domain
 
 	// recv is the inbound handler, guarded by dom.mu. Invariant: recv
 	// and the pool state change together under BOTH dom.mu and stateMu
@@ -792,6 +809,15 @@ type streamConn struct {
 	// the read loop while blocked. Immutable after the read loop starts.
 	gate *netapi.FlowGate
 
+	// flags holds ioBusy and ioClose. The read loop delivers inside the
+	// raw read callback, and closing the descriptor waits for that
+	// callback to return, so a Close that finds ioBusy set — issued by
+	// recv itself, or racing it — leaves the descriptor to the loop,
+	// which closes it once recv returns. reads counts the loop's read(2)
+	// calls.
+	flags atomic.Uint32
+	reads atomic.Uint64
+
 	// Writes take turns: a Send holds wmu across its write, so its bytes
 	// are never interleaved with another's, and a peer that stops reading
 	// holds every sender back instead of letting their bytes pile up
@@ -808,14 +834,26 @@ type streamConn struct {
 
 var _ netapi.Conn = (*streamConn)(nil)
 
-func newStreamConn(rt *Runtime, c net.Conn, recv netapi.StreamHandler, dom *domain) *streamConn {
+// newStreamConn wraps an established TCP connection: on a private
+// domain of its own when detached, on the node's root domain otherwise.
+func (n *node) newStreamConn(c *net.TCPConn, recv netapi.StreamHandler, detached bool) (*streamConn, error) {
+	rc, err := c.SyscallConn()
+	if err != nil {
+		_ = c.Close()
+		return nil, err
+	}
 	la := c.LocalAddr().(*net.TCPAddr).AddrPort()
 	ra := c.RemoteAddr().(*net.TCPAddr).AddrPort()
-	return &streamConn{
-		rt: rt, c: c, recv: recv, dom: dom,
+	sc := &streamConn{
+		rt: n.rt, c: c, rc: rc, recv: recv, dom: n.root,
 		local:  netapi.Addr{IP: hostString(la.Addr()), Port: int(la.Port())},
 		remote: netapi.Addr{IP: hostString(ra.Addr()), Port: int(ra.Port())},
 	}
+	if detached {
+		sc.own.rt = n.rt
+		sc.dom = &sc.own
+	}
+	return sc, nil
 }
 
 func (n *node) DialStream(to netapi.Addr, recv netapi.StreamHandler) (netapi.Conn, error) {
@@ -827,13 +865,12 @@ func (n *node) DialStreamIn(m netapi.Mode, to netapi.Addr, recv netapi.StreamHan
 	if recv == nil {
 		return nil, fmt.Errorf("realnet: DialStream needs a recv handler")
 	}
-	dom := n.domainFor(m)
 	// Only detached dials may reuse a parked connection: the claimed
 	// conn keeps the private domain it was dialed with, which for a
 	// detached caller is exactly the per-endpoint domain it would have
 	// been given anyway. An undetached dial needs its callbacks on the
 	// node's root domain, so it always opens a fresh connection.
-	if !dom.root {
+	if m.Detached {
 		if sc := n.rt.claimParked(to, recv, n); sc != nil {
 			n.adopt(sc)
 			return sc, nil
@@ -843,7 +880,10 @@ func (n *node) DialStreamIn(m netapi.Mode, to netapi.Addr, recv netapi.StreamHan
 	if err != nil {
 		return nil, fmt.Errorf("realnet: dial %s: %w", to, err)
 	}
-	sc := newStreamConn(n.rt, c, recv, dom)
+	sc, err := n.newStreamConn(c.(*net.TCPConn), recv, m.Detached)
+	if err != nil {
+		return nil, fmt.Errorf("realnet: dial %s: %w", to, err)
+	}
 	sc.dialed = true
 	sc.owner = n
 	n.adopt(sc)
@@ -851,18 +891,21 @@ func (n *node) DialStreamIn(m netapi.Mode, to netapi.Addr, recv netapi.StreamHan
 	return sc, nil
 }
 
+// maxPoolDests bounds the destinations whose emptied pool slot the
+// dial-reuse pool keeps: a slot emptied by a claim stays, so that the
+// next park to the same destination reuses its array, unless the pool
+// already names this many destinations.
+const maxPoolDests = 64
+
 // removeParkedLocked drops a connection from the dial-reuse pool.
 // Caller holds rt.stateMu.
 func (rt *Runtime) removeParkedLocked(sc *streamConn) {
 	key := poolKey(sc.remote)
 	pool := rt.parked[key]
-	for i, p := range pool {
-		if p == sc {
-			pool = append(pool[:i], pool[i+1:]...)
-			break
-		}
+	if i := slices.Index(pool, sc); i >= 0 {
+		pool = slices.Delete(pool, i, i+1)
 	}
-	if len(pool) == 0 {
+	if len(pool) == 0 && len(rt.parked) > maxPoolDests {
 		delete(rt.parked, key)
 	} else {
 		rt.parked[key] = pool
@@ -948,7 +991,8 @@ func (n *node) ParkConn(c netapi.Conn) bool {
 	sc.dom.mu.Lock()
 	n.rt.stateMu.Lock()
 	locked := sc.wmu.TryLock()
-	if !locked || sc.werr != nil || sc.state != connActive || len(n.rt.parked[poolKey(sc.remote)]) >= maxParkedPerDest {
+	key := poolKey(sc.remote)
+	if !locked || sc.werr != nil || sc.state != connActive || len(n.rt.parked[key]) >= maxParkedPerDest {
 		if locked {
 			sc.wmu.Unlock()
 		}
@@ -958,7 +1002,7 @@ func (n *node) ParkConn(c netapi.Conn) bool {
 	}
 	sc.wparked.Store(true)
 	sc.state = connParked
-	n.rt.parked[poolKey(sc.remote)] = append(n.rt.parked[poolKey(sc.remote)], sc)
+	n.rt.parked[key] = append(n.rt.parked[key], sc)
 	sc.recv = nil
 	owner := sc.owner
 	sc.owner = nil
@@ -971,90 +1015,237 @@ func (n *node) ParkConn(c netapi.Conn) bool {
 	return true
 }
 
-// streamReadBufs recycles the stream read loops' buffers: a connection
-// lives for one exchange unless it is parked, and allocating and zeroing
-// 64 KiB for each was a third of the bytes a dispatcher allocated per
-// interaction. Not a netapi.Buffer lease — a read loop holds its buffer
-// for as long as its connection lives, parked ones included, and must
-// not read as leaked in netapi.LeasedBuffers.
-const streamReadBufSize = 64 * 1024
+// streamReader is a read loop's state and the raw-read callback bound
+// to it. Readers are recycled across connections, so starting a read
+// loop builds no closure. Only the loop's goroutine touches one.
+type streamReader struct {
+	sc *streamConn
+	// buf is the lease the callback reads into: taken once the
+	// descriptor is readable, given back once a read finds the kernel
+	// queue empty, so a waiting connection holds none.
+	buf *netapi.Buffer
+	// Why the callback left the raw read: pause, the gate is blocked
+	// (buf, when set, holds the chunk read before it closed); stop, the
+	// loop must end without reporting a close to recv; err, the stream
+	// ended (io.EOF) or failed.
+	pause bool
+	stop  bool
+	err   error
+	fn    func(fd uintptr) bool
+}
 
-var streamReadBufs = sync.Pool{New: func() any { return new([streamReadBufSize]byte) }}
+var readers = sync.Pool{New: func() any {
+	r := new(streamReader)
+	r.fn = r.readable
+	return r
+}}
 
-// readLoop delivers inbound chunks as views into the connection's read
-// buffer, serially under the connection's domain. The slice is valid
-// only for the duration of the callback; consumers copy or consume
-// (the netengine framer copies each complete frame into a lease and
-// buffers only a trailing partial frame).
-func (sc *streamConn) readLoop() {
-	bp := streamReadBufs.Get().(*[streamReadBufSize]byte)
-	defer streamReadBufs.Put(bp)
-	buf := bp[:]
+// release gives the reader's lease back.
+func (r *streamReader) release() {
+	if r.buf != nil {
+		r.buf.Release()
+		r.buf = nil
+	}
+}
+
+// readable is the raw-read callback: the netpoller calls it once when
+// the read loop enters the raw read, and again each time the
+// descriptor turns readable. It reads until a read comes back shorter
+// than the buffer — the kernel queue is then empty — delivering each
+// chunk inside the callback, and returns false to wait for the next
+// edge without a read that would block: entering the raw read again
+// would re-arm readiness and cost that read.
+func (r *streamReader) readable(fd uintptr) bool {
+	sc := r.sc
 	for {
-		if g := sc.gate; g != nil {
+		if g := sc.gate; g != nil && g.Blocked() {
 			// Backpressure: stop pulling bytes off the wire while the
 			// downstream ingest queue is pressured; unread data queues in
 			// the kernel socket buffer and then in the peer's send path.
-			g.Wait()
+			r.release()
+			r.pause = true
+			return true
 		}
-		nr, err := sc.c.Read(buf)
-		if nr > 0 {
-			if g := sc.gate; g != nil {
-				// A read already in flight when the gate closed: hold the
-				// chunk until reopen so recv never runs while paused.
-				g.Wait()
-			}
-			sc.dom.mu.Lock()
-			recv := sc.recv
-			if recv == nil {
-				// No user: stray bytes on a parked (or already closed)
-				// connection would desynchronise the next user — evict.
-				sc.rt.stateMu.Lock()
-				if sc.state == connParked {
-					sc.rt.removeParkedLocked(sc)
-					sc.wparked.Store(false)
+		if r.buf == nil {
+			r.buf = netapi.NewBuffer()
+		}
+		b := r.buf.Backing()
+		n, err := syscall.Read(int(fd), b)
+		sc.reads.Add(1)
+		switch {
+		case err == syscall.EINTR:
+			continue
+		case err == syscall.EAGAIN:
+			r.release()
+			return false
+		case err != nil:
+			r.err = os.NewSyscallError("read", err)
+			return true
+		case n == 0:
+			r.err = io.EOF
+			return true
+		}
+		if g := sc.gate; g != nil && g.Blocked() {
+			// A read already in flight when the gate closed: hold the
+			// chunk until reopen so recv never runs while paused.
+			r.buf.SetFilled(n)
+			r.pause = true
+			return true
+		}
+		if !sc.deliver(b[:n]) {
+			r.stop = true
+			return true
+		}
+		if n < len(b) {
+			r.release()
+			return false
+		}
+	}
+}
+
+// readLoop runs the connection's reads inside the raw read (see
+// readable), leaving it only to wait on a blocked gate, and ends the
+// connection: its descriptor is closed here whenever the loop returns.
+// Chunks are views into a leased buffer, valid only for the duration
+// of the callback; consumers copy or consume (the netengine framer
+// copies each complete frame into a lease and buffers only a trailing
+// partial frame).
+func (sc *streamConn) readLoop() {
+	r := readers.Get().(*streamReader)
+	r.sc = sc
+	defer func() {
+		r.release()
+		fn := r.fn
+		*r = streamReader{fn: fn}
+		readers.Put(r)
+		_ = sc.c.Close()
+	}()
+	for {
+		err := sc.rc.Read(r.fn)
+		switch {
+		case r.stop:
+			return
+		case r.pause:
+			r.pause = false
+			sc.gate.Wait()
+			if r.buf != nil {
+				ok := sc.deliver(r.buf.Bytes())
+				r.release()
+				if !ok {
+					return
 				}
-				sc.state = connClosed
-				sc.rt.stateMu.Unlock()
-				sc.dom.mu.Unlock()
-				_ = sc.c.Close()
-				return
 			}
-			recv(sc, buf[:nr])
-			sc.dom.mu.Unlock()
-			sc.rt.wake()
+			continue
+		case r.err != nil:
+			err = r.err
 		}
 		if err != nil {
-			sc.dom.mu.Lock()
-			recv := sc.recv
-			sc.rt.stateMu.Lock()
-			st := sc.state
-			if st == connParked {
-				sc.rt.removeParkedLocked(sc)
-				sc.wparked.Store(false)
-			}
-			sc.state = connClosed
-			owner := sc.owner
-			sc.owner = nil
-			sc.rt.stateMu.Unlock()
-			if st == connActive && recv != nil {
-				if owner != nil {
-					owner.forget(sc)
-				}
-				recv(sc, nil)
-				sc.dom.mu.Unlock()
-				sc.rt.wake()
-			} else {
-				sc.dom.mu.Unlock()
-			}
-			_ = sc.c.Close()
+			sc.ended()
 			return
 		}
 	}
 }
 
+// deliver hands one chunk to the connection's user under its domain,
+// reporting whether the loop may read on: not once Close has run, nor
+// after stray bytes on a parked connection, which would desynchronise
+// the next user, evicted it.
+func (sc *streamConn) deliver(chunk []byte) bool {
+	if sc.flags.Or(ioBusy)&ioClose != 0 {
+		return false
+	}
+	sc.dom.mu.Lock()
+	recv := sc.recv
+	if recv == nil {
+		// No user: parked, or closed under a claim that never came.
+		sc.rt.stateMu.Lock()
+		if sc.state == connParked {
+			sc.rt.removeParkedLocked(sc)
+			sc.wparked.Store(false)
+		}
+		sc.state = connClosed
+		sc.rt.stateMu.Unlock()
+		sc.dom.mu.Unlock()
+		return false
+	}
+	recv(sc, chunk)
+	sc.dom.mu.Unlock()
+	sc.rt.wake()
+	return sc.flags.And(^ioBusy)&ioClose == 0
+}
+
+// ended retires a connection whose stream ended or failed, reporting
+// the close to a current user with recv(sc, nil).
+func (sc *streamConn) ended() {
+	sc.dom.mu.Lock()
+	recv := sc.recv
+	sc.rt.stateMu.Lock()
+	st := sc.state
+	if st == connParked {
+		sc.rt.removeParkedLocked(sc)
+		sc.wparked.Store(false)
+	}
+	sc.state = connClosed
+	owner := sc.owner
+	sc.owner = nil
+	sc.rt.stateMu.Unlock()
+	if st == connActive && recv != nil {
+		if owner != nil {
+			owner.forget(sc)
+		}
+		recv(sc, nil)
+		sc.dom.mu.Unlock()
+		sc.rt.wake()
+		return
+	}
+	sc.dom.mu.Unlock()
+}
+
 func (sc *streamConn) LocalAddr() netapi.Addr  { return sc.local }
 func (sc *streamConn) RemoteAddr() netapi.Addr { return sc.remote }
+
+// streamWriter is one Send's state and the raw-write callback bound to
+// it, recycled like streamReader.
+type streamWriter struct {
+	sc    *streamConn
+	data  []byte
+	armed bool // the write deadline is set: a write would have blocked
+	err   error
+	fn    func(fd uintptr) bool
+}
+
+var writers = sync.Pool{New: func() any {
+	w := new(streamWriter)
+	w.fn = w.writable
+	return w
+}}
+
+// writable is the raw-write callback: it writes until the kernel has
+// taken every byte, and only when a write would block does it arm the
+// write timeout, once per Send, before waiting for the descriptor to
+// drain.
+func (w *streamWriter) writable(fd uintptr) bool {
+	for len(w.data) > 0 {
+		n, err := syscall.Write(int(fd), w.data)
+		switch {
+		case err == nil:
+			w.data = w.data[n:]
+		case err == syscall.EINTR:
+		case err == syscall.EAGAIN:
+			if !w.armed {
+				w.armed = true
+				if w.err = w.sc.c.SetWriteDeadline(time.Now().Add(ioTimeout)); w.err != nil {
+					return true
+				}
+			}
+			return false
+		default:
+			w.err = os.NewSyscallError("write", err)
+			return true
+		}
+	}
+	return true
+}
 
 // Send transmits data in order. Concurrent senders take turns: each
 // holds the write lock across its write, so it returns once the kernel
@@ -1070,11 +1261,22 @@ func (sc *streamConn) Send(data []byte) error {
 	if sc.werr != nil {
 		return fmt.Errorf("realnet: %w", sc.werr)
 	}
-	netapi.CountStreamFlush()
-	err := sc.c.SetWriteDeadline(time.Now().Add(ioTimeout))
-	if err == nil {
-		_, err = sc.c.Write(data)
+	if sc.flags.Load()&ioClose != 0 {
+		return fmt.Errorf("realnet: %w", net.ErrClosed)
 	}
+	netapi.CountStreamFlush()
+	w := writers.Get().(*streamWriter)
+	w.sc, w.data = sc, data
+	err := sc.rc.Write(w.fn)
+	if err == nil {
+		err = w.err
+	}
+	if w.armed && err == nil {
+		err = sc.c.SetWriteDeadline(time.Time{})
+	}
+	fn := w.fn
+	*w = streamWriter{fn: fn}
+	writers.Put(w)
 	if err != nil {
 		sc.werr = err
 		return fmt.Errorf("realnet: %w", err)
@@ -1098,6 +1300,12 @@ func (sc *streamConn) Close() error {
 	}
 	if owner != nil {
 		owner.forget(sc)
+	}
+	if sc.flags.Or(ioClose)&ioBusy != 0 {
+		// The read loop is inside recv, which may be this very call:
+		// closing the descriptor would wait for it. The loop closes it
+		// once recv returns.
+		return nil
 	}
 	return sc.c.Close()
 }

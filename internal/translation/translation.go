@@ -303,8 +303,41 @@ func urlbaseXML(v message.Value) (message.Value, error) {
 	if !ok {
 		return message.Value{}, fmt.Errorf("urlbase-xml: value is %v", v.Kind())
 	}
-	esc := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;").Replace(s)
-	return message.Str("<root><URLBase>" + esc + "</URLBase></root>"), nil
+	const head, tail = "<root><URLBase>", "</URLBase></root>"
+	n := len(head) + len(s) + len(tail)
+	for i := 0; i < len(s); i++ {
+		if e := xmlEntity(s[i]); e != "" {
+			n += len(e) - 1
+		}
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(head)
+	last := 0
+	for i := 0; i < len(s); i++ {
+		if e := xmlEntity(s[i]); e != "" {
+			b.WriteString(s[last:i])
+			b.WriteString(e)
+			last = i + 1
+		}
+	}
+	b.WriteString(s[last:])
+	b.WriteString(tail)
+	return message.Str(b.String()), nil
+}
+
+// xmlEntity is the entity urlbaseXML writes for &, < and >, "" for any
+// other byte.
+func xmlEntity(c byte) string {
+	switch c {
+	case '&':
+		return "&amp;"
+	case '<':
+		return "&lt;"
+	case '>':
+		return "&gt;"
+	}
+	return ""
 }
 
 // Register adds a translation function.
@@ -411,9 +444,10 @@ func (a *Action) Validate() error {
 	return nil
 }
 
-// Resolve evaluates the action's arguments against stored messages.
-func (a *Action) Resolve(lookup func(string) *message.Message) ([]message.Value, error) {
-	out := make([]message.Value, 0, len(a.Args))
+// Resolve evaluates the action's arguments against stored messages,
+// appending them to dst, the caller's scratch.
+func (a *Action) Resolve(dst []message.Value, lookup func(string) *message.Message) ([]message.Value, error) {
+	out := dst
 	for _, arg := range a.Args {
 		src := lookup(arg.Message)
 		if src == nil {

@@ -213,7 +213,7 @@ func TestActionSetHost(t *testing.T) {
 		{Label: "address", Value: message.Str("10.0.0.7")},
 		{Label: "port", Value: message.Int(5431)},
 	}})
-	vals, err := act.Resolve(func(string) *message.Message { return stored })
+	vals, err := act.Resolve(nil, func(string) *message.Message { return stored })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestActionValidateErrors(t *testing.T) {
 
 func TestActionResolveMissingMessage(t *testing.T) {
 	act := &Action{Name: ActionSetHost, Args: []FieldRef{ref("A", stPath()), ref("A", stPath())}}
-	if _, err := act.Resolve(func(string) *message.Message { return nil }); err == nil {
+	if _, err := act.Resolve(nil, func(string) *message.Message { return nil }); err == nil {
 		t.Fatal("missing stored message should fail")
 	}
 }
@@ -315,5 +315,36 @@ func TestParseLogicXMLErrors(t *testing.T) {
 		if _, err := ParseLogicXML(strings.NewReader(x)); err == nil {
 			t.Errorf("case %d should fail", i)
 		}
+	}
+}
+
+// urlbase-xml wraps a URL in a description document, escaping what XML
+// text may not hold, and builds it as one string.
+func TestURLBaseXML(t *testing.T) {
+	fn, err := NewFuncRegistry().Lookup("urlbase-xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for in, want := range map[string]string{
+		"http://10.0.0.7:5431/svc": "<root><URLBase>http://10.0.0.7:5431/svc</URLBase></root>",
+		"http://h/a?x=1&y=<2>":     "<root><URLBase>http://h/a?x=1&amp;y=&lt;2&gt;</URLBase></root>",
+		"&<>":                      "<root><URLBase>&amp;&lt;&gt;</URLBase></root>",
+		"":                         "<root><URLBase></URLBase></root>",
+		"http://h/café\"'quote":    "<root><URLBase>http://h/café\"'quote</URLBase></root>",
+	} {
+		v, err := fn(message.Str(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := v.Text(); got != want {
+			t.Errorf("urlbase-xml(%q) = %q, want %q", in, got, want)
+		}
+	}
+	if _, err := fn(message.Int(1)); err == nil {
+		t.Error("urlbase-xml of an integer should fail")
+	}
+	v := message.Str("http://10.0.0.7:5431/svc?a=1&b=2")
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = fn(v) }); allocs > 1 {
+		t.Errorf("urlbase-xml allocates %.0f times, want at most 1: the document's string", allocs)
 	}
 }

@@ -47,8 +47,9 @@ type Marshaller interface {
 // port, resource children).
 type StructuredMarshaller interface {
 	Marshaller
-	// Explode turns a decoded value into child fields of m.
-	Explode(m *message.Message, v message.Value) ([]*message.Field, error)
+	// Explode decodes v into the children of f, a field of m, which it
+	// makes with m.NewField and m.NewChildren.
+	Explode(m *message.Message, f *message.Field, v message.Value) error
 	// Implode rebuilds the primitive value from child fields.
 	Implode(children []*message.Field) (message.Value, error)
 }
@@ -343,36 +344,80 @@ func (URLMarshaller) Unmarshal(src string, bits int) (message.Value, error) {
 	return message.Str(src), nil
 }
 
-// Explode implements StructuredMarshaller.
-func (URLMarshaller) Explode(m *message.Message, v message.Value) ([]*message.Field, error) {
+// Explode implements StructuredMarshaller. A URL of the plain form a
+// discovery protocol advertises (scheme://host[:port][/path], nothing
+// to unescape) is split by hand into substrings of v; any other goes
+// through net/url.
+func (URLMarshaller) Explode(m *message.Message, f *message.Field, v message.Value) error {
 	s, ok := v.AsString()
 	if !ok {
-		return nil, fmt.Errorf("types: URL explode: value is %v", v.Kind())
+		return fmt.Errorf("types: URL explode: value is %v", v.Kind())
 	}
-	u, err := url.Parse(strings.TrimSpace(s))
-	if err != nil {
-		return nil, fmt.Errorf("types: URL explode %q: %w", s, err)
-	}
-	port := int64(0)
-	if p := u.Port(); p != "" {
-		pv, err := strconv.ParseInt(p, 10, 32)
+	s = strings.TrimSpace(s)
+	scheme, host, port, resource, ok := splitPlainURL(s)
+	if !ok {
+		u, err := url.Parse(s)
 		if err != nil {
-			return nil, fmt.Errorf("types: URL port %q: %w", p, err)
+			return fmt.Errorf("types: URL explode %q: %w", s, err)
 		}
-		port = pv
-	} else if u.Scheme == "http" {
-		port = 80
+		scheme, host, port, resource = u.Scheme, u.Hostname(), u.Port(), u.Path
 	}
-	resource := u.Path
+	pv := int64(0)
+	if port != "" {
+		var err error
+		if pv, err = strconv.ParseInt(port, 10, 32); err != nil {
+			return fmt.Errorf("types: URL port %q: %w", port, err)
+		}
+	} else if scheme == "http" {
+		pv = 80
+	}
 	if resource == "" {
 		resource = "/"
 	}
-	return []*message.Field{
-		m.NewField("protocol", message.Str(u.Scheme)),
-		m.NewField("address", message.Str(u.Hostname())),
-		m.NewField("port", message.Int(port)),
-		m.NewField("resource", message.Str(resource)),
-	}, nil
+	f.Children = append(m.NewChildren(4),
+		m.NewField("protocol", message.Str(scheme)),
+		m.NewField("address", message.Str(host)),
+		m.NewField("port", message.Int(pv)),
+		m.NewField("resource", message.Str(resource)))
+	return nil
+}
+
+// splitPlainURL splits scheme://host[:port][path] when every byte is
+// one net/url reads as itself — a lower-case scheme; no userinfo,
+// brackets, escapes, query or fragment; at most one colon in the
+// authority and a port of digits — and reports false for anything
+// else, which net/url then parses. On the plain form it agrees with
+// url.Parse's Scheme, Hostname, Port and Path.
+func splitPlainURL(s string) (scheme, host, port, path string, ok bool) {
+	i := strings.Index(s, "://")
+	if i <= 0 || s[0] < 'a' || s[0] > 'z' {
+		return "", "", "", "", false
+	}
+	for j := 1; j < i; j++ {
+		if c := s[j]; !(c >= 'a' && c <= 'z' || c >= '0' && c <= '9' || c == '+' || c == '-' || c == '.') {
+			return "", "", "", "", false
+		}
+	}
+	rest := s[i+3:]
+	for j := 0; j < len(rest); j++ {
+		if c := rest[j]; !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || strings.IndexByte("-._~/:!$&'()*+,;=", c) >= 0) {
+			return "", "", "", "", false
+		}
+	}
+	auth := rest
+	if j := strings.IndexByte(rest, '/'); j >= 0 {
+		auth, path = rest[:j], rest[j:]
+	}
+	host = auth
+	if j := strings.IndexByte(auth, ':'); j >= 0 {
+		host, port = auth[:j], auth[j+1:]
+		for k := 0; k < len(port); k++ {
+			if port[k] < '0' || port[k] > '9' {
+				return "", "", "", "", false
+			}
+		}
+	}
+	return s[:i], host, port, path, true
 }
 
 // Implode implements StructuredMarshaller.

@@ -3,6 +3,11 @@ package types
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"net/url"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -203,7 +208,7 @@ func TestDecodeFQDNConsumed(t *testing.T) {
 
 func TestURLExplodeImplode(t *testing.T) {
 	m := URLMarshaller{}
-	children, err := m.Explode(message.New("SSDP", "SSDPResponse"), message.Str("http://10.0.0.2:5431/desc.xml"))
+	children, err := explode(message.Str("http://10.0.0.2:5431/desc.xml"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +238,7 @@ func TestURLExplodeImplode(t *testing.T) {
 }
 
 func TestURLExplodeDefaults(t *testing.T) {
-	m := URLMarshaller{}
-	children, err := m.Explode(message.New("SSDP", "SSDPResponse"), message.Str("http://example.com"))
+	children, err := explode(message.Str("http://example.com"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,6 +253,104 @@ func TestURLExplodeDefaults(t *testing.T) {
 		t.Errorf("default resource = %q", r)
 	}
 }
+
+// explode runs URLMarshaller.Explode on a LOCATION field of a fresh
+// message and returns the field's children.
+func explode(v message.Value) ([]*message.Field, error) {
+	msg := message.New("SSDP", "SSDPResponse")
+	f := msg.NewField("LOCATION", v)
+	err := URLMarshaller{}.Explode(msg, f, v)
+	return f.Children, err
+}
+
+// explodeByNetURL is Explode as it was before the hand split: every
+// URL through url.Parse. It is the oracle the hand split must agree
+// with.
+func explodeByNetURL(s string) (scheme, host string, port int64, resource string, err error) {
+	u, err := url.Parse(strings.TrimSpace(s))
+	if err != nil {
+		return "", "", 0, "", err
+	}
+	if p := u.Port(); p != "" {
+		if port, err = strconv.ParseInt(p, 10, 32); err != nil {
+			return "", "", 0, "", err
+		}
+	} else if u.Scheme == "http" {
+		port = 80
+	}
+	resource = u.Path
+	if resource == "" {
+		resource = "/"
+	}
+	return u.Scheme, u.Hostname(), port, resource, nil
+}
+
+// The hand split of a plain URL gives the children url.Parse gives, and
+// a URL it declines fails or succeeds as url.Parse does: over a table
+// of the forms discovery protocols advertise and the ones net/url reads
+// differently, and over random strings of URL bytes.
+func TestURLExplodeAgreesWithNetURL(t *testing.T) {
+	inputs := []string{
+		"http://10.0.0.2:5431/desc.xml", "http://example.com", "http://example.com/", " http://h:80/a/b \r\n",
+		"HTTP://h/x", "http://h:/x", "http://:8080/x", "http:///x", "https://h:443", "ftp://h/x",
+		"http://h:99999999999/x", "http://h:8a/x", "http://a:b:80/x", "http://[::1]:80/x", "http://u@h/x",
+		"http://h/a%20b", "http://h/x?q=1", "http://h/x#f", "h:80/x", "/x", "", "://h", "1http://h",
+		"http://h/a b", "http://h/a\x7f", "http://h//x", "http://h:0080/x", "sip+tls://h.example:5061/r",
+	}
+	rng := rand.New(rand.NewSource(1))
+	const alphabet = "htp:/0123456789.abAB-_~!$&'()*+,;=%?#@[] "
+	for i := 0; i < 20000; i++ {
+		b := []byte("http://")
+		if i%3 == 0 {
+			b = b[:0]
+		}
+		for n := rng.Intn(16); n > 0; n-- {
+			b = append(b, alphabet[rng.Intn(len(alphabet))])
+		}
+		inputs = append(inputs, string(b))
+	}
+	for _, in := range inputs {
+		children, err := explode(message.Str(in))
+		scheme, host, port, resource, werr := explodeByNetURL(in)
+		if (err != nil) != (werr != nil) {
+			t.Fatalf("Explode(%q) error %v, url.Parse error %v", in, err, werr)
+		}
+		if err != nil {
+			continue
+		}
+		got := make([]string, len(children))
+		for i, c := range children {
+			got[i] = c.Label + "=" + c.Value.Text()
+		}
+		want := []string{"protocol=" + scheme, "address=" + host, "port=" + strconv.FormatInt(port, 10), "resource=" + resource}
+		if !slices.Equal(got, want) {
+			t.Fatalf("Explode(%q) = %v, url.Parse gives %v", in, got, want)
+		}
+	}
+}
+
+// A pooled message explodes a plain URL into children it already
+// holds: no url.URL and no child slice of its own.
+func TestURLExplodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items")
+	}
+	v := message.Str("http://127.0.0.1:5431/desc.xml")
+	allocs := testing.AllocsPerRun(100, func() {
+		msg := message.NewPooled("SSDP", "SSDPResponse")
+		f := msg.NewField("LOCATION", v)
+		if err := (URLMarshaller{}).Explode(msg, f, v); err != nil {
+			t.Fatal(err)
+		}
+		msg.Release()
+	})
+	if allocs != 0 {
+		t.Fatalf("Explode of a plain URL allocates %.1f times, want 0", allocs)
+	}
+}
+
+// raceEnabled is set by race_test.go.
+var raceEnabled bool
 
 func TestURLImplodeMissing(t *testing.T) {
 	m := URLMarshaller{}

@@ -125,6 +125,11 @@ type DispatchMetrics struct {
 	// Rejected counts payloads that classified to a case whose engine
 	// refused them outright (already closed).
 	Rejected int
+	// Framing counts stream connections dropped because where their
+	// next frame starts was lost (a frame longer than 64 KiB, or bytes
+	// the framer refuses): accepted ones on the shared listeners and
+	// the cases' requester connections. No classification.
+	Framing int
 	// FastPath counts classified payloads, the sum of Dispatched,
 	// Rejected, Unroutable and ParseErrors: every candidate parser reads
 	// the message-selection rule field alone, with no parse. SlowPath
@@ -201,7 +206,7 @@ func metricsOf(s provision.Snapshot) Metrics {
 	// DispatchMetrics is DispatchCounters plus the two path counts and
 	// the two latency rows.
 	dc := struct {
-		Dispatched, Ambiguous, Unroutable, ParseErrors, Suppressed, Rejected int
+		Dispatched, Ambiguous, Unroutable, ParseErrors, Suppressed, Rejected, Framing int
 	}(s.Dispatch)
 	m := Metrics{
 		State: stateOf(s.State),
@@ -212,6 +217,7 @@ func metricsOf(s provision.Snapshot) Metrics {
 			ParseErrors:     dc.ParseErrors,
 			Suppressed:      dc.Suppressed,
 			Rejected:        dc.Rejected,
+			Framing:         dc.Framing,
 			FastPath:        dc.Dispatched + dc.Rejected + dc.Unroutable + dc.ParseErrors,
 			FastPathLatency: stageLatencyOf("classify", s.ClassifyFast),
 			SlowPathLatency: stageLatencyOf("classify", hist.Snapshot{}),
